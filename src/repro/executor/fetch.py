@@ -94,7 +94,7 @@ class FetchStrategy:
             ctx.charge(sorted_rids.size, profile.cpu_bitmap_op)
         finally:
             grant.release()
-        pages = np.unique(table.pages_of_rids(sorted_rids))
+        pages = table.distinct_pages_of_sorted_rids(sorted_rids)
         ctx.disk.read_scattered(
             table.clustered.handle, pages, coalesce=self.coalesce
         )

@@ -41,6 +41,7 @@ from repro.executor.plans import PlanNode, _estimate
 from repro.executor.results import Result
 from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
+from repro.storage.bitmap import intersect_rids
 from repro.storage.btree import BPlusTree
 
 #: Per-entry bucket/pointer overhead of the hash join's build table.
@@ -63,9 +64,12 @@ def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     left_keys, left_counts = np.unique(left, return_counts=True)
     right_keys, right_counts = np.unique(right, return_counts=True)
-    common, left_idx, right_idx = np.intersect1d(
-        left_keys, right_keys, assume_unique=True, return_indices=True
+    # Join keys may be negative; rids may not.  Shift both onto [0, ...).
+    base = min(int(left_keys[0]), int(right_keys[0]))
+    shifted, left_idx, right_idx = intersect_rids(
+        left_keys - base, right_keys - base
     )
+    common = shifted + base
     return np.repeat(
         common.astype(np.int64), left_counts[left_idx] * right_counts[right_idx]
     )

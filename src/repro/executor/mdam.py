@@ -25,6 +25,7 @@ from repro.errors import PlanError
 from repro.executor.context import ExecContext
 from repro.executor.results import Result
 from repro.obs.tracer import trace_op
+from repro.storage.bitmap import dedupe_sorted
 from repro.storage.codec import CompositeKeyCodec
 from repro.storage.table import SecondaryIndex
 
@@ -80,7 +81,7 @@ def _mdam_scan(
         return Result.empty()
 
     leading_values = codec.decode(flat.keys[span_start:span_end])[0]
-    unique_leading = np.unique(leading_values)
+    unique_leading = dedupe_sorted(leading_values)  # index order = sorted
 
     # One probe per present leading value: [encode(a, b_lo), encode(a, b_hi)].
     trail_lo, trail_hi = trailing_range
@@ -97,10 +98,12 @@ def _mdam_scan(
     first_leaf = flat.leaf_index_of(start_clamped)
     last_pos = np.maximum(ends - 1, start_clamped)
     last_leaf = flat.leaf_index_of(np.minimum(last_pos, n_entries - 1))
+    # Probes ascend, so each span starts at or after the previous one's
+    # last leaf: the concatenated leaf indices are non-decreasing.
     leaf_spans = _positions_from_spans(first_leaf, last_leaf + 1)
-    pages = np.unique(flat.leaf_pages[leaf_spans])
+    pages = flat.pages_of_leaves(leaf_spans)
     if pages.size:
-        ctx.disk.read_scattered(tree.handle, np.sort(pages))
+        ctx.disk.read_scattered(tree.handle, pages)
 
     # --- CPU: descents for leaf jumps, binary search for in-leaf steps ----
     jumps = int(np.count_nonzero(first_leaf[1:] > last_leaf[:-1])) + 1

@@ -40,6 +40,7 @@ from repro.executor.results import Result
 from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
 from repro.sim.disk import DiskStats
+from repro.storage.bitmap import intersect_rids, probe_rids, rid_sort_order
 from repro.storage.codec import CompositeKeyCodec
 from repro.storage.env import StorageEnv
 from repro.storage.table import SecondaryIndex, Table
@@ -365,9 +366,12 @@ class FetchNode(PlanNode):
                 )
                 # Visibility verification keeps the child's (index) columns
                 # but the rid order of the fetch.
-                order = np.argsort(child_result.rids, kind="stable")
+                order = rid_sort_order(child_result.rids)
                 sorted_child_rids = child_result.rids[order]
-                if not np.array_equal(np.sort(fetched.rids), sorted_child_rids):
+                fetched_rids = fetched.rids
+                if not np.array_equal(
+                    fetched_rids[rid_sort_order(fetched_rids)], sorted_child_rids
+                ):
                     raise PlanError("verify-only fetch changed the rid set")
                 columns = {
                     name: values[order]
@@ -416,22 +420,25 @@ class FetchNode(PlanNode):
         return cost
 
 
-def _sort_rids_charged(
-    ctx: ExecContext, rids: np.ndarray, payload_bytes_per_row: int = 16
-) -> np.ndarray:
-    """Sort a rid array, charging CPU and spilling if memory is tight."""
+def _charge_rid_sort(
+    ctx: ExecContext, n_rids: int, payload_bytes_per_row: int = 16
+) -> None:
+    """Charge sorting ``n_rids`` rids: CPU, plus a spill if memory is tight.
+
+    Charge-only: the joined rids and their positions come from the
+    rid-set kernel (:func:`intersect_rids` / :func:`probe_rids`).
+    """
     with trace_op(ctx, "rid-sort", "sort"):
-        n_bytes = rids.size * payload_bytes_per_row
+        n_bytes = n_rids * payload_bytes_per_row
         grant = ctx.broker.try_grant(n_bytes)
-        ctx.charge_sort_cpu(rids.size)
+        ctx.charge_sort_cpu(n_rids)
         if grant is None:
             # Workspace overflow: write the run out and read it back (one
             # round trip) — a single extra pass, charged sequentially.
-            spill = ctx.temp.write_run(rids.size, payload_bytes_per_row)
+            spill = ctx.temp.write_run(n_rids, payload_bytes_per_row)
             ctx.temp.read_run_fully(spill)
         else:
             grant.release()
-        return np.sort(rids)
 
 
 class RidIntersectNode(PlanNode):
@@ -472,17 +479,9 @@ class RidIntersectNode(PlanNode):
     def _intersect(self, ctx: ExecContext, left: Result, right: Result) -> Result:
         profile = ctx.profile
         if self.algorithm == "merge":
-            left_sorted = _sort_rids_charged(ctx, left.rids)
-            right_sorted = _sort_rids_charged(ctx, right.rids)
+            _charge_rid_sort(ctx, left.n_rows)
+            _charge_rid_sort(ctx, right.n_rows)
             ctx.charge(left.n_rows + right.n_rows, profile.cpu_compare)
-            common, left_idx, right_idx = np.intersect1d(
-                left_sorted, right_sorted, assume_unique=True, return_indices=True
-            )
-            # Map positions in the sorted arrays back to original rows.
-            left_order = np.argsort(left.rids, kind="stable")
-            right_order = np.argsort(right.rids, kind="stable")
-            left_pos = left_order[left_idx]
-            right_pos = right_order[right_idx]
         else:
             build_res, probe_res = (
                 (left, right) if self.build == "left" else (right, left)
@@ -502,11 +501,9 @@ class RidIntersectNode(PlanNode):
             # than probing -- the physical reason join order matters.
             ctx.charge(build_res.n_rows, 2 * profile.cpu_hash)
             ctx.charge(probe_res.n_rows, profile.cpu_hash)
-            common, left_idx_u, right_idx_u = np.intersect1d(
-                left.rids, right.rids, assume_unique=True, return_indices=True
-            )
-            left_pos = left_idx_u
-            right_pos = right_idx_u
+        # Merge and hash differ in what they charge, not in what they
+        # produce: rids are unique, so the result is the same either way.
+        common, left_pos, right_pos = intersect_rids(left.rids, right.rids)
         columns = {
             name: values[left_pos] for name, values in left.columns.items()
         }
@@ -654,12 +651,12 @@ class CoveringRidJoinNode(PlanNode):
 
     def _join(self, ctx: ExecContext, child: Result) -> Result:
         profile = ctx.profile
-        value_keys, value_rids = self.value_index.scan_all(charge=True)
+        value_keys, _ = self.value_index.scan_all(charge=True)
         n_index = value_keys.size
         ctx.charge(n_index, profile.cpu_row)
         if self.algorithm == "merge":
-            child_sorted = _sort_rids_charged(ctx, child.rids)
-            _sorted_index_rids = _sort_rids_charged(ctx, value_rids)
+            _charge_rid_sort(ctx, child.n_rows)
+            _charge_rid_sort(ctx, n_index)
             ctx.charge(child.n_rows + n_index, profile.cpu_compare)
         else:
             build_rows = child.n_rows if self.build == "child" else n_index
@@ -674,8 +671,9 @@ class CoveringRidJoinNode(PlanNode):
                 grant.release()
             ctx.charge(build_rows, 2 * profile.cpu_hash)
             ctx.charge(probe_rows, profile.cpu_hash)
-        common, child_idx, index_idx = np.intersect1d(
-            child.rids, value_rids, assume_unique=True, return_indices=True
+        # The index's cached rid -> position inverse makes the join a gather.
+        common, child_idx, index_idx = probe_rids(
+            child.rids, self.value_index.rid_positions()
         )
         columns = {name: values[child_idx] for name, values in child.columns.items()}
         columns[self.value_index.key_columns[0]] = np.asarray(

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.sim.disk import FileHandle
+from repro.storage.bitmap import dedupe_sorted, position_table
 from repro.storage.env import StorageEnv
 
 _INNER_ENTRY_BYTES = 16  # separator key + child pointer
@@ -97,9 +98,22 @@ class _DescentIndex:
 
 
 class _FlatView:
-    """Concatenated leaf contents plus leaf boundary metadata."""
+    """Concatenated leaf contents plus leaf boundary metadata.
 
-    __slots__ = ("keys", "payload", "leaf_starts", "leaf_pages", "_unique_pages")
+    The view is rebuilt on any mutation, so what it caches
+    (:meth:`unique_leaf_pages`, :meth:`rid_positions`) can never go stale.
+    """
+
+    __slots__ = (
+        "keys",
+        "payload",
+        "leaf_starts",
+        "leaf_pages",
+        "_leaf_stride",
+        "_pages_ascending",
+        "_unique_pages",
+        "_rid_positions",
+    )
 
     def __init__(
         self,
@@ -112,17 +126,35 @@ class _FlatView:
         self.payload = payload
         self.leaf_starts = leaf_starts  # length n_leaves + 1, prefix offsets
         self.leaf_pages = leaf_pages  # page number of each leaf, chain order
+        # Entries per leaf when every leaf but the last holds exactly that
+        # many (a bulk load), else 0; and whether pages ascend along the
+        # chain (consecutive after a bulk load).  Splits break both.
+        counts = np.diff(leaf_starts)  # a tree has at least one leaf
+        stride = int(counts[0])
+        uniform = bool(np.all(counts[:-1] == stride)) and int(counts[-1]) <= stride
+        self._leaf_stride = stride if uniform else 0
+        self._pages_ascending = bool(np.all(leaf_pages[1:] > leaf_pages[:-1]))
         self._unique_pages: np.ndarray | None = None
+        self._rid_positions: np.ndarray | None = None
 
     def unique_leaf_pages(self) -> np.ndarray:
-        """Sorted unique leaf page numbers, cached for the view's lifetime.
-
-        The view is rebuilt on any mutation, so the cache can never go
-        stale; full scans reuse it every measurement.
-        """
+        """Sorted leaf page numbers, cached: full scans reuse them every
+        measurement."""
         if self._unique_pages is None:
-            self._unique_pages = np.unique(self.leaf_pages)
+            self._unique_pages = self._sorted_pages(self.leaf_pages)
         return self._unique_pages
+
+    def rid_positions(self) -> np.ndarray:
+        """Cached rid -> flat position inverse of the ``rid`` payload.
+
+        ``rid_positions()[rid]`` is where a secondary index keeps ``rid``
+        (``-1`` if it holds no such rid), which turns a rid join against
+        the whole index into a gather
+        (:func:`repro.storage.bitmap.probe_rids`).
+        """
+        if self._rid_positions is None:
+            self._rid_positions = position_table(self.payload["rid"])
+        return self._rid_positions
 
     @property
     def n_entries(self) -> int:
@@ -133,8 +165,25 @@ class _FlatView:
         return int(self.leaf_pages.size)
 
     def leaf_index_of(self, positions: np.ndarray) -> np.ndarray:
-        """Leaf index (chain order) containing each flat position."""
+        """Leaf index (chain order) containing each flat position.
+
+        Positions must lie in ``[0, n_entries)``.
+        """
+        if self._leaf_stride:
+            return np.asarray(positions) // self._leaf_stride
         return np.searchsorted(self.leaf_starts, positions, side="right") - 1
+
+    def _sorted_pages(self, pages: np.ndarray) -> np.ndarray:
+        """Ascending pages of distinct leaves given in chain order.
+
+        Every leaf owns its page, so the pages are already unique; they
+        only need sorting once splits have put leaves out of page order.
+        """
+        return pages if self._pages_ascending else np.sort(pages)
+
+    def pages_of_leaves(self, leaf_indices: np.ndarray) -> np.ndarray:
+        """Sorted unique pages of non-decreasing leaf indices (repeats ok)."""
+        return self._sorted_pages(self.leaf_pages[dedupe_sorted(leaf_indices)])
 
     def pages_for_span(self, start: int, end: int) -> np.ndarray:
         """Sorted unique page numbers of leaves overlapping [start, end)."""
@@ -142,7 +191,7 @@ class _FlatView:
             return np.empty(0, dtype=np.int64)
         first = int(np.searchsorted(self.leaf_starts, start, side="right") - 1)
         last = int(np.searchsorted(self.leaf_starts, end - 1, side="right") - 1)
-        return np.unique(self.leaf_pages[first : last + 1])
+        return self._sorted_pages(self.leaf_pages[first : last + 1])
 
 
 class BPlusTree:

@@ -93,6 +93,10 @@ class SecondaryIndex:
         keys, payload = self.tree.scan_all(charge=charge)
         return keys, payload["rid"]
 
+    def rid_positions(self) -> np.ndarray:
+        """Cached rid -> scan position inverse (see ``_FlatView.rid_positions``)."""
+        return self.tree.flat.rid_positions()
+
 
 class Table:
     """Clustered storage for a fixed set of NumPy columns."""
@@ -175,6 +179,15 @@ class Table:
         flat = self.clustered.flat
         leaf_idx = flat.leaf_index_of(rids)
         return flat.leaf_pages[leaf_idx]
+
+    def distinct_pages_of_sorted_rids(self, rids: np.ndarray) -> np.ndarray:
+        """Sorted unique data pages of ascending row ids — a bitmap-sorted
+        fetch's page sweep (vectorized, uncharged)."""
+        rids = np.asarray(rids)
+        if rids.size and (rids[0] < 0 or rids[-1] >= self.n_rows):
+            raise StorageError("row id out of range")
+        flat = self.clustered.flat
+        return flat.pages_of_leaves(flat.leaf_index_of(rids))
 
     def gather(
         self, rids: np.ndarray, columns: Sequence[str] | None = None

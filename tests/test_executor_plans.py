@@ -216,3 +216,104 @@ def test_measured_run_io_stats(indexed_table, env):
     runner = PlanRunner(env)
     run = runner.measure(TableScanNode(indexed_table, [PA]))
     assert run.io.pages_read >= indexed_table.n_pages
+
+
+# ---------------------------------------------------------------------------
+# rid-set kernel call sites
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", [SORTED_BITMAP_FETCH, NAIVE_FETCH], ids=str)
+@pytest.mark.parametrize("tamper", ["drop", "swap"])
+def test_verify_only_check_fires_on_tampered_rid_set(
+    indexed_table, env, strategy, tamper
+):
+    from repro.executor.context import ExecContext
+    from repro.executor.fetch import FetchStrategy
+    from repro.executor.results import Result
+
+    class Tampering(FetchStrategy):
+        def fetch(self, ctx, table, rids, columns, residual=None):
+            fetched = super().fetch(ctx, table, rids, columns, residual).rids
+            if tamper == "drop":
+                return Result(fetched[1:])
+            missing = np.setdiff1d(np.arange(table.n_rows), fetched)[0]
+            return Result(np.concatenate([fetched[1:], [missing]]))
+
+    plan = FetchNode(
+        CompositeRangeRidsNode(indexed_table.index("idx_ab"), PA, PB),
+        indexed_table,
+        Tampering(strategy.name, strategy.sort_rids, strategy.coalesce),
+        verify_only=True,
+    )
+    with pytest.raises(PlanError, match="changed the rid set"):
+        plan.execute(ExecContext(env))
+
+
+@pytest.mark.parametrize("algorithm", ["merge", "hash"])
+def test_rid_intersect_rejects_duplicate_child_rids(indexed_table, env, algorithm):
+    from repro.executor.context import ExecContext
+    from repro.executor.plans import PlanNode
+    from repro.executor.results import Result
+
+    class Doubled(PlanNode):
+        """An index scan that hands every rid up twice."""
+
+        def __init__(self, child):
+            self.child = child
+
+        def execute(self, ctx):
+            result = self.child.execute(ctx)
+            return Result(np.concatenate([result.rids, result.rids]))
+
+    idx_a, idx_b = indexed_table.index("idx_a"), indexed_table.index("idx_b")
+    plan = RidIntersectNode(
+        Doubled(IndexRangeRidsNode(idx_a, PA)), IndexRangeRidsNode(idx_b, PB), algorithm
+    )
+    with pytest.raises(PlanError, match="duplicate"):
+        plan.execute(ExecContext(env))
+
+
+#: (plan, seconds.hex(), pages_read, pages_written, seeks, sequential,
+#: settled, random, pool hits, misses, evictions) of every rid-list plan
+#: run under half its uncensored cost with a 4 KiB workspace — recorded on
+#: the commit *before* the rid-set kernel (np.intersect1d / np.unique /
+#: stable argsort payloads).  The kernel changes host arrays only, so the
+#: abort clock and every counter must stay exactly these.
+CENSORED_AT_PARENT = [
+    ("merge", "0x1.2557846bc1292p-5", 113, 55, 6, 54, 0, 6, 0, 2, 0),
+    ("hash_left", "0x1.16bd2b6f19935p-5", 113, 55, 6, 54, 0, 6, 0, 2, 0),
+    ("hash_right", "0x1.1688524978efep-5", 113, 55, 6, 54, 0, 6, 0, 2, 0),
+    ("b_bitmap", "0x1.1320ef0dea4e7p-7", 31, 0, 2, 29, 0, 2, 0, 1, 0),
+    ("b_naive", "0x1.883758b1c7e4bp-1", 386, 0, 182, 27, 177, 182, 0, 1, 0),
+    ("c_mdam", "0x1.4fbc2ae90cc97p-8", 30, 0, 1, 29, 0, 1, 0, 0, 0),
+    ("c_mdam_ba", "0x1.4a109a5703c7ep-8", 26, 0, 1, 25, 0, 1, 0, 0, 0),
+    ("cover_merge", "0x1.2794a57bf4da0p-5", 181, 90, 5, 88, 0, 5, 0, 1, 0),
+    ("cover_hash", "0x1.0dd8251a96af3p-5", 181, 90, 5, 88, 0, 5, 0, 1, 0),
+]
+
+
+@pytest.mark.parametrize("expected", CENSORED_AT_PARENT, ids=lambda row: row[0])
+def test_budget_censored_cell_aborts_where_the_parent_did(plans, env, expected):
+    table, plan_dict = plans
+    rids_b = IndexRangeRidsNode(table.index("idx_b"), PB)
+    idx_val = table.index("idx_val")
+    plan_dict["cover_merge"] = CoveringRidJoinNode(rids_b, idx_val, "merge")
+    plan_dict["cover_hash"] = CoveringRidJoinNode(rids_b, idx_val, "hash", "index")
+    name, seconds_hex, *counters = expected
+    plan = plan_dict[name]
+    uncensored = PlanRunner(env, memory_bytes=4096).measure(plan)
+    assert not uncensored.aborted
+    pool_before = env.pool.stats.snapshot()
+    run = PlanRunner(
+        env, memory_bytes=4096, budget_seconds=uncensored.seconds * 0.5
+    ).measure(plan)
+    pool = env.pool.stats.delta(pool_before)
+    assert run.aborted and run.n_rows == -1
+    assert run.seconds.hex() == seconds_hex
+    io = run.io
+    assert [
+        io.pages_read, io.pages_written, io.seeks,
+        io.sequential_reads, io.settled_reads, io.random_reads,
+        pool.hits, pool.misses, pool.evictions,
+    ] == counters

@@ -226,3 +226,46 @@ def test_fill_factor_validation():
     tree, _env = make_tree()
     with pytest.raises(StorageError):
         tree.bulk_load(np.arange(10), {"v": np.arange(10)}, fill_factor=0.01)
+
+
+def test_rid_position_cache_dropped_on_mutation():
+    tree, _env = make_tree()
+    rids = np.random.default_rng(3).permutation(200)
+    tree.bulk_load(np.arange(200, dtype=np.int64), {"rid": rids})
+    inverse = tree.flat.rid_positions()
+    assert inverse is tree.flat.rid_positions()  # cached on the view
+    assert np.array_equal(rids[inverse], np.arange(200))
+    tree.insert(50, {"rid": 200})
+    rebuilt = tree.flat.rid_positions()
+    assert rebuilt is not inverse
+    assert rebuilt.size == 201
+    assert np.array_equal(tree.flat.payload["rid"][rebuilt], np.arange(201))
+    assert tree.delete(50)
+    after_delete = tree.flat.rid_positions()
+    assert after_delete is not rebuilt
+    assert np.count_nonzero(after_delete >= 0) == 200
+
+
+def test_flat_view_shortcuts_fall_back_after_splits():
+    """Stride division and page order hold for a bulk load only."""
+    tree, _env = bulk(np.arange(1000))
+    positions = np.arange(1000)
+
+    def by_search(flat):
+        return np.searchsorted(flat.leaf_starts, positions, side="right") - 1
+
+    assert np.array_equal(tree.flat.leaf_index_of(positions), by_search(tree.flat))
+    for i in range(200):
+        tree.insert(500, {"v": i})
+    flat = tree.flat
+    positions = np.arange(flat.n_entries)
+    assert np.any(np.diff(flat.leaf_pages) < 0)  # split pages sit at the end
+    assert np.array_equal(flat.leaf_index_of(positions), by_search(flat))
+    leaves = flat.leaf_index_of(positions)
+    for pages, expected in (
+        (flat.pages_of_leaves(leaves), flat.leaf_pages),
+        (flat.pages_for_span(0, flat.n_entries), flat.leaf_pages),
+        (flat.unique_leaf_pages(), flat.leaf_pages),
+        (flat.pages_for_span(450, 800), flat.leaf_pages[leaves[450] : leaves[799] + 1]),
+    ):
+        assert np.array_equal(pages, np.unique(expected))
