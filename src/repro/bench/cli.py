@@ -13,8 +13,8 @@ Usage::
 Figure mode writes SVG/PNG artifacts, prints the paper-vs-measured claim
 tables, and exits non-zero if any claim fails (usable as a CI robustness
 gate).  Scenario mode sweeps the named registered scenarios (see
-``BenchSession.SCENARIO_MAPS``) and writes each measured ``MapData`` as
-``scenario_<name>.json`` plus a text summary.  ``--workers`` fans the
+``repro.bench.requests.available_requests``) and writes each measured
+``MapData`` as ``scenario_<name>.json`` plus a text summary.  ``--workers`` fans the
 sweeps out over worker processes (bit-identical to the serial default);
 ``--progress`` streams per-cell/per-chunk/per-round status with an ETA
 to stderr (structured :class:`~repro.core.progress.ProgressEvent`
@@ -164,7 +164,7 @@ def _run_scenarios(
     """Sweep each named scenario, write its MapData + heat maps, summarize."""
     names = [n.replace("-", "_") for n in names]
     available = session.available_scenarios()
-    unknown = [n for n in names if n not in session.SCENARIO_MAPS]
+    unknown = [n for n in names if n not in available]
     if unknown:
         print(
             f"unknown scenarios: {unknown}; available: {available}",

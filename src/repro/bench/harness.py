@@ -231,7 +231,7 @@ class BenchSession:
     # the registry-backed map surface
     # ------------------------------------------------------------------
 
-    def _map_for(self, definition: MapDefinition) -> MapData:
+    def map_for(self, definition: MapDefinition) -> MapData:
         """Compute (or load) one registry entry's map on this session."""
         return self._cached(
             definition.cache_key, lambda: compute_map(self, definition)
@@ -247,30 +247,30 @@ class BenchSession:
         definition = definition_for(request.scenario)
         resolved = request.resolve(self.config)
         if resolved == self.config:
-            return self._map_for(definition)
+            return self.map_for(definition)
         derived = BenchSession(
             resolved,
             progress=self.progress,
             snapshot_every=self.snapshot_every,
         )
-        return derived._map_for(definition)
+        return derived.map_for(definition)
 
     def single_predicate_map(self) -> MapData:
         """1-D sweep over System A's 7 single-predicate plans (Figs 1-2)."""
-        return self._map_for(definition_for("single_predicate"))
+        return self.map_for(definition_for("single_predicate"))
 
     def two_predicate_map(self, jitter: bool = True) -> MapData:
         """2-D sweep over all 15 plans of systems A, B, C (Figs 4-10)."""
         name = "two_predicate" if jitter else "two_predicate_nojitter"
-        return self._map_for(definition_for(name))
+        return self.map_for(definition_for(name))
 
     def sort_spill_map(self) -> MapData:
         """Input rows x memory for the two sort spill policies (§4)."""
-        return self._map_for(definition_for("sort_spill"))
+        return self.map_for(definition_for("sort_spill"))
 
     def memory_sweep_map(self) -> MapData:
         """Selectivity x per-cell memory budget over System A's plans."""
-        return self._map_for(definition_for("memory_sweep"))
+        return self.map_for(definition_for("memory_sweep"))
 
     def join_map(self) -> MapData:
         """Build rows x probe rows over the four join plans (Figs 4-5).
@@ -279,7 +279,7 @@ class BenchSession:
         map comes out symmetric, the hash joins show the build-side
         spill cliff, the index nested-loop join is probe-bound.
         """
-        return self._map_for(definition_for("join"))
+        return self.map_for(definition_for("join"))
 
     def estimation_map(self) -> MapData:
         """Selectivity x error magnitude over System A's 7 plans.
@@ -289,7 +289,7 @@ class BenchSession:
         axis exists so :meth:`choice_maps` can evaluate every policy
         under growing error against the same measured surface.
         """
-        return self._map_for(definition_for("estimation"))
+        return self.map_for(definition_for("estimation"))
 
     # ------------------------------------------------------------------
     # the optimizer's scenario: choice and regret maps
@@ -351,35 +351,18 @@ class BenchSession:
                 for policy in policies
             }
 
-    #: CLI-facing scenario names -> bound map methods.
-    SCENARIO_MAPS = {
-        "single_predicate": "single_predicate_map",
-        "two_predicate": "two_predicate_map",
-        "sort_spill": "sort_spill_map",
-        "memory_sweep": "memory_sweep_map",
-        "join": "join_map",
-        "estimation": "estimation_map",
-    }
-
-    @classmethod
-    def available_scenarios(cls) -> list[str]:
+    @staticmethod
+    def available_scenarios() -> list[str]:
         """The scenario names ``scenario_map`` / the CLI accept."""
-        return sorted(cls.SCENARIO_MAPS)
+        return available_requests()
 
     def scenario_map(self, name: str) -> MapData:
-        """Compute (or load from cache) a bundled scenario's map.
+        """Compute (or load from cache) a registered scenario's map.
 
         Accepts both the CLI spelling (``sort_spill``) and the scenario
         registry spelling (``sort-spill``).
         """
-        try:
-            method = self.SCENARIO_MAPS[name.replace("-", "_")]
-        except KeyError:
-            raise ExperimentError(
-                f"unknown scenario {name!r}; "
-                f"available: {self.available_scenarios()}"
-            ) from None
-        return getattr(self, method)()
+        return self.map_for(definition_for(name))
 
     def system_a_plan_ids(self) -> list[str]:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""

@@ -107,7 +107,7 @@ def register_scenario(cls: type["Scenario"]) -> type["Scenario"]:
     Registration is what lets :class:`~repro.core.parallel.ParallelSweep`
     workers resolve a :class:`ScenarioSpec` back to a class.  (The bench
     CLI's ``--scenario`` names are a separate, session-scale concern —
-    see ``BenchSession.SCENARIO_MAPS``.)
+    see ``repro.bench.requests.MAP_DEFINITIONS``.)
     """
     if cls.name in SCENARIO_TYPES:
         raise ExperimentError(f"duplicate scenario name {cls.name!r}")

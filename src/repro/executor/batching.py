@@ -8,7 +8,7 @@ kept as *reference paths* for two reasons:
 
 * identity tests assert that both modes measure exactly the same virtual
   time, page faults, and eviction order;
-* ``benchmarks/bench_executor.py`` measures the before/after cells/sec of
+* ``benchmarks/bench_micro_operators.py`` measures the before/after cells/sec of
   the refactor on the same build of the code.
 
 The switch is process-global (not per-context) because a measurement's

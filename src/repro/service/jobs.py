@@ -28,6 +28,7 @@ observable as ``cache_hit`` (the sweep emitted zero progress events).
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 import time
@@ -273,7 +274,7 @@ class JobManager:
                 )
                 with self._cond:
                     job.session = session
-                result = session._map_for(definition)
+                result = session.map_for(definition)
             except Exception as exc:  # noqa: BLE001 - jobs must not kill workers
                 with self._cond:
                     job.state = "failed"
@@ -404,3 +405,10 @@ class JobManager:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
             thread.join(timeout=timeout)
+        # Jobs, their sessions and the progress callbacks reference one
+        # another (as do tables and their indexes), so what a retired
+        # manager built is never freed by reference counting.  Collect
+        # here, so a process that opens managers in turn holds one
+        # retired manager's tables at most, not however many fit before
+        # allocation counts next trigger a full collection.
+        gc.collect()

@@ -1,4 +1,4 @@
-"""B+-tree with fat NumPy leaves.
+"""Read-only B+-tree laid out in NumPy arrays.
 
 One tree class serves as the clustered index (payload = all table columns,
 key = row id), single-column secondary indexes (payload = row ids), and
@@ -6,25 +6,25 @@ composite-key secondary indexes (encoded keys, payload = row ids).
 
 Design notes
 ------------
-* **Bulk load** places leaves on consecutive page numbers, which is why a
-  full leaf scan is charged as sequential I/O; nodes created later by
-  splits get fresh page numbers at the end of the file, so a heavily
-  updated tree genuinely loses scan locality.
-* **Point operations** (probe, insert, delete) walk the real node
-  structure and charge one buffer-pool access per node on the path.
-* **Bulk reads** use a lazily rebuilt *flat view* (all keys/payloads
-  concatenated, plus leaf boundary offsets) so NumPy does the heavy
-  lifting, while I/O is still charged per leaf page actually covered.
-* **Deletion policy** is free-at-empty (nodes are unlinked only when they
-  become empty, as in Johnson & Shasha's free-at-empty B-trees) — simpler
-  than eager rebalancing and sufficient for the workloads here; the
-  ``validate()`` invariants reflect that policy.
+* **One representation.**  A tree is bulk-loaded once and never changes.
+  The sorted key and payload arrays handed to :meth:`BPlusTree.bulk_load`
+  *are* the leaf level: leaf ``j`` is the slice
+  ``[j * per_leaf, (j + 1) * per_leaf)`` of them, nothing is copied, and
+  everything above the leaves (page numbers, height, separators, the
+  root-to-parent page path of every leaf) is arithmetic on the leaf
+  count and the inner fanout.
+* **Page numbers.**  Leaves take pages ``0..L-1``, then each inner level
+  left to right, so a full leaf scan is charged as sequential I/O.
+* **Point probes** (:meth:`BPlusTree.probe`) charge one buffer-pool
+  access per page on the root-to-leaf path, one key at a time; it is the
+  sequential reference :meth:`BPlusTree.probe_many` is tested against.
+* **Bulk reads** slice the leaf arrays directly, while I/O is still
+  charged per leaf page actually covered.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,34 +34,6 @@ from repro.storage.bitmap import dedupe_sorted, position_table
 from repro.storage.env import StorageEnv
 
 _INNER_ENTRY_BYTES = 16  # separator key + child pointer
-
-
-class _Leaf:
-    __slots__ = ("keys", "payload", "next_leaf", "page_no")
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        payload: dict[str, np.ndarray],
-        page_no: int,
-    ) -> None:
-        self.keys = keys
-        self.payload = payload
-        self.next_leaf: "_Leaf | None" = None
-        self.page_no = page_no
-
-    @property
-    def n_entries(self) -> int:
-        return int(self.keys.size)
-
-
-class _Inner:
-    __slots__ = ("separators", "children", "page_no")
-
-    def __init__(self, separators: list[int], children: list, page_no: int) -> None:
-        self.separators = separators
-        self.children = children
-        self.page_no = page_no
 
 
 def _ragged_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -74,34 +46,11 @@ def _ragged_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
 
 
-class _DescentIndex:
-    """Vectorized descent metadata for one tree shape.
-
-    ``boundaries`` is the in-order concatenation of every inner node's
-    separators; when that sequence is non-decreasing (and the tree shape
-    is regular — see ``ordered``), a per-level ``bisect_left`` descent
-    lands on leaf ``searchsorted(boundaries, key, side="left")``, so a
-    whole key batch descends in one call.  ``leaf_paths[j]`` holds the
-    inner-node page numbers on the root→parent path of leaf ``j`` (every
-    path has the same length in a regular tree), which is what descent
-    I/O charging needs.
-    """
-
-    __slots__ = ("boundaries", "leaf_paths", "ordered")
-
-    def __init__(
-        self, boundaries: np.ndarray, leaf_paths: np.ndarray, ordered: bool
-    ) -> None:
-        self.boundaries = boundaries
-        self.leaf_paths = leaf_paths
-        self.ordered = ordered
-
-
 class _FlatView:
-    """Concatenated leaf contents plus leaf boundary metadata.
+    """The leaf level: sorted keys, aligned payload columns, leaf bounds.
 
-    The view is rebuilt on any mutation, so what it caches
-    (:meth:`unique_leaf_pages`, :meth:`rid_positions`) can never go stale.
+    The tree never changes after its bulk load, so what the view caches
+    (:meth:`rid_positions`) can never go stale.
     """
 
     __slots__ = (
@@ -109,9 +58,7 @@ class _FlatView:
         "payload",
         "leaf_starts",
         "leaf_pages",
-        "_leaf_stride",
-        "_pages_ascending",
-        "_unique_pages",
+        "_per_leaf",
         "_rid_positions",
     )
 
@@ -121,28 +68,14 @@ class _FlatView:
         payload: dict[str, np.ndarray],
         leaf_starts: np.ndarray,
         leaf_pages: np.ndarray,
+        per_leaf: int,
     ) -> None:
         self.keys = keys
         self.payload = payload
         self.leaf_starts = leaf_starts  # length n_leaves + 1, prefix offsets
-        self.leaf_pages = leaf_pages  # page number of each leaf, chain order
-        # Entries per leaf when every leaf but the last holds exactly that
-        # many (a bulk load), else 0; and whether pages ascend along the
-        # chain (consecutive after a bulk load).  Splits break both.
-        counts = np.diff(leaf_starts)  # a tree has at least one leaf
-        stride = int(counts[0])
-        uniform = bool(np.all(counts[:-1] == stride)) and int(counts[-1]) <= stride
-        self._leaf_stride = stride if uniform else 0
-        self._pages_ascending = bool(np.all(leaf_pages[1:] > leaf_pages[:-1]))
-        self._unique_pages: np.ndarray | None = None
+        self.leaf_pages = leaf_pages  # page number of each leaf, ascending
+        self._per_leaf = per_leaf  # entries in every leaf but the last
         self._rid_positions: np.ndarray | None = None
-
-    def unique_leaf_pages(self) -> np.ndarray:
-        """Sorted leaf page numbers, cached: full scans reuse them every
-        measurement."""
-        if self._unique_pages is None:
-            self._unique_pages = self._sorted_pages(self.leaf_pages)
-        return self._unique_pages
 
     def rid_positions(self) -> np.ndarray:
         """Cached rid -> flat position inverse of the ``rid`` payload.
@@ -169,33 +102,20 @@ class _FlatView:
 
         Positions must lie in ``[0, n_entries)``.
         """
-        if self._leaf_stride:
-            return np.asarray(positions) // self._leaf_stride
-        return np.searchsorted(self.leaf_starts, positions, side="right") - 1
-
-    def _sorted_pages(self, pages: np.ndarray) -> np.ndarray:
-        """Ascending pages of distinct leaves given in chain order.
-
-        Every leaf owns its page, so the pages are already unique; they
-        only need sorting once splits have put leaves out of page order.
-        """
-        return pages if self._pages_ascending else np.sort(pages)
+        return np.asarray(positions) // self._per_leaf
 
     def pages_of_leaves(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Sorted unique pages of non-decreasing leaf indices (repeats ok)."""
-        return self._sorted_pages(self.leaf_pages[dedupe_sorted(leaf_indices)])
-
-    def pages_for_span(self, start: int, end: int) -> np.ndarray:
-        """Sorted unique page numbers of leaves overlapping [start, end)."""
-        if end <= start:
-            return np.empty(0, dtype=np.int64)
-        first = int(np.searchsorted(self.leaf_starts, start, side="right") - 1)
-        last = int(np.searchsorted(self.leaf_starts, end - 1, side="right") - 1)
-        return self._sorted_pages(self.leaf_pages[first : last + 1])
+        return self.leaf_pages[dedupe_sorted(leaf_indices)]
 
 
 class BPlusTree:
-    """Disk-resident B+-tree over int64 keys (see module docstring)."""
+    """Disk-resident read-only B+-tree over int64 keys (see module docstring).
+
+    ``height`` is the number of levels (1 = the root is a leaf) and
+    ``n_pages`` the pages the tree occupies; both are set by
+    :meth:`bulk_load`, before which the tree is empty.
+    """
 
     def __init__(
         self,
@@ -216,25 +136,11 @@ class BPlusTree:
             4, profile.page_size // _INNER_ENTRY_BYTES
         )
         self.handle: FileHandle = env.disk.create_file(name)
-        self._next_page = 0
-        self._root: _Leaf | _Inner = _Leaf(
-            np.empty(0, dtype=np.int64), {}, self._allocate_page()
-        )
-        self._first_leaf: _Leaf = self._root
-        self._payload_names: tuple[str, ...] = ()
-        self._flat: _FlatView | None = None
-        self._descent: _DescentIndex | None = None
-        self._descent_flat: _FlatView | None = None
-        self._n_entries = 0
+        self.bulk_load(np.empty(0, dtype=np.int64), {})
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    def _allocate_page(self) -> int:
-        page = self._next_page
-        self._next_page += 1
-        return page
 
     def bulk_load(
         self,
@@ -242,10 +148,14 @@ class BPlusTree:
         payload: Mapping[str, np.ndarray],
         fill_factor: float = 1.0,
     ) -> "BPlusTree":
-        """Build the tree from sorted keys and aligned payload columns.
+        """Lay the tree out over sorted keys and aligned payload columns.
 
-        Leaves receive consecutive page numbers so that a post-load leaf
-        scan is physically sequential.  Returns ``self`` for chaining.
+        The arrays are kept, not copied: they are the leaf level, cut
+        into leaves of ``leaf_capacity * fill_factor`` entries on
+        consecutive pages, so a leaf scan is physically sequential.
+        Each inner level groups ``inner_fanout`` nodes of the level below
+        and takes the next pages, left to right.  Returns ``self`` for
+        chaining.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.size > 1 and np.any(np.diff(keys) < 0):
@@ -258,44 +168,39 @@ class BPlusTree:
                     f"payload column {column_name!r} length {len(values)} "
                     f"!= key count {keys.size}"
                 )
-        self._payload_names = tuple(payload)
-        self._next_page = 0
-        self._n_entries = int(keys.size)
+        n_entries = int(keys.size)
         per_leaf = max(2, int(self.leaf_capacity * fill_factor))
-
-        leaves: list[_Leaf] = []
-        if keys.size == 0:
-            leaves.append(_Leaf(keys, {n: np.asarray(v) for n, v in payload.items()}, self._allocate_page()))
-        else:
-            for start in range(0, keys.size, per_leaf):
-                stop = min(start + per_leaf, keys.size)
-                chunk_payload = {
-                    name: np.asarray(values[start:stop]) for name, values in payload.items()
-                }
-                leaves.append(_Leaf(keys[start:stop], chunk_payload, self._allocate_page()))
-        for left, right in zip(leaves, leaves[1:]):
-            left.next_leaf = right
-        self._first_leaf = leaves[0]
-
-        level: list[_Leaf | _Inner] = list(leaves)
-        while len(level) > 1:
-            parents: list[_Leaf | _Inner] = []
-            for start in range(0, len(level), self.inner_fanout):
-                group = level[start : start + self.inner_fanout]
-                separators = [self._min_key(node) for node in group[1:]]
-                parents.append(_Inner(separators, list(group), self._allocate_page()))
-            level = parents
-        self._root = level[0]
-        self._flat = None
+        n_leaves = max(1, -(-n_entries // per_leaf))  # an empty tree is one leaf
+        level_sizes = [n_leaves]
+        while level_sizes[-1] > 1:
+            level_sizes.append(-(-level_sizes[-1] // self.inner_fanout))
+        leaves = np.arange(n_leaves, dtype=np.int64)
+        leaf_starts = np.minimum(
+            np.arange(n_leaves + 1, dtype=np.int64) * per_leaf, n_entries
+        )
+        self.flat = _FlatView(
+            keys,
+            {name: np.asarray(values) for name, values in payload.items()},
+            leaf_starts,
+            leaves,
+            per_leaf,
+        )
+        self.height = len(level_sizes)
+        self.n_pages = sum(level_sizes)
+        # Every inner node's separators, concatenated in key sequence: the
+        # one between leaves j-1 and j is leaf j's first key, whichever
+        # level stores it.
+        self._separators = keys[leaf_starts[1:-1]]
+        # Row j: the inner pages from the root down to leaf j's parent.
+        # Leaf j's ancestor `level` levels up is node j // fanout**level
+        # of that level, whose pages follow all pages of the levels below.
+        self._leaf_paths = np.empty((n_leaves, self.height - 1), dtype=np.int64)
+        first_page, leaves_per_node = 0, 1
+        for level in range(1, self.height):
+            first_page += level_sizes[level - 1]
+            leaves_per_node *= self.inner_fanout
+            self._leaf_paths[:, -level] = first_page + leaves // leaves_per_node
         return self
-
-    @staticmethod
-    def _min_key(node: "_Leaf | _Inner") -> int:
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        if node.keys.size == 0:
-            raise StorageError("empty leaf has no minimum key")
-        return int(node.keys[0])
 
     # ------------------------------------------------------------------
     # basic properties
@@ -303,22 +208,7 @@ class BPlusTree:
 
     @property
     def n_entries(self) -> int:
-        return self._n_entries
-
-    @property
-    def height(self) -> int:
-        """Number of levels (1 = root is a leaf)."""
-        levels = 1
-        node = self._root
-        while isinstance(node, _Inner):
-            levels += 1
-            node = node.children[0]
-        return levels
-
-    @property
-    def n_pages(self) -> int:
-        """Pages ever allocated to this tree."""
-        return self._next_page
+        return self.flat.n_entries
 
     @property
     def n_leaves(self) -> int:
@@ -328,122 +218,22 @@ class BPlusTree:
     def n_leaf_pages(self) -> int:
         return self.flat.n_leaves
 
-    @property
-    def flat(self) -> _FlatView:
-        """The flat (concatenated-leaves) view, rebuilt after mutations."""
-        if self._flat is None:
-            self._flat = self._build_flat()
-        return self._flat
-
-    def _build_flat(self) -> _FlatView:
-        key_chunks: list[np.ndarray] = []
-        payload_chunks: dict[str, list[np.ndarray]] = {
-            name: [] for name in self._payload_names
-        }
-        starts = [0]
-        pages = []
-        leaf: _Leaf | None = self._first_leaf
-        total = 0
-        while leaf is not None:
-            key_chunks.append(leaf.keys)
-            for name in self._payload_names:
-                payload_chunks[name].append(leaf.payload[name])
-            total += leaf.n_entries
-            starts.append(total)
-            pages.append(leaf.page_no)
-            leaf = leaf.next_leaf
-        keys = (
-            np.concatenate(key_chunks) if key_chunks else np.empty(0, dtype=np.int64)
-        )
-        payload = {
-            name: (
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0)
-            )
-            for name, chunks in payload_chunks.items()
-        }
-        return _FlatView(
-            keys,
-            payload,
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(pages, dtype=np.int64),
-        )
-
     # ------------------------------------------------------------------
-    # point operations (walk the real structure, charge per node)
+    # point operations (charge per page on the path)
     # ------------------------------------------------------------------
 
-    def _descend(self, key: int, for_insert: bool = False) -> list[tuple[_Inner, int]]:
-        """Path of (inner node, taken child index) from root to leaf parent."""
-        path: list[tuple[_Inner, int]] = []
-        node = self._root
-        while isinstance(node, _Inner):
-            if for_insert:
-                child_idx = bisect.bisect_right(node.separators, key)
-            else:
-                child_idx = bisect.bisect_left(node.separators, key)
-            path.append((node, child_idx))
-            node = node.children[child_idx]
-        return path
+    def _charge_inner_path(self, key: int) -> int:
+        """Charge the inner pages a descent for ``key`` visits, root first.
 
-    def _charge_descent(self, path: list[tuple[_Inner, int]], leaf: _Leaf | None) -> None:
+        Returns the leaf the descent lands on: taking ``bisect_left``
+        over a node's separators at every level composes to one
+        ``searchsorted`` over all separators in key sequence.
+        """
+        leaf = int(np.searchsorted(self._separators, key, side="left"))
         pool = self._env.pool
-        for inner, _child in path:
-            pool.get(self.handle, inner.page_no)
-        if leaf is not None:
-            pool.get(self.handle, leaf.page_no)
-        self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
-
-    def _leaf_for(self, path: list[tuple[_Inner, int]]) -> _Leaf:
-        node = self._root if not path else path[-1][0].children[path[-1][1]]
-        if isinstance(node, _Inner):  # pragma: no cover - defensive
-            raise StorageError("descent did not reach a leaf")
-        return node
-
-    def _descent_index(self) -> _DescentIndex:
-        """The cached :class:`_DescentIndex`, rebuilt when the flat view is."""
-        flat = self.flat
-        if self._descent is None or self._descent_flat is not flat:
-            self._descent = self._build_descent(flat)
-            self._descent_flat = flat
-        return self._descent
-
-    def _build_descent(self, flat: _FlatView) -> _DescentIndex:
-        boundaries: list[int] = []
-        paths: list[tuple[int, ...]] = []
-        leaf_pages: list[int] = []
-
-        def walk(node: "_Leaf | _Inner", path: tuple[int, ...]) -> None:
-            if isinstance(node, _Inner):
-                child_path = path + (node.page_no,)
-                for index, child in enumerate(node.children):
-                    if index:
-                        boundaries.append(int(node.separators[index - 1]))
-                    walk(child, child_path)
-            else:
-                paths.append(path)
-                leaf_pages.append(node.page_no)
-
-        walk(self._root, ())
-        depths = {len(path) for path in paths}
-        ordered = (
-            len(depths) == 1
-            and len(boundaries) == len(leaf_pages) - 1
-            and leaf_pages == flat.leaf_pages.tolist()
-            and all(a <= b for a, b in zip(boundaries, boundaries[1:]))
-            and (
-                flat.n_leaves <= 1
-                or bool(np.all(np.diff(flat.leaf_starts) > 0))
-            )
-        )
-        boundary_arr = np.asarray(boundaries, dtype=np.int64)
-        path_arr = (
-            np.asarray(paths, dtype=np.int64)
-            if ordered
-            else np.empty((len(paths), 0), dtype=np.int64)
-        )
-        return _DescentIndex(boundary_arr, path_arr, ordered)
+        for page in self._leaf_paths[leaf].tolist():
+            pool.get(self.handle, page)
+        return leaf
 
     def probe_many(
         self,
@@ -467,13 +257,11 @@ class BPlusTree:
         like the loop.  When any page is pinned the trace is instead
         replayed one probe at a time until every page any remaining
         probe can touch is pool-resident, then the rest is charged in
-        two vectorized aggregates.  Irregular trees (non-monotone
-        in-order separators after heavy mutation) fall back to the plain
-        probe loop.
+        two vectorized aggregates.
 
         ``budget_check``, when given, fires at every index ``i`` with
         ``i % budget_stride == budget_stride - 1`` (and at every
-        individually replayed probe in the fallback paths) while the
+        individually replayed probe of the pinned-page path) while the
         clock holds exactly the value the per-probe loop would show
         there — censored (budget-aborted) runs therefore abort at the
         same probe with the same clock in both modes, with identical
@@ -487,19 +275,11 @@ class BPlusTree:
         counts = np.asarray(hi - lo, dtype=np.int64)
         if not charge or n == 0:
             return counts
-        descent = self._descent_index()
-        if not descent.ordered:
-            for done, key in enumerate(keys.tolist()):
-                self.probe(int(key))
-                if budget_check is not None:
-                    budget_check(done)
-            return counts
 
         n_entries = flat.n_entries
         n_leaves = flat.n_leaves
-        # Leaf the descent lands on: searchsorted over the in-order
-        # separators composes the per-level bisect_left choices.
-        first_leaf = np.searchsorted(descent.boundaries, keys, side="left")
+        # Leaf the descent lands on (see _charge_inner_path).
+        first_leaf = np.searchsorted(self._separators, keys, side="left")
         # Last leaf the duplicate-continuation walk visits: the walk
         # advances while the key's upper bound lies at/past the end of
         # the current leaf, i.e. up to the leaf containing position
@@ -516,10 +296,10 @@ class BPlusTree:
         # Page sequence of every probe: the descent's inner path + its
         # first leaf (charged before the probe CPU), then any
         # continuation leaves (charged after).
-        descent_len = int(descent.leaf_paths.shape[1]) + 1
+        descent_len = self.height
         descent_pages = np.concatenate(
             [
-                descent.leaf_paths[first_leaf],
+                self._leaf_paths[first_leaf],
                 flat.leaf_pages[first_leaf][:, None],
             ],
             axis=1,
@@ -638,7 +418,7 @@ class BPlusTree:
             else None
         )
         # Slot layout: probe b owns slots [offsets[b] + b, offsets[b+1] + b],
-        # one per page access plus one for its CPU charge, inserted after
+        # one per page access plus one for its CPU charge, placed after
         # the first descent_len accesses.
         per_probe = offsets[1:] - offsets[:-1]
         probe_of_access = np.repeat(np.arange(n, dtype=np.int64), per_probe)
@@ -694,195 +474,37 @@ class BPlusTree:
     def probe(self, key: int, charge: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Return (keys, payload) of entries equal to ``key`` (may be empty).
 
-        Walks the real node structure; charges one pool access per node
-        plus probe CPU when ``charge`` is set.  Duplicate keys spanning a
-        leaf boundary are followed through the leaf chain.
+        Charges one pool access per page on the root-to-leaf path plus
+        probe CPU when ``charge`` is set, then one per further leaf that
+        duplicates of ``key`` run into.  Returns NumPy views — callers
+        must not mutate them.
         """
-        path = self._descend(key)
-        leaf = self._leaf_for(path)
-        if charge:
-            self._charge_descent(path, leaf)
-        key_parts: list[np.ndarray] = []
-        payload_parts: dict[str, list[np.ndarray]] = {
-            name: [] for name in self._payload_names
-        }
-        current: _Leaf | None = leaf
-        first_leaf_visit = True
-        while current is not None:
-            if charge and not first_leaf_visit:
-                self._env.pool.get(self.handle, current.page_no)
-            first_leaf_visit = False
-            lo = int(np.searchsorted(current.keys, key, side="left"))
-            hi = int(np.searchsorted(current.keys, key, side="right"))
-            if hi > lo:
-                key_parts.append(current.keys[lo:hi])
-                for name in self._payload_names:
-                    payload_parts[name].append(current.payload[name][lo:hi])
-            if hi < current.n_entries:
-                break  # saw a key beyond the target; no more duplicates
-            current = current.next_leaf
-        keys = (
-            np.concatenate(key_parts) if key_parts else np.empty(0, dtype=np.int64)
-        )
-        payload = {
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in payload_parts.items()
-        }
-        return keys, payload
-
-    def next_key_after(self, key: int, charge: bool = True) -> int | None:
-        """Smallest stored key strictly greater than ``key`` (MDAM probe)."""
         flat = self.flat
-        pos = int(np.searchsorted(flat.keys, key, side="right"))
+        start, end = self.span_for_range(key, key)
         if charge:
-            path = self._descend(key)
-            self._charge_descent(path, self._leaf_for(path))
-        if pos >= flat.n_entries:
-            return None
-        return int(flat.keys[pos])
-
-    def insert(self, key: int, payload_row: Mapping[str, object], charge: bool = True) -> None:
-        """Insert one entry, splitting nodes as needed."""
-        if self._n_entries == 0 and not self._payload_names:
-            self._payload_names = tuple(payload_row)
-        if set(payload_row) != set(self._payload_names):
-            raise StorageError(
-                f"payload columns {sorted(payload_row)} != schema "
-                f"{sorted(self._payload_names)}"
-            )
-        path = self._descend(key, for_insert=True)
-        leaf = self._leaf_for(path)
-        if charge:
-            self._charge_descent(path, leaf)
-        pos = int(np.searchsorted(leaf.keys, key, side="right"))
-        leaf.keys = np.insert(leaf.keys, pos, key)
-        for name in self._payload_names:
-            existing = leaf.payload.get(name)
-            if existing is None or existing.size == 0:
-                existing = np.empty(0, dtype=np.asarray([payload_row[name]]).dtype)
-            leaf.payload[name] = np.insert(existing, pos, payload_row[name])
-        self._n_entries += 1
-        self._flat = None
-        if leaf.n_entries > self.leaf_capacity:
-            self._split_leaf(leaf, path)
-
-    def _split_leaf(self, leaf: _Leaf, path: list[tuple[_Inner, int]]) -> None:
-        mid = leaf.n_entries // 2
-        right = _Leaf(
-            leaf.keys[mid:].copy(),
-            {name: values[mid:].copy() for name, values in leaf.payload.items()},
-            self._allocate_page(),
-        )
-        leaf.keys = leaf.keys[:mid].copy()
-        leaf.payload = {name: values[:mid].copy() for name, values in leaf.payload.items()}
-        right.next_leaf = leaf.next_leaf
-        leaf.next_leaf = right
-        self._insert_into_parent(leaf, int(right.keys[0]), right, path)
-
-    def _insert_into_parent(
-        self,
-        left: "_Leaf | _Inner",
-        separator: int,
-        right: "_Leaf | _Inner",
-        path: list[tuple[_Inner, int]],
-    ) -> None:
-        if not path:
-            new_root = _Inner([separator], [left, right], self._allocate_page())
-            self._root = new_root
-            return
-        parent, child_idx = path[-1]
-        parent.separators.insert(child_idx, separator)
-        parent.children.insert(child_idx + 1, right)
-        if len(parent.children) > self.inner_fanout:
-            self._split_inner(parent, path[:-1])
-
-    def _split_inner(self, inner: _Inner, path: list[tuple[_Inner, int]]) -> None:
-        separators = inner.separators
-        mid = len(separators) // 2
-        promoted = separators[mid]
-        right = _Inner(
-            separators[mid + 1 :],
-            inner.children[mid + 1 :],
-            self._allocate_page(),
-        )
-        inner.separators = separators[:mid]
-        inner.children = inner.children[: mid + 1]
-        self._insert_into_parent(inner, promoted, right, path)
-
-    def delete(self, key: int, charge: bool = True) -> bool:
-        """Delete the first entry equal to ``key``; True if one existed.
-
-        Uses the free-at-empty policy: a leaf is unlinked from its parent
-        only when it becomes completely empty.
-        """
-        path = self._descend(key)
-        leaf = self._leaf_for(path)
-        if charge:
-            self._charge_descent(path, leaf)
-        # With duplicates the first occurrence may be one leaf to the right.
-        pos = int(np.searchsorted(leaf.keys, key, side="left"))
-        while pos == leaf.n_entries:
-            if leaf.next_leaf is None:
-                return False
-            leaf = leaf.next_leaf
-            if charge:
-                self._env.pool.get(self.handle, leaf.page_no)
-            pos = int(np.searchsorted(leaf.keys, key, side="left"))
-        if pos >= leaf.n_entries or leaf.keys[pos] != key:
-            return False
-        leaf.keys = np.delete(leaf.keys, pos)
-        leaf.payload = {
-            name: np.delete(values, pos) for name, values in leaf.payload.items()
-        }
-        self._n_entries -= 1
-        self._flat = None
-        if leaf.n_entries == 0:
-            self._free_empty_leaf(leaf)
-        return True
-
-    def _free_empty_leaf(self, leaf: _Leaf) -> None:
-        if leaf is self._first_leaf and leaf.next_leaf is None:
-            return  # a tree keeps at least one (possibly empty) leaf
-        prev = self._previous_leaf(leaf)
-        if prev is not None:
-            prev.next_leaf = leaf.next_leaf
-        else:
-            self._first_leaf = leaf.next_leaf  # type: ignore[assignment]
-        self._unlink_child(self._root, leaf)
-        self._collapse_root()
-
-    def _previous_leaf(self, target: _Leaf) -> _Leaf | None:
-        leaf: _Leaf | None = self._first_leaf
-        if leaf is target:
-            return None
-        while leaf is not None and leaf.next_leaf is not target:
-            leaf = leaf.next_leaf
-        return leaf
-
-    def _unlink_child(self, node: "_Leaf | _Inner", target: _Leaf) -> bool:
-        if not isinstance(node, _Inner):
-            return False
-        for index, child in enumerate(node.children):
-            if child is target:
-                node.children.pop(index)
-                if node.separators:
-                    node.separators.pop(max(0, index - 1))
-                return True
-            if isinstance(child, _Inner) and self._unlink_child(child, target):
-                if not child.children:
-                    node.children.pop(index)
-                    if node.separators:
-                        node.separators.pop(max(0, index - 1))
-                return True
-        return False
-
-    def _collapse_root(self) -> None:
-        while isinstance(self._root, _Inner) and len(self._root.children) == 1:
-            self._root = self._root.children[0]
+            pool = self._env.pool
+            leaf = self._charge_inner_path(key)
+            pool.get(self.handle, int(flat.leaf_pages[leaf]))
+            self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
+            # Follow the leaf chain until a key beyond the target shows:
+            # while the target's upper bound lies at or past the end of
+            # the current leaf and there is a next one.
+            while leaf + 1 < flat.n_leaves and end >= flat.leaf_starts[leaf + 1]:
+                leaf += 1
+                pool.get(self.handle, int(flat.leaf_pages[leaf]))
+        return self._entries(start, end)
 
     # ------------------------------------------------------------------
-    # bulk reads (flat view, streamed I/O)
+    # bulk reads (leaf arrays, streamed I/O)
     # ------------------------------------------------------------------
+
+    def _entries(
+        self, start: int, end: int
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Views of the leaf arrays over flat positions [start, end)."""
+        flat = self.flat
+        payload = {name: values[start:end] for name, values in flat.payload.items()}
+        return flat.keys[start:end], payload
 
     def span_for_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Flat positions [start, end) of keys in the inclusive [lo, hi]."""
@@ -900,103 +522,22 @@ class BPlusTree:
         every leaf page the range covers.  Returns NumPy views — callers
         must not mutate them.
         """
+        flat = self.flat
         start, end = self.span_for_range(lo, hi)
         if charge:
-            path = self._descend(lo)
-            self._charge_descent(path, None)
-            pages = self.flat.pages_for_span(start, end)
-            if pages.size:
-                self._env.disk.read_scattered(self.handle, pages)
-        flat = self.flat
-        keys = flat.keys[start:end]
-        payload = {name: values[start:end] for name, values in flat.payload.items()}
-        return keys, payload
+            self._charge_inner_path(lo)
+            self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
+            if end > start:
+                first = flat.leaf_index_of(start)
+                last = flat.leaf_index_of(end - 1)
+                self._env.disk.read_scattered(
+                    self.handle, flat.leaf_pages[first : last + 1]
+                )
+        return self._entries(start, end)
 
     def scan_all(self, charge: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Full leaf scan in key order (sequential after bulk load)."""
+        """Full leaf scan in key order (physically sequential)."""
         flat = self.flat
         if charge and flat.n_entries:
-            self._env.disk.read_scattered(self.handle, flat.unique_leaf_pages())
+            self._env.disk.read_scattered(self.handle, flat.leaf_pages)
         return flat.keys, dict(flat.payload)
-
-    def iter_leaves(self) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
-        """Walk the physical leaf chain (no charging; for tests/tools)."""
-        leaf: _Leaf | None = self._first_leaf
-        while leaf is not None:
-            yield leaf.keys, leaf.payload
-            leaf = leaf.next_leaf
-
-    # ------------------------------------------------------------------
-    # integrity checking
-    # ------------------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check structural invariants; raises StorageError on violation.
-
-        Checked invariants: keys ascending within each leaf and across the
-        leaf chain; every leaf reachable from the root exactly once and in
-        chain order; separator keys bound their subtrees; uniform leaf
-        depth; entry count consistency.
-        """
-        reachable: list[_Leaf] = []
-        leaf_depths: set[int] = set()
-        self._collect_leaves(self._root, reachable, depth=0, depths=leaf_depths)
-        if len(leaf_depths) > 1:
-            raise StorageError(f"leaves at multiple depths: {sorted(leaf_depths)}")
-        chain: list[_Leaf] = []
-        leaf: _Leaf | None = self._first_leaf
-        while leaf is not None:
-            chain.append(leaf)
-            leaf = leaf.next_leaf
-        if [id(leaf) for leaf in reachable] != [id(leaf) for leaf in chain]:
-            raise StorageError("leaf chain does not match root-reachable leaves")
-        previous_max: int | None = None
-        total = 0
-        for leaf in chain:
-            if leaf.n_entries:
-                keys = leaf.keys
-                if np.any(np.diff(keys) < 0):
-                    raise StorageError("keys not ascending within a leaf")
-                if previous_max is not None and keys[0] < previous_max:
-                    raise StorageError("keys not ascending across leaves")
-                previous_max = int(keys[-1])
-            total += leaf.n_entries
-            for name, values in leaf.payload.items():
-                if len(values) != leaf.n_entries:
-                    raise StorageError(f"payload {name!r} misaligned in leaf")
-        if total != self._n_entries:
-            raise StorageError(
-                f"entry count mismatch: counted {total}, tracked {self._n_entries}"
-            )
-        self._validate_separators(self._root, None, None)
-
-    def _collect_leaves(self, node, out: list, depth: int, depths: set[int]) -> None:
-        if isinstance(node, _Inner):
-            if len(node.separators) != len(node.children) - 1:
-                raise StorageError(
-                    f"inner node has {len(node.separators)} separators for "
-                    f"{len(node.children)} children"
-                )
-            for child in node.children:
-                self._collect_leaves(child, out, depth + 1, depths)
-        else:
-            depths.add(depth)
-            out.append(node)
-
-    def _validate_separators(self, node, lo: int | None, hi: int | None) -> None:
-        if isinstance(node, _Inner):
-            separators = node.separators
-            if any(b < a for a, b in zip(separators, separators[1:])):
-                raise StorageError("separators not ascending")
-            bounds = [lo, *separators, hi]
-            for child, (child_lo, child_hi) in zip(
-                node.children, zip(bounds[:-1], bounds[1:])
-            ):
-                self._validate_separators(child, child_lo, child_hi)
-        else:
-            if node.n_entries == 0:
-                return
-            if lo is not None and node.keys[0] < lo:
-                raise StorageError("leaf key below its subtree lower bound")
-            if hi is not None and node.keys[-1] > hi:
-                raise StorageError("leaf key above its subtree upper bound")

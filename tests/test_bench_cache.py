@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.requests import available_requests
 from repro.core.mapdata import MapData
 
 
@@ -306,7 +307,7 @@ def test_error_model_knobs_are_fingerprinted(tmp_path):
 
 def test_available_scenarios_helper():
     available = BenchSession.available_scenarios()
-    assert available == sorted(BenchSession.SCENARIO_MAPS)
+    assert available == available_requests()
     assert "estimation" in available
 
 
@@ -387,6 +388,18 @@ def test_cli_unknown_scenario_lists_available(tmp_path, capsys):
     err = capsys.readouterr().err
     for name in BenchSession.available_scenarios():
         assert name in err
+
+
+def test_cli_accepts_every_name_the_service_accepts(tmp_path, monkeypatch):
+    """One registry: a name ``POST /maps`` takes is a ``--scenario`` name."""
+    from repro.bench import cli
+
+    monkeypatch.setenv("REPRO_BENCH_ROWS", "512")
+    monkeypatch.setenv("REPRO_BENCH_MIN_EXP_2D", "-2")
+    out_dir = tmp_path / "out"
+    code = cli.main([str(out_dir), "--scenario", "two_predicate_nojitter"])
+    assert code == 0
+    assert (out_dir / "scenario_two_predicate_nojitter.json").exists()
 
 
 def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):

@@ -253,20 +253,6 @@ def test_probe_many_empty_keys():
     assert env.clock.now == before
 
 
-def test_probe_many_after_inserts_and_deletes():
-    """Mutated trees lose the ordered-leaf guarantee; probe_many must
-    still agree with the loop (falling back to scalar probes if needed)."""
-
-    def build(tree):
-        for i in range(300):
-            tree.insert(i * 7 % 311, {"v": i}, charge=False)
-        for i in range(0, 300, 3):
-            tree.delete(i * 7 % 311, charge=False)
-
-    keys = list(range(0, 320, 5)) + [311, 1000, -4]
-    assert_probe_equivalent(keys, build)
-
-
 def test_probe_many_duplicates_span_leaves():
     # Heavy duplication forces continuation-leaf walks; keys at leaf
     # boundaries exercise the extra-leaf walk for no-match probes.

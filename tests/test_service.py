@@ -5,6 +5,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +246,18 @@ def test_whole_map_cache_hit_is_flagged(tmp_path):
         assert finished.events == 0
     finally:
         warm.close()
+
+
+def test_close_frees_what_retired_managers_built():
+    """Job, session and progress callback form a cycle; ``close`` collects
+    it, so managers opened in turn do not pile up each other's tables."""
+    manager = make_manager(workers=1)
+    job, _ = manager.submit(JOIN)
+    session = weakref.ref(manager.wait(job.job_id, timeout=120).session)
+    manager.close()
+    del manager, job
+    make_manager(workers=1).close()
+    assert session() is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Unit and property tests for the B+-tree."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.sim.profile import DeviceProfile
 from repro.storage.btree import BPlusTree
 from repro.storage.env import StorageEnv
+from repro.storage.table import Table
 
 
-def make_tree(entry_bytes=64, page_size=512, pool_pages=256):
+def make_tree(entry_bytes=64, page_size=512, pool_pages=256, **geometry):
     env = StorageEnv(DeviceProfile(page_size=page_size), pool_pages=pool_pages)
-    return BPlusTree(env, "t", entry_bytes=entry_bytes), env
+    return BPlusTree(env, "t", entry_bytes=entry_bytes, **geometry), env
 
 
 def bulk(keys, values=None):
@@ -21,6 +24,87 @@ def bulk(keys, values=None):
     payload = {"v": np.asarray(values if values is not None else keys)}
     tree.bulk_load(keys, payload)
     return tree, env
+
+
+def oracle_levels(keys, per_leaf, fanout):
+    """Independent layout model: levels of node dicts, leaves first.
+
+    Leaves are ``per_leaf``-sized chunks, every level above groups
+    ``fanout`` nodes of the one below, and pages are numbered level by
+    level, left to right.
+    """
+    chunks = [keys[i : i + per_leaf] for i in range(0, len(keys), per_leaf)] or [[]]
+    level = [{"page": page, "keys": chunk} for page, chunk in enumerate(chunks)]
+    for leaf in level:
+        leaf["min"] = leaf["keys"][0] if leaf["keys"] else None
+    levels, next_page = [level], len(level)
+    while len(level) > 1:
+        groups = [level[i : i + fanout] for i in range(0, len(level), fanout)]
+        level = [
+            {
+                "page": next_page + i,
+                "children": group,
+                "separators": [child["min"] for child in group[1:]],
+                "min": group[0]["min"],
+            }
+            for i, group in enumerate(groups)
+        ]
+        next_page += len(level)
+        levels.append(level)
+    return levels
+
+
+def oracle_probe_pages(levels, key):
+    """Pages one probe touches: per-level bisect_left, then the leaf chain."""
+    node, pages = levels[-1][0], []
+    while "children" in node:
+        pages.append(node["page"])
+        node = node["children"][bisect_left(node["separators"], key)]
+    leaves, at = levels[0], node["page"]  # a leaf's page is its chain position
+    pages.append(at)
+    while at + 1 < len(leaves) and leaves[at]["keys"][-1] <= key:
+        at += 1
+        pages.append(at)
+    return pages
+
+
+def assert_layout_matches_oracle(tree, env, keys, per_leaf, probe_keys=()):
+    levels = oracle_levels([int(k) for k in keys], per_leaf, tree.inner_fanout)
+    leaves = levels[0]
+    assert tree.height == len(levels)
+    assert tree.n_pages == sum(len(level) for level in levels)
+    assert tree.flat.leaf_pages.tolist() == [leaf["page"] for leaf in leaves]
+    sizes = [len(leaf["keys"]) for leaf in leaves]
+    assert tree.flat.leaf_starts.tolist() == np.cumsum([0] + sizes).tolist()
+    for key in probe_keys:
+        expected = oracle_probe_pages(levels, key)
+        env.cold_reset()
+        tree.probe(key)
+        # The pages of one cold probe are distinct and all fit the pool,
+        # so its LRU order is their touch order.
+        assert len(expected) <= env.pool.capacity_pages
+        assert [page for _file, page in env.pool._resident] == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=160),
+    st.integers(2, 7),
+    st.integers(2, 5),
+    st.sampled_from([1.0, 0.8, 0.5]),
+    st.lists(st.integers(-2, 42), max_size=12),
+)
+@example([], 4, 4, 1.0, [0, 7])  # the empty tree
+@example(list(range(10)), 2, 4, 1.0, [-1, 0, 7, 8, 9, 10])  # last inner node: 1 child
+@example([1] + [5] * 9 + [8], 2, 3, 1.0, [0, 1, 5, 6, 8, 9])  # duplicates over >= 3 leaves
+def test_layout_and_probe_pages_match_level_oracle(
+    keys, leaf_capacity, inner_fanout, fill_factor, probe_keys
+):
+    tree, env = make_tree(leaf_capacity=leaf_capacity, inner_fanout=inner_fanout)
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    tree.bulk_load(keys, {"v": np.arange(keys.size)}, fill_factor=fill_factor)
+    per_leaf = max(2, int(leaf_capacity * fill_factor))
+    assert_layout_matches_oracle(tree, env, keys, per_leaf, probe_keys)
 
 
 def test_empty_tree():
@@ -51,9 +135,11 @@ def test_bulk_load_leaves_consecutive_pages():
 
 def test_height_grows_with_size():
     small, _ = bulk(np.arange(4))
-    large, _ = bulk(np.arange(5000))
+    large, env = bulk(np.arange(5000))
     assert large.height > small.height
-    large.validate()
+    assert_layout_matches_oracle(
+        large, env, np.arange(5000), large.leaf_capacity, probe_keys=[0, 2500, 4999]
+    )
 
 
 def test_scan_all_returns_everything_in_order():
@@ -103,98 +189,12 @@ def test_probe_missing_key():
     assert found.size == 0
 
 
-def test_next_key_after():
-    tree, _env = bulk(np.array([1, 5, 5, 9]))
-    assert tree.next_key_after(0) == 1
-    assert tree.next_key_after(5) == 9
-    assert tree.next_key_after(9) is None
-
-
-def test_insert_into_empty_tree():
-    tree, _env = make_tree()
-    tree.insert(5, {"v": 50})
-    assert tree.n_entries == 1
-    found, payload = tree.probe(5)
-    assert payload["v"][0] == 50
-
-
-def test_insert_splits_and_validates():
-    tree, _env = make_tree(entry_bytes=128, page_size=512)  # capacity 4
-    for i in range(100):
-        tree.insert(i * 3 % 97, {"v": i})
-        tree.validate()
-    assert tree.n_entries == 100
-    assert tree.height >= 3
-
-
-def test_insert_rejects_wrong_schema():
-    tree, _env = make_tree()
-    tree.insert(1, {"v": 1})
-    with pytest.raises(StorageError):
-        tree.insert(2, {"other": 2})
-
-
-def test_delete_missing_returns_false():
-    tree, _env = bulk(np.array([1, 2, 3]))
-    assert not tree.delete(99)
-    assert tree.n_entries == 3
-
-
-def test_delete_one_duplicate_only():
-    tree, _env = bulk(np.array([5, 5, 5]))
-    assert tree.delete(5)
-    assert tree.n_entries == 2
-
-
-def test_delete_to_empty_leaf_unlinks():
-    tree, _env = make_tree(entry_bytes=128, page_size=512)
-    for i in range(50):
-        tree.insert(i, {"v": i})
-    for i in range(50):
-        assert tree.delete(i)
-        tree.validate()
-    assert tree.n_entries == 0
-
-
 def test_probe_charges_pool_accesses():
     tree, env = bulk(np.arange(5000))
     env.cold_reset()
     before = env.pool.stats.accesses
     tree.probe(2500)
     assert env.pool.stats.accesses - before >= tree.height
-
-
-def test_split_pages_allocated_at_end():
-    tree, _env = bulk(np.arange(1000))
-    n_pages_before = tree.n_pages
-    for i in range(200):
-        tree.insert(500, {"v": i})
-    assert tree.n_pages > n_pages_before
-    tree.validate()
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 50)),
-        max_size=120,
-    )
-)
-def test_btree_matches_sorted_list_oracle(operations):
-    """Random inserts/deletes: tree contents equal a sorted-list oracle."""
-    tree, _env = make_tree(entry_bytes=128, page_size=512)
-    oracle: list[int] = []
-    for op, key in operations:
-        if op == "insert":
-            tree.insert(key, {"v": key})
-            oracle.append(key)
-        else:
-            deleted = tree.delete(key)
-            assert deleted == (key in oracle)
-            if deleted:
-                oracle.remove(key)
-    tree.validate()
-    assert np.array_equal(tree.flat.keys, np.sort(np.asarray(oracle, dtype=np.int64)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,7 +219,9 @@ def test_fill_factor_spreads_leaves():
     tree_loose, _env = make_tree()
     tree_loose.bulk_load(keys, {"v": keys}, fill_factor=0.5)
     assert tree_loose.n_leaves > full.n_leaves
-    tree_loose.validate()
+    assert_layout_matches_oracle(
+        tree_loose, _env, keys, tree_loose.leaf_capacity // 2, probe_keys=[0, 999]
+    )
 
 
 def test_fill_factor_validation():
@@ -228,44 +230,19 @@ def test_fill_factor_validation():
         tree.bulk_load(np.arange(10), {"v": np.arange(10)}, fill_factor=0.01)
 
 
-def test_rid_position_cache_dropped_on_mutation():
-    tree, _env = make_tree()
-    rids = np.random.default_rng(3).permutation(200)
-    tree.bulk_load(np.arange(200, dtype=np.int64), {"rid": rids})
+def test_tree_keeps_the_arrays_it_was_loaded_with():
+    """The leaf level is the caller's arrays, not a second copy of them."""
+    env = StorageEnv(DeviceProfile(page_size=512), pool_pages=64)
+    generator = np.random.default_rng(3)
+    table = Table(env, "t", {"a": generator.integers(0, 50, 600), "b": np.arange(600)})
+    for name in table.column_names:
+        assert np.shares_memory(table.column(name), table.clustered.flat.payload[name])
+    # A secondary index, built the way Table.create_index builds one.
+    order = np.argsort(table.column("a"), kind="stable")
+    keys, rids = table.column("a")[order], order.astype(np.int64)
+    tree = BPlusTree(env, "ix", entry_bytes=16).bulk_load(keys, {"rid": rids})
+    assert np.shares_memory(keys, tree.flat.keys)
+    assert np.shares_memory(rids, tree.flat.payload["rid"])
     inverse = tree.flat.rid_positions()
     assert inverse is tree.flat.rid_positions()  # cached on the view
-    assert np.array_equal(rids[inverse], np.arange(200))
-    tree.insert(50, {"rid": 200})
-    rebuilt = tree.flat.rid_positions()
-    assert rebuilt is not inverse
-    assert rebuilt.size == 201
-    assert np.array_equal(tree.flat.payload["rid"][rebuilt], np.arange(201))
-    assert tree.delete(50)
-    after_delete = tree.flat.rid_positions()
-    assert after_delete is not rebuilt
-    assert np.count_nonzero(after_delete >= 0) == 200
-
-
-def test_flat_view_shortcuts_fall_back_after_splits():
-    """Stride division and page order hold for a bulk load only."""
-    tree, _env = bulk(np.arange(1000))
-    positions = np.arange(1000)
-
-    def by_search(flat):
-        return np.searchsorted(flat.leaf_starts, positions, side="right") - 1
-
-    assert np.array_equal(tree.flat.leaf_index_of(positions), by_search(tree.flat))
-    for i in range(200):
-        tree.insert(500, {"v": i})
-    flat = tree.flat
-    positions = np.arange(flat.n_entries)
-    assert np.any(np.diff(flat.leaf_pages) < 0)  # split pages sit at the end
-    assert np.array_equal(flat.leaf_index_of(positions), by_search(flat))
-    leaves = flat.leaf_index_of(positions)
-    for pages, expected in (
-        (flat.pages_of_leaves(leaves), flat.leaf_pages),
-        (flat.pages_for_span(0, flat.n_entries), flat.leaf_pages),
-        (flat.unique_leaf_pages(), flat.leaf_pages),
-        (flat.pages_for_span(450, 800), flat.leaf_pages[leaves[450] : leaves[799] + 1]),
-    ):
-        assert np.array_equal(pages, np.unique(expected))
+    assert np.array_equal(rids[inverse], np.arange(600))
