@@ -215,16 +215,16 @@ def main(argv=None) -> int:
     )
 
     start = time.perf_counter()
-    serial_map = RobustnessSweep(
-        factory(), budget_seconds=30.0, jitter=jitter
-    ).sweep_two_predicate(space)
+    serial_map = TwoPredicateScenario(factory(), space).run(
+        budget_seconds=30.0, jitter=jitter
+    )
     serial_s = time.perf_counter() - start
     print(f"serial:   {serial_s:8.2f}s")
 
     start = time.perf_counter()
     parallel_map = ParallelSweep(
         factory, budget_seconds=30.0, jitter=jitter, n_workers=args.workers
-    ).sweep_two_predicate(space)
+    ).sweep(TwoPredicateScenario.build_spec(space.x, space.y))
     parallel_s = time.perf_counter() - start
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     print(f"parallel: {parallel_s:8.2f}s  ({speedup:.2f}x)")

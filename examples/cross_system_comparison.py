@@ -15,9 +15,9 @@ import numpy as np
 
 from repro import (
     LineitemConfig,
-    RobustnessSweep,
     Space2D,
     SystemConfig,
+    TwoPredicateScenario,
     build_three_systems,
     optimal_mask,
     region_stats,
@@ -34,8 +34,10 @@ def main() -> None:
     )
     for system in systems.values():
         print(f"System {system.name}: {system.description}")
-    sweep = RobustnessSweep(list(systems.values()), budget_seconds=10.0)
-    mapdata = sweep.sweep_two_predicate(Space2D.log2("sel_a", "sel_b", -7, 0))
+    scenario = TwoPredicateScenario(
+        list(systems.values()), Space2D.log2("sel_a", "sel_b", -7, 0)
+    )
+    mapdata = scenario.run(budget_seconds=10.0)
     print(f"\nmeasured {mapdata.n_plans} plans x {mapdata.rows.size} cells\n")
 
     # Most robust plan per system (smallest worst-case factor of best).

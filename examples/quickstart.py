@@ -10,7 +10,7 @@ Env:  REPRO_EXAMPLE_ROWS (default 32768) scales the table.
 
 import os
 
-from repro import RobustnessSweep, Space1D, SystemConfig, LineitemConfig
+from repro import LineitemConfig, SinglePredicateScenario, Space1D, SystemConfig
 from repro.executor import TableScanNode
 from repro.systems import SystemA
 from repro.viz import absolute_curves, curve_ascii
@@ -25,8 +25,10 @@ def main() -> None:
     # 2. Sweep one predicate's selectivity from 2^-10 to 1 (x2 steps),
     #    censoring plans that exceed 30x the table-scan cost.
     scan_cost = system.runner().measure(TableScanNode(system.table, [])).seconds
-    sweep = RobustnessSweep([system], budget_seconds=30 * scan_cost)
-    mapdata = sweep.sweep_single_predicate(Space1D.log2("selectivity", -10, 0))
+    scenario = SinglePredicateScenario(
+        [system], Space1D.log2("selectivity", -10, 0)
+    )
+    mapdata = scenario.run(budget_seconds=30 * scan_cost)
 
     # 3. Look at the map.
     trio = ["A.table_scan", "A.idx_traditional", "A.idx_improved"]

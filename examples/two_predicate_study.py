@@ -26,6 +26,7 @@ from repro import (
     Space2D,
     SystemConfig,
     LineitemConfig,
+    TwoPredicateScenario,
     build_three_systems,
     optimal_counts,
     quotient_for,
@@ -77,7 +78,8 @@ def main() -> None:
         n_workers=N_WORKERS,
         progress=progress,
     )
-    mapdata = sweep.sweep_two_predicate(Space2D.log2("sel_a", "sel_b", MIN_EXP, 0))
+    space = Space2D.log2("sel_a", "sel_b", MIN_EXP, 0)
+    mapdata = sweep.sweep(TwoPredicateScenario.build_spec(space.x, space.y))
     OUT.mkdir(exist_ok=True)
 
     # Fig 4 / Fig 5: absolute maps.

@@ -10,12 +10,12 @@ landmarks, metrics, regression guards), and pure-Python renderers
 
 Quickstart::
 
-    from repro import SystemA, SystemConfig, RobustnessSweep, Space1D
+    from repro import SinglePredicateScenario, Space1D, SystemA, SystemConfig
     from repro.viz import absolute_curves
 
     system = SystemA(SystemConfig())
-    sweep = RobustnessSweep([system], budget_seconds=30.0)
-    mapdata = sweep.sweep_single_predicate(Space1D.log2("sel", -10, 0))
+    scenario = SinglePredicateScenario([system], Space1D.log2("sel", -10, 0))
+    mapdata = scenario.run(budget_seconds=30.0)
     absolute_curves(mapdata, "my first robustness map", path="map.svg")
 """
 

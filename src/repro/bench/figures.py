@@ -63,7 +63,7 @@ class FigureResult:
 
 
 def figure01(session: BenchSession) -> FigureResult:
-    mapdata = session.single_predicate_map()
+    mapdata = session.scenario_map("single_predicate")
     scan_id, trad_id, improved_id = (
         "A.table_scan",
         "A.idx_traditional",
@@ -143,7 +143,7 @@ def figure01(session: BenchSession) -> FigureResult:
 
 
 def figure02(session: BenchSession) -> FigureResult:
-    mapdata = session.single_predicate_map()
+    mapdata = session.scenario_map("single_predicate")
     result = FigureResult("fig2", "Fig 2: advanced selection plans (relative)")
     quotients = relative_to_best(mapdata)
     finite = np.where(np.isinf(quotients), np.nan, quotients)
@@ -212,7 +212,7 @@ def figure03(_session: BenchSession) -> FigureResult:
 
 
 def figure04(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     plan_id = "A.idx_a_fetch"
     grid = mapdata.times_for(plan_id)
     result = FigureResult("fig4", "Fig 4: two-predicate single-index selection")
@@ -251,7 +251,7 @@ def figure04(session: BenchSession) -> FigureResult:
 
 
 def figure05(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     merge_grid = mapdata.times_for("A.merge_ab")
     result = FigureResult("fig5", "Fig 5: two-index merge join")
     # Symmetry is judged on measured cells only: on an adaptively refined
@@ -304,7 +304,7 @@ def figure06(_session: BenchSession) -> FigureResult:
 
 
 def figure07(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     a_plans = session.system_a_plan_ids()
     plan_id = "A.idx_a_fetch"
     quotient = quotient_for(mapdata, plan_id, a_plans)
@@ -361,7 +361,7 @@ def figure07(session: BenchSession) -> FigureResult:
 
 
 def figure08(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     plan_id = "B.ab_bitmap"
     fig7_plan = "A.idx_a_fetch"
     quotient_b = quotient_for(mapdata, plan_id)
@@ -409,7 +409,7 @@ def figure08(session: BenchSession) -> FigureResult:
 
 
 def figure09(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     plan_id = "C.ab_mdam"
     quotient = quotient_for(mapdata, plan_id)
     result = FigureResult("fig9", "Fig 9: System C covering index + MDAM")
@@ -461,7 +461,7 @@ def figure09(session: BenchSession) -> FigureResult:
 
 
 def figure10(session: BenchSession) -> FigureResult:
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     result = FigureResult("fig10", "Fig 10: optimal plans (multiplicity)")
     counts_01s = optimal_counts(mapdata, tol_abs=0.1)
     multi = float(np.count_nonzero(counts_01s >= 2)) / counts_01s.size
@@ -568,7 +568,7 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
     result = FigureResult(
         "ext-join", "Ext: join robustness maps (Figs 4-5 workload)"
     )
-    mapdata = session.join_map()
+    mapdata = session.scenario_map("join")
     merge_grid = mapdata.times_for("join.merge")
     hash_grid = mapdata.times_for("join.hash.graceful")
     # Symmetry on measured cells only: interpolated fills would skew the
@@ -655,7 +655,7 @@ def ext_optimality_regions(session: BenchSession) -> FigureResult:
     result = FigureResult(
         "ext-regions", "Ext: regions of optimality & plan elimination (§3.4)"
     )
-    mapdata = session.two_predicate_map()
+    mapdata = session.scenario_map("two_predicate")
     mask = optimal_mask(mapdata, tol_rel=0.2)
     lines = ["plan                          cells  comps  largest  bbox-fill"]
     best_cover = ("", 0.0)

@@ -45,8 +45,6 @@ from repro.bench.requests import (  # noqa: F401  (re-exported: public API)
     BenchConfig,
     MapDefinition,
     MapRequest,
-    _session_system_a,
-    _session_systems,
     available_requests,
     compute_map,
     definition_for,
@@ -58,8 +56,7 @@ from repro.core.mapdata import MapData
 from repro.core.scenario import EstimationErrorScenario
 from repro.errors import ExperimentError
 from repro.optimizer import STANDARD_POLICIES, PlanChooser, SelectionPolicy
-from repro.systems import DatabaseSystem, SystemConfig, build_three_systems
-from repro.workloads import LineitemConfig
+from repro.systems import DatabaseSystem, build_three_systems
 
 #: Whole-map cache key -> registry entry (stale-file shape validation).
 _BY_CACHE_KEY: dict[str, MapDefinition] = {
@@ -128,14 +125,8 @@ class BenchSession:
     def systems(self) -> dict[str, DatabaseSystem]:
         with self._systems_lock:
             if self._systems is None:
-                config = self.config
                 self._systems = build_three_systems(
-                    SystemConfig(
-                        lineitem=LineitemConfig(
-                            n_rows=config.n_rows, seed=config.seed
-                        ),
-                        pool_pages=config.pool_pages,
-                    )
+                    self.config.system_config()
                 )
             return self._systems
 
@@ -255,41 +246,18 @@ class BenchSession:
         )
         return derived.map_for(definition)
 
-    def single_predicate_map(self) -> MapData:
-        """1-D sweep over System A's 7 single-predicate plans (Figs 1-2)."""
-        return self.map_for(definition_for("single_predicate"))
+    def scenario_map(self, name: str) -> MapData:
+        """Compute (or load from cache) a registry entry's map by name.
 
-    def two_predicate_map(self, jitter: bool = True) -> MapData:
-        """2-D sweep over all 15 plans of systems A, B, C (Figs 4-10)."""
-        name = "two_predicate" if jitter else "two_predicate_nojitter"
+        Accepts both the CLI spelling (``sort_spill``) and the scenario
+        registry spelling (``sort-spill``).
+        """
         return self.map_for(definition_for(name))
 
-    def sort_spill_map(self) -> MapData:
-        """Input rows x memory for the two sort spill policies (§4)."""
-        return self.map_for(definition_for("sort_spill"))
-
-    def memory_sweep_map(self) -> MapData:
-        """Selectivity x per-cell memory budget over System A's plans."""
-        return self.map_for(definition_for("memory_sweep"))
-
-    def join_map(self) -> MapData:
-        """Build rows x probe rows over the four join plans (Figs 4-5).
-
-        Square grid, fixed (tight) workspace memory: the merge join's
-        map comes out symmetric, the hash joins show the build-side
-        spill cliff, the index nested-loop join is probe-bound.
-        """
-        return self.map_for(definition_for("join"))
-
-    def estimation_map(self) -> MapData:
-        """Selectivity x error magnitude over System A's 7 plans.
-
-        The measured times are independent of the error axis (estimation
-        error perturbs the optimizer's inputs, never executions); the
-        axis exists so :meth:`choice_maps` can evaluate every policy
-        under growing error against the same measured surface.
-        """
-        return self.map_for(definition_for("estimation"))
+    @staticmethod
+    def available_scenarios() -> list[str]:
+        """The scenario names ``scenario_map`` / the CLI accept."""
+        return available_requests()
 
     # ------------------------------------------------------------------
     # the optimizer's scenario: choice and regret maps
@@ -329,7 +297,7 @@ class BenchSession:
                 if cache_key(policy) not in self._choices
             ]
             if missing:
-                mapdata = self.estimation_map()
+                mapdata = self.scenario_map("estimation")
                 scenario = self.estimation_scenario()
                 model = self.system_a.cost_model(
                     memory_bytes=self.config.memory_bytes
@@ -351,22 +319,9 @@ class BenchSession:
                 for policy in policies
             }
 
-    @staticmethod
-    def available_scenarios() -> list[str]:
-        """The scenario names ``scenario_map`` / the CLI accept."""
-        return available_requests()
-
-    def scenario_map(self, name: str) -> MapData:
-        """Compute (or load from cache) a registered scenario's map.
-
-        Accepts both the CLI spelling (``sort_spill``) and the scenario
-        registry spelling (``sort-spill``).
-        """
-        return self.map_for(definition_for(name))
-
     def system_a_plan_ids(self) -> list[str]:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""
-        mapdata = self.two_predicate_map()
+        mapdata = self.scenario_map("two_predicate")
         return [plan_id for plan_id in mapdata.plan_ids if plan_id.startswith("A.")]
 
 

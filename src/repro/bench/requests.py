@@ -1,25 +1,21 @@
 """Declarative map requests: every bench map, addressable by value.
 
-Historically every map ``BenchSession`` could produce was a hand-written
-method (``single_predicate_map``, ``join_map``, ...) wrapping a
-copy-pasted compute closure: build the space, pick the provider factory,
-compute the budget, branch on serial vs. parallel, thread the cell
-store through.  That shape is fine for a CLI but hostile to a service —
-nothing short of a method call could *name* a map, so nothing could
-deduplicate, queue, or cache requests for one.
+Every map a :class:`~repro.bench.harness.BenchSession` can produce is
+data — a scenario spec plus the set of providers that runs it — so a map
+can be *named*, and therefore deduplicated, queued, and cached:
 
-This module replaces the closures with data:
-
-* :class:`BenchConfig` — the scale knobs of a session (moved here from
-  ``harness`` so the request layer sits below the session; ``harness``
+* :class:`BenchConfig` — the scale knobs of a session (``harness``
   re-exports it).
-* :class:`MapDefinition` — one registry entry per producible map: how to
-  build its scenario/spec/providers, its budget and memory yardsticks,
-  its jitter, its whole-map cache key, and its grid shape.
-* :data:`MAP_DEFINITIONS` — the registry.  The seven entries reproduce
-  the seven historical ``BenchSession`` compute closures bit-identically
-  (the two-predicate map's jittered and jitter-free variants are
-  distinct entries, exactly as they were distinct cache keys).
+* :class:`ProviderSet` — who runs a map's plans: System A alone, all
+  three systems, or a bare operator bench; each names the live
+  providers a session shares and the picklable factory workers call.
+* :class:`MapDefinition` — one registry entry per producible map: its
+  spec under a config, its provider set, its budget and memory
+  yardsticks, its jitter, and its whole-map cache key.  Grid shape,
+  the serial scenario and the worker factory are derived from those.
+* :data:`MAP_DEFINITIONS` — the registry.  The two-predicate map's
+  jittered and jitter-free variants are distinct entries (and distinct
+  cache keys).
 * :class:`MapRequest` — a *serializable* request: a registry name plus
   :class:`BenchConfig` knob overrides.  ``resolve`` turns it into a
   concrete config, ``fingerprint`` into a stable content address (the
@@ -39,8 +35,6 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-import numpy as np
-
 from repro.core.mapdata import MapData
 from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D, Space2D
@@ -49,12 +43,12 @@ from repro.core.scenario import (
     EstimationErrorScenario,
     JoinScenario,
     MemorySweepScenario,
-    OperatorBench,
     Scenario,
     ScenarioSpec,
     SinglePredicateScenario,
     SortSpillScenario,
     TwoPredicateScenario,
+    build_scenario,
     operator_bench_factory,
 )
 from repro.errors import ExperimentError
@@ -217,6 +211,13 @@ class BenchConfig:
         """
         return self._knob_digest(self._CELL_CONTEXT_EXCLUDED)
 
+    def system_config(self) -> SystemConfig:
+        """The table and buffer pool every bench system is built over."""
+        return SystemConfig(
+            lineitem=LineitemConfig(n_rows=self.n_rows, seed=self.seed),
+            pool_pages=self.pool_pages,
+        )
+
     def cache_path(self, key: str) -> Path | None:
         if not self.cache_dir:
             return None
@@ -230,28 +231,14 @@ class BenchConfig:
 
 def _session_systems(config: BenchConfig) -> list[DatabaseSystem]:
     """Build the three bench systems for a config (picklable factory)."""
-    return list(
-        build_three_systems(
-            SystemConfig(
-                lineitem=LineitemConfig(n_rows=config.n_rows, seed=config.seed),
-                pool_pages=config.pool_pages,
-            )
-        ).values()
-    )
+    return list(build_three_systems(config.system_config()).values())
 
 
 def _session_system_a(config: BenchConfig) -> list[DatabaseSystem]:
     """System A alone (the 1-D sweeps), as a picklable factory."""
     from repro.systems.system_a import SystemA
 
-    return [
-        SystemA(
-            SystemConfig(
-                lineitem=LineitemConfig(n_rows=config.n_rows, seed=config.seed),
-                pool_pages=config.pool_pages,
-            )
-        )
-    ]
+    return [SystemA(config.system_config())]
 
 
 # ---------------------------------------------------------------------------
@@ -260,38 +247,75 @@ def _session_system_a(config: BenchConfig) -> list[DatabaseSystem]:
 
 
 @dataclass(frozen=True)
+class ProviderSet:
+    """Who runs a map's plans, in the two forms the engines need."""
+
+    live: Callable[["BenchSession"], list]
+    """The session's own (shared, lazily built) providers: serial sweeps."""
+
+    factory: Callable[[BenchConfig], Callable[[], list]]
+    """A picklable zero-argument factory each pool worker calls once."""
+
+
+SYSTEM_A = ProviderSet(
+    live=lambda session: [session.system_a],
+    factory=lambda config: partial(_session_system_a, config),
+)
+THREE_SYSTEMS = ProviderSet(
+    live=lambda session: list(session.systems.values()),
+    factory=lambda config: partial(_session_systems, config),
+)
+OPERATOR_BENCH = ProviderSet(
+    live=lambda session: operator_bench_factory(),
+    factory=lambda config: operator_bench_factory,
+)
+
+
+@dataclass(frozen=True)
 class MapDefinition:
     """Everything needed to produce one named map from a config.
 
-    The callables deliberately mirror the knobs the historical compute
-    closures varied: the serially-usable ``scenario`` (built against a
-    live session's providers), the picklable ``spec``/``factory`` pair
-    the parallel engine ships to workers, the budget/memory yardsticks,
-    and the jitter model.  :func:`compute_map` is the single execution
-    path over them.
+    A definition is a spec plus a provider set; the serially-usable
+    :meth:`scenario` (bound to a live session's providers), the picklable
+    :meth:`factory` the parallel engine ships to workers and the
+    :meth:`grid_shape` all follow from those two.  The budget and memory
+    yardsticks default to what the selectivity maps use.
+    :func:`compute_map` is the single execution path over them.
     """
 
     name: str
     """Registry/request name (``MapRequest.scenario``)."""
 
     cache_key: str
-    """Whole-map disk-cache key (the historical spelling, so existing
-    cache files keep hitting)."""
+    """Whole-map disk-cache key."""
 
     description: str
     """One line for the service's scenario listing."""
 
-    grid_shape: Callable[[BenchConfig], tuple[int, ...]]
-    scenario: Callable[["BenchSession"], Scenario]
     spec: Callable[[BenchConfig], ScenarioSpec]
-    factory: Callable[[BenchConfig], Callable]
-    budget: Callable[["BenchSession"], float]
-    memory_bytes: Callable[[BenchConfig], int | None] = lambda config: None
+    providers: ProviderSet
+    budget: Callable[["BenchSession"], float] = lambda session: session.budget()
+    memory_bytes: Callable[[BenchConfig], int | None] = (
+        lambda config: config.memory_bytes
+    )
     jitter: Callable[[BenchConfig], Jitter | None] = lambda config: None
+
+    def scenario(self, session: "BenchSession") -> Scenario:
+        """The scenario bound to a live session's providers."""
+        return build_scenario(
+            self.spec(session.config), self.providers.live(session)
+        )
+
+    def factory(self, config: BenchConfig) -> Callable[[], list]:
+        """Picklable provider factory for :class:`ParallelSweep` workers."""
+        return self.providers.factory(config)
+
+    def grid_shape(self, config: BenchConfig) -> tuple[int, ...]:
+        return self.spec(config).grid_shape
 
     def n_cells(self, config: BenchConfig) -> int:
         """Dense cell count of this map's grid under a config."""
-        return int(np.prod(self.grid_shape(config)))
+        return self.spec(config).n_cells
 
 
 def _space_1d(config: BenchConfig) -> Space1D:
@@ -302,13 +326,17 @@ def _space_2d_sel(config: BenchConfig) -> Space1D:
     return Space1D.log2("selectivity", config.min_exp_2d, 0)
 
 
-def _space_2d(config: BenchConfig) -> Space2D:
-    return Space2D.log2("sel_a", "sel_b", config.min_exp_2d, 0)
+def _two_predicate_spec(config: BenchConfig) -> ScenarioSpec:
+    space = Space2D.log2("sel_a", "sel_b", config.min_exp_2d, 0)
+    return TwoPredicateScenario.build_spec(space.x, space.y)
 
 
-def _sort_scenario(config: BenchConfig) -> SortSpillScenario:
-    return SortSpillScenario(
-        OperatorBench(),
+def _two_predicate_jitter(config: BenchConfig) -> Jitter:
+    return Jitter(rel=0.01, abs=0.0005, seed=config.seed)
+
+
+def _sort_spec(config: BenchConfig) -> ScenarioSpec:
+    return SortSpillScenario.build_spec(
         config.sort_rows,
         config.sort_memory,
         row_bytes=config.sort_row_bytes,
@@ -316,9 +344,8 @@ def _sort_scenario(config: BenchConfig) -> SortSpillScenario:
     )
 
 
-def _join_scenario(config: BenchConfig) -> JoinScenario:
-    return JoinScenario(
-        OperatorBench(),
+def _join_spec(config: BenchConfig) -> ScenarioSpec:
+    return JoinScenario.build_spec(
         config.join_rows,
         config.join_rows,
         row_bytes=config.join_row_bytes,
@@ -327,29 +354,23 @@ def _join_scenario(config: BenchConfig) -> JoinScenario:
     )
 
 
-def _estimation_scenario(session: "BenchSession") -> EstimationErrorScenario:
-    config = session.config
-    return EstimationErrorScenario(
-        [session.system_a],
-        _space_2d_sel(config),
-        magnitudes=config.error_magnitudes,
-        error_bias=config.error_bias,
-        error_seed=config.error_seed,
-    )
+def _baseline_budget(
+    spec: Callable[[BenchConfig], ScenarioSpec],
+) -> Callable[["BenchSession"], float]:
+    """Budget yardstick intrinsic to an operator scenario (no systems
+    needed): budget_scale x its largest fully-in-memory run."""
 
+    def budget(session: "BenchSession") -> float:
+        scenario = build_scenario(spec(session.config), operator_bench_factory())
+        return session.config.budget_scale * scenario.baseline_seconds()
 
-def _two_predicate_jitter(config: BenchConfig) -> Jitter:
-    return Jitter(rel=0.01, abs=0.0005, seed=config.seed)
-
-
-def _sel_grid_2d(config: BenchConfig) -> int:
-    return 1 - config.min_exp_2d
+    return budget
 
 
 #: Request name -> definition.  The two-predicate map's jittered and
-#: jitter-free variants are distinct addressable entries (they were
-#: always distinct cache keys); ``single_predicate`` runs System A alone
-#: while ``two_predicate*`` runs all three systems.
+#: jitter-free variants are distinct addressable entries (and distinct
+#: cache keys); ``single_predicate`` runs System A alone while
+#: ``two_predicate*`` runs all three systems.
 MAP_DEFINITIONS: dict[str, MapDefinition] = {
     definition.name: definition
     for definition in (
@@ -360,16 +381,10 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "1-D selectivity sweep over System A's 7 single-"
                 "predicate plans (Figs 1-2)"
             ),
-            grid_shape=lambda config: (1 - config.min_exp_1d,),
-            scenario=lambda session: SinglePredicateScenario(
-                [session.system_a], _space_1d(session.config)
-            ),
             spec=lambda config: SinglePredicateScenario.build_spec(
                 _space_1d(config)
             ),
-            factory=lambda config: partial(_session_system_a, config),
-            budget=lambda session: session.budget(),
-            memory_bytes=lambda config: config.memory_bytes,
+            providers=SYSTEM_A,
         ),
         MapDefinition(
             name="two_predicate",
@@ -378,16 +393,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "2-D selectivity sweep over all 15 plans of systems "
                 "A, B, C with deterministic jitter (Figs 4-10)"
             ),
-            grid_shape=lambda config: (_sel_grid_2d(config),) * 2,
-            scenario=lambda session: TwoPredicateScenario(
-                list(session.systems.values()), _space_2d(session.config)
-            ),
-            spec=lambda config: TwoPredicateScenario.build_spec(
-                _space_2d(config).x, _space_2d(config).y
-            ),
-            factory=lambda config: partial(_session_systems, config),
-            budget=lambda session: session.budget(),
-            memory_bytes=lambda config: config.memory_bytes,
+            spec=_two_predicate_spec,
+            providers=THREE_SYSTEMS,
             jitter=_two_predicate_jitter,
         ),
         MapDefinition(
@@ -397,16 +404,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "the two-predicate sweep without measurement jitter "
                 "(exact cost surfaces)"
             ),
-            grid_shape=lambda config: (_sel_grid_2d(config),) * 2,
-            scenario=lambda session: TwoPredicateScenario(
-                list(session.systems.values()), _space_2d(session.config)
-            ),
-            spec=lambda config: TwoPredicateScenario.build_spec(
-                _space_2d(config).x, _space_2d(config).y
-            ),
-            factory=lambda config: partial(_session_systems, config),
-            budget=lambda session: session.budget(),
-            memory_bytes=lambda config: config.memory_bytes,
+            spec=_two_predicate_spec,
+            providers=THREE_SYSTEMS,
         ),
         MapDefinition(
             name="sort_spill",
@@ -414,17 +413,10 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             description=(
                 "input rows x memory for the two sort spill policies (§4)"
             ),
-            grid_shape=lambda config: (
-                len(config.sort_rows),
-                len(config.sort_memory),
-            ),
-            scenario=lambda session: _sort_scenario(session.config),
-            spec=lambda config: _sort_scenario(config).spec(),
-            factory=lambda config: operator_bench_factory,
-            # Budget yardstick intrinsic to the scenario (no systems
-            # needed): budget_scale x the largest fully-in-memory sort.
-            budget=lambda session: session.config.budget_scale
-            * _sort_scenario(session.config).baseline_seconds(),
+            spec=_sort_spec,
+            providers=OPERATOR_BENCH,
+            budget=_baseline_budget(_sort_spec),
+            memory_bytes=lambda config: None,
         ),
         MapDefinition(
             name="memory_sweep",
@@ -432,21 +424,10 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             description=(
                 "selectivity x per-cell memory budget over System A's plans"
             ),
-            grid_shape=lambda config: (
-                _sel_grid_2d(config),
-                len(config.memory_axis),
-            ),
-            scenario=lambda session: MemorySweepScenario(
-                [session.system_a],
-                _space_2d_sel(session.config),
-                session.config.memory_axis,
-            ),
             spec=lambda config: MemorySweepScenario.build_spec(
                 _space_2d_sel(config), config.memory_axis
             ),
-            factory=lambda config: partial(_session_system_a, config),
-            budget=lambda session: session.budget(),
-            memory_bytes=lambda config: config.memory_bytes,
+            providers=SYSTEM_A,
         ),
         MapDefinition(
             name="join",
@@ -455,13 +436,9 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "build rows x probe rows over the four join plans "
                 "(Figs 4-5; merge symmetric, hash spill cliffs)"
             ),
-            grid_shape=lambda config: (len(config.join_rows),) * 2,
-            scenario=lambda session: _join_scenario(session.config),
-            spec=lambda config: _join_scenario(config).spec(),
-            factory=lambda config: operator_bench_factory,
-            # budget_scale x the largest all-in-memory merge join.
-            budget=lambda session: session.config.budget_scale
-            * _join_scenario(session.config).baseline_seconds(),
+            spec=_join_spec,
+            providers=OPERATOR_BENCH,
+            budget=_baseline_budget(_join_spec),
             memory_bytes=lambda config: config.join_memory_bytes,
         ),
         MapDefinition(
@@ -471,20 +448,13 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "selectivity x estimation-error magnitude over System "
                 "A's plans (choice/regret substrate)"
             ),
-            grid_shape=lambda config: (
-                _sel_grid_2d(config),
-                len(config.error_magnitudes),
-            ),
-            scenario=_estimation_scenario,
             spec=lambda config: EstimationErrorScenario.build_spec(
                 _space_2d_sel(config),
                 config.error_magnitudes,
                 error_bias=config.error_bias,
                 error_seed=config.error_seed,
             ),
-            factory=lambda config: partial(_session_system_a, config),
-            budget=lambda session: session.budget(),
-            memory_bytes=lambda config: config.memory_bytes,
+            providers=SYSTEM_A,
         ),
     )
 }
@@ -549,7 +519,11 @@ class MapRequest:
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        definition_for(self.scenario)  # unknown names fail at build time
+        # Unknown names fail at build time; "sort-spill" and "sort_spill"
+        # are one request (one job id, one dedup slot).
+        object.__setattr__(
+            self, "scenario", definition_for(self.scenario).name
+        )
         items = (
             self.overrides.items()
             if isinstance(self.overrides, Mapping)
@@ -649,8 +623,7 @@ def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
     The single execution path behind every registry entry: picks serial
     vs. parallel from the config, threads the refinement policy, the
     content-addressed cell store, progress, and partial-map snapshots
-    through either engine.  Outputs are bit-identical to the historical
-    per-map closures (locked by the golden/figure tests).
+    through either engine.
     """
     config = session.config
     budget = definition.budget(session)

@@ -132,10 +132,9 @@ class SweepKeyer:
         context: str = "",
     ) -> None:
         spec = scenario.spec()
-        params = {k: v for k, v in spec.params.items() if k != "axes"}
         self._base: dict = {
             "scenario": spec.name,
-            "params": params,
+            "params": spec.settings,
             "budget_seconds": (
                 None if budget_seconds is None else float(budget_seconds)
             ),

@@ -47,7 +47,6 @@ from repro.core.cellstore import (
 )
 from repro.core.driver import CellPolicy, DenseGridPolicy, SweepDriver
 from repro.core.mapdata import MapData
-from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
 from repro.core.runner import Jitter, RobustnessSweep
 from repro.core.scenario import Scenario, ScenarioSpec, build_scenario
@@ -313,13 +312,7 @@ class ParallelSweep:
                 store=self.cell_store,
                 parent=parent,
                 scenario=scenario,
-                keyer=SweepKeyer(
-                    scenario,
-                    budget_seconds=parent.budget_seconds,
-                    memory_bytes=parent.memory_bytes,
-                    jitter=parent.jitter,
-                    context=self.store_context,
-                ),
+                keyer=parent.store_keyer(scenario),
                 plan_ids=parent._collect_plan_ids(
                     scenario.plan_ids_by_provider(), plan_filter
                 ),
@@ -451,40 +444,3 @@ class ParallelSweep:
         # sorts parts by first cell index, so the merge is
         # order-independent by construction.
         return SweepDriver._combined(parts)
-
-    # ------------------------------------------------------------------
-    # deprecated shims over the two canonical scenarios
-    # ------------------------------------------------------------------
-
-    def sweep_single_predicate(
-        self,
-        space: Space1D,
-        column: str | None = None,
-        plan_filter: Callable[[str], bool] | None = None,
-    ) -> MapData:
-        """Parallel 1-D sweep; bit-identical to the serial path.
-
-        .. deprecated::
-            Thin shim over ``sweep(SinglePredicateScenario.build_spec(...))``;
-            new code should build the spec (or scenario) directly.
-        """
-        from repro.core.scenario import SinglePredicateScenario
-
-        spec = SinglePredicateScenario.build_spec(space, column=column)
-        return self.sweep(spec, plan_filter=plan_filter)
-
-    def sweep_two_predicate(
-        self,
-        space: Space2D,
-        plan_filter: Callable[[str], bool] | None = None,
-    ) -> MapData:
-        """Parallel 2-D sweep; bit-identical to the serial path.
-
-        .. deprecated::
-            Thin shim over ``sweep(TwoPredicateScenario.build_spec(...))``;
-            new code should build the spec (or scenario) directly.
-        """
-        from repro.core.scenario import TwoPredicateScenario
-
-        spec = TwoPredicateScenario.build_spec(space.x, space.y)
-        return self.sweep(spec, plan_filter=plan_filter)

@@ -14,9 +14,7 @@ cells get measured.  :meth:`RobustnessSweep.sweep` is a thin front-end
 over the wave-based :class:`~repro.core.driver.SweepDriver` — the
 default dense policy reproduces the classic full-grid sweep
 bit-identically, while :class:`~repro.core.driver.AdaptiveRefinePolicy`
-concentrates the measurement budget on the map's structure.  The
-historical ``sweep_single_predicate`` / ``sweep_two_predicate`` entry
-points remain as thin shims over the corresponding scenarios.
+concentrates the measurement budget on the map's structure.
 
 Optional deterministic measurement jitter reproduces the paper's
 "measurement flukes in the sub-second range" (Fig 5) and the 0.1 s ties
@@ -46,14 +44,8 @@ from repro.core.driver import (
     resolve_cells,
 )
 from repro.core.mapdata import MapAxis, MapData
-from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
-from repro.core.scenario import (
-    Cell,
-    Scenario,
-    SinglePredicateScenario,
-    TwoPredicateScenario,
-)
+from repro.core.scenario import Cell, Scenario
 from repro.errors import ExperimentError
 from repro.executor.plans import MeasuredRun, PlanRunner
 from repro.obs.profile import (
@@ -93,9 +85,9 @@ class Jitter:
 class RobustnessSweep:
     """Runs robustness-map sweeps: any scenario, any grid dimensionality.
 
-    ``systems`` are the default plan providers for the shim entry points
-    (:meth:`sweep_single_predicate`, :meth:`sweep_two_predicate`); the
-    generic :meth:`sweep` uses whatever providers its scenario carries.
+    ``systems`` are the plan providers scenarios get built over (the
+    parallel engine rebuilds each spec against them); :meth:`sweep`
+    itself measures with whatever providers its scenario carries.
 
     With a ``cell_store`` (see :mod:`repro.core.cellstore`), every wave
     is partitioned into store hits (loaded, never measured) and misses
@@ -175,9 +167,6 @@ class RobustnessSweep:
                 "measurements would silently overwrite each other"
             )
         return plan_ids
-
-    # Shared with DenseGridPolicy: one validation authority.
-    _resolve_cells = staticmethod(resolve_cells)
 
     def _measure_cell(
         self,
@@ -334,7 +323,8 @@ class RobustnessSweep:
             raise ExperimentError(
                 f"scenario {scenario.name!r} has no plans after filtering"
             )
-        cell_list = self._resolve_cells(cells, n_cells)
+        # Shared with DenseGridPolicy: one validation authority.
+        cell_list = resolve_cells(cells, n_cells)
         times = np.full((len(plan_ids), *shape), np.nan)
         aborted = np.zeros((len(plan_ids), *shape), dtype=bool)
         rows = np.zeros(shape, dtype=np.int64)
@@ -494,42 +484,3 @@ class RobustnessSweep:
             meta=meta,
             axes=map_axes,
         )
-
-    # ------------------------------------------------------------------
-    # deprecated shims over the two canonical scenarios
-    # ------------------------------------------------------------------
-
-    def sweep_single_predicate(
-        self,
-        space: Space1D,
-        column: str | None = None,
-        plan_filter: Callable[[str], bool] | None = None,
-        cells: Sequence[int] | None = None,
-    ) -> MapData:
-        """1-D sweep (Figs 1-2): one predicate, selectivity on the x axis.
-
-        .. deprecated::
-            Thin shim over ``sweep(SinglePredicateScenario(...))``, kept
-            for source compatibility; outputs are bit-identical to the
-            pre-scenario implementation.  New code should construct the
-            scenario directly.
-        """
-        scenario = SinglePredicateScenario(self.systems, space, column=column)
-        return self.sweep(scenario, plan_filter=plan_filter, cells=cells)
-
-    def sweep_two_predicate(
-        self,
-        space: Space2D,
-        plan_filter: Callable[[str], bool] | None = None,
-        cells: Sequence[int] | None = None,
-    ) -> MapData:
-        """2-D sweep (Figs 4-10): both predicate selectivities vary.
-
-        .. deprecated::
-            Thin shim over ``sweep(TwoPredicateScenario(...))``, kept for
-            source compatibility; outputs are bit-identical to the
-            pre-scenario implementation.  New code should construct the
-            scenario directly.
-        """
-        scenario = TwoPredicateScenario(self.systems, space)
-        return self.sweep(scenario, plan_filter=plan_filter, cells=cells)

@@ -18,11 +18,14 @@ them:
   oracle result size, and optional per-cell runner overrides such as the
   workspace memory budget.
 
-Scenarios serialize to a picklable :class:`ScenarioSpec` so the parallel
-engine can rebuild them inside worker processes; the registry maps spec
-names back to classes.  The measured result is an N-D-capable
-:class:`~repro.core.mapdata.MapData` whose axes carry the scenario's
-dimension names.
+A scenario *is* its picklable :class:`ScenarioSpec` bound to providers:
+each class writes its parameter layout once (``build_spec``), every
+constructor and :meth:`Scenario.from_spec` run the same
+:meth:`Scenario.bind`, and axes, providers, spec and meta are derived
+from that one description.  The parallel engine ships the spec to worker
+processes; the registry maps spec names back to classes.  The measured
+result is an N-D-capable :class:`~repro.core.mapdata.MapData` whose axes
+carry the scenario's dimension names.
 
 The paper's two canonical sweeps are :class:`SinglePredicateScenario`
 and :class:`TwoPredicateScenario`; the §4 dimensions come in with
@@ -61,7 +64,7 @@ from repro.optimizer.estimation import (
 )
 from repro.sim.profile import DeviceProfile
 from repro.storage.env import StorageEnv
-from repro.workloads.queries import SinglePredicateQuery
+from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 from repro.workloads.selectivity import PredicateBuilder
 
 
@@ -77,11 +80,22 @@ class ScenarioSpec:
     ``params`` must always contain ``"axes"``: a list of
     ``[name, [targets...]]`` pairs, so the grid shape is recoverable
     without building any systems (the parallel driver needs it for
-    chunking).  Everything else is scenario-specific.
+    chunking).  Everything else is the scenario's own settings.
     """
 
     name: str
     params: dict
+
+    @classmethod
+    def of(cls, name: str, axes: Sequence[Axis], **settings) -> "ScenarioSpec":
+        """Spec from swept axes plus the scenario's settings, in order."""
+        grids = [[axis.name, axis.targets.tolist()] for axis in axes]
+        return cls(name, {"axes": grids, **settings})
+
+    @property
+    def settings(self) -> dict:
+        """Everything but the axis grids."""
+        return {k: v for k, v in self.params.items() if k != "axes"}
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -149,18 +163,50 @@ class Cell:
 
 
 class Scenario(ABC):
-    """One sweepable experiment: axes, plan providers, per-cell oracle."""
+    """One sweepable experiment: a spec bound to plan providers.
+
+    A subclass states its parameter layout once — a ``build_spec``
+    classmethod returning ``ScenarioSpec.of(cls.name, axes, **settings)``
+    — and its constructor is ``self.bind(providers, self.build_spec(...))``.
+    :meth:`bind` sets every setting as an attribute of the same name
+    (annotate them on the class) and calls :meth:`setup`; ``axes``,
+    :meth:`providers`, :meth:`spec`, :meth:`from_spec` and :meth:`meta`
+    follow from the bound spec.  That leaves :meth:`plan_ids_by_provider`
+    and :meth:`cell` to write.  A subclass may still override any of the
+    derived members itself.
+    """
 
     name: str = "?"
 
+    def bind(self, providers: Sequence, spec: ScenarioSpec) -> "Scenario":
+        """Attach providers to a spec (every constructor's body)."""
+        self._providers = list(providers)
+        self._spec = spec
+        self._axes = spec.spec_axes()
+        vars(self).update(spec.settings)
+        self.setup()
+        return self
+
+    def setup(self) -> None:
+        """Derive per-sweep state (predicates, oracles) once bound."""
+
     @property
-    @abstractmethod
     def axes(self) -> tuple[Axis, ...]:
         """Ordered swept axes; their sizes span the grid."""
+        return self._axes
 
-    @abstractmethod
     def providers(self) -> list:
         """Plan providers (objects with a ``runner(...)`` method)."""
+        return self._providers
+
+    def spec(self) -> ScenarioSpec:
+        """Picklable spec this scenario can be rebuilt from."""
+        return self._spec
+
+    @classmethod
+    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
+        """Rebuild from a spec plus worker-local providers."""
+        return cls.__new__(cls).bind(providers, spec)
 
     @abstractmethod
     def plan_ids_by_provider(self) -> list[list[str]]:
@@ -174,18 +220,29 @@ class Scenario(ABC):
         """Achieved axis values (None: targets were hit exactly)."""
         return None
 
+    def meta_params(self) -> dict:
+        """The settings as this instance resolved them (for :meth:`meta`)."""
+        return {
+            key: getattr(self, key, value)
+            for key, value in self.spec().settings.items()
+        }
+
     def meta(self, sweep) -> dict:
-        """Scenario-specific MapData meta entries."""
-        return {}
-
-    @abstractmethod
-    def spec(self) -> ScenarioSpec:
-        """Picklable spec this scenario can be rebuilt from."""
-
-    @classmethod
-    @abstractmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        """Rebuild from a spec plus worker-local providers."""
+        """MapData meta entries; key order is part of the JSON format."""
+        providers = self.providers()
+        meta = {
+            "sweep": self.name,
+            **self.meta_params(),
+            "budget_seconds": sweep.budget_seconds,
+            "systems": [
+                getattr(provider, "name", type(provider).__name__)
+                for provider in providers
+            ],
+        }
+        table = getattr(providers[0], "table", None) if providers else None
+        if table is not None:
+            meta["n_rows_table"] = table.n_rows
+        return meta
 
     # ------------------------------------------------------------------
 
@@ -217,206 +274,292 @@ class Scenario(ABC):
 
 
 # ---------------------------------------------------------------------------
-# the paper's two canonical sweeps, as scenarios
+# selectivity sweeps over the systems' forced plans
 # ---------------------------------------------------------------------------
 
 
-def _require_systems(systems: Sequence) -> list:
-    systems = list(systems)
-    if not systems:
-        raise ExperimentError("scenario needs at least one system")
-    return systems
+class _SystemScenario(Scenario):
+    """Database systems (sharing one table) as the plan providers."""
+
+    def setup(self) -> None:
+        self.systems = self.providers()
+        if not self.systems:
+            raise ExperimentError("scenario needs at least one system")
+
+    @abstractmethod
+    def _query(self, idx: tuple[int, ...]):
+        """The cell's query (every system forces its plans for it)."""
+
+    def _plans(self, idx: tuple[int, ...]) -> list[tuple[int, dict]]:
+        query = self._query(idx)
+        return [
+            (s, system.plans_for(query))
+            for s, system in enumerate(self.systems)
+        ]
+
+    def plan_ids_by_provider(self) -> list[list[str]]:
+        return [list(plans) for _s, plans in self._plans((0,) * len(self.axes))]
 
 
-@register_scenario
-class SinglePredicateScenario(Scenario):
-    """1-D selectivity sweep of the single-predicate query (Figs 1-2)."""
+class _SelectivityScenario(_SystemScenario):
+    """Axis 0 sweeps one column's selectivity for the single-predicate
+    query; subclasses add a second axis that does not change the query."""
 
-    name = "single-predicate"
+    column: str | None
+    """Setting: the swept column (None resolves to the systems' b column)."""
 
-    def __init__(self, systems: Sequence, space, column: str | None = None) -> None:
-        self.systems = _require_systems(systems)
+    def setup(self) -> None:
+        super().setup()
         reference = self.systems[0]
-        self._requested_column = column
-        self.column = column or reference.config.b_column
-        self._axis = Axis(space.name, space.targets)
+        self.column = self.column or reference.config.b_column
         builder = PredicateBuilder(reference.table, self.column)
-        self._predicates = builder.predicates_for_grid(self._axis.targets)
+        self._predicates = builder.predicates_for_grid(self.axes[0].targets)
         self._achieved = np.asarray([a for _p, a in self._predicates])
-        # Oracle result sizes cached once per sweep: rescanning the full
-        # column at every cell was O(cells x rows) for no reason.
+        # Oracle result sizes once per sweep, not per cell: each is a
+        # scan of the full column.
         column_values = reference.table.column(self.column)
         self._oracle_rows = [
             int(np.count_nonzero(predicate.mask(column_values)))
             for predicate, _achieved in self._predicates
         ]
 
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return (self._axis,)
+    def _query(self, idx: tuple[int, ...]) -> SinglePredicateQuery:
+        return SinglePredicateQuery(self._predicates[idx[0]][0])
 
-    def providers(self) -> list:
-        return self.systems
+    def _cell_memory(self, idx: tuple[int, ...]) -> int | None:
+        return None
 
-    def _query(self, i: int) -> SinglePredicateQuery:
-        return SinglePredicateQuery(self._predicates[i][0])
-
-    def plan_ids_by_provider(self) -> list[list[str]]:
-        first = self._query(0)
-        return [
-            list(system.plans_for(first)) for system in self.systems
-        ]
+    def _cell_note(self, idx: tuple[int, ...]) -> str:
+        return ""
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
-        (i,) = idx
-        query = self._query(i)
         return Cell(
-            expected_rows=self._oracle_rows[i],
-            plans=[
-                (s, system.plans_for(query))
-                for s, system in enumerate(self.systems)
-            ],
-            describe=f"sel={self._predicates[i][1]:.2e}",
+            expected_rows=self._oracle_rows[idx[0]],
+            plans=self._plans(idx),
+            memory_bytes=self._cell_memory(idx),
+            describe=f"sel={self._achieved[idx[0]]:.2e}" + self._cell_note(idx),
         )
 
     def achieved(self, axis: int) -> np.ndarray | None:
         return self._achieved if axis == 0 else None
 
-    def meta(self, sweep) -> dict:
-        reference = self.systems[0]
-        return {
-            "sweep": "single-predicate",
-            "column": self.column,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [system.name for system in self.systems],
-            "n_rows_table": reference.table.n_rows,
-        }
+
+@register_scenario
+class SinglePredicateScenario(_SelectivityScenario):
+    """1-D selectivity sweep of the single-predicate query (Figs 1-2)."""
+
+    name = "single-predicate"
+
+    def __init__(self, systems: Sequence, space, column: str | None = None) -> None:
+        self.bind(systems, self.build_spec(space, column=column))
 
     @classmethod
     def build_spec(cls, space, column: str | None = None) -> ScenarioSpec:
-        """Spec for this scenario without building any systems.
-
-        The single source of the params layout ``from_spec`` expects —
-        drivers that ship a spec to workers without constructing the
-        (table-holding) scenario locally should use this.
-        """
-        return ScenarioSpec(
-            cls.name,
-            {
-                "axes": [
-                    [space.name, np.asarray(space.targets, dtype=float).tolist()]
-                ],
-                "column": column,
-            },
+        """Spec for this scenario without building any systems."""
+        return ScenarioSpec.of(
+            cls.name, [Axis(space.name, space.targets)], column=column
         )
-
-    def spec(self) -> ScenarioSpec:
-        return type(self).build_spec(self._axis, column=self._requested_column)
-
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        (axis,) = spec.spec_axes()
-        return cls(providers, axis, column=spec.params.get("column"))
 
 
 @register_scenario
-class TwoPredicateScenario(Scenario):
+class MemorySweepScenario(_SelectivityScenario):
+    """Selectivity x memory budget over the systems' forced plans (§4).
+
+    Reuses the single-predicate plan inventory but turns the workspace
+    ``memory_bytes`` knob *per cell* instead of per sweep, exposing which
+    plans degrade gracefully when their hash/sort workspaces shrink.
+    """
+
+    name = "memory-sweep"
+
+    def __init__(
+        self,
+        systems: Sequence,
+        space,
+        memory_targets: Sequence[int],
+        column: str | None = None,
+    ) -> None:
+        self.bind(systems, self.build_spec(space, memory_targets, column=column))
+
+    @classmethod
+    def build_spec(
+        cls, space, memory_targets: Sequence[int], column: str | None = None
+    ) -> ScenarioSpec:
+        """Spec for this scenario without building any systems."""
+        axes = [
+            Axis(space.name, space.targets),
+            Axis("memory_bytes", memory_targets),
+        ]
+        return ScenarioSpec.of(cls.name, axes, column=column)
+
+    def _cell_memory(self, idx: tuple[int, ...]) -> int:
+        return int(self.axes[1].targets[idx[1]])
+
+    def _cell_note(self, idx: tuple[int, ...]) -> str:
+        return f" mem={self._cell_memory(idx)}"
+
+
+@register_scenario
+class EstimationErrorScenario(_SelectivityScenario):
+    """Selectivity x estimation-error magnitude over forced plans.
+
+    The run-time side is the familiar single-predicate sweep: every plan
+    is measured at every cell, and the measured costs are *independent*
+    of the error axis (the error model perturbs estimates, never
+    executions).  The compile-time side is what the second axis turns:
+    :meth:`estimates` yields each cell's true cardinalities pushed
+    through a deterministic q-error of that cell's magnitude, and
+    :meth:`candidate_plans` the inventory an optimizer chooses from —
+    the inputs :func:`repro.core.choice.build_choice_map` combines with a
+    :class:`~repro.optimizer.chooser.PlanChooser` into choice and regret
+    maps.
+
+    Determinism contract: the standard-normal draw behind a cell's
+    q-factor is keyed on the *workload* index (the selectivity cell) and
+    the quantity name only; the magnitude axis merely scales it.
+    Walking the error axis therefore amplifies one fixed misestimation
+    per selectivity instead of re-rolling it, magnitude 0 reproduces the
+    true values exactly, and the whole surface is bit-identical across
+    processes and runs.
+    """
+
+    name = "estimation-error"
+    error_bias: float
+    error_seed: int
+
+    def __init__(
+        self,
+        systems: Sequence,
+        space,
+        magnitudes: Sequence[float],
+        column: str | None = None,
+        error_bias: float = 0.0,
+        error_seed: int = 2009,
+    ) -> None:
+        self.bind(
+            systems,
+            self.build_spec(space, magnitudes, column, error_bias, error_seed),
+        )
+
+    @classmethod
+    def build_spec(
+        cls,
+        space,
+        magnitudes: Sequence[float],
+        column: str | None = None,
+        error_bias: float = 0.0,
+        error_seed: int = 2009,
+    ) -> ScenarioSpec:
+        """Spec for this scenario without building any systems."""
+        axes = [
+            Axis(space.name, space.targets),
+            Axis("error_magnitude", magnitudes),
+        ]
+        return ScenarioSpec.of(
+            cls.name,
+            axes,
+            column=column,
+            error_bias=float(error_bias),
+            error_seed=int(error_seed),
+        )
+
+    def setup(self) -> None:
+        if np.any(self.axes[1].targets < 0):
+            raise ExperimentError("error magnitudes must be non-negative")
+        super().setup()
+        self._estimator = CardinalityEstimator(
+            EstimationError(bias=self.error_bias, seed=self.error_seed)
+        )
+        self._true_cards: dict[int, dict[str, float]] = {}
+
+    def _cell_note(self, idx: tuple[int, ...]) -> str:
+        return f" err={self.magnitude(idx):.2f}"
+
+    # ------------------------------------------------------------------
+    # the compile-time side
+    # ------------------------------------------------------------------
+
+    def magnitude(self, idx: tuple[int, ...]) -> float:
+        return float(self.axes[1].targets[idx[1]])
+
+    def true_cards(self, idx: tuple[int, ...]) -> dict[str, float]:
+        """Oracle cardinalities of the cell's query (the workload side).
+
+        Delegates to :meth:`DatabaseSystem.true_cards` — the single
+        owner of the estimate-key convention — cached per selectivity
+        index (the error axis shares the workload).
+        """
+        i = int(idx[0])
+        if i not in self._true_cards:
+            self._true_cards[i] = self.systems[0].true_cards(self._query(idx))
+        return dict(self._true_cards[i])
+
+    def estimates(self, idx: tuple[int, ...]) -> Estimate:
+        """The cell's perturbed estimates (see the determinism contract)."""
+        return self._estimator.estimate(
+            self.true_cards(idx),
+            key=(int(idx[0]),),
+            magnitude=self.magnitude(idx),
+        )
+
+    def candidate_plans(
+        self, idx: tuple[int, ...], provider: int = 0
+    ) -> dict[str, PlanNode]:
+        """Fresh plan trees one provider's optimizer chooses from."""
+        return self.systems[provider].plans_for(self._query(idx))
+
+
+@register_scenario
+class TwoPredicateScenario(_SystemScenario):
     """2-D selectivity x selectivity sweep (Figs 4-10)."""
 
     name = "two-predicate"
 
     def __init__(self, systems: Sequence, space) -> None:
-        self.systems = _require_systems(systems)
-        reference = self.systems[0]
-        self.a_column = reference.config.a_column
-        self.b_column = reference.config.b_column
-        self._x = Axis(space.x.name, space.x.targets)
-        self._y = Axis(space.y.name, space.y.targets)
-        builder_a = PredicateBuilder(reference.table, self.a_column)
-        builder_b = PredicateBuilder(reference.table, self.b_column)
-        self._preds_a = builder_a.predicates_for_grid(self._x.targets)
-        self._preds_b = builder_b.predicates_for_grid(self._y.targets)
-        self._mask_a = [
-            predicate.mask(reference.table.column(self.a_column))
-            for predicate, _ in self._preds_a
-        ]
-        self._mask_b = [
-            predicate.mask(reference.table.column(self.b_column))
-            for predicate, _ in self._preds_b
-        ]
-
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return (self._x, self._y)
-
-    def providers(self) -> list:
-        return self.systems
-
-    def _query(self, ix: int, iy: int):
-        from repro.workloads.queries import TwoPredicateQuery
-
-        return TwoPredicateQuery(self._preds_a[ix][0], self._preds_b[iy][0])
-
-    def plan_ids_by_provider(self) -> list[list[str]]:
-        first = self._query(0, 0)
-        return [
-            list(system.plans_for(first)) for system in self.systems
-        ]
-
-    def cell(self, idx: tuple[int, ...]) -> Cell:
-        ix, iy = idx
-        query = self._query(ix, iy)
-        expected = int(np.count_nonzero(self._mask_a[ix] & self._mask_b[iy]))
-        return Cell(
-            expected_rows=expected,
-            plans=[
-                (s, system.plans_for(query))
-                for s, system in enumerate(self.systems)
-            ],
-            describe=f"{ix},{iy}",
-        )
-
-    def achieved(self, axis: int) -> np.ndarray | None:
-        preds = (self._preds_a, self._preds_b)[axis]
-        return np.asarray([a for _p, a in preds])
-
-    def meta(self, sweep) -> dict:
-        reference = self.systems[0]
-        return {
-            "sweep": "two-predicate",
-            "a_column": self.a_column,
-            "b_column": self.b_column,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [system.name for system in self.systems],
-            "n_rows_table": reference.table.n_rows,
-        }
+        self.bind(systems, self.build_spec(space.x, space.y))
 
     @classmethod
     def build_spec(cls, x, y) -> ScenarioSpec:
         """Spec from the two selectivity axes, without building systems."""
-        return ScenarioSpec(
-            cls.name,
-            {
-                "axes": [
-                    [x.name, np.asarray(x.targets, dtype=float).tolist()],
-                    [y.name, np.asarray(y.targets, dtype=float).tolist()],
-                ]
-            },
+        return ScenarioSpec.of(
+            cls.name, [Axis(x.name, x.targets), Axis(y.name, y.targets)]
         )
 
-    def spec(self) -> ScenarioSpec:
-        return type(self).build_spec(self._x, self._y)
+    def setup(self) -> None:
+        super().setup()
+        reference = self.systems[0]
+        self.a_column = reference.config.a_column
+        self.b_column = reference.config.b_column
+        self._preds, self._masks = [], []
+        for column, axis in zip((self.a_column, self.b_column), self.axes):
+            builder = PredicateBuilder(reference.table, column)
+            preds = builder.predicates_for_grid(axis.targets)
+            values = reference.table.column(column)
+            self._preds.append(preds)
+            self._masks.append([pred.mask(values) for pred, _ in preds])
 
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        from repro.core.parameter_space import Space2D
+    def _query(self, idx: tuple[int, ...]) -> TwoPredicateQuery:
+        ix, iy = idx
+        return TwoPredicateQuery(self._preds[0][ix][0], self._preds[1][iy][0])
 
-        x, y = spec.spec_axes()
-        return cls(providers, Space2D(x, y))
+    def cell(self, idx: tuple[int, ...]) -> Cell:
+        ix, iy = idx
+        expected = np.count_nonzero(self._masks[0][ix] & self._masks[1][iy])
+        return Cell(
+            expected_rows=int(expected),
+            plans=self._plans(idx),
+            describe=f"{ix},{iy}",
+        )
+
+    def achieved(self, axis: int) -> np.ndarray | None:
+        return np.asarray([a for _p, a in self._preds[axis]])
+
+    def meta_params(self) -> dict:
+        return {"a_column": self.a_column, "b_column": self.b_column}
 
 
 # ---------------------------------------------------------------------------
-# §4 dimensions: memory and data size enter the engine proper
+# §4 dimensions: bare operators over input size and memory
 # ---------------------------------------------------------------------------
 
 
@@ -452,8 +595,38 @@ def operator_bench_factory() -> list[OperatorBench]:
     return [OperatorBench()]
 
 
+class _OperatorScenario(Scenario):
+    """Bare operators on one :class:`OperatorBench`, inputs drawn from a
+    generator keyed only by ``(seed, row count)``."""
+
+    row_bytes: int
+    seed: int
+    key_domain: int
+
+    @property
+    def provider(self) -> OperatorBench:
+        return self.providers()[0]
+
+    @classmethod
+    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
+        first = providers[0] if providers else None
+        if not isinstance(first, OperatorBench):
+            # A systems factory was supplied; operator plans only need an
+            # env, so wrap a fresh bench rather than borrowing the system's.
+            first = OperatorBench()
+        return super().from_spec(spec, [first])
+
+    def input_values(self, n_rows: int) -> np.ndarray:
+        """The deterministic operator input for a given row count."""
+        rng = np.random.default_rng([self.seed, n_rows])
+        return rng.integers(0, self.key_domain, n_rows)
+
+    def _target(self, axis: int, idx: tuple[int, ...]) -> int:
+        return int(self.axes[axis].targets[idx[axis]])
+
+
 @register_scenario
-class SortSpillScenario(Scenario):
+class SortSpillScenario(_OperatorScenario):
     """Input rows x memory budget for the two sort spill policies (§4).
 
     The two "plans" are the same external sort under
@@ -463,6 +636,8 @@ class SortSpillScenario(Scenario):
     """
 
     name = "sort-spill"
+    key_domain = 1 << 30
+    _POLICIES = (SpillPolicy.ALL_OR_NOTHING, SpillPolicy.GRACEFUL)
 
     def __init__(
         self,
@@ -472,32 +647,30 @@ class SortSpillScenario(Scenario):
         row_bytes: int = 128,
         seed: int = 2009,
     ) -> None:
-        self.provider = provider or OperatorBench()
-        self.row_bytes = int(row_bytes)
-        self.seed = int(seed)
-        self._rows_axis = Axis("input_rows", np.asarray(row_targets, dtype=float))
-        self._memory_axis = Axis(
-            "memory_bytes", np.asarray(memory_targets, dtype=float)
+        self.bind(
+            [provider or OperatorBench()],
+            self.build_spec(row_targets, memory_targets, row_bytes, seed),
         )
 
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return (self._rows_axis, self._memory_axis)
-
-    def providers(self) -> list:
-        return [self.provider]
+    @classmethod
+    def build_spec(
+        cls,
+        row_targets: Sequence[int],
+        memory_targets: Sequence[int],
+        row_bytes: int = 128,
+        seed: int = 2009,
+    ) -> ScenarioSpec:
+        """Spec for this scenario without building a bench."""
+        axes = [
+            Axis("input_rows", row_targets),
+            Axis("memory_bytes", memory_targets),
+        ]
+        return ScenarioSpec.of(
+            cls.name, axes, row_bytes=int(row_bytes), seed=int(seed)
+        )
 
     def plan_ids_by_provider(self) -> list[list[str]]:
-        return [[f"sort.{policy.value}" for policy in self._policies()]]
-
-    @staticmethod
-    def _policies() -> tuple[SpillPolicy, SpillPolicy]:
-        return (SpillPolicy.ALL_OR_NOTHING, SpillPolicy.GRACEFUL)
-
-    def input_values(self, n_rows: int) -> np.ndarray:
-        """The deterministic sort input for a given row count."""
-        rng = np.random.default_rng([self.seed, n_rows])
-        return rng.integers(0, 1 << 30, n_rows)
+        return [[f"sort.{policy.value}" for policy in self._POLICIES]]
 
     def baseline_seconds(self) -> float:
         """Cost of the largest input sorted fully in memory.
@@ -507,7 +680,7 @@ class SortSpillScenario(Scenario):
         cheapest way to do the most work, so only pathological spill
         blowups get censored.
         """
-        n_rows = int(self._rows_axis.targets[-1])
+        n_rows = int(self.axes[0].targets[-1])
         runner = self.provider.runner(
             memory_bytes=(n_rows + 1) * self.row_bytes
         )
@@ -521,15 +694,13 @@ class SortSpillScenario(Scenario):
         return run.seconds
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
-        i, j = idx
-        n_rows = int(self._rows_axis.targets[i])
-        memory = int(self._memory_axis.targets[j])
+        n_rows, memory = self._target(0, idx), self._target(1, idx)
         values = self.input_values(n_rows)
         plans = {
             f"sort.{policy.value}": ExternalSortNode(
                 values, row_bytes=self.row_bytes, policy=policy
             )
-            for policy in self._policies()
+            for policy in self._POLICIES
         }
         return Cell(
             expected_rows=n_rows,
@@ -538,357 +709,9 @@ class SortSpillScenario(Scenario):
             describe=f"rows={n_rows} mem={memory}",
         )
 
-    def meta(self, sweep) -> dict:
-        return {
-            "sweep": "sort-spill",
-            "row_bytes": self.row_bytes,
-            "seed": self.seed,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [self.provider.name],
-        }
-
-    def spec(self) -> ScenarioSpec:
-        return ScenarioSpec(
-            self.name,
-            {
-                "axes": [
-                    [self._rows_axis.name, self._rows_axis.targets.tolist()],
-                    [
-                        self._memory_axis.name,
-                        self._memory_axis.targets.tolist(),
-                    ],
-                ],
-                "row_bytes": self.row_bytes,
-                "seed": self.seed,
-            },
-        )
-
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        rows_axis, memory_axis = spec.spec_axes()
-        provider = providers[0] if providers else None
-        if provider is not None and not isinstance(provider, OperatorBench):
-            # A systems factory was supplied; sort plans only need an env,
-            # so wrap a fresh bench rather than borrowing the system's.
-            provider = OperatorBench()
-        return cls(
-            provider,
-            row_targets=rows_axis.targets,
-            memory_targets=memory_axis.targets,
-            row_bytes=int(spec.params.get("row_bytes", 128)),
-            seed=int(spec.params.get("seed", 2009)),
-        )
-
 
 @register_scenario
-class MemorySweepScenario(Scenario):
-    """Selectivity x memory budget over the systems' forced plans (§4).
-
-    Reuses the single-predicate plan inventory but turns the workspace
-    ``memory_bytes`` knob *per cell* instead of per sweep, exposing which
-    plans degrade gracefully when their hash/sort workspaces shrink.
-    """
-
-    name = "memory-sweep"
-
-    def __init__(
-        self,
-        systems: Sequence,
-        space,
-        memory_targets: Sequence[int],
-        column: str | None = None,
-    ) -> None:
-        self.systems = _require_systems(systems)
-        reference = self.systems[0]
-        self._requested_column = column
-        self.column = column or reference.config.b_column
-        self._sel_axis = Axis(space.name, space.targets)
-        self._memory_axis = Axis(
-            "memory_bytes", np.asarray(memory_targets, dtype=float)
-        )
-        builder = PredicateBuilder(reference.table, self.column)
-        self._predicates = builder.predicates_for_grid(self._sel_axis.targets)
-        self._achieved = np.asarray([a for _p, a in self._predicates])
-        column_values = reference.table.column(self.column)
-        self._oracle_rows = [
-            int(np.count_nonzero(predicate.mask(column_values)))
-            for predicate, _achieved in self._predicates
-        ]
-
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return (self._sel_axis, self._memory_axis)
-
-    def providers(self) -> list:
-        return self.systems
-
-    def plan_ids_by_provider(self) -> list[list[str]]:
-        first = SinglePredicateQuery(self._predicates[0][0])
-        return [
-            list(system.plans_for(first)) for system in self.systems
-        ]
-
-    def cell(self, idx: tuple[int, ...]) -> Cell:
-        i, j = idx
-        query = SinglePredicateQuery(self._predicates[i][0])
-        memory = int(self._memory_axis.targets[j])
-        return Cell(
-            expected_rows=self._oracle_rows[i],
-            plans=[
-                (s, system.plans_for(query))
-                for s, system in enumerate(self.systems)
-            ],
-            memory_bytes=memory,
-            describe=f"sel={self._predicates[i][1]:.2e} mem={memory}",
-        )
-
-    def achieved(self, axis: int) -> np.ndarray | None:
-        return self._achieved if axis == 0 else None
-
-    def meta(self, sweep) -> dict:
-        reference = self.systems[0]
-        return {
-            "sweep": "memory-sweep",
-            "column": self.column,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [system.name for system in self.systems],
-            "n_rows_table": reference.table.n_rows,
-        }
-
-    @classmethod
-    def build_spec(
-        cls,
-        space,
-        memory_targets: Sequence[int],
-        column: str | None = None,
-    ) -> ScenarioSpec:
-        """Spec for this scenario without building any systems.
-
-        The single source of the params layout ``from_spec`` expects —
-        drivers that want to ship a spec to workers without constructing
-        the (table-holding) scenario locally should use this.
-        """
-        return ScenarioSpec(
-            cls.name,
-            {
-                "axes": [
-                    [
-                        space.name,
-                        np.asarray(space.targets, dtype=float).tolist(),
-                    ],
-                    ["memory_bytes", [float(m) for m in memory_targets]],
-                ],
-                "column": column,
-            },
-        )
-
-    def spec(self) -> ScenarioSpec:
-        return type(self).build_spec(
-            self._sel_axis,
-            self._memory_axis.targets,
-            column=self._requested_column,
-        )
-
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        sel_axis, memory_axis = spec.spec_axes()
-        return cls(
-            providers,
-            sel_axis,
-            memory_targets=memory_axis.targets,
-            column=spec.params.get("column"),
-        )
-
-
-@register_scenario
-class EstimationErrorScenario(Scenario):
-    """Selectivity x estimation-error magnitude over forced plans.
-
-    The run-time side is the familiar single-predicate sweep: every plan
-    is measured at every cell, and the measured costs are *independent*
-    of the error axis (the error model perturbs estimates, never
-    executions).  The compile-time side is what the second axis turns:
-    :meth:`estimates` yields each cell's true cardinalities pushed
-    through a deterministic q-error of that cell's magnitude, and
-    :meth:`candidate_plans` the inventory an optimizer chooses from —
-    the inputs :func:`repro.core.choice.build_choice_map` combines with a
-    :class:`~repro.optimizer.chooser.PlanChooser` into choice and regret
-    maps.
-
-    Determinism contract: the standard-normal draw behind a cell's
-    q-factor is keyed on the *workload* index (the selectivity cell) and
-    the quantity name only; the magnitude axis merely scales it.
-    Walking the error axis therefore amplifies one fixed misestimation
-    per selectivity instead of re-rolling it, magnitude 0 reproduces the
-    true values exactly, and the whole surface is bit-identical across
-    processes and runs.
-    """
-
-    name = "estimation-error"
-
-    def __init__(
-        self,
-        systems: Sequence,
-        space,
-        magnitudes: Sequence[float],
-        column: str | None = None,
-        error_bias: float = 0.0,
-        error_seed: int = 2009,
-    ) -> None:
-        self.systems = _require_systems(systems)
-        reference = self.systems[0]
-        self._requested_column = column
-        self.column = column or reference.config.b_column
-        self.error_bias = float(error_bias)
-        self.error_seed = int(error_seed)
-        self._sel_axis = Axis(space.name, space.targets)
-        self._magnitude_axis = Axis(
-            "error_magnitude", np.asarray(magnitudes, dtype=float)
-        )
-        if np.any(self._magnitude_axis.targets < 0):
-            raise ExperimentError("error magnitudes must be non-negative")
-        builder = PredicateBuilder(reference.table, self.column)
-        self._predicates = builder.predicates_for_grid(self._sel_axis.targets)
-        self._achieved = np.asarray([a for _p, a in self._predicates])
-        column_values = reference.table.column(self.column)
-        self._oracle_rows = [
-            int(np.count_nonzero(predicate.mask(column_values)))
-            for predicate, _achieved in self._predicates
-        ]
-        self._estimator = CardinalityEstimator(
-            EstimationError(bias=self.error_bias, seed=self.error_seed)
-        )
-        self._true_cards: dict[int, dict[str, float]] = {}
-
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return (self._sel_axis, self._magnitude_axis)
-
-    def providers(self) -> list:
-        return self.systems
-
-    def _query(self, i: int) -> SinglePredicateQuery:
-        return SinglePredicateQuery(self._predicates[i][0])
-
-    def plan_ids_by_provider(self) -> list[list[str]]:
-        first = self._query(0)
-        return [list(system.plans_for(first)) for system in self.systems]
-
-    def cell(self, idx: tuple[int, ...]) -> Cell:
-        i, j = idx
-        query = self._query(i)
-        return Cell(
-            expected_rows=self._oracle_rows[i],
-            plans=[
-                (s, system.plans_for(query))
-                for s, system in enumerate(self.systems)
-            ],
-            describe=(
-                f"sel={self._predicates[i][1]:.2e} "
-                f"err={self._magnitude_axis.targets[j]:.2f}"
-            ),
-        )
-
-    def achieved(self, axis: int) -> np.ndarray | None:
-        return self._achieved if axis == 0 else None
-
-    # ------------------------------------------------------------------
-    # the compile-time side
-    # ------------------------------------------------------------------
-
-    def magnitude(self, idx: tuple[int, ...]) -> float:
-        return float(self._magnitude_axis.targets[idx[1]])
-
-    def true_cards(self, idx: tuple[int, ...]) -> dict[str, float]:
-        """Oracle cardinalities of the cell's query (the workload side).
-
-        Delegates to :meth:`DatabaseSystem.true_cards` — the single
-        owner of the estimate-key convention — cached per selectivity
-        index (the error axis shares the workload).
-        """
-        i = int(idx[0])
-        if i not in self._true_cards:
-            self._true_cards[i] = self.systems[0].true_cards(self._query(i))
-        return dict(self._true_cards[i])
-
-    def estimates(self, idx: tuple[int, ...]) -> Estimate:
-        """The cell's perturbed estimates (see the determinism contract)."""
-        return self._estimator.estimate(
-            self.true_cards(idx),
-            key=(int(idx[0]),),
-            magnitude=self.magnitude(idx),
-        )
-
-    def candidate_plans(
-        self, idx: tuple[int, ...], provider: int = 0
-    ) -> dict[str, PlanNode]:
-        """Fresh plan trees one provider's optimizer chooses from."""
-        return self.systems[provider].plans_for(self._query(idx[0]))
-
-    # ------------------------------------------------------------------
-
-    def meta(self, sweep) -> dict:
-        reference = self.systems[0]
-        return {
-            "sweep": "estimation-error",
-            "column": self.column,
-            "error_bias": self.error_bias,
-            "error_seed": self.error_seed,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [system.name for system in self.systems],
-            "n_rows_table": reference.table.n_rows,
-        }
-
-    @classmethod
-    def build_spec(
-        cls,
-        space,
-        magnitudes: Sequence[float],
-        column: str | None = None,
-        error_bias: float = 0.0,
-        error_seed: int = 2009,
-    ) -> ScenarioSpec:
-        """Spec for this scenario without building any systems."""
-        return ScenarioSpec(
-            cls.name,
-            {
-                "axes": [
-                    [
-                        space.name,
-                        np.asarray(space.targets, dtype=float).tolist(),
-                    ],
-                    ["error_magnitude", [float(m) for m in magnitudes]],
-                ],
-                "column": column,
-                "error_bias": float(error_bias),
-                "error_seed": int(error_seed),
-            },
-        )
-
-    def spec(self) -> ScenarioSpec:
-        return type(self).build_spec(
-            self._sel_axis,
-            self._magnitude_axis.targets,
-            column=self._requested_column,
-            error_bias=self.error_bias,
-            error_seed=self.error_seed,
-        )
-
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        sel_axis, magnitude_axis = spec.spec_axes()
-        return cls(
-            providers,
-            sel_axis,
-            magnitudes=magnitude_axis.targets,
-            column=spec.params.get("column"),
-            error_bias=float(spec.params.get("error_bias", 0.0)),
-            error_seed=int(spec.params.get("error_seed", 2009)),
-        )
-
-
-@register_scenario
-class JoinScenario(Scenario):
+class JoinScenario(_OperatorScenario):
     """Build rows x probe rows over the join plan inventory (Figs 4-5).
 
     Both inputs draw from the *same* deterministic generator keyed only
@@ -916,38 +739,39 @@ class JoinScenario(Scenario):
         key_domain: int = 1 << 16,
         seed: int = 2009,
     ) -> None:
-        self.provider = provider or OperatorBench()
-        self.row_bytes = int(row_bytes)
-        self.key_domain = int(key_domain)
-        self.seed = int(seed)
-        self._build_axis = Axis(
-            "build_rows", np.asarray(build_targets, dtype=float)
+        spec = self.build_spec(
+            build_targets, probe_targets, memory_targets,
+            row_bytes, key_domain, seed,
         )
-        self._probe_axis = Axis(
-            "probe_rows", np.asarray(probe_targets, dtype=float)
-        )
-        self._memory_axis = (
-            Axis("memory_bytes", np.asarray(memory_targets, dtype=float))
-            if memory_targets is not None and len(memory_targets)
-            else None
-        )
+        self.bind([provider or OperatorBench()], spec)
 
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        if self._memory_axis is None:
-            return (self._build_axis, self._probe_axis)
-        return (self._build_axis, self._probe_axis, self._memory_axis)
-
-    def providers(self) -> list:
-        return [self.provider]
+    @classmethod
+    def build_spec(
+        cls,
+        build_targets: Sequence[int],
+        probe_targets: Sequence[int],
+        memory_targets: Sequence[int] | None = None,
+        row_bytes: int = 16,
+        key_domain: int = 1 << 16,
+        seed: int = 2009,
+    ) -> ScenarioSpec:
+        """Spec for this scenario without building a bench."""
+        axes = [
+            Axis("build_rows", build_targets),
+            Axis("probe_rows", probe_targets),
+        ]
+        if memory_targets is not None and len(memory_targets):
+            axes.append(Axis("memory_bytes", memory_targets))
+        return ScenarioSpec.of(
+            cls.name,
+            axes,
+            row_bytes=int(row_bytes),
+            key_domain=int(key_domain),
+            seed=int(seed),
+        )
 
     def plan_ids_by_provider(self) -> list[list[str]]:
         return [list(JOIN_PLAN_IDS)]
-
-    def input_values(self, n_rows: int) -> np.ndarray:
-        """Deterministic join input for a row count (same for both sides)."""
-        rng = np.random.default_rng([self.seed, n_rows])
-        return rng.integers(0, self.key_domain, n_rows).astype(np.int64)
 
     def baseline_seconds(self) -> float:
         """Cost of merge-joining the largest inputs fully in memory.
@@ -957,8 +781,8 @@ class JoinScenario(Scenario):
         the cheapest way to do the most work, so only pathological spill
         or probe blowups get censored.
         """
-        n_build = int(self._build_axis.targets[-1])
-        n_probe = int(self._probe_axis.targets[-1])
+        n_build = int(self.axes[0].targets[-1])
+        n_probe = int(self.axes[1].targets[-1])
         runner = self.provider.runner(
             memory_bytes=2 * (n_build + n_probe + 2) * self.row_bytes
         )
@@ -972,16 +796,10 @@ class JoinScenario(Scenario):
         return run.seconds
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
-        i, j = idx[0], idx[1]
-        n_build = int(self._build_axis.targets[i])
-        n_probe = int(self._probe_axis.targets[j])
+        n_build, n_probe = self._target(0, idx), self._target(1, idx)
         build = self.input_values(n_build)
         probe = self.input_values(n_probe)
-        memory = (
-            int(self._memory_axis.targets[idx[2]])
-            if self._memory_axis is not None
-            else None
-        )
+        memory = self._target(2, idx) if len(self.axes) == 3 else None
         describe = f"build={n_build} probe={n_probe}"
         if memory is not None:
             describe += f" mem={memory}"
@@ -990,52 +808,4 @@ class JoinScenario(Scenario):
             plans=[(0, join_plan_inventory(build, probe, self.row_bytes))],
             memory_bytes=memory,
             describe=describe,
-        )
-
-    def meta(self, sweep) -> dict:
-        return {
-            "sweep": "join",
-            "row_bytes": self.row_bytes,
-            "key_domain": self.key_domain,
-            "seed": self.seed,
-            "budget_seconds": sweep.budget_seconds,
-            "systems": [self.provider.name],
-        }
-
-    def spec(self) -> ScenarioSpec:
-        axes = [
-            [self._build_axis.name, self._build_axis.targets.tolist()],
-            [self._probe_axis.name, self._probe_axis.targets.tolist()],
-        ]
-        if self._memory_axis is not None:
-            axes.append(
-                [self._memory_axis.name, self._memory_axis.targets.tolist()]
-            )
-        return ScenarioSpec(
-            self.name,
-            {
-                "axes": axes,
-                "row_bytes": self.row_bytes,
-                "key_domain": self.key_domain,
-                "seed": self.seed,
-            },
-        )
-
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        axes = spec.spec_axes()
-        memory_targets = axes[2].targets if len(axes) == 3 else None
-        provider = providers[0] if providers else None
-        if provider is not None and not isinstance(provider, OperatorBench):
-            # A systems factory was supplied; join plans only need an env,
-            # so wrap a fresh bench rather than borrowing the system's.
-            provider = OperatorBench()
-        return cls(
-            provider,
-            build_targets=axes[0].targets,
-            probe_targets=axes[1].targets,
-            memory_targets=memory_targets,
-            row_bytes=int(spec.params.get("row_bytes", 16)),
-            key_domain=int(spec.params.get("key_domain", 1 << 16)),
-            seed=int(spec.params.get("seed", 2009)),
         )

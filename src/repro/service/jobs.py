@@ -33,7 +33,6 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.bench.harness import BenchConfig, BenchSession
 from repro.bench.requests import MapRequest, definition_for
@@ -43,9 +42,6 @@ from repro.errors import ExperimentError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILES_META_KEY
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 logger = get_logger("service.jobs")
 

@@ -56,19 +56,19 @@ def test_cache_path_embeds_fingerprint(tmp_path):
 
 def test_changed_config_does_not_reuse_stale_cache(tmp_path):
     config = tiny_config(tmp_path)
-    first = BenchSession(config).single_predicate_map()
+    first = BenchSession(config).scenario_map("single_predicate")
     assert first.grid_shape == (4,)
     # Regression: with rows/seed-only keys, shrinking the grid reused the
     # old 4-point map; the fingerprinted key computes a fresh 3-point one.
     shrunk = tiny_config(tmp_path, min_exp_1d=-2)
-    second = BenchSession(shrunk).single_predicate_map()
+    second = BenchSession(shrunk).scenario_map("single_predicate")
     assert second.grid_shape == (3,)
 
 
 def test_cache_hit_round_trips_bit_identically(tmp_path):
     config = tiny_config(tmp_path)
-    computed = BenchSession(config).single_predicate_map()
-    cached = BenchSession(config).single_predicate_map()
+    computed = BenchSession(config).scenario_map("single_predicate")
+    cached = BenchSession(config).scenario_map("single_predicate")
     assert np.array_equal(cached.times, computed.times, equal_nan=True)
     assert np.array_equal(cached.rows, computed.rows)
     assert cached.meta == computed.meta
@@ -76,10 +76,10 @@ def test_cache_hit_round_trips_bit_identically(tmp_path):
 
 
 def test_harness_parallel_map_bit_identical_to_serial(tmp_path):
-    serial = BenchSession(tiny_config(tmp_path / "s")).two_predicate_map()
+    serial = BenchSession(tiny_config(tmp_path / "s")).scenario_map("two_predicate")
     parallel = BenchSession(
         tiny_config(tmp_path / "p", n_workers=2)
-    ).two_predicate_map()
+    ).scenario_map("two_predicate")
     assert parallel.plan_ids == serial.plan_ids
     assert np.array_equal(parallel.times, serial.times, equal_nan=True)
     assert np.array_equal(parallel.aborted, serial.aborted)
@@ -118,10 +118,10 @@ def test_harness_scenario_parallel_bit_identical_to_serial(tmp_path):
     overrides = dict(memory_axis=(8 << 10, 512 << 10))
     serial = BenchSession(
         tiny_config(tmp_path / "s", **overrides)
-    ).memory_sweep_map()
+    ).scenario_map("memory_sweep")
     parallel = BenchSession(
         tiny_config(tmp_path / "p", n_workers=2, **overrides)
-    ).memory_sweep_map()
+    ).scenario_map("memory_sweep")
     assert parallel.plan_ids == serial.plan_ids
     assert np.array_equal(parallel.times, serial.times, equal_nan=True)
     assert np.array_equal(parallel.aborted, serial.aborted)
@@ -158,12 +158,12 @@ def test_join_map_cached_and_reloaded(tmp_path, capsys):
         "join.hash.all-or-nothing",
         "join.inl",
     ]
-    reloaded = BenchSession(config).join_map()  # fresh session, disk cache
+    reloaded = BenchSession(config).scenario_map("join")  # fresh session, disk cache
     assert np.array_equal(reloaded.times, first.times, equal_nan=True)
     assert reloaded.meta == first.meta
     # Shrinking the grid must invalidate, not reuse, the cache.
     smaller = tiny_config(tmp_path, join_rows=(64,), join_key_domain=256)
-    assert BenchSession(smaller).join_map().grid_shape == (1, 1)
+    assert BenchSession(smaller).scenario_map("join").grid_shape == (1, 1)
 
 
 def test_cli_join_scenario_prints_symmetry(tmp_path, monkeypatch):
@@ -206,19 +206,19 @@ def test_refine_changes_fingerprint(tmp_path):
 def test_refined_map_cached_raw_and_returned_densified(tmp_path):
     config = tiny_config(tmp_path, min_exp_1d=-8, refine=True)
     session = BenchSession(config)
-    mapdata = session.single_predicate_map()
+    mapdata = session.scenario_map("single_predicate")
     # The session hands out the full-grid interpolation view ...
     assert not mapdata.is_partial
     assert mapdata.meta["policy"] == "adaptive-refine"
     measured = mapdata.meta["measured_cells"]
     assert 0 < len(measured) < mapdata.times[0].size
-    assert session.single_predicate_map() is mapdata  # memoized
+    assert session.scenario_map("single_predicate") is mapdata  # memoized
     # ... while the disk cache stores the raw sparse measurement.
     raw = MapData.load(config.cache_path("single_predicate"))
     assert raw.is_partial
     assert raw.filled_cells.tolist() == sorted(measured)
     # A fresh session reloads the cache and densifies identically.
-    reloaded = BenchSession(config).single_predicate_map()
+    reloaded = BenchSession(config).scenario_map("single_predicate")
     assert np.array_equal(reloaded.times, mapdata.times, equal_nan=True)
     assert reloaded.meta == mapdata.meta
 
@@ -226,7 +226,7 @@ def test_refined_map_cached_raw_and_returned_densified(tmp_path):
 def test_cache_validation_is_policy_aware(tmp_path):
     refined = tiny_config(tmp_path, min_exp_1d=-8, refine=True)
     session = BenchSession(refined)
-    session.single_predicate_map()
+    session.scenario_map("single_predicate")
     sparse = MapData.load(refined.cache_path("single_predicate"))
     assert session._cache_valid(sparse, "single_predicate")
     # A dense-looking map must not satisfy a refine config (nor a sparse
@@ -244,10 +244,10 @@ def test_cache_validation_is_policy_aware(tmp_path):
 
 def test_refined_scenario_map_agrees_with_dense_on_measured(tmp_path):
     overrides = dict(join_rows=(64, 96, 128, 192, 256), join_key_domain=256)
-    dense = BenchSession(tiny_config(tmp_path / "d", **overrides)).join_map()
+    dense = BenchSession(tiny_config(tmp_path / "d", **overrides)).scenario_map("join")
     refined = BenchSession(
         tiny_config(tmp_path / "r", refine=True, **overrides)
-    ).join_map()
+    ).scenario_map("join")
     assert refined.grid_shape == dense.grid_shape
     cells = np.asarray(refined.meta["measured_cells"], dtype=int)
     flat_r = refined.times.reshape(refined.n_plans, -1)[:, cells]
@@ -278,14 +278,14 @@ def test_cli_refine_scenario_smoke(tmp_path, monkeypatch):
 
 def test_corrupt_fingerprint_triggers_recompute(tmp_path):
     config = tiny_config(tmp_path)
-    computed = BenchSession(config).single_predicate_map()
+    computed = BenchSession(config).scenario_map("single_predicate")
     path = config.cache_path("single_predicate")
     assert path is not None and path.exists()
     # Tamper: pretend the file came from a different config.
     stale = MapData.load(path)
     stale.meta["config_fingerprint"] = "0" * 16
     stale.save(path)
-    recomputed = BenchSession(config).single_predicate_map()
+    recomputed = BenchSession(config).scenario_map("single_predicate")
     assert recomputed.meta["config_fingerprint"] == config.fingerprint()
     assert np.array_equal(recomputed.times, computed.times, equal_nan=True)
 
@@ -418,8 +418,8 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     )
     # Two sessions over one store: the rerun writes nothing new, so the
     # shards hold exactly one generation of entries to keep.
-    BenchSession(config).join_map()
-    BenchSession(config).join_map()
+    BenchSession(config).scenario_map("join")
+    BenchSession(config).scenario_map("join")
     code = cli.main(
         ["out", "--cell-cache", str(store_dir), "--cell-cache-compact"]
     )
@@ -428,7 +428,7 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     assert "reclaimed" in out and "kept" in out
     # Still a loadable, warm store afterwards.
     again = BenchSession(config)
-    mapdata = again.join_map()
+    mapdata = again.scenario_map("join")
     assert again.cell_store().stats()["cell_misses"] == 0
     assert mapdata.grid_shape == (2, 2)
 

@@ -88,8 +88,8 @@ def test_figures_cover_the_whole_paper():
 
 
 def test_session_caches_sweeps(session):
-    first = session.two_predicate_map()
-    second = session.two_predicate_map()
+    first = session.scenario_map("two_predicate")
+    second = session.scenario_map("two_predicate")
     assert first is second
 
 
@@ -98,9 +98,9 @@ def test_disk_cache_roundtrip(tmp_path):
         n_rows=2048, min_exp_1d=-4, min_exp_2d=-3, cache_dir=str(tmp_path)
     )
     s1 = BenchSession(config)
-    m1 = s1.single_predicate_map()
+    m1 = s1.scenario_map("single_predicate")
     s2 = BenchSession(config)
-    m2 = s2.single_predicate_map()
+    m2 = s2.scenario_map("single_predicate")
     assert m2.plan_ids == m1.plan_ids
     assert np.allclose(m2.times, m1.times, equal_nan=True)
     assert list(tmp_path.glob("*.json"))

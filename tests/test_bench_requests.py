@@ -52,6 +52,25 @@ def test_definition_lookup_accepts_both_spellings():
         definition_for("bogus")
 
 
+def test_request_spellings_are_one_request(tmp_path):
+    """``sort-spill`` and ``sort_spill`` name one map: one request value,
+    one fingerprint (the service's job id and dedup key)."""
+    dashed, plain = MapRequest("sort-spill"), MapRequest("sort_spill")
+    assert dashed.scenario == plain.scenario == "sort_spill"
+    assert dashed == plain and hash(dashed) == hash(plain)
+    assert dashed.to_dict() == plain.to_dict()
+    base = tiny_config(tmp_path)
+    assert dashed.fingerprint(base) == plain.fingerprint(base)
+    # Underscore spellings keep the ids they always had.
+    default = BenchConfig(
+        n_rows=1 << 17, min_exp_1d=-16, min_exp_2d=-12, refine=False,
+        refine_max_cells=0, n_workers=0, cache_dir=None,
+        cell_cache_dir=None, trace=False,
+    )
+    assert plain.fingerprint(default) == "sort_spill-89e8d464935780cb"
+    assert dashed.fingerprint(default) == "sort_spill-89e8d464935780cb"
+
+
 def test_definition_grid_shapes_match_config(tmp_path):
     config = tiny_config(tmp_path)
     assert definition_for("single_predicate").grid_shape(config) == (4,)
@@ -132,7 +151,7 @@ def test_request_from_dict_is_strict():
 
 def test_request_map_matches_named_method(tmp_path):
     config = tiny_config(tmp_path, **JOIN_OVERRIDES)
-    direct = BenchSession(config).join_map()
+    direct = BenchSession(config).scenario_map("join")
     served = BenchSession(tiny_config(tmp_path / "other")).request_map(
         MapRequest("join", JOIN_OVERRIDES)
     )
@@ -147,7 +166,7 @@ def test_request_map_on_own_config_memoizes(tmp_path):
     session = BenchSession(tiny_config(tmp_path, **JOIN_OVERRIDES))
     first = session.request_map(MapRequest("join"))
     assert session.request_map(MapRequest("join")) is first
-    assert session.join_map() is first
+    assert session.scenario_map("join") is first
 
 
 def test_concurrent_same_map_computes_once(tmp_path, monkeypatch):
@@ -169,7 +188,7 @@ def test_concurrent_same_map_computes_once(tmp_path, monkeypatch):
     results = [None, None]
 
     def worker(slot):
-        results[slot] = session.join_map()
+        results[slot] = session.scenario_map("join")
 
     threads = [
         threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)

@@ -8,6 +8,7 @@ from repro.core.parallel import ParallelSweep, PlanIdFilter, partition_cells
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
 from repro.core.runner import Jitter, RobustnessSweep
+from repro.core.scenario import SinglePredicateScenario, TwoPredicateScenario
 from repro.errors import ExperimentError
 from repro.systems import SystemA, SystemConfig
 from repro.workloads import LineitemConfig
@@ -64,9 +65,10 @@ def test_plan_id_filter_is_picklable():
 def test_partial_sweeps_merge_to_full_1d(system_a):
     space = Space1D.log2("sel", -4, 0)
     sweep = RobustnessSweep([system_a], jitter=JITTER)
-    full = sweep.sweep_single_predicate(space)
-    part_a = sweep.sweep_single_predicate(space, cells=[0, 2, 4])
-    part_b = sweep.sweep_single_predicate(space, cells=[1, 3])
+    scenario = SinglePredicateScenario([system_a], space)
+    full = sweep.sweep(scenario)
+    part_a = sweep.sweep(scenario, cells=[0, 2, 4])
+    part_b = sweep.sweep(scenario, cells=[1, 3])
     assert part_a.is_partial and part_b.is_partial
     assert part_a.filled_cells.tolist() == [0, 2, 4]
     merged = MapData.merge([part_a, part_b])
@@ -89,10 +91,9 @@ def test_shuffled_completion_order_merges_bit_identically(system_a):
 
     space = Space1D.log2("sel", -4, 0)
     sweep = RobustnessSweep([system_a], jitter=JITTER)
+    scenario = SinglePredicateScenario([system_a], space)
     chunks = [[0, 1], [2], [3, 4]]
-    parts = [
-        sweep.sweep_single_predicate(space, cells=chunk) for chunk in chunks
-    ]
+    parts = [sweep.sweep(scenario, cells=chunk) for chunk in chunks]
     reference = MapData.merge(
         sorted(parts, key=lambda part: int(part.filled_cells[0]))
     )
@@ -109,10 +110,11 @@ def test_shuffled_completion_order_merges_bit_identically(system_a):
 def test_partial_sweep_validates_cells(system_a):
     space = Space1D.log2("sel", -2, 0)
     sweep = RobustnessSweep([system_a])
+    scenario = SinglePredicateScenario([system_a], space)
     with pytest.raises(ExperimentError):
-        sweep.sweep_single_predicate(space, cells=[0, 7])
+        sweep.sweep(scenario, cells=[0, 7])
     with pytest.raises(ExperimentError):
-        sweep.sweep_single_predicate(space, cells=[1, 1])
+        sweep.sweep(scenario, cells=[1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +134,11 @@ def assert_identical(parallel: MapData, serial: MapData) -> None:
 
 def test_parallel_2d_bit_identical_to_serial(system_a):
     space = Space2D.log2("a", "b", -3, 0)
-    serial = RobustnessSweep(
-        [system_a], jitter=JITTER
-    ).sweep_two_predicate(space)
+    serial = TwoPredicateScenario([system_a], space).run(jitter=JITTER)
     engine = ParallelSweep(
         build_system_a, jitter=JITTER, n_workers=2, chunk_cells=5
     )
-    parallel = engine.sweep_two_predicate(space)
+    parallel = engine.sweep(TwoPredicateScenario.build_spec(space.x, space.y))
     assert_identical(parallel, serial)
     assert np.array_equal(parallel.y_targets, serial.y_targets)
     assert np.array_equal(parallel.y_achieved, serial.y_achieved)
@@ -146,17 +146,17 @@ def test_parallel_2d_bit_identical_to_serial(system_a):
 
 def test_parallel_1d_bit_identical_to_serial(system_a):
     space = Space1D.log2("sel", -4, 0)
-    serial = RobustnessSweep([system_a]).sweep_single_predicate(space)
+    serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=2)
-    parallel = engine.sweep_single_predicate(space)
+    parallel = engine.sweep(SinglePredicateScenario.build_spec(space))
     assert_identical(parallel, serial)
 
 
 def test_parallel_serial_fallback_matches(system_a):
     space = Space1D.log2("sel", -3, 0)
-    serial = RobustnessSweep([system_a]).sweep_single_predicate(space)
+    serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=0)
-    fallback = engine.sweep_single_predicate(space)
+    fallback = engine.sweep(SinglePredicateScenario.build_spec(space))
     assert_identical(fallback, serial)
 
 
@@ -165,9 +165,9 @@ def test_parallel_single_full_grid_chunk(system_a):
     chunk part must stay mergeable (regression: the worker normalized
     it to a complete map and the parent's merge rejected it)."""
     space = Space1D.log2("sel", -3, 0)
-    serial = RobustnessSweep([system_a]).sweep_single_predicate(space)
+    serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=2, chunk_cells=100)
-    parallel = engine.sweep_single_predicate(space)
+    parallel = engine.sweep(SinglePredicateScenario.build_spec(space))
     assert_identical(parallel, serial)
 
 
@@ -176,7 +176,6 @@ def test_parallel_empty_cell_policy_matches_serial(system_a):
     both engines (regression: the parallel wave crashed partitioning
     zero cells)."""
     from repro.core.driver import DenseGridPolicy
-    from repro.core.scenario import SinglePredicateScenario
 
     space = Space1D.log2("sel", -2, 0)
     scenario = SinglePredicateScenario([system_a], space)
@@ -194,7 +193,9 @@ def test_parallel_respects_plan_filter(system_a):
     space = Space1D.log2("sel", -2, 0)
     keep = PlanIdFilter(["A.table_scan"])
     engine = ParallelSweep(build_system_a, n_workers=2)
-    mapdata = engine.sweep_single_predicate(space, plan_filter=keep)
+    mapdata = engine.sweep(
+        SinglePredicateScenario.build_spec(space), plan_filter=keep
+    )
     assert mapdata.plan_ids == ["A.table_scan"]
 
 
@@ -204,7 +205,7 @@ def test_parallel_reports_chunk_progress():
     engine = ParallelSweep(
         build_system_a, n_workers=2, chunk_cells=2, progress=events.append
     )
-    engine.sweep_single_predicate(space)
+    engine.sweep(SinglePredicateScenario.build_spec(space))
     assert events
     # Structured events, no string sniffing: every field is typed.
     assert all(isinstance(event, ProgressEvent) for event in events)
@@ -225,8 +226,8 @@ def test_parallel_reports_chunk_progress():
 
 def test_duplicate_plan_ids_raise(system_a):
     twin = SystemA(CONFIG)  # same name -> identical qualified plan ids
-    sweep = RobustnessSweep([system_a, twin])
+    twins = [system_a, twin]
     with pytest.raises(ExperimentError, match="duplicate plan ids"):
-        sweep.sweep_single_predicate(Space1D.log2("sel", -2, 0))
+        SinglePredicateScenario(twins, Space1D.log2("sel", -2, 0)).run()
     with pytest.raises(ExperimentError, match="duplicate plan ids"):
-        sweep.sweep_two_predicate(Space2D.log2("a", "b", -1, 0))
+        TwoPredicateScenario(twins, Space2D.log2("a", "b", -1, 0)).run()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.runner import Jitter, RobustnessSweep
+from repro.core.scenario import SinglePredicateScenario, TwoPredicateScenario
 from repro.errors import ExperimentError
 from repro.systems import SystemA, SystemConfig, build_three_systems
 from repro.workloads import LineitemConfig
@@ -30,7 +31,7 @@ def test_sweep_requires_systems():
 def test_1d_sweep_shape_and_monotone_rows(system_a):
     sweep = RobustnessSweep([system_a])
     space = Space1D.log2("sel", -6, 0)
-    mapdata = sweep.sweep_single_predicate(space)
+    mapdata = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert mapdata.times.shape == (7, 7)
     assert not mapdata.is_2d
     assert np.all(np.diff(mapdata.rows) >= 0)  # result sizes grow
@@ -41,8 +42,9 @@ def test_1d_sweep_shape_and_monotone_rows(system_a):
 def test_1d_sweep_plan_filter(system_a):
     sweep = RobustnessSweep([system_a])
     space = Space1D.log2("sel", -3, 0)
-    mapdata = sweep.sweep_single_predicate(
-        space, plan_filter=lambda plan_id: "table_scan" in plan_id
+    mapdata = sweep.sweep(
+        SinglePredicateScenario([system_a], space),
+        plan_filter=lambda plan_id: "table_scan" in plan_id,
     )
     assert mapdata.plan_ids == ["A.table_scan"]
 
@@ -50,15 +52,15 @@ def test_1d_sweep_plan_filter(system_a):
 def test_1d_sweep_deterministic(system_a):
     sweep = RobustnessSweep([system_a])
     space = Space1D.log2("sel", -4, 0)
-    m1 = sweep.sweep_single_predicate(space)
-    m2 = sweep.sweep_single_predicate(space)
+    m1 = sweep.sweep(SinglePredicateScenario([system_a], space))
+    m2 = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert np.allclose(m1.times, m2.times, equal_nan=True)
 
 
 def test_budget_censors_expensive_plans(system_a):
     space = Space1D.log2("sel", -2, 0)
     sweep = RobustnessSweep([system_a], budget_seconds=1e-4)
-    mapdata = sweep.sweep_single_predicate(space)
+    mapdata = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert mapdata.aborted.any()
     assert np.isnan(mapdata.times[mapdata.aborted]).all()
 
@@ -67,7 +69,7 @@ def test_2d_sweep_all_systems():
     systems = build_three_systems(CONFIG)
     sweep = RobustnessSweep(list(systems.values()))
     space = Space2D.log2("a", "b", -3, 0)
-    mapdata = sweep.sweep_two_predicate(space)
+    mapdata = sweep.sweep(TwoPredicateScenario(sweep.systems, space))
     assert mapdata.is_2d
     assert mapdata.times.shape == (15, 4, 4)
     assert mapdata.meta["systems"] == ["A", "B", "C"]
@@ -80,9 +82,10 @@ def test_jitter_deterministic_and_small(system_a):
     space = Space1D.log2("sel", -3, 0)
     jittered = RobustnessSweep([system_a], jitter=Jitter(rel=0.05, abs=0.0, seed=1))
     clean = RobustnessSweep([system_a])
-    m_jitter_1 = jittered.sweep_single_predicate(space)
-    m_jitter_2 = jittered.sweep_single_predicate(space)
-    m_clean = clean.sweep_single_predicate(space)
+    scenario = SinglePredicateScenario([system_a], space)
+    m_jitter_1 = jittered.sweep(scenario)
+    m_jitter_2 = jittered.sweep(scenario)
+    m_clean = clean.sweep(scenario)
     assert np.allclose(m_jitter_1.times, m_jitter_2.times)
     assert not np.allclose(m_jitter_1.times, m_clean.times)
     assert np.allclose(m_jitter_1.times, m_clean.times, rtol=0.4)
@@ -137,5 +140,7 @@ def test_jitter_never_negative():
 def test_progress_callback(system_a):
     messages = []
     sweep = RobustnessSweep([system_a], progress=messages.append)
-    sweep.sweep_single_predicate(Space1D.log2("sel", -2, 0))
+    sweep.sweep(
+        SinglePredicateScenario([system_a], Space1D.log2("sel", -2, 0))
+    )
     assert len(messages) == 3

@@ -1,10 +1,9 @@
 """Scenario abstraction: golden bit-identity, new scenarios, N-D MapData.
 
-The golden files under ``tests/data/`` were produced by the
-pre-refactor ``sweep_single_predicate`` / ``sweep_two_predicate``
-implementations (before the Scenario abstraction existed); the shims and
-the scenario API must reproduce them bit-for-bit — times, aborted flags,
-rows, axis arrays, and meta modulo the added ``scenario`` key.
+The golden files under ``tests/data/`` were produced by the sweep
+implementations that predate the Scenario abstraction; the scenario API
+must reproduce them bit-for-bit — times, aborted flags, rows, axis
+arrays, and meta modulo the added ``scenario`` key.
 """
 
 from pathlib import Path
@@ -86,9 +85,6 @@ def test_single_predicate_bit_identical_to_pre_refactor(system_a):
     golden = MapData.load(DATA_DIR / "golden_single_predicate.json")
     sweep = RobustnessSweep([system_a], jitter=JITTER)
     space = Space1D.log2("sel", -4, 0)
-    # ... via the deprecated shim,
-    assert_matches_golden(sweep.sweep_single_predicate(space), golden)
-    # ... and via the scenario API directly.
     scenario = SinglePredicateScenario([system_a], space)
     assert_matches_golden(sweep.sweep(scenario), golden)
 
@@ -99,17 +95,15 @@ def test_two_predicate_bit_identical_to_pre_refactor():
     systems = list(build_three_systems(CONFIG).values())
     sweep = RobustnessSweep(systems, jitter=JITTER, budget_seconds=0.05)
     space = Space2D.log2("a", "b", -3, 0)
-    assert_matches_golden(sweep.sweep_two_predicate(space), golden)
     scenario = TwoPredicateScenario(systems, space)
     assert_matches_golden(sweep.sweep(scenario), golden)
 
 
-def test_parallel_shim_bit_identical_to_golden():
+def test_parallel_spec_bit_identical_to_golden():
     golden = MapData.load(DATA_DIR / "golden_single_predicate.json")
     engine = ParallelSweep(build_system_a, jitter=JITTER, n_workers=2)
-    assert_matches_golden(
-        engine.sweep_single_predicate(Space1D.log2("sel", -4, 0)), golden
-    )
+    spec = SinglePredicateScenario.build_spec(Space1D.log2("sel", -4, 0))
+    assert_matches_golden(engine.sweep(spec), golden)
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +288,8 @@ def test_registry_contains_all_scenarios():
     } <= set(SCENARIO_TYPES)
 
 
-def test_spec_round_trip_rebuilds_equivalent_scenario(system_a):
-    scenario = SinglePredicateScenario([system_a], Space1D.log2("sel", -3, 0))
-    spec = scenario.spec()
-    assert spec.grid_shape == (4,)
-    rebuilt = build_scenario(spec, [system_a])
-    assert isinstance(rebuilt, SinglePredicateScenario)
-    assert rebuilt.column == scenario.column
-    sweep = RobustnessSweep([system_a])
-    assert_identical(sweep.sweep(rebuilt), sweep.sweep(scenario))
-
-
-def test_spec_is_picklable():
-    import pickle
-
-    scenario = SortSpillScenario(OperatorBench(), [64, 128], [4096], seed=3)
-    spec = scenario.spec()
-    restored = pickle.loads(pickle.dumps(spec))
-    assert restored == spec
-    assert restored.n_cells == 2
+# (Spec round trips, pickling and rebuilt-sweep identity are one property
+# over every registered class: tests/test_scenario_contract.py.)
 
 
 def test_unknown_scenario_name_raises(system_a):
@@ -336,10 +313,11 @@ def test_sort_spill_spec_runs_with_foreign_providers(system_a):
 def test_merge_partial_maps_with_aborted_cells(system_a):
     space = Space1D.log2("sel", -3, 0)
     sweep = RobustnessSweep([system_a], budget_seconds=1e-4)
-    full = sweep.sweep_single_predicate(space)
+    scenario = SinglePredicateScenario([system_a], space)
+    full = sweep.sweep(scenario)
     assert full.aborted.any()  # budget actually censored something
-    part_a = sweep.sweep_single_predicate(space, cells=[0, 3])
-    part_b = sweep.sweep_single_predicate(space, cells=[1, 2])
+    part_a = sweep.sweep(scenario, cells=[0, 3])
+    part_b = sweep.sweep(scenario, cells=[1, 2])
     merged = MapData.merge([part_a, part_b])
     assert np.array_equal(merged.aborted, full.aborted)
     assert merged.aborted.any()
@@ -453,5 +431,5 @@ def test_mapdata_axis_count_validation():
 def test_axis_is_a_space(system_a):
     """Axis doubles as Space1D anywhere a 1-D grid is expected."""
     axis = Axis.log2("sel", -2, 0)
-    mapdata = RobustnessSweep([system_a]).sweep_single_predicate(axis)
+    mapdata = SinglePredicateScenario([system_a], axis).run()
     assert mapdata.times.shape[1] == 3

@@ -1,13 +1,17 @@
-"""Every example script must run end-to-end (at tiny scale)."""
+"""Every example script must run end-to-end (at tiny scale), and so must
+the README's "write your own scenario" block."""
 
-import os
+import re
 import runpy
-import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+from repro.core.scenario import SCENARIO_TYPES
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 
@@ -41,3 +45,37 @@ def test_two_predicate_study_writes_artifacts(tmp_path):
     out_dir = tmp_path / "two_predicate_out"
     names = {p.name for p in out_dir.iterdir()}
     assert {"fig4.svg", "fig5.svg", "fig7.svg", "fig8.svg", "fig9.svg", "fig10.svg"} <= names
+
+
+def test_readme_custom_scenario_block_runs_serial_and_parallel():
+    """The extension point's documentation is executed, not trusted."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("### Defining a custom scenario"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {"__name__": "readme_custom_scenario"}
+    try:
+        exec(compile(block, "README.md", "exec"), namespace)
+    finally:
+        SCENARIO_TYPES.pop("hash-memory", None)  # leave the registry as found
+    scenario, serial = namespace["scenario"], namespace["mapdata"]
+    parallel = namespace["parallel"]
+
+    assert serial.plan_ids == ["A.cover_hash_rids", "A.cover_hash_index"]
+    assert [axis.name for axis in serial.axes] == ["memory_bytes"]
+    assert serial.grid_shape == (3,) and not serial.aborted.any()
+    # The swept knob matters: both hash plans get cheaper with memory.
+    assert np.all(serial.times[:, 0] > serial.times[:, -1])
+    # Everything but plan ids and cells came from the base class.
+    assert scenario.spec().params == {
+        "axes": [["memory_bytes", [65536.0, 1048576.0, 4194304.0]]],
+        "selectivity": 0.25,
+    }
+    assert list(serial.meta) == [
+        "sweep", "selectivity", "budget_seconds", "systems", "n_rows_table",
+        "scenario",
+    ]
+    # ... and the process pool measured the same map, bit for bit.
+    assert parallel.plan_ids == serial.plan_ids
+    assert np.array_equal(parallel.times, serial.times)
+    assert np.array_equal(parallel.rows, serial.rows)
+    assert list(parallel.meta.items()) == list(serial.meta.items())

@@ -7,8 +7,10 @@ from repro import (
     ColumnRange,
     LineitemConfig,
     RobustnessSweep,
+    SinglePredicateScenario,
     Space2D,
     SystemConfig,
+    TwoPredicateScenario,
     build_three_systems,
     quotient_for,
 )
@@ -59,7 +61,9 @@ def test_improved_scan_degrades_gracefully():
     of selectivity never increases materially."""
     system = SystemA(SystemConfig(lineitem=LineitemConfig(n_rows=1 << 14)))
     sweep = RobustnessSweep([system])
-    mapdata = sweep.sweep_single_predicate(Space1D.log2("sel", -12, 0))
+    mapdata = sweep.sweep(
+        SinglePredicateScenario([system], Space1D.log2("sel", -12, 0))
+    )
     improved = mapdata.times_for("A.idx_improved")
     from repro.core.landmarks import monotonicity_violations
 
@@ -76,7 +80,9 @@ def test_end_to_end_sweep_render_roundtrip(tmp_path):
     """Sweep -> MapData -> JSON -> render, all in one pass."""
     systems = small_systems(1 << 11)
     sweep = RobustnessSweep(list(systems.values()), budget_seconds=5.0)
-    mapdata = sweep.sweep_two_predicate(Space2D.log2("a", "b", -3, 0))
+    mapdata = sweep.sweep(
+        TwoPredicateScenario(sweep.systems, Space2D.log2("a", "b", -3, 0))
+    )
     path = tmp_path / "map.json"
     mapdata.save(path)
     from repro import MapData
@@ -86,7 +92,9 @@ def test_end_to_end_sweep_render_roundtrip(tmp_path):
     assert (tmp_path / "m.svg").read_text() == svg
 
     sweep1d = RobustnessSweep([systems["A"]])
-    map1d = sweep1d.sweep_single_predicate(Space1D.log2("sel", -3, 0))
+    map1d = sweep1d.sweep(
+        SinglePredicateScenario([systems["A"]], Space1D.log2("sel", -3, 0))
+    )
     absolute_curves(map1d, "roundtrip", path=tmp_path / "c.svg")
     assert (tmp_path / "c.svg").exists()
 
@@ -117,7 +125,9 @@ def test_oracle_agreement_enforced():
     system.two_predicate_plans = plans_with_liar  # type: ignore[method-assign]
     sweep = Sweep([system])
     with pytest.raises(ExperimentError):
-        sweep.sweep_two_predicate(Space2D.log2("a", "b", -1, 0))
+        sweep.sweep(
+            TwoPredicateScenario([system], Space2D.log2("a", "b", -1, 0))
+        )
 
 
 def test_mvcc_penalty_vs_covering():

@@ -54,7 +54,7 @@ def test_job_runs_and_matches_direct_session():
         assert created and job.job_id == JOIN.fingerprint(manager.config)
         finished = manager.wait(job.job_id, timeout=120)
         assert finished.state == "done"
-        direct = BenchSession(tiny_config()).join_map()
+        direct = BenchSession(tiny_config()).scenario_map("join")
         assert np.array_equal(
             finished.result.times, direct.times, equal_nan=True
         )
@@ -106,7 +106,7 @@ def test_full_queue_rejects_loudly(monkeypatch):
     import repro.bench.harness as harness_module
 
     release = threading.Event()
-    full = BenchSession(tiny_config()).join_map()  # before the patch
+    full = BenchSession(tiny_config()).scenario_map("join")  # before the patch
 
     def stuck_compute(session, definition):
         assert release.wait(10)
@@ -159,7 +159,7 @@ def test_partial_snapshots_flow_to_partial_map(monkeypatch):
     """Mid-flight, partial_map serves the sweep's latest snapshot."""
     import repro.bench.harness as harness_module
 
-    full = BenchSession(tiny_config()).join_map()
+    full = BenchSession(tiny_config()).scenario_map("join")
     partial_dict = full.to_dict()
     partial_dict["meta"] = dict(partial_dict["meta"], cells=[0, 2])
     snapshot = MapData.from_dict(partial_dict)
@@ -210,7 +210,7 @@ def test_serial_snapshots_are_strict_submasks_of_final_map():
             snapshots.append(event.snapshot)
 
     session = BenchSession(tiny_config(), progress=progress, snapshot_every=1)
-    final = session.join_map()
+    final = session.scenario_map("join")
     total = final.times[0].size
     assert snapshots, "snapshot_every=1 must stream snapshots"
     sizes = [int(snap.measured_mask.sum()) for snap in snapshots]
@@ -317,9 +317,18 @@ def test_http_submit_poll_result_render(service):
     assert code == 200 and status["state"] == "done"
     assert status["done"] == status["total"] == 4
 
+    # The other spelling of a name is the same request: one job, no rerun.
+    code, spelled = _post(base, "/maps", {"scenario": "sort-spill"})
+    assert code == 202 and spelled["created"]
+    assert spelled["job_id"].startswith("sort_spill-")
+    code, respelled = _post(base, "/maps", {"scenario": "sort_spill"})
+    assert code == 202
+    assert respelled["job_id"] == spelled["job_id"]
+    assert not respelled["created"]
+
     code, result = _get(base, f"/jobs/{job_id}/result")
     assert code == 200 and result["partial"] is False
-    direct = BenchSession(tiny_config()).join_map()
+    direct = BenchSession(tiny_config()).scenario_map("join")
     # The served JSON is byte-identical to a direct session's map.
     assert json.dumps(result["map"], sort_keys=True) == json.dumps(
         direct.to_dict(), sort_keys=True
@@ -374,7 +383,7 @@ def test_http_rejections_are_429(monkeypatch):
     import repro.bench.harness as harness_module
 
     release = threading.Event()
-    full = BenchSession(tiny_config()).join_map()  # before the patch
+    full = BenchSession(tiny_config()).scenario_map("join")  # before the patch
 
     def stuck_compute(session, definition):
         assert release.wait(10)
