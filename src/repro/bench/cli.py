@@ -44,6 +44,7 @@ a bounded job pool with single-flight dedup; see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -278,6 +279,20 @@ def _compact_cell_cache(directory: str) -> int:
     return 0
 
 
+def _split_names(text: str) -> list[str]:
+    """A comma-separated flag value as its stripped, non-empty names."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _config_from_flags(**flags) -> BenchConfig:
+    """The environment-default config with every given flag laid over it.
+
+    A flag left at ``None`` keeps the ``REPRO_*`` default.
+    """
+    given = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(BenchConfig(), **given)
+
+
 def _serve_main(argv: list[str]) -> int:
     """The ``serve`` subcommand: run the robustness-map HTTP service."""
     parser = argparse.ArgumentParser(
@@ -346,18 +361,15 @@ def _serve_main(argv: list[str]) -> int:
         help="suppress per-request access log lines",
     )
     args = parser.parse_args(argv)
-    if args.rows is not None:
-        os.environ["REPRO_BENCH_ROWS"] = str(args.rows)
-    if args.workers is not None:
-        os.environ["REPRO_BENCH_WORKERS"] = str(args.workers)
-    if args.cache is not None:
-        os.environ["REPRO_BENCH_CACHE"] = args.cache
-    if args.cell_cache is not None:
-        os.environ["REPRO_BENCH_CELL_CACHE"] = args.cell_cache
     from repro.service import JobManager, serve
 
     manager = JobManager(
-        BenchConfig(),
+        _config_from_flags(
+            n_rows=args.rows,
+            n_workers=args.workers,
+            cache_dir=args.cache,
+            cell_cache_dir=args.cell_cache,
+        ),
         workers=args.service_workers,
         queue_limit=args.queue_limit,
         cell_budget=args.cell_budget,
@@ -403,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="capture per-cell execution profiles while sweeping (sets "
+        help="capture per-cell execution profiles while sweeping (default: "
         "REPRO_TRACE; measured maps are bit-identical either way)",
     )
     parser.add_argument(
@@ -433,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="directory for the content-addressed per-cell measurement "
         "store: reruns, overlapping grids, plan subsets, and refinement "
-        "passes reuse every already-measured cell (sets "
+        "passes reuse every already-measured cell (default: "
         "REPRO_BENCH_CELL_CACHE)",
     )
     parser.add_argument(
@@ -459,35 +471,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     _set_quiet(args.quiet)
-    if args.rows is not None:
-        os.environ["REPRO_BENCH_ROWS"] = str(args.rows)
-    if args.workers is not None:
-        os.environ["REPRO_BENCH_WORKERS"] = str(args.workers)
-    if args.trace or args.trace_out is not None:
-        os.environ["REPRO_TRACE"] = "1"
     if args.trace_out is not None and args.scenario is None:
         parser.error("--trace-out needs --scenario (profiles ride on maps)")
-    if args.refine:
-        os.environ["REPRO_BENCH_REFINE"] = "1"
-    if args.max_cells is not None:
-        os.environ["REPRO_BENCH_MAX_CELLS"] = str(args.max_cells)
-    if args.cell_cache is not None:
-        os.environ["REPRO_BENCH_CELL_CACHE"] = args.cell_cache
+    config = _config_from_flags(
+        n_rows=args.rows,
+        n_workers=args.workers,
+        trace=(args.trace or args.trace_out is not None) or None,
+        refine=args.refine or None,
+        refine_max_cells=args.max_cells,
+        cell_cache_dir=args.cell_cache,
+    )
     if args.cell_cache_compact:
-        directory = args.cell_cache or os.environ.get("REPRO_BENCH_CELL_CACHE")
-        if not directory:
+        if not config.cell_cache_dir:
             parser.error(
                 "--cell-cache-compact needs --cell-cache DIR "
                 "(or REPRO_BENCH_CELL_CACHE)"
             )
-        return _compact_cell_cache(directory)
+        return _compact_cell_cache(config.cell_cache_dir)
     progress = _ProgressPrinter() if args.progress else None
-    session = BenchSession(BenchConfig(), progress=progress)
+    session = BenchSession(config, progress=progress)
     if args.scenario is not None:
-        names = [name.strip() for name in args.scenario.split(",") if name.strip()]
         code = _run_scenarios(
             session,
-            names,
+            _split_names(args.scenario),
             Path(args.output),
             regret=args.regret,
             trace_out=Path(args.trace_out) if args.trace_out else None,
@@ -496,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if args.regret:
         parser.error("--regret requires --scenario estimation")
-    wanted = list(ALL_FIGURES) if args.figures == "all" else args.figures.split(",")
+    wanted = list(ALL_FIGURES) if args.figures == "all" else _split_names(args.figures)
     unknown = [figure for figure in wanted if figure not in ALL_FIGURES]
     if unknown:
         parser.error(f"unknown figures: {unknown}")

@@ -104,37 +104,34 @@ class FetchStrategy:
     def _charge_naive(self, ctx: ExecContext, table: Table, rids: np.ndarray) -> None:
         """One buffer-pool access per row, in the order given.
 
-        The budget is checked once per :data:`_NAIVE_CHUNK` pages in both
-        modes, so even censored (budget-aborted) measurements abort at
-        the same point regardless of mode.
+        The budget is checked once per :data:`_NAIVE_CHUNK` pages on both
+        branches, so even censored (budget-aborted) measurements abort at
+        the same point whichever one charges.
 
-        Batched mode resolves the whole trace through the vectorized LRU
-        kernel up front (:meth:`BufferPool.plan_many`), then charges the
-        miss chain through one strided pass
+        A trace the vectorized LRU kernel takes
+        (:meth:`BufferPool.plan_many`) is resolved up front, then its
+        miss chain charged through one strided pass
         (:meth:`BufferPool.charge_planned_reads_strided`) with the budget
         check as its per-chunk checkpoint — the clock and disk statistics
-        at every check are bitwise those of the scalar loop, so censored
-        runs abort identically.  Pinned pages fall back to chunked
-        :meth:`BufferPool.get_many` (which replays them scalar).
+        at every check are bitwise those of the loop.  A trace it
+        declines (a pinned page) and the ``use_batched(False)`` reference
+        are the same chunked :meth:`BufferPool.get` loop.
         """
         pages = table.pages_of_rids(rids)
         handle = table.clustered.handle
         pool = ctx.pool
-        if batching.batched_enabled():
-            planned = pool.plan_many(handle, pages)
-            if planned is not None:
-                pool.charge_planned_reads_strided(
-                    handle, planned, _NAIVE_CHUNK, ctx.check_budget
-                )
-                pool.commit_many(planned)
-                return
-            for start in range(0, pages.size, _NAIVE_CHUNK):
-                pool.get_many(handle, pages[start : start + _NAIVE_CHUNK])
-                ctx.check_budget()
+        planned = (
+            pool.plan_many(handle, pages) if batching.batched_enabled() else None
+        )
+        if planned is not None:
+            pool.charge_planned_reads_strided(
+                handle, planned, _NAIVE_CHUNK, ctx.check_budget
+            )
+            pool.commit_many(planned)
             return
         for start in range(0, pages.size, _NAIVE_CHUNK):
-            for page in pages[start : start + _NAIVE_CHUNK]:
-                pool.get(handle, int(page))
+            for page in pages[start : start + _NAIVE_CHUNK].tolist():
+                pool.get(handle, page)
             ctx.check_budget()
 
 

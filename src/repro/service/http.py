@@ -311,10 +311,15 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         if not plan_id:
             self._error(400, "render path must be <plan>.svg or <plan>.png")
             return
+        if plan_id not in job.result.plan_ids:
+            self._error(
+                404, f"unknown plan {plan_id!r}; map has {job.result.plan_ids}"
+            )
+            return
         try:
             content_type, body = render_map(job.result, plan_id, fmt)
         except VisualizationError as exc:
-            self._error(404 if "unknown plan" in str(exc) else 400, str(exc))
+            self._error(400, str(exc))
             return
         self._send_bytes(200, content_type, body)
 

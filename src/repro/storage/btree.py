@@ -254,17 +254,15 @@ class BPlusTree:
         :meth:`SimClock.advance_many`, with disk statistics committed
         alongside (:meth:`Disk.commit_page_reads`) — pool hits advance
         no time and move no head, so the miss chain accumulates exactly
-        like the loop.  When any page is pinned the trace is instead
-        replayed one probe at a time until every page any remaining
-        probe can touch is pool-resident, then the rest is charged in
-        two vectorized aggregates.
+        like the loop.  When the kernel declines (a page is pinned) the
+        batch *is* that loop: :meth:`probe` per key.
 
         ``budget_check``, when given, fires at every index ``i`` with
-        ``i % budget_stride == budget_stride - 1`` (and at every
-        individually replayed probe of the pinned-page path) while the
-        clock holds exactly the value the per-probe loop would show
-        there — censored (budget-aborted) runs therefore abort at the
-        same probe with the same clock in both modes, with identical
+        ``i % budget_stride == budget_stride - 1`` (the loop calls it
+        after every probe; callers' checks ignore the other indexes)
+        while the clock holds exactly the value the per-probe loop would
+        show there — censored (budget-aborted) runs therefore abort at
+        the same probe with the same clock in both modes, with identical
         disk statistics at the abort point.
         """
         keys = np.ascontiguousarray(np.asarray(keys), dtype=np.int64)
@@ -320,63 +318,17 @@ class BPlusTree:
         pool = env.pool
         probe_cpu = env.profile.btree_probe_cpu
         planned = pool.plan_many(self.handle, all_pages)
-        if planned is not None:
-            self._charge_probes_planned(
-                planned, all_pages, offsets, descent_len, n,
-                budget_check, budget_stride,
-            )
+        if planned is None:
+            # The kernel declined (a pinned page): be the reference loop.
+            for i, key in enumerate(keys.tolist()):
+                self.probe(key)
+                if budget_check is not None:
+                    budget_check(i)
             return counts
-        # Pinned pages: the kernel's inclusion-property argument fails,
-        # so replay probes against the live pool until the batch becomes
-        # all-resident.
-        unique_pages = np.unique(all_pages)
-        # With more distinct pages than pool frames the batch can never
-        # become all-resident; skip the (futile) residency checks.
-        may_batch = int(unique_pages.size) <= pool.capacity_pages
-        batched_from = n
-        recheck = True
-        for i in range(n):
-            if may_batch and recheck and pool.contains_all(self.handle, unique_pages):
-                batched_from = i
-                break
-            recheck = False
-            start = int(offsets[i])
-            end = int(offsets[i + 1])
-            misses_before = pool.stats.misses
-            for page in all_pages[start : start + descent_len].tolist():
-                pool.get(self.handle, page)
-            env.charge_cpu(1, probe_cpu)
-            for page in all_pages[start + descent_len : end].tolist():
-                pool.get(self.handle, page)
-            if pool.stats.misses != misses_before:
-                recheck = True  # residency changed; worth re-examining
-            if budget_check is not None:
-                budget_check(i)
-        if batched_from < n:
-            pool.touch_hits(self.handle, all_pages[int(offsets[batched_from]) :])
-            clock = env.clock
-            unit = 1 * probe_cpu  # identical rounding to charge_cpu(1, ...)
-            if budget_check is not None and budget_stride:
-                # Advance in chunks ending at each stride boundary so the
-                # boundary checks observe the exact sequential clock
-                # (chunked accumulation re-seeds with the running value,
-                # so it equals the one-shot accumulation bitwise).
-                stride = int(budget_stride)
-                pos = batched_from
-                boundary = batched_from + (stride - 1 - batched_from % stride) % stride
-                while boundary < n:
-                    clock.advance_many(
-                        np.full(boundary - pos + 1, unit, dtype=np.float64)
-                    )
-                    budget_check(boundary)
-                    pos = boundary + 1
-                    boundary += stride
-                if pos < n:
-                    clock.advance_many(np.full(n - pos, unit, dtype=np.float64))
-            else:
-                clock.advance_many(
-                    np.full(n - batched_from, unit, dtype=np.float64)
-                )
+        self._charge_probes_planned(
+            planned, all_pages, offsets, descent_len, n,
+            budget_check, budget_stride,
+        )
         return counts
 
     def _charge_probes_planned(
@@ -402,8 +354,7 @@ class BPlusTree:
         at the abort point.  Pool stats and the final LRU state land
         once at the end (a budget abort leaves the pool untouched;
         measurements cold-reset the pool after an abort, so this is
-        unobservable — and the pre-existing batched replay path already
-        commits hits upfront).
+        unobservable).
         """
         env = self._env
         pool = env.pool

@@ -21,18 +21,9 @@ from repro.errors import BufferPoolError
 from repro.sim.disk import Disk, FileHandle
 from repro.storage.lru_kernel import LruSimulation, simulate_lru
 
-#: Consecutive scalar-mode hits before the fallback walker of
-#: :meth:`BufferPool.get_many` tries the vectorized hit-run path again
-#: (hit runs shorter than this are cheaper to walk one page at a time
-#: than to ``isin`` against a resident snapshot).
-_VECTOR_HIT_STREAK = 64
-
-#: Upper bound on one vectorized hit-run segment, so a single ``isin``
-#: never scans an unbounded tail of the request.
-_VECTOR_SEGMENT = 8192
-
-#: Below this trace length the scalar walker beats the kernel's fixed
-#: NumPy overhead (a handful of dict probes vs several array ops).
+#: Below this trace length the plain :meth:`BufferPool.get` loop beats the
+#: kernel's fixed NumPy overhead (a handful of dict probes vs several
+#: array ops).
 _KERNEL_MIN_ACCESSES = 8
 
 
@@ -133,27 +124,24 @@ class BufferPool:
 
         Produces exactly the same hit/miss counts, disk charges, eviction
         victims, and final LRU order as ``for p in page_nos:
-        pool.get(handle, p)``.  With no pinned pages the whole trace is
-        resolved up front by the vectorized LRU kernel
-        (:func:`repro.storage.lru_kernel.simulate_lru`, via
-        :meth:`plan_many`) and the misses charge through one
-        :meth:`Disk.read_runs` call — bit-identical to the sequential
-        read chain, since pool hits move neither the clock nor the disk
-        head between two misses.  Pinned pages (or negative page numbers,
-        which the scalar loop rejects mid-trace) fall back to the scalar
-        replay walker.
+        pool.get(handle, p)``.  A trace the vectorized LRU kernel can
+        take (:meth:`plan_many`) is resolved up front and its misses
+        charged as one chain — bit-identical to the sequential reads,
+        since pool hits move neither the clock nor the disk head between
+        two misses.  A trace it cannot take (a pinned page, a negative
+        page number, fewer than :data:`_KERNEL_MIN_ACCESSES` accesses)
+        *is* that loop.
         """
         pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
         n = int(pages.size)
-        if n == 0:
-            return
         planned = None
         if n >= _KERNEL_MIN_ACCESSES:
             planned = self.plan_many(handle, pages)
         if planned is None:
-            self._get_many_scalar(handle, pages)
+            for page in pages.tolist():
+                self.get(handle, page)
             return
-        self.charge_planned_reads(handle, planned, 0, n)
+        self.charge_planned_reads_strided(handle, planned, n, lambda: None)
         self.commit_many(planned)
 
     def plan_many(self, handle: FileHandle, page_nos) -> PlannedAccesses | None:
@@ -162,7 +150,8 @@ class BufferPool:
         Returns the planned trace — per-access hit flags plus the final
         pool state — without charging anything or mutating the pool, or
         ``None`` when the kernel's preconditions fail and callers must
-        replay the trace through the scalar path instead.  Preconditions:
+        charge the trace through the plain :meth:`get` loop instead.
+        Preconditions:
 
         * no page is pinned (pins break LRU's inclusion property — the
           eviction victim is no longer simply the oldest key), and
@@ -191,33 +180,6 @@ class BufferPool:
         miss_positions = np.nonzero(~simulation.hit_mask)[0]
         return PlannedAccesses(simulation, fid, pages, miss_positions, other_keys)
 
-    def charge_planned_reads(
-        self, handle: FileHandle, planned: PlannedAccesses, start: int, stop: int
-    ) -> None:
-        """Charge the miss reads of the planned trace slice ``[start, stop)``.
-
-        Equivalent (bitwise, via :meth:`Disk.read_runs`) to the
-        single-page read chain the scalar loop issues over that slice:
-        hits move neither the clock nor the disk head, so the misses'
-        positioning chain is unaffected by the interleaved hits, and
-        consecutive slices chain through the persisted head position.
-        Callers slice at their budget-check boundaries (see
-        :meth:`FetchStrategy._charge_naive`) so censored runs abort with
-        the same clock and disk statistics as the sequential loop.
-        """
-        miss = planned.miss_positions
-        lo = int(np.searchsorted(miss, start))
-        hi = int(np.searchsorted(miss, stop))
-        if hi <= lo:
-            return
-        miss_pages = planned.trace[miss[lo:hi]]
-        self._disk.read_runs(
-            np.full(hi - lo, handle.file_id, dtype=np.int64),
-            miss_pages,
-            np.ones(hi - lo, dtype=np.int64),
-            handle,
-        )
-
     def charge_planned_reads_strided(
         self,
         handle: FileHandle,
@@ -227,18 +189,18 @@ class BufferPool:
     ) -> None:
         """Charge all miss reads, calling ``checkpoint`` every ``stride``.
 
-        Equivalent to :meth:`charge_planned_reads` over consecutive
+        Equivalent to the :meth:`get` loop over consecutive
         ``stride``-sized trace slices with ``checkpoint()`` after each —
         the naive fetch's budget-check schedule — but the whole miss
-        chain is costed by one :meth:`Disk.plan_page_reads` pass instead
-        of one :meth:`Disk.read_runs` call per slice.  Bitwise identity
-        holds slice by slice: hits move neither the clock nor the head,
-        chunked :meth:`SimClock.advance_many` re-seeds with the running
-        clock (accumulating exactly as one sequential chain), and
-        :meth:`Disk.commit_page_reads` replays the loop's statistics
-        accumulation.  A ``checkpoint`` that raises (budget exhaustion)
-        leaves the clock and disk statistics exactly where the sliced
-        loop's abort would.
+        chain is costed by one :meth:`Disk.plan_page_reads` pass.
+        Bitwise identity holds slice by slice: hits move neither the
+        clock nor the head, chunked :meth:`SimClock.advance_many`
+        re-seeds with the running clock (accumulating exactly as one
+        sequential chain), and :meth:`Disk.commit_page_reads` replays
+        the loop's statistics accumulation.  A ``checkpoint`` that
+        raises (budget exhaustion) leaves the clock and disk statistics
+        exactly where the sliced loop's abort would.  With ``stride``
+        the trace length this is one slice (:meth:`get_many`).
         """
         n = int(planned.trace.size)
         miss = planned.miss_positions
@@ -268,99 +230,6 @@ class BufferPool:
             else:
                 resident[other_keys[-1 - code]] = None
         self._resident = resident
-
-    def _get_many_scalar(self, handle: FileHandle, pages: np.ndarray) -> None:
-        """Scalar replay walker (pinned-page fallback for :meth:`get_many`).
-
-        Misses are replayed through the live LRU state one page at a
-        time, while runs of consecutive hits are accounted in one
-        vectorized step via :meth:`touch_hits`.  Between two misses no
-        other event can change residency, so splitting the request at its
-        misses preserves the sequential semantics by construction.  The
-        walker adapts to the access pattern: miss-heavy stretches are
-        walked with O(1) work per page, and the vectorized path
-        re-engages only after a long streak of hits suggests the pool has
-        become resident.  The per-file resident snapshot is reused across
-        hit segments — hits never change residency, so it only goes stale
-        at a miss.
-        """
-        n = int(pages.size)
-        fid = handle.file_id
-        resident = self._resident
-        pos = 0
-        vector_mode = True
-        snapshot: np.ndarray | None = None
-        while pos < n:
-            if vector_mode and (fid, int(pages[pos])) in resident:
-                segment = pages[pos : pos + _VECTOR_SEGMENT]
-                if snapshot is None:
-                    snapshot = np.fromiter(
-                        (page for file_id, page in resident if file_id == fid),
-                        dtype=np.int64,
-                    )
-                hit = np.isin(segment, snapshot)
-                run = int(segment.size) if hit.all() else int(np.argmin(hit))
-                if run:
-                    self.touch_hits(handle, segment[:run])
-                    pos += run
-                if run < _VECTOR_HIT_STREAK:
-                    vector_mode = False  # mixed regime: fall back to scalar
-                continue
-            # Scalar segment: replay page-by-page (misses must see the
-            # live LRU state) until a long hit streak re-enables the
-            # vectorized path.
-            streak = 0
-            while pos < n:
-                key = (fid, int(pages[pos]))
-                if key in resident:
-                    resident.move_to_end(key)
-                    self.stats.hits += 1
-                    streak += 1
-                    if streak >= _VECTOR_HIT_STREAK:
-                        pos += 1
-                        vector_mode = True
-                        break
-                else:
-                    streak = 0
-                    self.stats.misses += 1
-                    self._disk.read_page(handle, key[1])
-                    self._admit(key)
-                    snapshot = None  # residency changed
-                pos += 1
-
-    def touch_hits(self, handle: FileHandle, page_nos) -> None:
-        """Record hits on already-resident pages, in one vectorized step.
-
-        Equivalent to a loop of :meth:`get` calls that all hit: the hit
-        counter grows by ``len(page_nos)`` and the final LRU order is the
-        one the loop would leave — each touched page moved to the end in
-        order of its *last* occurrence (a ``move_to_end`` sequence
-        compacts to its unique-by-last-occurrence subsequence).  Raises
-        if any page is not resident (callers guarantee residency; see
-        :meth:`get_many` and :meth:`BPlusTree.probe_many`).
-        """
-        pages = np.asarray(page_nos)
-        if pages.size == 0:
-            return
-        fid = handle.file_id
-        reversed_pages = pages[::-1]
-        unique, first_in_reversed = np.unique(reversed_pages, return_index=True)
-        # Ascending position-of-last-occurrence == descending index in the
-        # reversed array.
-        order = np.argsort(first_in_reversed)[::-1]
-        resident = self._resident
-        for page in unique[order].tolist():
-            key = (fid, int(page))
-            if key not in resident:
-                raise BufferPoolError(f"touch_hits on non-resident page {key}")
-            resident.move_to_end(key)
-        self.stats.hits += int(pages.size)
-
-    def contains_all(self, handle: FileHandle, page_nos) -> bool:
-        """Whether every page in the array is cached (no LRU touch)."""
-        fid = handle.file_id
-        resident = self._resident
-        return all((fid, int(page)) in resident for page in page_nos)
 
     def _admit(self, key: tuple[int, int]) -> None:
         while len(self._resident) >= self._capacity:

@@ -27,10 +27,6 @@ from repro.viz.png import rasterize_grid, save_png
 from repro.viz.svg import categorical_heatmap_svg, curves_svg, heatmap_svg
 
 
-def _exponents(targets: np.ndarray) -> np.ndarray:
-    return np.log2(np.asarray(targets, dtype=float))
-
-
 def _heatmap_labels(mapdata: MapData) -> tuple[str, str]:
     """Axis labels for a 2-D map: predicate columns or axis names.
 
@@ -42,10 +38,8 @@ def _heatmap_labels(mapdata: MapData) -> tuple[str, str]:
             f"selectivity {mapdata.meta.get('a_column', 'A')}",
             f"selectivity {mapdata.meta.get('b_column', 'B')}",
         )
-    axes = mapdata.axes or []
-    if len(axes) >= 2:
-        return axes[0].name, axes[1].name
-    return "selectivity A", "selectivity B"
+    x_axis, y_axis = mapdata.axes[:2]
+    return x_axis.name, y_axis.name
 
 
 def absolute_curves(
@@ -89,6 +83,30 @@ def relative_curves(
     return svg
 
 
+def _plan_heatmap(
+    mapdata: MapData,
+    grid: np.ndarray,
+    title: str,
+    scale: DiscreteScale,
+    path: str | Path | None,
+) -> str:
+    """One per-plan grid of a 2-D map, labelled and ticked by its axes."""
+    x_axis, y_axis = mapdata.axes[:2]
+    x_label, y_label = _heatmap_labels(mapdata)
+    svg = heatmap_svg(
+        grid,
+        scale,
+        title,
+        _axis_tick_labels(x_axis),
+        _axis_tick_labels(y_axis),
+        x_label=x_label,
+        y_label=y_label,
+    )
+    if path is not None:
+        Path(path).write_text(svg)
+    return svg
+
+
 def absolute_heatmap(
     mapdata: MapData,
     plan_id: str,
@@ -98,23 +116,7 @@ def absolute_heatmap(
 ) -> str:
     """Fig 4 / Fig 5 style: one plan's absolute cost over a 2-D grid."""
     grid = _require_2d(mapdata).times_for(plan_id)
-    x_label, y_label = _heatmap_labels(mapdata)
-    ticks = _heatmap_tick_kwargs(mapdata)
-    exponents = np.zeros(grid.shape[0]), np.zeros(grid.shape[1])
-    if not ticks:
-        exponents = _exponents(mapdata.x_achieved), _exponents(mapdata.y_achieved)
-    svg = heatmap_svg(
-        grid,
-        scale,
-        title,
-        *exponents,
-        x_label=x_label,
-        y_label=y_label,
-        **ticks,
-    )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
+    return _plan_heatmap(mapdata, grid, title, scale, path)
 
 
 def relative_heatmap(
@@ -126,26 +128,9 @@ def relative_heatmap(
     path: str | Path | None = None,
 ) -> str:
     """Fig 7/8/9 style: one plan's factor-of-best over a 2-D grid."""
-    mapdata = _require_2d(mapdata)
-    quotient = quotient_for(mapdata, plan_id, baseline_ids)
+    quotient = quotient_for(_require_2d(mapdata), plan_id, baseline_ids)
     grid = np.where(np.isinf(quotient), np.nan, quotient)
-    x_label, y_label = _heatmap_labels(mapdata)
-    ticks = _heatmap_tick_kwargs(mapdata)
-    exponents = np.zeros(grid.shape[0]), np.zeros(grid.shape[1])
-    if not ticks:
-        exponents = _exponents(mapdata.x_achieved), _exponents(mapdata.y_achieved)
-    svg = heatmap_svg(
-        grid,
-        scale,
-        title,
-        *exponents,
-        x_label=x_label,
-        y_label=y_label,
-        **ticks,
-    )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
+    return _plan_heatmap(mapdata, grid, title, scale, path)
 
 
 def counts_heatmap(
@@ -169,12 +154,13 @@ def counts_heatmap(
         ],
         title="Plans optimal within tolerance",
     )
+    x_axis, y_axis = _require_2d(mapdata).axes[:2]
     svg = heatmap_svg(
         np.asarray(counts, dtype=float),
         scale,
         title,
-        _exponents(mapdata.x_achieved),
-        _exponents(mapdata.y_achieved),
+        _axis_tick_labels(x_axis),
+        _axis_tick_labels(y_axis),
     )
     if path is not None:
         Path(path).write_text(svg)
@@ -194,17 +180,6 @@ def _axis_tick_labels(axis: MapAxis) -> list[str]:
     if log_scaled and values.size and np.all(values > 0):
         return [f"2^{np.log2(v):.0f}" for v in values]
     return [f"{v:g}" for v in values]
-
-
-def _heatmap_tick_kwargs(mapdata: MapData) -> dict:
-    """Tick-label overrides for a 2-D map's axes (empty: legacy path)."""
-    axes = mapdata.axes or []
-    if len(axes) < 2:
-        return {}
-    return {
-        "x_tick_labels": _axis_tick_labels(axes[0]),
-        "y_tick_labels": _axis_tick_labels(axes[1]),
-    }
 
 
 def plan_choice_scale(
@@ -267,12 +242,10 @@ def regret_heatmap(
         choice.regret,
         scale,
         title,
-        np.zeros(x_axis.n_points),
-        np.zeros(y_axis.n_points),
+        _axis_tick_labels(x_axis),
+        _axis_tick_labels(y_axis),
         x_label=x_axis.name,
         y_label=y_axis.name,
-        x_tick_labels=_axis_tick_labels(x_axis),
-        y_tick_labels=_axis_tick_labels(y_axis),
     )
     if path is not None:
         Path(path).write_text(svg)

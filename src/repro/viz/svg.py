@@ -258,30 +258,23 @@ def heatmap_svg(
     grid: np.ndarray,
     scale: DiscreteScale,
     title: str,
-    x_exponents: np.ndarray,
-    y_exponents: np.ndarray,
+    x_tick_labels: list[str],
+    y_tick_labels: list[str],
     x_label: str = "selectivity A",
     y_label: str = "selectivity B",
     cell: int = 26,
-    x_tick_labels: list[str] | None = None,
-    y_tick_labels: list[str] | None = None,
 ) -> str:
     """Bucket-colored 2-D map (the Fig 4-9 style), NaN cells white.
 
     ``grid[ix, iy]``: ix runs along the x axis (left->right), iy along the
-    y axis (bottom->top), matching the paper's orientation.  Tick labels
-    default to the ``2^e`` rendering of the exponent arrays; pass
-    ``x_tick_labels`` / ``y_tick_labels`` for axes that are not
-    log2-scaled (error magnitudes, memory budgets, ...).
+    y axis (bottom->top), matching the paper's orientation.  One tick
+    label per grid line, already rendered (``2^e`` for selectivities,
+    plain values for error magnitudes, memory budgets, ...).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise VisualizationError(f"heatmap needs a 2-D grid, got {grid.shape}")
     nx, ny = grid.shape
-    if x_tick_labels is None:
-        x_tick_labels = [f"2^{x_exponents[ix]:.0f}" for ix in range(nx)]
-    if y_tick_labels is None:
-        y_tick_labels = [f"2^{y_exponents[iy]:.0f}" for iy in range(ny)]
     if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
         raise VisualizationError("tick label counts must match the grid")
     margin_left, margin_top = 80, 46

@@ -1,6 +1,7 @@
 """Disk-cache keys and staleness: the full-config fingerprint bugfix."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -260,11 +261,6 @@ def test_cli_refine_scenario_smoke(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_BENCH_ROWS", "512")
     monkeypatch.setenv("REPRO_BENCH_MIN_EXP_2D", "-5")
-    # main() writes --refine/--max-cells into the environment; register
-    # the vars with monkeypatch first so teardown restores their absence
-    # and later tests' BenchConfig stays dense.
-    monkeypatch.setenv("REPRO_BENCH_REFINE", "0")
-    monkeypatch.setenv("REPRO_BENCH_MAX_CELLS", "0")
     out_dir = tmp_path / "scenarios"
     code = main(
         [str(out_dir), "--scenario", "memory_sweep", "--refine", "--max-cells", "9"]
@@ -406,9 +402,6 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     from repro.bench import cli
 
     store_dir = tmp_path / "cells"
-    # cli.main exports --cell-cache into REPRO_BENCH_CELL_CACHE; register the
-    # variable with monkeypatch so teardown restores the pre-test environment.
-    monkeypatch.setenv("REPRO_BENCH_CELL_CACHE", str(store_dir))
     config = tiny_config(
         tmp_path,
         cache_dir=None,
@@ -431,6 +424,44 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     mapdata = again.scenario_map("join")
     assert again.cell_store().stats()["cell_misses"] == 0
     assert mapdata.grid_shape == (2, 2)
+
+
+def test_cli_flags_leave_the_environment_alone(tmp_path, monkeypatch):
+    """Flags build the config directly; ``REPRO_*`` are read-only defaults."""
+    from repro.bench import cli
+
+    for name in [key for key in os.environ if key.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("REPRO_BENCH_MIN_EXP_2D", "-2")
+    before = dict(os.environ)
+    store_dir = tmp_path / "cells"
+    code = cli.main(
+        [
+            str(tmp_path / "out"), "--quiet", "--scenario", "memory_sweep",
+            "--rows", "4096", "--cell-cache", str(store_dir),
+            "--workers", "1", "--refine", "--max-cells", "9", "--trace",
+        ]
+    )
+    assert code == 0
+    assert dict(os.environ) == before
+    saved = MapData.load(tmp_path / "out" / "scenario_memory_sweep.json")
+    assert saved.meta["policy"] == "adaptive-refine"  # --refine took effect
+    assert any(store_dir.iterdir())  # and so did --cell-cache
+
+
+def test_cli_figure_ids_are_stripped(tmp_path, monkeypatch, capsys):
+    from repro.bench import cli
+
+    monkeypatch.setenv("REPRO_BENCH_ROWS", "2048")
+    monkeypatch.setenv("REPRO_BENCH_MIN_EXP", "-4")
+    cli.main([str(tmp_path), "--quiet", "--figures", " fig01 , fig02,"])
+    out = capsys.readouterr().out
+    written = {path.name[:5] for path in tmp_path.iterdir()}
+    assert written == {"fig01", "fig02"}
+    assert "Fig 1:" in out and "Fig 2:" in out
+    with pytest.raises(SystemExit):
+        cli.main([str(tmp_path), "--figures", "fig01, nope"])
+    assert "unknown figures: ['nope']" in capsys.readouterr().err
 
 
 def test_cli_cell_cache_compact_requires_directory(tmp_path, monkeypatch):

@@ -509,9 +509,6 @@ def test_cli_cell_cache_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_ROWS", "512")
     monkeypatch.setenv("REPRO_BENCH_MIN_EXP_2D", "-2")
     cache = tmp_path / "cells"
-    # setenv first so monkeypatch restores the variable after main() (which
-    # sets it from --cell-cache) has overwritten it.
-    monkeypatch.setenv("REPRO_BENCH_CELL_CACHE", str(cache))
     out = tmp_path / "out"
     argv = [
         str(out), "--scenario", "memory_sweep", "--cell-cache", str(cache),

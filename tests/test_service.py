@@ -379,6 +379,29 @@ def test_http_error_statuses(service):
     assert status_of("GET", f"/jobs/{job_id}/render/join.merge.webp")[0] == 400
 
 
+def test_http_render_404_is_an_unknown_plan_400_a_bad_rendering(service):
+    base, manager = service
+    job, _ = manager.submit(MapRequest.from_dict({"scenario": "single_predicate"}))
+    manager.wait(job.job_id, timeout=120)
+    plan = job.result.plan_ids[0]
+
+    def render_status(leaf):
+        try:
+            urllib.request.urlopen(base + f"/jobs/{job.job_id}/render/{leaf}")
+        except urllib.error.HTTPError as error:
+            return error.code
+        return 200
+
+    assert render_status(f"{plan}.svg") == 200
+    # The plan is the resource: absent -> 404, whatever else is wrong.
+    assert render_status("not-a-plan.svg") == 404
+    assert render_status("not-a-plan.webp") == 404
+    # A plan the map has, asked for in a way it cannot be drawn -> 400.
+    assert render_status(f"{plan}.webp") == 400
+    assert render_status(f"{plan}.png") == 400  # 1-D maps are SVG curves
+    assert render_status("svg") == 400  # no <plan>. prefix
+
+
 def test_http_rejections_are_429(monkeypatch):
     import repro.bench.harness as harness_module
 

@@ -198,8 +198,8 @@ def test_heatmap_svg_valid_and_has_cells():
         grid,
         ABSOLUTE_TIME_SCALE,
         "map",
-        np.array([-2.0, -1.0]),
-        np.array([-2.0, -1.0]),
+        ["2^-2", "2^-1"],
+        ["2^-2", "2^-1"],
     )
     _parse(svg)
     # 4 cells + legend swatches + background
@@ -364,10 +364,8 @@ def test_heatmap_svg_custom_tick_labels():
         grid,
         ABSOLUTE_TIME_SCALE,
         "t",
-        np.zeros(2),
-        np.zeros(2),
-        x_tick_labels=["lo", "hi"],
-        y_tick_labels=["0", "3"],
+        ["lo", "hi"],
+        ["0", "3"],
     )
     _parse(svg)
     assert ">lo<" in svg and ">hi<" in svg
@@ -376,9 +374,8 @@ def test_heatmap_svg_custom_tick_labels():
             grid,
             ABSOLUTE_TIME_SCALE,
             "t",
-            np.zeros(2),
-            np.zeros(2),
-            x_tick_labels=["only-one"],
+            ["only-one"],
+            ["0", "3"],
         )
 
 
