@@ -78,10 +78,22 @@ class BenchSession:
     gives every distinct request its own); the locks here make the
     bookkeeping and the disk-cache write safe, not the physics.
 
+    Building the systems lays out the clustered tables only; a secondary
+    index is sorted the first time a plan that uses it executes (see
+    :class:`~repro.storage.table.SecondaryIndex`), so a map answered
+    entirely from the cell store builds none.
+
     ``snapshot_every`` threads straight into the sweep engines: every
     N-th measured cell (serial) or every finished chunk/round (parallel,
     refinement) the progress stream carries a partial-map snapshot (see
     :class:`repro.core.progress.ProgressEvent`).
+
+    ``cell_store`` hands the session an already open
+    :class:`~repro.core.cellstore.CellStore` to use instead of opening
+    its own on ``config.cell_cache_dir``: whoever runs many sessions in
+    one process (the job manager; :meth:`request_map` for its derived
+    sessions) owns one store, and its index is read once per process
+    instead of once per session.
     """
 
     def __init__(
@@ -89,6 +101,7 @@ class BenchSession:
         config: BenchConfig | None = None,
         progress=None,
         snapshot_every: int | None = None,
+        cell_store: CellStore | None = None,
     ) -> None:
         self.config = config or BenchConfig()
         self.progress = progress
@@ -96,7 +109,7 @@ class BenchSession:
         self._systems: dict[str, DatabaseSystem] | None = None
         self._maps: dict[str, MapData] = {}
         self._choices: dict[str, ChoiceMap] = {}
-        self._cell_store: CellStore | None = None
+        self._cell_store = cell_store
         self._lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._systems_lock = threading.Lock()
@@ -243,6 +256,7 @@ class BenchSession:
             resolved,
             progress=self.progress,
             snapshot_every=self.snapshot_every,
+            cell_store=self.cell_store(),
         )
         return derived.map_for(definition)
 

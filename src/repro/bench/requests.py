@@ -485,24 +485,43 @@ def definition_for(name: str) -> MapDefinition:
 BLOCKED_OVERRIDES = frozenset({"cache_dir", "cell_cache_dir", "n_workers"})
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _coerce_override(name: str, value: object, current: object) -> object:
     """Adapt a JSON-shaped override value to the config field it targets.
 
     JSON has no tuples and only one number type, so lists coerce to
     tuples where the field holds a tuple and integral floats coerce to
-    ints where the field holds an int.  Anything else passes through and
-    is caught by the fingerprint/replace machinery if nonsensical.
+    ints where the field holds an int.  A value of the wrong kind for
+    the field (judged by the field's current value) raises
+    :class:`ExperimentError` naming the knob, so a request is refused
+    when it is submitted instead of failing inside the sweep.
     """
-    if isinstance(current, tuple) and isinstance(value, (list, tuple)):
-        return tuple(value)
-    if (
-        isinstance(current, int)
-        and not isinstance(current, bool)
-        and isinstance(value, float)
-        and value.is_integer()
-    ):
-        return int(value)
-    return value
+    if isinstance(current, bool):
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif isinstance(current, int):
+        if _is_number(value) and float(value).is_integer():
+            return int(value)
+        expected = "an integer"
+    elif isinstance(current, float):
+        if _is_number(value):
+            return value
+        expected = "a number"
+    elif isinstance(current, tuple):
+        if (
+            isinstance(value, (list, tuple))
+            and value
+            and all(_is_number(item) for item in value)
+        ):
+            return tuple(value)
+        expected = "a non-empty list of numbers"
+    else:
+        return value
+    raise ExperimentError(f"knob {name!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

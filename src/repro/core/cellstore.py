@@ -41,9 +41,11 @@ Storage format
 
 Dependency-light pure python: 16 append-only JSONL shards (fanned out on
 the first hex digit of the key) plus an in-memory index built on first
-access.  Appends are atomic (one ``write`` of complete lines); every line
-carries a blake2s digest of its record, and any malformed or tampered
-line raises :class:`~repro.errors.ExperimentError` at load time.
+access and extended by tailing the shards at the start of every sweep
+wave (see :class:`CellStore`).  Appends are atomic (one ``write`` of
+complete lines); every line carries a blake2s digest of its record, and
+any complete line that is malformed or tampered with raises
+:class:`~repro.errors.ExperimentError` when it is read.
 :meth:`CellStore.compact` rewrites the shards, dropping superseded
 duplicates and corrupt (orphaned) lines.
 """
@@ -52,6 +54,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -102,7 +106,7 @@ def _encode_line(key: str, record: CellRecord) -> bytes:
     return _canonical({"k": key, "d": _record_digest(record), "r": record}) + b"\n"
 
 
-def _decode_line(line: str) -> tuple[str, CellRecord]:
+def _decode_line(line: str | bytes) -> tuple[str, CellRecord]:
     """Parse one shard line; raises ``ValueError`` on any corruption."""
     obj = json.loads(line)
     key, digest, record = obj["k"], obj["d"], obj["r"]
@@ -183,9 +187,30 @@ class CellStore:
     """Persistent content-addressed store of per-cell measurements.
 
     ``get``/``put_many`` work at the key level; :func:`lookup_cells` and
-    :func:`records_from_part` adapt whole sweep waves.  The in-memory
-    index is built lazily by scanning every shard once, then kept in sync
-    with appends, so repeated lookups never re-read the files.
+    :func:`records_from_part` adapt whole sweep waves.
+
+    One instance serves a whole process front door (a CLI run, a
+    :class:`~repro.service.jobs.JobManager` and every job on it): the
+    shards are read once and *tailed* afterwards.  The first read of
+    :attr:`index` decodes every shard from offset 0; after that
+    :meth:`refresh` — which :func:`lookup_cells` calls at the start of
+    each wave — stats the shards and decodes only the bytes past each
+    one's remembered ``(inode, offset)``, so another process's appends
+    show up at the next wave and every line is still parsed and
+    digest-verified exactly once before it can answer a lookup.
+
+    * Only whole lines are consumed.  An unterminated tail is another
+      process mid-append: it is left for the next refresh, not an error.
+      A *complete* line that does not parse or verify raises, as ever.
+    * A shard whose inode changed or that shrank was rewritten by another
+      process's :meth:`compact`; offsets into it mean nothing, so the
+      index is dropped and rebuilt from offset 0.
+    * Own appends advance the offset when they landed right behind it;
+      otherwise the next refresh re-reads them, which is idempotent.
+
+    Load, refresh, ``put_many``, ``compact`` and the counters share one
+    lock, so threads may share a store; key reads go straight to the
+    dict.
 
     ``cell_hits`` / ``cell_misses`` count *cells* (a hit needs a stored
     record for every swept plan), which is the rate the CLI, examples,
@@ -195,7 +220,10 @@ class CellStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._index: dict[str, CellRecord] | None = None
+        self._lock = threading.RLock()
+        self._index: dict[str, CellRecord] | None = None  # None: not loaded
+        #: shard -> (inode, bytes consumed, lines consumed)
+        self._tails: dict[Path, tuple[int, int, int]] = {}
         self.cell_hits = 0
         self.cell_misses = 0
         self.writes = 0
@@ -210,25 +238,64 @@ class CellStore:
 
     @property
     def index(self) -> dict[str, CellRecord]:
+        """key -> record; the first read scans every shard from offset 0."""
         if self._index is None:
-            index: dict[str, CellRecord] = {}
-            for path in self._shard_paths():
-                for lineno, line in enumerate(
-                    path.read_text().splitlines(), start=1
-                ):
-                    if not line.strip():
-                        continue
-                    try:
-                        key, record = _decode_line(line)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ExperimentError(
-                            f"corrupt cell-store shard {path} (line "
-                            f"{lineno}): {exc}; run compact() to drop "
-                            "damaged entries"
-                        ) from exc
-                    index[key] = record  # later appends supersede
-            self._index = index
+            with self._lock:
+                if self._index is None:
+                    self._scan()
         return self._index
+
+    def refresh(self) -> None:
+        """Fold in every complete line appended since the last look."""
+        with self._lock:
+            if self._index is None:
+                # Not loaded yet: the first read of ``index`` is the scan
+                # (one place where a full load happens, and can be timed).
+                _ = self.index
+            else:
+                self._scan()
+
+    def _scan(self) -> None:
+        """Decode what the shards hold past the remembered offsets.
+
+        Lock held.  Starts over from nothing when the index is not loaded
+        yet or a shard was replaced; a corrupt line leaves its shard's
+        offset where it was, so every later scan raises again until
+        :meth:`compact` repairs the store.
+        """
+        index, tails = self._index, self._tails
+        if index is None:
+            index, tails = {}, {}
+        for path in self._shard_paths():
+            stat = path.stat()
+            inode, offset, lineno = tails.get(path, (stat.st_ino, 0, 0))
+            if (stat.st_ino, stat.st_size) == (inode, offset):
+                continue
+            with path.open("rb") as fh:
+                # Judge the file that was opened, not the name.
+                stat = os.fstat(fh.fileno())
+                if stat.st_ino != inode or stat.st_size < offset:
+                    self._index = None  # compacted by another process
+                    return self._scan()
+                fh.seek(offset)
+                lines = fh.read().split(b"\n")
+            lines.pop()  # empty after a newline, else a writer mid-append
+            for line in lines:
+                lineno += 1
+                offset += len(line) + 1
+                if not line.strip():
+                    continue
+                try:
+                    key, record = _decode_line(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ExperimentError(
+                        f"corrupt cell-store shard {path} (line "
+                        f"{lineno}): {exc}; run compact() to drop "
+                        "damaged entries"
+                    ) from exc
+                index[key] = record  # later appends supersede
+            tails[path] = (inode, offset, lineno)
+        self._index, self._tails = index, tails
 
     def __len__(self) -> int:
         return len(self.index)
@@ -247,25 +314,39 @@ class CellStore:
         data); a differing record supersedes the old one — last write
         wins, and :meth:`compact` drops the shadowed line.
         """
-        index = self.index
-        by_shard: dict[Path, list[bytes]] = {}
-        written = 0
-        for key, record in entries:
-            if index.get(key) == record:
-                continue
-            by_shard.setdefault(self._shard_path(key), []).append(
-                _encode_line(key, record)
-            )
-            index[key] = record
-            written += 1
-        for path, lines in by_shard.items():
-            with path.open("ab") as fh:
-                fh.write(b"".join(lines))  # one write: atomic append
-        self.writes += written
-        return written
+        with self._lock:
+            index = self.index
+            by_shard: dict[Path, list[bytes]] = {}
+            written = 0
+            for key, record in entries:
+                if index.get(key) == record:
+                    continue
+                by_shard.setdefault(self._shard_path(key), []).append(
+                    _encode_line(key, record)
+                )
+                index[key] = record
+                written += 1
+            for path, lines in by_shard.items():
+                blob = b"".join(lines)
+                with path.open("ab") as fh:
+                    fh.write(blob)  # one write: atomic append
+                    fh.flush()
+                    end, this_inode = fh.tell(), os.fstat(fh.fileno()).st_ino
+                inode, offset, lineno = self._tails.get(path, (this_inode, 0, 0))
+                if (inode, offset) == (this_inode, end - len(blob)):
+                    # Nobody else appended in between: nothing to re-read.
+                    self._tails[path] = (inode, end, lineno + len(lines))
+            self.writes += written
+            return written
 
     def put(self, key: str, record: CellRecord) -> int:
         return self.put_many([(key, record)])
+
+    def count_lookups(self, hits: int, misses: int) -> None:
+        """Add one wave's cell-level hit/miss counts (see :func:`lookup_cells`)."""
+        with self._lock:
+            self.cell_hits += hits
+            self.cell_misses += misses
 
     # ------------------------------------------------------------------
 
@@ -281,41 +362,46 @@ class CellStore:
         """
         stats = {"kept": 0, "superseded": 0, "corrupt": 0}
         index: dict[str, CellRecord] = {}
-        for path in self._shard_paths():
-            entries: dict[str, CellRecord] = {}
-            duplicates = 0
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    key, record = _decode_line(line)
-                except (ValueError, KeyError, TypeError):
-                    stats["corrupt"] += 1
-                    continue
-                if key in entries:
-                    duplicates += 1
-                entries[key] = record
-            stats["superseded"] += duplicates
-            stats["kept"] += len(entries)
-            tmp = path.with_suffix(".jsonl.tmp")
-            tmp.write_bytes(
-                b"".join(_encode_line(k, r) for k, r in sorted(entries.items()))
-            )
-            tmp.replace(path)
-            index.update(entries)
-        self._index = index
+        tails: dict[Path, tuple[int, int, int]] = {}
+        with self._lock:
+            for path in self._shard_paths():
+                entries: dict[str, CellRecord] = {}
+                duplicates = 0
+                for line in path.read_text().splitlines():
+                    if not line.strip():
+                        continue
+                    try:
+                        key, record = _decode_line(line)
+                    except (ValueError, KeyError, TypeError):
+                        stats["corrupt"] += 1
+                        continue
+                    if key in entries:
+                        duplicates += 1
+                    entries[key] = record
+                stats["superseded"] += duplicates
+                stats["kept"] += len(entries)
+                tmp = path.with_suffix(".jsonl.tmp")
+                blob = b"".join(
+                    _encode_line(k, r) for k, r in sorted(entries.items())
+                )
+                tmp.write_bytes(blob)
+                tmp.replace(path)
+                index.update(entries)
+                tails[path] = (path.stat().st_ino, len(blob), len(entries))
+            self._index, self._tails = index, tails
         return stats
 
     def stats(self) -> dict[str, int | float]:
         """Lookup counters plus the hit rate (for CLI/bench reporting)."""
-        lookups = self.cell_hits + self.cell_misses
-        return {
-            "entries": len(self),
-            "cell_hits": self.cell_hits,
-            "cell_misses": self.cell_misses,
-            "writes": self.writes,
-            "hit_rate": self.cell_hits / lookups if lookups else 0.0,
-        }
+        with self._lock:
+            lookups = self.cell_hits + self.cell_misses
+            return {
+                "entries": len(self),
+                "cell_hits": self.cell_hits,
+                "cell_misses": self.cell_misses,
+                "writes": self.writes,
+                "hit_rate": self.cell_hits / lookups if lookups else 0.0,
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +420,13 @@ def lookup_cells(
 
     A cell is a hit only when **every** swept plan has a stored record —
     a partially known cell still needs its measurement pass (the runner
-    measures whole cells), so it counts as a miss.  Updates the store's
-    cell-level hit/miss counters.
+    measures whole cells), so it counts as a miss.  Brings the store up
+    to date with its shards first (:meth:`CellStore.refresh`) and adds
+    the wave to its cell-level hit/miss counters.
     """
+    store.refresh()
     hits: dict[int, dict[str, CellRecord]] = {}
+    misses = 0
     for flat in cells:
         idx = tuple(int(k) for k in np.unravel_index(flat, shape))
         records: dict[str, CellRecord] = {}
@@ -348,9 +437,9 @@ def lookup_cells(
             records[plan_id] = record
         if len(records) == len(plan_ids):
             hits[flat] = records
-            store.cell_hits += 1
         else:
-            store.cell_misses += 1
+            misses += 1
+    store.count_lookups(len(cells) - misses, misses)
     return hits
 
 

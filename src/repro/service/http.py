@@ -131,7 +131,15 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Refused unread: rfile.read(-1) would wait for the client
+            # to hang up.
+            raise ExperimentError(f"bad Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
             raise ExperimentError(
                 f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"

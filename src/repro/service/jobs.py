@@ -21,9 +21,15 @@ The :class:`JobManager` turns serializable
 
 Each job runs on its own :class:`~repro.bench.harness.BenchSession`
 (systems are scale-dependent and not safely shared across concurrent
-sweeps), but all jobs share the manager's whole-map and per-cell cache
-directories — a repeated request after a restart is a disk-cache hit,
-observable as ``cache_hit`` (the sweep emitted zero progress events).
+sweeps), but every session is handed the manager's one
+:class:`~repro.core.cellstore.CellStore`: its shards are read once per
+manager and tailed at the start of each sweep wave, so a job sees what
+earlier jobs and other processes stored without re-reading the rest.
+Jobs also share the whole-map cache directory — a repeated request after
+a restart is a disk-cache hit, observable as ``cache_hit`` (the sweep
+emitted zero progress events).  A job answered from either cache sorts
+no secondary index: its session lays out the clustered tables for the
+budget yardstick and nothing else.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.harness import BenchConfig, BenchSession
 from repro.bench.requests import MapRequest, definition_for
+from repro.core.cellstore import CellStore
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
@@ -105,6 +112,14 @@ class JobManager:
         self.config = config or BenchConfig()
         self.cell_budget = cell_budget
         self.snapshot_every = snapshot_every
+        # One store for every job: requests cannot override where it
+        # lives (``BLOCKED_OVERRIDES``), so all sessions would open the
+        # same directory anyway.
+        self.cell_store = (
+            CellStore(self.config.cell_cache_dir)
+            if self.config.cell_cache_dir
+            else None
+        )
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
         self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
@@ -267,6 +282,7 @@ class JobManager:
                         job, event
                     ),
                     snapshot_every=self.snapshot_every,
+                    cell_store=self.cell_store,
                 )
                 with self._cond:
                     job.session = session

@@ -13,11 +13,12 @@ decide how those pages are charged.
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import KeyCodecError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.codec import CompositeKeyCodec, IntKeyCodec, codec_for_bits
 from repro.storage.env import StorageEnv
@@ -37,7 +38,18 @@ def _required_bits(values: np.ndarray) -> int:
 
 
 class SecondaryIndex:
-    """Non-clustered index: encoded column key(s) -> row id."""
+    """Non-clustered index: encoded column key(s) -> row id.
+
+    Built on first use.  :meth:`Table.create_index` hands over a
+    registered but empty tree (the file handle exists, so file ids do not
+    depend on which indexes are ever used); the leaf level — encode the
+    key columns, stable ``argsort``, ``bulk_load`` — is laid out the
+    first time :attr:`tree` is read, once, under a lock.  Plans only read
+    it when they execute or are costed, so holding an index in a plan
+    builds nothing, and a request answered from the cell store never
+    sorts a column.  Columns are immutable, so a tree built late is the
+    tree that would have been built at creation.
+    """
 
     def __init__(
         self,
@@ -51,7 +63,26 @@ class SecondaryIndex:
         self.name = name
         self.key_columns = key_columns
         self.codec = codec
-        self.tree = tree
+        self._tree = tree
+        self._loaded = False
+        self._load_lock = threading.Lock()
+
+    @property
+    def tree(self) -> BPlusTree:
+        """The index's B+-tree, bulk-loaded by the first reader."""
+        if not self._loaded:
+            with self._load_lock:
+                if not self._loaded:
+                    encoded = self.codec.encode(
+                        [self.table.column(c) for c in self.key_columns]
+                    )
+                    order = np.argsort(encoded, kind="stable")
+                    self._tree.bulk_load(
+                        encoded[order],
+                        {"rid": order.astype(np.int64, copy=False)},
+                    )
+                    self._loaded = True
+        return self._tree
 
     @property
     def n_leaf_pages(self) -> int:
@@ -207,19 +238,31 @@ class Table:
         key_columns: Sequence[str],
         bits: Sequence[int] | None = None,
     ) -> SecondaryIndex:
-        """Build a secondary index on one or more integer columns."""
+        """Register a secondary index on one or more integer columns.
+
+        Everything that can be refused is refused here — a duplicate
+        name, an unknown or negative column, values that do not fit the
+        key layout — and the index's file is created, so file ids follow
+        creation order.  Sorting the keys into the tree is left to the
+        first read of :attr:`SecondaryIndex.tree`.
+        """
         if name in self.indexes:
             raise StorageError(f"index {name!r} already exists")
         key_columns = tuple(key_columns)
-        column_arrays = [self.column(column) for column in key_columns]
+        needed = [_required_bits(self.column(column)) for column in key_columns]
         if bits is None:
-            bits = [_required_bits(values) for values in column_arrays]
+            bits = needed
         codec = codec_for_bits(bits)
-        encoded = codec.encode(column_arrays)
-        order = np.argsort(encoded, kind="stable")
+        if len(codec.bits) != len(needed) or any(
+            need > have for need, have in zip(needed, codec.bits)
+        ):
+            raise KeyCodecError(
+                f"index {name!r}: columns need {needed} bits, layout has "
+                f"{list(codec.bits)}"
+            )
         tree = BPlusTree(
             self.env, f"{self.name}.{name}", entry_bytes=_INDEX_ENTRY_BYTES
-        ).bulk_load(encoded[order], {"rid": order.astype(np.int64)})
+        )
         index = SecondaryIndex(self, name, key_columns, codec, tree)
         self.indexes[name] = index
         return index

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim.profile import DeviceProfile
-from repro.storage import StorageEnv, Table
+from repro.storage import BPlusTree, StorageEnv, Table
 
 #: Small pages so tiny tables still span many pages (realistic mechanics).
 SMALL_PROFILE = DeviceProfile(page_size=1024, memory_bytes=1 << 20)
@@ -49,3 +49,35 @@ def indexed_table(env: StorageEnv) -> Table:
     t.create_index("idx_ba", ["b", "a"])
     t.create_index("idx_val", ["val"])
     return t
+
+
+@pytest.fixture
+def bulk_loads(monkeypatch) -> list[str]:
+    """Names of the trees bulk-loaded with entries while the test runs."""
+    loads: list[str] = []
+    real = BPlusTree.bulk_load
+
+    def counting(self, keys, payload, fill_factor=1.0):
+        if len(keys):
+            loads.append(self.name)
+        return real(self, keys, payload, fill_factor)
+
+    monkeypatch.setattr(BPlusTree, "bulk_load", counting)
+    return loads
+
+
+@pytest.fixture
+def decoded(monkeypatch) -> list:
+    """Every cell-store shard line handed to ``_decode_line`` while the
+    test runs (each is parsed and digest-verified there, once)."""
+    import repro.core.cellstore as module
+
+    lines: list = []
+    real = module._decode_line
+
+    def counting(line):
+        lines.append(line)
+        return real(line)
+
+    monkeypatch.setattr(module, "_decode_line", counting)
+    return lines

@@ -103,6 +103,24 @@ def test_request_coerces_json_shapes(tmp_path):
     ).resolve(base)
     assert resolved.join_rows == (64, 128)
     assert resolved.n_rows == 1024 and isinstance(resolved.n_rows, int)
+    resolved = MapRequest(
+        "join", {"budget_scale": 3, "refine": True, "error_magnitudes": [0, 0.5]}
+    ).resolve(base)
+    assert (resolved.budget_scale, resolved.refine) == (3, True)
+    assert resolved.error_magnitudes == (0, 0.5)
+    # A value of the wrong kind for its field is refused by name.
+    for knob, value in [
+        ("n_rows", 1.5),
+        ("n_rows", None),
+        ("refine", 1),
+        ("budget_scale", "3"),
+        ("budget_scale", False),
+        ("join_rows", []),
+        ("join_rows", 64),
+        ("join_rows", [64, None]),
+    ]:
+        with pytest.raises(ExperimentError, match=f"knob '{knob}' must be"):
+            MapRequest("join", {knob: value}).resolve(base)
 
 
 def test_request_resolve_is_pure_override(tmp_path):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +155,139 @@ def test_store_roundtrip_property(tmp_path_factory, entries):
     assert {k: reopened.get(k) for k in keyed} == keyed
     reopened.compact()
     assert {k: reopened.get(k) for k in keyed} == keyed
+
+
+# ---------------------------------------------------------------------------
+# one store per process: tailing other writers, foreign compaction, threads
+# ---------------------------------------------------------------------------
+
+RECORD = {"s": 1.0, "a": False, "r": 1}
+
+
+def keys_of(*ns):
+    return [measurement_key({"n": n}) for n in ns]
+
+
+def test_lookup_tails_what_another_store_appended(tmp_path, sort_budget, decoded):
+    def sweep(store, cells=None):
+        engine = RobustnessSweep(
+            [OperatorBench()], budget_seconds=sort_budget, cell_store=store
+        )
+        return engine.sweep(make_sort(), cells=cells)
+
+    cold = serial_map(sort_budget)
+    ours = CellStore(tmp_path)
+    sweep(ours, cells=range(6))  # 6 cells x 2 plans, appended by us
+    assert ours.writes == 12 and decoded == []  # own appends are not re-read
+    theirs = CellStore(tmp_path)
+    sweep(theirs)  # another front door measures the other 6 cells
+    assert (theirs.cell_hits, theirs.cell_misses, theirs.writes) == (6, 6, 12)
+    del decoded[:]
+    warm = sweep(ours)
+    # Our next wave sees their cells, having decoded their lines only.
+    assert (ours.cell_hits, ours.cell_misses) == (12, 6)
+    assert len(decoded) == 12
+    assert identical(warm, cold)
+    sweep(ours)
+    assert len(decoded) == 12  # nothing new on disk, nothing decoded
+
+
+def test_unterminated_tail_waits_for_its_newline(tmp_path, decoded):
+    key, other_key = keys_of(1, 2)
+    CellStore(tmp_path / "scratch").put(other_key, RECORD)
+    scratch = next((tmp_path / "scratch").glob("cells-*.jsonl"))
+    line = scratch.read_bytes()
+    store = CellStore(tmp_path / "cells")
+    store.put(key, RECORD)
+    shard = tmp_path / "cells" / scratch.name
+    with shard.open("ab") as fh:
+        fh.write(line[:-10])  # another process, mid-append
+    store.refresh()
+    assert store.get(other_key) is None and decoded == []
+    with shard.open("ab") as fh:
+        fh.write(line[-10:])
+    store.refresh()
+    store.refresh()
+    assert store.get(other_key) == RECORD
+    assert decoded == [line[:-1]]  # consumed once terminated, exactly once
+    # A *complete* line that does not parse is damage, not an append in
+    # flight — on a live store as on a fresh one, until compact() repairs it.
+    with shard.open("ab") as fh:
+        fh.write(b"garbage\n")
+    for _ in range(2):
+        with pytest.raises(ExperimentError, match="corrupt cell-store shard"):
+            store.refresh()
+    assert store.compact()["corrupt"] == 1
+    store.refresh()
+    assert len(store) == 2
+
+
+def test_compaction_by_another_store_reloads_everything(tmp_path, decoded):
+    keys = keys_of(*range(8))
+    store = CellStore(tmp_path)
+    store.put_many((key, RECORD) for key in keys)
+    newer = {**RECORD, "s": 2.0}
+    other = CellStore(tmp_path)
+    other.put(keys[0], newer)
+    assert other.compact() == {"kept": 8, "superseded": 1, "corrupt": 0}
+    del decoded[:]
+    store.refresh()
+    # Offsets into the replaced files mean nothing: every kept line again.
+    assert len(decoded) == 8 and len(store) == 8
+    assert store.get(keys[0]) == newer  # the last write, not the stale one
+    store.put(keys[1], newer)
+    assert CellStore(tmp_path).get(keys[1]) == newer
+
+
+def test_four_threads_share_one_store(tmp_path, decoded):
+    """``lookup_cells`` + ``put_many`` from four threads (twice the cores)
+    lose no entry, no line and no hit/miss count, and read no line twice."""
+    scenario = make_sort()
+    shape = scenario.grid_shape
+    cells = range(int(np.prod(shape)))
+    keyer = SweepKeyer(scenario, None, None, None)
+    before = keys_of(*range(200))
+    CellStore(tmp_path).put_many((key, RECORD) for key in before)
+    store = CellStore(tmp_path)  # not loaded yet: the threads race for that
+    n_threads, rounds = 4, 20
+    errors = []
+
+    def work(thread):
+        try:
+            for round_ in range(rounds):
+                plan = f"t{thread}.r{round_}"
+                store.put_many(
+                    (keyer.key(plan, np.unravel_index(flat, shape)), RECORD)
+                    for flat in cells
+                )
+                hits = lookup_cells(store, keyer, [plan], cells, shape)
+                assert sorted(hits) == list(cells)
+                assert not lookup_cells(store, keyer, [plan, "absent"], cells, shape)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(thread,))
+            for thread in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    expected = n_threads * rounds * len(cells)
+    assert (store.cell_hits, store.cell_misses) == (expected, expected)
+    assert store.writes == expected and len(store) == expected + len(before)
+    # One load, and appends made under the lock land right behind the
+    # offset, so nothing the threads wrote was read back.
+    assert len(decoded) == len(before)
+    assert CellStore(tmp_path).index == store.index  # every line landed whole
 
 
 # ---------------------------------------------------------------------------

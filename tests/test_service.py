@@ -1,6 +1,7 @@
 """The map service: job manager, single-flight dedup, HTTP front-end."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -248,6 +249,31 @@ def test_whole_map_cache_hit_is_flagged(tmp_path):
         warm.close()
 
 
+def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
+    config = tiny_config(cell_cache_dir=str(tmp_path / "cells"))
+    requests = [MapRequest("join", {"seed": seed}) for seed in (1, 2, 3)]
+    # Each map measured by a fresh session of its own, filling the store.
+    fresh = [BenchSession(config).request_map(request) for request in requests]
+    n_lines = sum(
+        len(shard.read_bytes().splitlines())
+        for shard in (tmp_path / "cells").glob("cells-*.jsonl")
+    )
+    del decoded[:]  # what filling the store read is not the manager's
+    manager = JobManager(config, workers=2, queue_limit=4)
+    try:
+        jobs = [manager.submit(request)[0] for request in requests]
+        for job, expected in zip(jobs, fresh):
+            finished = manager.wait(job.job_id, timeout=120)
+            assert finished.state == "done"
+            assert finished.cache_hits == finished.total == 4  # all replayed
+            assert finished.session.cell_store() is manager.cell_store
+            assert finished.result.to_dict() == expected.to_dict()
+    finally:
+        manager.close()
+    # Three jobs, two worker threads, one scan: every line decoded once.
+    assert len(decoded) == n_lines == 3 * 4 * len(fresh[0].plan_ids)
+
+
 def test_close_frees_what_retired_managers_built():
     """Job, session and progress callback form a cycle; ``close`` collects
     it, so managers opened in turn do not pile up each other's tables."""
@@ -400,6 +426,51 @@ def test_http_render_404_is_an_unknown_plan_400_a_bad_rendering(service):
     assert render_status(f"{plan}.webp") == 400
     assert render_status(f"{plan}.png") == 400  # 1-D maps are SVG curves
     assert render_status("svg") == 400  # no <plan>. prefix
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+def test_http_bad_content_length_is_a_400(service, length):
+    base, manager = service
+    host, port = base.removeprefix("http://").split(":")
+    # -1 used to reach rfile.read(-1), which waits for the client to hang
+    # up: the client's timeout is what fails the test then.
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(
+            b"POST /maps HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode("ascii")
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert repr(length) in json.loads(body)["error"]
+    assert manager.stats()["jobs"] == 0
+    # The server is still there for the next connection.
+    code, submitted = _post(base, "/maps", {"scenario": "join"})
+    assert code == 202 and submitted["created"]
+
+
+@pytest.mark.parametrize(
+    "overrides, knob",
+    [
+        ({"join_rows": [512, "x"]}, "join_rows"),
+        ({"n_rows": "4096"}, "n_rows"),
+        ({"seed": "abc"}, "seed"),
+        ({"n_rows": True}, "n_rows"),
+    ],
+)
+def test_http_mistyped_override_is_a_400_and_queues_nothing(
+    service, overrides, knob
+):
+    base, manager = service
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        _post(base, "/maps", {"scenario": "join", "overrides": overrides})
+    assert refused.value.code == 400
+    assert f"knob {knob!r}" in json.loads(refused.value.read())["error"]
+    assert manager.stats()["jobs"] == 0
+    assert "repro_jobs_submitted_total 0\n" in manager.metrics.render()
 
 
 def test_http_rejections_are_429(monkeypatch):

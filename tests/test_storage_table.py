@@ -1,10 +1,13 @@
 """Unit tests for tables and secondary indexes."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import StorageEnv, Table
+from repro.storage import BPlusTree, StorageEnv, Table
 from tests.conftest import SMALL_PROFILE, make_table
 
 
@@ -84,6 +87,62 @@ def test_negative_column_cannot_be_indexed(env):
     table = Table(env, "t", {"a": np.array([-1, 2, 3])})
     with pytest.raises(StorageError):
         table.create_index("idx", ["a"])
+
+
+def test_values_wider_than_the_given_bits_are_refused_at_creation(table):
+    with pytest.raises(StorageError):
+        table.create_index("idx_a", ["a"], bits=[4])  # a spans 16 bits
+    with pytest.raises(StorageError):
+        table.create_index("idx_ab", ["a", "b"], bits=[16])  # one width short
+    assert table.create_index("idx_a", ["a"], bits=[16]).codec.bits == (16,)
+
+
+def test_index_is_laid_out_by_its_first_reader(table, bulk_loads):
+    idx_a = table.create_index("idx_a", ["a"])
+    idx_b = table.create_index("idx_b", ["b"])
+    # Creating an index, naming it and asking for key ranges sort nothing.
+    assert table.index("idx_b") is idx_b
+    assert idx_a.key_range_for({"a": (100, 500)}) == (100, 500)
+    assert bulk_loads == []
+    # First use does, in order of use; file ids are in order of creation.
+    assert idx_b.n_leaf_pages > 1
+    assert idx_a.scan_all()[0].size == table.n_rows
+    assert bulk_loads == ["t.idx_b", "t.idx_a"]
+    assert idx_b.tree.handle.file_id == idx_a.tree.handle.file_id + 1
+    # ...and only the first.
+    idx_a.read_range(100, 500)
+    idx_b.rid_positions()
+    assert bulk_loads == ["t.idx_b", "t.idx_a"]
+
+
+def test_two_threads_reading_an_unbuilt_tree_build_it_once(
+    table, bulk_loads, monkeypatch
+):
+    index = table.create_index("idx_ab", ["a", "b"])
+    counting = BPlusTree.bulk_load
+
+    def slow(self, keys, payload, fill_factor=1.0):
+        time.sleep(0.05)  # hold the build open while the other thread arrives
+        return counting(self, keys, payload, fill_factor)
+
+    monkeypatch.setattr(BPlusTree, "bulk_load", slow)
+    start = threading.Barrier(2)
+    seen = []
+
+    def read():
+        start.wait(timeout=10)
+        tree = index.tree
+        seen.append((tree, tree.n_entries))
+
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert bulk_loads == ["t.idx_ab"]
+    # Neither reader saw the tree before its leaves were in place.
+    assert seen == [(index.tree, table.n_rows)] * 2
 
 
 def test_composite_index_full_range_defaults(indexed_table):

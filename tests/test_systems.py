@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.harness import BenchConfig, BenchSession
 from repro.errors import PlanError
 from repro.executor.predicates import ColumnRange
 from repro.systems import SystemA, SystemB, SystemC, SystemConfig, build_three_systems
@@ -122,3 +125,103 @@ def test_system_descriptions():
     assert "MDAM" in SystemC.description
     assert "bitmap" in SystemB.description.lower()
     assert "single-column" in SystemA.description
+
+
+# ---------------------------------------------------------------------------
+# secondary indexes are built by the first plan that executes over them
+# ---------------------------------------------------------------------------
+
+
+def all_plans(systems, quantile=0.3):
+    """Every forced plan of the two query templates, by plan id."""
+    table = systems["A"].table
+    pa, pb = (
+        ColumnRange(column, 0, int(np.quantile(table.column(column), quantile)))
+        for column in ("partkey", "extendedprice")
+    )
+    plans = {}
+    for system in systems.values():
+        plans.update(system.plans_for(TwoPredicateQuery(pa, pb)))
+    single = systems["A"].plans_for(SinglePredicateQuery(pb))
+    plans.update({f"single:{plan_id}": plan for plan_id, plan in single.items()})
+    return plans
+
+
+def test_building_systems_and_plans_loads_only_the_clustered_tables(bulk_loads):
+    systems = build_three_systems(SMALL)
+    assert len(all_plans(systems)) == 15 + 7
+    assert bulk_loads == ["lineitem.clustered"] * 3
+
+
+def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
+    config = BenchConfig(
+        n_rows=2048, min_exp_1d=-4, pool_pages=32, cell_cache_dir=str(tmp_path)
+    )
+    cold = BenchSession(config).scenario_map("single_predicate")
+    # Measured on System A over extendedprice: its partkey index and the
+    # composite indexes of B and C were never sorted.
+    assert sorted(bulk_loads) == ["lineitem.clustered"] * 3 + [
+        "lineitem.idx_b",
+        "lineitem.idx_project",
+    ]
+    del bulk_loads[:]
+    warm_session = BenchSession(config)
+    warm = warm_session.scenario_map("single_predicate")
+    assert warm_session.cell_store().cell_misses == 0
+    assert np.array_equal(warm.times, cold.times, equal_nan=True)
+    # Answered from the store: tables for the budget yardstick, no index.
+    assert bulk_loads == ["lineitem.clustered"] * 3
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n_rows=st.integers(min_value=300, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_first_use_order_changes_no_measurement(n_rows, seed, data):
+    """Indexes touched up front vs. first touched mid-measurement, in any
+    plan order: same clocks, same counters, same files."""
+    config = SystemConfig(
+        lineitem=LineitemConfig(n_rows=n_rows, seed=seed), pool_pages=32
+    )
+    eager, lazy = build_three_systems(config), build_three_systems(config)
+    for system in eager.values():
+        for index in system.table.indexes.values():
+            assert index.tree.n_entries == n_rows
+    plan_ids = sorted(all_plans(eager))
+    order = data.draw(st.permutations(plan_ids))
+    # The yardstick runs on both sides: DiskStats deltas are differences
+    # of running float sums, so the histories have to match.
+    (budget,) = {
+        3 * systems["A"].runner().measure(all_plans(systems)["A.table_scan"]).seconds
+        for systems in (eager, lazy)
+    }  # tight enough that the naive fetches abort
+
+    def measure(systems):
+        plans = all_plans(systems)
+        runs = {}
+        for plan_id in order:
+            system = systems[plan_id.removeprefix("single:")[0]]
+            pool_before = system.env.pool.stats.snapshot()
+            run = system.runner(budget_seconds=budget).measure(plans[plan_id])
+            runs[plan_id] = (
+                run.seconds.hex(),
+                run.n_rows,
+                run.aborted,
+                run.io,
+                system.env.pool.stats.delta(pool_before),
+            )
+        return runs
+
+    assert measure(lazy) == measure(eager)
+    for name, system in lazy.items():
+        assert {
+            index.name: (tree.handle.file_id, tree.n_pages, tree.height)
+            for index in system.table.indexes.values()
+            for tree in [index.tree]
+        } == {
+            index.name: (tree.handle.file_id, tree.n_pages, tree.height)
+            for index in eager[name].table.indexes.values()
+            for tree in [index.tree]
+        }
