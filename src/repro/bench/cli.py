@@ -363,18 +363,22 @@ def _serve_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     from repro.service import JobManager, serve
 
-    manager = JobManager(
-        _config_from_flags(
-            n_rows=args.rows,
-            n_workers=args.workers,
-            cache_dir=args.cache,
-            cell_cache_dir=args.cell_cache,
-        ),
-        workers=args.service_workers,
-        queue_limit=args.queue_limit,
-        cell_budget=args.cell_budget,
-        snapshot_every=args.snapshot_every,
+    config = _config_from_flags(
+        n_rows=args.rows,
+        n_workers=args.workers,
+        cache_dir=args.cache,
+        cell_cache_dir=args.cell_cache,
     )
+    try:
+        manager = JobManager(
+            config,
+            workers=args.service_workers,
+            queue_limit=args.queue_limit,
+            cell_budget=args.cell_budget,
+            snapshot_every=args.snapshot_every,
+        )
+    except ExperimentError as exc:
+        parser.error(str(exc))
     serve(manager, host=args.host, port=args.port, quiet=args.quiet)
     return 0
 

@@ -3,8 +3,8 @@
 One function per paper figure (1-10) plus the §3.4/§4 extension
 experiments.  Each returns a :class:`FigureResult` carrying the claim
 rows (paper statement vs. measured value), the rendered artifacts, and
-the numeric series, so pytest benches, the CLI, and EXPERIMENTS.md all
-consume the same source of truth.
+the numeric series, so the CLI and the tests consume the same source of
+truth.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.workloads.selectivity import PredicateBuilder
 
 @dataclass
 class FigureResult:
-    """Everything a figure bench produces."""
+    """Everything a figure function produces."""
 
     figure_id: str
     title: str

@@ -337,14 +337,3 @@ class BenchSession:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""
         mapdata = self.scenario_map("two_predicate")
         return [plan_id for plan_id in mapdata.plan_ids if plan_id.startswith("A.")]
-
-
-_DEFAULT_SESSION: BenchSession | None = None
-
-
-def default_session() -> BenchSession:
-    """Process-wide shared session (all benches reuse the same sweeps)."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = BenchSession()
-    return _DEFAULT_SESSION

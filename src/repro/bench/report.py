@@ -1,9 +1,9 @@
 """Paper-vs-measured reporting.
 
-Each figure bench emits :class:`Claim` rows — one per qualitative claim
-the paper makes about that figure — with the measured value next to the
-paper's statement.  ``format_claims`` renders the table that lands in
-EXPERIMENTS.md and in bench stdout.
+Each figure function emits :class:`Claim` rows — one per qualitative
+claim the paper makes about that figure — with the measured value next
+to the paper's statement.  ``format_claims`` renders the table the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -33,20 +33,6 @@ def format_claims(title: str, claims: list[Claim]) -> str:
         lines.append(claim.row())
     n_holds = sum(claim.holds for claim in claims)
     lines.append(f"  -> {n_holds}/{len(claims)} claims hold")
-    return "\n".join(lines)
-
-
-def claims_markdown(claims: list[Claim]) -> str:
-    """Markdown table of claims (for EXPERIMENTS.md)."""
-    lines = [
-        "| Figure | Claim | Paper | Measured | Holds |",
-        "|---|---|---|---|---|",
-    ]
-    for c in claims:
-        lines.append(
-            f"| {c.figure} | {c.claim} | {c.paper} | {c.measured} | "
-            f"{'yes' if c.holds else 'NO'} |"
-        )
     return "\n".join(lines)
 
 

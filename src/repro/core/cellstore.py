@@ -213,8 +213,8 @@ class CellStore:
     dict.
 
     ``cell_hits`` / ``cell_misses`` count *cells* (a hit needs a stored
-    record for every swept plan), which is the rate the CLI, examples,
-    and the CI warm-rerun gate report.
+    record for every swept plan), which is the rate the CLI and the
+    examples report.
     """
 
     def __init__(self, directory: str | Path) -> None:

@@ -4,7 +4,7 @@ The executor runs *forced* plans (the paper's methodology: "we eliminate
 choices in query optimization using hints") against real data, charging
 virtual time for every page touched and every row processed.  Plans are
 trees of physical operators: scans, fetch strategies, rid combiners, MDAM
-access, external sort, and aggregation.
+access, and external sort.
 
 Measured plan cost = virtual clock delta around :meth:`PlanRunner.measure`.
 """
@@ -38,7 +38,6 @@ from repro.executor.joins import (
     join_matches,
     join_plan_inventory,
 )
-from repro.executor.aggregate import HashAggregate, StreamAggregate
 
 __all__ = [
     "batched_enabled",
@@ -75,6 +74,4 @@ __all__ = [
     "IndexNestedLoopJoinNode",
     "join_matches",
     "join_plan_inventory",
-    "HashAggregate",
-    "StreamAggregate",
 ]

@@ -4,12 +4,8 @@ The batched execution core charges virtual time in vectorized aggregates
 (:meth:`SimClock.advance_many`, :meth:`BufferPool.get_many`,
 :meth:`BPlusTree.probe_many`, :meth:`Disk.read_runs`) that are
 bit-identical to the per-item loops they replace.  The per-item loops are
-kept as *reference paths* for two reasons:
-
-* identity tests assert that both modes measure exactly the same virtual
-  time, page faults, and eviction order;
-* ``benchmarks/bench_micro_operators.py`` measures the before/after cells/sec of
-  the refactor on the same build of the code.
+kept as *reference paths*: identity tests assert that both modes measure
+exactly the same virtual time, page faults, and eviction order.
 
 The switch is process-global (not per-context) because a measurement's
 virtual cost must not depend on which code path produced it — the modes

@@ -30,7 +30,6 @@ from repro.obs.profile import (
 )
 from repro.obs.tracer import (
     COUNTER_NAMES,
-    NullTracer,
     Span,
     SpanContext,
     Tracer,
@@ -49,7 +48,6 @@ __all__ = [
     "Histogram",
     "JsonFormatter",
     "MetricsRegistry",
-    "NullTracer",
     "PROFILES_META_KEY",
     "Span",
     "SpanContext",

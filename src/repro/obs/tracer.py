@@ -219,18 +219,6 @@ class Tracer:
         return roots
 
 
-class NullTracer(Tracer):
-    """An installed tracer that records nothing.
-
-    Exercises exactly the dispatch cost of having *a* tracer present
-    (context-var read, ``begin`` call) without any snapshot or retention
-    work — the overhead floor `bench_trace_overhead.py` gates at 10%.
-    """
-
-    def begin(self, ctx: Any, name: str, cat: str) -> SpanContext:
-        return _NOOP_SPAN
-
-
 _TRACER: ContextVar[Tracer | None] = ContextVar("repro_tracer", default=None)
 
 

@@ -45,7 +45,7 @@ from repro.bench.requests import MapRequest, definition_for
 from repro.core.cellstore import CellStore
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
-from repro.errors import ExperimentError
+from repro.errors import BufferPoolError, ExperimentError, WorkloadError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILES_META_KEY
@@ -108,6 +108,10 @@ class JobManager:
         if queue_limit < 1:
             raise ExperimentError(
                 f"queue limit must be positive, got {queue_limit}"
+            )
+        if snapshot_every is not None and snapshot_every < 1:
+            raise ExperimentError(
+                f"snapshot_every must be >= 1, got {snapshot_every}"
             )
         self.config = config or BenchConfig()
         self.cell_budget = cell_budget
@@ -198,6 +202,10 @@ class JobManager:
         sweep itself.
         """
         resolved = request.resolve(self.config)
+        try:
+            resolved.system_config()  # n_rows and pool_pages in range
+        except (WorkloadError, BufferPoolError) as exc:
+            raise ExperimentError(f"bad override: {exc}") from None
         cells = definition_for(request.scenario).n_cells(resolved)
         if resolved.refine and resolved.refine_max_cells:
             cells = min(cells, resolved.refine_max_cells)

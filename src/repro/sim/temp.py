@@ -88,29 +88,6 @@ class TempStore:
         run.reset()
         self.read_pages(run, run.n_pages)
 
-    def reread_runs(self, runs: list[SpillFile]) -> None:
-        """Stream every run back from its start, in list order.
-
-        Charges exactly what consecutive :meth:`read_run_fully` calls
-        would — one positioned sequential read per run, each starting at
-        page 0 of its file — but through a single vectorized
-        :meth:`Disk.read_runs` call.  The re-read pattern of hash
-        operators that spill whole partitions and read each back once
-        (see :meth:`HashAggregate._spill_partitions`).
-        """
-        if not runs:
-            return
-        for run in runs:
-            run.reset()
-        self._disk.read_runs(
-            np.array([run._handle.file_id for run in runs], dtype=np.int64),
-            np.zeros(len(runs), dtype=np.int64),
-            np.array([run.n_pages for run in runs], dtype=np.int64),
-            runs[-1]._handle,
-        )
-        for run in runs:
-            run._cursor = run.n_pages
-
     def merge_read_all(self, runs: list[SpillFile], page_quantum: int) -> None:
         """Round-robin every run to exhaustion in quantum-sized chunks.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import PlanError
+from repro.errors import BufferPoolError, PlanError
 from repro.executor.plans import PlanNode, PlanRunner
 from repro.optimizer.chooser import PlanChooser, SelectionPolicy
 from repro.optimizer.cost_model import CostModel, CostQuirks
@@ -29,6 +29,12 @@ class SystemConfig:
     a_column: str = "partkey"
     b_column: str = "extendedprice"
     project_column: str = "suppkey"
+
+    def __post_init__(self) -> None:
+        if self.pool_pages < 1:
+            raise BufferPoolError(
+                f"pool_pages must be >= 1, got {self.pool_pages}"
+            )
 
 
 class DatabaseSystem(ABC):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.figures import ALL_FIGURES
 from repro.bench.harness import BenchConfig, BenchSession
-from repro.bench.report import Claim, claims_markdown, format_claims, series_block
+from repro.bench.report import Claim, format_claims, series_block
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +129,6 @@ def test_format_claims():
     text = format_claims("Title", [_claim(), _claim(False)])
     assert "[OK ]" in text and "[MISS]" in text
     assert "1/2 claims hold" in text
-
-
-def test_claims_markdown_table():
-    text = claims_markdown([_claim()])
-    assert text.startswith("| Figure |")
-    assert "| figX |" in text
 
 
 def test_series_block_formats_nan():

@@ -79,3 +79,25 @@ def test_readme_custom_scenario_block_runs_serial_and_parallel():
     assert np.array_equal(parallel.times, serial.times)
     assert np.array_equal(parallel.rows, serial.rows)
     assert list(parallel.meta.items()) == list(serial.meta.items())
+
+
+def test_documents_name_only_files_that_exist():
+    """A path under benchmarks/, examples/ or tools/ that a document tells
+    the reader (or CI) to run is in the checkout."""
+    missing = []
+    for document in (
+        "README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"
+    ):
+        named = set(
+            re.findall(
+                r"\b(?:benchmarks|examples|tools)/[\w./-]*\w",
+                (ROOT / document).read_text(),
+            )
+        )
+        assert named, f"{document} names no file; has the pattern gone stale?"
+        missing += [
+            (document, path)
+            for path in sorted(named)
+            if not (ROOT / path).exists()
+        ]
+    assert not missing

@@ -1,11 +1,10 @@
-"""Unit and property tests for external sort and aggregation."""
+"""Unit and property tests for external sort."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
-from repro.executor.aggregate import HashAggregate, StreamAggregate
 from repro.executor.context import ExecContext
 from repro.executor.sort import ExternalSort, SpillPolicy
 
@@ -126,67 +125,3 @@ def test_sort_always_correct_property(values, policy, memory_bytes):
     result = ExternalSort(ctx, policy=policy).sort(arr) if arr.size else None
     if result is not None:
         assert np.array_equal(result.values, np.sort(arr))
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-# ---------------------------------------------------------------------------
-
-
-def test_hash_aggregate_counts(env, rng):
-    ctx = ExecContext(env)
-    keys = rng.integers(0, 20, 5000)
-    groups, counts = HashAggregate(ctx).groupby_count(keys)
-    expected_groups, expected_counts = np.unique(keys, return_counts=True)
-    assert np.array_equal(groups, expected_groups)
-    assert np.array_equal(counts, expected_counts)
-
-
-def test_hash_aggregate_empty(env):
-    ctx = ExecContext(env)
-    groups, counts = HashAggregate(ctx).groupby_count(np.array([]))
-    assert groups.size == 0 and counts.size == 0
-
-
-def test_hash_aggregate_spills_when_many_groups(env, rng):
-    keys = rng.integers(0, 100000, 20000)
-    env.cold_reset()
-    small_ctx = ExecContext(env, memory_bytes=4096)
-    start = env.clock.now
-    HashAggregate(small_ctx).groupby_count(keys)
-    spilling = env.clock.now - start
-
-    env.cold_reset()
-    big_ctx = ExecContext(env, memory_bytes=1 << 24)
-    start = env.clock.now
-    HashAggregate(big_ctx).groupby_count(keys)
-    in_memory = env.clock.now - start
-    assert spilling > 2 * in_memory
-
-
-def test_stream_aggregate_requires_sorted(env):
-    ctx = ExecContext(env)
-    with pytest.raises(ExecutionError):
-        StreamAggregate(ctx).groupby_count(np.array([3, 1, 2]))
-
-
-def test_stream_aggregate_counts(env, rng):
-    ctx = ExecContext(env)
-    keys = np.sort(rng.integers(0, 50, 3000))
-    groups, counts = StreamAggregate(ctx).groupby_count(keys)
-    expected_groups, expected_counts = np.unique(keys, return_counts=True)
-    assert np.array_equal(groups, expected_groups)
-    assert np.array_equal(counts, expected_counts)
-
-
-@given(st.lists(st.integers(0, 30), max_size=300))
-def test_aggregates_agree_property(keys):
-    from repro.sim.profile import DeviceProfile
-    from repro.storage import StorageEnv
-
-    env = StorageEnv(DeviceProfile(page_size=512), pool_pages=16)
-    arr = np.asarray(sorted(keys), dtype=np.int64)
-    hash_groups, hash_counts = HashAggregate(ExecContext(env)).groupby_count(arr)
-    stream_groups, stream_counts = StreamAggregate(ExecContext(env)).groupby_count(arr)
-    assert np.array_equal(hash_groups, stream_groups)
-    assert np.array_equal(hash_counts, stream_counts)

@@ -36,7 +36,6 @@ from repro.obs.profile import (
     write_chrome_trace,
 )
 from repro.obs.tracer import (
-    NullTracer,
     Span,
     Tracer,
     current_tracer,
@@ -88,15 +87,6 @@ def test_untraced_trace_op_is_a_shared_noop():
     assert first is second  # one shared object: no per-op allocation
     with first:
         pass  # enter/exit are no-ops
-
-
-def test_null_tracer_records_nothing():
-    ctx = fake_ctx()
-    tracer = NullTracer()
-    with use_tracer(tracer):
-        with trace_op(ctx, "scan", "scan"):
-            ctx.clock.now = 1.0
-    assert tracer.drain() == []
 
 
 def test_spans_nest_and_record_counter_deltas():

@@ -305,8 +305,15 @@ def test_choose_plan_all_systems_two_predicate():
 def test_choose_plan_join(system_a):
     keys = np.arange(256, dtype=np.int64)
     query = JoinQuery(keys, keys)
-    plan_id, _plan = system_a.choose_plan(query, memory_bytes=64 << 10)
-    assert plan_id in system_a.plans_for(query)
+    # The classic policy, then the two that price every plan at every
+    # sample of an uncertainty box.
+    for policy in (
+        None, MinWorstRegret(uncertainty=4.0), PenaltyAware(uncertainty=4.0)
+    ):
+        plan_id, _plan = system_a.choose_plan(
+            query, policy=policy, memory_bytes=64 << 10
+        )
+        assert plan_id in system_a.plans_for(query)
 
 
 def test_choose_plan_robust_policy(system_a):

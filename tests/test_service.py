@@ -98,6 +98,10 @@ def test_concurrent_identical_requests_share_one_sweep(monkeypatch):
         assert calls == ["join"]  # exactly one sweep ran
         # Both submitters read byte-identical results: it IS one result.
         assert manager.get(first.job_id).result is finished.result
+        assert manager.stats()["jobs"] == 1
+        scraped = manager.metrics.render()
+        assert "repro_jobs_submitted_total 1\n" in scraped
+        assert "repro_jobs_deduplicated_total 1\n" in scraped
     finally:
         release.set()
         manager.close()
@@ -154,6 +158,31 @@ def test_malformed_requests_fail_before_enqueue():
         assert manager.stats()["jobs"] == 0
     finally:
         manager.close()
+
+
+def test_manager_refuses_a_snapshot_interval_its_jobs_would_die_on():
+    with pytest.raises(ExperimentError, match="snapshot_every must be >= 1"):
+        JobManager(tiny_config(), snapshot_every=0)
+
+
+@pytest.mark.parametrize(
+    "flag", ["--snapshot-every", "--service-workers", "--queue-limit"]
+)
+def test_serve_reports_a_refused_flag_as_a_usage_error(
+    flag, monkeypatch, capsys
+):
+    import repro.service
+    from repro.bench.cli import main
+
+    def served(manager, **kwargs):
+        manager.close()
+        raise AssertionError(f"serve started with {flag} 0")
+
+    monkeypatch.setattr(repro.service, "serve", served)
+    with pytest.raises(SystemExit) as refused:
+        main(["serve", flag, "0"])
+    assert refused.value.code == 2
+    assert "serve: error: " in capsys.readouterr().err
 
 
 def test_partial_snapshots_flow_to_partial_map(monkeypatch):
@@ -234,7 +263,8 @@ def test_whole_map_cache_hit_is_flagged(tmp_path):
     cold = JobManager(config, workers=1, queue_limit=2)
     try:
         job, _ = cold.submit(JOIN)
-        assert cold.wait(job.job_id, timeout=120).cache_hit is False
+        first = cold.wait(job.job_id, timeout=120)
+        assert first.cache_hit is False
     finally:
         cold.close()
     warm = JobManager(config, workers=1, queue_limit=2)
@@ -245,6 +275,7 @@ def test_whole_map_cache_hit_is_flagged(tmp_path):
         assert finished.state == "done"
         assert finished.cache_hit is True  # ...but the disk had the map
         assert finished.events == 0
+        assert finished.result.to_dict() == first.result.to_dict()
     finally:
         warm.close()
 
@@ -459,6 +490,11 @@ def test_http_bad_content_length_is_a_400(service, length):
         ({"n_rows": "4096"}, "n_rows"),
         ({"seed": "abc"}, "seed"),
         ({"n_rows": True}, "n_rows"),
+        # Well-typed but out of range: these used to be queued and die
+        # in the worker (a 500 from /result).
+        ({"n_rows": 0}, "n_rows"),
+        ({"n_rows": -5}, "n_rows"),
+        ({"pool_pages": 0}, "pool_pages"),
     ],
 )
 def test_http_mistyped_override_is_a_400_and_queues_nothing(
@@ -466,9 +502,13 @@ def test_http_mistyped_override_is_a_400_and_queues_nothing(
 ):
     base, manager = service
     with pytest.raises(urllib.error.HTTPError) as refused:
-        _post(base, "/maps", {"scenario": "join", "overrides": overrides})
+        _post(
+            base, "/maps",
+            {"scenario": "single_predicate", "overrides": overrides},
+        )
     assert refused.value.code == 400
-    assert f"knob {knob!r}" in json.loads(refused.value.read())["error"]
+    error = json.loads(refused.value.read())["error"]
+    assert f"knob {knob!r}" in error or f"bad override: {knob} must" in error
     assert manager.stats()["jobs"] == 0
     assert "repro_jobs_submitted_total 0\n" in manager.metrics.render()
 
