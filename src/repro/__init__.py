@@ -42,7 +42,6 @@ from repro.workloads import (
     LineitemConfig,
     build_lineitem,
     PredicateBuilder,
-    JoinQuery,
     SinglePredicateQuery,
     TwoPredicateQuery,
 )
@@ -56,7 +55,6 @@ from repro.systems import (
 from repro.optimizer import (
     CardinalityEstimator,
     CostModel,
-    CostQuirks,
     Estimate,
     EstimationError,
     MinEstimatedCost,
@@ -128,7 +126,6 @@ __all__ = [
     "PredicateBuilder",
     "SinglePredicateQuery",
     "TwoPredicateQuery",
-    "JoinQuery",
     "SystemConfig",
     "SystemA",
     "SystemB",
@@ -152,7 +149,6 @@ __all__ = [
     "OperatorBench",
     "CardinalityEstimator",
     "CostModel",
-    "CostQuirks",
     "Estimate",
     "EstimationError",
     "MinEstimatedCost",

@@ -21,7 +21,7 @@ class KeyCodecError(StorageError):
 
 
 class BufferPoolError(StorageError):
-    """Raised on buffer-pool protocol violations (bad pins, over-capacity)."""
+    """Raised for a pool of less than one page (``BufferPool``, ``pool_pages``)."""
 
 
 class ExecutionError(ReproError):

@@ -114,8 +114,8 @@ class FetchStrategy:
         (:meth:`BufferPool.charge_planned_reads_strided`) with the budget
         check as its per-chunk checkpoint — the clock and disk statistics
         at every check are bitwise those of the loop.  A trace it
-        declines (a pinned page) and the ``use_batched(False)`` reference
-        are the same chunked :meth:`BufferPool.get` loop.
+        declines (a negative page number) and the ``use_batched(False)``
+        reference are the same chunked :meth:`BufferPool.get` loop.
         """
         pages = table.pages_of_rids(rids)
         handle = table.clustered.handle

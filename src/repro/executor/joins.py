@@ -31,13 +31,11 @@ multiplied out), so the sweep's oracle check holds for every plan.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.executor import batching
 from repro.executor.context import ExecContext
-from repro.executor.plans import PlanNode, _estimate
+from repro.executor.plans import PlanNode
 from repro.executor.results import Result
 from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
@@ -112,18 +110,6 @@ class MergeJoinNode(PlanNode):
             ctx.charge(self.left.size + self.right.size, ctx.profile.cpu_compare)
             return _result_for(ctx, join_matches(self.left, self.right))
 
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        build = _estimate(est, "rows.build")
-        probe = _estimate(est, "rows.probe")
-        cost = model.external_sort_cost(build, self.row_bytes)
-        cost += model.external_sort_cost(probe, self.row_bytes)
-        cost += model.cpu(build + probe, model.profile.cpu_compare)
-        cost += model.cpu(self.estimated_rows(est), model.profile.cpu_row)
-        return cost
-
 
 class HashJoinNode(PlanNode):
     """Build/probe hash join with memory-aware partition spilling.
@@ -173,20 +159,6 @@ class HashJoinNode(PlanNode):
             finally:
                 grant.release()
         return _result_for(ctx, join_matches(self.build, self.probe))
-
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        cost = model.hash_join_cost(
-            _estimate(est, "rows.build"),
-            _estimate(est, "rows.probe"),
-            self.entry_bytes,
-            self.row_bytes,
-            all_or_nothing=self.policy is SpillPolicy.ALL_OR_NOTHING,
-        )
-        cost += model.cpu(self.estimated_rows(est), model.profile.cpu_row)
-        return cost
 
     def _partitioned_join(
         self, ctx: ExecContext, n_build: int, n_probe: int
@@ -298,24 +270,6 @@ class IndexNestedLoopJoinNode(PlanNode):
                     tree.probe(int(key))
                     ctx.check_budget_every(done, _PROBE_BUDGET_STRIDE)
         return _result_for(ctx, join_matches(self.build, self.probe))
-
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        build = _estimate(est, "rows.build")
-        probe = _estimate(est, "rows.probe")
-        profile = model.profile
-        entries_per_leaf = max(2, profile.page_size // 16)
-        leaf_pages = math.ceil(build / entries_per_leaf) if build > 0 else 1
-        fanout = entries_per_leaf
-        height = 1 + max(0, math.ceil(math.log(max(1, leaf_pages), fanout)))
-        # Cold start: every index page's first touch is a random read,
-        # bounded by the probe count; later descents hit the pool.
-        cost = model.random_reads(min(probe, leaf_pages + height))
-        cost += model.cpu(probe, profile.btree_probe_cpu + profile.cpu_row)
-        cost += model.cpu(self.estimated_rows(est), profile.cpu_row)
-        return cost
 
 
 #: Plan ids of the standard join inventory, in measurement order.

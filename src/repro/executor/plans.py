@@ -306,22 +306,6 @@ class CompositeRangeRidsNode(PlanNode):
             },
         )
 
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        lead_sel = _estimate(est, f"sel.{self.leading.column}")
-        tree = self.index.tree
-        n_rows = self.index.table.n_rows
-        scanned = lead_sel * n_rows
-        leaf_pages = max(1.0, lead_sel * tree.n_leaf_pages)
-        profile = model.profile
-        cost = model.btree_descent(tree.height)
-        cost += model.sequential_read(leaf_pages)
-        cost += model.cpu(scanned, profile.cpu_predicate)
-        cost += model.cpu(self.estimated_rows(est), profile.cpu_bitmap_op)
-        return cost
-
 
 class FetchNode(PlanNode):
     """Fetch base rows for the child's rids via a fetch strategy.
@@ -514,23 +498,6 @@ class RidIntersectNode(PlanNode):
         ctx.check_budget()
         return Result(np.asarray(common, dtype=np.int64), columns)
 
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        rows_left = self.left.estimated_rows(est)
-        rows_right = self.right.estimated_rows(est)
-        cost = self.left.estimated_cost(model, est)
-        cost += self.right.estimated_cost(model, est)
-        if self.algorithm == "merge":
-            cost += model.rid_merge_cost(rows_left, rows_right)
-        elif self.build == "left":
-            cost += model.rid_hash_cost(rows_left, rows_right)
-        else:
-            cost += model.rid_hash_cost(rows_right, rows_left)
-        cost += model.cpu(self.estimated_rows(est), model.profile.cpu_row)
-        return cost
-
 
 class CoveringCompositeScanNode(PlanNode):
     """Covering scan of a composite index: plain range scan or MDAM.
@@ -576,30 +543,6 @@ class CoveringCompositeScanNode(PlanNode):
             )
         assert self._plain is not None
         return self._plain.execute(ctx)
-
-    def estimated_rows(self, est: dict) -> float:
-        return _estimate(est, "rows.out")
-
-    def estimated_cost(self, model, est: dict) -> float:
-        if not self.use_mdam:
-            assert self._plain is not None
-            return self._plain.estimated_cost(model, est)
-        codec: CompositeKeyCodec = self.index.codec  # type: ignore[assignment]
-        lead_sel = _estimate(est, f"sel.{self.leading.column}")
-        tree = self.index.tree
-        n_rows = self.index.table.n_rows
-        # One descent per distinct qualifying leading value, bounded by
-        # the qualifying leading rows; descents through pool-resident
-        # inner nodes land as short seeks between nearby leaf ranges.
-        domain = 1 << codec.bits[0]
-        probes = max(1.0, min(lead_sel * domain, lead_sel * n_rows))
-        out = self.estimated_rows(est)
-        profile = model.profile
-        cost = model.btree_descent(tree.height)
-        cost += model.settled_reads(min(probes, tree.n_leaf_pages))
-        cost += model.cpu(probes, profile.btree_probe_cpu)
-        cost += model.cpu(out, profile.cpu_bitmap_op + profile.cpu_row)
-        return cost
 
 
 class MdamScanNode(CoveringCompositeScanNode):
@@ -746,18 +689,6 @@ class ExternalSortNode(PlanNode):
         return Result(
             np.arange(sorted_result.values.size, dtype=np.int64),
             {"sorted": sorted_result.values},
-        )
-
-    def estimated_rows(self, est: dict) -> float:
-        # The input is bound at construction; "rows.input" lets an
-        # estimation sweep misjudge it anyway.
-        return float(est.get("rows.input", self.values.size))
-
-    def estimated_cost(self, model, est: dict) -> float:
-        return model.external_sort_cost(
-            self.estimated_rows(est),
-            self.row_bytes,
-            all_or_nothing=self.policy is SpillPolicy.ALL_OR_NOTHING,
         )
 
 

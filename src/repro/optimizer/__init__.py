@@ -9,8 +9,8 @@ much — under controlled cardinality estimation error:
 * :mod:`estimation` — true cardinalities perturbed by a deterministic,
   seedable multiplicative q-error model.
 * :mod:`cost_model` — prices :class:`~repro.executor.plans.PlanNode`
-  trees from estimates plus the device profile, with per-vendor
-  :class:`~repro.optimizer.cost_model.CostQuirks`.
+  trees from estimates plus the device profile: System A's
+  single-predicate inventory, the ``estimation`` map's candidates.
 * :mod:`chooser` — selection policies: classic
   (:class:`MinEstimatedCost`) and robust (:class:`MinWorstRegret`,
   :class:`PenaltyAware`), the latter evaluating an uncertainty box
@@ -26,7 +26,7 @@ from repro.optimizer.estimation import (
     EstimationError,
     quantity_of,
 )
-from repro.optimizer.cost_model import CostModel, CostQuirks
+from repro.optimizer.cost_model import CostModel
 from repro.optimizer.chooser import (
     STANDARD_POLICIES,
     MinEstimatedCost,
@@ -43,7 +43,6 @@ __all__ = [
     "EstimationError",
     "quantity_of",
     "CostModel",
-    "CostQuirks",
     "PlanChooser",
     "SelectionPolicy",
     "MinEstimatedCost",

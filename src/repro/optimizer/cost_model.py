@@ -12,50 +12,25 @@ replaced by estimates.
 
 Estimates are plain dicts with the key convention of
 :mod:`repro.optimizer.estimation`: ``rows.<column>`` / ``sel.<column>``
-per predicate, ``rows.out`` for the query output, ``rows.build`` /
-``rows.probe`` for join inputs.
+per predicate, ``rows.out`` for the query output.
 
-:class:`CostQuirks` models the vendor-to-vendor disagreement the paper
-observed across its three systems: each
-:class:`~repro.systems.base.DatabaseSystem` carries its own fudge factors
-(how expensive the optimizer *believes* random I/O, CPU, or spilling to
-be), so Systems A, B, and C can pick different plans for the same query
-and the same estimates.
+What is priced is what a map asks for: the nodes of System A's
+single-predicate inventory (table scan, index range scan, the three
+fetch strategies, the covering rid joins) — the ``estimation`` map's
+candidate plans.  Any other node raises
+:class:`~repro.errors.PlanError` from ``estimated_cost``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.sim.profile import DeviceProfile
 
 #: Bytes per in-memory rid-hash entry and per spilled rid row — mirrors
-#: the executor's constants in RidIntersectNode / CoveringRidJoinNode.
+#: the executor's constants in CoveringRidJoinNode.
 RID_HASH_ENTRY_BYTES = 32
 RID_SPILL_ROW_BYTES = 16
-
-
-@dataclass(frozen=True)
-class CostQuirks:
-    """Per-vendor multipliers on the cost model's charge categories.
-
-    These are *beliefs*, not measurements: they shift where one
-    optimizer's plan-choice boundaries sit relative to another's, exactly
-    like the idiosyncratic constants real optimizers ship with.
-    """
-
-    random_io: float = 1.0
-    """Weight on random/settled page accesses (seeks, per-row fetches)."""
-
-    sequential_io: float = 1.0
-    """Weight on streamed sequential page transfers."""
-
-    cpu: float = 1.0
-    """Weight on per-row/per-comparison CPU charges."""
-
-    spill: float = 1.0
-    """Weight on temp-store spill passes (sort runs, hash partitions)."""
 
 
 class CostModel:
@@ -70,7 +45,6 @@ class CostModel:
         self,
         profile: DeviceProfile | None = None,
         memory_bytes: int | None = None,
-        quirks: CostQuirks | None = None,
     ) -> None:
         self.profile = profile or DeviceProfile()
         self.memory_bytes = (
@@ -78,10 +52,9 @@ class CostModel:
             if memory_bytes is not None
             else self.profile.memory_bytes
         )
-        self.quirks = quirks or CostQuirks()
 
     # ------------------------------------------------------------------
-    # charge categories (each scaled by the vendor's quirks)
+    # charge categories
     # ------------------------------------------------------------------
 
     def sequential_read(self, n_pages: float) -> float:
@@ -89,49 +62,22 @@ class CostModel:
         if n_pages <= 0:
             return 0.0
         profile = self.profile
-        return self.quirks.sequential_io * (
-            profile.seek_time + n_pages * profile.page_transfer_time
-        )
+        return profile.seek_time + n_pages * profile.page_transfer_time
 
     def random_reads(self, n_pages: float) -> float:
         """``n_pages`` cold random page reads (seek + transfer each)."""
         if n_pages <= 0:
             return 0.0
-        return self.quirks.random_io * n_pages * self.profile.random_page_time
-
-    def settled_reads(self, n_pages: float) -> float:
-        """``n_pages`` short-seek reads (the sorted-sweep fetch pattern)."""
-        if n_pages <= 0:
-            return 0.0
-        profile = self.profile
-        return self.quirks.random_io * n_pages * (
-            profile.settle_time + profile.page_transfer_time
-        )
+        return n_pages * self.profile.random_page_time
 
     def cpu(self, n_items: float, seconds_per_item: float) -> float:
-        return self.quirks.cpu * max(0.0, n_items) * seconds_per_item
+        return max(0.0, n_items) * seconds_per_item
 
     def sort_cpu(self, n_rows: float) -> float:
         """Comparison cost of sorting ``n_rows`` (n log2 n)."""
         if n_rows <= 1:
             return 0.0
         return self.cpu(n_rows * math.log2(n_rows), self.profile.cpu_compare)
-
-    def pages_for(self, n_rows: float, row_bytes: int) -> float:
-        """Temp/spill pages occupied by ``n_rows`` of ``row_bytes``."""
-        if n_rows <= 0:
-            return 0.0
-        rows_per_page = max(1, self.profile.page_size // max(1, row_bytes))
-        return math.ceil(n_rows / rows_per_page)
-
-    def spill_pass(self, n_rows: float, row_bytes: int) -> float:
-        """Write ``n_rows`` to temp and stream them back (one round trip)."""
-        if n_rows <= 0:
-            return 0.0
-        pages = self.pages_for(n_rows, row_bytes)
-        return self.quirks.spill * 2.0 * (
-            self.profile.seek_time + pages * self.profile.page_transfer_time
-        )
 
     # ------------------------------------------------------------------
     # derived physical estimates
@@ -164,12 +110,8 @@ class CostModel:
         n_distinct = min(float(n_distinct), float(n_pages_file))
         density = n_distinct / max(1, n_pages_file)
         n_gapped = n_distinct * max(0.0, 1.0 - density)
-        cost = self.quirks.random_io * profile.seek_time
-        cost += (
-            self.quirks.sequential_io
-            * n_distinct
-            * profile.page_transfer_time
-        )
+        cost = profile.seek_time
+        cost += n_distinct * profile.page_transfer_time
         if n_gapped > 0:
             gap = (n_pages_file - n_distinct) / n_gapped + 1.0
             per_gap = profile.settle_time
@@ -177,16 +119,23 @@ class CostModel:
                 per_gap = min(
                     (gap - 1.0) * profile.page_transfer_time, per_gap
                 )
-            cost += self.quirks.random_io * n_gapped * per_gap
+            cost += n_gapped * per_gap
         return cost
 
-    def sort_rids_cost(
-        self, n_rows: float, payload_bytes: int = RID_SPILL_ROW_BYTES
-    ) -> float:
+    def _rid_spill(self, n_rows: float) -> float:
+        """Write ``n_rows`` rids to temp and stream them back (one round trip)."""
+        if n_rows <= 0:
+            return 0.0
+        profile = self.profile
+        rows_per_page = max(1, profile.page_size // RID_SPILL_ROW_BYTES)
+        pages = math.ceil(n_rows / rows_per_page)
+        return 2.0 * (profile.seek_time + pages * profile.page_transfer_time)
+
+    def sort_rids_cost(self, n_rows: float) -> float:
         """Sort a rid set, spilling one pass when it overflows memory."""
         cost = self.sort_cpu(n_rows)
-        if n_rows * payload_bytes > self.memory_bytes:
-            cost += self.spill_pass(n_rows, payload_bytes)
+        if n_rows * RID_SPILL_ROW_BYTES > self.memory_bytes:
+            cost += self._rid_spill(n_rows)
         return cost
 
     def rid_merge_cost(self, rows_a: float, rows_b: float) -> float:
@@ -202,67 +151,10 @@ class CostModel:
         side's table overflows memory, then build + probe."""
         cost = 0.0
         if build_rows * RID_HASH_ENTRY_BYTES > self.memory_bytes:
-            cost += self.spill_pass(build_rows, RID_SPILL_ROW_BYTES)
-            cost += self.spill_pass(probe_rows, RID_SPILL_ROW_BYTES)
+            cost += self._rid_spill(build_rows)
+            cost += self._rid_spill(probe_rows)
         cost += self.cpu(build_rows, 2 * self.profile.cpu_hash)
         cost += self.cpu(probe_rows, self.profile.cpu_hash)
-        return cost
-
-    def external_sort_cost(
-        self, n_rows: float, row_bytes: int, all_or_nothing: bool = False
-    ) -> float:
-        """Full external-sort cost under either spill policy."""
-        cost = self.sort_cpu(n_rows)
-        memory_rows = max(2, self.memory_bytes // max(1, row_bytes))
-        if n_rows <= memory_rows:
-            return cost
-        spilled = n_rows if all_or_nothing else n_rows - memory_rows
-        n_runs = max(1, math.ceil(spilled / memory_rows))
-        cost += self.spill_pass(spilled, row_bytes)
-        # Alternating between runs during the merge costs positioning
-        # per switch; charge one settle per run per merged memory-full.
-        switches = n_runs * max(1, math.ceil(spilled / memory_rows))
-        cost += self.quirks.spill * switches * self.profile.settle_time
-        merge_ways = n_runs + (0 if all_or_nothing else 1)
-        if merge_ways > 1:
-            cost += self.cpu(
-                n_rows * math.log2(merge_ways), self.profile.cpu_compare
-            )
-        return cost
-
-    def hash_join_cost(
-        self,
-        build_rows: float,
-        probe_rows: float,
-        entry_bytes: int,
-        row_bytes: int,
-        all_or_nothing: bool = False,
-    ) -> float:
-        """Build/probe hashing plus grace-partitioning spill passes."""
-        profile = self.profile
-        cost = self.cpu(build_rows, 2 * profile.cpu_hash)
-        cost += self.cpu(probe_rows, profile.cpu_hash)
-        available = max(1, self.memory_bytes)
-        if build_rows * entry_bytes <= available:
-            return cost
-        if all_or_nothing:
-            spilled_build = build_rows
-        else:
-            spilled_build = build_rows - available // entry_bytes
-        spilled_probe = (
-            probe_rows * spilled_build / build_rows if build_rows else 0.0
-        )
-        fanout = max(2, available // profile.page_size)
-        passes = 0
-        remaining = spilled_build * entry_bytes
-        while remaining > available:
-            passes += 1
-            remaining = math.ceil(remaining / fanout)
-        passes = max(1, passes)
-        for _ in range(passes):
-            cost += self.spill_pass(spilled_build, row_bytes)
-            cost += self.spill_pass(spilled_probe, row_bytes)
-            cost += self.cpu(spilled_build + spilled_probe, profile.cpu_hash)
         return cost
 
     def btree_descent(self, height: int) -> float:

@@ -75,7 +75,7 @@ class Estimate:
     """Estimated cardinalities plus how uncertain they are.
 
     ``values`` maps quantity keys (``"rows.<column>"``, ``"sel.<column>"``,
-    ``"rows.out"``, ``"rows.build"``, ...) to estimated values.
+    ``"rows.out"``) to estimated values.
     ``uncertainty`` is the multiplicative half-width robust selection
     policies should consider around the estimate (1.0 = trust the point
     estimate); :class:`CardinalityEstimator` sets it to ``exp(magnitude)``,

@@ -296,42 +296,48 @@ class JobManager:
                     job.session = session
                 result = session.map_for(definition)
             except Exception as exc:  # noqa: BLE001 - jobs must not kill workers
-                with self._cond:
-                    job.state = "failed"
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.finished = time.time()
-                    self._cond.notify_all()
+                self._finish(job, error=f"{type(exc).__name__}: {exc}")
                 logger.warning(
                     "job %s failed: %s", job.job_id, job.error,
                     extra={"fields": {"job_id": job.job_id}},
                 )
             else:
-                with self._cond:
-                    job.result = result
-                    job.done = job.total = result.times[0].size
-                    # Zero progress events means no sweep ran: the map
-                    # came straight out of the whole-map disk cache.
-                    job.cache_hit = job.events == 0
-                    job.state = "done"
-                    job.finished = time.time()
-                    self._cond.notify_all()
-            finally:
-                self._m_in_flight.dec()
-                with self._cond:
-                    state = job.state
-                    elapsed = (job.finished or time.time()) - (
-                        job.started or job.created
-                    )
-                    done, cell_hits = job.done, job.cache_hits
-                    cache_hit = job.cache_hit
-                self._m_completed.inc(state=state)
-                self._m_latency.observe(max(0.0, elapsed))
-                if state == "done":
-                    self._m_cells_done.inc(done)
-                    if cell_hits:
-                        self._m_cell_hits.inc(cell_hits)
-                    if cache_hit:
-                        self._m_map_cache_hits.inc()
+                self._finish(job, result=result)
+
+    def _finish(
+        self, job: Job, result: MapData | None = None, error: str | None = None
+    ) -> None:
+        """Book a finished job's metrics, then publish its terminal state.
+
+        In that order: a client woken by the state change may scrape
+        ``/metrics`` at once and must find the job counted.
+        """
+        finished = time.time()
+        state = "failed" if result is None else "done"
+        with self._cond:
+            elapsed = finished - (job.started or job.created)
+            cell_hits = job.cache_hits
+            # Zero progress events means no sweep ran: the map came
+            # straight out of the whole-map disk cache.
+            cache_hit = result is not None and job.events == 0
+        self._m_in_flight.dec()
+        self._m_completed.inc(state=state)
+        self._m_latency.observe(max(0.0, elapsed))
+        if result is not None:
+            self._m_cells_done.inc(result.times[0].size)
+            if cell_hits:
+                self._m_cell_hits.inc(cell_hits)
+            if cache_hit:
+                self._m_map_cache_hits.inc()
+        with self._cond:
+            if result is not None:
+                job.result = result
+                job.done = job.total = result.times[0].size
+                job.cache_hit = cache_hit
+            job.error = error
+            job.state = state
+            job.finished = finished
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # observation

@@ -41,11 +41,6 @@ class RowIdBitmap:
         self._bits = np.zeros(n_rows, dtype=bool)
 
     @property
-    def n_rows(self) -> int:
-        """Size of the row-id universe."""
-        return self._n_rows
-
-    @property
     def memory_bytes(self) -> int:
         """Workspace footprint (1 bit per row, as a real system would use)."""
         return (self._n_rows + 7) // 8
@@ -59,43 +54,13 @@ class RowIdBitmap:
             raise StorageError("row id outside bitmap universe")
         self._bits[rids] = True
 
-    def count(self) -> int:
-        """Number of distinct row ids present."""
-        return int(np.count_nonzero(self._bits))
-
     def sorted_rids(self) -> np.ndarray:
         """All present row ids, ascending — the sorted fetch order."""
         return np.flatnonzero(self._bits)
 
-    def contains(self, rid: int) -> bool:
-        if not 0 <= rid < self._n_rows:
-            return False
-        return bool(self._bits[rid])
-
-    def intersect(self, other: "RowIdBitmap") -> "RowIdBitmap":
-        """Bitmap AND (index intersection)."""
-        result = self._combine(other)
-        result._bits = self._bits & other._bits
-        return result
-
-    def union(self, other: "RowIdBitmap") -> "RowIdBitmap":
-        """Bitmap OR (index union)."""
-        result = self._combine(other)
-        result._bits = self._bits | other._bits
-        return result
-
-    def _combine(self, other: "RowIdBitmap") -> "RowIdBitmap":
-        if self._n_rows != other._n_rows:
-            raise StorageError(
-                f"bitmap universes differ: {self._n_rows} vs {other._n_rows}"
-            )
-        return RowIdBitmap(self._n_rows)
-
-    def __len__(self) -> int:
-        return self.count()
-
     def __repr__(self) -> str:
-        return f"RowIdBitmap(n_rows={self._n_rows}, set={self.count()})"
+        n_set = int(np.count_nonzero(self._bits))
+        return f"RowIdBitmap(n_rows={self._n_rows}, set={n_set})"
 
 
 # ---------------------------------------------------------------------------

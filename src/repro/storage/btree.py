@@ -245,17 +245,15 @@ class BPlusTree:
         """Probe every key in sequence; returns per-key match counts.
 
         Charging is bit-identical to ``for k in keys: tree.probe(k)``.
-        With no pinned pages, the full page-access trace of every probe
-        (descent path, first leaf, duplicate-continuation leaves) is
-        resolved up front by the vectorized LRU kernel
-        (:meth:`BufferPool.plan_many`); the resulting per-miss read
-        times and per-probe CPU charges are interleaved into one amounts
-        vector in exact sequential order and applied through
-        :meth:`SimClock.advance_many`, with disk statistics committed
-        alongside (:meth:`Disk.commit_page_reads`) — pool hits advance
-        no time and move no head, so the miss chain accumulates exactly
-        like the loop.  When the kernel declines (a page is pinned) the
-        batch *is* that loop: :meth:`probe` per key.
+        The full page-access trace of every probe (descent path, first
+        leaf, duplicate-continuation leaves) is resolved up front by the
+        vectorized LRU kernel (:meth:`BufferPool.plan_many`); the
+        resulting per-miss read times and per-probe CPU charges are
+        interleaved into one amounts vector in exact sequential order
+        and applied through :meth:`SimClock.advance_many`, with disk
+        statistics committed alongside (:meth:`Disk.commit_page_reads`)
+        — pool hits advance no time and move no head, so the miss chain
+        accumulates exactly like the loop.
 
         ``budget_check``, when given, fires at every index ``i`` with
         ``i % budget_stride == budget_stride - 1`` (the loop calls it
@@ -314,17 +312,9 @@ class BPlusTree:
         continuation_leaves = _ragged_arange(first_leaf + 1, last_leaf + 1)
         all_pages[continuation_positions] = flat.leaf_pages[continuation_leaves]
 
-        env = self._env
-        pool = env.pool
-        probe_cpu = env.profile.btree_probe_cpu
-        planned = pool.plan_many(self.handle, all_pages)
-        if planned is None:
-            # The kernel declined (a pinned page): be the reference loop.
-            for i, key in enumerate(keys.tolist()):
-                self.probe(key)
-                if budget_check is not None:
-                    budget_check(i)
-            return counts
+        # The kernel declines only negative page numbers; a tree has none.
+        planned = self._env.pool.plan_many(self.handle, all_pages)
+        assert planned is not None
         self._charge_probes_planned(
             planned, all_pages, offsets, descent_len, n,
             budget_check, budget_stride,

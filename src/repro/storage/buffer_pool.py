@@ -2,7 +2,7 @@
 
 Point accesses (B-tree descents, per-row fetches of the *traditional*
 index scan) go through the pool: hits are free, misses charge a disk read
-and may evict the least-recently-used unpinned page.  Bulk sweeps (table
+and may evict the least-recently-used page.  Bulk sweeps (table
 scans, leaf-range scans, bitmap fetches) deliberately bypass the pool and
 stream from disk, mirroring the scan-resistant ring buffers real engines
 use; keeping the pool for point accesses is what makes repeated fetches of
@@ -93,7 +93,6 @@ class BufferPool:
         self._disk = disk
         self._capacity = capacity_pages
         self._resident: OrderedDict[tuple[int, int], None] = OrderedDict()
-        self._pins: dict[tuple[int, int], int] = {}
         self.stats = PoolStats()
 
     @property
@@ -128,9 +127,8 @@ class BufferPool:
         take (:meth:`plan_many`) is resolved up front and its misses
         charged as one chain — bit-identical to the sequential reads,
         since pool hits move neither the clock nor the disk head between
-        two misses.  A trace it cannot take (a pinned page, a negative
-        page number, fewer than :data:`_KERNEL_MIN_ACCESSES` accesses)
-        *is* that loop.
+        two misses.  A trace it cannot take (a negative page number,
+        fewer than :data:`_KERNEL_MIN_ACCESSES` accesses) *is* that loop.
         """
         pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
         n = int(pages.size)
@@ -149,21 +147,15 @@ class BufferPool:
 
         Returns the planned trace — per-access hit flags plus the final
         pool state — without charging anything or mutating the pool, or
-        ``None`` when the kernel's preconditions fail and callers must
-        charge the trace through the plain :meth:`get` loop instead.
-        Preconditions:
-
-        * no page is pinned (pins break LRU's inclusion property — the
-          eviction victim is no longer simply the oldest key), and
-        * all page numbers are non-negative (negative codes are reserved
-          for other files' residents; the scalar loop raises on them
-          mid-trace, which the kernel cannot reproduce).
+        ``None`` when the kernel's precondition fails and callers must
+        charge the trace through the plain :meth:`get` loop instead:
+        all page numbers must be non-negative (negative codes are
+        reserved for other files' residents; the scalar loop raises on
+        them mid-trace, which the kernel cannot reproduce).
 
         The caller charges one disk read per miss, in trace order, then
         applies the pool-side effects with :meth:`commit_many`.
         """
-        if self._pins:
-            return None
         pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
         if pages.size and bool(pages.min() < 0):
             return None
@@ -233,44 +225,13 @@ class BufferPool:
 
     def _admit(self, key: tuple[int, int]) -> None:
         while len(self._resident) >= self._capacity:
-            self._evict_one()
+            self._resident.popitem(last=False)
+            self.stats.evictions += 1
         self._resident[key] = None
-
-    def _evict_one(self) -> None:
-        for key in self._resident:
-            if self._pins.get(key, 0) == 0:
-                del self._resident[key]
-                self.stats.evictions += 1
-                return
-        raise BufferPoolError("all pages pinned; cannot evict")
-
-    def pin(self, handle: FileHandle, page_no: int) -> None:
-        """Pin a page so it cannot be evicted (reads it in if absent)."""
-        key = (handle.file_id, page_no)
-        if key not in self._resident:
-            self.get(handle, page_no)
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, handle: FileHandle, page_no: int) -> None:
-        """Release one pin; raises if the page was not pinned."""
-        key = (handle.file_id, page_no)
-        count = self._pins.get(key, 0)
-        if count <= 0:
-            raise BufferPoolError(f"unpin of unpinned page {key}")
-        if count == 1:
-            del self._pins[key]
-        else:
-            self._pins[key] = count - 1
-
-    def pin_count(self, handle: FileHandle, page_no: int) -> int:
-        return self._pins.get((handle.file_id, page_no), 0)
 
     def clear(self) -> None:
         """Drop every cached page (cold-cache reset between measurements)."""
-        if any(count > 0 for count in self._pins.values()):
-            raise BufferPoolError("cannot clear pool while pages are pinned")
         self._resident.clear()
-        self._pins.clear()
 
     def reset_stats(self) -> None:
         self.stats = PoolStats()

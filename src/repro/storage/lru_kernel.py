@@ -3,11 +3,11 @@
 :class:`~repro.storage.buffer_pool.BufferPool` semantics are inherently
 sequential — whether access ``i`` hits depends on every eviction decision
 before it.  This module resolves an *entire* access trace at once anyway,
-using the classic Mattson stack-distance argument: with no pinned pages,
-exact LRU has the **inclusion property** (a pool of ``C`` frames holds
-precisely the ``C`` most recently used distinct keys), so access ``i``
-hits iff its key was accessed before (at position ``j``) **and** fewer
-than ``C`` distinct keys were touched since, i.e. its *reuse distance*
+using the classic Mattson stack-distance argument: exact LRU has the
+**inclusion property** (a pool of ``C`` frames holds precisely the ``C``
+most recently used distinct keys), so access ``i`` hits iff its key was
+accessed before (at position ``j``) **and** fewer than ``C`` distinct
+keys were touched since, i.e. its *reuse distance*
 
 .. math::  d(i) = 1 + \\#\\{\\text{distinct keys last accessed in } (j, i)\\}
 
@@ -32,10 +32,7 @@ Downstream effects are closed-form once hits are known:
 The kernel is *exact*, not approximate: for every trace it reproduces the
 same hit/miss/eviction counts, the same per-access hit classification
 (hence the same disk charges in the same order), and the same final
-resident order as the sequential ``get()`` loop.  Pinned pages break the
-inclusion property (a pinned LRU key is skipped at eviction time), so
-callers must fall back to the scalar path whenever any pin is held — see
-:meth:`BufferPool.plan_many`.
+resident order as the sequential ``get()`` loop.
 """
 
 from __future__ import annotations

@@ -9,14 +9,12 @@ import numpy as np
 
 from repro.errors import BufferPoolError, PlanError
 from repro.executor.plans import PlanNode, PlanRunner
-from repro.optimizer.chooser import PlanChooser, SelectionPolicy
-from repro.optimizer.cost_model import CostModel, CostQuirks
-from repro.optimizer.estimation import Estimate
+from repro.optimizer.cost_model import CostModel
 from repro.sim.profile import DeviceProfile
 from repro.storage.env import StorageEnv
 from repro.storage.table import Table
 from repro.workloads.lineitem import LineitemConfig, build_lineitem, lineitem_columns
-from repro.workloads.queries import JoinQuery, SinglePredicateQuery, TwoPredicateQuery
+from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class DatabaseSystem(ABC):
     name: str = "?"
     description: str = ""
 
-    cost_quirks: CostQuirks = CostQuirks()
-    """This vendor's cost-model beliefs (how expensive it *thinks*
-    random I/O, CPU, and spilling are).  Subclasses override so Systems
-    A, B, and C can disagree on plan choice for identical estimates,
-    like the paper's three vendors did."""
-
     def __init__(
         self,
         config: SystemConfig | None = None,
@@ -86,23 +78,6 @@ class DatabaseSystem(ABC):
         """Forced plans for the single-predicate selection (Figs 1-2)."""
         raise PlanError(f"system {self.name} does not define single-predicate plans")
 
-    def join_plans(self, query: JoinQuery) -> dict[str, PlanNode]:
-        """Forced plans for the bound-input join (Figs 4-5's join maps).
-
-        The inventory (merge, hash with both spill policies, index
-        nested-loop) is pure executor machinery, so every system exposes
-        the same plans under its own namespace; subclasses with special
-        join capabilities override.
-        """
-        from repro.executor.joins import join_plan_inventory
-
-        return {
-            self.qualify(plan_id): plan
-            for plan_id, plan in join_plan_inventory(
-                query.build_keys, query.probe_keys, row_bytes=query.row_bytes
-            ).items()
-        }
-
     def plans_for(self, query) -> dict[str, PlanNode]:
         """Plan-provider hook: forced plans for any known query template.
 
@@ -114,8 +89,6 @@ class DatabaseSystem(ABC):
             return self.two_predicate_plans(query)
         if isinstance(query, SinglePredicateQuery):
             return self.single_predicate_plans(query)
-        if isinstance(query, JoinQuery):
-            return self.join_plans(query)
         raise PlanError(
             f"system {self.name} has no plans for query template "
             f"{type(query).__name__}"
@@ -139,12 +112,8 @@ class DatabaseSystem(ABC):
     # ------------------------------------------------------------------
 
     def cost_model(self, memory_bytes: int | None = None) -> CostModel:
-        """This vendor's plan cost model (profile + quirks)."""
-        return CostModel(
-            self.config.profile,
-            memory_bytes=memory_bytes,
-            quirks=self.cost_quirks,
-        )
+        """The plan cost model over this system's device profile."""
+        return CostModel(self.config.profile, memory_bytes=memory_bytes)
 
     def true_cards(self, query) -> dict[str, float]:
         """Oracle cardinalities for a query, in estimate-key form.
@@ -180,36 +149,10 @@ class DatabaseSystem(ABC):
                 f"sel.{query.b_column}": rows_b / n_rows,
                 "rows.out": float(query.oracle_rids(self.table).size),
             }
-        if isinstance(query, JoinQuery):
-            return {
-                "rows.build": float(query.n_build),
-                "rows.probe": float(query.n_probe),
-                "rows.out": float(query.oracle_matches()),
-            }
         raise PlanError(
             f"system {self.name} has no oracle cardinalities for "
             f"{type(query).__name__}"
         )
-
-    def choose_plan(
-        self,
-        query,
-        estimate: Estimate | None = None,
-        policy: SelectionPolicy | None = None,
-        memory_bytes: int | None = None,
-    ) -> tuple[str, PlanNode]:
-        """Pick one plan from :meth:`plans_for` under this vendor's model.
-
-        Without an explicit ``estimate`` the optimizer sees the oracle's
-        true cardinalities (a perfect estimator); the default policy is
-        the classic minimum-estimated-cost selection.
-        """
-        plans = self.plans_for(query)
-        if estimate is None:
-            estimate = Estimate(self.true_cards(query))
-        chooser = PlanChooser(self.cost_model(memory_bytes), policy)
-        plan_id = chooser.choose(plans, estimate)
-        return plan_id, plans[plan_id]
 
     def qualify(self, plan_id: str) -> str:
         """Namespace a plan id with the system name."""

@@ -15,7 +15,6 @@ no single non-clustered index does".
 from __future__ import annotations
 
 from repro.executor.fetch import ADAPTIVE_PREFETCH, NAIVE_FETCH, SORTED_BITMAP_FETCH
-from repro.optimizer.cost_model import CostQuirks
 from repro.executor.plans import (
     CoveringRidJoinNode,
     FetchNode,
@@ -31,9 +30,6 @@ from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 class SystemA(DatabaseSystem):
     name = "A"
     description = "single-column non-clustered indexes; improved index scan"
-
-    # Vendor A's optimizer trusts the device profile as measured.
-    cost_quirks = CostQuirks()
 
     def _build_indexes(self) -> None:
         config = self.config

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.executor.fetch import NAIVE_FETCH, SORTED_BITMAP_FETCH
 from repro.executor.plans import CompositeRangeRidsNode, FetchNode, PlanNode
-from repro.optimizer.cost_model import CostQuirks
 from repro.systems.base import DatabaseSystem
 from repro.workloads.queries import TwoPredicateQuery
 
@@ -20,11 +19,6 @@ from repro.workloads.queries import TwoPredicateQuery
 class SystemB(DatabaseSystem):
     name = "B"
     description = "two-column indexes; MVCC in base rows forces bitmap-sorted fetches"
-
-    # Vendor B is scarred by its MVCC fetch path: it over-weights random
-    # I/O and under-weights CPU, so its choice boundaries sit closer to
-    # scan-heavy plans than A's for identical estimates.
-    cost_quirks = CostQuirks(random_io=1.4, cpu=0.8)
 
     def _build_indexes(self) -> None:
         config = self.config

@@ -10,7 +10,6 @@ leaves, the plain variants scan the bounding range and filter in-index.
 from __future__ import annotations
 
 from repro.executor.plans import CoveringCompositeScanNode, PlanNode
-from repro.optimizer.cost_model import CostQuirks
 from repro.systems.base import DatabaseSystem
 from repro.workloads.queries import TwoPredicateQuery
 
@@ -18,10 +17,6 @@ from repro.workloads.queries import TwoPredicateQuery
 class SystemC(DatabaseSystem):
     name = "C"
     description = "covering two-column indexes with MDAM (multi-dimensional B-tree access)"
-
-    # Vendor C bets on its MDAM probes: random I/O priced cheap, spills
-    # priced dear — the opposite corner of the belief space from B.
-    cost_quirks = CostQuirks(random_io=0.7, cpu=1.1, spill=1.5)
 
     def _build_indexes(self) -> None:
         config = self.config

@@ -24,7 +24,6 @@ from repro.viz.svg import (
 )
 from repro.viz.png import encode_png, save_png, decode_png_size, rasterize_grid
 from repro.viz.legend import legend_svg, legend_pixels
-from repro.viz.profile_panel import profile_panel_svg, save_profile_panel
 from repro.viz.render import MEDIA_TYPES, render_map
 from repro.viz.figures import (
     absolute_curves,
@@ -75,6 +74,4 @@ __all__ = [
     "save_heatmap_png",
     "MEDIA_TYPES",
     "render_map",
-    "profile_panel_svg",
-    "save_profile_panel",
 ]

@@ -6,20 +6,13 @@ scaled lineitem-like table deterministically and translates target
 selectivities into integer range predicates with exact achieved fractions.
 """
 
-from repro.workloads.generators import (
-    uniform_column,
-    zipf_column,
-    correlated_column,
-    sequential_column,
-)
+from repro.workloads.generators import sequential_column, uniform_column
 from repro.workloads.lineitem import LineitemConfig, build_lineitem
 from repro.workloads.selectivity import PredicateBuilder, achieved_selectivity
-from repro.workloads.queries import JoinQuery, SinglePredicateQuery, TwoPredicateQuery
+from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 
 __all__ = [
     "uniform_column",
-    "zipf_column",
-    "correlated_column",
     "sequential_column",
     "LineitemConfig",
     "build_lineitem",
@@ -27,5 +20,4 @@ __all__ = [
     "achieved_selectivity",
     "SinglePredicateQuery",
     "TwoPredicateQuery",
-    "JoinQuery",
 ]

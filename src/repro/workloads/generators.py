@@ -1,9 +1,7 @@
 """Deterministic column generators.
 
 All generators take an explicit :class:`numpy.random.Generator` so that a
-table build is reproducible from a single seed.  Skewed distributions
-matter because the paper names "skew (non-uniform value distributions and
-duplicate key values)" among the strongest influences on robustness.
+table build is reproducible from a single seed.
 """
 
 from __future__ import annotations
@@ -20,48 +18,6 @@ def uniform_column(
     if domain <= 0:
         raise WorkloadError(f"domain must be positive, got {domain}")
     return rng.integers(0, domain, n_rows, dtype=np.int64)
-
-
-def zipf_column(
-    rng: np.random.Generator,
-    n_rows: int,
-    domain: int,
-    skew: float = 1.1,
-) -> np.ndarray:
-    """Zipf-distributed integers truncated to ``[0, domain)``.
-
-    ``skew`` is the Zipf exponent (>1).  Rank 1 maps to value 0, so low
-    values are heavily duplicated — the classic skewed join/aggregation
-    input.
-    """
-    if domain <= 0:
-        raise WorkloadError(f"domain must be positive, got {domain}")
-    if skew <= 1.0:
-        raise WorkloadError(f"zipf skew must exceed 1.0, got {skew}")
-    ranks = rng.zipf(skew, n_rows)
-    return np.minimum(ranks - 1, domain - 1).astype(np.int64)
-
-
-def correlated_column(
-    rng: np.random.Generator,
-    base: np.ndarray,
-    domain: int,
-    correlation: float = 0.8,
-) -> np.ndarray:
-    """A column correlated with ``base`` (fraction of rows copy base).
-
-    Correlated predicate columns break the independence assumption that
-    optimizers make; with ``correlation=0`` this is a fresh uniform column.
-    """
-    if not 0.0 <= correlation <= 1.0:
-        raise WorkloadError(f"correlation must be in [0, 1], got {correlation}")
-    n_rows = len(base)
-    fresh = uniform_column(rng, n_rows, domain)
-    if correlation == 0.0:
-        return fresh
-    copy_mask = rng.random(n_rows) < correlation
-    scaled_base = np.mod(np.asarray(base, dtype=np.int64), domain)
-    return np.where(copy_mask, scaled_base, fresh)
 
 
 def sequential_column(n_rows: int, start: int = 0) -> np.ndarray:

@@ -18,11 +18,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.storage.env import StorageEnv
 from repro.storage.table import Table
-from repro.workloads.generators import (
-    sequential_column,
-    uniform_column,
-    zipf_column,
-)
+from repro.workloads.generators import sequential_column, uniform_column
 
 #: Domains chosen so every predicate column fits a 31-bit codec budget.
 PARTKEY_DOMAIN = 1 << 20
@@ -40,9 +36,6 @@ class LineitemConfig:
 
     n_rows: int = 1 << 17
     seed: int = 42
-    skew: float | None = None
-    """When set (>1.0), ``partkey`` is Zipf-distributed with this exponent."""
-
     extra_columns: tuple[str, ...] = field(
         default=("orderkey", "suppkey", "quantity", "discount", "tax", "shipdate", "receiptdate")
     )
@@ -50,20 +43,14 @@ class LineitemConfig:
     def __post_init__(self) -> None:
         if self.n_rows <= 0:
             raise WorkloadError(f"n_rows must be positive, got {self.n_rows}")
-        if self.skew is not None and self.skew <= 1.0:
-            raise WorkloadError(f"skew must exceed 1.0, got {self.skew}")
 
 
 def lineitem_columns(config: LineitemConfig) -> dict[str, np.ndarray]:
     """Generate the raw column arrays (no storage involved)."""
     rng = np.random.default_rng(config.seed)
     n = config.n_rows
-    if config.skew is None:
-        partkey = uniform_column(rng, n, PARTKEY_DOMAIN)
-    else:
-        partkey = zipf_column(rng, n, PARTKEY_DOMAIN, skew=config.skew)
     columns: dict[str, np.ndarray] = {
-        "partkey": partkey,
+        "partkey": uniform_column(rng, n, PARTKEY_DOMAIN),
         "extendedprice": uniform_column(rng, n, EXTENDEDPRICE_DOMAIN),
     }
     generators = {

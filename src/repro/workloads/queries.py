@@ -8,10 +8,6 @@
   ``SELECT a, b FROM lineitem WHERE a BETWEEN .. AND b BETWEEN ..`` —
   the output is covered by a two-column index on (a, b), which is what
   makes System C's covering MDAM plan legal.
-* :class:`JoinQuery` (Figs 4-5's join maps): an inner equi-join of two
-  bound key inputs whose cardinalities are the swept dimensions — "the
-  sizes of the two (join) input relations" in the paper's reading of the
-  merge-join symmetry landmark.
 """
 
 from __future__ import annotations
@@ -34,34 +30,6 @@ class SinglePredicateQuery:
     def oracle_rids(self, table: Table) -> np.ndarray:
         """Ground-truth qualifying rids (uncharged; for verification)."""
         return np.flatnonzero(self.predicate.mask(table.column(self.predicate.column)))
-
-
-@dataclass(frozen=True, eq=False)
-class JoinQuery:
-    """Inner equi-join of two bound key inputs (build side first).
-
-    ``row_bytes`` is the physical row width the join plans account
-    with: it sets hash-table footprints, spill thresholds, and temp I/O
-    volume.
-    """
-
-    build_keys: np.ndarray
-    probe_keys: np.ndarray
-    row_bytes: int = 16
-
-    @property
-    def n_build(self) -> int:
-        return int(np.asarray(self.build_keys).size)
-
-    @property
-    def n_probe(self) -> int:
-        return int(np.asarray(self.probe_keys).size)
-
-    def oracle_matches(self) -> int:
-        """Ground-truth output cardinality (uncharged; for verification)."""
-        from repro.executor.joins import join_matches
-
-        return int(join_matches(self.build_keys, self.probe_keys).size)
 
 
 @dataclass(frozen=True)

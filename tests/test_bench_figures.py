@@ -1,16 +1,18 @@
 """Integration tests: every figure function runs end-to-end at tiny scale.
 
 Scale-dependent claims (absolute worst-case factors) are allowed to miss
-at this scale; structural claims must hold.  The default-scale benches in
-``benchmarks/`` assert the full claim set.
+at this scale; structural claims must hold.  The blocking end-to-end run
+(``benchmarks/e2e/run.py``) asserts the full claim set at default scale.
 """
 
 import numpy as np
 import pytest
 
+import repro.bench.figures as figures
 from repro.bench.figures import ALL_FIGURES
 from repro.bench.harness import BenchConfig, BenchSession
 from repro.bench.report import Claim, format_claims, series_block
+from repro.executor.plans import PlanRunner
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,45 @@ def test_disk_cache_roundtrip(tmp_path):
     assert m2.plan_ids == m1.plan_ids
     assert np.allclose(m2.times, m1.times, equal_nan=True)
     assert list(tmp_path.glob("*.json"))
+
+
+def test_regression_guard_reads_the_single_predicate_map(session, monkeypatch):
+    """The guard's curves are cells of a map the session already holds."""
+    mapdata = session.scenario_map("single_predicate")
+    measured = []
+    real_measure = PlanRunner.measure
+
+    def counting_measure(self, plan):
+        measured.append(plan.label)
+        return real_measure(self, plan)
+
+    compared = []
+    real_compare = figures.compare_maps
+
+    def spying_compare(before, after, **kwargs):
+        compared.append((before, after))
+        return real_compare(before, after, **kwargs)
+
+    monkeypatch.setattr(PlanRunner, "measure", counting_measure)
+    monkeypatch.setattr(figures, "compare_maps", spying_compare)
+    result = figures.ext_regression_guard(session)
+    assert measured == []
+    ((before, after),) = compared
+    # This grid starts at 2^-8, above the guard's 2^-10: every cell.
+    cells = mapdata.x_targets >= 2.0**-10
+    assert cells.all() and before.grid_shape == mapdata.grid_shape
+    for guard_map, plan_id in (
+        (before, "A.idx_improved"),
+        (after, "A.idx_traditional"),
+    ):
+        plan = mapdata.plan_index(plan_id)
+        assert guard_map.plan_ids == ["A.idx_improved"]
+        assert [t.hex() for t in guard_map.times[0].tolist()] == [
+            t.hex() for t in mapdata.times[plan][cells].tolist()
+        ]
+        assert np.array_equal(guard_map.aborted[0], mapdata.aborted[plan][cells])
+        assert np.array_equal(guard_map.x_achieved, mapdata.x_achieved[cells])
+    assert result.all_hold
 
 
 def test_system_a_plan_ids(session):

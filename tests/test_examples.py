@@ -1,6 +1,7 @@
 """Every example script must run end-to-end (at tiny scale), and so must
-the README's "write your own scenario" block."""
+the README's "write your own scenario" and observability blocks."""
 
+import json
 import re
 import runpy
 from pathlib import Path
@@ -79,6 +80,23 @@ def test_readme_custom_scenario_block_runs_serial_and_parallel():
     assert np.array_equal(parallel.times, serial.times)
     assert np.array_equal(parallel.rows, serial.rows)
     assert list(parallel.meta.items()) == list(serial.meta.items())
+
+
+def test_readme_observability_block_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Observability"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {"__name__": "readme_observability"}
+    exec(compile(block, "README.md", "exec"), namespace)
+    map_data, profiles = namespace["map_data"], namespace["profiles"]
+    assert len(profiles) == map_data.times.size
+    # Spill seconds appear exactly where the build side outgrew memory,
+    # and account for nearly all of those cells' measured time.
+    spill, measured = namespace["spill"], map_data.times_for("join.hash.graceful")
+    assert np.isnan(spill[0]).all() and not np.isnan(spill[1]).any()
+    assert np.all(spill[1] > 0.9 * measured[1])
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert len(trace["traceEvents"]) > len(profiles)
 
 
 def test_documents_name_only_files_that_exist():

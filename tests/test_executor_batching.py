@@ -5,8 +5,8 @@ The batched paths (``get_many``, ``probe_many``, ``advance_many``,
 sequential references: same virtual seconds, same hit/miss/eviction
 counts, same eviction victims, same final LRU order, same measured maps.
 These tests pin that invariant property-style, including the adversarial
-regimes (thrashing pools, pinned pages, capacity-1, duplicate keys,
-mutated trees, censored measurements).
+regimes (thrashing pools, capacity-1, duplicate keys, traces the LRU
+kernel declines, censored measurements).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, StorageError
 from repro.executor import (
     ColumnRange,
     ExecContext,
@@ -137,21 +137,9 @@ def test_get_many_capacity_one():
     assert_pools_identical(ref_pool, bat_pool)
 
 
-def test_get_many_respects_pins():
-    (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(2)
-    ref_pool.pin(ref_handle, 7)
-    bat_pool.pin(bat_handle, 7)
-    pages = [1, 2, 3, 7, 1, 7, 4]  # evictions must skip pinned page 7
-    for page in pages:
-        ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages))
-    assert_pools_identical(ref_pool, bat_pool)
-    assert bat_pool.contains(bat_handle, 7)
-
-
 def test_get_many_long_hit_runs_through_kernel():
-    # Long resident run, one interleaved miss, another long run: no pin,
-    # >= 8 accesses, so the LRU kernel takes the whole trace.
+    # Long resident run, one interleaved miss, another long run: >= 8
+    # accesses, none negative, so the LRU kernel takes the whole trace.
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(16)
     warm = list(range(10))
     pages = warm * 20 + [99] + warm * 20
@@ -181,20 +169,21 @@ def test_get_many_short_traces_equal_get_loop(pages, capacity):
 @given(
     st.lists(st.integers(0, 12), min_size=8, max_size=200),
     st.integers(2, 6),
-    st.integers(0, 12),
+    st.data(),
 )
-def test_get_many_on_pinned_pool_equals_get_loop(pages, capacity, pinned):
-    # Long enough for the kernel, but a pin makes it decline: the loop.
+def test_get_many_on_declined_trace_equals_get_loop(pages, capacity, data):
+    # Long enough for the kernel, but a negative page number makes it
+    # decline: the loop, which charges up to that page and raises there.
+    pages.insert(data.draw(st.integers(0, len(pages))), -1)
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(capacity)
-    ref_pool.pin(ref_handle, pinned)
-    bat_pool.pin(bat_handle, pinned)
-    for page in pages:
-        ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages, dtype=np.int64))
+    assert bat_pool.plan_many(bat_handle, np.asarray(pages)) is None
+    with pytest.raises(StorageError, match="negative"):
+        for page in pages:
+            ref_pool.get(ref_handle, page)
+    with pytest.raises(StorageError, match="negative"):
+        bat_pool.get_many(bat_handle, np.asarray(pages, dtype=np.int64))
     assert_pools_identical(ref_pool, bat_pool)
     assert bat_pool._disk.stats == ref_pool._disk.stats
-    assert bat_pool.pin_count(bat_handle, pinned) == 1
-    assert bat_pool.contains(bat_handle, pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -285,80 +274,6 @@ def test_probe_many_thrashing_pool():
     build = bulk_builder(range(2000))
     keys = [1, 1999, 3, 1501, 7, 1203] * 4
     assert_probe_equivalent(keys, build, pool_pages=2)
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def pinned_probe_run(batched, keys, pool_pages, pinned_page, stride, limit):
-    """Everything observable after probing ``keys`` on a pool with a pin.
-
-    ``limit`` is a virtual-seconds budget checked at every index ``i``
-    with ``i % stride == stride - 1`` (``None``: never aborts).
-    """
-    tree, env = make_tree(pool_pages)
-    bulk_builder(range(0, 3000, 3), dupes=2)(tree)
-    env.cold_reset()
-    env.pool.pin(tree.handle, pinned_page % tree.n_pages)
-
-    def check(done):
-        if done % stride == stride - 1 and limit is not None:
-            if env.clock.now > limit:
-                raise _BudgetExhausted(done)
-
-    aborted_at = None
-    try:
-        if batched:
-            tree.probe_many(
-                np.asarray(keys, dtype=np.int64),
-                budget_check=check,
-                budget_stride=stride,
-            )
-        else:
-            for done, key in enumerate(keys):
-                tree.probe(int(key))
-                check(done)
-    except _BudgetExhausted as exhausted:
-        aborted_at = exhausted.args[0]
-    return (
-        env.clock.now,
-        env.pool.stats,
-        env.disk.stats,
-        list(env.pool._resident),  # final LRU order
-        aborted_at,
-    )
-
-
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    st.lists(st.integers(-5, 3100), min_size=1, max_size=150),
-    st.sampled_from([3, 8, 64]),
-    st.integers(0, 10_000),
-    st.integers(1, 7),
-    st.one_of(st.none(), st.floats(0.0, 0.5)),
-)
-def test_probe_many_on_pinned_pool_equals_probe_loop(
-    keys, pool_pages, pinned_page, stride, budget_fraction
-):
-    # A pinned page makes the kernel decline, so probe_many is the probe
-    # loop: same clock, PoolStats, DiskStats, LRU order and abort point.
-    unbudgeted = pinned_probe_run(False, keys, pool_pages, pinned_page, stride, None)
-    assert unbudgeted[4] is None
-    limit = None if budget_fraction is None else unbudgeted[0] * budget_fraction
-    ref = pinned_probe_run(False, keys, pool_pages, pinned_page, stride, limit)
-    bat = pinned_probe_run(True, keys, pool_pages, pinned_page, stride, limit)
-    assert bat == ref
-
-
-def test_probe_many_on_pinned_pool_aborts_where_the_loop_does():
-    # Tight budget, stride 4: both abort at a stride boundary mid-batch.
-    keys = list(range(0, 3000, 37))
-    full = pinned_probe_run(False, keys, 8, 0, 4, None)
-    ref = pinned_probe_run(False, keys, 8, 0, 4, full[0] / 3)
-    bat = pinned_probe_run(True, keys, 8, 0, 4, full[0] / 3)
-    assert ref[4] is not None and ref[4] % 4 == 3 and ref[4] < len(keys) - 1
-    assert bat == ref
 
 
 def test_probe_many_uncharged_counts_only():
@@ -468,7 +383,7 @@ def test_censored_inl_join_identical(fraction):
     assert_runs_identical(ref, bat)
 
 
-def test_join_plans_identical():
+def test_join_inventory_identical():
     build_keys = np.random.default_rng(11).integers(0, 500, 1500)
     probe_keys = np.random.default_rng(13).integers(0, 500, 4000)
 

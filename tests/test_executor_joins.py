@@ -15,8 +15,6 @@ from repro.executor.joins import (
 )
 from repro.executor.plans import PlanRunner
 from repro.executor.sort import SpillPolicy
-from repro.systems import SystemA, SystemConfig
-from repro.workloads import JoinQuery, LineitemConfig
 
 
 def brute_force_matches(left, right) -> int:
@@ -104,7 +102,7 @@ def test_merge_join_cost_symmetric_even_when_spilling(env, rng):
     assert forward.seconds == pytest.approx(backward.seconds, rel=1e-9)
 
 
-def test_hash_join_cost_asymmetric_when_build_spills(env, rng):
+def test_hash_join_asymmetric_when_build_spills(env, rng):
     small = rng.integers(0, 1 << 10, 100)
     large = rng.integers(0, 1 << 10, 2000)
     runner = PlanRunner(env, memory_bytes=4096)  # 128 build rows fit
@@ -188,7 +186,7 @@ def test_index_nested_loop_respects_budget(env, rng):
 
 
 # ---------------------------------------------------------------------------
-# the inventory and the systems plan-provider hook
+# the inventory
 # ---------------------------------------------------------------------------
 
 
@@ -197,14 +195,3 @@ def test_join_plan_inventory_ids(rng):
         rng.integers(0, 8, 16), rng.integers(0, 8, 16)
     )
     assert tuple(plans) == JOIN_PLAN_IDS
-
-
-def test_system_provides_join_plans(rng):
-    system = SystemA(
-        SystemConfig(lineitem=LineitemConfig(n_rows=512), pool_pages=32)
-    )
-    query = JoinQuery(rng.integers(0, 64, 200), rng.integers(0, 64, 300))
-    plans = system.plans_for(query)
-    assert set(plans) == {f"A.{plan_id}" for plan_id in JOIN_PLAN_IDS}
-    run = system.runner(memory_bytes=1 << 20).measure(plans["A.join.merge"])
-    assert run.n_rows == query.oracle_matches()

@@ -7,8 +7,7 @@ through `FetchStrategy._charge_naive` — the abort point of
 budget-censored runs.  These tests pit it against an independent
 OrderedDict reference (and against real scalar pools) across the regimes
 that stress different kernel paths: cold and pre-warmed pools,
-capacity-1 pools, multi-file residents, segment-boundary straddling, and
-pinned-page fallback.
+capacity-1 pools, multi-file residents and segment-boundary straddling.
 """
 
 from __future__ import annotations
@@ -159,31 +158,6 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
     assert [
         (file_id, page) for file_id, page in kernel_pool._resident
     ] == [(file_id, page) for file_id, page in scalar_pool._resident]
-
-
-def test_plan_many_refuses_pinned_pages():
-    (pool, _disk, handles), _ = make_pools()
-    pool.pin(handles[0], 3)
-    assert pool.plan_many(handles[0], np.arange(20)) is None
-    pool.unpin(handles[0], 3)
-    assert pool.plan_many(handles[0], np.arange(20)) is not None
-
-
-def test_get_many_pinned_fallback_matches_scalar():
-    (kernel_pool, kernel_disk, kernel_handles), (
-        scalar_pool,
-        scalar_disk,
-        scalar_handles,
-    ) = make_pools(capacity=4)
-    kernel_pool.pin(kernel_handles[0], 0)
-    scalar_pool.pin(scalar_handles[0], 0)
-    pages = np.array([1, 2, 3, 1, 2, 4, 5, 1, 6, 2, 7, 1], dtype=np.int64)
-    kernel_pool.get_many(kernel_handles[0], pages)
-    for page in pages:
-        scalar_pool.get(scalar_handles[0], int(page))
-    assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
-    assert kernel_disk.stats == scalar_disk.stats
-    assert kernel_pool.contains(kernel_handles[0], 0)  # pin survived
 
 
 def test_plan_many_refuses_negative_pages():

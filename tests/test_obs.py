@@ -8,6 +8,7 @@ need a re-baseline when tracing ships or evolves.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,7 +25,7 @@ from repro.core.scenario import (
     SortSpillScenario,
     operator_bench_factory,
 )
-from repro.errors import ExperimentError, VisualizationError
+from repro.errors import ExperimentError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     CellProfile,
@@ -294,17 +295,6 @@ def test_profile_key_roundtrips_plan_ids_with_at_signs():
     assert parse_profile_key(key) == ("sys@2.sort", (3, 0))
 
 
-def test_profile_panel_svg(captured_profiles):
-    from repro.viz import profile_panel_svg
-
-    svg = profile_panel_svg(captured_profiles, max_rows=4)
-    assert svg.lstrip().startswith("<svg")
-    assert "external-sort" in svg
-    assert "faster profiles not shown" in svg  # truncation is labeled
-    with pytest.raises(VisualizationError):
-        profile_panel_svg([])
-
-
 # ---------------------------------------------------------------------------
 # metrics registry + Prometheus rendering
 # ---------------------------------------------------------------------------
@@ -470,6 +460,41 @@ def test_service_metrics_and_profile_endpoints():
     finally:
         server.shutdown()
         server.server_close()
+        manager.close()
+
+
+@pytest.mark.parametrize("state", ["done", "failed"])
+def test_job_metrics_are_booked_before_the_terminal_state(state, monkeypatch):
+    """A client woken by ``wait`` may scrape at once: the job is counted."""
+    from repro.bench.harness import BenchConfig, BenchSession
+    from repro.bench.requests import MapRequest
+    from repro.service import JobManager
+
+    if state == "failed":
+
+        def refuse(self, definition):
+            raise ExperimentError("no map today")
+
+        monkeypatch.setattr(BenchSession, "map_for", refuse)
+    config = BenchConfig(
+        n_rows=512, pool_pages=32, join_rows=(64, 128), join_key_domain=256
+    )
+    manager = JobManager(config, workers=1, queue_limit=4)
+    try:
+        completed_inc = manager._m_completed.inc
+
+        def slow_inc(*args, **labels):
+            time.sleep(0.2)
+            completed_inc(*args, **labels)
+
+        monkeypatch.setattr(manager._m_completed, "inc", slow_inc)
+        job, _ = manager.submit(MapRequest("join"))
+        assert manager.wait(job.job_id, timeout=120).state == state
+        text = manager.metrics.render()
+        assert f'repro_jobs_completed_total{{state="{state}"}} 1' in text
+        assert "repro_jobs_in_flight 0" in text
+        assert "repro_job_seconds_count 1" in text
+    finally:
         manager.close()
 
 

@@ -15,7 +15,6 @@ from repro.executor.plans import TableScanNode
 from repro.optimizer import (
     CardinalityEstimator,
     CostModel,
-    CostQuirks,
     Estimate,
     EstimationError,
     MinEstimatedCost,
@@ -26,8 +25,8 @@ from repro.optimizer import (
     quantity_of,
 )
 from repro.sim.profile import DeviceProfile
-from repro.systems import SystemA, SystemB, SystemC, SystemConfig
-from repro.workloads import JoinQuery, LineitemConfig
+from repro.systems import SystemA, SystemConfig
+from repro.workloads import LineitemConfig
 from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 from repro.workloads.selectivity import PredicateBuilder
 
@@ -127,31 +126,22 @@ def test_missing_estimate_is_plan_error(system_a):
         scan.estimated_cost(CostModel(DeviceProfile()), {})
 
 
-def test_quirks_scale_charge_categories():
-    base = CostModel(DeviceProfile())
-    doubled = CostModel(DeviceProfile(), quirks=CostQuirks(random_io=2.0))
-    assert doubled.random_reads(10) == pytest.approx(2 * base.random_reads(10))
-    assert doubled.sequential_read(10) == pytest.approx(
-        base.sequential_read(10)
-    )
-    cheap_cpu = CostModel(DeviceProfile(), quirks=CostQuirks(cpu=0.5))
-    assert cheap_cpu.sort_cpu(1000) == pytest.approx(0.5 * base.sort_cpu(1000))
-
-
-def test_external_sort_cost_spill_policies():
-    model = CostModel(DeviceProfile(), memory_bytes=1 << 10)
-    in_memory = model.external_sort_cost(8, 8)
-    graceful = model.external_sort_cost(1 << 12, 8)
-    all_or_nothing = model.external_sort_cost(1 << 12, 8, all_or_nothing=True)
-    assert in_memory < graceful < all_or_nothing
-
-
 def test_distinct_pages_yao_bounds():
     model = CostModel(DeviceProfile())
     assert model.distinct_pages(100, 0) == 0.0
     assert model.distinct_pages(100, 1) == pytest.approx(1.0)
     assert model.distinct_pages(100, 10**9) == 100.0
     assert 0 < model.distinct_pages(100, 50) < 50
+
+
+def test_rid_set_costs_spill_when_memory_is_tight():
+    roomy = CostModel(DeviceProfile(), memory_bytes=1 << 30)
+    tight = CostModel(DeviceProfile(), memory_bytes=1 << 10)
+    assert roomy.sort_rids_cost(4096) == roomy.sort_cpu(4096)
+    assert tight.sort_rids_cost(4096) > roomy.sort_rids_cost(4096)
+    # Only the build side has to fit: a small build never spills.
+    assert tight.rid_hash_cost(8, 4096) == roomy.rid_hash_cost(8, 4096)
+    assert tight.rid_hash_cost(4096, 8) > roomy.rid_hash_cost(4096, 8)
 
 
 def test_table_scan_cost_independent_of_estimates(system_a):
@@ -175,42 +165,33 @@ def test_table_scan_cost_independent_of_estimates(system_a):
     )
 
 
-def test_join_inventory_all_priced():
-    model = CostModel(DeviceProfile(), memory_bytes=64 << 10)
-    keys = np.arange(512, dtype=np.int64)
-    est = {"rows.build": 512.0, "rows.probe": 512.0, "rows.out": 512.0}
-    for plan in join_plan_inventory(keys, keys).values():
-        assert model.cost(plan, est) > 0
-
-
-def test_vendor_quirks_can_flip_the_choice(system_a):
-    """Beliefs move boundaries: vendors disagree on identical estimates."""
-    builder = PredicateBuilder(system_a.table, system_a.config.b_column)
-    predicate, _ach = builder.range_for_selectivity(2.0**-7)
-    query = SinglePredicateQuery(predicate)
-    plans = system_a.plans_for(query)
-    est = Estimate(system_a.true_cards(query))
-    neutral = PlanChooser(CostModel(system_a.config.profile))
-    # This vendor believes streamed I/O is ruinously slow, so the (tiny)
-    # table's scan loses to an index plan it would otherwise dominate.
-    scan_hater = PlanChooser(
-        CostModel(
-            system_a.config.profile, quirks=CostQuirks(sequential_io=500.0)
-        )
+def test_true_cards_two_predicate(system_a):
+    """The oracle's estimate keys for the two-predicate template."""
+    col_a, col_b = system_a.config.a_column, system_a.config.b_column
+    query = TwoPredicateQuery(
+        PredicateBuilder(system_a.table, col_a).range_for_selectivity(0.1)[0],
+        PredicateBuilder(system_a.table, col_b).range_for_selectivity(0.1)[0],
     )
-    neutral_choice = neutral.choose(plans, est)
-    flipped_choice = scan_hater.choose(plans, est)
-    assert neutral_choice == "A.table_scan"
-    assert flipped_choice != neutral_choice
-
-
-def test_three_vendors_have_distinct_quirks():
-    quirks = {
-        SystemA.cost_quirks,
-        SystemB.cost_quirks,
-        SystemC.cost_quirks,
+    cards = system_a.true_cards(query)
+    n_rows = system_a.table.n_rows
+    assert set(cards) == {
+        f"rows.{col_a}", f"sel.{col_a}", f"rows.{col_b}", f"sel.{col_b}", "rows.out"
     }
-    assert len(quirks) == 3
+    for column in (col_a, col_b):
+        assert cards[f"rows.{column}"] == pytest.approx(0.1 * n_rows, rel=0.1)
+        assert cards[f"sel.{column}"] == cards[f"rows.{column}"] / n_rows
+    assert cards["rows.out"] == query.oracle_rids(system_a.table).size
+    with pytest.raises(PlanError):
+        system_a.true_cards(object())
+
+
+def test_unpriced_node_is_plan_error():
+    """Only the estimation map's candidates are priced; the rest say so."""
+    model = CostModel(DeviceProfile())
+    keys = np.arange(8, dtype=np.int64)
+    for plan in join_plan_inventory(keys, keys).values():
+        with pytest.raises(PlanError, match="no compile-time cost model"):
+            model.cost(plan, {"rows.out": 8.0})
 
 
 # ---------------------------------------------------------------------------
@@ -271,58 +252,6 @@ def test_chooser_rejects_empty_inventory():
     chooser = PlanChooser(CostModel(DeviceProfile()))
     with pytest.raises(ExperimentError):
         chooser.choose({}, Estimate({}))
-
-
-# ---------------------------------------------------------------------------
-# DatabaseSystem.choose_plan
-# ---------------------------------------------------------------------------
-
-
-def test_choose_plan_single_predicate(system_a):
-    builder = PredicateBuilder(system_a.table, system_a.config.b_column)
-    predicate, _ach = builder.range_for_selectivity(2.0**-6)
-    query = SinglePredicateQuery(predicate)
-    plan_id, plan = system_a.choose_plan(query)
-    assert plan_id in system_a.plans_for(query)
-    assert plan.estimated_cost(
-        system_a.cost_model(), system_a.true_cards(query)
-    ) > 0
-
-
-def test_choose_plan_all_systems_two_predicate():
-    for system_type in (SystemA, SystemB, SystemC):
-        system = system_type(CONFIG)
-        builder_a = PredicateBuilder(system.table, system.config.a_column)
-        builder_b = PredicateBuilder(system.table, system.config.b_column)
-        query = TwoPredicateQuery(
-            builder_a.range_for_selectivity(0.1)[0],
-            builder_b.range_for_selectivity(0.1)[0],
-        )
-        plan_id, _plan = system.choose_plan(query)
-        assert plan_id in system.plans_for(query)
-
-
-def test_choose_plan_join(system_a):
-    keys = np.arange(256, dtype=np.int64)
-    query = JoinQuery(keys, keys)
-    # The classic policy, then the two that price every plan at every
-    # sample of an uncertainty box.
-    for policy in (
-        None, MinWorstRegret(uncertainty=4.0), PenaltyAware(uncertainty=4.0)
-    ):
-        plan_id, _plan = system_a.choose_plan(
-            query, policy=policy, memory_bytes=64 << 10
-        )
-        assert plan_id in system_a.plans_for(query)
-
-
-def test_choose_plan_robust_policy(system_a):
-    builder = PredicateBuilder(system_a.table, system_a.config.b_column)
-    query = SinglePredicateQuery(builder.range_for_selectivity(0.25)[0])
-    plan_id, _plan = system_a.choose_plan(
-        query, policy=MinWorstRegret(uncertainty=8.0)
-    )
-    assert plan_id in system_a.plans_for(query)
 
 
 # ---------------------------------------------------------------------------

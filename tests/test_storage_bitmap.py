@@ -18,15 +18,12 @@ from repro.storage.bitmap import (
 
 def test_empty_bitmap():
     bitmap = RowIdBitmap(100)
-    assert bitmap.count() == 0
     assert bitmap.sorted_rids().size == 0
-    assert len(bitmap) == 0
 
 
 def test_add_and_sorted_output():
     bitmap = RowIdBitmap(100)
     bitmap.add(np.array([42, 3, 99, 3]))
-    assert bitmap.count() == 3
     assert np.array_equal(bitmap.sorted_rids(), [3, 42, 99])
 
 
@@ -41,43 +38,12 @@ def test_add_out_of_range_rejected():
 def test_add_empty_is_noop():
     bitmap = RowIdBitmap(10)
     bitmap.add(np.array([], dtype=np.int64))
-    assert bitmap.count() == 0
-
-
-def test_contains():
-    bitmap = RowIdBitmap(10)
-    bitmap.add(np.array([5]))
-    assert bitmap.contains(5)
-    assert not bitmap.contains(4)
-    assert not bitmap.contains(-1)
-    assert not bitmap.contains(10)
+    assert bitmap.sorted_rids().size == 0
 
 
 def test_memory_bytes_is_one_bit_per_row():
     assert RowIdBitmap(800).memory_bytes == 100
     assert RowIdBitmap(801).memory_bytes == 101
-
-
-def test_universe_mismatch_rejected():
-    with pytest.raises(StorageError):
-        RowIdBitmap(10).intersect(RowIdBitmap(11))
-
-
-@given(
-    st.lists(st.integers(0, 199), max_size=100),
-    st.lists(st.integers(0, 199), max_size=100),
-)
-def test_set_algebra_matches_python_sets(left_rids, right_rids):
-    left = RowIdBitmap(200)
-    right = RowIdBitmap(200)
-    if left_rids:
-        left.add(np.array(left_rids))
-    if right_rids:
-        right.add(np.array(right_rids))
-    expected_and = sorted(set(left_rids) & set(right_rids))
-    expected_or = sorted(set(left_rids) | set(right_rids))
-    assert list(left.intersect(right).sorted_rids()) == expected_and
-    assert list(left.union(right).sorted_rids()) == expected_or
 
 
 @given(st.lists(st.integers(0, 999), min_size=1, max_size=300))

@@ -44,56 +44,12 @@ def test_lru_eviction_order():
     assert pool.contains(handle, 3)
 
 
-def test_pinned_pages_survive_eviction():
-    pool, _disk, handle = make_pool(capacity=2)
-    pool.pin(handle, 1)
-    pool.get(handle, 2)
-    pool.get(handle, 3)  # must evict 2, not pinned 1
-    assert pool.contains(handle, 1)
-    pool.unpin(handle, 1)
-
-
-def test_all_pinned_raises():
-    pool, _disk, handle = make_pool(capacity=2)
-    pool.pin(handle, 1)
-    pool.pin(handle, 2)
-    with pytest.raises(BufferPoolError):
-        pool.get(handle, 3)
-    pool.unpin(handle, 1)
-    pool.unpin(handle, 2)
-
-
-def test_unpin_unpinned_raises():
-    pool, _disk, handle = make_pool()
-    with pytest.raises(BufferPoolError):
-        pool.unpin(handle, 1)
-
-
-def test_nested_pins():
-    pool, _disk, handle = make_pool()
-    pool.pin(handle, 1)
-    pool.pin(handle, 1)
-    assert pool.pin_count(handle, 1) == 2
-    pool.unpin(handle, 1)
-    assert pool.pin_count(handle, 1) == 1
-    pool.unpin(handle, 1)
-    assert pool.pin_count(handle, 1) == 0
-
-
 def test_clear_resets_residency():
     pool, _disk, handle = make_pool()
     pool.get(handle, 1)
     pool.clear()
     assert pool.resident_pages == 0
     assert not pool.contains(handle, 1)
-
-
-def test_clear_with_pins_raises():
-    pool, _disk, handle = make_pool()
-    pool.pin(handle, 1)
-    with pytest.raises(BufferPoolError):
-        pool.clear()
-    pool.unpin(handle, 1)
 
 
 def test_capacity_never_exceeded_randomized():

@@ -14,12 +14,7 @@ from repro.workloads import (
     achieved_selectivity,
     build_lineitem,
 )
-from repro.workloads.generators import (
-    correlated_column,
-    sequential_column,
-    uniform_column,
-    zipf_column,
-)
+from repro.workloads.generators import sequential_column, uniform_column
 from repro.workloads.lineitem import lineitem_columns
 
 
@@ -31,36 +26,6 @@ def test_uniform_column_range(rng):
 def test_uniform_rejects_bad_domain(rng):
     with pytest.raises(WorkloadError):
         uniform_column(rng, 10, 0)
-
-
-def test_zipf_skews_low_values(rng):
-    values = zipf_column(rng, 20000, 1000, skew=1.3)
-    assert values.min() >= 0 and values.max() < 1000
-    # Rank-1 value must be far more frequent than the tail.
-    assert np.count_nonzero(values == 0) > 20000 * 0.2
-
-
-def test_zipf_rejects_low_skew(rng):
-    with pytest.raises(WorkloadError):
-        zipf_column(rng, 10, 10, skew=1.0)
-
-
-def test_correlated_column_tracks_base(rng):
-    base = uniform_column(rng, 5000, 1000)
-    corr = correlated_column(rng, base, 1000, correlation=0.9)
-    agreement = np.mean(corr == base % 1000)
-    assert agreement > 0.85
-
-
-def test_correlated_zero_is_independent(rng):
-    base = uniform_column(rng, 5000, 1000)
-    fresh = correlated_column(rng, base, 1000, correlation=0.0)
-    assert np.mean(fresh == base % 1000) < 0.05
-
-
-def test_correlated_validates(rng):
-    with pytest.raises(WorkloadError):
-        correlated_column(rng, np.arange(5), 10, correlation=1.5)
 
 
 def test_sequential_column():
@@ -96,14 +61,6 @@ def test_lineitem_has_predicate_columns():
 def test_lineitem_config_validation():
     with pytest.raises(WorkloadError):
         LineitemConfig(n_rows=0)
-    with pytest.raises(WorkloadError):
-        LineitemConfig(n_rows=10, skew=0.5)
-
-
-def test_lineitem_skew_option():
-    columns = lineitem_columns(LineitemConfig(n_rows=5000, skew=1.5))
-    values, counts = np.unique(columns["partkey"], return_counts=True)
-    assert counts.max() > 100  # heavy duplication under skew
 
 
 def test_build_lineitem_shares_columns(env):
