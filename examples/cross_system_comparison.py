@@ -35,7 +35,7 @@ def main() -> None:
     for system in systems.values():
         print(f"System {system.name}: {system.description}")
     scenario = TwoPredicateScenario(
-        list(systems.values()), Space2D.log2("sel_a", "sel_b", -7, 0)
+        list(systems.values()), Space2D.log2("sel_a", "sel_b", -7)
     )
     mapdata = scenario.run(budget_seconds=10.0)
     print(f"\nmeasured {mapdata.n_plans} plans x {mapdata.rows.size} cells\n")

@@ -84,7 +84,7 @@ def main() -> None:
     system = SystemA(SystemConfig(lineitem=LineitemConfig(n_rows=TABLE_ROWS)))
     memory_axis = [4 << 10, 64 << 10, 1 << 20]
     sweep_map = MemorySweepScenario(
-        [system], Space1D.log2("selectivity", MIN_EXP, 0), memory_axis
+        [system], Space1D.log2("selectivity", MIN_EXP), memory_axis
     ).run()
     print(
         f"\nmemory sweep: {TABLE_ROWS} rows, "

@@ -41,7 +41,7 @@ def main() -> None:
     )
     scenario = EstimationErrorScenario(
         [system],
-        Space1D.log2("selectivity", MIN_EXP, 0),
+        Space1D.log2("selectivity", MIN_EXP),
         magnitudes=MAGNITUDES,
     )
     print(

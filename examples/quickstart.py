@@ -26,7 +26,7 @@ def main() -> None:
     #    censoring plans that exceed 30x the table-scan cost.
     scan_cost = system.runner().measure(TableScanNode(system.table, [])).seconds
     scenario = SinglePredicateScenario(
-        [system], Space1D.log2("selectivity", -10, 0)
+        [system], Space1D.log2("selectivity", -10)
     )
     mapdata = scenario.run(budget_seconds=30 * scan_cost)
 

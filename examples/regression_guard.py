@@ -57,7 +57,7 @@ def measure_build(system: SystemA, space: Space1D, strategy) -> MapData:
 
 def main() -> None:
     system = SystemA(SystemConfig(lineitem=LineitemConfig(n_rows=N_ROWS)))
-    space = Space1D.log2("selectivity", -9, 0)
+    space = Space1D.log2("selectivity", -9)
 
     nightly_baseline = measure_build(system, space, ADAPTIVE_PREFETCH)
     after_bad_refactor = measure_build(system, space, NAIVE_FETCH)

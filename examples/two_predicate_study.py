@@ -78,7 +78,7 @@ def main() -> None:
         n_workers=N_WORKERS,
         progress=progress,
     )
-    space = Space2D.log2("sel_a", "sel_b", MIN_EXP, 0)
+    space = Space2D.log2("sel_a", "sel_b", MIN_EXP)
     mapdata = sweep.sweep(TwoPredicateScenario.build_spec(space.x, space.y))
     OUT.mkdir(exist_ok=True)
 

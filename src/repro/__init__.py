@@ -14,7 +14,7 @@ Quickstart::
     from repro.viz import absolute_curves
 
     system = SystemA(SystemConfig())
-    scenario = SinglePredicateScenario([system], Space1D.log2("sel", -10, 0))
+    scenario = SinglePredicateScenario([system], Space1D.log2("sel", -10))
     mapdata = scenario.run(budget_seconds=30.0)
     absolute_curves(mapdata, "my first robustness map", path="map.svg")
 """
@@ -82,7 +82,6 @@ from repro.core import (
     RobustnessSweep,
     Jitter,
     ParallelSweep,
-    PlanIdFilter,
     CellPolicy,
     DenseGridPolicy,
     AdaptiveRefinePolicy,
@@ -158,7 +157,6 @@ __all__ = [
     "RobustnessSweep",
     "Jitter",
     "ParallelSweep",
-    "PlanIdFilter",
     "CellPolicy",
     "DenseGridPolicy",
     "AdaptiveRefinePolicy",

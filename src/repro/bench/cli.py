@@ -28,8 +28,8 @@ optimizer's selection policies over the measured map and writes one
 categorical *choice map* and one *regret map* per policy.
 ``--cell-cache DIR`` enables the content-addressed per-cell measurement
 store: every already-measured (plan, cell) is loaded instead of
-re-measured — across reruns, grid-resolution changes, plan subsets, and
-refinement passes — with progress lines showing the per-wave hit count
+re-measured — across reruns, grid-resolution changes and refinement
+passes — with progress lines showing the per-wave hit count
 and a final store summary line.  ``--cell-cache-compact`` rewrites that
 store's shards, dropping superseded and corrupt lines, and prints what
 was reclaimed.
@@ -37,15 +37,13 @@ was reclaimed.
 ``serve`` runs the robustness-map HTTP service (submit map requests,
 poll progress and partial maps, fetch results and rendered figures) on
 a bounded job pool with single-flight dedup; see
-:mod:`repro.service.http` for the endpoints.  Defaults honor
-``REPRO_SERVICE_PORT`` and ``REPRO_SERVICE_WORKERS``.
+:mod:`repro.service.http` for the endpoints.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import re
 import sys
 from pathlib import Path
@@ -287,7 +285,7 @@ def _split_names(text: str) -> list[str]:
 def _config_from_flags(**flags) -> BenchConfig:
     """The environment-default config with every given flag laid over it.
 
-    A flag left at ``None`` keeps the ``REPRO_*`` default.
+    A flag left at ``None`` keeps the config's own default.
     """
     given = {name: value for name, value in flags.items() if value is not None}
     return dataclasses.replace(BenchConfig(), **given)
@@ -308,14 +306,14 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--port",
         type=int,
-        default=int(os.environ.get("REPRO_SERVICE_PORT", 8642)),
-        help="TCP port (default: REPRO_SERVICE_PORT or 8642; 0 picks one)",
+        default=8642,
+        help="TCP port (default 8642; 0 picks one)",
     )
     parser.add_argument(
         "--service-workers",
         type=int,
-        default=int(os.environ.get("REPRO_SERVICE_WORKERS", 2)),
-        help="concurrent map jobs (default: REPRO_SERVICE_WORKERS or 2)",
+        default=2,
+        help="concurrent map jobs (default 2)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -340,7 +338,7 @@ def _serve_main(argv: list[str]) -> int:
         "--workers",
         type=int,
         default=None,
-        help="sweep worker *processes* per job (REPRO_BENCH_WORKERS)",
+        help="sweep worker *processes* per job (default: serial)",
     )
     parser.add_argument(
         "--cache",
@@ -402,8 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="sweep worker processes (default: REPRO_BENCH_WORKERS or serial; "
-        "-1 uses all cores)",
+        help="sweep worker processes (default: serial; -1 uses all cores)",
     )
     parser.add_argument(
         "--progress",
@@ -448,9 +445,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIR",
         help="directory for the content-addressed per-cell measurement "
-        "store: reruns, overlapping grids, plan subsets, and refinement "
-        "passes reuse every already-measured cell (default: "
-        "REPRO_BENCH_CELL_CACHE)",
+        "store: reruns, overlapping grids and refinement passes reuse "
+        "every already-measured cell (default: REPRO_BENCH_CELL_CACHE)",
     )
     parser.add_argument(
         "--cell-cache-compact",
@@ -477,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     _set_quiet(args.quiet)
     if args.trace_out is not None and args.scenario is None:
         parser.error("--trace-out needs --scenario (profiles ride on maps)")
+    if args.max_cells is not None and not args.refine:
+        parser.error("--max-cells needs --refine (it caps the refinement)")
+    if args.max_cells is not None and args.max_cells < 0:
+        parser.error(f"--max-cells must not be negative, got {args.max_cells}")
     config = _config_from_flags(
         n_rows=args.rows,
         n_workers=args.workers,

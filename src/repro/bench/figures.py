@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.bench.harness import BenchSession
 from repro.bench.report import Claim, series_block
-from repro.core.landmarks import crossovers, discontinuities, symmetry_score
+from repro.core.landmarks import (
+    crossovers,
+    discontinuities,
+    monotonicity_violations,
+    symmetry_score,
+)
 from repro.core.mapdata import MapData
 from repro.core.maps import quotient_for, relative_to_best
 from repro.core.metrics import profile_plan
@@ -226,7 +231,9 @@ def figure04(session: BenchSession) -> FigureResult:
             effect_a > 3.0 and effect_b < 1.5 and effect_a > 3 * effect_b,
         )
     )
-    monotone_a = bool(np.all(np.diff(mean_over_b) >= -0.02 * mean_over_b[:-1]))
+    monotone_a = not monotonicity_violations(
+        mapdata.axes[0].targets, mean_over_b, rel_tol=0.02
+    )
     result.claims.append(
         Claim(
             "fig4",

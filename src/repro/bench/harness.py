@@ -16,15 +16,13 @@ Scale knobs (environment variables, so CI can dial them):
 * ``REPRO_BENCH_CACHE``    — directory for on-disk MapData caching
   (default: no disk cache).
 * ``REPRO_BENCH_CELL_CACHE`` — directory for the content-addressed
-  per-cell measurement store (default: none).  Whole-map caches above it
-  stay the fast path; the cell store is what survives grid-resolution
-  changes, plan subsets, and refinement reruns.
-* ``REPRO_BENCH_WORKERS``  — sweep worker processes (default 0: serial;
-  the parallel path is bit-identical, so this is purely a speed knob).
-* ``REPRO_BENCH_REFINE``   — non-empty/non-zero runs every sweep under
-  the adaptive refinement policy (coarse-to-fine, cliffs first).
-* ``REPRO_BENCH_MAX_CELLS`` — refinement cell budget (0: organic, stop
-  when no box is interesting any more).
+  per-cell measurement store (default: none).  A whole-map cache file
+  answers only the exact config it was written for; the cell store also
+  answers overlapping grids and refinement reruns.
+
+Worker processes and adaptive refinement are ``BenchConfig`` fields the
+CLI's ``--workers`` / ``--refine`` / ``--max-cells`` flags set; they have
+no environment twin.
 
 Disk-cache entries are keyed on a fingerprint of the *full* config —
 changing any knob that shapes the map (grid exponents, budget, memory,
@@ -38,7 +36,7 @@ densified on the way out, so renderers and analyses see full grids while
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.bench.requests import (  # noqa: F401  (re-exported: public API)
     MAP_DEFINITIONS,
@@ -55,7 +53,7 @@ from repro.core.driver import AdaptiveRefinePolicy, CellPolicy
 from repro.core.mapdata import MapData
 from repro.core.scenario import EstimationErrorScenario
 from repro.errors import ExperimentError
-from repro.optimizer import STANDARD_POLICIES, PlanChooser, SelectionPolicy
+from repro.optimizer import STANDARD_POLICIES, PlanChooser
 from repro.systems import DatabaseSystem, build_three_systems
 
 #: Whole-map cache key -> registry entry (stale-file shape validation).
@@ -283,10 +281,8 @@ class BenchSession:
         assert isinstance(scenario, EstimationErrorScenario)
         return scenario
 
-    def choice_maps(
-        self, policies: Sequence[SelectionPolicy] | None = None
-    ) -> dict[str, ChoiceMap]:
-        """One choice/regret map per selection policy, memoized.
+    def choice_maps(self) -> dict[str, ChoiceMap]:
+        """One choice/regret map per standard selection policy, memoized.
 
         Every cell's choice is computed from that cell's true
         cardinalities perturbed by the deterministic error model, under
@@ -295,29 +291,15 @@ class BenchSession:
         inventory).  Deterministic end to end: same config, same maps —
         serial or parallel, cached or recomputed.
         """
-        if policies is None:
-            policies = [policy_type() for policy_type in STANDARD_POLICIES]
-
-        def cache_key(policy: SelectionPolicy) -> str:
-            # Memoize per *configured* policy, not per name: the same
-            # policy class with different parameters (uncertainty,
-            # penalty weight) must not reuse another's map.
-            return f"{policy.name}:{sorted(vars(policy).items())!r}"
-
         with self._choices_lock:
-            missing = [
-                policy
-                for policy in policies
-                if cache_key(policy) not in self._choices
-            ]
-            if missing:
+            if not self._choices:
                 mapdata = self.scenario_map("estimation")
                 scenario = self.estimation_scenario()
                 model = self.system_a.cost_model(
                     memory_bytes=self.config.memory_bytes
                 )
-                for policy in missing:
-                    chooser = PlanChooser(model, policy)
+                for policy_type in STANDARD_POLICIES:
+                    chooser = PlanChooser(model, policy_type())
 
                     def choose(idx: tuple[int, ...]) -> str:
                         return chooser.choose(
@@ -325,13 +307,10 @@ class BenchSession:
                             scenario.estimates(idx),
                         )
 
-                    self._choices[cache_key(policy)] = build_choice_map(
-                        mapdata, policy.name, choose
+                    self._choices[chooser.policy.name] = build_choice_map(
+                        mapdata, chooser.policy.name, choose
                     )
-            return {
-                policy.name: self._choices[cache_key(policy)]
-                for policy in policies
-            }
+            return dict(self._choices)
 
     def system_a_plan_ids(self) -> list[str]:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""

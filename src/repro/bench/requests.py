@@ -116,21 +116,14 @@ class BenchConfig:
     """Seed of the estimation error model (fingerprinted, like all of
     these knobs, so choice/regret caches can never mix error models)."""
 
-    refine: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_BENCH_REFINE", "")
-        not in ("", "0")
-    )
+    refine: bool = False
     """Sweep adaptively (coarse-to-fine refinement) instead of densely."""
 
-    refine_max_cells: int = field(
-        default_factory=lambda: _env_int("REPRO_BENCH_MAX_CELLS", 0)
-    )
+    refine_max_cells: int = 0
     """Refinement cell budget per sweep (0: refine until nothing is
     interesting; the budget spends itself cliffs-first)."""
 
-    n_workers: int = field(
-        default_factory=lambda: _env_int("REPRO_BENCH_WORKERS", 0)
-    )
+    n_workers: int = 0
     """Sweep worker processes (0/1: serial, -1: all cores)."""
 
     cache_dir: str | None = field(
@@ -142,8 +135,8 @@ class BenchConfig:
     )
     """Directory of the content-addressed per-cell measurement store
     (default: none).  Unlike ``cache_dir`` (whole-map, all-or-nothing),
-    the cell store survives grid-resolution changes, plan-subset sweeps,
-    and refinement reruns — only the overlapping cells hit."""
+    the cell store survives grid-resolution changes and refinement
+    reruns — only the overlapping cells hit."""
 
     trace: bool = field(
         default_factory=lambda: tracing_requested(os.environ)
@@ -202,12 +195,11 @@ class BenchConfig:
     def cell_store_context(self) -> str:
         """The opaque context string folded into every cell-store key.
 
-        The :meth:`fingerprint` discipline minus grid-shape, plan-set,
-        and policy knobs: it covers what shapes the providers and
-        measurements *outside* the scenario specs (table rows and seed,
-        buffer-pool pages, budgets, ...), so overlapping grids,
-        plan-subset sweeps, and refinement reruns of the same session
-        configuration all hit.
+        The :meth:`fingerprint` discipline minus grid-shape and policy
+        knobs: it covers what shapes the providers and measurements
+        *outside* the scenario specs (table rows and seed, buffer-pool
+        pages, budgets, ...), so overlapping grids and refinement reruns
+        of the same session configuration all hit.
         """
         return self._knob_digest(self._CELL_CONTEXT_EXCLUDED)
 
@@ -319,15 +311,15 @@ class MapDefinition:
 
 
 def _space_1d(config: BenchConfig) -> Space1D:
-    return Space1D.log2("selectivity", config.min_exp_1d, 0)
+    return Space1D.log2("selectivity", config.min_exp_1d)
 
 
 def _space_2d_sel(config: BenchConfig) -> Space1D:
-    return Space1D.log2("selectivity", config.min_exp_2d, 0)
+    return Space1D.log2("selectivity", config.min_exp_2d)
 
 
 def _two_predicate_spec(config: BenchConfig) -> ScenarioSpec:
-    space = Space2D.log2("sel_a", "sel_b", config.min_exp_2d, 0)
+    space = Space2D.log2("sel_a", "sel_b", config.min_exp_2d)
     return TwoPredicateScenario.build_spec(space.x, space.y)
 
 

@@ -50,7 +50,7 @@ from repro.core.driver import (
 )
 from repro.core.progress import ProgressEvent
 from repro.core.runner import RobustnessSweep, Jitter
-from repro.core.parallel import ParallelSweep, PlanIdFilter, partition_cells
+from repro.core.parallel import ParallelSweep, partition_cells
 from repro.core.maps import best_times, relative_to_best, quotient_for
 from repro.core.optimality import (
     optimal_mask,
@@ -97,7 +97,6 @@ __all__ = [
     "RobustnessSweep",
     "Jitter",
     "ParallelSweep",
-    "PlanIdFilter",
     "partition_cells",
     "CellPolicy",
     "DenseGridPolicy",

@@ -4,8 +4,8 @@ The whole-map disk caches (``BenchConfig.cache_path``) are all-or-nothing:
 change the grid resolution, add one plan, or rerun a refinement at a
 bigger budget and every previously measured cell is thrown away.  This
 module stores *individual* cell measurements under a content address, so
-overlapping grids, plan-subset sweeps, and refinement reruns all reuse
-what they already measured — repeated figure builds and exploratory
+overlapping grids and refinement reruns reuse what they already
+measured — repeated figure builds and exploratory
 reruns become O(new cells) instead of O(grid).
 
 Key discipline
@@ -21,7 +21,7 @@ cell policy):
 * the cell's **coordinates as axis values** — ``(axis name, target
   value)`` pairs, never grid indices, so the same selectivity measured on
   a 17-point and a 33-point grid shares one entry;
-* the plan id (each plan is its own entry, so a plan-subset sweep hits);
+* the plan id (each plan is its own entry);
 * the result-shaping sweep knobs: cost budget and workspace memory;
 * an opaque caller ``context`` string for whatever shapes the providers
   outside the spec (table rows/seed, buffer-pool pages — see

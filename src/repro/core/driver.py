@@ -120,14 +120,14 @@ class AdaptiveRefinePolicy(CellPolicy):
 
     * **relative-cost gradient** — some plan's quotient to the per-corner
       best plan changes by more than a factor of
-      ``1 + gradient_threshold`` across the box (the paper's *relative*
+      ``1 + GRADIENT_THRESHOLD`` across the box (the paper's *relative*
       maps vary exactly where robustness structure lives; smooth plateaus
       have near-constant quotients even when absolute costs climb by
       decades, and the factor form keeps a plan drifting from 60x to 70x
       of best as boring as one drifting from 1.0x to 1.17x);
     * **plan crossover** — the argmin plan differs between corners *and*
       switching matters: some corner-winning plan is worse than best by
-      more than ``crossover_tolerance`` at another corner.  Near-ties
+      more than ``CROSSOVER_TOLERANCE`` at another corner.  Near-ties
       (e.g. two hash variants with identical cost below their spill
       point) flip the argmin without being structure;
     * **censoring boundary** — some plan is budget-censored (NaN) at part
@@ -137,7 +137,7 @@ class AdaptiveRefinePolicy(CellPolicy):
       uniformly hopeless plan cannot drag the whole grid to full
       resolution.
 
-    Quotients are capped at ``quotient_cap`` (default one decade, the
+    Quotients are capped at ``QUOTIENT_CAP`` (one decade, the
     relative color scale's bucket width) before scoring: a plan 25x or
     150x off best renders far off either way, so chasing its exact
     multiple would waste budget on regions every figure paints the same.
@@ -156,35 +156,19 @@ class AdaptiveRefinePolicy(CellPolicy):
     name = "adaptive-refine"
     multi_round = True
 
+    GRADIENT_THRESHOLD = 1.0
+    CROSSOVER_TOLERANCE = 0.25
+    QUOTIENT_CAP = 10.0
+
     def __init__(
-        self,
-        initial_step: int = 4,
-        max_cells: int | None = None,
-        gradient_threshold: float = 1.0,
-        crossover_tolerance: float = 0.25,
-        quotient_cap: float = 10.0,
+        self, initial_step: int = 4, max_cells: int | None = None
     ) -> None:
         if initial_step < 1:
             raise ExperimentError(f"initial_step must be >= 1, got {initial_step}")
         if max_cells is not None and max_cells < 1:
             raise ExperimentError(f"max_cells must be >= 1, got {max_cells}")
-        if gradient_threshold <= 0:
-            raise ExperimentError(
-                f"gradient_threshold must be > 0, got {gradient_threshold}"
-            )
-        if crossover_tolerance < 0:
-            raise ExperimentError(
-                f"crossover_tolerance must be >= 0, got {crossover_tolerance}"
-            )
-        if quotient_cap <= 1:
-            raise ExperimentError(
-                f"quotient_cap must exceed 1, got {quotient_cap}"
-            )
         self.initial_step = int(initial_step)
         self.max_cells = None if max_cells is None else int(max_cells)
-        self.gradient_threshold = float(gradient_threshold)
-        self.crossover_tolerance = float(crossover_tolerance)
-        self.quotient_cap = float(quotient_cap)
         self._steps: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
@@ -228,10 +212,10 @@ class AdaptiveRefinePolicy(CellPolicy):
         winners = np.unique(times.argmin(axis=0))
         if (
             winners.size > 1
-            and quotients[winners].max() > 1.0 + self.crossover_tolerance
+            and quotients[winners].max() > 1.0 + self.CROSSOVER_TOLERANCE
         ):
             return float("inf")  # material crossover ridge
-        capped = np.minimum(quotients, self.quotient_cap)
+        capped = np.minimum(quotients, self.QUOTIENT_CAP)
         return float((capped.max(axis=1) / capped.min(axis=1)).max() - 1.0)
 
     # ------------------------------------------------------------------
@@ -272,7 +256,7 @@ class AdaptiveRefinePolicy(CellPolicy):
             if any(flat not in state.measured for flat in corners):
                 continue  # parent box was uninteresting; stays coarse
             score = self._score(state.mapdata, corners)
-            if score <= self.gradient_threshold:
+            if score <= self.GRADIENT_THRESHOLD:
                 continue
             refined = [
                 sorted(set(range(lo, hi + 1, new_step)) | {lo, hi})
@@ -306,9 +290,9 @@ class AdaptiveRefinePolicy(CellPolicy):
             "refine_initial_steps": [
                 self._axis_step(n) for n in state.shape
             ],
-            "refine_gradient_threshold": self.gradient_threshold,
-            "refine_crossover_tolerance": self.crossover_tolerance,
-            "refine_quotient_cap": self.quotient_cap,
+            "refine_gradient_threshold": self.GRADIENT_THRESHOLD,
+            "refine_crossover_tolerance": self.CROSSOVER_TOLERANCE,
+            "refine_quotient_cap": self.QUOTIENT_CAP,
             "refine_max_cells": self.max_cells,
         }
 

@@ -35,24 +35,16 @@ def best_times(mapdata: MapData, plan_ids: list[str] | None = None) -> np.ndarra
     return np.nanmin(data.times, axis=0)
 
 
-def relative_to_best(
-    mapdata: MapData,
-    plan_ids: list[str] | None = None,
-    baseline_ids: list[str] | None = None,
-) -> np.ndarray:
+def relative_to_best(mapdata: MapData) -> np.ndarray:
     """Quotient surfaces: plan cost / best cost, shape (P, *grid).
 
-    ``plan_ids`` selects the numerator plans (default all); ``baseline_ids``
-    selects which plans define "best" (default: the same set).  Censored
-    cells get +inf (the plan is arbitrarily worse than the best).
+    Censored cells get +inf (the plan is arbitrarily worse than the best).
     """
-    numerator = mapdata if plan_ids is None else mapdata.subset(plan_ids)
-    best = best_times(mapdata, baseline_ids if baseline_ids is not None else plan_ids)
+    best = best_times(mapdata)
     if np.any(best <= 0):
         raise ExperimentError("best time is zero somewhere; cannot form quotients")
-    quotients = numerator.times / best
-    quotients = np.where(np.isnan(numerator.times), np.inf, quotients)
-    return quotients
+    quotients = mapdata.times / best
+    return np.where(np.isnan(mapdata.times), np.inf, quotients)
 
 
 def quotient_for(

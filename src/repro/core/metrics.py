@@ -48,8 +48,6 @@ def profile_plan(
     mapdata: MapData,
     plan_id: str,
     baseline_ids: list[str] | None = None,
-    factors: tuple[float, ...] = DEFAULT_FACTORS,
-    tol_rel: float = 0.01,
 ) -> RobustnessProfile:
     """Robustness profile of one plan vs. the best of ``baseline_ids``."""
     quotient = quotient_for(mapdata, plan_id, baseline_ids)
@@ -60,11 +58,11 @@ def profile_plan(
     # Optimality against the same baseline the quotients use: with a
     # restricted baseline, "optimal" means within tolerance of the best
     # *baseline* plan — not of the best plan overall.
-    mask = optimal_mask(mapdata, tol_rel=tol_rel, baseline_ids=baseline_ids)
+    mask = optimal_mask(mapdata, tol_rel=0.01, baseline_ids=baseline_ids)
     plan_mask = mask[mapdata.plan_index(plan_id)]
     within = {
         factor: float(np.count_nonzero(quotient <= factor)) / quotient.size
-        for factor in factors
+        for factor in DEFAULT_FACTORS
     }
     return RobustnessProfile(
         plan_id=plan_id,
@@ -76,15 +74,8 @@ def profile_plan(
     )
 
 
-def summarize_plans(
-    mapdata: MapData,
-    baseline_ids: list[str] | None = None,
-    factors: tuple[float, ...] = DEFAULT_FACTORS,
-) -> list[RobustnessProfile]:
+def summarize_plans(mapdata: MapData) -> list[RobustnessProfile]:
     """Profiles for every plan, most robust (smallest worst-case) first."""
-    profiles = [
-        profile_plan(mapdata, plan_id, baseline_ids, factors)
-        for plan_id in mapdata.plan_ids
-    ]
+    profiles = [profile_plan(mapdata, plan_id) for plan_id in mapdata.plan_ids]
     profiles.sort(key=lambda profile: (profile.worst_quotient, profile.geomean_quotient))
     return profiles

@@ -52,10 +52,9 @@ def optimal_counts(
     mapdata: MapData,
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
-    plan_ids: list[str] | None = None,
 ) -> np.ndarray:
     """Per-cell count of plans optimal within tolerance (Fig 10)."""
-    return optimal_mask(mapdata, tol_abs, tol_rel, plan_ids).sum(axis=0)
+    return optimal_mask(mapdata, tol_abs, tol_rel).sum(axis=0)
 
 
 @dataclass(frozen=True)

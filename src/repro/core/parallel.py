@@ -25,10 +25,9 @@ re-spawning per round.  ``n_workers <= 1`` falls back to a plain
 in-process :class:`RobustnessSweep`, so callers can thread a single knob
 through without branching.
 
-The provider ``factory`` and any ``plan_filter`` must be picklable (a
-module-level function or :class:`functools.partial` — use
-:class:`PlanIdFilter` instead of a lambda) so the engine also works under
-the ``spawn`` start method.
+The provider ``factory`` must be picklable (a module-level function or
+:class:`functools.partial`) so the engine also works under the ``spawn``
+start method.
 """
 
 from __future__ import annotations
@@ -53,19 +52,6 @@ from repro.core.scenario import Scenario, ScenarioSpec, build_scenario
 from repro.errors import ExperimentError
 
 ProviderFactory = Callable[[], Sequence]
-
-
-@dataclass(frozen=True)
-class PlanIdFilter:
-    """Picklable plan filter: keep exactly the given plan ids."""
-
-    allowed: frozenset
-
-    def __init__(self, allowed) -> None:
-        object.__setattr__(self, "allowed", frozenset(allowed))
-
-    def __call__(self, plan_id: str) -> bool:
-        return plan_id in self.allowed
 
 
 def partition_cells(n_cells: int, n_chunks: int) -> list[list[int]]:
@@ -116,15 +102,13 @@ def _worker_scenario(spec: ScenarioSpec):
     return _WORKER_SCENARIO[1]
 
 
-def _run_chunk(spec: ScenarioSpec, plan_filter, cells: list[int]) -> MapData:
+def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> MapData:
     assert _WORKER_SWEEP is not None, "worker pool not initialized"
     # One raw measurement pass, not a driver run: the chunk part must
     # keep meta["cells"] even when a single chunk happens to cover the
     # whole grid (a driver would normalize that to a complete map and
     # the parent's merge would reject it).
-    return _WORKER_SWEEP._sweep_cells(
-        _worker_scenario(spec), plan_filter, cells
-    )
+    return _WORKER_SWEEP._sweep_cells(_worker_scenario(spec), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +184,6 @@ class ParallelSweep:
         budget_seconds: float | None = None,
         memory_bytes: int | None = None,
         jitter: Jitter | None = None,
-        verify_agreement: bool = True,
         n_workers: int = 0,
         chunk_cells: int = 0,
         progress: Callable[[ProgressEvent], None] | None = None,
@@ -221,7 +204,6 @@ class ParallelSweep:
             "budget_seconds": budget_seconds,
             "memory_bytes": memory_bytes,
             "jitter": jitter,
-            "verify_agreement": verify_agreement,
             "capture_profiles": capture_profiles,
         }
         self.n_workers = n_workers
@@ -266,7 +248,6 @@ class ParallelSweep:
     def sweep(
         self,
         spec: ScenarioSpec,
-        plan_filter: Callable[[str], bool] | None = None,
         policy: CellPolicy | None = None,
     ) -> MapData:
         """Fan a policy's waves out over workers; bit-identical to serial.
@@ -283,7 +264,7 @@ class ParallelSweep:
         if workers <= 1 or n_cells < 2:
             sweep = self._serial_sweep()
             scenario = build_scenario(spec, sweep.systems)
-            return sweep.sweep(scenario, plan_filter=plan_filter, policy=policy)
+            return sweep.sweep(scenario, policy=policy)
 
         if policy is None:
             policy = DenseGridPolicy()
@@ -314,7 +295,7 @@ class ParallelSweep:
                 scenario=scenario,
                 keyer=parent.store_keyer(scenario),
                 plan_ids=parent._collect_plan_ids(
-                    scenario.plan_ids_by_provider(), plan_filter
+                    scenario.plan_ids_by_provider()
                 ),
             )
 
@@ -328,7 +309,7 @@ class ParallelSweep:
         try:
             driver = SweepDriver(
                 measure=lambda wave: self._measure_wave(
-                    lazy, spec, plan_filter, wave, workers, store_ctx
+                    lazy, spec, wave, workers, store_ctx
                 ),
                 shape=spec.grid_shape,
                 policy=policy,
@@ -345,7 +326,6 @@ class ParallelSweep:
         self,
         lazy: _LazyPool,
         spec: ScenarioSpec,
-        plan_filter,
         wave: list[int],
         workers: int,
         store_ctx: _StoreContext | None,
@@ -417,10 +397,7 @@ class ParallelSweep:
             # so the merged map stays bit-identical.
             parts.append(
                 store_ctx.parent._sweep_cells(
-                    store_ctx.scenario,
-                    plan_filter,
-                    sorted(hits),
-                    preloaded=hits,
+                    store_ctx.scenario, sorted(hits), preloaded=hits
                 )
             )
             done_cells += len(hits)
@@ -428,7 +405,7 @@ class ParallelSweep:
         if chunks:
             pool = lazy.get(len(chunks))
             futures = {
-                pool.submit(_run_chunk, spec, plan_filter, chunk): chunk
+                pool.submit(_run_chunk, spec, chunk): chunk
                 for chunk in chunks
             }
             for future in as_completed(futures):

@@ -15,16 +15,11 @@ import numpy as np
 from repro.errors import ExperimentError
 
 
-def log2_targets(
-    min_exp: int = -16, max_exp: int = 0, per_octave: int = 1
-) -> np.ndarray:
-    """Selectivity grid 2^min_exp .. 2^max_exp with per_octave points/doubling."""
-    if min_exp > max_exp:
-        raise ExperimentError(f"min_exp {min_exp} exceeds max_exp {max_exp}")
-    if per_octave < 1:
-        raise ExperimentError(f"per_octave must be >= 1, got {per_octave}")
-    n_steps = (max_exp - min_exp) * per_octave
-    exponents = np.linspace(min_exp, max_exp, n_steps + 1)
+def log2_targets(min_exp: int = -16) -> np.ndarray:
+    """Selectivity grid 2^min_exp .. 1 (the full table), one point per doubling."""
+    if min_exp > 0:
+        raise ExperimentError(f"min_exp {min_exp} exceeds 0, the full table")
+    exponents = np.linspace(min_exp, 0, -min_exp + 1)
     return np.power(2.0, exponents)
 
 
@@ -48,15 +43,9 @@ class Space1D:
         return int(self.targets.size)
 
     @classmethod
-    def log2(
-        cls,
-        name: str,
-        min_exp: int = -16,
-        max_exp: int = 0,
-        per_octave: int = 1,
-    ) -> "Space1D":
+    def log2(cls, name: str, min_exp: int = -16) -> "Space1D":
         """The paper's factor-of-2 selectivity grid."""
-        return cls(name, log2_targets(min_exp, max_exp, per_octave))
+        return cls(name, log2_targets(min_exp))
 
 
 @dataclass(frozen=True)
@@ -86,15 +75,5 @@ class Space2D:
         return self.x.n_points * self.y.n_points
 
     @classmethod
-    def log2(
-        cls,
-        x_name: str,
-        y_name: str,
-        min_exp: int = -16,
-        max_exp: int = 0,
-        per_octave: int = 1,
-    ) -> "Space2D":
-        return cls(
-            Space1D.log2(x_name, min_exp, max_exp, per_octave),
-            Space1D.log2(y_name, min_exp, max_exp, per_octave),
-        )
+    def log2(cls, x_name: str, y_name: str, min_exp: int = -16) -> "Space2D":
+        return cls(Space1D.log2(x_name, min_exp), Space1D.log2(y_name, min_exp))

@@ -75,7 +75,6 @@ def compare_maps(
     before: MapData,
     after: MapData,
     threshold: float = 1.5,
-    improvement_threshold: float | None = None,
 ) -> RegressionReport:
     """Flag cells where ``after`` is slower than ``before`` by > threshold.
 
@@ -93,7 +92,6 @@ def compare_maps(
         )
     if threshold <= 1.0:
         raise ExperimentError(f"threshold must exceed 1.0, got {threshold}")
-    improvement_threshold = improvement_threshold or threshold
     report = RegressionReport(threshold=threshold)
     for p, plan_id in enumerate(before.plan_ids):
         before_slice = before.times[p]
@@ -127,6 +125,6 @@ def compare_maps(
                 continue
             if b > 0 and a / b > threshold:
                 report.findings.append(RegressionFinding(plan_id, cell, b, a))
-            elif a > 0 and b / a > improvement_threshold:
+            elif a > 0 and b / a > threshold:
                 report.improvements.append(RegressionFinding(plan_id, cell, b, a))
     return report

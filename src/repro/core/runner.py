@@ -118,7 +118,6 @@ class RobustnessSweep:
         budget_seconds: float | None = None,
         memory_bytes: int | None = None,
         jitter: Jitter | None = None,
-        verify_agreement: bool = True,
         progress: Callable[[ProgressEvent], None] | None = None,
         cell_store: CellStore | None = None,
         store_context: str = "",
@@ -131,7 +130,6 @@ class RobustnessSweep:
         self.budget_seconds = budget_seconds
         self.memory_bytes = memory_bytes
         self.jitter = jitter
-        self.verify_agreement = verify_agreement
         self.progress = progress or (lambda event: None)
         self.cell_store = cell_store
         self.store_context = store_context
@@ -145,17 +143,11 @@ class RobustnessSweep:
 
     # ------------------------------------------------------------------
 
-    def _collect_plan_ids(
-        self,
-        ids_per_provider: list,
-        plan_filter: Callable[[str], bool] | None,
-    ) -> list[str]:
-        """Filtered plan id list across providers; rejects id collisions."""
-        plan_ids: list[str] = []
-        for provider_ids in ids_per_provider:
-            for plan_id in provider_ids:
-                if plan_filter is None or plan_filter(plan_id):
-                    plan_ids.append(plan_id)
+    def _collect_plan_ids(self, ids_per_provider: list) -> list[str]:
+        """Plan id list across providers; rejects id collisions."""
+        plan_ids = [
+            plan_id for provider_ids in ids_per_provider for plan_id in provider_ids
+        ]
         duplicates = sorted(
             plan_id
             for plan_id, count in Counter(plan_ids).items()
@@ -196,11 +188,7 @@ class RobustnessSweep:
                         aborted=run.aborted,
                         spans=tracer.drain(),
                     ).to_dict()
-                if (
-                    self.verify_agreement
-                    and not run.aborted
-                    and run.n_rows != expected_rows
-                ):
+                if not run.aborted and run.n_rows != expected_rows:
                     raise ExperimentError(
                         f"plan {plan_id} returned {run.n_rows} rows at cell "
                         f"{cell}; oracle says {expected_rows}"
@@ -235,8 +223,6 @@ class RobustnessSweep:
     def sweep(
         self,
         scenario: Scenario,
-        plan_filter: Callable[[str], bool] | None = None,
-        cells: Sequence[int] | None = None,
         policy: CellPolicy | None = None,
     ) -> MapData:
         """Measure a scenario's plans over the cells a policy proposes.
@@ -244,23 +230,18 @@ class RobustnessSweep:
         This is a thin front-end over the wave-based
         :class:`~repro.core.driver.SweepDriver`.  The default
         :class:`~repro.core.driver.DenseGridPolicy` measures the full
-        N-D grid (or the explicit ``cells`` subset — the chunk unit of
-        the parallel engine) exactly as the classic sweep did,
-        bit-identically; pass an
+        N-D grid (or its explicit ``cells`` subset) exactly as the
+        classic sweep did, bit-identically; pass an
         :class:`~repro.core.driver.AdaptiveRefinePolicy` to measure a
         coarse-to-fine subset concentrated on the map's structure.
         Partial results carry ``meta["cells"]`` for later
         :meth:`MapData.merge`; measured values are bit-identical
         regardless of policy, chunking, or wave order.
         """
-        if policy is not None and cells is not None:
-            raise ExperimentError("pass either cells or a policy, not both")
-        if policy is None:
-            policy = DenseGridPolicy(cells=cells)
         driver = SweepDriver(
-            measure=lambda wave: self._sweep_cells(scenario, plan_filter, wave),
+            measure=lambda wave: self._sweep_cells(scenario, wave),
             shape=scenario.grid_shape,
-            policy=policy,
+            policy=policy or DenseGridPolicy(),
             scenario=scenario.name,
             progress=self.progress,
             wave_hits=lambda: self._last_wave_hits,
@@ -300,8 +281,7 @@ class RobustnessSweep:
     def _sweep_cells(
         self,
         scenario: Scenario,
-        plan_filter: Callable[[str], bool] | None,
-        cells: Sequence[int] | None,
+        cells: Sequence[int],
         preloaded: dict[int, dict[str, CellRecord]] | None = None,
     ) -> MapData:
         """One wave: measure the given flat cell indices in order.
@@ -316,13 +296,9 @@ class RobustnessSweep:
         axes = scenario.axes
         shape = tuple(axis.n_points for axis in axes)
         n_cells = int(np.prod(shape))
-        plan_ids = self._collect_plan_ids(
-            scenario.plan_ids_by_provider(), plan_filter
-        )
+        plan_ids = self._collect_plan_ids(scenario.plan_ids_by_provider())
         if not plan_ids:
-            raise ExperimentError(
-                f"scenario {scenario.name!r} has no plans after filtering"
-            )
+            raise ExperimentError(f"scenario {scenario.name!r} has no plans")
         # Shared with DenseGridPolicy: one validation authority.
         cell_list = resolve_cells(cells, n_cells)
         times = np.full((len(plan_ids), *shape), np.nan)
@@ -408,12 +384,6 @@ class RobustnessSweep:
             rows[idx] = cell.expected_rows
             plans_by_runner = []
             for provider_i, plans in cell.plans:
-                if plan_filter is not None:
-                    plans = {
-                        plan_id: plan
-                        for plan_id, plan in plans.items()
-                        if plan_filter(plan_id)
-                    }
                 if cell.memory_bytes is None:
                     runner = default_runners[provider_i]
                 else:
@@ -472,8 +442,7 @@ class RobustnessSweep:
 
         meta = dict(scenario.meta(self))
         meta["scenario"] = scenario.name
-        if cells is not None:
-            meta["cells"] = cell_list
+        meta["cells"] = cell_list
         if profiles:
             meta[PROFILES_META_KEY] = profiles
         return MapData(

@@ -254,23 +254,22 @@ class Scenario(ABC):
     def n_cells(self) -> int:
         return int(np.prod(self.grid_shape))
 
-    def run(self, plan_filter=None, cells=None, policy=None, **sweep_kwargs):
+    def run(self, policy=None, **sweep_kwargs):
         """Convenience: sweep this scenario serially in-process.
 
-        ``policy`` selects the cell policy (default: dense grid; pass an
-        :class:`~repro.core.driver.AdaptiveRefinePolicy` for
+        ``policy`` selects the cell policy (default: dense grid; pass a
+        :class:`~repro.core.driver.DenseGridPolicy` with ``cells`` for a
+        subset, an :class:`~repro.core.driver.AdaptiveRefinePolicy` for
         coarse-to-fine refinement).  ``sweep_kwargs`` are forwarded to
         :class:`~repro.core.runner.RobustnessSweep` (budget_seconds,
-        memory_bytes, jitter, verify_agreement, progress, and the
-        content-addressed ``cell_store`` / ``store_context`` — see
+        memory_bytes, jitter, progress, and the content-addressed
+        ``cell_store`` / ``store_context`` — see
         :mod:`repro.core.cellstore`).
         """
         from repro.core.runner import RobustnessSweep
 
         sweep = RobustnessSweep(self.providers(), **sweep_kwargs)
-        return sweep.sweep(
-            self, plan_filter=plan_filter, cells=cells, policy=policy
-        )
+        return sweep.sweep(self, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +501,9 @@ class EstimationErrorScenario(_SelectivityScenario):
             magnitude=self.magnitude(idx),
         )
 
-    def candidate_plans(
-        self, idx: tuple[int, ...], provider: int = 0
-    ) -> dict[str, PlanNode]:
-        """Fresh plan trees one provider's optimizer chooses from."""
-        return self.systems[provider].plans_for(self._query(idx))
+    def candidate_plans(self, idx: tuple[int, ...]) -> dict[str, PlanNode]:
+        """Fresh plan trees the first system's optimizer chooses from."""
+        return self.systems[0].plans_for(self._query(idx))
 
 
 @register_scenario
@@ -574,8 +571,8 @@ class OperatorBench:
 
     name = "op"
 
-    def __init__(self, profile: DeviceProfile | None = None) -> None:
-        self.env = StorageEnv(profile or DeviceProfile())
+    def __init__(self) -> None:
+        self.env = StorageEnv(DeviceProfile())
 
     def runner(
         self,
@@ -583,10 +580,7 @@ class OperatorBench:
         memory_bytes: int | None = None,
     ) -> PlanRunner:
         return PlanRunner(
-            self.env,
-            memory_bytes=memory_bytes,
-            budget_seconds=budget_seconds,
-            cold=True,
+            self.env, memory_bytes=memory_bytes, budget_seconds=budget_seconds
         )
 
 

@@ -108,7 +108,7 @@ class ExecContext:
         if spent > self.budget_seconds:
             raise CostBudgetExceeded(self.budget_seconds, spent)
 
-    def check_budget_every(self, done: int, stride: int = 256) -> None:
+    def check_budget_every(self, done: int, stride: int) -> None:
         """Budget check for per-item loops: fires every ``stride`` items.
 
         Call with the zero-based index of the item just completed; the

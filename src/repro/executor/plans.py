@@ -117,7 +117,7 @@ class TableScanNode(PlanNode):
         with trace_op(ctx, "table-scan", "scan"):
             table = self.table
             profile = ctx.profile
-            _keys, columns = table.clustered.scan_all(charge=True)
+            _keys, columns = table.clustered.scan_all()
             n_rows = table.n_rows
             ctx.charge(n_rows, profile.cpu_row)
             if self.predicates:
@@ -147,7 +147,7 @@ class TableScanNode(PlanNode):
         table = self.table
         profile = ctx.profile
         with trace_op(ctx, "table-scan", "scan"):
-            _keys, columns = table.clustered.scan_all(charge=True)
+            _keys, columns = table.clustered.scan_all()
             n_rows = table.n_rows
             ctx.charge(n_rows, profile.cpu_row)
             predicates = self.predicates
@@ -230,7 +230,7 @@ class IndexRangeRidsNode(PlanNode):
             )
             if key_range is None:
                 return Result.empty()
-            keys, rids = self.index.read_range(*key_range, charge=True)
+            keys, rids = self.index.read_range(*key_range)
             ctx.charge(keys.size, ctx.profile.cpu_bitmap_op)
             ctx.check_budget()
             return Result(
@@ -290,7 +290,7 @@ class CompositeRangeRidsNode(PlanNode):
         if lead_lo > lead_hi:
             return Result.empty()
         lo_arr, hi_arr = codec.prefix_bounds(np.asarray([lead_lo, lead_hi]))
-        keys, rids = index.read_range(int(lo_arr[0]), int(hi_arr[1]), charge=True)
+        keys, rids = index.read_range(int(lo_arr[0]), int(hi_arr[1]))
         profile = ctx.profile
         ctx.charge(keys.size, profile.cpu_predicate)
         lead_vals, trail_vals = codec.decode(keys)
@@ -404,22 +404,24 @@ class FetchNode(PlanNode):
         return cost
 
 
-def _charge_rid_sort(
-    ctx: ExecContext, n_rids: int, payload_bytes_per_row: int = 16
-) -> None:
+#: Bytes per row a rid sort holds in its workspace and spills.
+_RID_SORT_ROW_BYTES = 16
+
+
+def _charge_rid_sort(ctx: ExecContext, n_rids: int) -> None:
     """Charge sorting ``n_rids`` rids: CPU, plus a spill if memory is tight.
 
     Charge-only: the joined rids and their positions come from the
     rid-set kernel (:func:`intersect_rids` / :func:`probe_rids`).
     """
     with trace_op(ctx, "rid-sort", "sort"):
-        n_bytes = n_rids * payload_bytes_per_row
+        n_bytes = n_rids * _RID_SORT_ROW_BYTES
         grant = ctx.broker.try_grant(n_bytes)
         ctx.charge_sort_cpu(n_rids)
         if grant is None:
             # Workspace overflow: write the run out and read it back (one
             # round trip) — a single extra pass, charged sequentially.
-            spill = ctx.temp.write_run(n_rids, payload_bytes_per_row)
+            spill = ctx.temp.write_run(n_rids, _RID_SORT_ROW_BYTES)
             ctx.temp.read_run_fully(spill)
         else:
             grant.release()
@@ -594,7 +596,7 @@ class CoveringRidJoinNode(PlanNode):
 
     def _join(self, ctx: ExecContext, child: Result) -> Result:
         profile = ctx.profile
-        value_keys, _ = self.value_index.scan_all(charge=True)
+        value_keys, _ = self.value_index.scan_all()
         n_index = value_keys.size
         ctx.charge(n_index, profile.cpu_row)
         if self.algorithm == "merge":
@@ -722,7 +724,6 @@ class MeasuredRun:
         aborted: bool,
         n_rows: int,
         io: DiskStats,
-        rid_checksum: int | None = None,
         checksum_fn: Callable[[], int] | None = None,
     ) -> None:
         self.plan_label = plan_label
@@ -730,7 +731,7 @@ class MeasuredRun:
         self.aborted = aborted
         self.n_rows = n_rows
         self.io = io
-        self._rid_checksum = rid_checksum
+        self._rid_checksum: int | None = None
         self._checksum_fn = checksum_fn
 
     @property
@@ -762,17 +763,14 @@ class PlanRunner:
         env: StorageEnv,
         memory_bytes: int | None = None,
         budget_seconds: float | None = None,
-        cold: bool = True,
     ) -> None:
         self.env = env
         self.memory_bytes = memory_bytes
         self.budget_seconds = budget_seconds
-        self.cold = cold
 
     def measure(self, plan: PlanNode) -> MeasuredRun:
         """Run the plan once and return its measured virtual cost."""
-        if self.cold:
-            self.env.cold_reset()
+        self.env.cold_reset()
         ctx = ExecContext(
             self.env,
             memory_bytes=self.memory_bytes,

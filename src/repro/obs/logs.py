@@ -48,13 +48,12 @@ def log_format(environ: Any | None = None) -> str:
 def setup_logging(
     level: int = logging.INFO,
     stream: IO[str] | None = None,
-    fmt: str | None = None,
 ) -> logging.Logger:
     """Configure the ``repro`` logger; returns it.
 
-    ``fmt`` is ``"json"`` or ``"plain"``; ``None`` reads
-    ``REPRO_LOG_FORMAT``.  Logs go to ``stream`` (default stderr), so
-    stdout stays clean for piped map/SVG output.
+    The format is :func:`log_format`'s (``REPRO_LOG_FORMAT``).  Logs go
+    to ``stream`` (default stderr), so stdout stays clean for piped
+    map/SVG output.
     """
     logger = logging.getLogger(_ROOT_LOGGER)
     logger.setLevel(level)
@@ -64,7 +63,7 @@ def setup_logging(
             logger.removeHandler(handler)
     handler = logging.StreamHandler(stream or sys.stderr)
     setattr(handler, _HANDLER_FLAG, True)
-    if (fmt or log_format()) == "json":
+    if log_format() == "json":
         handler.setFormatter(JsonFormatter())
     else:
         handler.setFormatter(

@@ -135,8 +135,8 @@ class Gauge(Metric):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
+    def dec(self) -> None:
+        self.inc(-1.0)
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Sample ``fn`` at render time instead of a stored value."""

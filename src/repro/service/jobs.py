@@ -206,6 +206,11 @@ class JobManager:
             resolved.system_config()  # n_rows and pool_pages in range
         except (WorkloadError, BufferPoolError) as exc:
             raise ExperimentError(f"bad override: {exc}") from None
+        if resolved.refine_max_cells < 0:
+            raise ExperimentError(
+                "bad override: refine_max_cells must not be negative, got "
+                f"{resolved.refine_max_cells}"
+            )
         cells = definition_for(request.scenario).n_cells(resolved)
         if resolved.refine and resolved.refine_max_cells:
             cells = min(cells, resolved.refine_max_cells)

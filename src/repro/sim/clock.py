@@ -18,10 +18,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ExecutionError(f"clock cannot start at negative time {start!r}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -54,17 +52,15 @@ class SimClock:
             np.add.accumulate(np.concatenate(((self._now,), amounts)))[-1]
         )
 
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind to ``start`` (a fresh measurement epoch).
+    def reset(self) -> None:
+        """Rewind to zero (a fresh measurement epoch).
 
         Elapsed times are float differences, so their low-order bits
         depend on the *absolute* clock value; rewinding at every cold
         reset makes a measurement bit-identical regardless of how much
         virtual time earlier measurements accumulated.
         """
-        if start < 0:
-            raise ExecutionError(f"clock cannot reset to negative time {start!r}")
-        self._now = float(start)
+        self._now = 0.0
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}s)"

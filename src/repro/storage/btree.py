@@ -238,7 +238,6 @@ class BPlusTree:
     def probe_many(
         self,
         keys: np.ndarray,
-        charge: bool = True,
         budget_check=None,
         budget_stride: int | None = None,
     ) -> np.ndarray:
@@ -269,7 +268,7 @@ class BPlusTree:
         lo = np.searchsorted(flat.keys, keys, side="left")
         hi = np.searchsorted(flat.keys, keys, side="right")
         counts = np.asarray(hi - lo, dtype=np.int64)
-        if not charge or n == 0:
+        if n == 0:
             return counts
 
         n_entries = flat.n_entries
@@ -412,27 +411,25 @@ class BPlusTree:
             flush(n)
         pool.commit_many(planned)
 
-    def probe(self, key: int, charge: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def probe(self, key: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Return (keys, payload) of entries equal to ``key`` (may be empty).
 
         Charges one pool access per page on the root-to-leaf path plus
-        probe CPU when ``charge`` is set, then one per further leaf that
-        duplicates of ``key`` run into.  Returns NumPy views — callers
-        must not mutate them.
+        probe CPU, then one per further leaf that duplicates of ``key``
+        run into.  Returns NumPy views — callers must not mutate them.
         """
         flat = self.flat
         start, end = self.span_for_range(key, key)
-        if charge:
-            pool = self._env.pool
-            leaf = self._charge_inner_path(key)
+        pool = self._env.pool
+        leaf = self._charge_inner_path(key)
+        pool.get(self.handle, int(flat.leaf_pages[leaf]))
+        self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
+        # Follow the leaf chain until a key beyond the target shows:
+        # while the target's upper bound lies at or past the end of
+        # the current leaf and there is a next one.
+        while leaf + 1 < flat.n_leaves and end >= flat.leaf_starts[leaf + 1]:
+            leaf += 1
             pool.get(self.handle, int(flat.leaf_pages[leaf]))
-            self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
-            # Follow the leaf chain until a key beyond the target shows:
-            # while the target's upper bound lies at or past the end of
-            # the current leaf and there is a next one.
-            while leaf + 1 < flat.n_leaves and end >= flat.leaf_starts[leaf + 1]:
-                leaf += 1
-                pool.get(self.handle, int(flat.leaf_pages[leaf]))
         return self._entries(start, end)
 
     # ------------------------------------------------------------------
@@ -455,7 +452,7 @@ class BPlusTree:
         return start, end
 
     def read_range(
-        self, lo: int, hi: int, charge: bool = True
+        self, lo: int, hi: int
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Read all entries with key in the inclusive range [lo, hi].
 
@@ -465,20 +462,19 @@ class BPlusTree:
         """
         flat = self.flat
         start, end = self.span_for_range(lo, hi)
-        if charge:
-            self._charge_inner_path(lo)
-            self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
-            if end > start:
-                first = flat.leaf_index_of(start)
-                last = flat.leaf_index_of(end - 1)
-                self._env.disk.read_scattered(
-                    self.handle, flat.leaf_pages[first : last + 1]
-                )
+        self._charge_inner_path(lo)
+        self._env.charge_cpu(1, self._env.profile.btree_probe_cpu)
+        if end > start:
+            first = flat.leaf_index_of(start)
+            last = flat.leaf_index_of(end - 1)
+            self._env.disk.read_scattered(
+                self.handle, flat.leaf_pages[first : last + 1]
+            )
         return self._entries(start, end)
 
-    def scan_all(self, charge: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def scan_all(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Full leaf scan in key order (physically sequential)."""
         flat = self.flat
-        if charge and flat.n_entries:
+        if flat.n_entries:
             self._env.disk.read_scattered(self.handle, flat.leaf_pages)
         return flat.keys, dict(flat.payload)

@@ -113,15 +113,15 @@ class SecondaryIndex:
         return tuple((1 << b) - 1 for b in self.codec.bits)
 
     def read_range(
-        self, lo_key: int, hi_key: int, charge: bool = True
+        self, lo_key: int, hi_key: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """All (encoded_keys, rids) with key in [lo_key, hi_key]."""
-        keys, payload = self.tree.read_range(lo_key, hi_key, charge=charge)
+        keys, payload = self.tree.read_range(lo_key, hi_key)
         return keys, payload["rid"]
 
-    def scan_all(self, charge: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def scan_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Full index scan in key order."""
-        keys, payload = self.tree.scan_all(charge=charge)
+        keys, payload = self.tree.scan_all()
         return keys, payload["rid"]
 
     def rid_positions(self) -> np.ndarray:
@@ -137,7 +137,6 @@ class Table:
         env: StorageEnv,
         name: str,
         columns: Mapping[str, np.ndarray],
-        row_bytes: int | None = None,
     ) -> None:
         if not columns:
             raise StorageError("a table needs at least one column")
@@ -150,14 +149,12 @@ class Table:
             column: np.ascontiguousarray(values) for column, values in columns.items()
         }
         self.n_rows = next(iter(lengths.values()))
-        if row_bytes is None:
-            row_bytes = _ROW_OVERHEAD_BYTES + sum(
-                values.dtype.itemsize for values in self._columns.values()
-            )
-        self.row_bytes = row_bytes
+        self.row_bytes = _ROW_OVERHEAD_BYTES + sum(
+            values.dtype.itemsize for values in self._columns.values()
+        )
         rids = np.arange(self.n_rows, dtype=np.int64)
         self.clustered = BPlusTree(
-            env, f"{name}.clustered", entry_bytes=row_bytes
+            env, f"{name}.clustered", entry_bytes=self.row_bytes
         ).bulk_load(rids, dict(self._columns))
         self.indexes: dict[str, SecondaryIndex] = {}
         self._sorted_columns: dict[str, np.ndarray] = {}

@@ -101,10 +101,7 @@ class DatabaseSystem(ABC):
     ) -> PlanRunner:
         """A cold-cache measurement runner for this system."""
         return PlanRunner(
-            self.env,
-            memory_bytes=memory_bytes,
-            budget_seconds=budget_seconds,
-            cold=True,
+            self.env, memory_bytes=memory_bytes, budget_seconds=budget_seconds
         )
 
     # ------------------------------------------------------------------

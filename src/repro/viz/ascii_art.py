@@ -23,15 +23,12 @@ EMPTY_CHAR = " "
 def curve_ascii(
     xs: np.ndarray,
     series: dict[str, np.ndarray],
-    width: int = 72,
-    height: int = 18,
 ) -> str:
     """Log-log multi-series plot; series are marked 'a', 'b', 'c', ...."""
     xs = np.asarray(xs, dtype=float)
     if not series:
         raise VisualizationError("curve_ascii needs at least one series")
-    if width < 16 or height < 6:
-        raise VisualizationError("plot area too small")
+    width, height = 72, 18
     finite = np.concatenate(
         [values[np.isfinite(values) & (np.asarray(values) > 0)] for values in series.values()]
     )

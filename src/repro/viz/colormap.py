@@ -114,12 +114,7 @@ class CategoricalScale:
     by its index in the inventory.
     """
 
-    def __init__(
-        self,
-        categories: Sequence[str],
-        title: str,
-        palette: Sequence[RGB] | None = None,
-    ) -> None:
+    def __init__(self, categories: Sequence[str], title: str) -> None:
         categories = [str(category) for category in categories]
         if not categories:
             raise VisualizationError("a categorical scale needs categories")
@@ -127,11 +122,10 @@ class CategoricalScale:
             raise VisualizationError(
                 f"duplicate categories: {sorted(categories)}"
             )
-        palette = list(palette) if palette is not None else CATEGORICAL_PALETTE
         self.categories = categories
         self.title = title
         self._rgb = {
-            category: self._palette_color(palette, index)
+            category: self._palette_color(CATEGORICAL_PALETTE, index)
             for index, category in enumerate(categories)
         }
 

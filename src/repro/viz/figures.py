@@ -62,25 +62,18 @@ def absolute_curves(
 def relative_curves(
     mapdata: MapData,
     title: str,
-    plan_ids: list[str] | None = None,
-    baseline_ids: list[str] | None = None,
-    path: str | Path | None = None,
 ) -> str:
     """Fig 2 style: cost relative to the best plan at each point."""
     if mapdata.is_2d:
         raise VisualizationError("relative_curves needs a 1-D map")
-    plan_ids = plan_ids or mapdata.plan_ids
-    quotients = relative_to_best(mapdata, plan_ids, baseline_ids)
+    quotients = relative_to_best(mapdata)
     series = {
         plan_id: np.where(np.isinf(quotients[i]), np.nan, quotients[i])
-        for i, plan_id in enumerate(plan_ids)
+        for i, plan_id in enumerate(mapdata.plan_ids)
     }
-    svg = curves_svg(
+    return curves_svg(
         mapdata.x_achieved, series, title=title, y_label="factor of best plan"
     )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
 
 
 def _plan_heatmap(
@@ -111,12 +104,11 @@ def absolute_heatmap(
     mapdata: MapData,
     plan_id: str,
     title: str,
-    scale: DiscreteScale = ABSOLUTE_TIME_SCALE,
     path: str | Path | None = None,
 ) -> str:
     """Fig 4 / Fig 5 style: one plan's absolute cost over a 2-D grid."""
     grid = _require_2d(mapdata).times_for(plan_id)
-    return _plan_heatmap(mapdata, grid, title, scale, path)
+    return _plan_heatmap(mapdata, grid, title, ABSOLUTE_TIME_SCALE, path)
 
 
 def relative_heatmap(
@@ -124,13 +116,12 @@ def relative_heatmap(
     plan_id: str,
     title: str,
     baseline_ids: list[str] | None = None,
-    scale: DiscreteScale = RELATIVE_FACTOR_SCALE,
     path: str | Path | None = None,
 ) -> str:
     """Fig 7/8/9 style: one plan's factor-of-best over a 2-D grid."""
     quotient = quotient_for(_require_2d(mapdata), plan_id, baseline_ids)
     grid = np.where(np.isinf(quotient), np.nan, quotient)
-    return _plan_heatmap(mapdata, grid, title, scale, path)
+    return _plan_heatmap(mapdata, grid, title, RELATIVE_FACTOR_SCALE, path)
 
 
 def counts_heatmap(
@@ -182,16 +173,14 @@ def _axis_tick_labels(axis: MapAxis) -> list[str]:
     return [f"{v:g}" for v in values]
 
 
-def plan_choice_scale(
-    plan_ids: list[str], title: str = "Chosen plan"
-) -> CategoricalScale:
+def plan_choice_scale(plan_ids: list[str]) -> CategoricalScale:
     """The shared plan-identity color scale for a set of choice panels.
 
     Build it once from the *full* inventory and pass it to every
     :func:`choice_heatmap` of a figure, so the same plan is the same
     color in every panel regardless of which plans each policy uses.
     """
-    return CategoricalScale(plan_ids, title)
+    return CategoricalScale(plan_ids, "Chosen plan")
 
 
 def choice_heatmap(
@@ -226,7 +215,6 @@ def choice_heatmap(
 def regret_heatmap(
     choice: ChoiceMap,
     title: str,
-    scale: DiscreteScale = RELATIVE_FACTOR_SCALE,
     path: str | Path | None = None,
 ) -> str:
     """Factor-of-best map of a policy's chosen plans (white: undefined).
@@ -240,7 +228,7 @@ def regret_heatmap(
     x_axis, y_axis = choice.axes
     svg = heatmap_svg(
         choice.regret,
-        scale,
+        RELATIVE_FACTOR_SCALE,
         title,
         _axis_tick_labels(x_axis),
         _axis_tick_labels(y_axis),
@@ -252,25 +240,17 @@ def regret_heatmap(
     return svg
 
 
-def regret_png(
-    choice: ChoiceMap,
-    scale: DiscreteScale = RELATIVE_FACTOR_SCALE,
-    cell_px: int = 16,
-) -> bytes:
+def regret_png(choice: ChoiceMap) -> bytes:
     """The regret map as PNG bytes (same color policy as the SVG)."""
     if not choice.is_2d:
         raise VisualizationError("regret_png needs a 2-D choice map")
     from repro.viz.png import encode_png
 
-    return encode_png(heatmap_png_pixels(choice.regret, scale, cell_px))
+    return encode_png(heatmap_png_pixels(choice.regret, RELATIVE_FACTOR_SCALE))
 
 
-def heatmap_png_pixels(
-    grid: np.ndarray,
-    scale: DiscreteScale,
-    cell_px: int = 16,
-) -> np.ndarray:
-    """Rasterize a 2-D grid to pixels (paper orientation: y up)."""
+def heatmap_png_pixels(grid: np.ndarray, scale: DiscreteScale) -> np.ndarray:
+    """Rasterize a 2-D grid to 16-pixel cells (paper orientation: y up)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise VisualizationError(f"need a 2-D grid, got {grid.shape}")
@@ -281,17 +261,16 @@ def heatmap_png_pixels(
             value = grid[ix, iy]
             color = CENSORED_RGB if np.isnan(value) else scale.color_for(float(value))
             cells[ny - 1 - iy, ix] = color
-    return rasterize_grid(cells, cell_px)
+    return rasterize_grid(cells)
 
 
 def save_heatmap_png(
     grid: np.ndarray,
     scale: DiscreteScale,
     path: str | Path,
-    cell_px: int = 16,
 ) -> None:
     """Rasterize and write a 2-D grid as PNG."""
-    save_png(path, heatmap_png_pixels(grid, scale, cell_px))
+    save_png(path, heatmap_png_pixels(grid, scale))
 
 
 def _require_2d(mapdata: MapData) -> MapData:

@@ -61,19 +61,19 @@ class SvgDocument:
             f'fill="{_rgb(fill)}"{stroke_attr}/>'
         )
 
-    def line(self, x1: float, y1: float, x2: float, y2: float, color: RGB = (0, 0, 0), width: float = 1.0) -> None:
+    def line(self, x1: float, y1: float, x2: float, y2: float) -> None:
         self._elements.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{_rgb(color)}" stroke-width="{width}"/>'
+            'stroke="rgb(0,0,0)" stroke-width="1.0"/>'
         )
 
-    def polyline(self, points: list[tuple[float, float]], color: RGB, width: float = 2.0) -> None:
+    def polyline(self, points: list[tuple[float, float]], color: RGB) -> None:
         if len(points) < 2:
             return
         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self._elements.append(
             f'<polyline points="{path}" fill="none" stroke="{_rgb(color)}" '
-            f'stroke-width="{width}"/>'
+            'stroke-width="2.0"/>'
         )
 
     def circle(self, x: float, y: float, r: float, color: RGB) -> None:
@@ -88,12 +88,11 @@ class SvgDocument:
         content: str,
         size: int = 12,
         anchor: str = "start",
-        color: RGB = (0, 0, 0),
     ) -> None:
         self._elements.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{_rgb(color)}">{escape(content)}</text>'
+            f'fill="rgb(0,0,0)">{escape(content)}</text>'
         )
 
     def to_string(self) -> str:
@@ -119,8 +118,6 @@ def curves_svg(
     title: str,
     x_label: str = "selectivity",
     y_label: str = "seconds",
-    width: int = 760,
-    height: int = 470,
 ) -> str:
     """Log-log multi-series line chart (the Fig 1 / Fig 2 style).
 
@@ -130,6 +127,7 @@ def curves_svg(
     xs = np.asarray(xs, dtype=float)
     if not series:
         raise VisualizationError("curves_svg needs at least one series")
+    width, height = 760, 470
     margin_left, margin_right, margin_top, margin_bottom = 70, 170, 40, 50
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
@@ -195,11 +193,14 @@ def curves_svg(
     return doc.to_string()
 
 
+#: Side of one heat-map cell, in SVG units.
+_CELL = 26
+
+
 def _heatmap_frame(
     doc: SvgDocument,
     nx: int,
     ny: int,
-    cell: int,
     margin_left: int,
     margin_top: int,
     x_tick_labels: list[str],
@@ -208,6 +209,7 @@ def _heatmap_frame(
     y_label: str,
 ) -> None:
     """Tick labels and axis titles shared by all heat-map styles."""
+    cell = _CELL
     for ix in range(0, nx, max(1, nx // 8)):
         doc.text(
             margin_left + ix * cell + cell / 2,
@@ -262,7 +264,6 @@ def heatmap_svg(
     y_tick_labels: list[str],
     x_label: str = "selectivity A",
     y_label: str = "selectivity B",
-    cell: int = 26,
 ) -> str:
     """Bucket-colored 2-D map (the Fig 4-9 style), NaN cells white.
 
@@ -277,6 +278,7 @@ def heatmap_svg(
     nx, ny = grid.shape
     if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
         raise VisualizationError("tick label counts must match the grid")
+    cell = _CELL
     margin_left, margin_top = 80, 46
     legend_w = 230
     width = margin_left + nx * cell + legend_w
@@ -292,7 +294,7 @@ def heatmap_svg(
             y = margin_top + (ny - 1 - iy) * cell
             doc.rect(x, y, cell, cell, color, stroke=(230, 230, 230))
     _heatmap_frame(
-        doc, nx, ny, cell, margin_left, margin_top,
+        doc, nx, ny, margin_left, margin_top,
         x_tick_labels, y_tick_labels, x_label, y_label,
     )
     _heatmap_legend(
@@ -309,7 +311,6 @@ def categorical_heatmap_svg(
     y_tick_labels: list[str],
     x_label: str = "selectivity",
     y_label: str = "",
-    cell: int = 26,
 ) -> str:
     """Category-colored 2-D map (choice maps): exact index lookups.
 
@@ -326,6 +327,7 @@ def categorical_heatmap_svg(
     nx, ny = indices.shape
     if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
         raise VisualizationError("tick label counts must match the grid")
+    cell = _CELL
     margin_left, margin_top = 80, 46
     legend_w = 250
     width = margin_left + nx * cell + legend_w
@@ -342,7 +344,7 @@ def categorical_heatmap_svg(
             y = margin_top + (ny - 1 - iy) * cell
             doc.rect(x, y, cell, cell, color, stroke=(230, 230, 230))
     _heatmap_frame(
-        doc, nx, ny, cell, margin_left, margin_top,
+        doc, nx, ny, margin_left, margin_top,
         x_tick_labels, y_tick_labels, x_label, y_label,
     )
     _heatmap_legend(

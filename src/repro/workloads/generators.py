@@ -20,8 +20,8 @@ def uniform_column(
     return rng.integers(0, domain, n_rows, dtype=np.int64)
 
 
-def sequential_column(n_rows: int, start: int = 0) -> np.ndarray:
+def sequential_column(n_rows: int) -> np.ndarray:
     """Monotonically increasing ints (order keys, timestamps)."""
     if n_rows < 0:
         raise WorkloadError(f"n_rows must be non-negative, got {n_rows}")
-    return np.arange(start, start + n_rows, dtype=np.int64)
+    return np.arange(n_rows, dtype=np.int64)

@@ -376,6 +376,25 @@ def test_cli_regret_requires_estimation(tmp_path, capsys):
     assert "estimation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--refine", "--max-cells", "-5"], "--max-cells must not be negative"),
+        (["--max-cells", "9"], "--max-cells needs --refine"),
+    ],
+    ids=["negative", "without-refine"],
+)
+def test_cli_max_cells_misuse_is_a_usage_error(tmp_path, capsys, flags, message):
+    from repro.bench import cli
+
+    with pytest.raises(SystemExit) as refused:
+        cli.main([str(tmp_path / "out"), "--scenario", "join", *flags])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_scenario_lists_available(tmp_path, capsys):
     from repro.bench import cli
 
@@ -424,6 +443,24 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     mapdata = again.scenario_map("join")
     assert again.cell_store().stats()["cell_misses"] == 0
     assert mapdata.grid_shape == (2, 2)
+
+
+def test_retired_environment_twins_are_not_read(monkeypatch):
+    """Workers, refinement and the service's port and pool size are set by
+    flags only; junk in their old variables changes nothing."""
+    for name in [key for key in os.environ if key.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    plain = BenchConfig()
+    for name in (
+        "REPRO_BENCH_WORKERS",
+        "REPRO_BENCH_REFINE",
+        "REPRO_BENCH_MAX_CELLS",
+        "REPRO_SERVICE_PORT",
+        "REPRO_SERVICE_WORKERS",
+    ):
+        monkeypatch.setenv(name, "junk")
+    assert BenchConfig() == plain
+    assert (plain.n_workers, plain.refine, plain.refine_max_cells) == (0, False, 0)
 
 
 def test_cli_flags_leave_the_environment_alone(tmp_path, monkeypatch):
@@ -491,11 +528,3 @@ def test_choice_maps_bit_identical_serial_vs_parallel(tmp_path):
         )
 
 
-def test_choice_maps_distinguish_policy_parameters(tmp_path):
-    from repro.optimizer import PenaltyAware
-
-    session = BenchSession(tiny_config(tmp_path, error_magnitudes=(0.0, 2.0)))
-    heavy = session.choice_maps([PenaltyAware(penalty_weight=5.0)])
-    light = session.choice_maps([PenaltyAware(penalty_weight=0.0)])
-    # Different parameters must never share one memoized map object.
-    assert heavy["penalty-aware"] is not light["penalty-aware"]

@@ -18,8 +18,8 @@ from repro.core.cellstore import (
     measurement_key,
     records_from_part,
 )
-from repro.core.driver import AdaptiveRefinePolicy
-from repro.core.parallel import ParallelSweep, PlanIdFilter
+from repro.core.driver import AdaptiveRefinePolicy, DenseGridPolicy
+from repro.core.parallel import ParallelSweep
 from repro.core.runner import Jitter, RobustnessSweep
 from repro.core.scenario import (
     JoinScenario,
@@ -173,7 +173,7 @@ def test_lookup_tails_what_another_store_appended(tmp_path, sort_budget, decoded
         engine = RobustnessSweep(
             [OperatorBench()], budget_seconds=sort_budget, cell_store=store
         )
-        return engine.sweep(make_sort(), cells=cells)
+        return engine.sweep(make_sort(), policy=DenseGridPolicy(cells=cells))
 
     cold = serial_map(sort_budget)
     ours = CellStore(tmp_path)
@@ -363,14 +363,14 @@ def test_non_json_spec_params_fail_loudly():
 # ---------------------------------------------------------------------------
 
 
-def serial_map(budget, store=None, policy=None, plan_filter=None, jitter=None):
+def serial_map(budget, store=None, policy=None, jitter=None):
     sweep = RobustnessSweep(
         [OperatorBench()],
         budget_seconds=budget,
         jitter=jitter,
         cell_store=store,
     )
-    return sweep.sweep(make_sort(), plan_filter=plan_filter, policy=policy)
+    return sweep.sweep(make_sort(), policy=policy)
 
 
 def parallel_map(budget, store=None, policy=None):
@@ -432,19 +432,6 @@ def test_all_hit_parallel_wave_skips_pool_dispatch(
     assert identical(cold, warm)
 
 
-def test_plan_subset_sweep_hits(tmp_path, sort_budget):
-    store = CellStore(tmp_path)
-    serial_map(sort_budget, store=store)  # warm the full plan inventory
-    keep = PlanIdFilter(["sort.graceful"])
-    cold = serial_map(sort_budget, plan_filter=keep)
-    subset_store = CellStore(tmp_path)
-    warm = serial_map(sort_budget, store=subset_store, plan_filter=keep)
-    assert identical(cold, warm)
-    assert warm.plan_ids == ["sort.graceful"]
-    assert subset_store.cell_misses == 0
-    assert subset_store.writes == 0
-
-
 def test_jittered_warm_rerun_is_identical(tmp_path, sort_budget):
     jitter = Jitter(rel=0.02, abs=0.0005, seed=7)
     cold = serial_map(sort_budget, jitter=jitter)
@@ -495,7 +482,7 @@ def test_corrupted_store_rejects_warm_sweep(tmp_path, sort_budget):
 def test_records_from_part_inverts_lookup(tmp_path, sort_budget):
     scenario = make_sort()
     sweep = RobustnessSweep([OperatorBench()], budget_seconds=sort_budget)
-    part = sweep._sweep_cells(scenario, None, [0, 5, 11])
+    part = sweep._sweep_cells(scenario, [0, 5, 11])
     keyer = sweep.store_keyer(scenario)
     store = CellStore(tmp_path)
     store.put_many(records_from_part(keyer, part))

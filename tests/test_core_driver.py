@@ -84,7 +84,7 @@ def assert_agrees_on_measured(refined: MapData, dense: MapData) -> None:
 
 
 def test_dense_policy_is_the_default_path(system_a):
-    space = Space2D.log2("a", "b", -3, 0)
+    space = Space2D.log2("a", "b", -3)
     scenario = TwoPredicateScenario([system_a], space)
     sweep = RobustnessSweep([system_a])
     default = sweep.sweep(scenario)
@@ -105,12 +105,17 @@ def test_dense_policy_validates_explicit_cells():
 
 
 def test_cells_and_policy_are_mutually_exclusive(system_a):
-    space = Space2D.log2("a", "b", -1, 0)
+    """A cell list rides in the policy; ``cells=`` beside it is refused."""
+    space = Space2D.log2("a", "b", -1)
     scenario = TwoPredicateScenario([system_a], space)
-    with pytest.raises(ExperimentError, match="either cells or a policy"):
+    with pytest.raises(TypeError, match="cells"):
         RobustnessSweep([system_a]).sweep(
             scenario, cells=[0], policy=DenseGridPolicy()
         )
+    with pytest.raises(TypeError, match="cells"):
+        scenario.run(cells=[0])
+    part = scenario.run(policy=DenseGridPolicy(cells=[0]))
+    assert part.meta["cells"] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def test_adaptive_join_is_deterministic():
 
 
 def test_adaptive_two_predicate_quarter_budget(system_a):
-    space = Space2D.log2("a", "b", -8, 0)
+    space = Space2D.log2("a", "b", -8)
     scenario = TwoPredicateScenario([system_a], space)
     sweep = RobustnessSweep([system_a])
     dense = sweep.sweep(scenario)
@@ -235,16 +240,10 @@ def test_adaptive_policy_validation():
         AdaptiveRefinePolicy(initial_step=0)
     with pytest.raises(ExperimentError, match="max_cells"):
         AdaptiveRefinePolicy(max_cells=0)
-    with pytest.raises(ExperimentError, match="gradient_threshold"):
-        AdaptiveRefinePolicy(gradient_threshold=0.0)
-    with pytest.raises(ExperimentError, match="crossover_tolerance"):
-        AdaptiveRefinePolicy(crossover_tolerance=-0.1)
-    with pytest.raises(ExperimentError, match="quotient_cap"):
-        AdaptiveRefinePolicy(quotient_cap=1.0)
 
 
 def test_driver_round_events_only_for_multi_round_policies(system_a):
-    space = Space2D.log2("a", "b", -8, 0)
+    space = Space2D.log2("a", "b", -8)
     scenario = TwoPredicateScenario([system_a], space)
     events = []
     sweep = RobustnessSweep([system_a], progress=events.append)

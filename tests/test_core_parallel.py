@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.driver import DenseGridPolicy
 from repro.core.mapdata import MapData
-from repro.core.parallel import ParallelSweep, PlanIdFilter, partition_cells
+from repro.core.parallel import ParallelSweep, partition_cells
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
 from repro.core.runner import Jitter, RobustnessSweep
@@ -48,27 +49,18 @@ def test_partition_cells_clamps_chunk_count():
         partition_cells(0, 2)
 
 
-def test_plan_id_filter_is_picklable():
-    import pickle
-
-    keep = PlanIdFilter(["A.table_scan"])
-    restored = pickle.loads(pickle.dumps(keep))
-    assert restored("A.table_scan")
-    assert not restored("A.merge_ab")
-
-
 # ---------------------------------------------------------------------------
 # partial sweeps + merge round out to the full map
 # ---------------------------------------------------------------------------
 
 
 def test_partial_sweeps_merge_to_full_1d(system_a):
-    space = Space1D.log2("sel", -4, 0)
+    space = Space1D.log2("sel", -4)
     sweep = RobustnessSweep([system_a], jitter=JITTER)
     scenario = SinglePredicateScenario([system_a], space)
     full = sweep.sweep(scenario)
-    part_a = sweep.sweep(scenario, cells=[0, 2, 4])
-    part_b = sweep.sweep(scenario, cells=[1, 3])
+    part_a = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[0, 2, 4]))
+    part_b = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[1, 3]))
     assert part_a.is_partial and part_b.is_partial
     assert part_a.filled_cells.tolist() == [0, 2, 4]
     merged = MapData.merge([part_a, part_b])
@@ -89,11 +81,14 @@ def test_shuffled_completion_order_merges_bit_identically(system_a):
     """
     import itertools
 
-    space = Space1D.log2("sel", -4, 0)
+    space = Space1D.log2("sel", -4)
     sweep = RobustnessSweep([system_a], jitter=JITTER)
     scenario = SinglePredicateScenario([system_a], space)
     chunks = [[0, 1], [2], [3, 4]]
-    parts = [sweep.sweep(scenario, cells=chunk) for chunk in chunks]
+    parts = [
+        sweep.sweep(scenario, policy=DenseGridPolicy(cells=chunk))
+        for chunk in chunks
+    ]
     reference = MapData.merge(
         sorted(parts, key=lambda part: int(part.filled_cells[0]))
     )
@@ -108,13 +103,13 @@ def test_shuffled_completion_order_merges_bit_identically(system_a):
 
 
 def test_partial_sweep_validates_cells(system_a):
-    space = Space1D.log2("sel", -2, 0)
+    space = Space1D.log2("sel", -2)
     sweep = RobustnessSweep([system_a])
     scenario = SinglePredicateScenario([system_a], space)
     with pytest.raises(ExperimentError):
-        sweep.sweep(scenario, cells=[0, 7])
+        sweep.sweep(scenario, policy=DenseGridPolicy(cells=[0, 7]))
     with pytest.raises(ExperimentError):
-        sweep.sweep(scenario, cells=[1, 1])
+        sweep.sweep(scenario, policy=DenseGridPolicy(cells=[1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +128,7 @@ def assert_identical(parallel: MapData, serial: MapData) -> None:
 
 
 def test_parallel_2d_bit_identical_to_serial(system_a):
-    space = Space2D.log2("a", "b", -3, 0)
+    space = Space2D.log2("a", "b", -3)
     serial = TwoPredicateScenario([system_a], space).run(jitter=JITTER)
     engine = ParallelSweep(
         build_system_a, jitter=JITTER, n_workers=2, chunk_cells=5
@@ -145,7 +140,7 @@ def test_parallel_2d_bit_identical_to_serial(system_a):
 
 
 def test_parallel_1d_bit_identical_to_serial(system_a):
-    space = Space1D.log2("sel", -4, 0)
+    space = Space1D.log2("sel", -4)
     serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=2)
     parallel = engine.sweep(SinglePredicateScenario.build_spec(space))
@@ -153,7 +148,7 @@ def test_parallel_1d_bit_identical_to_serial(system_a):
 
 
 def test_parallel_serial_fallback_matches(system_a):
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=0)
     fallback = engine.sweep(SinglePredicateScenario.build_spec(space))
@@ -164,7 +159,7 @@ def test_parallel_single_full_grid_chunk(system_a):
     """chunk_cells >= n_cells puts the whole grid in one chunk; the
     chunk part must stay mergeable (regression: the worker normalized
     it to a complete map and the parent's merge rejected it)."""
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     serial = SinglePredicateScenario([system_a], space).run()
     engine = ParallelSweep(build_system_a, n_workers=2, chunk_cells=100)
     parallel = engine.sweep(SinglePredicateScenario.build_spec(space))
@@ -175,9 +170,7 @@ def test_parallel_empty_cell_policy_matches_serial(system_a):
     """An empty explicit cell list yields the all-NaN partial map on
     both engines (regression: the parallel wave crashed partitioning
     zero cells)."""
-    from repro.core.driver import DenseGridPolicy
-
-    space = Space1D.log2("sel", -2, 0)
+    space = Space1D.log2("sel", -2)
     scenario = SinglePredicateScenario([system_a], space)
     serial = RobustnessSweep([system_a]).sweep(
         scenario, policy=DenseGridPolicy(cells=[])
@@ -189,18 +182,8 @@ def test_parallel_empty_cell_policy_matches_serial(system_a):
     assert_identical(parallel, serial)
 
 
-def test_parallel_respects_plan_filter(system_a):
-    space = Space1D.log2("sel", -2, 0)
-    keep = PlanIdFilter(["A.table_scan"])
-    engine = ParallelSweep(build_system_a, n_workers=2)
-    mapdata = engine.sweep(
-        SinglePredicateScenario.build_spec(space), plan_filter=keep
-    )
-    assert mapdata.plan_ids == ["A.table_scan"]
-
-
 def test_parallel_reports_chunk_progress():
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     events = []
     engine = ParallelSweep(
         build_system_a, n_workers=2, chunk_cells=2, progress=events.append
@@ -228,6 +211,6 @@ def test_duplicate_plan_ids_raise(system_a):
     twin = SystemA(CONFIG)  # same name -> identical qualified plan ids
     twins = [system_a, twin]
     with pytest.raises(ExperimentError, match="duplicate plan ids"):
-        SinglePredicateScenario(twins, Space1D.log2("sel", -2, 0)).run()
+        SinglePredicateScenario(twins, Space1D.log2("sel", -2)).run()
     with pytest.raises(ExperimentError, match="duplicate plan ids"):
-        TwoPredicateScenario(twins, Space2D.log2("a", "b", -1, 0)).run()
+        TwoPredicateScenario(twins, Space2D.log2("a", "b", -1)).run()

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.runner import Jitter, RobustnessSweep
 from repro.core.scenario import SinglePredicateScenario, TwoPredicateScenario
@@ -30,7 +31,7 @@ def test_sweep_requires_systems():
 
 def test_1d_sweep_shape_and_monotone_rows(system_a):
     sweep = RobustnessSweep([system_a])
-    space = Space1D.log2("sel", -6, 0)
+    space = Space1D.log2("sel", -6)
     mapdata = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert mapdata.times.shape == (7, 7)
     assert not mapdata.is_2d
@@ -40,25 +41,30 @@ def test_1d_sweep_shape_and_monotone_rows(system_a):
 
 
 def test_1d_sweep_plan_filter(system_a):
-    sweep = RobustnessSweep([system_a])
-    space = Space1D.log2("sel", -3, 0)
-    mapdata = sweep.sweep(
-        SinglePredicateScenario([system_a], space),
-        plan_filter=lambda plan_id: "table_scan" in plan_id,
-    )
-    assert mapdata.plan_ids == ["A.table_scan"]
+    """Plan-subset sweeps are gone from both engines and from
+    ``Scenario.run``: the keyword is refused, never swallowed."""
+    scenario = SinglePredicateScenario([system_a], Space1D.log2("sel", -3))
+    keep = {"plan_filter": lambda plan_id: "table_scan" in plan_id}
+    with pytest.raises(TypeError, match="plan_filter"):
+        RobustnessSweep([system_a]).sweep(scenario, **keep)
+    with pytest.raises(TypeError, match="plan_filter"):
+        ParallelSweep(lambda: [system_a], n_workers=2).sweep(scenario.spec(), **keep)
+    with pytest.raises(TypeError, match="plan_filter"):
+        scenario.run(**keep)
+    with pytest.raises(TypeError, match="verify_agreement"):
+        scenario.run(verify_agreement=False)
 
 
 def test_1d_sweep_deterministic(system_a):
     sweep = RobustnessSweep([system_a])
-    space = Space1D.log2("sel", -4, 0)
+    space = Space1D.log2("sel", -4)
     m1 = sweep.sweep(SinglePredicateScenario([system_a], space))
     m2 = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert np.allclose(m1.times, m2.times, equal_nan=True)
 
 
 def test_budget_censors_expensive_plans(system_a):
-    space = Space1D.log2("sel", -2, 0)
+    space = Space1D.log2("sel", -2)
     sweep = RobustnessSweep([system_a], budget_seconds=1e-4)
     mapdata = sweep.sweep(SinglePredicateScenario([system_a], space))
     assert mapdata.aborted.any()
@@ -68,7 +74,7 @@ def test_budget_censors_expensive_plans(system_a):
 def test_2d_sweep_all_systems():
     systems = build_three_systems(CONFIG)
     sweep = RobustnessSweep(list(systems.values()))
-    space = Space2D.log2("a", "b", -3, 0)
+    space = Space2D.log2("a", "b", -3)
     mapdata = sweep.sweep(TwoPredicateScenario(sweep.systems, space))
     assert mapdata.is_2d
     assert mapdata.times.shape == (15, 4, 4)
@@ -79,7 +85,7 @@ def test_2d_sweep_all_systems():
 
 
 def test_jitter_deterministic_and_small(system_a):
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     jittered = RobustnessSweep([system_a], jitter=Jitter(rel=0.05, abs=0.0, seed=1))
     clean = RobustnessSweep([system_a])
     scenario = SinglePredicateScenario([system_a], space)
@@ -141,6 +147,6 @@ def test_progress_callback(system_a):
     messages = []
     sweep = RobustnessSweep([system_a], progress=messages.append)
     sweep.sweep(
-        SinglePredicateScenario([system_a], Space1D.log2("sel", -2, 0))
+        SinglePredicateScenario([system_a], Space1D.log2("sel", -2))
     )
     assert len(messages) == 3

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.driver import DenseGridPolicy
 from repro.core.mapdata import MapAxis, MapData
 from repro.core.parameter_space import Axis, Space1D, Space2D
 from repro.core.runner import Jitter, RobustnessSweep
@@ -84,7 +85,7 @@ def assert_identical(a: MapData, b: MapData) -> None:
 def test_single_predicate_bit_identical_to_pre_refactor(system_a):
     golden = MapData.load(DATA_DIR / "golden_single_predicate.json")
     sweep = RobustnessSweep([system_a], jitter=JITTER)
-    space = Space1D.log2("sel", -4, 0)
+    space = Space1D.log2("sel", -4)
     scenario = SinglePredicateScenario([system_a], space)
     assert_matches_golden(sweep.sweep(scenario), golden)
 
@@ -94,7 +95,7 @@ def test_two_predicate_bit_identical_to_pre_refactor():
     assert golden.aborted.any()  # the golden exercises budget censoring
     systems = list(build_three_systems(CONFIG).values())
     sweep = RobustnessSweep(systems, jitter=JITTER, budget_seconds=0.05)
-    space = Space2D.log2("a", "b", -3, 0)
+    space = Space2D.log2("a", "b", -3)
     scenario = TwoPredicateScenario(systems, space)
     assert_matches_golden(sweep.sweep(scenario), golden)
 
@@ -102,7 +103,7 @@ def test_two_predicate_bit_identical_to_pre_refactor():
 def test_parallel_spec_bit_identical_to_golden():
     golden = MapData.load(DATA_DIR / "golden_single_predicate.json")
     engine = ParallelSweep(build_system_a, jitter=JITTER, n_workers=2)
-    spec = SinglePredicateScenario.build_spec(Space1D.log2("sel", -4, 0))
+    spec = SinglePredicateScenario.build_spec(Space1D.log2("sel", -4))
     assert_matches_golden(engine.sweep(spec), golden)
 
 
@@ -142,7 +143,7 @@ def test_sort_spill_shows_the_paper_cliff():
 
 
 def test_memory_sweep_serial_parallel_bit_identical(system_a):
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     memory_axis = [4 * 1024, 1024 * 1024]
     scenario = MemorySweepScenario([system_a], space, memory_axis)
     serial = RobustnessSweep([system_a]).sweep(scenario)
@@ -155,7 +156,7 @@ def test_memory_sweep_serial_parallel_bit_identical(system_a):
 def test_memory_sweep_exercises_the_memory_knob(system_a):
     """Per-cell memory budgets must actually change plan costs."""
     scenario = MemorySweepScenario(
-        [system_a], Space1D.log2("sel", -3, 0), [4 * 1024, 1024 * 1024]
+        [system_a], Space1D.log2("sel", -3), [4 * 1024, 1024 * 1024]
     )
     mapdata = scenario.run()
     starved = mapdata.times[:, :, 0]
@@ -169,12 +170,12 @@ def test_memory_sweep_exercises_the_memory_knob(system_a):
 
 def test_scenario_partial_cells_merge(system_a):
     scenario = MemorySweepScenario(
-        [system_a], Space1D.log2("sel", -2, 0), [8 * 1024, 512 * 1024]
+        [system_a], Space1D.log2("sel", -2), [8 * 1024, 512 * 1024]
     )
     sweep = RobustnessSweep([system_a])
     full = sweep.sweep(scenario)
-    part_a = sweep.sweep(scenario, cells=[0, 2, 4])
-    part_b = sweep.sweep(scenario, cells=[1, 3, 5])
+    part_a = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[0, 2, 4]))
+    part_b = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[1, 3, 5]))
     assert part_a.is_partial and part_b.is_partial
     merged = MapData.merge([part_b, part_a])
     assert_identical(merged, full)
@@ -311,13 +312,13 @@ def test_sort_spill_spec_runs_with_foreign_providers(system_a):
 
 
 def test_merge_partial_maps_with_aborted_cells(system_a):
-    space = Space1D.log2("sel", -3, 0)
+    space = Space1D.log2("sel", -3)
     sweep = RobustnessSweep([system_a], budget_seconds=1e-4)
     scenario = SinglePredicateScenario([system_a], space)
     full = sweep.sweep(scenario)
     assert full.aborted.any()  # budget actually censored something
-    part_a = sweep.sweep(scenario, cells=[0, 3])
-    part_b = sweep.sweep(scenario, cells=[1, 2])
+    part_a = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[0, 3]))
+    part_b = sweep.sweep(scenario, policy=DenseGridPolicy(cells=[1, 2]))
     merged = MapData.merge([part_a, part_b])
     assert np.array_equal(merged.aborted, full.aborted)
     assert merged.aborted.any()
@@ -430,6 +431,6 @@ def test_mapdata_axis_count_validation():
 
 def test_axis_is_a_space(system_a):
     """Axis doubles as Space1D anywhere a 1-D grid is expected."""
-    axis = Axis.log2("sel", -2, 0)
+    axis = Axis.log2("sel", -2)
     mapdata = SinglePredicateScenario([system_a], axis).run()
     assert mapdata.times.shape[1] == 3

@@ -9,21 +9,23 @@ from repro.errors import ExperimentError
 
 
 def test_log2_targets_factor_of_two():
-    targets = log2_targets(-4, 0)
+    targets = log2_targets(-4)
     assert targets.tolist() == [2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0]
 
 
 def test_log2_targets_per_octave():
-    targets = log2_targets(-1, 0, per_octave=2)
-    assert len(targets) == 3
-    assert targets[0] == pytest.approx(0.5)
+    """One point per octave, ending at the full table."""
+    targets = log2_targets(-3)
+    assert len(targets) == 4
+    assert targets[0] == pytest.approx(0.125)
+    assert np.allclose(targets[1:] / targets[:-1], 2.0)
+    with pytest.raises(TypeError):
+        log2_targets(-1, 0, per_octave=2)
 
 
 def test_log2_targets_validation():
     with pytest.raises(ExperimentError):
-        log2_targets(0, -1)
-    with pytest.raises(ExperimentError):
-        log2_targets(-2, 0, per_octave=0)
+        log2_targets(1)
 
 
 def test_space1d_validation():
@@ -36,7 +38,7 @@ def test_space1d_validation():
 
 
 def test_space2d_shape():
-    space = Space2D.log2("a", "b", -3, 0)
+    space = Space2D.log2("a", "b", -3)
     assert space.shape == (4, 4)
     assert space.n_cells == 16
 

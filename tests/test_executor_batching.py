@@ -277,13 +277,16 @@ def test_probe_many_thrashing_pool():
 
 
 def test_probe_many_uncharged_counts_only():
+    """No keys, no charge; any key is charged (there is no switch)."""
     tree, env = make_tree()
     bulk_builder(range(100), dupes=2)(tree)
     env.cold_reset()
     before = env.clock.now
-    counts = tree.probe_many(np.array([0, 3, 999]), charge=False)
-    assert counts.tolist() == [2, 2, 0]
+    assert tree.probe_many(np.array([], dtype=np.int64)).tolist() == []
     assert env.clock.now == before
+    counts = tree.probe_many(np.array([0, 3, 999]))
+    assert counts.tolist() == [2, 2, 0]
+    assert env.clock.now > before
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_adaptive_close_to_scan_at_full_density(env, table):
 
     env.cold_reset()
     start = env.clock.now
-    table.clustered.scan_all(charge=True)
+    table.clustered.scan_all()
     scan = env.clock.now - start
     assert fetch_all < 10 * scan
 

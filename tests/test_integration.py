@@ -62,7 +62,7 @@ def test_improved_scan_degrades_gracefully():
     system = SystemA(SystemConfig(lineitem=LineitemConfig(n_rows=1 << 14)))
     sweep = RobustnessSweep([system])
     mapdata = sweep.sweep(
-        SinglePredicateScenario([system], Space1D.log2("sel", -12, 0))
+        SinglePredicateScenario([system], Space1D.log2("sel", -12))
     )
     improved = mapdata.times_for("A.idx_improved")
     from repro.core.landmarks import monotonicity_violations
@@ -81,7 +81,7 @@ def test_end_to_end_sweep_render_roundtrip(tmp_path):
     systems = small_systems(1 << 11)
     sweep = RobustnessSweep(list(systems.values()), budget_seconds=5.0)
     mapdata = sweep.sweep(
-        TwoPredicateScenario(sweep.systems, Space2D.log2("a", "b", -3, 0))
+        TwoPredicateScenario(sweep.systems, Space2D.log2("a", "b", -3))
     )
     path = tmp_path / "map.json"
     mapdata.save(path)
@@ -93,7 +93,7 @@ def test_end_to_end_sweep_render_roundtrip(tmp_path):
 
     sweep1d = RobustnessSweep([systems["A"]])
     map1d = sweep1d.sweep(
-        SinglePredicateScenario([systems["A"]], Space1D.log2("sel", -3, 0))
+        SinglePredicateScenario([systems["A"]], Space1D.log2("sel", -3))
     )
     absolute_curves(map1d, "roundtrip", path=tmp_path / "c.svg")
     assert (tmp_path / "c.svg").exists()
@@ -126,7 +126,7 @@ def test_oracle_agreement_enforced():
     sweep = Sweep([system])
     with pytest.raises(ExperimentError):
         sweep.sweep(
-            TwoPredicateScenario([system], Space2D.log2("a", "b", -1, 0))
+            TwoPredicateScenario([system], Space2D.log2("a", "b", -1))
         )
 
 

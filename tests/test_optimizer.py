@@ -262,7 +262,7 @@ def test_chooser_rejects_empty_inventory():
 def _scenario(system) -> EstimationErrorScenario:
     return EstimationErrorScenario(
         [system],
-        Space1D.log2("selectivity", -4, 0),
+        Space1D.log2("selectivity", -4),
         magnitudes=(0.0, 1.0, 2.0),
     )
 

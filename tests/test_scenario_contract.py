@@ -47,7 +47,7 @@ from repro.workloads import LineitemConfig, SinglePredicateQuery
 from repro.workloads.selectivity import PredicateBuilder
 
 CONFIG = SystemConfig(lineitem=LineitemConfig(n_rows=512), pool_pages=32)
-SEL = Space1D.log2("sel", -2, 0)
+SEL = Space1D.log2("sel", -2)
 SEL_GRID = ["sel", [0.25, 0.5, 1.0]]
 SYSTEM_META = ["budget_seconds", "systems", "n_rows_table", "scenario"]
 OPERATOR_META = ["budget_seconds", "systems", "scenario"]
@@ -71,7 +71,7 @@ CASES = {
     ),
     "two-predicate": (
         lambda systems: TwoPredicateScenario(
-            systems, Space2D.log2("sel_a", "sel_b", -1, 0)
+            systems, Space2D.log2("sel_a", "sel_b", -1)
         ),
         {"axes": [["sel_a", [0.5, 1.0]], ["sel_b", [0.5, 1.0]]]},
         ["sweep", "a_column", "b_column", *SYSTEM_META],

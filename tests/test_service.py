@@ -495,6 +495,7 @@ def test_http_bad_content_length_is_a_400(service, length):
         ({"n_rows": 0}, "n_rows"),
         ({"n_rows": -5}, "n_rows"),
         ({"pool_pages": 0}, "pool_pages"),
+        ({"refine": True, "refine_max_cells": -5}, "refine_max_cells"),
     ],
 )
 def test_http_mistyped_override_is_a_400_and_queues_nothing(

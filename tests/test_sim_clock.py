@@ -12,11 +12,19 @@ def test_clock_starts_at_zero():
 
 
 def test_clock_custom_start():
-    assert SimClock(5.0).now == 5.0
+    """Every measurement epoch starts at zero; there is no other start."""
+    with pytest.raises(TypeError):
+        SimClock(5.0)
+    clock = SimClock()
+    clock.advance(5.0)
+    with pytest.raises(TypeError):
+        clock.reset(1.0)
+    clock.reset()
+    assert clock.now == 0.0
 
 
 def test_clock_rejects_negative_start():
-    with pytest.raises(ExecutionError):
+    with pytest.raises(TypeError):
         SimClock(-1.0)
 
 

@@ -148,15 +148,15 @@ def test_rasterize_grid_scales():
 def test_heatmap_png_pixels_orientation():
     # grid[x, y]: y=1 (top row of image) red, y=0 green
     grid = np.array([[0.005, 500.0]])  # green bottom, black top
-    pixels = heatmap_png_pixels(grid, ABSOLUTE_TIME_SCALE, cell_px=1)
-    assert pixels.shape == (2, 1, 3)
+    pixels = heatmap_png_pixels(grid, ABSOLUTE_TIME_SCALE)
+    assert pixels.shape == (32, 16, 3)  # 16-pixel cells
     assert tuple(pixels[0, 0]) == ABSOLUTE_TIME_SCALE.buckets[-1].rgb  # top = y=1
-    assert tuple(pixels[1, 0]) == ABSOLUTE_TIME_SCALE.buckets[0].rgb
+    assert tuple(pixels[-1, 0]) == ABSOLUTE_TIME_SCALE.buckets[0].rgb
 
 
 def test_heatmap_png_censored_white():
     grid = np.array([[np.nan]])
-    pixels = heatmap_png_pixels(grid, ABSOLUTE_TIME_SCALE, cell_px=1)
+    pixels = heatmap_png_pixels(grid, ABSOLUTE_TIME_SCALE)
     assert tuple(pixels[0, 0]) == (255, 255, 255)
 
 

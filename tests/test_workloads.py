@@ -29,7 +29,7 @@ def test_uniform_rejects_bad_domain(rng):
 
 
 def test_sequential_column():
-    assert sequential_column(5, start=3).tolist() == [3, 4, 5, 6, 7]
+    assert sequential_column(5).tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(WorkloadError):
         sequential_column(-1)
 

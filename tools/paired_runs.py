@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-Checks ``PARENT_REF`` out beside this checkout (``git worktree add`` into
-a temporary directory, removed afterwards) and runs
+Unpacks ``PARENT_REF`` beside this checkout (``git archive`` into a
+temporary directory, removed afterwards) and runs
 ``benchmarks/e2e/run.py --workload W --seed N --out ...`` on the parent
 and on this working tree — uncommitted edits included — ``--pairs``
 times per workload, alternating which side goes first so slow drift of
@@ -21,6 +21,15 @@ Per workload and end-to-end metric it prints each side's median
   run of the change reads better than every run of the parent;
 * ``within bound`` otherwise.
 
+With ``--record`` every printed row is also appended to the committed
+``BENCH_TRAJECTORY.jsonl`` as one JSON object — ``commit`` (``HEAD``,
+``+dirty`` when the working tree differs from it), ``parent``,
+``workload``, ``metric``, ``pairs``, ``seed``, each side's ``median`` /
+``q1`` / ``q3``, ``wins``, ``ties`` and ``verdict`` — so the numbers of a
+PR live in the repository as rows of one schema, not in prose.  Rows of
+PRs that predate the option were entered from the medians ``CHANGES.md``
+states; what it does not state is ``null``.
+
 Nothing under ``benchmarks/e2e/`` is imported or changed; the tool only
 calls ``run.py`` and reads the result sets it writes.  The exit code is
 non-zero when a row regressed or a request failed on either side.
@@ -28,7 +37,7 @@ non-zero when a row regressed or a request failed on either side.
 Usage::
 
     python tools/paired_runs.py PARENT_REF [--workloads cli_cold,service_warm]
-        [--pairs 10] [--seed 2009]
+        [--pairs 10] [--seed 2009] [--record]
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY = ROOT / "BENCH_TRAJECTORY.jsonl"
 WIN_SHARE = 0.9
 
 
@@ -97,7 +107,9 @@ def judge(
 
 def report(
     runs: dict[str, dict[str, list[dict]]], metrics: list[dict]
-) -> int:
+) -> tuple[list[dict], int]:
+    """Print the table; returns its rows and how many are bad."""
+    rows = []
     print(
         f"{'workload':13s} {'metric':19s} {'parent median [q1, q3]':>34s} "
         f"{'change median [q1, q3]':>34s} {'wins':>8s}  verdict"
@@ -115,9 +127,14 @@ def report(
                 metric["better"], metric["bound"],
             )
             cells = []
+            row = {"workload": workload, "metric": name}
             for side in ("parent", "change"):
                 q1, median, q3 = quartiles(columns[side])
                 cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
+                row.update(
+                    {f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3}
+                )
+            rows.append(dict(row, wins=wins, ties=ties, verdict=verdict))
             pairs = len(columns["parent"])
             tally = f"{wins}/{pairs}" + (f" ={ties}" if ties else "")
             print(
@@ -130,7 +147,13 @@ def report(
             attempted = sum(run["attempted"] for run in sides[side])
             print(f"{workload:13s} {side}: {failed} of {attempted} requests failed")
             bad += failed
-    return 1 if bad else 0
+    return rows, bad
+
+
+def git(*argv: str) -> str:
+    return subprocess.run(
+        ["git", *argv], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=2009,
         help="workload seed of every run (2009 also checks output digests)",
     )
+    parser.add_argument(
+        "--record", action="store_true",
+        help=f"append the rows to {TRAJECTORY.name}",
+    )
     args = parser.parse_args(argv)
     workloads = [name for name in args.workloads.split(",") if name]
     unknown = sorted(set(workloads) - set(known))
@@ -161,37 +188,45 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="paired-runs-") as tmp:
         parent = Path(tmp) / "parent"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(parent), args.parent_ref],
-            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
-        )
+        parent.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", args.parent_ref],
+            cwd=ROOT, check=True, stdout=subprocess.PIPE,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         checkouts = {"parent": parent, "change": ROOT}
-        try:
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for workload in workloads:
-                    for side in order:
-                        run = run_once(
-                            checkouts[side], workload, args.seed,
-                            Path(tmp) / f"{side}-{workload}-{pair}.json",
-                        )
-                        runs[workload][side].append(run)
-                        print(
-                            f"pair {pair + 1}/{args.pairs} {workload} {side}: "
-                            + " ".join(
-                                f"{name}={value:.4g}"
-                                for name, value in run["metrics"].items()
-                            ),
-                            file=sys.stderr,
-                        )
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(parent)],
-                cwd=ROOT, check=False,
-            )
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    run = run_once(
+                        checkouts[side], workload, args.seed,
+                        Path(tmp) / f"{side}-{workload}-{pair}.json",
+                    )
+                    runs[workload][side].append(run)
+                    print(
+                        f"pair {pair + 1}/{args.pairs} {workload} {side}: "
+                        + " ".join(
+                            f"{name}={value:.4g}"
+                            for name, value in run["metrics"].items()
+                        ),
+                        file=sys.stderr,
+                    )
     if args.pairs < 10:
         print(f"{args.pairs} pairs: a claim needs at least ten")
-    return report(runs, benchmark["end_to_end"])
+    rows, bad = report(runs, benchmark["end_to_end"])
+    if args.record:
+        stamp = {
+            "commit": git("rev-parse", "--short", "HEAD")
+            + ("+dirty" if git("status", "--porcelain") else ""),
+            "parent": git("rev-parse", "--short", args.parent_ref),
+            "pairs": args.pairs,
+            "seed": args.seed,
+        }
+        with TRAJECTORY.open("a") as trajectory:
+            for row in rows:
+                trajectory.write(json.dumps({**stamp, **row}) + "\n")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
-"""Which definitions under ``src/repro`` does no front door reach?
+"""Which definitions under ``src/repro`` does no front door reach, and
+which of their options does no front door ever turn?
 
 Writes a ``sitecustomize.py`` into a temporary directory that installs
 ``sys.setprofile`` / ``threading.setprofile`` and appends every code
 object under ``src/repro`` to a per-process file the first time it is
-called, puts that directory on ``PYTHONPATH``, and runs each command of
+called — and every parameter of it whose default is a literal or a
+module constant (read from the AST) the first time a call binds it to
+anything else — puts that directory on ``PYTHONPATH``, and runs each
+command of
 :data:`FRONT_DOORS` — the CLI's figure and scenario modes, the HTTP
 service with every route and error route hit (:func:`drive_service`),
 the end-to-end benchmark and the examples — in a scratch directory.
@@ -18,9 +22,12 @@ Every ``def`` under ``src/repro`` is then one of: reached by a front
 door; reached by tests only; reached by nothing (abstract methods,
 ``__repr__``s, and what should be looked at).  The report lists the last
 two per file with their line counts (a definition's lines minus the
-definitions nested in it) and prints totals.  Nothing under ``src/`` is
-changed or imported.  Takes about four minutes, plus the suite under
-the profiler with ``--tests``; not a CI step.  A command that exits with
+definitions nested in it), then the parameters that were never given
+another value — each one a constant, a test seam, a config knob carried
+at its default, or a configuration with no door — and prints totals.
+Nothing under ``src/`` is changed or imported.  Takes about five
+minutes, plus the suite under the profiler with ``--tests``; not a CI
+step.  A command that exits with
 a code it should not has the tail of its output printed; the scratch
 directory is deleted either way.
 
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import os
 import signal
@@ -54,27 +62,51 @@ import os, sys, threading
 
 _ROOT = {root!r}
 _OUT = {out!r}
-_seen = set()
+#: (file, first line) -> {{parameter: source of its default}}
+_DEFAULTS = {defaults!r}
+#: code -> {{parameter: default}} for the parameters no call has set yet
+_pending = {{}}
 _files = {{}}
+
+
+def _write(*fields):
+    pid = os.getpid()  # a forked worker writes its own file
+    handle = _files.get(pid)
+    if handle is None:
+        path = os.path.join(_OUT, str(pid) + ".txt")
+        handle = _files[pid] = open(path, "a", buffering=1)
+    handle.write("\\t".join(fields) + "\\n")
+
+
+def _same(value, default):
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except Exception:
+        return False
 
 
 def _profile(frame, event, arg):
     if event != "call":
         return
     code = frame.f_code
-    if code in _seen:
+    pending = _pending.get(code, _pending)
+    if pending is _pending:  # first call of this code object
+        pending = _pending[code] = {{}}
+        if not code.co_filename.startswith(_ROOT):
+            return
+        _write(code.co_filename, str(code.co_firstlineno), code.co_name)
+        sources = _DEFAULTS.get((code.co_filename, code.co_firstlineno), {{}})
+        for name, source in sources.items():
+            pending[name] = eval(source, frame.f_globals)
+    if not pending:
         return
-    _seen.add(code)
-    if not code.co_filename.startswith(_ROOT):
-        return
-    pid = os.getpid()  # a forked worker writes its own file
-    handle = _files.get(pid)
-    if handle is None:
-        path = os.path.join(_OUT, str(pid) + ".txt")
-        handle = _files[pid] = open(path, "a", buffering=1)
-    handle.write(
-        "%s\\t%d\\t%s\\n" % (code.co_filename, code.co_firstlineno, code.co_name)
-    )
+    bound = frame.f_locals
+    for name, default in list(pending.items()):  # other threads pop too
+        if name in bound and not _same(bound[name], default):
+            if pending.pop(name, _pending) is not _pending:
+                _write(code.co_filename, str(code.co_firstlineno), code.co_name, name)
 
 
 threading.setprofile(_profile)
@@ -117,6 +149,11 @@ FRONT_DOORS = [
     Door(CLI + ["scen_trace", "--scenario", "join,sort_spill", "--workers", "2",
                 "--trace-out", "scen_trace/trace.json", "--quiet"]),
     Door(CLI + ["scen_unknown", "--scenario", "no_such_map"], fine=(2,)),
+    # a pool sweep over a cold store, then over the warm one (parent-side replay)
+    Door(CLI + ["scen_pool", "--scenario", "join,sort_spill", "--workers", "2",
+                "--cell-cache", "pool_cells", "--quiet"]),
+    Door(CLI + ["scen_pool", "--scenario", "join,sort_spill", "--workers", "2",
+                "--cell-cache", "pool_cells", "--quiet"]),
     # the whole-map cache, cold then warm; the cell store's housekeeping
     Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
     Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
@@ -168,6 +205,7 @@ def drive_service(base: str) -> None:
         {"scenario": "join", "overrides": {"n_workers": 4}},       # blocked
         {"scenario": "join", "overrides": {"no_such_knob": 1}},    # unknown
         {"scenario": "join", "overrides": {"n_rows": 0}},          # out of range
+        {"scenario": "join", "overrides": {"refine": True, "refine_max_cells": -5}},
         {"scenario": "join", "overrides": {"seed": "abc"}},        # wrong type
         {"scenario": "two_predicate", "overrides": {"min_exp_2d": -24}},  # over budget
     ):
@@ -224,8 +262,11 @@ def run_under_hook(
     record.mkdir(parents=True, exist_ok=True)
     hook_dir = scratch / f"hook-{record.name}"
     hook_dir.mkdir()
+    defaults: dict[tuple[str, int], dict[str, str]] = {}
+    for filename, lineno, _, parameter, source in parameters():
+        defaults.setdefault((filename, lineno), {})[parameter] = source
     (hook_dir / "sitecustomize.py").write_text(
-        HOOK.format(root=str(PACKAGE) + os.sep, out=str(record))
+        HOOK.format(root=str(PACKAGE) + os.sep, out=str(record), defaults=defaults)
     )
     base_env = dict(os.environ)
     base_env["PYTHONPATH"] = os.pathsep.join([str(hook_dir), str(ROOT / "src")])
@@ -264,12 +305,14 @@ def run_under_hook(
             print("\n".join("      | " + line for line in tail), file=sys.stderr)
 
 
-def reached(record: Path) -> set[tuple[str, int, str]]:
+def reached(record: Path) -> set[tuple]:
+    """``(file, line, name)`` of every definition called and ``(file, line,
+    name, parameter)`` of every defaulted parameter given another value."""
     keys = set()
     for path in record.glob("*.txt"):
         for line in path.read_text().splitlines():
-            filename, lineno, name = line.split("\t")
-            keys.add((filename, int(lineno), name))
+            filename, lineno, *names = line.split("\t")
+            keys.add((filename, int(lineno), *names))
     return keys
 
 
@@ -278,10 +321,11 @@ def reached(record: Path) -> set[tuple[str, int, str]]:
 # ---------------------------------------------------------------------------
 
 
-def definitions() -> list[tuple[str, int, str, int]]:
-    """``(file, first line, name, own lines)`` of every ``def`` in the package.
+@functools.cache  # the hook table and the report both walk it
+def functions_by_file() -> list[tuple[str, list, dict]]:
+    """``(file, its function nodes, node -> the lines it spans)`` per module.
 
-    The first line is the first decorator's, as in ``co_firstlineno``.
+    A span starts at the first decorator, as ``co_firstlineno`` does.
     """
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -294,29 +338,64 @@ def definitions() -> list[tuple[str, int, str, int]]:
         for node in functions:
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             spans[node] = set(range(first, node.end_lineno + 1))
+        found.append((str(path), functions, spans))
+    return found
+
+
+def definitions() -> list[tuple[str, int, str, int]]:
+    """``(file, first line, name, own lines)`` of every ``def`` in the package."""
+    found = []
+    for path, functions, spans in functions_by_file():
         for node in functions:
             own = set(spans[node])
             for child in ast.walk(node):
                 if child is not node and child in spans:
                     own -= spans[child]
-            found.append((str(path), min(spans[node]), node.name, len(own)))
+            found.append((path, min(spans[node]), node.name, len(own)))
+    return found
+
+
+def parameters() -> list[tuple[str, int, str, str, str]]:
+    """``(file, first line, function, parameter, default's source)`` of every
+    parameter whose default is a literal or a module constant's name."""
+    found = []
+    for path, functions, spans in functions_by_file():
+        for node in functions:
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            pairs = list(zip(positional[len(positional) - len(spec.defaults):],
+                             spec.defaults))
+            pairs += [(arg, default)
+                      for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                      if default is not None]
+            for arg, default in pairs:
+                if not isinstance(default, ast.Name):
+                    try:
+                        ast.literal_eval(default)
+                    except ValueError:
+                        continue
+                found.append((path, min(spans[node]), node.name, arg.arg,
+                              ast.unparse(default)))
     return found
 
 
 def report(front: set, tests: set | None) -> None:
+    def kind_of(key: tuple) -> str | None:
+        if key in front:
+            return None
+        if tests is None:
+            return "unreached"
+        return "tests only" if key in tests else "nothing"
+
     per_file: dict[str, list[tuple[int, str, int, str]]] = {}
     totals = {"definitions": 0, "tests only": 0, "nothing": 0, "unreached": 0}
     lines = dict.fromkeys(totals, 0)
     for filename, lineno, name, own in definitions():
         totals["definitions"] += 1
         lines["definitions"] += own
-        key = (filename, lineno, name)
-        if key in front:
+        kind = kind_of((filename, lineno, name))
+        if kind is None:
             continue
-        if tests is None:
-            kind = "unreached"
-        else:
-            kind = "tests only" if key in tests else "nothing"
         totals[kind] += 1
         lines[kind] += own
         per_file.setdefault(filename, []).append((lineno, name, own, kind))
@@ -327,17 +406,49 @@ def report(front: set, tests: set | None) -> None:
         for lineno, name, own, kind in entries:
             print(f"    {lineno:5d}  {name:40s} {own:4d}  {kind}")
     print()
+
+    # Defaulted parameters that no call gave another value.  A parameter
+    # of a definition nothing calls is never set either; it is marked.
+    never_set: dict[str, list[tuple[int, str, str]]] = {}
+    counts = {"parameters": 0, "tests only": 0, "nothing": 0, "unreached": 0}
+    in_uncalled = 0
+    for filename, lineno, name, parameter, default in parameters():
+        counts["parameters"] += 1
+        kind = kind_of((filename, lineno, name, parameter))
+        if kind is None:
+            continue
+        counts[kind] += 1
+        uncalled = (filename, lineno, name) not in front
+        in_uncalled += uncalled
+        never_set.setdefault(filename, []).append(
+            (lineno, f"{name}({parameter}={default})",
+             kind + (", definition not reached" if uncalled else ""))
+        )
+    for filename in sorted(never_set, key=lambda f: -len(never_set[f])):
+        relative = Path(filename).relative_to(ROOT)
+        print(f"{relative}: {len(never_set[filename])} parameters never set")
+        for lineno, signature, kind in never_set[filename]:
+            print(f"    {lineno:5d}  {signature:60s}  {kind}")
+    print()
+
     print(f"{totals['definitions']} function definitions under src/repro "
           f"({lines['definitions']} lines)")
     if tests is None:
         print(f"reached by no front door: {totals['unreached']} "
               f"({lines['unreached']} lines)")
+        split = ""
     else:
         unreached = totals["tests only"] + totals["nothing"]
         print(f"reached by no front door: {unreached} "
               f"({lines['tests only'] + lines['nothing']} lines) — "
               f"{totals['tests only']} by tests only ({lines['tests only']} lines), "
               f"{totals['nothing']} by nothing ({lines['nothing']} lines)")
+        split = (f" — {counts['tests only']} set by tests only, "
+                 f"{counts['nothing']} by nothing")
+    unset = counts["tests only"] + counts["nothing"] + counts["unreached"]
+    print(f"{counts['parameters']} parameters with a literal or module-constant "
+          f"default; never set by a front door: {unset} "
+          f"({in_uncalled} in definitions no door reaches){split}")
 
 
 def main(argv: list[str] | None = None) -> int:
