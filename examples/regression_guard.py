@@ -16,6 +16,7 @@ import numpy as np
 from repro import (
     ColumnRange,
     LineitemConfig,
+    MapAxis,
     MapData,
     PredicateBuilder,
     SystemConfig,
@@ -50,8 +51,7 @@ def measure_build(system: SystemA, space: Space1D, strategy) -> MapData:
         times=times[None, :],
         aborted=aborted[None, :],
         rows=np.zeros(space.n_points, dtype=np.int64),
-        x_targets=space.targets,
-        x_achieved=achieved,
+        axes=[MapAxis("selectivity", space.targets, achieved)],
     )
 
 

@@ -63,7 +63,6 @@ from repro.optimizer import (
     PlanChooser,
 )
 from repro.core import (
-    Axis,
     Space1D,
     Space2D,
     MapAxis,
@@ -130,7 +129,6 @@ __all__ = [
     "SystemB",
     "SystemC",
     "build_three_systems",
-    "Axis",
     "Space1D",
     "Space2D",
     "MapAxis",

@@ -51,14 +51,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.figures import ALL_FIGURES
-from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.harness import (
+    BenchConfig,
+    BenchSession,
+    MapRequest,
+    available_requests,
+)
 from repro.bench.report import format_claims
 from repro.core.landmarks import symmetry_score
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
 from repro.viz.colormap import ABSOLUTE_TIME_SCALE
-from repro.viz.figures import absolute_heatmap, heatmap_png_pixels
-from repro.viz.png import encode_png
+from repro.viz.figures import choice_pictures, grid_picture, plan_choice_scale
 
 
 _quiet = False
@@ -93,34 +97,38 @@ class _ProgressPrinter:
         _status(f"  {event.render()}")
 
 
-def _scenario_heatmaps(mapdata, name: str, out_dir: Path) -> list[Path]:
+def _write(path: Path, artifact: str | bytes) -> None:
+    """One artifact to disk (PNG bytes, everything else text), announced."""
+    if isinstance(artifact, bytes):
+        path.write_bytes(artifact)
+    else:
+        path.write_text(artifact)
+    print(f"  wrote {path}")
+
+
+def _safe(name: str) -> str:
+    """A plan or policy name as a file-name fragment."""
+    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
+
+
+def _scenario_heatmaps(mapdata, name: str, out_dir: Path) -> None:
     """Fig 4/5-style SVG + PNG heat maps, one pair per plan (2-D maps)."""
-    written: list[Path] = []
     for plan_id in mapdata.plan_ids:
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", plan_id)
-        svg_path = out_dir / f"scenario_{name}_{safe}.svg"
-        svg_path.write_text(
-            absolute_heatmap(mapdata, plan_id, f"{name}: {plan_id}")
-        )
-        png_path = out_dir / f"scenario_{name}_{safe}.png"
-        png_path.write_bytes(
-            encode_png(
-                heatmap_png_pixels(mapdata.times_for(plan_id), ABSOLUTE_TIME_SCALE)
+        for fmt in ("svg", "png"):
+            _write(
+                out_dir / f"scenario_{name}_{_safe(plan_id)}.{fmt}",
+                grid_picture(
+                    mapdata,
+                    mapdata.times_for(plan_id),
+                    ABSOLUTE_TIME_SCALE,
+                    f"{name}: {plan_id}",
+                    fmt,
+                ),
             )
-        )
-        written.extend([svg_path, png_path])
-    return written
 
 
 def _regret_artifacts(session: BenchSession, out_dir: Path) -> None:
     """Choice + regret maps per selection policy (``--regret``)."""
-    from repro.viz.figures import (
-        choice_heatmap,
-        plan_choice_scale,
-        regret_heatmap,
-        regret_png,
-    )
-
     choices = session.choice_maps()
     first = next(iter(choices.values()))
     # One shared scale: the same plan is the same color in every panel.
@@ -138,19 +146,13 @@ def _regret_artifacts(session: BenchSession, out_dir: Path) -> None:
         print(
             f"  {name:22s}" + "".join(f"  {r:8.2f}" for r in per_magnitude)
         )
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-        json_path = out_dir / f"choice_{safe}.json"
+        choice_svg, regret_svg, regret_png = choice_pictures(choice, name, scale)
+        json_path = out_dir / f"choice_{_safe(name)}.json"
         choice.save(json_path)
-        svg_path = out_dir / f"choice_{safe}.svg"
-        choice_heatmap(
-            choice, f"Plan choice: {name}", scale=scale, path=svg_path
-        )
-        regret_svg = out_dir / f"regret_{safe}.svg"
-        regret_heatmap(choice, f"Regret: {name}", path=regret_svg)
-        png_path = out_dir / f"regret_{safe}.png"
-        png_path.write_bytes(regret_png(choice))
-        for artifact in (json_path, svg_path, regret_svg, png_path):
-            print(f"  wrote {artifact}")
+        print(f"  wrote {json_path}")
+        _write(json_path.with_suffix(".svg"), choice_svg)
+        _write(out_dir / f"regret_{_safe(name)}.svg", regret_svg)
+        _write(out_dir / f"regret_{_safe(name)}.png", regret_png)
 
 
 def _run_scenarios(
@@ -161,14 +163,10 @@ def _run_scenarios(
     trace_out: Path | None = None,
 ) -> int:
     """Sweep each named scenario, write its MapData + heat maps, summarize."""
-    names = [n.replace("-", "_") for n in names]
-    available = session.available_scenarios()
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        print(
-            f"unknown scenarios: {unknown}; available: {available}",
-            file=sys.stderr,
-        )
+    try:
+        names = [MapRequest(name).scenario for name in names]
+    except ExperimentError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if regret and "estimation" not in names:
         print(
@@ -180,7 +178,7 @@ def _run_scenarios(
     out_dir.mkdir(parents=True, exist_ok=True)
     traced: list = []
     for name in names:
-        mapdata = session.scenario_map(name)
+        mapdata = session.request_map(MapRequest(name))
         if trace_out is not None:
             from repro.obs.profile import profiles_from_meta
 
@@ -188,7 +186,7 @@ def _run_scenarios(
         path = out_dir / f"scenario_{name}.json"
         mapdata.save(path)
         axes = " x ".join(
-            f"{axis.name}[{axis.n_points}]" for axis in mapdata.axes or []
+            f"{axis.name}[{axis.n_points}]" for axis in mapdata.axes
         )
         # The symmetry landmark (Fig 5) only means something when both
         # axes carry the same quantity, i.e. the join scenario's square
@@ -231,8 +229,7 @@ def _run_scenarios(
             print(f"  {plan_id:28s} {span}{note}")
         print(f"  wrote {path}")
         if mapdata.is_2d:
-            for artifact in _scenario_heatmaps(mapdata, name, out_dir):
-                print(f"  wrote {artifact}")
+            _scenario_heatmaps(mapdata, name, out_dir)
         if regret and name == "estimation":
             _regret_artifacts(session, out_dir)
     if trace_out is not None:
@@ -291,6 +288,26 @@ def _config_from_flags(**flags) -> BenchConfig:
     return dataclasses.replace(BenchConfig(), **given)
 
 
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every sub-command lays over the environment's config."""
+    parser.add_argument("--rows", type=int, default=None, help="table rows override")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes per sweep (default: serial; -1 uses all cores)",
+    )
+    parser.add_argument(
+        "--cell-cache",
+        default=None,
+        metavar="DIR",
+        help="directory for the content-addressed per-cell measurement "
+        "store: reruns, overlapping grids, refinement passes and service "
+        "jobs reuse every already-measured cell (default: "
+        "REPRO_BENCH_CELL_CACHE)",
+    )
+
+
 def _serve_main(argv: list[str]) -> int:
     """The ``serve`` subcommand: run the robustness-map HTTP service."""
     parser = argparse.ArgumentParser(
@@ -333,25 +350,12 @@ def _serve_main(argv: list[str]) -> int:
         default=1,
         help="serial sweeps publish a partial-map snapshot every N cells",
     )
-    parser.add_argument("--rows", type=int, default=None, help="table rows override")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sweep worker *processes* per job (default: serial)",
-    )
+    _add_config_flags(parser)
     parser.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
         help="whole-map disk cache shared by all jobs (REPRO_BENCH_CACHE)",
-    )
-    parser.add_argument(
-        "--cell-cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed per-cell store shared by all jobs "
-        "(REPRO_BENCH_CELL_CACHE)",
     )
     parser.add_argument(
         "--quiet",
@@ -361,13 +365,13 @@ def _serve_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     from repro.service import JobManager, serve
 
-    config = _config_from_flags(
-        n_rows=args.rows,
-        n_workers=args.workers,
-        cache_dir=args.cache,
-        cell_cache_dir=args.cell_cache,
-    )
     try:
+        config = _config_from_flags(
+            n_rows=args.rows,
+            n_workers=args.workers,
+            cache_dir=args.cache,
+            cell_cache_dir=args.cell_cache,
+        )
         manager = JobManager(
             config,
             workers=args.service_workers,
@@ -395,13 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         + ",".join(ALL_FIGURES)
         + ")",
     )
-    parser.add_argument("--rows", type=int, default=None, help="table rows override")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sweep worker processes (default: serial; -1 uses all cores)",
-    )
+    _add_config_flags(parser)
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -441,14 +439,6 @@ def main(argv: list[str] | None = None) -> int:
         "default: refine until no box is interesting)",
     )
     parser.add_argument(
-        "--cell-cache",
-        default=None,
-        metavar="DIR",
-        help="directory for the content-addressed per-cell measurement "
-        "store: reruns, overlapping grids and refinement passes reuse "
-        "every already-measured cell (default: REPRO_BENCH_CELL_CACHE)",
-    )
-    parser.add_argument(
         "--cell-cache-compact",
         action="store_true",
         help="compact the per-cell store (drop superseded/corrupt lines), "
@@ -460,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="comma-separated scenario names (runs scenario sweeps "
         "instead of figures); available: "
-        + ",".join(BenchSession.available_scenarios()),
+        + ",".join(available_requests()),
     )
     parser.add_argument(
         "--regret",
@@ -475,16 +465,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace-out needs --scenario (profiles ride on maps)")
     if args.max_cells is not None and not args.refine:
         parser.error("--max-cells needs --refine (it caps the refinement)")
-    if args.max_cells is not None and args.max_cells < 0:
-        parser.error(f"--max-cells must not be negative, got {args.max_cells}")
-    config = _config_from_flags(
-        n_rows=args.rows,
-        n_workers=args.workers,
-        trace=(args.trace or args.trace_out is not None) or None,
-        refine=args.refine or None,
-        refine_max_cells=args.max_cells,
-        cell_cache_dir=args.cell_cache,
-    )
+    try:
+        config = _config_from_flags(
+            n_rows=args.rows,
+            n_workers=args.workers,
+            trace=(args.trace or args.trace_out is not None) or None,
+            refine=args.refine or None,
+            refine_max_cells=args.max_cells,
+            cell_cache_dir=args.cell_cache,
+        )
+    except ExperimentError as exc:
+        parser.error(str(exc))
     if args.cell_cache_compact:
         if not config.cell_cache_dir:
             parser.error(
@@ -520,12 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         if result.series_text:
             print(result.series_text)
         for name, artifact in result.artifacts.items():
-            path = out_dir / name
-            if isinstance(artifact, bytes):
-                path.write_bytes(artifact)
-            else:
-                path.write_text(artifact)
-            print(f"  wrote {path}")
+            _write(out_dir / name, artifact)
         print()
         all_hold = all_hold and result.all_hold
     _print_store_stats(session)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.harness import BenchSession
+from repro.bench.harness import BenchSession, MapRequest
 from repro.bench.report import Claim, series_block
 from repro.core.landmarks import (
     crossovers,
@@ -21,24 +21,27 @@ from repro.core.landmarks import (
     monotonicity_violations,
     symmetry_score,
 )
-from repro.core.mapdata import MapData
-from repro.core.maps import quotient_for, relative_to_best
+from repro.core.mapdata import MapAxis, MapData
+from repro.core.maps import censored_to_nan, quotient_for, relative_to_best
 from repro.core.metrics import profile_plan
 from repro.core.optimality import optimal_counts, optimal_mask, region_stats
 from repro.core.regression import compare_maps
 from repro.executor.context import ExecContext
 from repro.executor.sort import ExternalSort, SpillPolicy
-from repro.viz.colormap import ABSOLUTE_TIME_SCALE, RELATIVE_FACTOR_SCALE
+from repro.viz.colormap import (
+    ABSOLUTE_TIME_SCALE,
+    RELATIVE_FACTOR_SCALE,
+    DiscreteScale,
+)
 from repro.viz.figures import (
     absolute_curves,
-    absolute_heatmap,
+    choice_pictures,
     counts_heatmap,
-    heatmap_png_pixels,
+    grid_picture,
+    plan_choice_scale,
     relative_curves,
-    relative_heatmap,
 )
 from repro.viz.legend import legend_svg
-from repro.viz.png import encode_png
 from repro.viz.svg import curves_svg
 
 
@@ -56,6 +59,20 @@ class FigureResult:
     def all_hold(self) -> bool:
         return all(claim.holds for claim in self.claims)
 
+    def add_pictures(
+        self,
+        stem: str,
+        mapdata: MapData,
+        grid: np.ndarray,
+        scale: DiscreteScale,
+        title: str,
+    ) -> None:
+        """One grid of a 2-D map as the ``<stem>.svg`` / ``.png`` pair."""
+        for fmt in ("svg", "png"):
+            self.artifacts[f"{stem}.{fmt}"] = grid_picture(
+                mapdata, grid, scale, title, fmt
+            )
+
 
 # ---------------------------------------------------------------------------
 # Figure 1 — single-table single-predicate selection
@@ -63,7 +80,7 @@ class FigureResult:
 
 
 def figure01(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("single_predicate")
+    mapdata = session.request_map(MapRequest("single_predicate"))
     scan_id, trad_id, improved_id = (
         "A.table_scan",
         "A.idx_traditional",
@@ -80,7 +97,6 @@ def figure01(session: BenchSession) -> FigureResult:
     break_even = cross[0].x if cross else float("nan")
     result.claims.append(
         Claim(
-            "fig1",
             "table scan / traditional index scan break-even exists at small selectivity",
             "~2^-11 of the rows (30K of 60M)",
             f"measured break-even at selectivity {break_even:.2e} (2^{np.log2(break_even):.1f})"
@@ -94,7 +110,6 @@ def figure01(session: BenchSession) -> FigureResult:
     max_competitive = float(competitive.max()) if competitive.size else float("nan")
     result.claims.append(
         Claim(
-            "fig1",
             "improved index scan competitive with table scan to moderate selectivity",
             "competitive up to ~2^-4 of the rows",
             f"improved <= 1.05x table scan up to selectivity {max_competitive:.2e} "
@@ -108,7 +123,6 @@ def figure01(session: BenchSession) -> FigureResult:
     ratio_full = improved[-1] / scan[-1]
     result.claims.append(
         Claim(
-            "fig1",
             "improved index scan ~2.5x table scan at 100% selectivity",
             "about 2.5x worse",
             f"measured {ratio_full:.2f}x",
@@ -123,7 +137,6 @@ def figure01(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig1",
             "traditional index scan worse by orders of magnitude at high selectivity",
             '"not even shown across the entire range"',
             trad_text,
@@ -143,10 +156,10 @@ def figure01(session: BenchSession) -> FigureResult:
 
 
 def figure02(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("single_predicate")
+    mapdata = session.request_map(MapRequest("single_predicate"))
     result = FigureResult("fig2", "Fig 2: advanced selection plans (relative)")
     quotients = relative_to_best(mapdata)
-    finite = np.where(np.isinf(quotients), np.nan, quotients)
+    finite = censored_to_nan(quotients)
     optimal_plans = [
         plan_id
         for i, plan_id in enumerate(mapdata.plan_ids)
@@ -154,7 +167,6 @@ def figure02(session: BenchSession) -> FigureResult:
     ]
     result.claims.append(
         Claim(
-            "fig2",
             "several plans are optimal in different selectivity bands",
             "multi-index plans added; best plan varies across the range",
             f"{len(optimal_plans)} of {mapdata.n_plans} plans optimal somewhere: "
@@ -168,7 +180,6 @@ def figure02(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig2",
             "relative diagram resolves wide cost ranges (traditional plan far off best)",
             "relative diagrams preferred when absolute performance varies very widely",
             "traditional index scan censored at high selectivity"
@@ -184,10 +195,7 @@ def figure02(session: BenchSession) -> FigureResult:
     result.series_text = series_block(
         "Fig 2 factor-of-best",
         xs,
-        {
-            plan_id: list(np.where(np.isinf(quotients[i]), np.nan, quotients[i]))
-            for i, plan_id in enumerate(mapdata.plan_ids)
-        },
+        {plan_id: list(finite[i]) for i, plan_id in enumerate(mapdata.plan_ids)},
     )
     return result
 
@@ -200,7 +208,6 @@ def figure03(_session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig3",
             "each color step spans one order of magnitude of execution time",
             "0.001-0.01s ... 100-1000s, green to red to black",
             f"{scale.n_buckets} buckets, each exactly one decade: {decades}",
@@ -212,7 +219,7 @@ def figure03(_session: BenchSession) -> FigureResult:
 
 
 def figure04(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     plan_id = "A.idx_a_fetch"
     grid = mapdata.times_for(plan_id)
     result = FigureResult("fig4", "Fig 4: two-predicate single-index selection")
@@ -223,7 +230,6 @@ def figure04(session: BenchSession) -> FigureResult:
     effect_b = float(mean_over_a.max() / mean_over_a.min())
     result.claims.append(
         Claim(
-            "fig4",
             "the two dimensions have very different effects",
             "one predicate (evaluated after fetching) has practically no effect",
             f"indexed-predicate effect {effect_a:.1f}x vs residual-predicate "
@@ -236,25 +242,24 @@ def figure04(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig4",
             "cost grows monotonically with the indexed predicate's selectivity",
             "index scans perform as expected and as coded in the cost calculations",
             f"row-mean cost monotone along indexed axis: {monotone_a}",
             monotone_a,
         )
     )
-    result.artifacts["fig04_single_index_2d.svg"] = absolute_heatmap(
-        mapdata, plan_id, "Figure 4: two-predicate single-index selection"
-    )
-    result.artifacts["fig04_single_index_2d.png"] = encode_png(
-        heatmap_png_pixels(grid, ABSOLUTE_TIME_SCALE)
+    result.add_pictures(
+        "fig04_single_index_2d",
+        mapdata,
+        grid,
+        ABSOLUTE_TIME_SCALE,
+        "Figure 4: two-predicate single-index selection",
     )
     return result
 
 
 def figure05(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
-    merge_grid = mapdata.times_for("A.merge_ab")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     result = FigureResult("fig5", "Fig 5: two-index merge join")
     # Symmetry is judged on measured cells only: on an adaptively refined
     # map the interpolation fill pattern is not symmetric even when the
@@ -263,7 +268,6 @@ def figure05(session: BenchSession) -> FigureResult:
     hash_sym = symmetry_score(mapdata.measured_times("A.hash_ab"))
     result.claims.append(
         Claim(
-            "fig5",
             "merge-join map symmetric in the two selectivities",
             "the symmetry in this diagram indicates the dimensions have similar effects",
             f"merge-join asymmetry {merge_sym:.3f} (0 = perfect symmetry)",
@@ -272,18 +276,18 @@ def figure05(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig5",
             "hash-join plans do not exhibit this symmetry",
             "hash join plans perform better in some cases but are not symmetric [GLS94]",
             f"hash-join asymmetry {hash_sym:.3f} vs merge {merge_sym:.3f}",
             hash_sym > merge_sym,
         )
     )
-    result.artifacts["fig05_merge_join_2d.svg"] = absolute_heatmap(
-        mapdata, "A.merge_ab", "Figure 5: two-index merge join"
-    )
-    result.artifacts["fig05_merge_join_2d.png"] = encode_png(
-        heatmap_png_pixels(merge_grid, ABSOLUTE_TIME_SCALE)
+    result.add_pictures(
+        "fig05_merge_join_2d",
+        mapdata,
+        mapdata.times_for("A.merge_ab"),
+        ABSOLUTE_TIME_SCALE,
+        "Figure 5: two-index merge join",
     )
     return result
 
@@ -294,7 +298,6 @@ def figure06(_session: BenchSession) -> FigureResult:
     spans_five_decades = scale.buckets[-1].hi / scale.buckets[1].lo >= 1e4
     result.claims.append(
         Claim(
-            "fig6",
             "relative scale spans factor 1 to factor 100,000",
             '"it seems surprising that a range of five orders of magnitude is required"',
             f"buckets: {[bucket.label for bucket in scale.buckets]}",
@@ -306,7 +309,7 @@ def figure06(_session: BenchSession) -> FigureResult:
 
 
 def figure07(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     a_plans = session.system_a_plan_ids()
     plan_id = "A.idx_a_fetch"
     quotient = quotient_for(mapdata, plan_id, a_plans)
@@ -316,7 +319,6 @@ def figure07(session: BenchSession) -> FigureResult:
     worst = float(np.max(quotient[np.isfinite(quotient)]))
     result.claims.append(
         Claim(
-            "fig7",
             "worst-case quotient is orders of magnitude (disruptive in production)",
             "maximal difference is a factor of 101,000 (at 60M rows)",
             f"measured worst factor {worst:,.0f}x at {mapdata.meta['n_rows_table']:,} rows "
@@ -331,7 +333,6 @@ def figure07(session: BenchSession) -> FigureResult:
     stats = region_stats(mask)
     result.claims.append(
         Claim(
-            "fig7",
             "plan optimal only in a small part of the parameter space",
             "optimal in a small, not even contiguous region",
             f"optimal on {stats.area_fraction:.0%} of cells in {stats.n_components} "
@@ -341,7 +342,6 @@ def figure07(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig7",
             "relative performance is not smooth even where absolute is",
             "the costs of best plans are not smooth",
             f"quotient surface spans {np.min(quotient[np.isfinite(quotient)]):.1f}x "
@@ -349,21 +349,18 @@ def figure07(session: BenchSession) -> FigureResult:
             worst / float(np.min(quotient[np.isfinite(quotient)])) > 10,
         )
     )
-    result.artifacts["fig07_relative_single_index.svg"] = relative_heatmap(
+    result.add_pictures(
+        "fig07_relative_single_index",
         mapdata,
-        plan_id,
+        censored_to_nan(quotient),
+        RELATIVE_FACTOR_SCALE,
         "Figure 7: single-index plan vs best of System A's 7 plans",
-        baseline_ids=a_plans,
-    )
-    grid = np.where(np.isinf(quotient), np.nan, quotient)
-    result.artifacts["fig07_relative_single_index.png"] = encode_png(
-        heatmap_png_pixels(grid, RELATIVE_FACTOR_SCALE)
     )
     return result
 
 
 def figure08(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     plan_id = "B.ab_bitmap"
     fig7_plan = "A.idx_a_fetch"
     quotient_b = quotient_for(mapdata, plan_id)
@@ -373,7 +370,6 @@ def figure08(session: BenchSession) -> FigureResult:
     worst_a = float(np.max(quotient_a[np.isfinite(quotient_a)]))
     result.claims.append(
         Claim(
-            "fig8",
             "System B's worst quotient is better than the Fig 7 plan's",
             "its worst quotient is not as bad as the one of the prior plan",
             f"B worst {worst_b:,.0f}x vs Fig 7 plan worst {worst_a:,.0f}x",
@@ -384,7 +380,6 @@ def figure08(session: BenchSession) -> FigureResult:
     near_a = float(np.count_nonzero(quotient_a <= 2.0)) / quotient_a.size
     result.claims.append(
         Claim(
-            "fig8",
             "close to optimal over a much larger region",
             "close to optimal over a much larger region of the parameter space",
             f"within 2x of best on {near_b:.0%} of cells (Fig 7 plan: {near_a:.0%})",
@@ -393,32 +388,30 @@ def figure08(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "fig8",
             "robustness might well trump performance",
             "plan is more desirable when actual parameter values are unknown at compile time",
             f"geomean factor {profile_plan(mapdata, plan_id).geomean_quotient:.2f}x",
             True,
         )
     )
-    result.artifacts["fig08_system_b.svg"] = relative_heatmap(
-        mapdata, plan_id, "Figure 8: System B, two-column index, bitmap-sorted fetch"
-    )
-    grid = np.where(np.isinf(quotient_b), np.nan, quotient_b)
-    result.artifacts["fig08_system_b.png"] = encode_png(
-        heatmap_png_pixels(grid, RELATIVE_FACTOR_SCALE)
+    result.add_pictures(
+        "fig08_system_b",
+        mapdata,
+        censored_to_nan(quotient_b),
+        RELATIVE_FACTOR_SCALE,
+        "Figure 8: System B, two-column index, bitmap-sorted fetch",
     )
     return result
 
 
 def figure09(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     plan_id = "C.ab_mdam"
     quotient = quotient_for(mapdata, plan_id)
     result = FigureResult("fig9", "Fig 9: System C covering index + MDAM")
     worst = float(np.max(quotient[np.isfinite(quotient)]))
     result.claims.append(
         Claim(
-            "fig9",
             "relative performance reasonable across the entire parameter space",
             "reasonable across the entire parameter space, albeit not optimal",
             f"worst factor {worst:.1f}x over all cells",
@@ -428,23 +421,16 @@ def figure09(session: BenchSession) -> FigureResult:
     n_best = int(np.count_nonzero(quotient <= 1.02))
     result.claims.append(
         Claim(
-            "fig9",
             "some points show this plan as the best plan (factor 1)",
             "very few data points indicate that this plan is the best",
             f"{n_best} of {quotient.size} cells at factor 1",
             n_best >= 1,
         )
     )
-    worst_b = float(
-        np.max(
-            quotient_for(mapdata, "B.ab_bitmap")[
-                np.isfinite(quotient_for(mapdata, "B.ab_bitmap"))
-            ]
-        )
-    )
+    quotient_b = quotient_for(mapdata, "B.ab_bitmap")
+    worst_b = float(np.max(quotient_b[np.isfinite(quotient_b)]))
     result.claims.append(
         Claim(
-            "fig9",
             "MDAM plan more robust than System B's fetch-bound plan",
             "a covering two-column index is extremely robust but only if fully "
             "exploited using MDAM technology",
@@ -452,24 +438,23 @@ def figure09(session: BenchSession) -> FigureResult:
             worst <= worst_b,
         )
     )
-    result.artifacts["fig09_system_c_mdam.svg"] = relative_heatmap(
-        mapdata, plan_id, "Figure 9: System C, two-column index, MDAM"
-    )
-    grid = np.where(np.isinf(quotient), np.nan, quotient)
-    result.artifacts["fig09_system_c_mdam.png"] = encode_png(
-        heatmap_png_pixels(grid, RELATIVE_FACTOR_SCALE)
+    result.add_pictures(
+        "fig09_system_c_mdam",
+        mapdata,
+        censored_to_nan(quotient),
+        RELATIVE_FACTOR_SCALE,
+        "Figure 9: System C, two-column index, MDAM",
     )
     return result
 
 
 def figure10(session: BenchSession) -> FigureResult:
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     result = FigureResult("fig10", "Fig 10: optimal plans (multiplicity)")
     counts_01s = optimal_counts(mapdata, tol_abs=0.1)
     multi = float(np.count_nonzero(counts_01s >= 2)) / counts_01s.size
     result.claims.append(
         Claim(
-            "fig10",
             "most points have multiple optimal plans within 0.1s measurement error",
             "most points in the parameter space have multiple optimal plans",
             f"{multi:.0%} of cells have >= 2 plans within 0.1s of the best",
@@ -481,7 +466,6 @@ def figure10(session: BenchSession) -> FigureResult:
     mean_2x = float(optimal_counts(mapdata, tol_rel=1.0).mean())
     result.claims.append(
         Claim(
-            "fig10",
             "tolerance choice (1% / 20% / 2x) trades performance for robustness",
             "whether this tolerance ends at 1%, at 20%, or at a factor of 2 depends on "
             "one's tradeoff",
@@ -532,7 +516,6 @@ def ext_sort_spill(session: BenchSession) -> FigureResult:
     graceful_jumps = discontinuities(xs, graceful, jump_factor=1.5)
     result.claims.append(
         Claim(
-            "ext-sort",
             "all-or-nothing spill shows a cost cliff at input = memory",
             "implementations spilling their entire input show discontinuous costs",
             f"{len(naive_jumps)} discontinuity(ies) >= 1.5x detected for all-or-nothing",
@@ -541,7 +524,6 @@ def ext_sort_spill(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "ext-sort",
             "graceful spill degrades smoothly",
             "sorts lacking graceful degradation show the cliff; graceful ones do not",
             f"{len(graceful_jumps)} discontinuity(ies) >= 1.5x for graceful; "
@@ -570,8 +552,7 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
     result = FigureResult(
         "ext-join", "Ext: join robustness maps (Figs 4-5 workload)"
     )
-    mapdata = session.scenario_map("join")
-    merge_grid = mapdata.times_for("join.merge")
+    mapdata = session.request_map(MapRequest("join"))
     hash_grid = mapdata.times_for("join.hash.graceful")
     # Symmetry on measured cells only: interpolated fills would skew the
     # landmark on refined maps (identical to the full grids on dense maps).
@@ -579,7 +560,6 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
     hash_sym = symmetry_score(mapdata.measured_times("join.hash.graceful"))
     result.claims.append(
         Claim(
-            "ext-join",
             "merge-join map symmetric in the two input sizes",
             "the symmetry in this diagram indicates the dimensions have similar effects",
             f"merge-join asymmetry {merge_sym:.4f} (0 = perfect symmetry)",
@@ -588,7 +568,6 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "ext-join",
             "hash-join map is not symmetric",
             "hash join plans perform better in some cases but are not symmetric [GLS94]",
             f"hash-join asymmetry {hash_sym:.3f} vs merge {merge_sym:.4f}",
@@ -606,7 +585,6 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
         worst_graceful = float(np.nanmax(graceful_slice[1:] / graceful_slice[:-1]))
     result.claims.append(
         Claim(
-            "ext-join",
             "all-or-nothing hash spill shows a cost cliff along the build axis",
             "implementations spilling their entire input show discontinuous costs",
             f"{len(aon_jumps)} discontinuity(ies) >= 1.5x; worst adjacent jump "
@@ -620,34 +598,32 @@ def ext_join_maps(session: BenchSession) -> FigureResult:
     inl_sym = symmetry_score(mapdata.measured_times("join.inl"))
     result.claims.append(
         Claim(
-            "ext-join",
             "index nested-loop join map is asymmetric too",
             "hash join plans [and other asymmetric joins] are not symmetric",
             f"index nested-loop asymmetry {inl_sym:.3f} vs merge {merge_sym:.4f}",
             inl_sym > max(0.02, merge_sym),
         )
     )
-    result.artifacts["ext_join_merge_2d.svg"] = absolute_heatmap(
-        mapdata, "join.merge", "Join map: merge join (absolute)"
+    result.add_pictures(
+        "ext_join_merge_2d",
+        mapdata,
+        mapdata.times_for("join.merge"),
+        ABSOLUTE_TIME_SCALE,
+        "Join map: merge join (absolute)",
     )
-    result.artifacts["ext_join_merge_2d.png"] = encode_png(
-        heatmap_png_pixels(merge_grid, ABSOLUTE_TIME_SCALE)
+    result.add_pictures(
+        "ext_join_hash_2d",
+        mapdata,
+        hash_grid,
+        ABSOLUTE_TIME_SCALE,
+        "Join map: hash join (absolute)",
     )
-    result.artifacts["ext_join_hash_2d.svg"] = absolute_heatmap(
-        mapdata, "join.hash.graceful", "Join map: hash join (absolute)"
-    )
-    result.artifacts["ext_join_hash_2d.png"] = encode_png(
-        heatmap_png_pixels(hash_grid, ABSOLUTE_TIME_SCALE)
-    )
-    hash_quotient = quotient_for(mapdata, "join.hash.graceful")
-    result.artifacts["ext_join_hash_relative_2d.svg"] = relative_heatmap(
-        mapdata, "join.hash.graceful", "Join map: hash join vs best join plan"
-    )
-    result.artifacts["ext_join_hash_relative_2d.png"] = encode_png(
-        heatmap_png_pixels(
-            np.where(np.isinf(hash_quotient), np.nan, hash_quotient),
-            RELATIVE_FACTOR_SCALE,
-        )
+    result.add_pictures(
+        "ext_join_hash_relative_2d",
+        mapdata,
+        censored_to_nan(quotient_for(mapdata, "join.hash.graceful")),
+        RELATIVE_FACTOR_SCALE,
+        "Join map: hash join vs best join plan",
     )
     return result
 
@@ -657,7 +633,7 @@ def ext_optimality_regions(session: BenchSession) -> FigureResult:
     result = FigureResult(
         "ext-regions", "Ext: regions of optimality & plan elimination (§3.4)"
     )
-    mapdata = session.scenario_map("two_predicate")
+    mapdata = session.request_map(MapRequest("two_predicate"))
     mask = optimal_mask(mapdata, tol_rel=0.2)
     lines = ["plan                          cells  comps  largest  bbox-fill"]
     best_cover = ("", 0.0)
@@ -672,7 +648,6 @@ def ext_optimality_regions(session: BenchSession) -> FigureResult:
     result.series_text = "\n".join(lines)
     result.claims.append(
         Claim(
-            "ext-regions",
             "one plan has a dominant region of acceptable performance",
             "focus on the plan with the broadest region of acceptable performance",
             f"{best_cover[0]} within 20% of best on {best_cover[1]:.0%} of cells",
@@ -696,7 +671,6 @@ def ext_optimality_regions(session: BenchSession) -> FigureResult:
         covered |= acceptable[best_i]
     result.claims.append(
         Claim(
-            "ext-regions",
             "a small plan set covers the whole space within 2x (plan elimination)",
             "every plan eliminated from this map implies query optimization need not "
             "consider it",
@@ -724,7 +698,7 @@ def ext_regression_guard(session: BenchSession) -> FigureResult:
     result = FigureResult(
         "ext-regression", "Ext: robustness-map regression guard (§1, §4)"
     )
-    mapdata = session.scenario_map("single_predicate")
+    mapdata = session.request_map(MapRequest("single_predicate"))
     cells = mapdata.x_targets >= 2.0**-10
     achieved = mapdata.x_achieved[cells]
     n_cells = achieved.size
@@ -736,8 +710,7 @@ def ext_regression_guard(session: BenchSession) -> FigureResult:
             times=mapdata.times[plan][cells][None, :],
             aborted=mapdata.aborted[plan][cells][None, :],
             rows=np.zeros(n_cells, dtype=np.int64),
-            x_targets=mapdata.x_targets[cells],
-            x_achieved=achieved,
+            axes=[MapAxis("selectivity", mapdata.x_targets[cells], achieved)],
         )
 
     before = as_map("A.idx_improved")
@@ -745,7 +718,6 @@ def ext_regression_guard(session: BenchSession) -> FigureResult:
     report = compare_maps(before, after, threshold=1.5)
     result.claims.append(
         Claim(
-            "ext-regression",
             "losing the improved fetch strategy is caught by the map diff",
             "regression testing protects progress against accidental regression",
             report.summary(),
@@ -756,7 +728,6 @@ def ext_regression_guard(session: BenchSession) -> FigureResult:
     high_sel_cells = set(range(n_cells - 4, n_cells))
     result.claims.append(
         Claim(
-            "ext-regression",
             "the regression bites at high selectivities (dense fetches)",
             "the improved scan's advantage is high bandwidth for moderate results",
             f"regressed cells (indices): {sorted(regressed_cells)}",
@@ -799,7 +770,6 @@ def ext_optimizer_regret(session: BenchSession) -> FigureResult:
     classic_worst_max = classic.worst_regret(at_max)
     result.claims.append(
         Claim(
-            "ext-optimizer",
             "classic policy's worst-case regret grows with error magnitude",
             "actual run-time conditions very often differ from compile-time estimates",
             f"worst regret {classic_worst_zero:.2f}x at error 0 vs "
@@ -821,7 +791,6 @@ def ext_optimizer_regret(session: BenchSession) -> FigureResult:
         )
     result.claims.append(
         Claim(
-            "ext-optimizer",
             "robust policies cap worst-case regret at a bounded premium",
             "penalty-aware selection trades a small expected premium for a "
             "cap on worst-case regret (PARQO)",
@@ -834,7 +803,6 @@ def ext_optimizer_regret(session: BenchSession) -> FigureResult:
     )
     result.claims.append(
         Claim(
-            "ext-optimizer",
             "choice-map region boundaries shift as error grows",
             "the chosen plan diverges from the measured-best plan as "
             "estimates degrade",
@@ -845,29 +813,23 @@ def ext_optimizer_regret(session: BenchSession) -> FigureResult:
         )
     )
 
-    from repro.viz.figures import (
-        choice_heatmap,
-        plan_choice_scale,
-        regret_heatmap,
-        regret_png,
-    )
-    from repro.viz.legend import legend_svg
-
     scale = plan_choice_scale(classic.plan_ids)
-    result.artifacts["ext_optimizer_choice_classic.svg"] = choice_heatmap(
-        classic, "Plan choice: classic (min estimated cost)", scale=scale
+    classic_choice, classic_regret, classic_png = choice_pictures(
+        classic, "classic (min estimated cost)", scale
     )
-    result.artifacts["ext_optimizer_choice_robust.svg"] = choice_heatmap(
-        robust, "Plan choice: robust (min worst regret)", scale=scale
+    robust_choice, robust_regret, _ = choice_pictures(
+        robust, "robust (min worst regret)", scale
     )
-    result.artifacts["ext_optimizer_regret_classic.svg"] = regret_heatmap(
-        classic, "Regret: classic (min estimated cost)"
+    result.artifacts.update(
+        {
+            "ext_optimizer_choice_classic.svg": classic_choice,
+            "ext_optimizer_choice_robust.svg": robust_choice,
+            "ext_optimizer_regret_classic.svg": classic_regret,
+            "ext_optimizer_regret_robust.svg": robust_regret,
+            "ext_optimizer_choice_legend.svg": legend_svg(scale),
+            "ext_optimizer_regret_classic.png": classic_png,
+        }
     )
-    result.artifacts["ext_optimizer_regret_robust.svg"] = regret_heatmap(
-        robust, "Regret: robust (min worst regret)"
-    )
-    result.artifacts["ext_optimizer_choice_legend.svg"] = legend_svg(scale)
-    result.artifacts["ext_optimizer_regret_classic.png"] = regret_png(classic)
     lines = ["policy                    " + "".join(
         f"  err={m:<7.2g}" for m in magnitudes
     )]

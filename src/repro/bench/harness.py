@@ -3,8 +3,10 @@
 Which maps exist, how each one is built, and how requests for them are
 addressed lives in :mod:`repro.bench.requests` (the declarative
 ``MAP_DEFINITIONS`` registry + serializable :class:`MapRequest`); this
-module keeps the *session*: lazily-built systems, thread-safe memoization
-over the registry, and the whole-map disk cache.
+module keeps the *session*: lazily-built systems, one entry point for
+maps (:meth:`BenchSession.request_map`), thread-safe memoization over the
+registry, and the whole-map disk cache.  Which knob values are legal is
+``BenchConfig``'s own business (``BenchConfig.__post_init__``).
 
 Scale knobs (environment variables, so CI can dial them):
 
@@ -49,9 +51,8 @@ from repro.bench.requests import (  # noqa: F401  (re-exported: public API)
 )
 from repro.core.cellstore import CellStore
 from repro.core.choice import ChoiceMap, build_choice_map
-from repro.core.driver import AdaptiveRefinePolicy, CellPolicy
+from repro.core.driver import AdaptiveRefinePolicy
 from repro.core.mapdata import MapData
-from repro.core.scenario import EstimationErrorScenario
 from repro.errors import ExperimentError
 from repro.optimizer import STANDARD_POLICIES, PlanChooser
 from repro.systems import DatabaseSystem, build_three_systems
@@ -120,16 +121,6 @@ class BenchSession:
                 self._cell_store = CellStore(self.config.cell_cache_dir)
             return self._cell_store
 
-    def _store_kwargs(self) -> dict:
-        """Sweep kwargs wiring the cell store into any engine (or not)."""
-        store = self.cell_store()
-        if store is None:
-            return {}
-        return {
-            "cell_store": store,
-            "store_context": self.config.cell_store_context(),
-        }
-
     # ------------------------------------------------------------------
 
     @property
@@ -164,7 +155,7 @@ class BenchSession:
             definition = _BY_CACHE_KEY[key]
         except KeyError:
             raise ExperimentError(f"unknown map cache key {key!r}") from None
-        return definition.grid_shape(self.config)
+        return definition.spec(self.config).grid_shape
 
     def _cache_valid(self, mapdata: MapData, key: str) -> bool:
         """Fingerprint, shape, and *policy* must all match the config.
@@ -217,27 +208,9 @@ class BenchSession:
                 self._maps[key] = mapdata
             return mapdata
 
-    def _policy(self) -> CellPolicy | None:
-        """A fresh cell policy per sweep (policies carry wave state)."""
-        if not self.config.refine:
-            return None
-        return AdaptiveRefinePolicy(
-            max_cells=self.config.refine_max_cells or None
-        )
-
-    def _wants_parallel(self) -> bool:
-        """True when n_workers asks for workers (-1 means all cores)."""
-        return self.config.n_workers == -1 or self.config.n_workers > 1
-
     # ------------------------------------------------------------------
     # the registry-backed map surface
     # ------------------------------------------------------------------
-
-    def map_for(self, definition: MapDefinition) -> MapData:
-        """Compute (or load) one registry entry's map on this session."""
-        return self._cached(
-            definition.cache_key, lambda: compute_map(self, definition)
-        )
 
     def request_map(self, request: MapRequest) -> MapData:
         """Compute (or load) the map a serializable request addresses.
@@ -248,38 +221,21 @@ class BenchSession:
         """
         definition = definition_for(request.scenario)
         resolved = request.resolve(self.config)
-        if resolved == self.config:
-            return self.map_for(definition)
-        derived = BenchSession(
-            resolved,
-            progress=self.progress,
-            snapshot_every=self.snapshot_every,
-            cell_store=self.cell_store(),
+        session = self
+        if resolved != self.config:
+            session = BenchSession(
+                resolved,
+                progress=self.progress,
+                snapshot_every=self.snapshot_every,
+                cell_store=self.cell_store(),
+            )
+        return session._cached(
+            definition.cache_key, lambda: compute_map(session, definition)
         )
-        return derived.map_for(definition)
-
-    def scenario_map(self, name: str) -> MapData:
-        """Compute (or load from cache) a registry entry's map by name.
-
-        Accepts both the CLI spelling (``sort_spill``) and the scenario
-        registry spelling (``sort-spill``).
-        """
-        return self.map_for(definition_for(name))
-
-    @staticmethod
-    def available_scenarios() -> list[str]:
-        """The scenario names ``scenario_map`` / the CLI accept."""
-        return available_requests()
 
     # ------------------------------------------------------------------
     # the optimizer's scenario: choice and regret maps
     # ------------------------------------------------------------------
-
-    def estimation_scenario(self) -> EstimationErrorScenario:
-        """The estimation scenario bound to this session's System A."""
-        scenario = definition_for("estimation").scenario(self)
-        assert isinstance(scenario, EstimationErrorScenario)
-        return scenario
 
     def choice_maps(self) -> dict[str, ChoiceMap]:
         """One choice/regret map per standard selection policy, memoized.
@@ -293,8 +249,8 @@ class BenchSession:
         """
         with self._choices_lock:
             if not self._choices:
-                mapdata = self.scenario_map("estimation")
-                scenario = self.estimation_scenario()
+                mapdata = self.request_map(MapRequest("estimation"))
+                scenario = definition_for("estimation").scenario(self)
                 model = self.system_a.cost_model(
                     memory_bytes=self.config.memory_bytes
                 )
@@ -314,5 +270,5 @@ class BenchSession:
 
     def system_a_plan_ids(self) -> list[str]:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""
-        mapdata = self.scenario_map("two_predicate")
+        mapdata = self.request_map(MapRequest("two_predicate"))
         return [plan_id for plan_id in mapdata.plan_ids if plan_id.startswith("A.")]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 class Claim:
     """One qualitative paper claim and its measured counterpart."""
 
-    figure: str
     claim: str
     paper: str
     measured: str

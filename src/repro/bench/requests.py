@@ -11,8 +11,8 @@ can be *named*, and therefore deduplicated, queued, and cached:
   providers a session shares and the picklable factory workers call.
 * :class:`MapDefinition` — one registry entry per producible map: its
   spec under a config, its provider set, its budget and memory
-  yardsticks, its jitter, and its whole-map cache key.  Grid shape,
-  the serial scenario and the worker factory are derived from those.
+  yardsticks, its jitter, and its whole-map cache key.  The serial
+  scenario and the worker factory are derived from those.
 * :data:`MAP_DEFINITIONS` — the registry.  The two-predicate map's
   jittered and jitter-free variants are distinct entries (and distinct
   cache keys).
@@ -29,12 +29,14 @@ can be *named*, and therefore deduplicated, queued, and cached:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from repro.core.driver import AdaptiveRefinePolicy
 from repro.core.mapdata import MapData
 from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D, Space2D
@@ -171,6 +173,42 @@ class BenchConfig:
         }
     )
 
+    #: Smallest legal value per knob (of every entry, for an axis knob).
+    _FLOORS = {
+        "n_rows": 1,
+        "seed": 0,
+        "pool_pages": 1,
+        "memory_bytes": 1,
+        "sort_memory": 1,
+        "sort_row_bytes": 1,
+        "memory_axis": 1,
+        "join_memory_bytes": 1,
+        "join_row_bytes": 1,
+        "join_key_domain": 1,
+        "refine_max_cells": 0,
+    }
+
+    def __post_init__(self) -> None:
+        """Knob legality, decided here for every front door.
+
+        A flag, an environment default and a request override all become
+        a config before anything runs, so an illegal value is a usage
+        error or a 400 naming the knob, not a job that dies in its worker
+        or finishes with every plan censored.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(n, float) and not math.isfinite(n) for n in numbers):
+                legal = "finite"
+            elif f.name in self._FLOORS and min(numbers) < self._FLOORS[f.name]:
+                legal = f"at least {self._FLOORS[f.name]}"
+            elif f.name == "budget_scale" and value <= 0:
+                legal = "positive"
+            else:
+                continue
+            raise ExperimentError(f"knob {f.name!r} must be {legal}, got {value!r}")
+
     def _knob_digest(self, excluded: frozenset) -> str:
         payload = repr(
             [
@@ -268,9 +306,9 @@ class MapDefinition:
     """Everything needed to produce one named map from a config.
 
     A definition is a spec plus a provider set; the serially-usable
-    :meth:`scenario` (bound to a live session's providers), the picklable
-    :meth:`factory` the parallel engine ships to workers and the
-    :meth:`grid_shape` all follow from those two.  The budget and memory
+    :meth:`scenario` (bound to a live session's providers) and the
+    picklable :meth:`factory` the parallel engine ships to workers follow
+    from those two; the grid's shape is the spec's.  The budget and memory
     yardsticks default to what the selectivity maps use.
     :func:`compute_map` is the single execution path over them.
     """
@@ -301,17 +339,6 @@ class MapDefinition:
     def factory(self, config: BenchConfig) -> Callable[[], list]:
         """Picklable provider factory for :class:`ParallelSweep` workers."""
         return self.providers.factory(config)
-
-    def grid_shape(self, config: BenchConfig) -> tuple[int, ...]:
-        return self.spec(config).grid_shape
-
-    def n_cells(self, config: BenchConfig) -> int:
-        """Dense cell count of this map's grid under a config."""
-        return self.spec(config).n_cells
-
-
-def _space_1d(config: BenchConfig) -> Space1D:
-    return Space1D.log2("selectivity", config.min_exp_1d)
 
 
 def _space_2d_sel(config: BenchConfig) -> Space1D:
@@ -374,7 +401,7 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 "predicate plans (Figs 1-2)"
             ),
             spec=lambda config: SinglePredicateScenario.build_spec(
-                _space_1d(config)
+                Space1D.log2("selectivity", config.min_exp_1d)
             ),
             providers=SYSTEM_A,
         ),
@@ -637,27 +664,25 @@ def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
     through either engine.
     """
     config = session.config
-    budget = definition.budget(session)
-    if session._wants_parallel():
-        engine = ParallelSweep(
-            definition.factory(config),
-            budget_seconds=budget,
-            memory_bytes=definition.memory_bytes(config),
-            jitter=definition.jitter(config),
-            n_workers=config.n_workers,
-            progress=session.progress,
-            snapshot_every=session.snapshot_every,
-            capture_profiles=config.trace,
-            **session._store_kwargs(),
-        )
-        return engine.sweep(definition.spec(config), policy=session._policy())
-    return definition.scenario(session).run(
-        budget_seconds=budget,
+    store = session.cell_store()
+    policy = (
+        AdaptiveRefinePolicy(max_cells=config.refine_max_cells or None)
+        if config.refine
+        else None
+    )
+    sweep_kwargs = dict(
+        budget_seconds=definition.budget(session),
         memory_bytes=definition.memory_bytes(config),
         jitter=definition.jitter(config),
-        policy=session._policy(),
-        progress=session.progress or (lambda event: None),
+        progress=session.progress,
         snapshot_every=session.snapshot_every,
         capture_profiles=config.trace,
-        **session._store_kwargs(),
+        cell_store=store,
+        store_context="" if store is None else config.cell_store_context(),
     )
+    if config.n_workers == -1 or config.n_workers > 1:
+        engine = ParallelSweep(
+            definition.factory(config), n_workers=config.n_workers, **sweep_kwargs
+        )
+        return engine.sweep(definition.spec(config), policy=policy)
+    return definition.scenario(session).run(policy=policy, **sweep_kwargs)

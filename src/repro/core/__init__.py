@@ -3,7 +3,7 @@
 This package turns *measured* plan costs into the paper's four diagram
 families and the quantitative machinery around them:
 
-* :mod:`parameter_space` — log-spaced grids and swept :class:`Axis` labels.
+* :mod:`parameter_space` — log-spaced grids: one :class:`Space1D` per swept axis.
 * :mod:`mapdata` — the measured cost cube (plan x N-D grid), serializable.
 * :mod:`scenario` — pluggable sweep scenarios (selectivity, memory,
   data size, ...) behind one Scenario abstraction + registry.
@@ -22,7 +22,7 @@ families and the quantitative machinery around them:
 * :mod:`regression` — map-vs-map comparison for regression testing.
 """
 
-from repro.core.parameter_space import Axis, Space1D, Space2D, log2_targets
+from repro.core.parameter_space import Space1D, Space2D, log2_targets
 from repro.core.mapdata import MapAxis, MapData
 from repro.core.scenario import (
     Cell,
@@ -40,7 +40,7 @@ from repro.core.scenario import (
     register_scenario,
     SCENARIO_TYPES,
 )
-from repro.core.choice import ChoiceMap, build_choice_map, lenient_best_times
+from repro.core.choice import ChoiceMap, build_choice_map
 from repro.core.driver import (
     AdaptiveRefinePolicy,
     CellPolicy,
@@ -51,7 +51,13 @@ from repro.core.driver import (
 from repro.core.progress import ProgressEvent
 from repro.core.runner import RobustnessSweep, Jitter
 from repro.core.parallel import ParallelSweep, partition_cells
-from repro.core.maps import best_times, relative_to_best, quotient_for
+from repro.core.maps import (
+    best_times,
+    censored_to_nan,
+    lenient_best_times,
+    quotient_for,
+    relative_to_best,
+)
 from repro.core.optimality import (
     optimal_mask,
     optimal_counts,
@@ -71,7 +77,6 @@ from repro.core.metrics import RobustnessProfile, profile_plan, summarize_plans
 from repro.core.regression import RegressionReport, compare_maps
 
 __all__ = [
-    "Axis",
     "Space1D",
     "Space2D",
     "log2_targets",
@@ -107,6 +112,7 @@ __all__ = [
     "best_times",
     "relative_to_best",
     "quotient_for",
+    "censored_to_nan",
     "optimal_mask",
     "optimal_counts",
     "regions_of",

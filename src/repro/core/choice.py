@@ -29,23 +29,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.mapdata import MapAxis, MapData
+from repro.core.mapdata import (
+    MapAxis,
+    MapData,
+    cells_mask,
+    floats_from_json,
+    floats_to_json,
+)
+from repro.core.maps import lenient_best_times
 from repro.errors import ExperimentError
-
-
-def lenient_best_times(
-    mapdata: MapData, baseline_ids: list[str] | None = None
-) -> np.ndarray:
-    """Per-cell best over the baseline plans; NaN where fully censored.
-
-    Unlike :func:`repro.core.maps.best_times` this does not raise on
-    all-censored cells — a regret map must tolerate them (the regret
-    there is undefined, not an error).
-    """
-    data = mapdata if baseline_ids is None else mapdata.subset(baseline_ids)
-    all_censored = np.all(np.isnan(data.times), axis=0)
-    filled = np.where(np.isnan(data.times), np.inf, data.times)
-    return np.where(all_censored, np.nan, filled.min(axis=0))
 
 
 @dataclass
@@ -119,12 +111,7 @@ class ChoiceMap:
     @property
     def measured_mask(self) -> np.ndarray:
         """True where the underlying cell was actually measured."""
-        cells = self.meta.get("measured_cells")
-        mask = np.ones(self.grid_shape, dtype=bool)
-        if cells is not None:
-            mask = np.zeros(self.grid_shape, dtype=bool)
-            mask.reshape(-1)[np.asarray(sorted(cells), dtype=np.int64)] = True
-        return mask
+        return cells_mask(self.meta.get("measured_cells"), self.grid_shape)
 
     def worst_regret(self, where: np.ndarray | None = None) -> float:
         """Largest finite-or-inf regret (NaN cells excluded)."""
@@ -157,34 +144,22 @@ class ChoiceMap:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        regret = self.regret.astype(object)
-        regret[np.isnan(self.regret)] = None
-        regret[np.isinf(self.regret)] = "inf"
         return {
             "policy": self.policy,
             "plan_ids": self.plan_ids,
             "choices": self.choices.tolist(),
-            "regret": regret.tolist(),
+            "regret": floats_to_json(self.regret),
             "axes": [axis.to_dict() for axis in self.axes],
             "meta": self.meta,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChoiceMap":
-        def walk(value):
-            if isinstance(value, list):
-                return [walk(item) for item in value]
-            if value is None:
-                return np.nan
-            if value == "inf":
-                return np.inf
-            return float(value)
-
         return cls(
             policy=str(data["policy"]),
             plan_ids=list(data["plan_ids"]),
             choices=np.asarray(data["choices"], dtype=np.int64),
-            regret=np.asarray(walk(data["regret"]), dtype=float),
+            regret=floats_from_json(data["regret"]),
             axes=[MapAxis.from_dict(axis) for axis in data["axes"]],
             meta=dict(data.get("meta", {})),
         )
@@ -242,6 +217,6 @@ def build_choice_map(
         plan_ids=list(mapdata.plan_ids),
         choices=choices,
         regret=regret,
-        axes=list(mapdata.axes or []),
+        axes=list(mapdata.axes),
         meta=meta,
     )

@@ -6,11 +6,10 @@ cell the query's true result size and achieved axis values.  It is the
 single exchange format between the sweep runner, the analysis modules,
 the renderers, and the benches (JSON round-trip for caching).
 
-Grids may span any number of axes.  The ordered :class:`MapAxis` list is
-the authoritative description; the legacy ``x_targets`` / ``x_achieved``
-/ ``y_targets`` / ``y_achieved`` fields remain as views onto the first
-two axes so the 1-D/2-D renderers and analysis modules keep working
-unchanged.
+Grids may span any number of axes, described by the ordered
+:class:`MapAxis` list; ``x_targets`` / ``x_achieved`` / ``y_targets`` /
+``y_achieved`` are views onto the first two axes for the 1-D/2-D
+renderers and analysis modules.
 
 A MapData may be *partial*: ``meta["cells"]`` lists the flat grid indices
 that were actually measured.  Partial maps come out of chunked parallel
@@ -38,18 +37,21 @@ from repro.errors import ExperimentError
 DENSIFY_BLOCK_ENTRIES = 1 << 21
 
 
-def _encode_nan(array: np.ndarray | None):
-    """Nested lists with NaN encoded as None (JSON has no NaN literal)."""
+def floats_to_json(array: np.ndarray | None):
+    """Nested lists with NaN as None and infinities as ``"inf"`` / ``"-inf"``
+    (JSON has a literal for neither): the encoding of every map file."""
     if array is None:
         return None
     arr = np.asarray(array, dtype=float)
     obj = arr.astype(object)
     obj[np.isnan(arr)] = None
+    obj[arr == np.inf] = "inf"
+    obj[arr == -np.inf] = "-inf"
     return obj.tolist()
 
 
-def _decode_nan(obj) -> np.ndarray | None:
-    """Inverse of :func:`_encode_nan`: None becomes NaN, any nesting depth."""
+def floats_from_json(obj) -> np.ndarray | None:
+    """Inverse of :func:`floats_to_json`, any nesting depth."""
     if obj is None:
         return None
 
@@ -59,6 +61,16 @@ def _decode_nan(obj) -> np.ndarray | None:
         return np.nan if value is None else float(value)
 
     return np.asarray(walk(obj), dtype=float)
+
+
+def cells_mask(cells, grid_shape: tuple[int, ...]) -> np.ndarray:
+    """Bool grid: True at the listed flat cell indices (None: everywhere)."""
+    mask = np.zeros(grid_shape, dtype=bool)
+    if cells is None:
+        mask[...] = True
+    else:
+        mask.reshape(-1)[np.asarray(list(cells), dtype=np.int64)] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -99,16 +111,16 @@ class MapAxis:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "targets": _encode_nan(self.targets),
-            "achieved": _encode_nan(self.achieved),
+            "targets": floats_to_json(self.targets),
+            "achieved": floats_to_json(self.achieved),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MapAxis":
         return cls(
             name=str(data["name"]),
-            targets=_decode_nan(data["targets"]),
-            achieved=_decode_nan(data.get("achieved")),
+            targets=floats_from_json(data["targets"]),
+            achieved=floats_from_json(data.get("achieved")),
         )
 
     def matches(self, other: "MapAxis") -> bool:
@@ -138,15 +150,10 @@ class MapData:
     rows: np.ndarray
     """True result size per cell, shape (*grid,)."""
 
-    x_targets: np.ndarray | None = None
-    x_achieved: np.ndarray | None = None
-    y_targets: np.ndarray | None = None
-    y_achieved: np.ndarray | None = None
+    axes: list[MapAxis]
+    """Ordered axis descriptions, one per grid dimension."""
+
     meta: dict = field(default_factory=dict)
-    axes: list[MapAxis] | None = None
-    """Ordered axis descriptions; authoritative when provided.  When
-    constructed the legacy way (``x_*``/``y_*`` arrays only), axes are
-    synthesized with the placeholder names ``"x"`` and ``"y"``."""
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -160,10 +167,7 @@ class MapData:
             )
         if self.times.shape[1:] != np.asarray(self.rows).shape:
             raise ExperimentError("rows shape does not match grid shape")
-        if self.axes is None:
-            self.axes = self._axes_from_legacy_fields()
-        else:
-            self.axes = list(self.axes)
+        self.axes = list(self.axes)
         if len(self.axes) != self.times.ndim - 1:
             raise ExperimentError(
                 f"{len(self.axes)} axes for a "
@@ -175,27 +179,12 @@ class MapData:
                     f"axis {axis.name!r} has {axis.n_points} points but "
                     f"grid dimension {dim} has {self.times.shape[1 + dim]}"
                 )
-        # Legacy views onto the first two axes (renderers, analysis).
-        self.x_targets = self.axes[0].targets
-        self.x_achieved = self.axes[0].values
-        if len(self.axes) >= 2:
-            self.y_targets = self.axes[1].targets
-            self.y_achieved = self.axes[1].values
-        else:
-            self.y_targets = None
-            self.y_achieved = None
-
-    def _axes_from_legacy_fields(self) -> list[MapAxis]:
-        if self.x_targets is None:
-            raise ExperimentError("MapData needs either axes or x_targets")
-        axes = [MapAxis("x", self.x_targets, self.x_achieved)]
-        if self.times.ndim >= 3:
-            if self.y_targets is None:
-                raise ExperimentError(
-                    "2-D MapData needs either axes or y_targets"
-                )
-            axes.append(MapAxis("y", self.y_targets, self.y_achieved))
-        return axes
+        # Views onto the first two axes (1-D/2-D renderers and analyses,
+        # and the four keys map files carried before axes had names).
+        x, y = self.axes[0], self.axes[1] if len(self.axes) >= 2 else None
+        self.x_targets, self.x_achieved = x.targets, x.values
+        self.y_targets = None if y is None else y.targets
+        self.y_achieved = None if y is None else y.values
 
     # ------------------------------------------------------------------
 
@@ -204,19 +193,15 @@ class MapData:
         return self.times.ndim == 3
 
     @property
-    def n_axes(self) -> int:
-        return self.times.ndim - 1
-
-    @property
     def grid_shape(self) -> tuple[int, ...]:
         return self.times.shape[1:]
 
     def axis(self, name: str) -> MapAxis:
-        for ax in self.axes or []:
+        for ax in self.axes:
             if ax.name == name:
                 return ax
         raise ExperimentError(
-            f"unknown axis {name!r}; have {[a.name for a in self.axes or []]}"
+            f"unknown axis {name!r}; have {[a.name for a in self.axes]}"
         )
 
     @property
@@ -244,7 +229,7 @@ class MapData:
             aborted=self.aborted[idx].copy(),
             rows=self.rows,
             meta=dict(self.meta),
-            axes=list(self.axes or []),
+            axes=list(self.axes),
         )
 
     # ------------------------------------------------------------------
@@ -254,10 +239,7 @@ class MapData:
     @property
     def filled_cells(self) -> np.ndarray:
         """Flat indices of measured cells (all cells unless partial)."""
-        cells = self.meta.get("cells")
-        if cells is None:
-            return np.arange(int(np.prod(self.grid_shape)), dtype=np.int64)
-        return np.asarray(sorted(int(c) for c in cells), dtype=np.int64)
+        return np.flatnonzero(cells_mask(self.meta.get("cells"), self.grid_shape))
 
     @property
     def is_partial(self) -> bool:
@@ -271,13 +253,10 @@ class MapData:
         honest across :meth:`densify`: interpolated cells hold data but
         were never measured, and ``meta["measured_cells"]`` remembers so.
         """
-        cells = self.meta.get("measured_cells")
-        mask = np.zeros(self.grid_shape, dtype=bool)
-        if cells is None:
-            mask.reshape(-1)[self.filled_cells] = True
-        else:
-            mask.reshape(-1)[np.asarray(sorted(cells), dtype=np.int64)] = True
-        return mask
+        return cells_mask(
+            self.meta.get("measured_cells", self.meta.get("cells")),
+            self.grid_shape,
+        )
 
     def measured_times(self, plan_id: str) -> np.ndarray:
         """One plan's cost surface restricted to measured cells.
@@ -305,16 +284,10 @@ class MapData:
         originally *measured* cells; interpolated fills are never stored.
         """
         shape = self.grid_shape
-        cells = self.meta.get("measured_cells")
-        flat = (
-            self.filled_cells
-            if cells is None
-            else np.asarray(sorted(int(c) for c in cells), dtype=np.int64)
-        )
         rows = np.asarray(self.rows).reshape(-1)
         times = self.times.reshape(self.n_plans, -1)
         aborted = self.aborted.reshape(self.n_plans, -1)
-        for cell in flat:
+        for cell in np.flatnonzero(self.measured_mask):
             idx = tuple(int(k) for k in np.unravel_index(int(cell), shape))
             for p, plan_id in enumerate(self.plan_ids):
                 seconds = float(times[p, cell])
@@ -393,7 +366,7 @@ class MapData:
             aborted=aborted,
             rows=rows,
             meta=meta,
-            axes=list(self.axes or []),
+            axes=list(self.axes),
         )
 
     @classmethod
@@ -440,7 +413,7 @@ class MapData:
                 )
             if not all(
                 ours.matches(theirs)
-                for ours, theirs in zip(first.axes or [], part.axes or [])
+                for ours, theirs in zip(first.axes, part.axes)
             ):
                 raise ExperimentError("axis arrays differ across parts")
             cells = [int(c) for c in part.meta["cells"]]
@@ -475,7 +448,7 @@ class MapData:
             aborted=aborted,
             rows=rows,
             meta=meta,
-            axes=list(first.axes or []),
+            axes=list(first.axes),
         )
 
     # ------------------------------------------------------------------
@@ -485,14 +458,14 @@ class MapData:
     def to_dict(self) -> dict:
         return {
             "plan_ids": self.plan_ids,
-            "times": _encode_nan(self.times),
+            "times": floats_to_json(self.times),
             "aborted": self.aborted.tolist(),
             "rows": np.asarray(self.rows).tolist(),
-            "x_targets": _encode_nan(self.x_targets),
-            "x_achieved": _encode_nan(self.x_achieved),
-            "y_targets": _encode_nan(self.y_targets),
-            "y_achieved": _encode_nan(self.y_achieved),
-            "axes": [axis.to_dict() for axis in self.axes or []],
+            "x_targets": floats_to_json(self.x_targets),
+            "x_achieved": floats_to_json(self.x_achieved),
+            "y_targets": floats_to_json(self.y_targets),
+            "y_achieved": floats_to_json(self.y_achieved),
+            "axes": [axis.to_dict() for axis in self.axes],
             # Profiles are observability side-band, not map content:
             # excluding them keeps cached map JSON and golden fixtures
             # byte-identical whether tracing was on or off.
@@ -501,22 +474,26 @@ class MapData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MapData":
-        axes = data.get("axes") or None
+        if data.get("axes"):
+            axes = [MapAxis.from_dict(axis) for axis in data["axes"]]
+        else:
+            # A file from before maps named their axes: "x" and "y".
+            axes = [
+                MapAxis(
+                    name,
+                    floats_from_json(data[f"{name}_targets"]),
+                    floats_from_json(data.get(f"{name}_achieved")),
+                )
+                for name in ("x", "y")
+                if data.get(f"{name}_targets") is not None
+            ]
         return cls(
             plan_ids=list(data["plan_ids"]),
-            times=_decode_nan(data["times"]),
+            times=floats_from_json(data["times"]),
             aborted=np.asarray(data["aborted"], dtype=bool),
             rows=np.asarray(data["rows"], dtype=np.int64),
-            x_targets=_decode_nan(data["x_targets"]),
-            x_achieved=_decode_nan(data["x_achieved"]),
-            y_targets=_decode_nan(data.get("y_targets")),
-            y_achieved=_decode_nan(data.get("y_achieved")),
+            axes=axes,
             meta=dict(data.get("meta", {})),
-            axes=(
-                [MapAxis.from_dict(axis) for axis in axes]
-                if axes is not None
-                else None
-            ),
         )
 
     def save(self, path: str | Path) -> None:

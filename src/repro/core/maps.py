@@ -17,13 +17,27 @@ from repro.core.mapdata import MapData
 from repro.errors import ExperimentError
 
 
+def lenient_best_times(
+    mapdata: MapData, baseline_ids: list[str] | None = None
+) -> np.ndarray:
+    """Per-cell best over the baseline plans; NaN where fully censored.
+
+    A regret map must tolerate all-censored cells (the regret there is
+    undefined, not an error); :func:`best_times` is the strict form.
+    """
+    data = mapdata if baseline_ids is None else mapdata.subset(baseline_ids)
+    all_censored = np.all(np.isnan(data.times), axis=0)
+    filled = np.where(np.isnan(data.times), np.inf, data.times)
+    return np.where(all_censored, np.nan, filled.min(axis=0))
+
+
 def best_times(mapdata: MapData, plan_ids: list[str] | None = None) -> np.ndarray:
     """Per-cell minimum cost over the chosen plans (NaN-aware).
 
     Raises if some cell has no uncensored measurement at all.
     """
-    data = mapdata if plan_ids is None else mapdata.subset(plan_ids)
-    if np.all(np.isnan(data.times), axis=0).any():
+    best = lenient_best_times(mapdata, plan_ids)
+    if np.isnan(best).any():
         hint = (
             "; the map is partial — analyze mapdata.densify() instead"
             if mapdata.is_partial
@@ -32,7 +46,7 @@ def best_times(mapdata: MapData, plan_ids: list[str] | None = None) -> np.ndarra
         raise ExperimentError(
             f"some cells have no uncensored measurement{hint}"
         )
-    return np.nanmin(data.times, axis=0)
+    return best
 
 
 def relative_to_best(mapdata: MapData) -> np.ndarray:
@@ -57,3 +71,12 @@ def quotient_for(
     times = mapdata.times_for(plan_id)
     quotient = times / best
     return np.where(np.isnan(times), np.inf, quotient)
+
+
+def censored_to_nan(quotients: np.ndarray) -> np.ndarray:
+    """Quotient surfaces with the censored ``+inf`` cells as NaN.
+
+    The form the renderers draw (NaN cells are white, NaN points break a
+    curve) and the NaN-aware reductions read.
+    """
+    return np.where(np.isinf(quotients), np.nan, quotients)

@@ -234,12 +234,11 @@ class ParallelSweep:
             )
         return self._serial
 
-    def _chunks(self, n_cells: int, workers: int) -> list[list[int]]:
+    def _n_chunks(self, n_cells: int, workers: int) -> int:
+        """Chunks a wave of ``n_cells`` splits into (about four per worker)."""
         if self.chunk_cells > 0:
-            n_chunks = -(-n_cells // self.chunk_cells)
-        else:
-            n_chunks = workers * 4
-        return partition_cells(n_cells, n_chunks)
+            return -(-n_cells // self.chunk_cells)
+        return workers * 4
 
     # ------------------------------------------------------------------
     # the generic spec sweep
@@ -270,10 +269,7 @@ class ParallelSweep:
             policy = DenseGridPolicy()
         # No wave can produce more chunks than the full grid would, so
         # don't spawn (initializer-heavy) workers beyond that.
-        if self.chunk_cells > 0:
-            max_chunks = -(-n_cells // self.chunk_cells)
-        else:
-            max_chunks = workers * 4
+        max_chunks = self._n_chunks(n_cells, workers)
 
         store_ctx: _StoreContext | None = None
         if self.cell_store is not None:
@@ -351,7 +347,9 @@ class ParallelSweep:
         misses = [flat for flat in wave if flat not in hits]
 
         if misses:
-            positions = self._chunks(len(misses), workers)
+            positions = partition_cells(
+                len(misses), self._n_chunks(len(misses), workers)
+            )
             chunks = [[misses[i] for i in chunk] for chunk in positions]
         elif wave or store_ctx is not None:
             chunks = []

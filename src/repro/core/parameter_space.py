@@ -49,30 +49,11 @@ class Space1D:
 
 
 @dataclass(frozen=True)
-class Axis(Space1D):
-    """One swept scenario dimension: an axis label plus its grid values.
-
-    Identical to :class:`Space1D` (a name and strictly increasing targets)
-    but named for its role in the :class:`~repro.core.scenario.Scenario`
-    API, where an ordered tuple of axes spans an N-D sweep grid —
-    selectivity, memory budget, input rows, buffer-pool pages, ...
-    """
-
-
-@dataclass(frozen=True)
 class Space2D:
     """Two swept parameters (the paper's 2-D maps, Figs 4-10)."""
 
     x: Space1D
     y: Space1D
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.x.n_points, self.y.n_points)
-
-    @property
-    def n_cells(self) -> int:
-        return self.x.n_points * self.y.n_points
 
     @classmethod
     def log2(cls, x_name: str, y_name: str, min_exp: int = -16) -> "Space2D":

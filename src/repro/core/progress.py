@@ -18,8 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import ExperimentError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.mapdata import MapData
+
+
+def checked_snapshot_every(snapshot_every: int | None) -> int | None:
+    """A snapshot stride, refused unless it is None (off) or at least 1."""
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ExperimentError(
+            f"snapshot_every must be >= 1, got {snapshot_every}"
+        )
+    return snapshot_every
 
 
 @dataclass(frozen=True)

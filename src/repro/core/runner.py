@@ -36,6 +36,7 @@ from repro.core.cellstore import (
     CellStore,
     SweepKeyer,
     lookup_cells,
+    records_from_part,
 )
 from repro.core.driver import (
     CellPolicy,
@@ -44,7 +45,7 @@ from repro.core.driver import (
     resolve_cells,
 )
 from repro.core.mapdata import MapAxis, MapData
-from repro.core.progress import ProgressEvent
+from repro.core.progress import ProgressEvent, checked_snapshot_every
 from repro.core.scenario import Cell, Scenario
 from repro.errors import ExperimentError
 from repro.executor.plans import MeasuredRun, PlanRunner
@@ -134,11 +135,7 @@ class RobustnessSweep:
         self.cell_store = cell_store
         self.store_context = store_context
         self.capture_profiles = capture_profiles
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ExperimentError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
-        self.snapshot_every = snapshot_every
+        self.snapshot_every = checked_snapshot_every(snapshot_every)
         self._last_wave_hits: int | None = None
 
     # ------------------------------------------------------------------
@@ -293,14 +290,12 @@ class RobustnessSweep:
         the parent and hands the hit part here); preloaded waves are
         never re-counted or written back.
         """
-        axes = scenario.axes
-        shape = tuple(axis.n_points for axis in axes)
-        n_cells = int(np.prod(shape))
+        axes, shape = scenario.axes, scenario.grid_shape
         plan_ids = self._collect_plan_ids(scenario.plan_ids_by_provider())
         if not plan_ids:
             raise ExperimentError(f"scenario {scenario.name!r} has no plans")
         # Shared with DenseGridPolicy: one validation authority.
-        cell_list = resolve_cells(cells, n_cells)
+        cell_list = resolve_cells(cells, scenario.n_cells)
         times = np.full((len(plan_ids), *shape), np.nan)
         aborted = np.zeros((len(plan_ids), *shape), dtype=bool)
         rows = np.zeros(shape, dtype=np.int64)
@@ -413,39 +408,12 @@ class RobustnessSweep:
                 )
             )
 
-        if self.cell_store is not None and keyer is not None and misses:
-            entries = []
-            for flat in misses:
-                idx = tuple(int(k) for k in np.unravel_index(flat, shape))
-                for p, plan_id in enumerate(plan_ids):
-                    seconds = float(times[(p, *idx)])
-                    entries.append(
-                        (
-                            keyer.key(plan_id, idx),
-                            {
-                                "s": None if np.isnan(seconds) else seconds,
-                                "a": bool(aborted[(p, *idx)]),
-                                "r": int(rows[idx]),
-                            },
-                        )
-                    )
-                    if profiles is not None:
-                        stored_profile = profiles.get(profile_key(plan_id, idx))
-                        if stored_profile is not None:
-                            entries.append(
-                                (
-                                    keyer.key(plan_id + STORE_KEY_SUFFIX, idx),
-                                    stored_profile,
-                                )
-                            )
-            self.cell_store.put_many(entries)
-
         meta = dict(scenario.meta(self))
         meta["scenario"] = scenario.name
         meta["cells"] = cell_list
         if profiles:
             meta[PROFILES_META_KEY] = profiles
-        return MapData(
+        part = MapData(
             plan_ids=plan_ids,
             times=times,
             aborted=aborted,
@@ -453,3 +421,8 @@ class RobustnessSweep:
             meta=meta,
             axes=map_axes,
         )
+        if keyer is not None and misses:
+            # Warm waves compute no keys; a hit repeats its stored record,
+            # which put_many skips.
+            self.cell_store.put_many(records_from_part(keyer, part))
+        return part

@@ -7,7 +7,7 @@ execution costs".  A :class:`Scenario` captures everything one sweep
 needs, so a single generic :meth:`RobustnessSweep.sweep` drives any of
 them:
 
-* an ordered tuple of swept :class:`~repro.core.parameter_space.Axis`
+* an ordered tuple of swept :class:`~repro.core.parameter_space.Space1D`
   objects (selectivity, memory budget, input rows, ...) spanning an N-D
   grid;
 * one or more *plan providers* — objects with a
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.parameter_space import Axis
+from repro.core.parameter_space import Space1D
 from repro.errors import ExperimentError
 from repro.executor.joins import (
     JOIN_PLAN_IDS,
@@ -87,7 +87,7 @@ class ScenarioSpec:
     params: dict
 
     @classmethod
-    def of(cls, name: str, axes: Sequence[Axis], **settings) -> "ScenarioSpec":
+    def of(cls, name: str, axes: Sequence[Space1D], **settings) -> "ScenarioSpec":
         """Spec from swept axes plus the scenario's settings, in order."""
         grids = [[axis.name, axis.targets.tolist()] for axis in axes]
         return cls(name, {"axes": grids, **settings})
@@ -105,9 +105,9 @@ class ScenarioSpec:
     def n_cells(self) -> int:
         return int(np.prod(self.grid_shape))
 
-    def spec_axes(self) -> tuple[Axis, ...]:
+    def spec_axes(self) -> tuple[Space1D, ...]:
         return tuple(
-            Axis(str(name), np.asarray(targets, dtype=float))
+            Space1D(str(name), np.asarray(targets, dtype=float))
             for name, targets in self.params["axes"]
         )
 
@@ -167,7 +167,8 @@ class Scenario(ABC):
 
     A subclass states its parameter layout once — a ``build_spec``
     classmethod returning ``ScenarioSpec.of(cls.name, axes, **settings)``
-    — and its constructor is ``self.bind(providers, self.build_spec(...))``.
+    — and the inherited constructor takes the providers followed by
+    ``build_spec``'s own arguments: ``self.bind(providers, build_spec(...))``.
     :meth:`bind` sets every setting as an attribute of the same name
     (annotate them on the class) and calls :meth:`setup`; ``axes``,
     :meth:`providers`, :meth:`spec`, :meth:`from_spec` and :meth:`meta`
@@ -178,8 +179,12 @@ class Scenario(ABC):
 
     name: str = "?"
 
+    def __init__(self, providers: Sequence, *layout, **settings) -> None:
+        """Providers first, then exactly what ``build_spec`` takes."""
+        self.bind(providers, self.build_spec(*layout, **settings))
+
     def bind(self, providers: Sequence, spec: ScenarioSpec) -> "Scenario":
-        """Attach providers to a spec (every constructor's body)."""
+        """Attach providers to a spec (what every constructor does)."""
         self._providers = list(providers)
         self._spec = spec
         self._axes = spec.spec_axes()
@@ -191,7 +196,7 @@ class Scenario(ABC):
         """Derive per-sweep state (predicates, oracles) once bound."""
 
     @property
-    def axes(self) -> tuple[Axis, ...]:
+    def axes(self) -> tuple[Space1D, ...]:
         """Ordered swept axes; their sizes span the grid."""
         return self._axes
 
@@ -349,14 +354,11 @@ class SinglePredicateScenario(_SelectivityScenario):
 
     name = "single-predicate"
 
-    def __init__(self, systems: Sequence, space, column: str | None = None) -> None:
-        self.bind(systems, self.build_spec(space, column=column))
-
     @classmethod
     def build_spec(cls, space, column: str | None = None) -> ScenarioSpec:
         """Spec for this scenario without building any systems."""
         return ScenarioSpec.of(
-            cls.name, [Axis(space.name, space.targets)], column=column
+            cls.name, [space], column=column
         )
 
 
@@ -371,23 +373,14 @@ class MemorySweepScenario(_SelectivityScenario):
 
     name = "memory-sweep"
 
-    def __init__(
-        self,
-        systems: Sequence,
-        space,
-        memory_targets: Sequence[int],
-        column: str | None = None,
-    ) -> None:
-        self.bind(systems, self.build_spec(space, memory_targets, column=column))
-
     @classmethod
     def build_spec(
         cls, space, memory_targets: Sequence[int], column: str | None = None
     ) -> ScenarioSpec:
         """Spec for this scenario without building any systems."""
         axes = [
-            Axis(space.name, space.targets),
-            Axis("memory_bytes", memory_targets),
+            space,
+            Space1D("memory_bytes", memory_targets),
         ]
         return ScenarioSpec.of(cls.name, axes, column=column)
 
@@ -426,20 +419,6 @@ class EstimationErrorScenario(_SelectivityScenario):
     error_bias: float
     error_seed: int
 
-    def __init__(
-        self,
-        systems: Sequence,
-        space,
-        magnitudes: Sequence[float],
-        column: str | None = None,
-        error_bias: float = 0.0,
-        error_seed: int = 2009,
-    ) -> None:
-        self.bind(
-            systems,
-            self.build_spec(space, magnitudes, column, error_bias, error_seed),
-        )
-
     @classmethod
     def build_spec(
         cls,
@@ -451,8 +430,8 @@ class EstimationErrorScenario(_SelectivityScenario):
     ) -> ScenarioSpec:
         """Spec for this scenario without building any systems."""
         axes = [
-            Axis(space.name, space.targets),
-            Axis("error_magnitude", magnitudes),
+            space,
+            Space1D("error_magnitude", magnitudes),
         ]
         return ScenarioSpec.of(
             cls.name,
@@ -519,7 +498,7 @@ class TwoPredicateScenario(_SystemScenario):
     def build_spec(cls, x, y) -> ScenarioSpec:
         """Spec from the two selectivity axes, without building systems."""
         return ScenarioSpec.of(
-            cls.name, [Axis(x.name, x.targets), Axis(y.name, y.targets)]
+            cls.name, [x, y]
         )
 
     def setup(self) -> None:
@@ -597,6 +576,11 @@ class _OperatorScenario(Scenario):
     seed: int
     key_domain: int
 
+    def __init__(
+        self, provider: OperatorBench | None = None, *layout, **settings
+    ) -> None:
+        super().__init__([provider or OperatorBench()], *layout, **settings)
+
     @property
     def provider(self) -> OperatorBench:
         return self.providers()[0]
@@ -618,6 +602,10 @@ class _OperatorScenario(Scenario):
     def _target(self, axis: int, idx: tuple[int, ...]) -> int:
         return int(self.axes[axis].targets[idx[axis]])
 
+    def _in_memory_seconds(self, node: PlanNode, memory_bytes: int) -> float:
+        """One plan measured with room for everything: a budget yardstick."""
+        return self.provider.runner(memory_bytes=memory_bytes).measure(node).seconds
+
 
 @register_scenario
 class SortSpillScenario(_OperatorScenario):
@@ -633,19 +621,6 @@ class SortSpillScenario(_OperatorScenario):
     key_domain = 1 << 30
     _POLICIES = (SpillPolicy.ALL_OR_NOTHING, SpillPolicy.GRACEFUL)
 
-    def __init__(
-        self,
-        provider: OperatorBench | None = None,
-        row_targets: Sequence[int] = (),
-        memory_targets: Sequence[int] = (),
-        row_bytes: int = 128,
-        seed: int = 2009,
-    ) -> None:
-        self.bind(
-            [provider or OperatorBench()],
-            self.build_spec(row_targets, memory_targets, row_bytes, seed),
-        )
-
     @classmethod
     def build_spec(
         cls,
@@ -656,8 +631,8 @@ class SortSpillScenario(_OperatorScenario):
     ) -> ScenarioSpec:
         """Spec for this scenario without building a bench."""
         axes = [
-            Axis("input_rows", row_targets),
-            Axis("memory_bytes", memory_targets),
+            Space1D("input_rows", row_targets),
+            Space1D("memory_bytes", memory_targets),
         ]
         return ScenarioSpec.of(
             cls.name, axes, row_bytes=int(row_bytes), seed=int(seed)
@@ -675,17 +650,14 @@ class SortSpillScenario(_OperatorScenario):
         blowups get censored.
         """
         n_rows = int(self.axes[0].targets[-1])
-        runner = self.provider.runner(
-            memory_bytes=(n_rows + 1) * self.row_bytes
-        )
-        run = runner.measure(
+        return self._in_memory_seconds(
             ExternalSortNode(
                 self.input_values(n_rows),
                 row_bytes=self.row_bytes,
                 policy=SpillPolicy.GRACEFUL,
-            )
+            ),
+            (n_rows + 1) * self.row_bytes,
         )
-        return run.seconds
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
         n_rows, memory = self._target(0, idx), self._target(1, idx)
@@ -723,22 +695,6 @@ class JoinScenario(_OperatorScenario):
 
     name = "join"
 
-    def __init__(
-        self,
-        provider: OperatorBench | None = None,
-        build_targets: Sequence[int] = (),
-        probe_targets: Sequence[int] = (),
-        memory_targets: Sequence[int] | None = None,
-        row_bytes: int = 16,
-        key_domain: int = 1 << 16,
-        seed: int = 2009,
-    ) -> None:
-        spec = self.build_spec(
-            build_targets, probe_targets, memory_targets,
-            row_bytes, key_domain, seed,
-        )
-        self.bind([provider or OperatorBench()], spec)
-
     @classmethod
     def build_spec(
         cls,
@@ -751,11 +707,11 @@ class JoinScenario(_OperatorScenario):
     ) -> ScenarioSpec:
         """Spec for this scenario without building a bench."""
         axes = [
-            Axis("build_rows", build_targets),
-            Axis("probe_rows", probe_targets),
+            Space1D("build_rows", build_targets),
+            Space1D("probe_rows", probe_targets),
         ]
         if memory_targets is not None and len(memory_targets):
-            axes.append(Axis("memory_bytes", memory_targets))
+            axes.append(Space1D("memory_bytes", memory_targets))
         return ScenarioSpec.of(
             cls.name,
             axes,
@@ -777,17 +733,14 @@ class JoinScenario(_OperatorScenario):
         """
         n_build = int(self.axes[0].targets[-1])
         n_probe = int(self.axes[1].targets[-1])
-        runner = self.provider.runner(
-            memory_bytes=2 * (n_build + n_probe + 2) * self.row_bytes
-        )
-        run = runner.measure(
+        return self._in_memory_seconds(
             MergeJoinNode(
                 self.input_values(n_build),
                 self.input_values(n_probe),
                 row_bytes=self.row_bytes,
-            )
+            ),
+            2 * (n_build + n_probe + 2) * self.row_bytes,
         )
-        return run.seconds
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
         n_build, n_probe = self._target(0, idx), self._target(1, idx)

@@ -76,8 +76,8 @@ def _scenario_listing(config: BenchConfig) -> dict:
             {
                 "name": definition.name,
                 "description": definition.description,
-                "grid_shape": list(definition.grid_shape(config)),
-                "n_cells": definition.n_cells(config),
+                "grid_shape": list(definition.spec(config).grid_shape),
+                "n_cells": definition.spec(config).n_cells,
             }
             for definition in MAP_DEFINITIONS.values()
         ],
@@ -88,12 +88,14 @@ def _scenario_listing(config: BenchConfig) -> dict:
     }
 
 
-def _map_payload(mapdata: MapData, partial: bool) -> dict:
-    measured = [int(flat) for flat in mapdata.filled_cells]
+def _map_payload(status: dict, mapdata: MapData | None, partial: bool) -> dict:
+    """A job's status beside the freshest view of its map (None: no cell yet)."""
+    measured = [] if mapdata is None else [int(c) for c in mapdata.filled_cells]
     return {
+        "job": status,
         "partial": partial,
         "measured_cells": measured if partial else None,
-        "map": mapdata.to_dict(),
+        "map": None if mapdata is None else mapdata.to_dict(),
     }
 
 
@@ -113,12 +115,9 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             logger.info("%s %s", self.address_string(), format % args)
 
     def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_bytes(
+            code, "application/json", json.dumps(payload).encode("utf-8")
+        )
 
     def _send_bytes(self, code: int, content_type: str, body: bytes) -> None:
         self.send_response(code)
@@ -160,6 +159,12 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         if job is None:
             self._error(404, f"unknown job {job_id!r}")
         return job
+
+    def _not_finished(self, job: Job) -> None:
+        """409: the route needs the finished map; say where to poll."""
+        self._error(
+            409, f"job {job.job_id!r} is {job.state}; poll /jobs/{job.job_id}"
+        )
 
     # ------------------------------------------------------------------
     # routes
@@ -225,41 +230,32 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.manager.status(job))
             return
         if rest == ["partial"]:
-            mapdata, partial = self.manager.partial_map(job)
-            payload = {"job": self.manager.status(job)}
-            if mapdata is None:
-                payload.update(
-                    {"partial": True, "measured_cells": [], "map": None}
-                )
-            else:
-                payload.update(_map_payload(mapdata, partial))
-            self._send_json(200, payload)
+            status = self.manager.status(job)
+            self._send_json(
+                200, _map_payload(status, *self.manager.partial_map(job))
+            )
             return
         if rest == ["result"]:
             if job.state == "failed":
                 self._error(500, job.error or "job failed")
             elif job.result is None:
-                self._error(
-                    409,
-                    f"job {job_id!r} is {job.state}; poll /jobs/{job_id}",
-                )
+                self._not_finished(job)
             else:
-                payload = {"job": self.manager.status(job)}
-                payload.update(_map_payload(job.result, False))
-                self._send_json(200, payload)
+                status = self.manager.status(job)
+                self._send_json(200, _map_payload(status, job.result, False))
             return
         if rest == ["choice"]:
-            self._get_choice(job, job_id)
+            self._get_choice(job)
             return
         if rest == ["profile"]:
-            self._get_profile(job, job_id, query)
+            self._get_profile(job, query)
             return
         if len(rest) == 2 and rest[0] == "render":
-            self._get_render(job, job_id, rest[1])
+            self._get_render(job, rest[1])
             return
         self._error(404, f"no route for jobs/{job_id}/{'/'.join(rest)}")
 
-    def _get_choice(self, job: Job, job_id: str) -> None:
+    def _get_choice(self, job: Job) -> None:
         if job.request.scenario != "estimation":
             self._error(
                 400,
@@ -268,9 +264,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             )
             return
         if job.result is None or job.session is None:
-            self._error(
-                409, f"job {job_id!r} is {job.state}; poll /jobs/{job_id}"
-            )
+            self._not_finished(job)
             return
         choices = job.session.choice_maps()
         self._send_json(
@@ -283,12 +277,10 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _get_profile(self, job: Job, job_id: str, query: dict) -> None:
+    def _get_profile(self, job: Job, query: dict) -> None:
         profiles = self.manager.profiles(job)
         if profiles is None:
-            self._error(
-                409, f"job {job_id!r} is {job.state}; poll /jobs/{job_id}"
-            )
+            self._not_finished(job)
             return
         fmt = (query.get("format") or ["raw"])[0]
         if fmt == "chrome":
@@ -309,11 +301,9 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _get_render(self, job: Job, job_id: str, leaf: str) -> None:
+    def _get_render(self, job: Job, leaf: str) -> None:
         if job.result is None:
-            self._error(
-                409, f"job {job_id!r} is {job.state}; poll /jobs/{job_id}"
-            )
+            self._not_finished(job)
             return
         plan_id, _, fmt = leaf.rpartition(".")
         if not plan_id:

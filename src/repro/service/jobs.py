@@ -21,10 +21,13 @@ The :class:`JobManager` turns serializable
 
 Each job runs on its own :class:`~repro.bench.harness.BenchSession`
 (systems are scale-dependent and not safely shared across concurrent
-sweeps), but every session is handed the manager's one
-:class:`~repro.core.cellstore.CellStore`: its shards are read once per
-manager and tailed at the start of each sweep wave, so a job sees what
-earlier jobs and other processes stored without re-reading the rest.
+sweeps), which lives no longer than the sweep: a finished job keeps its
+result, not its tables or its last snapshot (an ``estimation`` job keeps
+the session too, for ``GET /choice``).  Every session is handed the
+manager's one :class:`~repro.core.cellstore.CellStore`: its shards are
+read once per manager and tailed at the start of each sweep wave, so a
+job sees what earlier jobs and other processes stored without re-reading
+the rest.
 Jobs also share the whole-map cache directory — a repeated request after
 a restart is a disk-cache hit, observable as ``cache_hit`` (the sweep
 emitted zero progress events).  A job answered from either cache sorts
@@ -44,8 +47,8 @@ from repro.bench.harness import BenchConfig, BenchSession
 from repro.bench.requests import MapRequest, definition_for
 from repro.core.cellstore import CellStore
 from repro.core.mapdata import MapData
-from repro.core.progress import ProgressEvent
-from repro.errors import BufferPoolError, ExperimentError, WorkloadError
+from repro.core.progress import ProgressEvent, checked_snapshot_every
+from repro.errors import ExperimentError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILES_META_KEY
@@ -109,13 +112,9 @@ class JobManager:
             raise ExperimentError(
                 f"queue limit must be positive, got {queue_limit}"
             )
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ExperimentError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
         self.config = config or BenchConfig()
         self.cell_budget = cell_budget
-        self.snapshot_every = snapshot_every
+        self.snapshot_every = checked_snapshot_every(snapshot_every)
         # One store for every job: requests cannot override where it
         # lives (``BLOCKED_OVERRIDES``), so all sessions would open the
         # same directory anyway.
@@ -202,16 +201,7 @@ class JobManager:
         sweep itself.
         """
         resolved = request.resolve(self.config)
-        try:
-            resolved.system_config()  # n_rows and pool_pages in range
-        except (WorkloadError, BufferPoolError) as exc:
-            raise ExperimentError(f"bad override: {exc}") from None
-        if resolved.refine_max_cells < 0:
-            raise ExperimentError(
-                "bad override: refine_max_cells must not be negative, got "
-                f"{resolved.refine_max_cells}"
-            )
-        cells = definition_for(request.scenario).n_cells(resolved)
+        cells = definition_for(request.scenario).spec(resolved).n_cells
         if resolved.refine and resolved.refine_max_cells:
             cells = min(cells, resolved.refine_max_cells)
         return cells
@@ -288,18 +278,7 @@ class JobManager:
                 self._cond.notify_all()
             self._m_in_flight.inc()
             try:
-                definition = definition_for(job.request.scenario)
-                session = BenchSession(
-                    job.request.resolve(self.config),
-                    progress=lambda event, job=job: self._on_progress(
-                        job, event
-                    ),
-                    snapshot_every=self.snapshot_every,
-                    cell_store=self.cell_store,
-                )
-                with self._cond:
-                    job.session = session
-                result = session.map_for(definition)
+                result = self._compute(job)
             except Exception as exc:  # noqa: BLE001 - jobs must not kill workers
                 self._finish(job, error=f"{type(exc).__name__}: {exc}")
                 logger.warning(
@@ -308,6 +287,24 @@ class JobManager:
                 )
             else:
                 self._finish(job, result=result)
+
+    def _compute(self, job: Job) -> MapData:
+        """Sweep one job's map on a session of its own.
+
+        The session (tables included) is this call's local, so it is
+        freed when the sweep returns and an idle worker holds none —
+        except an ``estimation`` job's, which ``GET /choice`` reads.
+        """
+        session = BenchSession(
+            job.request.resolve(self.config),
+            progress=lambda event: self._on_progress(job, event),
+            snapshot_every=self.snapshot_every,
+            cell_store=self.cell_store,
+        )
+        if job.request.scenario == "estimation":
+            with self._cond:
+                job.session = session
+        return session.request_map(MapRequest(job.request.scenario))
 
     def _finish(
         self, job: Job, result: MapData | None = None, error: str | None = None
@@ -337,6 +334,7 @@ class JobManager:
         with self._cond:
             if result is not None:
                 job.result = result
+                job.snapshot = None  # only read while there is no result
                 job.done = job.total = result.times[0].size
                 job.cache_hit = cache_hit
             job.error = error
@@ -436,10 +434,9 @@ class JobManager:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
             thread.join(timeout=timeout)
-        # Jobs, their sessions and the progress callbacks reference one
-        # another (as do tables and their indexes), so what a retired
-        # manager built is never freed by reference counting.  Collect
-        # here, so a process that opens managers in turn holds one
-        # retired manager's tables at most, not however many fit before
-        # allocation counts next trigger a full collection.
+        # An estimation job, its session and the progress callback
+        # reference one another (as do tables and their indexes), so
+        # that much of a retired manager is never freed by reference
+        # counting.  Collect here, so a process that opens managers in
+        # turn holds one retired manager's tables at most.
         gc.collect()

@@ -31,11 +31,12 @@ from repro.viz.figures import (
     absolute_heatmap,
     relative_heatmap,
     choice_heatmap,
+    choice_pictures,
     counts_heatmap,
+    grid_picture,
     heatmap_png_pixels,
     plan_choice_scale,
     regret_heatmap,
-    regret_png,
     save_heatmap_png,
 )
 
@@ -66,11 +67,12 @@ __all__ = [
     "absolute_heatmap",
     "relative_heatmap",
     "choice_heatmap",
+    "choice_pictures",
     "counts_heatmap",
+    "grid_picture",
     "heatmap_png_pixels",
     "plan_choice_scale",
     "regret_heatmap",
-    "regret_png",
     "save_heatmap_png",
     "MEDIA_TYPES",
     "render_map",

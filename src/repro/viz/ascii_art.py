@@ -7,12 +7,11 @@ tests, CI logs, and the examples' stdout.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import VisualizationError
-from repro.viz.colormap import DiscreteScale
+from repro.viz.colormap import CENSORED_RGB, DiscreteScale, _cell_colors
+from repro.viz.svg import _log_extents, _log_fraction
 
 #: One character per bucket, light to dark (index aligned with buckets).
 BUCKET_CHARS = ".:-=+*#%@"
@@ -26,26 +25,16 @@ def curve_ascii(
 ) -> str:
     """Log-log multi-series plot; series are marked 'a', 'b', 'c', ...."""
     xs = np.asarray(xs, dtype=float)
-    if not series:
-        raise VisualizationError("curve_ascii needs at least one series")
+    x_lo, x_hi, y_lo, y_hi = _log_extents(xs, series)
     width, height = 72, 18
-    finite = np.concatenate(
-        [values[np.isfinite(values) & (np.asarray(values) > 0)] for values in series.values()]
-    )
-    if finite.size == 0:
-        raise VisualizationError("no finite positive values to plot")
-    y_lo, y_hi = float(finite.min()), float(finite.max())
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo / 2, y_hi * 2
-    x_lo, x_hi = float(xs.min()), float(xs.max())
     grid = [[EMPTY_CHAR] * width for _ in range(height)]
 
     def col(x: float) -> int:
-        f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+        f = _log_fraction(x, x_lo, x_hi)
         return min(width - 1, max(0, int(round(f * (width - 1)))))
 
     def row(y: float) -> int:
-        f = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
+        f = _log_fraction(y, y_lo, y_hi)
         return min(height - 1, max(0, int(round((1 - f) * (height - 1)))))
 
     markers = "abcdefghijklmnopqrstuvwxyz"
@@ -63,23 +52,18 @@ def curve_ascii(
 
 def heatmap_ascii(grid: np.ndarray, scale: DiscreteScale) -> str:
     """Character heat map; rows printed top = highest y index."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise VisualizationError(f"heatmap needs a 2-D grid, got {grid.shape}")
     if scale.n_buckets > len(BUCKET_CHARS):
         raise VisualizationError("too many buckets for the character ramp")
-    nx, ny = grid.shape
-    lines = []
-    for iy in reversed(range(ny)):
-        row_chars = []
-        for ix in range(nx):
-            value = grid[ix, iy]
-            if np.isnan(value):
-                row_chars.append(CENSORED_CHAR)
-            else:
-                row_chars.append(BUCKET_CHARS[scale.bucket_index(float(value))])
-        lines.append("".join(row_chars))
-    return "\n".join(lines)
+    ramp = {bucket.rgb: char for bucket, char in zip(scale.buckets, BUCKET_CHARS)}
+    ramp[CENSORED_RGB] = CENSORED_CHAR
+    if len(ramp) != scale.n_buckets + 1:
+        raise VisualizationError(
+            "bucket colors must be distinct to read back as characters"
+        )
+    return "\n".join(
+        "".join(ramp[tuple(rgb)] for rgb in row)
+        for row in _cell_colors(grid, scale).tolist()
+    )
 
 
 def legend_ascii(scale: DiscreteScale) -> str:

@@ -226,6 +226,33 @@ RELATIVE_FACTOR_SCALE = DiscreteScale(
 )
 
 
+def _cell_colors(
+    grid: np.ndarray, scale: DiscreteScale | CategoricalScale
+) -> np.ndarray:
+    """The one colour pass: ``grid[ix, iy]`` to ``(ny, nx, 3)`` uint8 cells.
+
+    Row 0 is the highest y index (the paper's orientation, y up), so the
+    SVG rect loop, the PNG rasterizer and the ASCII ramp all encode the
+    same array.  Censored cells — NaN under a :class:`DiscreteScale`, a
+    negative index under a :class:`CategoricalScale` — are
+    :data:`CENSORED_RGB`; every other cell is the color the scale's
+    scalar ``color_for`` / ``color_for_index`` gives it.
+    """
+    grid = np.asarray(grid)
+    if grid.ndim != 2:
+        raise VisualizationError(f"heatmap needs a 2-D grid, got {grid.shape}")
+    if isinstance(scale, CategoricalScale):
+        grid = grid.astype(np.int64)
+        censored, colorize = grid < 0, scale.colorize_indices
+    else:
+        grid = grid.astype(float)
+        censored, colorize = np.isnan(grid), scale.colorize
+    colors = np.empty((*grid.shape, 3), dtype=np.uint8)
+    colors[censored] = CENSORED_RGB
+    colors[~censored] = colorize(grid[~censored])
+    return colors.transpose(1, 0, 2)[::-1]
+
+
 def interpolate_rgb(low: RGB, high: RGB, fraction: float) -> RGB:
     """Linear interpolation between two colors (for continuous maps)."""
     if not 0.0 <= fraction <= 1.0:

@@ -14,16 +14,17 @@ import numpy as np
 
 from repro.core.choice import ChoiceMap
 from repro.core.mapdata import MapAxis, MapData
-from repro.core.maps import quotient_for, relative_to_best
+from repro.core.maps import censored_to_nan, quotient_for, relative_to_best
 from repro.errors import VisualizationError
 from repro.viz.colormap import (
     ABSOLUTE_TIME_SCALE,
-    CENSORED_RGB,
     RELATIVE_FACTOR_SCALE,
     CategoricalScale,
+    ColorBucket,
     DiscreteScale,
+    _cell_colors,
 )
-from repro.viz.png import rasterize_grid, save_png
+from repro.viz.png import encode_png, rasterize_grid, save_png
 from repro.viz.svg import categorical_heatmap_svg, curves_svg, heatmap_svg
 
 
@@ -53,10 +54,7 @@ def absolute_curves(
         raise VisualizationError("absolute_curves needs a 1-D map")
     plan_ids = plan_ids or mapdata.plan_ids
     series = {plan_id: mapdata.times_for(plan_id) for plan_id in plan_ids}
-    svg = curves_svg(mapdata.x_achieved, series, title=title)
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
+    return _written(curves_svg(mapdata.x_achieved, series, title=title), path)
 
 
 def relative_curves(
@@ -66,27 +64,35 @@ def relative_curves(
     """Fig 2 style: cost relative to the best plan at each point."""
     if mapdata.is_2d:
         raise VisualizationError("relative_curves needs a 1-D map")
-    quotients = relative_to_best(mapdata)
-    series = {
-        plan_id: np.where(np.isinf(quotients[i]), np.nan, quotients[i])
-        for i, plan_id in enumerate(mapdata.plan_ids)
-    }
+    series = dict(
+        zip(mapdata.plan_ids, censored_to_nan(relative_to_best(mapdata)))
+    )
     return curves_svg(
         mapdata.x_achieved, series, title=title, y_label="factor of best plan"
     )
 
 
-def _plan_heatmap(
-    mapdata: MapData,
+def grid_picture(
+    mapdata: MapData | ChoiceMap,
     grid: np.ndarray,
-    title: str,
     scale: DiscreteScale,
-    path: str | Path | None,
-) -> str:
-    """One per-plan grid of a 2-D map, labelled and ticked by its axes."""
+    title: str,
+    fmt: str,
+) -> str | bytes:
+    """One 2-D grid of a map, as SVG text (``"svg"``) or PNG bytes (``"png"``).
+
+    The SVG is labelled and ticked by the map's first two axes; the PNG
+    is the bare cells.  Both encode the same colored grid, so every
+    front door that writes a map's picture pair — the figure functions,
+    the scenario CLI, the service's ``/render`` — calls this once per
+    format.  ``mapdata`` is whatever owns the grid's axes: a
+    :class:`MapData` or a :class:`ChoiceMap`.
+    """
+    if fmt == "png":
+        return encode_png(heatmap_png_pixels(grid, scale))
     x_axis, y_axis = mapdata.axes[:2]
     x_label, y_label = _heatmap_labels(mapdata)
-    svg = heatmap_svg(
+    return heatmap_svg(
         grid,
         scale,
         title,
@@ -95,6 +101,9 @@ def _plan_heatmap(
         x_label=x_label,
         y_label=y_label,
     )
+
+
+def _written(svg: str, path: str | Path | None) -> str:
     if path is not None:
         Path(path).write_text(svg)
     return svg
@@ -108,7 +117,9 @@ def absolute_heatmap(
 ) -> str:
     """Fig 4 / Fig 5 style: one plan's absolute cost over a 2-D grid."""
     grid = _require_2d(mapdata).times_for(plan_id)
-    return _plan_heatmap(mapdata, grid, title, ABSOLUTE_TIME_SCALE, path)
+    return _written(
+        grid_picture(mapdata, grid, ABSOLUTE_TIME_SCALE, title, "svg"), path
+    )
 
 
 def relative_heatmap(
@@ -119,9 +130,12 @@ def relative_heatmap(
     path: str | Path | None = None,
 ) -> str:
     """Fig 7/8/9 style: one plan's factor-of-best over a 2-D grid."""
-    quotient = quotient_for(_require_2d(mapdata), plan_id, baseline_ids)
-    grid = np.where(np.isinf(quotient), np.nan, quotient)
-    return _plan_heatmap(mapdata, grid, title, RELATIVE_FACTOR_SCALE, path)
+    grid = censored_to_nan(
+        quotient_for(_require_2d(mapdata), plan_id, baseline_ids)
+    )
+    return _written(
+        grid_picture(mapdata, grid, RELATIVE_FACTOR_SCALE, title, "svg"), path
+    )
 
 
 def counts_heatmap(
@@ -134,9 +148,7 @@ def counts_heatmap(
 
     Uses a small categorical scale built on the fly (1, 2-3, 4-7, 8+).
     """
-    from repro.viz.colormap import ColorBucket, DiscreteScale as _Scale
-
-    scale = _Scale(
+    scale = DiscreteScale(
         [
             ColorBucket(0.0, 1.5, (213, 43, 30), "1 optimal plan"),
             ColorBucket(1.5, 3.5, (247, 148, 29), "2-3 optimal plans"),
@@ -147,15 +159,13 @@ def counts_heatmap(
     )
     x_axis, y_axis = _require_2d(mapdata).axes[:2]
     svg = heatmap_svg(
-        np.asarray(counts, dtype=float),
+        counts,
         scale,
         title,
         _axis_tick_labels(x_axis),
         _axis_tick_labels(y_axis),
     )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
+    return _written(svg, path)
 
 
 def _axis_tick_labels(axis: MapAxis) -> list[str]:
@@ -207,9 +217,7 @@ def choice_heatmap(
         x_label=x_axis.name,
         y_label=y_axis.name,
     )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
+    return _written(svg, path)
 
 
 def regret_heatmap(
@@ -225,43 +233,31 @@ def regret_heatmap(
     """
     if not choice.is_2d:
         raise VisualizationError("regret_heatmap needs a 2-D choice map")
-    x_axis, y_axis = choice.axes
-    svg = heatmap_svg(
-        choice.regret,
-        RELATIVE_FACTOR_SCALE,
-        title,
-        _axis_tick_labels(x_axis),
-        _axis_tick_labels(y_axis),
-        x_label=x_axis.name,
-        y_label=y_axis.name,
+    return _written(
+        grid_picture(choice, choice.regret, RELATIVE_FACTOR_SCALE, title, "svg"),
+        path,
     )
-    if path is not None:
-        Path(path).write_text(svg)
-    return svg
 
 
-def regret_png(choice: ChoiceMap) -> bytes:
-    """The regret map as PNG bytes (same color policy as the SVG)."""
-    if not choice.is_2d:
-        raise VisualizationError("regret_png needs a 2-D choice map")
-    from repro.viz.png import encode_png
+def choice_pictures(
+    choice: ChoiceMap, label: str, scale: CategoricalScale
+) -> tuple[str, str, bytes]:
+    """One policy's panel: ``(choice SVG, regret SVG, regret PNG)``.
 
-    return encode_png(heatmap_png_pixels(choice.regret, RELATIVE_FACTOR_SCALE))
+    ``scale`` is the figure's shared :func:`plan_choice_scale`; ``label``
+    names the policy in both titles.
+    """
+    regret = f"Regret: {label}"
+    return (
+        choice_heatmap(choice, f"Plan choice: {label}", scale=scale),
+        regret_heatmap(choice, regret),
+        grid_picture(choice, choice.regret, RELATIVE_FACTOR_SCALE, regret, "png"),
+    )
 
 
 def heatmap_png_pixels(grid: np.ndarray, scale: DiscreteScale) -> np.ndarray:
     """Rasterize a 2-D grid to 16-pixel cells (paper orientation: y up)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise VisualizationError(f"need a 2-D grid, got {grid.shape}")
-    nx, ny = grid.shape
-    cells = np.zeros((ny, nx, 3), dtype=np.uint8)
-    for ix in range(nx):
-        for iy in range(ny):
-            value = grid[ix, iy]
-            color = CENSORED_RGB if np.isnan(value) else scale.color_for(float(value))
-            cells[ny - 1 - iy, ix] = color
-    return rasterize_grid(cells)
+    return rasterize_grid(_cell_colors(grid, scale))
 
 
 def save_heatmap_png(

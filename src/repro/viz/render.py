@@ -13,8 +13,7 @@ from __future__ import annotations
 from repro.core.mapdata import MapData
 from repro.errors import VisualizationError
 from repro.viz.colormap import ABSOLUTE_TIME_SCALE
-from repro.viz.figures import absolute_curves, absolute_heatmap, heatmap_png_pixels
-from repro.viz.png import encode_png
+from repro.viz.figures import absolute_curves, grid_picture
 
 #: Render format -> HTTP content type.
 MEDIA_TYPES = {
@@ -41,14 +40,12 @@ def render_map(mapdata: MapData, plan_id: str, fmt: str) -> tuple[str, bytes]:
         )
     title = f"{mapdata.meta.get('scenario', 'map')}: {plan_id}"
     if mapdata.is_2d:
-        if fmt == "png":
-            pixels = heatmap_png_pixels(
-                mapdata.times_for(plan_id), ABSOLUTE_TIME_SCALE
-            )
-            return MEDIA_TYPES["png"], encode_png(pixels)
+        picture = grid_picture(
+            mapdata, mapdata.times_for(plan_id), ABSOLUTE_TIME_SCALE, title, fmt
+        )
         return (
-            MEDIA_TYPES["svg"],
-            absolute_heatmap(mapdata, plan_id, title).encode("utf-8"),
+            MEDIA_TYPES[fmt],
+            picture if fmt == "png" else picture.encode("utf-8"),
         )
     if fmt == "png":
         raise VisualizationError(

@@ -13,21 +13,14 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from repro.errors import VisualizationError
-from repro.viz.colormap import CENSORED_RGB, RGB, DiscreteScale
-
-#: Line colors for multi-series charts.
-SERIES_PALETTE: list[RGB] = [
-    (31, 119, 180),
-    (255, 127, 14),
-    (44, 160, 44),
-    (214, 39, 40),
-    (148, 103, 189),
-    (140, 86, 75),
-    (227, 119, 194),
-    (127, 127, 127),
-    (188, 189, 34),
-    (23, 190, 207),
-]
+from repro.viz.colormap import (
+    CATEGORICAL_PALETTE,
+    CENSORED_RGB,
+    RGB,
+    CategoricalScale,
+    DiscreteScale,
+    _cell_colors,
+)
 
 
 def _rgb(color: RGB) -> str:
@@ -112,6 +105,37 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(start, stop + 1)]
 
 
+def _log_extents(
+    xs: np.ndarray, series: dict[str, np.ndarray]
+) -> tuple[float, float, float, float]:
+    """``(x_lo, x_hi, y_lo, y_hi)`` of a log-log plot of the series.
+
+    The y range spans the finite positive values (censored points are
+    not drawn); a flat series gets a factor of two of room either way.
+    """
+    if not series:
+        raise VisualizationError("a curve plot needs at least one series")
+    finite = np.concatenate(
+        [
+            values[np.isfinite(values) & (values > 0)]
+            for values in map(np.asarray, series.values())
+        ]
+    )
+    if finite.size == 0:
+        raise VisualizationError("no finite positive values to plot")
+    y_lo, y_hi = float(finite.min()), float(finite.max())
+    if y_lo == y_hi:
+        y_lo, y_hi = y_lo / 2, y_hi * 2
+    return float(xs.min()), float(xs.max()), y_lo, y_hi
+
+
+def _log_fraction(value: float, lo: float, hi: float) -> float:
+    """Where ``value`` falls between ``lo`` (0) and ``hi`` (1), in log10."""
+    return (math.log10(value) - math.log10(lo)) / (
+        math.log10(hi) - math.log10(lo)
+    )
+
+
 def curves_svg(
     xs: np.ndarray,
     series: dict[str, np.ndarray],
@@ -125,33 +149,20 @@ def curves_svg(
     paper's truncated traditional-index-scan curve.
     """
     xs = np.asarray(xs, dtype=float)
-    if not series:
-        raise VisualizationError("curves_svg needs at least one series")
+    x_lo, x_hi, y_lo, y_hi = _log_extents(xs, series)
     width, height = 760, 470
     margin_left, margin_right, margin_top, margin_bottom = 70, 170, 40, 50
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
 
-    finite_values = np.concatenate(
-        [values[np.isfinite(values) & (values > 0)] for values in series.values()]
-    )
-    if finite_values.size == 0:
-        raise VisualizationError("no finite positive values to plot")
-    y_lo = float(finite_values.min())
-    y_hi = float(finite_values.max())
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo / 2, y_hi * 2
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-
     def px(x: float) -> float:
+        # Multiply before dividing, as every committed SVG digest was.
         return margin_left + plot_w * (math.log10(x) - math.log10(x_lo)) / (
             math.log10(x_hi) - math.log10(x_lo)
         )
 
     def py(y: float) -> float:
-        return margin_top + plot_h * (
-            1 - (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        )
+        return margin_top + plot_h * (1 - _log_fraction(y, y_lo, y_hi))
 
     doc = SvgDocument(width, height)
     doc.text(width / 2, 22, title, size=15, anchor="middle")
@@ -174,7 +185,7 @@ def curves_svg(
     doc.text(16, margin_top + plot_h / 2, y_label, size=12, anchor="middle")
 
     for s_index, (label, values) in enumerate(series.items()):
-        color = SERIES_PALETTE[s_index % len(SERIES_PALETTE)]
+        color = CATEGORICAL_PALETTE[s_index % len(CATEGORICAL_PALETTE)]
         values = np.asarray(values, dtype=float)
         segment: list[tuple[float, float]] = []
         for x, y in zip(xs, values):
@@ -238,7 +249,7 @@ def _heatmap_frame(
 
 def _heatmap_legend(
     doc: SvgDocument,
-    scale,
+    scale: DiscreteScale | CategoricalScale,
     legend_x: int,
     margin_top: int,
     censored_row: bool,
@@ -254,6 +265,50 @@ def _heatmap_legend(
         censored_y = margin_top + len(entries) * 22
         doc.rect(legend_x, censored_y, 16, 16, CENSORED_RGB, stroke=(150, 150, 150))
         doc.text(legend_x + 24, censored_y + 12, "censored (over budget)", size=11)
+
+
+def _heatmap_document(
+    grid: np.ndarray,
+    scale: DiscreteScale | CategoricalScale,
+    title: str,
+    x_tick_labels: list[str],
+    y_tick_labels: list[str],
+    x_label: str,
+    y_label: str,
+    legend_w: int,
+    censored_row: bool,
+) -> str:
+    """The heat-map document both public styles share: cells, frame, legend."""
+    colors = _cell_colors(grid, scale)
+    ny, nx = colors.shape[:2]
+    cells = colors.tolist()
+    if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
+        raise VisualizationError("tick label counts must match the grid")
+    cell = _CELL
+    margin_left, margin_top = 80, 46
+    width = margin_left + nx * cell + legend_w
+    height = margin_top + ny * cell + 60
+    doc = SvgDocument(width, height)
+    doc.text((margin_left + nx * cell) / 2 + 20, 24, title, size=15, anchor="middle")
+    for ix in range(nx):
+        for iy in range(ny):
+            row = ny - 1 - iy
+            doc.rect(
+                margin_left + ix * cell,
+                margin_top + row * cell,
+                cell,
+                cell,
+                cells[row][ix],
+                stroke=(230, 230, 230),
+            )
+    _heatmap_frame(
+        doc, nx, ny, margin_left, margin_top,
+        x_tick_labels, y_tick_labels, x_label, y_label,
+    )
+    _heatmap_legend(
+        doc, scale, margin_left + nx * cell + 24, margin_top, censored_row
+    )
+    return doc.to_string()
 
 
 def heatmap_svg(
@@ -272,40 +327,15 @@ def heatmap_svg(
     label per grid line, already rendered (``2^e`` for selectivities,
     plain values for error magnitudes, memory budgets, ...).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise VisualizationError(f"heatmap needs a 2-D grid, got {grid.shape}")
-    nx, ny = grid.shape
-    if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
-        raise VisualizationError("tick label counts must match the grid")
-    cell = _CELL
-    margin_left, margin_top = 80, 46
-    legend_w = 230
-    width = margin_left + nx * cell + legend_w
-    height = margin_top + ny * cell + 60
-    doc = SvgDocument(width, height)
-    doc.text((margin_left + nx * cell) / 2 + 20, 24, title, size=15, anchor="middle")
-
-    for ix in range(nx):
-        for iy in range(ny):
-            value = grid[ix, iy]
-            color = CENSORED_RGB if np.isnan(value) else scale.color_for(float(value))
-            x = margin_left + ix * cell
-            y = margin_top + (ny - 1 - iy) * cell
-            doc.rect(x, y, cell, cell, color, stroke=(230, 230, 230))
-    _heatmap_frame(
-        doc, nx, ny, margin_left, margin_top,
-        x_tick_labels, y_tick_labels, x_label, y_label,
+    return _heatmap_document(
+        grid, scale, title, x_tick_labels, y_tick_labels, x_label, y_label,
+        legend_w=230, censored_row=True,
     )
-    _heatmap_legend(
-        doc, scale, margin_left + nx * cell + 24, margin_top, censored_row=True
-    )
-    return doc.to_string()
 
 
 def categorical_heatmap_svg(
     indices: np.ndarray,
-    scale,
+    scale: CategoricalScale,
     title: str,
     x_tick_labels: list[str],
     y_tick_labels: list[str],
@@ -314,40 +344,11 @@ def categorical_heatmap_svg(
 ) -> str:
     """Category-colored 2-D map (choice maps): exact index lookups.
 
-    ``indices[ix, iy]`` are indices into the scale's category inventory
-    (a :class:`~repro.viz.colormap.CategoricalScale`); negative entries
-    render as "no choice" white cells.  Orientation matches
-    :func:`heatmap_svg`.
+    ``indices[ix, iy]`` are indices into the scale's category inventory;
+    negative entries render as "no choice" white cells.  Orientation
+    matches :func:`heatmap_svg`.
     """
-    indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise VisualizationError(
-            f"categorical heatmap needs a 2-D grid, got {indices.shape}"
-        )
-    nx, ny = indices.shape
-    if len(x_tick_labels) != nx or len(y_tick_labels) != ny:
-        raise VisualizationError("tick label counts must match the grid")
-    cell = _CELL
-    margin_left, margin_top = 80, 46
-    legend_w = 250
-    width = margin_left + nx * cell + legend_w
-    height = margin_top + ny * cell + 60
-    doc = SvgDocument(width, height)
-    doc.text((margin_left + nx * cell) / 2 + 20, 24, title, size=15, anchor="middle")
-    for ix in range(nx):
-        for iy in range(ny):
-            index = int(indices[ix, iy])
-            color = (
-                CENSORED_RGB if index < 0 else scale.color_for_index(index)
-            )
-            x = margin_left + ix * cell
-            y = margin_top + (ny - 1 - iy) * cell
-            doc.rect(x, y, cell, cell, color, stroke=(230, 230, 230))
-    _heatmap_frame(
-        doc, nx, ny, margin_left, margin_top,
-        x_tick_labels, y_tick_labels, x_label, y_label,
+    return _heatmap_document(
+        indices, scale, title, x_tick_labels, y_tick_labels, x_label, y_label,
+        legend_w=250, censored_row=False,
     )
-    _heatmap_legend(
-        doc, scale, margin_left + nx * cell + 24, margin_top, censored_row=False
-    )
-    return doc.to_string()

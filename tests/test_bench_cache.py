@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import BenchConfig, BenchSession
-from repro.bench.requests import available_requests
+from repro.bench.requests import MapRequest, available_requests
 from repro.core.mapdata import MapData
 
 
@@ -57,19 +57,19 @@ def test_cache_path_embeds_fingerprint(tmp_path):
 
 def test_changed_config_does_not_reuse_stale_cache(tmp_path):
     config = tiny_config(tmp_path)
-    first = BenchSession(config).scenario_map("single_predicate")
+    first = BenchSession(config).request_map(MapRequest("single_predicate"))
     assert first.grid_shape == (4,)
     # Regression: with rows/seed-only keys, shrinking the grid reused the
     # old 4-point map; the fingerprinted key computes a fresh 3-point one.
     shrunk = tiny_config(tmp_path, min_exp_1d=-2)
-    second = BenchSession(shrunk).scenario_map("single_predicate")
+    second = BenchSession(shrunk).request_map(MapRequest("single_predicate"))
     assert second.grid_shape == (3,)
 
 
 def test_cache_hit_round_trips_bit_identically(tmp_path):
     config = tiny_config(tmp_path)
-    computed = BenchSession(config).scenario_map("single_predicate")
-    cached = BenchSession(config).scenario_map("single_predicate")
+    computed = BenchSession(config).request_map(MapRequest("single_predicate"))
+    cached = BenchSession(config).request_map(MapRequest("single_predicate"))
     assert np.array_equal(cached.times, computed.times, equal_nan=True)
     assert np.array_equal(cached.rows, computed.rows)
     assert cached.meta == computed.meta
@@ -77,10 +77,10 @@ def test_cache_hit_round_trips_bit_identically(tmp_path):
 
 
 def test_harness_parallel_map_bit_identical_to_serial(tmp_path):
-    serial = BenchSession(tiny_config(tmp_path / "s")).scenario_map("two_predicate")
+    serial = BenchSession(tiny_config(tmp_path / "s")).request_map(MapRequest("two_predicate"))
     parallel = BenchSession(
         tiny_config(tmp_path / "p", n_workers=2)
-    ).scenario_map("two_predicate")
+    ).request_map(MapRequest("two_predicate"))
     assert parallel.plan_ids == serial.plan_ids
     assert np.array_equal(parallel.times, serial.times, equal_nan=True)
     assert np.array_equal(parallel.aborted, serial.aborted)
@@ -92,12 +92,12 @@ def test_scenario_maps_cached_and_validated(tmp_path):
     config = tiny_config(
         tmp_path, sort_rows=(256, 512, 1024), sort_memory=(32 << 10, 64 << 10)
     )
-    computed = BenchSession(config).scenario_map("sort_spill")
+    computed = BenchSession(config).request_map(MapRequest("sort_spill"))
     assert computed.grid_shape == (3, 2)
     assert computed.meta["scenario"] == "sort-spill"
     path = config.cache_path("scenario_sort_spill")
     assert path is not None and path.exists()
-    cached = BenchSession(config).scenario_map("sort_spill")
+    cached = BenchSession(config).request_map(MapRequest("sort_spill"))
     assert np.array_equal(cached.times, computed.times, equal_nan=True)
     assert cached.meta == computed.meta
     # Changing a scenario-shaping knob gets a fresh cache file.
@@ -105,24 +105,24 @@ def test_scenario_maps_cached_and_validated(tmp_path):
         tmp_path, sort_rows=(256, 512), sort_memory=(32 << 10, 64 << 10)
     )
     assert changed.fingerprint() != config.fingerprint()
-    assert BenchSession(changed).scenario_map("sort_spill").grid_shape == (2, 2)
+    assert BenchSession(changed).request_map(MapRequest("sort_spill")).grid_shape == (2, 2)
 
 
 def test_scenario_map_unknown_name(tmp_path):
     from repro.errors import ExperimentError
 
     with pytest.raises(ExperimentError, match="unknown scenario"):
-        BenchSession(tiny_config(tmp_path)).scenario_map("nope")
+        BenchSession(tiny_config(tmp_path)).request_map(MapRequest("nope"))
 
 
 def test_harness_scenario_parallel_bit_identical_to_serial(tmp_path):
     overrides = dict(memory_axis=(8 << 10, 512 << 10))
     serial = BenchSession(
         tiny_config(tmp_path / "s", **overrides)
-    ).scenario_map("memory_sweep")
+    ).request_map(MapRequest("memory_sweep"))
     parallel = BenchSession(
         tiny_config(tmp_path / "p", n_workers=2, **overrides)
-    ).scenario_map("memory_sweep")
+    ).request_map(MapRequest("memory_sweep"))
     assert parallel.plan_ids == serial.plan_ids
     assert np.array_equal(parallel.times, serial.times, equal_nan=True)
     assert np.array_equal(parallel.aborted, serial.aborted)
@@ -151,7 +151,7 @@ def test_cli_scenario_smoke(tmp_path, monkeypatch):
 
 def test_join_map_cached_and_reloaded(tmp_path, capsys):
     config = tiny_config(tmp_path, join_rows=(64, 128), join_key_domain=256)
-    first = BenchSession(config).scenario_map("join")
+    first = BenchSession(config).request_map(MapRequest("join"))
     assert first.grid_shape == (2, 2)
     assert first.plan_ids == [
         "join.merge",
@@ -159,12 +159,12 @@ def test_join_map_cached_and_reloaded(tmp_path, capsys):
         "join.hash.all-or-nothing",
         "join.inl",
     ]
-    reloaded = BenchSession(config).scenario_map("join")  # fresh session, disk cache
+    reloaded = BenchSession(config).request_map(MapRequest("join"))  # fresh session, disk cache
     assert np.array_equal(reloaded.times, first.times, equal_nan=True)
     assert reloaded.meta == first.meta
     # Shrinking the grid must invalidate, not reuse, the cache.
     smaller = tiny_config(tmp_path, join_rows=(64,), join_key_domain=256)
-    assert BenchSession(smaller).scenario_map("join").grid_shape == (1, 1)
+    assert BenchSession(smaller).request_map(MapRequest("join")).grid_shape == (1, 1)
 
 
 def test_cli_join_scenario_prints_symmetry(tmp_path, monkeypatch):
@@ -207,19 +207,19 @@ def test_refine_changes_fingerprint(tmp_path):
 def test_refined_map_cached_raw_and_returned_densified(tmp_path):
     config = tiny_config(tmp_path, min_exp_1d=-8, refine=True)
     session = BenchSession(config)
-    mapdata = session.scenario_map("single_predicate")
+    mapdata = session.request_map(MapRequest("single_predicate"))
     # The session hands out the full-grid interpolation view ...
     assert not mapdata.is_partial
     assert mapdata.meta["policy"] == "adaptive-refine"
     measured = mapdata.meta["measured_cells"]
     assert 0 < len(measured) < mapdata.times[0].size
-    assert session.scenario_map("single_predicate") is mapdata  # memoized
+    assert session.request_map(MapRequest("single_predicate")) is mapdata  # memoized
     # ... while the disk cache stores the raw sparse measurement.
     raw = MapData.load(config.cache_path("single_predicate"))
     assert raw.is_partial
     assert raw.filled_cells.tolist() == sorted(measured)
     # A fresh session reloads the cache and densifies identically.
-    reloaded = BenchSession(config).scenario_map("single_predicate")
+    reloaded = BenchSession(config).request_map(MapRequest("single_predicate"))
     assert np.array_equal(reloaded.times, mapdata.times, equal_nan=True)
     assert reloaded.meta == mapdata.meta
 
@@ -227,7 +227,7 @@ def test_refined_map_cached_raw_and_returned_densified(tmp_path):
 def test_cache_validation_is_policy_aware(tmp_path):
     refined = tiny_config(tmp_path, min_exp_1d=-8, refine=True)
     session = BenchSession(refined)
-    session.scenario_map("single_predicate")
+    session.request_map(MapRequest("single_predicate"))
     sparse = MapData.load(refined.cache_path("single_predicate"))
     assert session._cache_valid(sparse, "single_predicate")
     # A dense-looking map must not satisfy a refine config (nor a sparse
@@ -245,10 +245,10 @@ def test_cache_validation_is_policy_aware(tmp_path):
 
 def test_refined_scenario_map_agrees_with_dense_on_measured(tmp_path):
     overrides = dict(join_rows=(64, 96, 128, 192, 256), join_key_domain=256)
-    dense = BenchSession(tiny_config(tmp_path / "d", **overrides)).scenario_map("join")
+    dense = BenchSession(tiny_config(tmp_path / "d", **overrides)).request_map(MapRequest("join"))
     refined = BenchSession(
         tiny_config(tmp_path / "r", refine=True, **overrides)
-    ).scenario_map("join")
+    ).request_map(MapRequest("join"))
     assert refined.grid_shape == dense.grid_shape
     cells = np.asarray(refined.meta["measured_cells"], dtype=int)
     flat_r = refined.times.reshape(refined.n_plans, -1)[:, cells]
@@ -274,14 +274,14 @@ def test_cli_refine_scenario_smoke(tmp_path, monkeypatch):
 
 def test_corrupt_fingerprint_triggers_recompute(tmp_path):
     config = tiny_config(tmp_path)
-    computed = BenchSession(config).scenario_map("single_predicate")
+    computed = BenchSession(config).request_map(MapRequest("single_predicate"))
     path = config.cache_path("single_predicate")
     assert path is not None and path.exists()
     # Tamper: pretend the file came from a different config.
     stale = MapData.load(path)
     stale.meta["config_fingerprint"] = "0" * 16
     stale.save(path)
-    recomputed = BenchSession(config).scenario_map("single_predicate")
+    recomputed = BenchSession(config).request_map(MapRequest("single_predicate"))
     assert recomputed.meta["config_fingerprint"] == config.fingerprint()
     assert np.array_equal(recomputed.times, computed.times, equal_nan=True)
 
@@ -301,16 +301,10 @@ def test_error_model_knobs_are_fingerprinted(tmp_path):
         assert tiny_config(tmp_path, **change).fingerprint() != base.fingerprint()
 
 
-def test_available_scenarios_helper():
-    available = BenchSession.available_scenarios()
-    assert available == available_requests()
-    assert "estimation" in available
-
-
 def test_estimation_map_cached_and_validated(tmp_path):
     config = tiny_config(tmp_path, error_magnitudes=(0.0, 2.0))
     session = BenchSession(config)
-    mapdata = session.scenario_map("estimation")
+    mapdata = session.request_map(MapRequest("estimation"))
     assert mapdata.grid_shape == (3, 2)
     assert [axis.name for axis in mapdata.axes] == [
         "selectivity",
@@ -318,7 +312,7 @@ def test_estimation_map_cached_and_validated(tmp_path):
     ]
     cache_file = config.cache_path("scenario_estimation")
     assert cache_file is not None and cache_file.exists()
-    reloaded = BenchSession(config).scenario_map("estimation")
+    reloaded = BenchSession(config).request_map(MapRequest("estimation"))
     assert np.array_equal(mapdata.times, reloaded.times, equal_nan=True)
 
 
@@ -379,7 +373,7 @@ def test_cli_regret_requires_estimation(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--refine", "--max-cells", "-5"], "--max-cells must not be negative"),
+        (["--refine", "--max-cells", "-5"], "knob 'refine_max_cells' must be at least 0"),
         (["--max-cells", "9"], "--max-cells needs --refine"),
     ],
     ids=["negative", "without-refine"],
@@ -401,7 +395,7 @@ def test_cli_unknown_scenario_lists_available(tmp_path, capsys):
     code = cli.main([str(tmp_path), "--scenario", "nope"])
     assert code == 2
     err = capsys.readouterr().err
-    for name in BenchSession.available_scenarios():
+    for name in available_requests():
         assert name in err
 
 
@@ -430,8 +424,8 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     )
     # Two sessions over one store: the rerun writes nothing new, so the
     # shards hold exactly one generation of entries to keep.
-    BenchSession(config).scenario_map("join")
-    BenchSession(config).scenario_map("join")
+    BenchSession(config).request_map(MapRequest("join"))
+    BenchSession(config).request_map(MapRequest("join"))
     code = cli.main(
         ["out", "--cell-cache", str(store_dir), "--cell-cache-compact"]
     )
@@ -440,7 +434,7 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
     assert "reclaimed" in out and "kept" in out
     # Still a loadable, warm store afterwards.
     again = BenchSession(config)
-    mapdata = again.scenario_map("join")
+    mapdata = again.request_map(MapRequest("join"))
     assert again.cell_store().stats()["cell_misses"] == 0
     assert mapdata.grid_shape == (2, 2)
 

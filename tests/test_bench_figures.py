@@ -10,7 +10,7 @@ import pytest
 
 import repro.bench.figures as figures
 from repro.bench.figures import ALL_FIGURES
-from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.harness import BenchConfig, BenchSession, MapRequest
 from repro.bench.report import Claim, format_claims, series_block
 from repro.executor.plans import PlanRunner
 
@@ -90,8 +90,8 @@ def test_figures_cover_the_whole_paper():
 
 
 def test_session_caches_sweeps(session):
-    first = session.scenario_map("two_predicate")
-    second = session.scenario_map("two_predicate")
+    first = session.request_map(MapRequest("two_predicate"))
+    second = session.request_map(MapRequest("two_predicate"))
     assert first is second
 
 
@@ -100,9 +100,9 @@ def test_disk_cache_roundtrip(tmp_path):
         n_rows=2048, min_exp_1d=-4, min_exp_2d=-3, cache_dir=str(tmp_path)
     )
     s1 = BenchSession(config)
-    m1 = s1.scenario_map("single_predicate")
+    m1 = s1.request_map(MapRequest("single_predicate"))
     s2 = BenchSession(config)
-    m2 = s2.scenario_map("single_predicate")
+    m2 = s2.request_map(MapRequest("single_predicate"))
     assert m2.plan_ids == m1.plan_ids
     assert np.allclose(m2.times, m1.times, equal_nan=True)
     assert list(tmp_path.glob("*.json"))
@@ -110,7 +110,7 @@ def test_disk_cache_roundtrip(tmp_path):
 
 def test_regression_guard_reads_the_single_predicate_map(session, monkeypatch):
     """The guard's curves are cells of a map the session already holds."""
-    mapdata = session.scenario_map("single_predicate")
+    mapdata = session.request_map(MapRequest("single_predicate"))
     measured = []
     real_measure = PlanRunner.measure
 
@@ -163,7 +163,7 @@ def test_budget_positive(session):
 
 
 def _claim(holds=True):
-    return Claim("figX", "something holds", "paper says", "we measured", holds)
+    return Claim("something holds", "paper says", "we measured", holds)
 
 
 def test_format_claims():

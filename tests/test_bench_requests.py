@@ -42,7 +42,7 @@ def test_registry_covers_every_session_map():
         "two_predicate_nojitter",
     ]
     # Every CLI scenario name is addressable as a request.
-    for name in BenchSession.available_scenarios():
+    for name in available_requests():
         assert name in MAP_DEFINITIONS
 
 
@@ -73,13 +73,13 @@ def test_request_spellings_are_one_request(tmp_path):
 
 def test_definition_grid_shapes_match_config(tmp_path):
     config = tiny_config(tmp_path)
-    assert definition_for("single_predicate").grid_shape(config) == (4,)
-    assert definition_for("two_predicate").grid_shape(config) == (3, 3)
-    assert definition_for("sort_spill").grid_shape(config) == (6, 4)
-    assert definition_for("memory_sweep").grid_shape(config) == (3, 5)
-    assert definition_for("join").grid_shape(config) == (5, 5)
-    assert definition_for("estimation").grid_shape(config) == (3, 5)
-    assert definition_for("join").n_cells(config) == 25
+    assert definition_for("single_predicate").spec(config).grid_shape == (4,)
+    assert definition_for("two_predicate").spec(config).grid_shape == (3, 3)
+    assert definition_for("sort_spill").spec(config).grid_shape == (6, 4)
+    assert definition_for("memory_sweep").spec(config).grid_shape == (3, 5)
+    assert definition_for("join").spec(config).grid_shape == (5, 5)
+    assert definition_for("estimation").spec(config).grid_shape == (3, 5)
+    assert definition_for("join").spec(config).n_cells == 25
 
 
 def test_request_requires_known_scenario():
@@ -169,7 +169,7 @@ def test_request_from_dict_is_strict():
 
 def test_request_map_matches_named_method(tmp_path):
     config = tiny_config(tmp_path, **JOIN_OVERRIDES)
-    direct = BenchSession(config).scenario_map("join")
+    direct = BenchSession(config).request_map(MapRequest("join"))
     served = BenchSession(tiny_config(tmp_path / "other")).request_map(
         MapRequest("join", JOIN_OVERRIDES)
     )
@@ -184,7 +184,7 @@ def test_request_map_on_own_config_memoizes(tmp_path):
     session = BenchSession(tiny_config(tmp_path, **JOIN_OVERRIDES))
     first = session.request_map(MapRequest("join"))
     assert session.request_map(MapRequest("join")) is first
-    assert session.scenario_map("join") is first
+    assert session.request_map(MapRequest("join")) is first
 
 
 def test_concurrent_same_map_computes_once(tmp_path, monkeypatch):
@@ -206,7 +206,7 @@ def test_concurrent_same_map_computes_once(tmp_path, monkeypatch):
     results = [None, None]
 
     def worker(slot):
-        results[slot] = session.scenario_map("join")
+        results[slot] = session.request_map(MapRequest("join"))
 
     threads = [
         threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)

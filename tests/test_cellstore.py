@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.harness import BenchConfig, BenchSession, MapRequest
 from repro.core.cellstore import (
     CellStore,
     SweepKeyer,
@@ -596,11 +596,11 @@ def test_session_without_cell_cache_has_no_store():
 def test_cell_cache_warms_across_sessions(tmp_path):
     config = tiny_config(cell_cache_dir=str(tmp_path))
     cold_session = BenchSession(config)
-    cold = cold_session.scenario_map("memory_sweep")
+    cold = cold_session.request_map(MapRequest("memory_sweep"))
     n_cells = int(np.prod(cold.grid_shape))
     assert cold_session.cell_store().cell_misses == n_cells
     warm_session = BenchSession(dataclasses.replace(config))
-    warm = warm_session.scenario_map("memory_sweep")
+    warm = warm_session.request_map(MapRequest("memory_sweep"))
     store = warm_session.cell_store()
     assert store.cell_hits == n_cells and store.cell_misses == 0
     assert identical(cold, warm)
@@ -609,11 +609,11 @@ def test_cell_cache_warms_across_sessions(tmp_path):
 def test_cell_cache_survives_grid_extension(tmp_path):
     config = tiny_config(cell_cache_dir=str(tmp_path))
     coarse = BenchSession(config)
-    coarse_map = coarse.scenario_map("memory_sweep")
+    coarse_map = coarse.request_map(MapRequest("memory_sweep"))
     # min_exp_2d -2 -> -4: the log2 selectivity targets are a superset,
     # so every coarse cell hits on the finer session.
     fine = BenchSession(dataclasses.replace(config, min_exp_2d=-4))
-    fine_map = fine.scenario_map("memory_sweep")
+    fine_map = fine.request_map(MapRequest("memory_sweep"))
     n_coarse = int(np.prod(coarse_map.grid_shape))
     assert fine.cell_store().cell_hits == n_coarse
     shared = [

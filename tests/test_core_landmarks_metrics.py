@@ -10,7 +10,7 @@ from repro.core.landmarks import (
     monotonicity_violations,
     symmetry_score,
 )
-from repro.core.mapdata import MapData
+from repro.core.mapdata import MapAxis, MapData
 from repro.core.metrics import profile_plan, summarize_plans
 from repro.core.regression import compare_maps
 from repro.errors import ExperimentError
@@ -150,8 +150,7 @@ def flat_map(times):
         times=times,
         aborted=np.isnan(times),
         rows=np.zeros(times.shape[1], dtype=int),
-        x_targets=np.arange(1.0, times.shape[1] + 1),
-        x_achieved=np.arange(1.0, times.shape[1] + 1),
+        axes=[MapAxis("x", np.arange(1.0, times.shape[1] + 1))],
     )
 
 
@@ -277,8 +276,7 @@ def test_compare_maps_validates_inputs():
         times=np.array([[1.0, 2.0]]),
         aborted=np.zeros((1, 2), dtype=bool),
         rows=np.zeros(2, dtype=int),
-        x_targets=np.array([1.0, 2.0]),
-        x_achieved=np.array([1.0, 2.0]),
+        axes=[MapAxis("x", np.array([1.0, 2.0]))],
     )
     with pytest.raises(ExperimentError):
         compare_maps(before, wrong_plans)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.mapdata import MapData
+from repro.core.mapdata import MapAxis, MapData
 from repro.core.maps import best_times, quotient_for, relative_to_best
 from repro.core.optimality import (
     optimal_counts,
@@ -18,16 +18,15 @@ from repro.errors import ExperimentError
 def grid_map(times):
     times = np.asarray(times, dtype=float)
     n_plans = times.shape[0]
-    nx = times.shape[1]
     return MapData(
         plan_ids=[f"p{i}" for i in range(n_plans)],
         times=times,
         aborted=np.isnan(times),
         rows=np.zeros(times.shape[1:], dtype=int),
-        x_targets=np.arange(1.0, nx + 1),
-        x_achieved=np.arange(1.0, nx + 1),
-        y_targets=np.arange(1.0, times.shape[2] + 1) if times.ndim == 3 else None,
-        y_achieved=np.arange(1.0, times.shape[2] + 1) if times.ndim == 3 else None,
+        axes=[
+            MapAxis(name, np.arange(1.0, n + 1))
+            for name, n in zip("xy", times.shape[1:])
+        ],
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.driver import DenseGridPolicy
 from repro.core.mapdata import MapAxis, MapData
-from repro.core.parameter_space import Axis, Space1D, Space2D
+from repro.core.parameter_space import Space1D, Space2D
 from repro.core.runner import Jitter, RobustnessSweep
 from repro.core.parallel import ParallelSweep
 from repro.core.landmarks import symmetry_score
@@ -367,7 +367,7 @@ def make_3d_map() -> MapData:
 
 def test_3d_mapdata_roundtrip(tmp_path):
     mapdata = make_3d_map()
-    assert mapdata.n_axes == 3
+    assert len(mapdata.axes) == 3
     assert mapdata.grid_shape == (3, 2, 2)
     path = tmp_path / "map3d.json"
     mapdata.save(path)
@@ -427,10 +427,3 @@ def test_mapdata_axis_count_validation():
             rows=np.zeros(3, dtype=np.int64),
             axes=[MapAxis("x", np.array([0.5, 1.0]))],
         )
-
-
-def test_axis_is_a_space(system_a):
-    """Axis doubles as Space1D anywhere a 1-D grid is expected."""
-    axis = Axis.log2("sel", -2)
-    mapdata = SinglePredicateScenario([system_a], axis).run()
-    assert mapdata.times.shape[1] == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mapdata import MapData
+from repro.core.mapdata import MapAxis, MapData
 from repro.core.parameter_space import Space1D, Space2D, log2_targets
 from repro.errors import ExperimentError
 
@@ -39,8 +39,7 @@ def test_space1d_validation():
 
 def test_space2d_shape():
     space = Space2D.log2("a", "b", -3)
-    assert space.shape == (4, 4)
-    assert space.n_cells == 16
+    assert (space.x.n_points, space.y.n_points) == (4, 4)
 
 
 def make_map(two_d=False):
@@ -55,10 +54,10 @@ def make_map(two_d=False):
             times=times,
             aborted=np.isnan(times),
             rows=rows,
-            x_targets=np.array([0.5, 1.0]),
-            x_achieved=np.array([0.5, 1.0]),
-            y_targets=np.array([0.5, 1.0]),
-            y_achieved=np.array([0.5, 1.0]),
+            axes=[
+                MapAxis("x", np.array([0.5, 1.0])),
+                MapAxis("y", np.array([0.5, 1.0])),
+            ],
         )
     times = np.array([[1.0, 2.0, 4.0], [2.0, np.nan, 3.0]])
     return MapData(
@@ -66,8 +65,7 @@ def make_map(two_d=False):
         times=times,
         aborted=np.isnan(times),
         rows=np.array([1, 2, 4]),
-        x_targets=np.array([0.25, 0.5, 1.0]),
-        x_achieved=np.array([0.25, 0.5, 1.0]),
+        axes=[MapAxis("x", np.array([0.25, 0.5, 1.0]))],
     )
 
 
@@ -92,8 +90,7 @@ def test_mapdata_shape_validation():
             times=np.zeros((1, 3)),
             aborted=np.zeros((1, 2), dtype=bool),
             rows=np.zeros(3, dtype=int),
-            x_targets=np.arange(3.0) + 1,
-            x_achieved=np.arange(3.0) + 1,
+            axes=[MapAxis("x", np.arange(3.0) + 1)],
         )
 
 

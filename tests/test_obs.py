@@ -472,10 +472,10 @@ def test_job_metrics_are_booked_before_the_terminal_state(state, monkeypatch):
 
     if state == "failed":
 
-        def refuse(self, definition):
+        def refuse(self, request):
             raise ExperimentError("no map today")
 
-        monkeypatch.setattr(BenchSession, "map_for", refuse)
+        monkeypatch.setattr(BenchSession, "request_map", refuse)
     config = BenchConfig(
         n_rows=512, pool_pages=32, join_rows=(64, 128), join_key_domain=256
     )

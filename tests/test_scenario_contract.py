@@ -25,7 +25,7 @@ from repro.bench.harness import BenchConfig, BenchSession
 from repro.bench.requests import MAP_DEFINITIONS
 from repro.core.cellstore import SweepKeyer
 from repro.core.parallel import ParallelSweep
-from repro.core.parameter_space import Axis, Space1D, Space2D
+from repro.core.parameter_space import Space1D, Space2D
 from repro.core.runner import Jitter, RobustnessSweep
 from repro.core.scenario import (
     SCENARIO_TYPES,
@@ -225,8 +225,6 @@ def test_definition_scenario_is_its_spec(name):
     )
     spec = definition.spec(config)
     assert definition.scenario(BenchSession(config)).spec() == spec
-    assert definition.grid_shape(config) == spec.grid_shape
-    assert definition.n_cells(config) == spec.n_cells
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,7 @@ class SelfDescribedScenario(Scenario):
 
     def __init__(self, systems, memory_bytes=(16 << 10, 1 << 20)):
         self.system = list(systems)[0]
-        self._axis = Axis("memory_bytes", np.asarray(memory_bytes, dtype=float))
+        self._axis = Space1D("memory_bytes", np.asarray(memory_bytes, dtype=float))
         builder = PredicateBuilder(self.system.table, self.system.config.b_column)
         predicate, _sel = builder.range_for_selectivity(0.25)
         self._query = SinglePredicateQuery(predicate)

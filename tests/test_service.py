@@ -55,7 +55,7 @@ def test_job_runs_and_matches_direct_session():
         assert created and job.job_id == JOIN.fingerprint(manager.config)
         finished = manager.wait(job.job_id, timeout=120)
         assert finished.state == "done"
-        direct = BenchSession(tiny_config()).scenario_map("join")
+        direct = BenchSession(tiny_config()).request_map(MapRequest("join"))
         assert np.array_equal(
             finished.result.times, direct.times, equal_nan=True
         )
@@ -111,7 +111,7 @@ def test_full_queue_rejects_loudly(monkeypatch):
     import repro.bench.harness as harness_module
 
     release = threading.Event()
-    full = BenchSession(tiny_config()).scenario_map("join")  # before the patch
+    full = BenchSession(tiny_config()).request_map(MapRequest("join"))  # before the patch
 
     def stuck_compute(session, definition):
         assert release.wait(10)
@@ -189,7 +189,7 @@ def test_partial_snapshots_flow_to_partial_map(monkeypatch):
     """Mid-flight, partial_map serves the sweep's latest snapshot."""
     import repro.bench.harness as harness_module
 
-    full = BenchSession(tiny_config()).scenario_map("join")
+    full = BenchSession(tiny_config()).request_map(MapRequest("join"))
     partial_dict = full.to_dict()
     partial_dict["meta"] = dict(partial_dict["meta"], cells=[0, 2])
     snapshot = MapData.from_dict(partial_dict)
@@ -240,7 +240,7 @@ def test_serial_snapshots_are_strict_submasks_of_final_map():
             snapshots.append(event.snapshot)
 
     session = BenchSession(tiny_config(), progress=progress, snapshot_every=1)
-    final = session.scenario_map("join")
+    final = session.request_map(MapRequest("join"))
     total = final.times[0].size
     assert snapshots, "snapshot_every=1 must stream snapshots"
     sizes = [int(snap.measured_mask.sum()) for snap in snapshots]
@@ -297,7 +297,6 @@ def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
             finished = manager.wait(job.job_id, timeout=120)
             assert finished.state == "done"
             assert finished.cache_hits == finished.total == 4  # all replayed
-            assert finished.session.cell_store() is manager.cell_store
             assert finished.result.to_dict() == expected.to_dict()
     finally:
         manager.close()
@@ -306,15 +305,43 @@ def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
 
 
 def test_close_frees_what_retired_managers_built():
-    """Job, session and progress callback form a cycle; ``close`` collects
-    it, so managers opened in turn do not pile up each other's tables."""
+    """An estimation job keeps its session for ``/choice``; job, session
+    and progress callback form a cycle; ``close`` collects it, so managers
+    opened in turn do not pile up each other's tables."""
     manager = make_manager(workers=1)
-    job, _ = manager.submit(JOIN)
+    job, _ = manager.submit(MapRequest("estimation"))
     session = weakref.ref(manager.wait(job.job_id, timeout=120).session)
     manager.close()
     del manager, job
     make_manager(workers=1).close()
     assert session() is None
+
+
+def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
+    """A finished job answers from its result: the session it ran on
+    (tables included) is freed by reference counting alone once the sweep
+    returns, and the last progress snapshot goes with it."""
+    import gc
+
+    sessions = []
+
+    class Recorded(BenchSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(weakref.ref(self))
+
+    monkeypatch.setattr("repro.service.jobs.BenchSession", Recorded)
+    manager = make_manager(workers=1)
+    gc.disable()
+    try:
+        job, _ = manager.submit(JOIN)
+        finished = manager.wait(job.job_id, timeout=120)
+        assert finished.state == "done" and finished.events > 0
+        assert finished.session is None and finished.snapshot is None
+        assert [ref() for ref in sessions] == [None]
+    finally:
+        gc.enable()
+        manager.close()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +412,7 @@ def test_http_submit_poll_result_render(service):
 
     code, result = _get(base, f"/jobs/{job_id}/result")
     assert code == 200 and result["partial"] is False
-    direct = BenchSession(tiny_config()).scenario_map("join")
+    direct = BenchSession(tiny_config()).request_map(MapRequest("join"))
     # The served JSON is byte-identical to a direct session's map.
     assert json.dumps(result["map"], sort_keys=True) == json.dumps(
         direct.to_dict(), sort_keys=True
@@ -496,6 +523,15 @@ def test_http_bad_content_length_is_a_400(service, length):
         ({"n_rows": -5}, "n_rows"),
         ({"pool_pages": 0}, "pool_pages"),
         ({"refine": True, "refine_max_cells": -5}, "refine_max_cells"),
+        # Numbers no sweep can run with: these were queued too, and died
+        # in the worker or finished with every plan censored.  (json.loads
+        # reads the NaN and Infinity literals.)
+        ({"budget_scale": float("nan")}, "budget_scale"),
+        ({"error_magnitudes": [float("inf")]}, "error_magnitudes"),
+        ({"join_memory_bytes": 0}, "join_memory_bytes"),
+        ({"sort_row_bytes": 0}, "sort_row_bytes"),
+        ({"join_key_domain": 0}, "join_key_domain"),
+        ({"budget_scale": -1}, "budget_scale"),
     ],
 )
 def test_http_mistyped_override_is_a_400_and_queues_nothing(
@@ -508,8 +544,7 @@ def test_http_mistyped_override_is_a_400_and_queues_nothing(
             {"scenario": "single_predicate", "overrides": overrides},
         )
     assert refused.value.code == 400
-    error = json.loads(refused.value.read())["error"]
-    assert f"knob {knob!r}" in error or f"bad override: {knob} must" in error
+    assert f"knob {knob!r}" in json.loads(refused.value.read())["error"]
     assert manager.stats()["jobs"] == 0
     assert "repro_jobs_submitted_total 0\n" in manager.metrics.render()
 
@@ -518,7 +553,7 @@ def test_http_rejections_are_429(monkeypatch):
     import repro.bench.harness as harness_module
 
     release = threading.Event()
-    full = BenchSession(tiny_config()).scenario_map("join")  # before the patch
+    full = BenchSession(tiny_config()).request_map(MapRequest("join"))  # before the patch
 
     def stuck_compute(session, definition):
         assert release.wait(10)

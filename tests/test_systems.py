@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.harness import BenchConfig, BenchSession, MapRequest
 from repro.errors import PlanError
 from repro.executor.predicates import ColumnRange
 from repro.systems import SystemA, SystemB, SystemC, SystemConfig, build_three_systems
@@ -157,7 +157,7 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
     config = BenchConfig(
         n_rows=2048, min_exp_1d=-4, pool_pages=32, cell_cache_dir=str(tmp_path)
     )
-    cold = BenchSession(config).scenario_map("single_predicate")
+    cold = BenchSession(config).request_map(MapRequest("single_predicate"))
     # Measured on System A over extendedprice: its partkey index and the
     # composite indexes of B and C were never sorted.
     assert sorted(bulk_loads) == ["lineitem.clustered"] * 3 + [
@@ -166,7 +166,7 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
     ]
     del bulk_loads[:]
     warm_session = BenchSession(config)
-    warm = warm_session.scenario_map("single_predicate")
+    warm = warm_session.request_map(MapRequest("single_predicate"))
     assert warm_session.cell_store().cell_misses == 0
     assert np.array_equal(warm.times, cold.times, equal_nan=True)
     # Answered from the store: tables for the budget yardstick, no index.

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import VisualizationError
 from repro.viz import (
@@ -386,3 +386,97 @@ def test_categorical_scale_stays_injective_past_the_palette():
     scale = CategoricalScale(categories, "big inventory")
     colors = [scale.color_for(category) for category in categories]
     assert len(set(colors)) == len(categories)
+
+
+# ---------------------------------------------------------------------------
+# the one colour pass, and the bytes it renders to
+# ---------------------------------------------------------------------------
+
+
+def _edge_values(scale):
+    """Every bucket edge with its two float neighbours, plus the specials."""
+    edges = [bucket.lo for bucket in scale.buckets] + [scale.buckets[-1].hi]
+    around = [
+        float(np.nextafter(edge, toward))
+        for edge in edges
+        for toward in (-np.inf, edge, np.inf)
+    ]
+    return around + [np.nan, np.inf, 0.0, -1.0, -np.inf]
+
+
+@pytest.mark.parametrize(
+    "scale", [ABSOLUTE_TIME_SCALE, RELATIVE_FACTOR_SCALE], ids=["absolute", "relative"]
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_colour_pass_equals_per_cell_color_for(scale, data):
+    from repro.viz.colormap import CENSORED_RGB, _cell_colors
+
+    value = st.one_of(
+        st.sampled_from(_edge_values(scale)),
+        st.floats(min_value=-10.0, max_value=1e7, allow_nan=False),
+    )
+    nx = data.draw(st.integers(1, 5))
+    ny = data.draw(st.integers(1, 5))
+    grid = np.asarray(
+        data.draw(st.lists(value, min_size=nx * ny, max_size=nx * ny))
+    ).reshape(nx, ny)
+    cells = _cell_colors(grid, scale)
+    assert cells.shape == (ny, nx, 3) and cells.dtype == np.uint8
+    for ix in range(nx):
+        for iy in range(ny):
+            v = float(grid[ix, iy])
+            expected = CENSORED_RGB if np.isnan(v) else scale.color_for(v)
+            assert tuple(cells[ny - 1 - iy, ix]) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_colour_pass_equals_per_cell_color_for_index(data):
+    """A categorical scale past the palette's length; negatives are white."""
+    from repro.viz import CATEGORICAL_PALETTE, CategoricalScale
+    from repro.viz.colormap import CENSORED_RGB, _cell_colors
+
+    n = len(CATEGORICAL_PALETTE) + 3
+    scale = CategoricalScale([f"p{i}" for i in range(n)], "Chosen plan")
+    nx = data.draw(st.integers(1, 5))
+    ny = data.draw(st.integers(1, 5))
+    indices = np.asarray(
+        data.draw(
+            st.lists(st.integers(-2, n - 1), min_size=nx * ny, max_size=nx * ny)
+        )
+    ).reshape(nx, ny)
+    cells = _cell_colors(indices, scale)
+    for ix in range(nx):
+        for iy in range(ny):
+            i = int(indices[ix, iy])
+            expected = CENSORED_RGB if i < 0 else scale.color_for_index(i)
+            assert tuple(cells[ny - 1 - iy, ix]) == expected
+
+
+def test_rendered_bytes_of_the_golden_map_are_pinned():
+    """sha256 of every plan's ``/render`` SVG and PNG, and of one ASCII map,
+    as the parent of the one-colour-pass change rendered them: tier-1, not
+    only the benchmark's artifact digest, fails when a rendered byte moves."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from repro.core.mapdata import MapData
+    from repro.viz import render_map
+
+    data_dir = Path(__file__).parent / "data"
+    pins = json.loads((data_dir / "golden_render_sha256.json").read_text())
+    golden = MapData.load(data_dir / "golden_two_predicate.json")
+    rendered = {
+        f"{plan_id}.{fmt}": render_map(golden, plan_id, fmt)[1]
+        for plan_id in golden.plan_ids
+        for fmt in ("svg", "png")
+    }
+    rendered["A.idx_a_fetch.txt"] = heatmap_ascii(
+        golden.times_for("A.idx_a_fetch"), ABSOLUTE_TIME_SCALE
+    ).encode()
+    assert {
+        name: hashlib.sha256(payload).hexdigest()
+        for name, payload in rendered.items()
+    } == pins
