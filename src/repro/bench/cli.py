@@ -252,11 +252,13 @@ def _print_store_stats(session: BenchSession) -> None:
         return
     stats = store.stats()
     lookups = stats["cell_hits"] + stats["cell_misses"]
+    corrupt = stats["corrupt_lines"]
     print(
         f"cell store {store.directory}: {stats['cell_hits']}/{lookups} "
         f"cells from store ({stats['hit_rate']:.0%} hit rate), "
         f"{stats['writes']} measurements written, "
         f"{stats['entries']} entries total"
+        + (f", {corrupt} corrupt lines skipped" if corrupt else "")
     )
 
 

@@ -53,6 +53,7 @@ from repro.core.cellstore import CellStore
 from repro.core.choice import ChoiceMap, build_choice_map
 from repro.core.driver import AdaptiveRefinePolicy
 from repro.core.mapdata import MapData
+from repro.core.scenario import build_scenario
 from repro.errors import ExperimentError
 from repro.optimizer import STANDARD_POLICIES, PlanChooser
 from repro.systems import DatabaseSystem, build_three_systems
@@ -238,37 +239,47 @@ class BenchSession:
     # ------------------------------------------------------------------
 
     def choice_maps(self) -> dict[str, ChoiceMap]:
-        """One choice/regret map per standard selection policy, memoized.
-
-        Every cell's choice is computed from that cell's true
-        cardinalities perturbed by the deterministic error model, under
-        System A's cost model; regret divides the chosen plan's measured
-        time by the measured best (``best_times`` over the full
-        inventory).  Deterministic end to end: same config, same maps —
-        serial or parallel, cached or recomputed.
-        """
+        """:func:`choice_maps_for` this session's estimation map, memoized."""
         with self._choices_lock:
             if not self._choices:
-                mapdata = self.request_map(MapRequest("estimation"))
-                scenario = definition_for("estimation").scenario(self)
-                model = self.system_a.cost_model(
-                    memory_bytes=self.config.memory_bytes
+                self._choices = choice_maps_for(
+                    self.config,
+                    self.system_a,
+                    self.request_map(MapRequest("estimation")),
                 )
-                for policy_type in STANDARD_POLICIES:
-                    chooser = PlanChooser(model, policy_type())
-
-                    def choose(idx: tuple[int, ...]) -> str:
-                        return chooser.choose(
-                            scenario.candidate_plans(idx),
-                            scenario.estimates(idx),
-                        )
-
-                    self._choices[chooser.policy.name] = build_choice_map(
-                        mapdata, chooser.policy.name, choose
-                    )
             return dict(self._choices)
 
     def system_a_plan_ids(self) -> list[str]:
         """The 7 System A plan ids of the two-predicate query (Fig 7)."""
         mapdata = self.request_map(MapRequest("two_predicate"))
         return [plan_id for plan_id in mapdata.plan_ids if plan_id.startswith("A.")]
+
+
+def choice_maps_for(
+    config: BenchConfig, system_a: DatabaseSystem, mapdata: MapData
+) -> dict[str, ChoiceMap]:
+    """One choice/regret map per standard selection policy over a
+    measured estimation map.
+
+    Every cell's choice is computed from that cell's true cardinalities
+    perturbed by the deterministic error model, under System A's cost
+    model; regret divides the chosen plan's measured time by the
+    measured best (``best_times`` over the full inventory).
+    Deterministic end to end: same config, same maps — serial or
+    parallel, cached or recomputed.
+    """
+    scenario = build_scenario(definition_for("estimation").spec(config), [system_a])
+    model = system_a.cost_model(memory_bytes=config.memory_bytes)
+    choices = {}
+    for policy_type in STANDARD_POLICIES:
+        chooser = PlanChooser(model, policy_type())
+
+        def choose(idx: tuple[int, ...]) -> str:
+            return chooser.choose(
+                scenario.candidate_plans(idx), scenario.estimates(idx)
+            )
+
+        choices[chooser.policy.name] = build_choice_map(
+            mapdata, chooser.policy.name, choose
+        )
+    return choices

@@ -63,7 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, harness imports us
 
 
 def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
+    text = os.environ.get(name, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ExperimentError(f"{name} must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,11 @@ class BenchConfig:
         "join_row_bytes": 1,
         "join_key_domain": 1,
         "refine_max_cells": 0,
+        "n_workers": -1,
     }
+
+    #: Largest legal value per knob: a grid starts at or below 2^0.
+    _CEILINGS = {"min_exp_1d": 0, "min_exp_2d": 0}
 
     def __post_init__(self) -> None:
         """Knob legality, decided here for every front door.
@@ -203,6 +211,8 @@ class BenchConfig:
                 legal = "finite"
             elif f.name in self._FLOORS and min(numbers) < self._FLOORS[f.name]:
                 legal = f"at least {self._FLOORS[f.name]}"
+            elif f.name in self._CEILINGS and value > self._CEILINGS[f.name]:
+                legal = f"at most {self._CEILINGS[f.name]}"
             elif f.name == "budget_scale" and value <= 0:
                 legal = "positive"
             else:
@@ -530,7 +540,7 @@ def _coerce_override(name: str, value: object, current: object) -> object:
         if _is_number(value):
             return value
         expected = "a number"
-    elif isinstance(current, tuple):
+    else:  # a tuple: every overridable knob is one of these four kinds
         if (
             isinstance(value, (list, tuple))
             and value
@@ -538,8 +548,6 @@ def _coerce_override(name: str, value: object, current: object) -> object:
         ):
             return tuple(value)
         expected = "a non-empty list of numbers"
-    else:
-        return value
     raise ExperimentError(f"knob {name!r} must be {expected}, got {value!r}")
 
 

@@ -43,9 +43,10 @@ Dependency-light pure python: 16 append-only JSONL shards (fanned out on
 the first hex digit of the key) plus an in-memory index built on first
 access and extended by tailing the shards at the start of every sweep
 wave (see :class:`CellStore`).  Appends are atomic (one ``write`` of
-complete lines); every line carries a blake2s digest of its record, and
-any complete line that is malformed or tampered with raises
-:class:`~repro.errors.ExperimentError` when it is read.
+complete lines, started on a fresh line when a killed writer left half
+of one behind); every line carries a blake2s digest of its record, and
+a complete line that is malformed or tampered with answers no lookup:
+it is skipped, counted (:attr:`CellStore.corrupt_lines`) and logged.
 :meth:`CellStore.compact` rewrites the shards, dropping superseded
 duplicates and corrupt (orphaned) lines.
 """
@@ -57,11 +58,14 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.obs.logs import get_logger
+
+logger = get_logger("core.cellstore")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.mapdata import MapData
@@ -117,6 +121,20 @@ def _decode_line(line: str | bytes) -> tuple[str, CellRecord]:
     return key, record
 
 
+def _decoded(
+    lines: Iterable[bytes], corrupt: list[int], lines_before: int = 0
+) -> Iterator[tuple[str, CellRecord]]:
+    """The entries of consecutive shard lines; the line number of every one
+    that does not parse or verify is appended to ``corrupt``."""
+    for lineno, line in enumerate(lines, lines_before + 1):
+        if not line.strip():
+            continue
+        try:
+            yield _decode_line(line)
+        except (ValueError, KeyError, TypeError):
+            corrupt.append(lineno)
+
+
 class SweepKeyer:
     """Per-(plan, cell) content addresses for one configured sweep.
 
@@ -164,10 +182,6 @@ class SweepKeyer:
                 f"addressable (must be canonical JSON): {exc}"
             ) from exc
 
-    @property
-    def jittered(self) -> bool:
-        return self._jittered
-
     def key(self, plan_id: str, idx: tuple[int, ...]) -> str:
         """Content address of one plan's measurement at grid position idx."""
         payload = dict(self._base)
@@ -201,7 +215,9 @@ class CellStore:
 
     * Only whole lines are consumed.  An unterminated tail is another
       process mid-append: it is left for the next refresh, not an error.
-      A *complete* line that does not parse or verify raises, as ever.
+      A *complete* line that does not parse or verify is what a killed
+      writer leaves: it is skipped with a warning and counted in
+      ``corrupt_lines`` until :meth:`compact` drops it.
     * A shard whose inode changed or that shrank was rewritten by another
       process's :meth:`compact`; offsets into it mean nothing, so the
       index is dropped and rebuilt from offset 0.
@@ -227,6 +243,7 @@ class CellStore:
         self.cell_hits = 0
         self.cell_misses = 0
         self.writes = 0
+        self.corrupt_lines = 0
 
     # ------------------------------------------------------------------
 
@@ -259,9 +276,7 @@ class CellStore:
         """Decode what the shards hold past the remembered offsets.
 
         Lock held.  Starts over from nothing when the index is not loaded
-        yet or a shard was replaced; a corrupt line leaves its shard's
-        offset where it was, so every later scan raises again until
-        :meth:`compact` repairs the store.
+        yet or a shard was replaced.
         """
         index, tails = self._index, self._tails
         if index is None:
@@ -280,28 +295,20 @@ class CellStore:
                 fh.seek(offset)
                 lines = fh.read().split(b"\n")
             lines.pop()  # empty after a newline, else a writer mid-append
-            for line in lines:
-                lineno += 1
-                offset += len(line) + 1
-                if not line.strip():
-                    continue
-                try:
-                    key, record = _decode_line(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ExperimentError(
-                        f"corrupt cell-store shard {path} (line "
-                        f"{lineno}): {exc}; run compact() to drop "
-                        "damaged entries"
-                    ) from exc
-                index[key] = record  # later appends supersede
-            tails[path] = (inode, offset, lineno)
+            corrupt: list[int] = []
+            index.update(_decoded(lines, corrupt, lineno))  # later appends supersede
+            for bad in corrupt:
+                logger.warning(
+                    "corrupt cell-store shard %s (line %d): skipped; "
+                    "compact() drops damaged entries", path, bad,
+                )
+            self.corrupt_lines += len(corrupt)
+            offset += sum(len(line) + 1 for line in lines)
+            tails[path] = (inode, offset, lineno + len(lines))
         self._index, self._tails = index, tails
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.index
 
     def get(self, key: str) -> CellRecord | None:
         return self.index.get(key)
@@ -328,7 +335,13 @@ class CellStore:
                 written += 1
             for path, lines in by_shard.items():
                 blob = b"".join(lines)
-                with path.open("ab") as fh:
+                with path.open("a+b") as fh:
+                    if fh.seek(0, os.SEEK_END):
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            # Half a line from a killed writer: end it, so
+                            # it is one corrupt line and nothing is glued on.
+                            blob = b"\n" + blob
                     fh.write(blob)  # one write: atomic append
                     fh.flush()
                     end, this_inode = fh.tell(), os.fstat(fh.fileno()).st_ino
@@ -338,9 +351,6 @@ class CellStore:
                     self._tails[path] = (inode, end, lineno + len(lines))
             self.writes += written
             return written
-
-    def put(self, key: str, record: CellRecord) -> int:
-        return self.put_many([(key, record)])
 
     def count_lookups(self, hits: int, misses: int) -> None:
         """Add one wave's cell-level hit/miss counts (see :func:`lookup_cells`)."""
@@ -355,9 +365,9 @@ class CellStore:
 
         Superseded: earlier lines shadowed by a later append of the same
         key.  Orphaned: lines that no longer parse or whose record digest
-        does not verify (e.g. a torn write from a killed process) —
-        compaction is the recovery path for a store whose strict loads
-        raise.  Shard rewrites are atomic (tmp file + rename).  Returns
+        does not verify (e.g. a torn write from a killed process), which
+        every load until then skips and counts.  Shard rewrites are atomic
+        (tmp file + rename).  Returns
         ``{"kept": ..., "superseded": ..., "corrupt": ...}``.
         """
         stats = {"kept": 0, "superseded": 0, "corrupt": 0}
@@ -366,19 +376,11 @@ class CellStore:
         with self._lock:
             for path in self._shard_paths():
                 entries: dict[str, CellRecord] = {}
-                duplicates = 0
-                for line in path.read_text().splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        key, record = _decode_line(line)
-                    except (ValueError, KeyError, TypeError):
-                        stats["corrupt"] += 1
-                        continue
-                    if key in entries:
-                        duplicates += 1
+                corrupt: list[int] = []
+                for key, record in _decoded(path.read_bytes().split(b"\n"), corrupt):
+                    stats["superseded"] += key in entries
                     entries[key] = record
-                stats["superseded"] += duplicates
+                stats["corrupt"] += len(corrupt)
                 stats["kept"] += len(entries)
                 tmp = path.with_suffix(".jsonl.tmp")
                 blob = b"".join(
@@ -400,6 +402,7 @@ class CellStore:
                 "cell_hits": self.cell_hits,
                 "cell_misses": self.cell_misses,
                 "writes": self.writes,
+                "corrupt_lines": self.corrupt_lines,
                 "hit_rate": self.cell_hits / lookups if lookups else 0.0,
             }
 

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.mapdata import (
     MapAxis,
     MapData,
-    cells_mask,
     floats_from_json,
     floats_to_json,
 )
@@ -88,31 +87,6 @@ class ChoiceMap:
     def is_2d(self) -> bool:
         return self.choices.ndim == 2
 
-    def chosen_id(self, idx: tuple[int, ...]) -> str:
-        return self.plan_ids[int(self.choices[idx])]
-
-    def chosen_fraction(self, plan_id: str) -> float:
-        """Fraction of cells on which this plan is the choice."""
-        try:
-            index = self.plan_ids.index(plan_id)
-        except ValueError:
-            raise ExperimentError(
-                f"unknown plan {plan_id!r}; have {self.plan_ids}"
-            ) from None
-        return float(np.count_nonzero(self.choices == index)) / max(
-            1, self.choices.size
-        )
-
-    def chosen_plans(self) -> list[str]:
-        """Plan ids chosen on at least one cell, in inventory order."""
-        used = np.unique(self.choices)
-        return [self.plan_ids[int(i)] for i in used]
-
-    @property
-    def measured_mask(self) -> np.ndarray:
-        """True where the underlying cell was actually measured."""
-        return cells_mask(self.meta.get("measured_cells"), self.grid_shape)
-
     def worst_regret(self, where: np.ndarray | None = None) -> float:
         """Largest finite-or-inf regret (NaN cells excluded)."""
         regret = self.regret if where is None else self.regret[where]
@@ -128,16 +102,6 @@ class ChoiceMap:
         if finite.size == 0:
             raise ExperimentError("regret is not finite on any cell")
         return float(finite.mean())
-
-    def differs_from(self, other: "ChoiceMap") -> int:
-        """Number of cells where the two maps choose different plans."""
-        if self.plan_ids != other.plan_ids:
-            raise ExperimentError(
-                "choice maps over different plan inventories"
-            )
-        if self.grid_shape != other.grid_shape:
-            raise ExperimentError("choice maps over different grids")
-        return int(np.count_nonzero(self.choices != other.choices))
 
     # ------------------------------------------------------------------
     # serialization (same conventions as MapData)

@@ -52,7 +52,9 @@ def resolve_cells(cells: Sequence[int] | None, n_cells: int) -> list[int]:
     if cells is None:
         return list(range(n_cells))
     resolved = sorted(int(c) for c in cells)
-    if resolved and (resolved[0] < 0 or resolved[-1] >= n_cells):
+    if not resolved:
+        raise ExperimentError("an explicit cell list names at least one cell")
+    if resolved[0] < 0 or resolved[-1] >= n_cells:
         raise ExperimentError(
             f"cell indices out of range for a {n_cells}-cell grid: "
             f"{resolved}"
@@ -364,9 +366,9 @@ class SweepDriver:
                     )
                 )
         if state.mapdata is None:
-            # Degenerate empty sweep (e.g. an explicit empty cell list):
-            # preserve the classic all-NaN partial map.
-            state.mapdata = self.measure([])
+            raise ExperimentError(
+                f"policy {self.policy.name!r} proposed no cell to measure"
+            )
         result = state.mapdata
         extra = self.policy.result_meta(state)
         if extra:

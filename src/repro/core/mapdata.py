@@ -423,8 +423,6 @@ class MapData:
                     f"parts overlap on cells {sorted(overlap)}"
                 )
             seen.update(cells)
-            if not cells:
-                continue
             idx = np.unravel_index(np.asarray(cells, dtype=np.int64), shape)
             times[(slice(None), *idx)] = part.times[(slice(None), *idx)]
             aborted[(slice(None), *idx)] = part.aborted[(slice(None), *idx)]
@@ -440,8 +438,6 @@ class MapData:
             profiles.update(part.meta.get("profiles", {}))
         if profiles:
             meta["profiles"] = profiles
-        elif "profiles" in meta:
-            del meta["profiles"]
         return cls(
             plan_ids=list(first.plan_ids),
             times=times,

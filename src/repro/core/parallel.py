@@ -335,7 +335,7 @@ class ParallelSweep:
         to it.  Merge order-independence is unchanged.
         """
         hits: dict = {}
-        if store_ctx is not None and wave:
+        if store_ctx is not None:
             hits = lookup_cells(
                 store_ctx.store,
                 store_ctx.keyer,
@@ -351,14 +351,10 @@ class ParallelSweep:
                 len(misses), self._n_chunks(len(misses), workers)
             )
             chunks = [[misses[i] for i in chunk] for chunk in positions]
-        elif wave or store_ctx is not None:
-            chunks = []
         else:
-            # Degenerate empty sweep, no store: one empty chunk yields
-            # the classic all-NaN partial map, matching the serial path.
-            chunks = [[]]
+            chunks = []
         parts: list[MapData] = []
-        parts_total = len(chunks) + (1 if hits or (store_ctx and not wave) else 0)
+        parts_total = len(chunks) + (1 if hits else 0)
         done_cells = 0
         # Elapsed/ETA are per wave (like the serial per-cell loop):
         # mixing a sweep-global clock with per-wave cell counts would
@@ -389,7 +385,7 @@ class ParallelSweep:
                 )
             )
 
-        if store_ctx is not None and (hits or not wave):
+        if hits:
             # Replay stored cells through the parent's in-process sweep:
             # the part is built by the same code path a cold chunk uses,
             # so the merged map stays bit-identical.

@@ -585,15 +585,6 @@ class _OperatorScenario(Scenario):
     def provider(self) -> OperatorBench:
         return self.providers()[0]
 
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, providers: list) -> "Scenario":
-        first = providers[0] if providers else None
-        if not isinstance(first, OperatorBench):
-            # A systems factory was supplied; operator plans only need an
-            # env, so wrap a fresh bench rather than borrowing the system's.
-            first = OperatorBench()
-        return super().from_spec(spec, [first])
-
     def input_values(self, n_rows: int) -> np.ndarray:
         """The deterministic operator input for a given row count."""
         rng = np.random.default_rng([self.seed, n_rows])

@@ -23,7 +23,6 @@ from repro.executor.plans import (
     FetchNode,
     RidIntersectNode,
     CoveringCompositeScanNode,
-    MdamScanNode,
     CoveringRidJoinNode,
     ExternalSortNode,
     PlanRunner,
@@ -60,7 +59,6 @@ __all__ = [
     "FetchNode",
     "RidIntersectNode",
     "CoveringCompositeScanNode",
-    "MdamScanNode",
     "ExternalSortNode",
     "CoveringRidJoinNode",
     "PlanRunner",

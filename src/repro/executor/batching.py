@@ -1,7 +1,7 @@
 """Global switch between batched and per-item reference execution paths.
 
 The batched execution core charges virtual time in vectorized aggregates
-(:meth:`SimClock.advance_many`, :meth:`BufferPool.get_many`,
+(:meth:`SimClock.advance_many`, :meth:`BufferPool.plan_many`,
 :meth:`BPlusTree.probe_many`, :meth:`Disk.read_runs`) that are
 bit-identical to the per-item loops they replace.  The per-item loops are
 kept as *reference paths*: identity tests assert that both modes measure

@@ -195,8 +195,7 @@ class HashJoinNode(PlanNode):
             available,
             max(in_memory_rows * self.entry_bytes, fanout * profile.page_size),
         )
-        grant = ctx.broker.grant(workspace)
-        try:
+        with ctx.broker.grant(workspace):
             for _ in range(passes):
                 for rows in (spilled_build, spilled_probe):
                     if rows:
@@ -210,8 +209,6 @@ class HashJoinNode(PlanNode):
             ctx.charge_many(
                 (n_build, n_probe), (2 * profile.cpu_hash, profile.cpu_hash)
             )
-        finally:
-            grant.release()
 
 
 class IndexNestedLoopJoinNode(PlanNode):

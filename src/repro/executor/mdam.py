@@ -26,7 +26,6 @@ from repro.executor.context import ExecContext
 from repro.executor.results import Result
 from repro.obs.tracer import trace_op
 from repro.storage.bitmap import dedupe_sorted
-from repro.storage.codec import CompositeKeyCodec
 from repro.storage.table import SecondaryIndex
 
 
@@ -58,7 +57,7 @@ def _mdam_scan(
     trailing_range: tuple[int, int],
 ) -> Result:
     codec = index.codec
-    if not isinstance(codec, CompositeKeyCodec) or codec.n_columns != 2:
+    if codec.n_columns != 2:
         raise PlanError("MDAM requires a two-column composite index")
     tree = index.tree
     flat = tree.flat

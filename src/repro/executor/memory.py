@@ -51,10 +51,6 @@ class MemoryBroker:
         self.denials = 0
 
     @property
-    def in_use_bytes(self) -> int:
-        return self._in_use
-
-    @property
     def available_bytes(self) -> int:
         return self.limit_bytes - self._in_use
 

@@ -17,7 +17,6 @@ Node inventory (→ the paper's plan classes):
   in-index trailing filter → rids (System B's access path).
 * :class:`CoveringCompositeScanNode` — covering composite scan, plain or
   MDAM (System C).
-* :class:`MdamScanNode` — explicit MDAM node.
 * :class:`CoveringRidJoinNode` — joins a rid set with a full scan of a
   second index so the join result covers the query (Fig 2's plans).
 """
@@ -41,7 +40,6 @@ from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
 from repro.sim.disk import DiskStats
 from repro.storage.bitmap import intersect_rids, probe_rids, rid_sort_order
-from repro.storage.codec import CompositeKeyCodec
 from repro.storage.env import StorageEnv
 from repro.storage.table import SecondaryIndex, Table
 
@@ -65,9 +63,6 @@ class PlanNode(ABC):
     def execute(self, ctx: ExecContext) -> Result:
         """Run the operator, charging virtual time; returns its result."""
 
-    def children(self) -> tuple["PlanNode", ...]:
-        return ()
-
     def estimated_cost(self, model, est: dict) -> float:
         """Compile-time cost under a cost model and cardinality estimates.
 
@@ -87,13 +82,6 @@ class PlanNode(ABC):
         raise PlanError(
             f"plan {self.label!r} has no output-cardinality estimate"
         )
-
-    def explain(self, indent: int = 0) -> str:
-        """Indented textual plan tree (EXPLAIN output)."""
-        lines = ["  " * indent + f"-> {self.label}"]
-        for child in self.children():
-            lines.append(child.explain(indent + 1))
-        return "\n".join(lines)
 
 
 class TableScanNode(PlanNode):
@@ -262,7 +250,7 @@ class CompositeRangeRidsNode(PlanNode):
         trailing: ColumnRange,
     ) -> None:
         codec = index.codec
-        if not isinstance(codec, CompositeKeyCodec) or codec.n_columns != 2:
+        if codec.n_columns != 2:
             raise PlanError("CompositeRangeRidsNode needs a two-column index")
         lead_col, trail_col = index.key_columns
         if (leading.column, trailing.column) != (lead_col, trail_col):
@@ -283,7 +271,7 @@ class CompositeRangeRidsNode(PlanNode):
 
     def _execute_traced(self, ctx: ExecContext) -> Result:
         index = self.index
-        codec: CompositeKeyCodec = index.codec  # type: ignore[assignment]
+        codec = index.codec
         maxima = tuple((1 << b) - 1 for b in codec.bits)
         lead_lo = max(0, self.leading.lo)
         lead_hi = min(self.leading.hi, maxima[0])
@@ -335,9 +323,6 @@ class FetchNode(PlanNode):
         self.label = (
             f"Fetch({strategy.name}; {mode}; residual: {residual_text})"
         )
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def execute(self, ctx: ExecContext) -> Result:
         child_result = self.child.execute(ctx)
@@ -453,9 +438,6 @@ class RidIntersectNode(PlanNode):
         suffix = f"; build={build}" if algorithm == "hash" else ""
         self.label = f"RidIntersect({algorithm}{suffix})"
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
     def execute(self, ctx: ExecContext) -> Result:
         left = self.left.execute(ctx)
         right = self.right.execute(ctx)
@@ -516,7 +498,7 @@ class CoveringCompositeScanNode(PlanNode):
         use_mdam: bool,
     ) -> None:
         codec = index.codec
-        if not isinstance(codec, CompositeKeyCodec) or codec.n_columns != 2:
+        if codec.n_columns != 2:
             raise PlanError("CoveringCompositeScanNode needs a two-column index")
         self.index = index
         self.leading = leading
@@ -531,7 +513,7 @@ class CoveringCompositeScanNode(PlanNode):
         )
 
     def execute(self, ctx: ExecContext) -> Result:
-        codec: CompositeKeyCodec = self.index.codec  # type: ignore[assignment]
+        codec = self.index.codec
         maxima = tuple((1 << b) - 1 for b in codec.bits)
         if self.use_mdam:
             lead_lo = max(0, self.leading.lo)
@@ -545,16 +527,6 @@ class CoveringCompositeScanNode(PlanNode):
             )
         assert self._plain is not None
         return self._plain.execute(ctx)
-
-
-class MdamScanNode(CoveringCompositeScanNode):
-    """Convenience alias: covering composite scan with MDAM enabled."""
-
-    def __init__(
-        self, index: SecondaryIndex, leading: ColumnRange, trailing: ColumnRange
-    ) -> None:
-        super().__init__(index, leading, trailing, use_mdam=True)
-        self.label = f"MdamScan({index.name}; {leading}; {trailing})"
 
 
 class CoveringRidJoinNode(PlanNode):
@@ -585,9 +557,6 @@ class CoveringRidJoinNode(PlanNode):
         self.build = build
         suffix = f"; build={build}" if algorithm == "hash" else ""
         self.label = f"CoveringRidJoin({value_index.name}; {algorithm}{suffix})"
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def execute(self, ctx: ExecContext) -> Result:
         child = self.child.execute(ctx)
@@ -627,11 +596,6 @@ class CoveringRidJoinNode(PlanNode):
         ctx.charge(common.size, profile.cpu_row)
         ctx.check_budget()
         return Result(np.asarray(common, dtype=np.int64), columns)
-
-    def estimated_rows(self, est: dict) -> float:
-        # The rid join with the full value index preserves the child's
-        # qualifying rid set; it only adds the projected column.
-        return self.child.estimated_rows(est)
 
     def estimated_cost(self, model, est: dict) -> float:
         rows_child = self.child.estimated_rows(est)
@@ -742,11 +706,6 @@ class MeasuredRun:
             )
             self._checksum_fn = None
         return self._rid_checksum
-
-    @property
-    def censored(self) -> bool:
-        """True when the run hit its cost budget (cost is a lower bound)."""
-        return self.aborted
 
     def __repr__(self) -> str:
         return (

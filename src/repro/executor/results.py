@@ -89,9 +89,6 @@ class Result:
         mixed = (rids * np.uint64(0x9E3779B97F4A7C15)) ^ (rids >> np.uint64(7))
         return int(np.bitwise_xor.reduce(mixed) ^ np.uint64(rids.size))
 
-    def sorted_rids(self) -> np.ndarray:
-        return np.sort(self.rids)
-
     def __repr__(self) -> str:
         state = "deferred" if self._rids is None else "materialized"
         return f"Result(n_rows={self._n_rows}, {state})"

@@ -65,10 +65,6 @@ class SortResult:
             self._values_fn = None
         return self._values
 
-    @property
-    def spilled(self) -> bool:
-        return self.spilled_rows > 0
-
 
 class ExternalSort:
     """Sorts one NumPy array, charging CPU and spill I/O."""
@@ -95,11 +91,8 @@ class ExternalSort:
         n_rows = int(values.size)
         memory_rows = self._memory_rows()
         if n_rows <= memory_rows:
-            grant = ctx.broker.grant(n_rows * self.row_bytes)
-            try:
+            with ctx.broker.grant(n_rows * self.row_bytes):
                 ctx.charge_sort_cpu(n_rows)
-            finally:
-                grant.release()
             return SortResult(
                 None, spilled_rows=0, n_runs=1, values_fn=lambda: np.sort(values)
             )
@@ -127,8 +120,7 @@ class ExternalSort:
         workspace_bytes = min(
             memory_rows * self.row_bytes, ctx.broker.available_bytes
         )
-        grant = ctx.broker.grant(workspace_bytes)
-        try:
+        with ctx.broker.grant(workspace_bytes):
             with trace_op(ctx, "sort:run-generation", "sort"):
                 # Run generation: sort each memory-full and write it out.
                 n_runs = max(1, math.ceil(spilled_rows / memory_rows))
@@ -170,6 +162,4 @@ class ExternalSort:
                     comparisons = n_rows * math.log2(merge_ways)
                     ctx.clock.advance(comparisons * ctx.profile.cpu_compare)
                 ctx.check_budget()
-        finally:
-            grant.release()
         return n_runs

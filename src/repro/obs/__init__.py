@@ -12,7 +12,6 @@ Three planes, all stdlib + NumPy only:
 
 from repro.obs.logs import JsonFormatter, get_logger, log_format, setup_logging
 from repro.obs.metrics import (
-    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -33,7 +32,6 @@ from repro.obs.tracer import (
     Span,
     SpanContext,
     Tracer,
-    current_tracer,
     trace_op,
     tracing_requested,
     use_tracer,
@@ -41,7 +39,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "COUNTER_NAMES",
-    "REGISTRY",
     "CellProfile",
     "Counter",
     "Gauge",
@@ -53,7 +50,6 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "chrome_trace",
-    "current_tracer",
     "get_logger",
     "log_format",
     "parse_profile_key",

@@ -106,10 +106,6 @@ class Counter(Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
     def samples(self) -> Iterator[tuple[str, str, float]]:
         with self._lock:
             values = dict(self._values) or {(): 0.0}
@@ -180,11 +176,6 @@ class Histogram(Metric):
             self._sum += float(value)
             self._count += 1
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
     def samples(self) -> Iterator[tuple[str, str, float]]:
         with self._lock:
             counts = list(self._counts)
@@ -251,6 +242,3 @@ class MetricsRegistry:
             metrics = [self._metrics[name] for name in sorted(self._metrics)]
         return "\n".join(metric.render() for metric in metrics) + "\n"
 
-
-#: Process-default registry for callers without their own scope.
-REGISTRY = MetricsRegistry()

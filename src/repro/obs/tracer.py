@@ -222,11 +222,6 @@ class Tracer:
 _TRACER: ContextVar[Tracer | None] = ContextVar("repro_tracer", default=None)
 
 
-def current_tracer() -> Tracer | None:
-    """The tracer active in this context, or ``None``."""
-    return _TRACER.get()
-
-
 @contextmanager
 def use_tracer(tracer: Tracer | None) -> Iterator[Tracer | None]:
     """Install ``tracer`` for the duration of the ``with`` block."""

@@ -263,10 +263,10 @@ class MapServiceHandler(BaseHTTPRequestHandler):
                 f"not {job.request.scenario!r}",
             )
             return
-        if job.result is None or job.session is None:
+        choices = self.manager.choice_maps(job)
+        if choices is None:
             self._not_finished(job)
             return
-        choices = job.session.choice_maps()
         self._send_json(
             200,
             {

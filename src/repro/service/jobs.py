@@ -22,8 +22,8 @@ The :class:`JobManager` turns serializable
 Each job runs on its own :class:`~repro.bench.harness.BenchSession`
 (systems are scale-dependent and not safely shared across concurrent
 sweeps), which lives no longer than the sweep: a finished job keeps its
-result, not its tables or its last snapshot (an ``estimation`` job keeps
-the session too, for ``GET /choice``).  Every session is handed the
+result, not its tables or its last snapshot (``GET /choice`` builds
+System A again, at the first ask).  Every session is handed the
 manager's one :class:`~repro.core.cellstore.CellStore`: its shards are
 read once per manager and tailed at the start of each sweep wave, so a
 job sees what earlier jobs and other processes stored without re-reading
@@ -43,9 +43,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.harness import BenchConfig, BenchSession
+from repro.bench.harness import BenchConfig, BenchSession, choice_maps_for
 from repro.bench.requests import MapRequest, definition_for
 from repro.core.cellstore import CellStore
+from repro.core.choice import ChoiceMap
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent, checked_snapshot_every
 from repro.errors import ExperimentError
@@ -85,11 +86,13 @@ class Job:
     total: int = 0
     events: int = 0
     cache_hits: int | None = None
+    """Cells taken from the cell store so far, over every wave."""
+    hits_before_wave: int = 0
     cache_hit: bool = False
     error: str | None = None
     result: MapData | None = None
     snapshot: MapData | None = None
-    session: BenchSession | None = None
+    choices: dict[str, ChoiceMap] | None = None
 
 
 _SENTINEL: Job | None = None
@@ -127,9 +130,8 @@ class JobManager:
         self._jobs: dict[str, Job] = {}
         self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
         self._closed = False
-        # Per-manager metrics plane (rendered by GET /metrics).  A fresh
-        # registry per manager keeps tests and embedded services from
-        # sharing counters through the module-level default.
+        # Per-manager metrics plane (rendered by GET /metrics): tests and
+        # embedded services share no counters.
         self.metrics = MetricsRegistry()
         self._m_submitted = self.metrics.counter(
             "repro_jobs_submitted_total",
@@ -166,6 +168,12 @@ class JobManager:
         self._m_latency = self.metrics.histogram(
             "repro_job_seconds",
             "Wall-clock seconds from job start to completion.",
+        )
+        self.metrics.gauge(
+            "repro_cellstore_corrupt_lines_total",
+            "Undecodable shard lines the cell store skipped since it was opened.",
+        ).set_function(
+            lambda: 0 if self.cell_store is None else self.cell_store.corrupt_lines
         )
         self.metrics.gauge(
             "repro_queue_depth",
@@ -261,7 +269,11 @@ class JobManager:
             job.done = event.done
             job.total = event.total
             if event.cache_hits is not None:
-                job.cache_hits = event.cache_hits
+                # An event counts its own wave's hits; a round event is
+                # the last of its wave.
+                job.cache_hits = job.hits_before_wave + event.cache_hits
+                if event.kind == "round":
+                    job.hits_before_wave = job.cache_hits
             if event.snapshot is not None:
                 job.snapshot = event.snapshot
             self._cond.notify_all()
@@ -292,8 +304,7 @@ class JobManager:
         """Sweep one job's map on a session of its own.
 
         The session (tables included) is this call's local, so it is
-        freed when the sweep returns and an idle worker holds none —
-        except an ``estimation`` job's, which ``GET /choice`` reads.
+        freed when the sweep returns and an idle worker holds none.
         """
         session = BenchSession(
             job.request.resolve(self.config),
@@ -301,9 +312,6 @@ class JobManager:
             snapshot_every=self.snapshot_every,
             cell_store=self.cell_store,
         )
-        if job.request.scenario == "estimation":
-            with self._cond:
-                job.session = session
         return session.request_map(MapRequest(job.request.scenario))
 
     def _finish(
@@ -399,6 +407,23 @@ class JobManager:
                 return None
             return dict(job.result.meta.get(PROFILES_META_KEY, {}))
 
+    def choice_maps(self, job: Job) -> dict[str, ChoiceMap] | None:
+        """A finished estimation job's choice maps (None until done).
+
+        Computed from the job's result at the first ask, over a System A
+        built for the purpose, and kept on the job.  Two first asks at
+        once both compute; the maps are equal.
+        """
+        with self._cond:
+            result, choices = job.result, job.choices
+        if result is not None and choices is None:
+            config = job.request.resolve(self.config)
+            (system_a,) = definition_for("estimation").factory(config)()
+            choices = choice_maps_for(config, system_a, result)
+            with self._cond:
+                job.choices = choices
+        return choices
+
     def partial_map(self, job: Job) -> tuple[MapData | None, bool]:
         """The freshest view of a job's map: ``(mapdata, partial)``.
 
@@ -434,9 +459,9 @@ class JobManager:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
             thread.join(timeout=timeout)
-        # An estimation job, its session and the progress callback
-        # reference one another (as do tables and their indexes), so
-        # that much of a retired manager is never freed by reference
-        # counting.  Collect here, so a process that opens managers in
-        # turn holds one retired manager's tables at most.
+        # No job holds a session, but a session's tables and their
+        # secondary indexes reference one another, so reference counting
+        # alone never frees them.  Collect here, so a process that opens
+        # managers in turn holds one retired manager's tables at most
+        # (without it `service_warm` peaks at 350 MiB, not 140).
         gc.collect()

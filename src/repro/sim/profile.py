@@ -16,7 +16,7 @@ Two derived quantities matter for the shapes of all maps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ExecutionError
 
@@ -97,15 +97,6 @@ class DeviceProfile:
     def random_page_time(self) -> float:
         """Seconds for one cold random page read (seek + transfer)."""
         return self.seek_time + self.page_transfer_time
-
-    @property
-    def random_to_sequential_ratio(self) -> float:
-        """How many sequential page reads one random read is worth."""
-        return self.random_page_time / self.page_transfer_time
-
-    def with_overrides(self, **changes: object) -> "DeviceProfile":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
 
 #: Profile used throughout the test-suite: tiny pages so that small tables

@@ -20,21 +20,16 @@ from repro.sim.disk import Disk, FileHandle
 class SpillFile:
     """One spilled run: a contiguous range of pages in temp space."""
 
-    __slots__ = ("_handle", "_n_pages", "_n_rows", "_cursor")
+    __slots__ = ("_handle", "_n_pages", "_cursor")
 
-    def __init__(self, handle: FileHandle, n_pages: int, n_rows: int) -> None:
+    def __init__(self, handle: FileHandle, n_pages: int) -> None:
         self._handle = handle
         self._n_pages = n_pages
-        self._n_rows = n_rows
         self._cursor = 0
 
     @property
     def n_pages(self) -> int:
         return self._n_pages
-
-    @property
-    def n_rows(self) -> int:
-        return self._n_rows
 
     @property
     def pages_remaining(self) -> int:
@@ -67,7 +62,7 @@ class TempStore:
         n_pages = self._pages_for(n_rows, row_bytes)
         self._disk.write_run(handle, 0, n_pages)
         self.pages_spilled += n_pages
-        return SpillFile(handle, n_pages, n_rows)
+        return SpillFile(handle, n_pages)
 
     def read_pages(self, run: SpillFile, n_pages: int) -> int:
         """Read up to ``n_pages`` from the run's cursor; returns pages read.

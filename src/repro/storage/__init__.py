@@ -7,7 +7,7 @@ and an order-preserving key codec for multi-column index keys.
 """
 
 from repro.storage.env import StorageEnv
-from repro.storage.codec import IntKeyCodec, CompositeKeyCodec, codec_for_bits
+from repro.storage.codec import CompositeKeyCodec
 from repro.storage.bitmap import RowIdBitmap
 from repro.storage.buffer_pool import BufferPool, PoolStats
 from repro.storage.btree import BPlusTree
@@ -15,9 +15,7 @@ from repro.storage.table import Table, SecondaryIndex
 
 __all__ = [
     "StorageEnv",
-    "IntKeyCodec",
     "CompositeKeyCodec",
-    "codec_for_bits",
     "RowIdBitmap",
     "BufferPool",
     "PoolStats",

@@ -207,14 +207,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     @property
-    def n_entries(self) -> int:
-        return self.flat.n_entries
-
-    @property
-    def n_leaves(self) -> int:
-        return self.flat.n_leaves
-
-    @property
     def n_leaf_pages(self) -> int:
         return self.flat.n_leaves
 

@@ -21,11 +21,6 @@ from repro.errors import BufferPoolError
 from repro.sim.disk import Disk, FileHandle
 from repro.storage.lru_kernel import LruSimulation, simulate_lru
 
-#: Below this trace length the plain :meth:`BufferPool.get` loop beats the
-#: kernel's fixed NumPy overhead (a handful of dict probes vs several
-#: array ops).
-_KERNEL_MIN_ACCESSES = 8
-
 
 @dataclass
 class PoolStats:
@@ -34,26 +29,6 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    def snapshot(self) -> "PoolStats":
-        """Return an independent copy of the current counters."""
-        return PoolStats(hits=self.hits, misses=self.misses, evictions=self.evictions)
-
-    def delta(self, earlier: "PoolStats") -> "PoolStats":
-        """Return counters accumulated since ``earlier`` was snapshot."""
-        return PoolStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-        )
 
 
 @dataclass
@@ -79,10 +54,6 @@ class PlannedAccesses:
     #: file.
     other_keys: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def hit_mask(self) -> np.ndarray:
-        return self.simulation.hit_mask
-
 
 class BufferPool:
     """Exact-LRU page cache over the shared simulated disk."""
@@ -99,14 +70,6 @@ class BufferPool:
     def capacity_pages(self) -> int:
         return self._capacity
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
-    def contains(self, handle: FileHandle, page_no: int) -> bool:
-        """Whether the page is currently cached (no LRU touch)."""
-        return (handle.file_id, page_no) in self._resident
-
     def get(self, handle: FileHandle, page_no: int) -> None:
         """Access one page: free on hit, charges a disk read on miss."""
         key = (handle.file_id, page_no)
@@ -117,30 +80,6 @@ class BufferPool:
         self.stats.misses += 1
         self._disk.read_page(handle, page_no)
         self._admit(key)
-
-    def get_many(self, handle: FileHandle, page_nos) -> None:
-        """Access a page-number array, equivalent to a loop of :meth:`get`.
-
-        Produces exactly the same hit/miss counts, disk charges, eviction
-        victims, and final LRU order as ``for p in page_nos:
-        pool.get(handle, p)``.  A trace the vectorized LRU kernel can
-        take (:meth:`plan_many`) is resolved up front and its misses
-        charged as one chain — bit-identical to the sequential reads,
-        since pool hits move neither the clock nor the disk head between
-        two misses.  A trace it cannot take (a negative page number,
-        fewer than :data:`_KERNEL_MIN_ACCESSES` accesses) *is* that loop.
-        """
-        pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
-        n = int(pages.size)
-        planned = None
-        if n >= _KERNEL_MIN_ACCESSES:
-            planned = self.plan_many(handle, pages)
-        if planned is None:
-            for page in pages.tolist():
-                self.get(handle, page)
-            return
-        self.charge_planned_reads_strided(handle, planned, n, lambda: None)
-        self.commit_many(planned)
 
     def plan_many(self, handle: FileHandle, page_nos) -> PlannedAccesses | None:
         """Resolve a page-access trace through the vectorized LRU kernel.
@@ -191,8 +130,7 @@ class BufferPool:
         sequential chain), and :meth:`Disk.commit_page_reads` replays
         the loop's statistics accumulation.  A ``checkpoint`` that
         raises (budget exhaustion) leaves the clock and disk statistics
-        exactly where the sliced loop's abort would.  With ``stride``
-        the trace length this is one slice (:meth:`get_many`).
+        exactly where the sliced loop's abort would.
         """
         n = int(planned.trace.size)
         miss = planned.miss_positions
@@ -233,5 +171,3 @@ class BufferPool:
         """Drop every cached page (cold-cache reset between measurements)."""
         self._resident.clear()
 
-    def reset_stats(self) -> None:
-        self.stats = PoolStats()

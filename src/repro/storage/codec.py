@@ -1,9 +1,10 @@
 """Order-preserving key codecs for B-tree indexes.
 
-Single-column indexes store 64-bit integer keys directly; composite
-(two-column) indexes — the backbone of System B's covering plans and
-System C's MDAM scans — pack their columns into one int64 such that
-lexicographic order of the tuple equals numeric order of the encoding.
+Composite (two-column) indexes — the backbone of System B's covering
+plans and System C's MDAM scans — pack their columns into one int64 such
+that lexicographic order of the tuple equals numeric order of the
+encoding; a single-column index is the one-column case, its key stored
+as it is (shift 0).
 Packing requires fixed bit budgets per column; the codec validates that
 values fit and exposes the prefix arithmetic MDAM needs (smallest/largest
 key sharing a leading-column value).
@@ -16,41 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import KeyCodecError
-
-
-class IntKeyCodec:
-    """Identity codec for single signed-positive integer keys."""
-
-    n_columns = 1
-
-    def __init__(self, bits: int = 63) -> None:
-        if not 1 <= bits <= 63:
-            raise KeyCodecError(f"bits must be in [1, 63], got {bits}")
-        self.bits = (bits,)
-        self._max = (1 << bits) - 1
-
-    def encode(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Encode one column array of non-negative ints (validated)."""
-        if len(columns) != 1:
-            raise KeyCodecError(f"IntKeyCodec expects 1 column, got {len(columns)}")
-        values = np.asarray(columns[0], dtype=np.int64)
-        if values.size and (values.min() < 0 or values.max() > self._max):
-            raise KeyCodecError(f"values outside [0, {self._max}]")
-        return values
-
-    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (np.asarray(keys, dtype=np.int64),)
-
-    def encode_scalar(self, values: Sequence[int]) -> int:
-        (value,) = values
-        if not 0 <= value <= self._max:
-            raise KeyCodecError(f"value {value} outside [0, {self._max}]")
-        return int(value)
-
-    def range_for(self, ranges: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        """Encoded [lo, hi] (inclusive) for per-column inclusive ranges."""
-        ((lo, hi),) = ranges
-        return self.encode_scalar((lo,)), self.encode_scalar((hi,))
 
 
 class CompositeKeyCodec:
@@ -155,10 +121,3 @@ class CompositeKeyCodec:
         base = leading << shift
         return base | trailing_lo, base | trailing_hi
 
-
-def codec_for_bits(bits: Sequence[int]) -> IntKeyCodec | CompositeKeyCodec:
-    """Build the right codec for a 1- or N-column bit layout."""
-    bits = tuple(bits)
-    if len(bits) == 1:
-        return IntKeyCodec(bits[0])
-    return CompositeKeyCodec(bits)

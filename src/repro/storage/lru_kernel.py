@@ -247,8 +247,6 @@ def _simulate_segment(
     """
     n = int(segment.size)
     n_resident = int(state.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool), 0, state, None
     if (
         n_resident
         and bool(np.isin(segment[:_SHORTCUT_PROBE], state).all())

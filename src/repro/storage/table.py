@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import KeyCodecError, StorageError
 from repro.storage.btree import BPlusTree
-from repro.storage.codec import CompositeKeyCodec, IntKeyCodec, codec_for_bits
+from repro.storage.codec import CompositeKeyCodec
 from repro.storage.env import StorageEnv
 
 _ROW_OVERHEAD_BYTES = 24  # header, null bitmap, slot entry
@@ -56,7 +56,7 @@ class SecondaryIndex:
         table: "Table",
         name: str,
         key_columns: tuple[str, ...],
-        codec: IntKeyCodec | CompositeKeyCodec,
+        codec: CompositeKeyCodec,
         tree: BPlusTree,
     ) -> None:
         self.table = table
@@ -164,17 +164,9 @@ class Table:
     # ------------------------------------------------------------------
 
     @property
-    def rows_per_page(self) -> int:
-        return self.clustered.leaf_capacity
-
-    @property
     def n_pages(self) -> int:
         """Leaf pages of the clustered index (the table's data pages)."""
         return self.clustered.n_leaf_pages
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
 
     def column(self, name: str) -> np.ndarray:
         """Raw column values (no I/O charged; for oracles and builders)."""
@@ -221,7 +213,7 @@ class Table:
         self, rids: np.ndarray, columns: Sequence[str] | None = None
     ) -> dict[str, np.ndarray]:
         """Column values for the given row ids (uncharged)."""
-        names = tuple(columns) if columns is not None else self.column_names
+        names = tuple(columns) if columns is not None else tuple(self._columns)
         flat = self.clustered.flat
         return {name: flat.payload[name][rids] for name in names}
 
@@ -249,7 +241,7 @@ class Table:
         needed = [_required_bits(self.column(column)) for column in key_columns]
         if bits is None:
             bits = needed
-        codec = codec_for_bits(bits)
+        codec = CompositeKeyCodec(bits)
         if len(codec.bits) != len(needed) or any(
             need > have for need, have in zip(needed, codec.bits)
         ):
@@ -263,11 +255,6 @@ class Table:
         index = SecondaryIndex(self, name, key_columns, codec, tree)
         self.indexes[name] = index
         return index
-
-    def index(self, name: str) -> SecondaryIndex:
-        if name not in self.indexes:
-            raise StorageError(f"table {self.name!r} has no index {name!r}")
-        return self.indexes[name]
 
     def __repr__(self) -> str:
         return (

@@ -128,24 +128,6 @@ class DatabaseSystem(ABC):
                 f"sel.{column}": rows / n_rows,
                 "rows.out": rows,
             }
-        if isinstance(query, TwoPredicateQuery):
-            rows_a = float(
-                np.count_nonzero(
-                    query.predicate_a.mask(self.table.column(query.a_column))
-                )
-            )
-            rows_b = float(
-                np.count_nonzero(
-                    query.predicate_b.mask(self.table.column(query.b_column))
-                )
-            )
-            return {
-                f"rows.{query.a_column}": rows_a,
-                f"sel.{query.a_column}": rows_a / n_rows,
-                f"rows.{query.b_column}": rows_b,
-                f"sel.{query.b_column}": rows_b / n_rows,
-                "rows.out": float(query.oracle_rids(self.table).size),
-            }
         raise PlanError(
             f"system {self.name} has no oracle cardinalities for "
             f"{type(query).__name__}"

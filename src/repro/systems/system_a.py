@@ -116,13 +116,3 @@ class SystemA(DatabaseSystem):
                 rids(), self.idx_project, algorithm="hash", build="index"
             ),
         }
-
-    def fig1_plans(self, query: SinglePredicateQuery) -> dict[str, PlanNode]:
-        """The Fig 1 trio: table scan, traditional and improved index scan."""
-        plans = self.single_predicate_plans(query)
-        keep = {
-            self.qualify("table_scan"),
-            self.qualify("idx_traditional"),
-            self.qualify("idx_improved"),
-        }
-        return {plan_id: plan for plan_id, plan in plans.items() if plan_id in keep}

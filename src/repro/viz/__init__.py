@@ -13,7 +13,6 @@ from repro.viz.colormap import (
     CategoricalScale,
     ColorBucket,
     DiscreteScale,
-    interpolate_rgb,
 )
 from repro.viz.ascii_art import curve_ascii, heatmap_ascii, legend_ascii
 from repro.viz.svg import (
@@ -22,8 +21,8 @@ from repro.viz.svg import (
     curves_svg,
     heatmap_svg,
 )
-from repro.viz.png import encode_png, save_png, decode_png_size, rasterize_grid
-from repro.viz.legend import legend_svg, legend_pixels
+from repro.viz.png import encode_png, save_png, rasterize_grid
+from repro.viz.legend import legend_svg
 from repro.viz.render import MEDIA_TYPES, render_map
 from repro.viz.figures import (
     absolute_curves,
@@ -48,7 +47,6 @@ __all__ = [
     "CategoricalScale",
     "ColorBucket",
     "DiscreteScale",
-    "interpolate_rgb",
     "curve_ascii",
     "heatmap_ascii",
     "legend_ascii",
@@ -58,10 +56,8 @@ __all__ = [
     "heatmap_svg",
     "encode_png",
     "save_png",
-    "decode_png_size",
     "rasterize_grid",
     "legend_svg",
-    "legend_pixels",
     "absolute_curves",
     "relative_curves",
     "absolute_heatmap",

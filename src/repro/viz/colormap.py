@@ -252,11 +252,3 @@ def _cell_colors(
     colors[~censored] = colorize(grid[~censored])
     return colors.transpose(1, 0, 2)[::-1]
 
-
-def interpolate_rgb(low: RGB, high: RGB, fraction: float) -> RGB:
-    """Linear interpolation between two colors (for continuous maps)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise VisualizationError(f"fraction must be in [0, 1], got {fraction}")
-    return tuple(
-        int(round(l + (h - l) * fraction)) for l, h in zip(low, high)
-    )  # type: ignore[return-value]

@@ -1,7 +1,7 @@
 """Standalone color-code legends (the paper's Figures 3 and 6).
 
 The paper devotes two figures purely to its color scales; these renderers
-regenerate them as SVG and PNG artifacts.  Any scale exposing
+regenerate them as SVG artifacts.  Any scale exposing
 ``legend_entries()`` and ``title`` renders — the numeric
 :class:`~repro.viz.colormap.DiscreteScale` and the nominal
 :class:`~repro.viz.colormap.CategoricalScale` (plan identities of the
@@ -10,10 +10,7 @@ choice maps) alike.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.viz.colormap import CategoricalScale, DiscreteScale
-from repro.viz.png import rasterize_grid
 from repro.viz.svg import SvgDocument
 
 AnyScale = DiscreteScale | CategoricalScale
@@ -34,10 +31,3 @@ def legend_svg(scale: AnyScale) -> str:
         doc.text(16 + swatch + 12, y + swatch - 5, label, size=12)
     return doc.to_string()
 
-
-def legend_pixels(scale: AnyScale, cell_px: int = 24) -> np.ndarray:
-    """The swatch column as raw pixels (one cell per entry, top=first)."""
-    cells = np.asarray(
-        [[rgb] for rgb, _label in scale.legend_entries()], dtype=np.uint8
-    )
-    return rasterize_grid(cells, cell_px)

@@ -51,14 +51,6 @@ def save_png(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(encode_png(pixels))
 
 
-def decode_png_size(data: bytes) -> tuple[int, int]:
-    """Parse (width, height) from PNG bytes (used by tests)."""
-    if data[:8] != PNG_SIGNATURE:
-        raise VisualizationError("not a PNG: bad signature")
-    width, height = struct.unpack(">II", data[16:24])
-    return width, height
-
-
 def rasterize_grid(rgb_cells: np.ndarray, cell_px: int = 16) -> np.ndarray:
     """Expand an (H, W, 3) cell-color array into pixels (H*c, W*c, 3)."""
     rgb_cells = np.asarray(rgb_cells, dtype=np.uint8)

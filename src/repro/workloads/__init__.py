@@ -8,7 +8,7 @@ selectivities into integer range predicates with exact achieved fractions.
 
 from repro.workloads.generators import sequential_column, uniform_column
 from repro.workloads.lineitem import LineitemConfig, build_lineitem
-from repro.workloads.selectivity import PredicateBuilder, achieved_selectivity
+from repro.workloads.selectivity import PredicateBuilder
 from repro.workloads.queries import SinglePredicateQuery, TwoPredicateQuery
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "LineitemConfig",
     "build_lineitem",
     "PredicateBuilder",
-    "achieved_selectivity",
     "SinglePredicateQuery",
     "TwoPredicateQuery",
 ]

@@ -39,17 +39,9 @@ class TwoPredicateQuery:
     predicate_a: ColumnRange
     predicate_b: ColumnRange
 
-    @property
-    def a_column(self) -> str:
-        return self.predicate_a.column
-
-    @property
-    def b_column(self) -> str:
-        return self.predicate_b.column
-
     def oracle_rids(self, table: Table) -> np.ndarray:
         """Ground-truth qualifying rids (uncharged; for verification)."""
-        mask = self.predicate_a.mask(table.column(self.a_column)) & self.predicate_b.mask(
-            table.column(self.b_column)
+        a, b = self.predicate_a, self.predicate_b
+        return np.flatnonzero(
+            a.mask(table.column(a.column)) & b.mask(table.column(b.column))
         )
-        return np.flatnonzero(mask)

@@ -18,13 +18,6 @@ from repro.executor.predicates import ColumnRange
 from repro.storage.table import Table
 
 
-def achieved_selectivity(values: np.ndarray, predicate: ColumnRange) -> float:
-    """Exact fraction of rows a range predicate selects."""
-    if values.size == 0:
-        return 0.0
-    return float(np.count_nonzero(predicate.mask(values))) / values.size
-
-
 class PredicateBuilder:
     """Builds range predicates hitting target selectivities on one column."""
 
@@ -36,10 +29,6 @@ class PredicateBuilder:
             raise WorkloadError(f"column {column!r} is empty")
         self._sorted = np.sort(np.asarray(values, dtype=np.int64))
         self._n = int(values.size)
-
-    @property
-    def domain_max(self) -> int:
-        return int(self._sorted[-1])
 
     def range_for_selectivity(self, target: float) -> tuple[ColumnRange, float]:
         """Predicate ``[0, v]`` whose achieved fraction best matches target.

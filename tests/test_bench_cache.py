@@ -371,16 +371,24 @@ def test_cli_regret_requires_estimation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, env, message",
     [
-        (["--refine", "--max-cells", "-5"], "knob 'refine_max_cells' must be at least 0"),
-        (["--max-cells", "9"], "--max-cells needs --refine"),
+        (["--refine", "--max-cells", "-5"], {}, "knob 'refine_max_cells' must be at least 0"),
+        (["--max-cells", "9"], {}, "--max-cells needs --refine"),
+        # These three ran serially without a word, or ended in a traceback.
+        (["--workers", "-5"], {}, "knob 'n_workers' must be at least -1"),
+        ([], {"REPRO_BENCH_MIN_EXP": "2"}, "knob 'min_exp_1d' must be at most 0"),
+        ([], {"REPRO_BENCH_ROWS": "abc"}, "REPRO_BENCH_ROWS must be an integer, got 'abc'"),
     ],
-    ids=["negative", "without-refine"],
+    ids=["negative", "without-refine", "workers", "positive-exponent", "rows-not-a-number"],
 )
-def test_cli_max_cells_misuse_is_a_usage_error(tmp_path, capsys, flags, message):
+def test_cli_max_cells_misuse_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, flags, env, message
+):
     from repro.bench import cli
 
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as refused:
         cli.main([str(tmp_path / "out"), "--scenario", "join", *flags])
     assert refused.value.code == 2

@@ -45,6 +45,10 @@ def sort_budget():
     return 30 * make_sort().baseline_seconds()
 
 
+def put(store, key, record) -> int:
+    return store.put_many([(key, record)])
+
+
 def identical(a, b) -> bool:
     return (
         a.plan_ids == b.plan_ids
@@ -65,7 +69,7 @@ def test_store_roundtrip_and_persistence(tmp_path):
     store = CellStore(tmp_path)
     key = measurement_key({"plan": "p", "coords": [["x", 0.5]]})
     assert store.get(key) is None
-    assert store.put(key, {"s": 1.5, "a": False, "r": 7}) == 1
+    assert put(store, key, {"s": 1.5, "a": False, "r": 7}) == 1
     assert store.get(key) == {"s": 1.5, "a": False, "r": 7}
     # A fresh instance rebuilds the index from the shards.
     reopened = CellStore(tmp_path)
@@ -76,51 +80,58 @@ def test_store_roundtrip_and_persistence(tmp_path):
 def test_store_skips_identical_and_supersedes_differing(tmp_path):
     store = CellStore(tmp_path)
     key = measurement_key({"k": 1})
-    assert store.put(key, {"s": 1.0, "a": False, "r": 1}) == 1
-    assert store.put(key, {"s": 1.0, "a": False, "r": 1}) == 0  # no-op
-    assert store.put(key, {"s": 2.0, "a": False, "r": 1}) == 1  # supersedes
+    assert put(store, key, {"s": 1.0, "a": False, "r": 1}) == 1
+    assert put(store, key, {"s": 1.0, "a": False, "r": 1}) == 0  # no-op
+    assert put(store, key, {"s": 2.0, "a": False, "r": 1}) == 1  # supersedes
     assert store.get(key) == {"s": 2.0, "a": False, "r": 1}
     assert CellStore(tmp_path).get(key) == {"s": 2.0, "a": False, "r": 1}
 
 
-def test_corrupted_shard_garbage_line_raises(tmp_path):
+def test_corrupted_shard_garbage_line_raises(tmp_path, caplog):
+    """It raised until PR 23; now the line is skipped, counted and logged."""
     store = CellStore(tmp_path)
     key = measurement_key({"k": 1})
-    store.put(key, {"s": 1.0, "a": False, "r": 1})
+    put(store, key, {"s": 1.0, "a": False, "r": 1})
     shard = next(tmp_path.glob("cells-*.jsonl"))
     with shard.open("a") as fh:
         fh.write("not json at all\n")
-    with pytest.raises(ExperimentError, match="corrupt cell-store shard"):
-        CellStore(tmp_path).get(key)
+    reopened = CellStore(tmp_path)
+    assert reopened.get(key) == {"s": 1.0, "a": False, "r": 1}
+    assert reopened.corrupt_lines == reopened.stats()["corrupt_lines"] == 1
+    (warning,) = caplog.records
+    assert f"corrupt cell-store shard {shard} (line 2)" in warning.getMessage()
 
 
 def test_corrupted_shard_digest_mismatch_raises(tmp_path):
+    """It raised until PR 23; now the line answers nothing and is counted."""
     store = CellStore(tmp_path)
     key = measurement_key({"k": 1})
-    store.put(key, {"s": 1.0, "a": False, "r": 1})
+    put(store, key, {"s": 1.0, "a": False, "r": 1})
     shard = next(tmp_path.glob("cells-*.jsonl"))
     line = json.loads(shard.read_text().splitlines()[0])
     line["r"]["s"] = 99.0  # tamper with the record, keep the old digest
     shard.write_text(json.dumps(line) + "\n")
-    with pytest.raises(ExperimentError, match="digest mismatch"):
-        CellStore(tmp_path).get(key)
+    reopened = CellStore(tmp_path)
+    assert reopened.get(key) is None  # an unverified line answers nothing
+    assert len(reopened) == 0 and reopened.corrupt_lines == 1
 
 
 def test_compact_drops_superseded_and_corrupt(tmp_path):
     store = CellStore(tmp_path)
     keys = [measurement_key({"k": i}) for i in range(8)]
     store.put_many((k, {"s": 1.0, "a": False, "r": 1}) for k in keys)
-    store.put(keys[0], {"s": 2.0, "a": False, "r": 1})  # supersede
+    put(store, keys[0], {"s": 2.0, "a": False, "r": 1})  # supersede
     shard = next(tmp_path.glob("cells-*.jsonl"))
     with shard.open("a") as fh:
         fh.write('{"torn write\n')
     stats = CellStore(tmp_path).compact()
     assert stats == {"kept": 8, "superseded": 1, "corrupt": 1}
-    # Compaction is the recovery path: strict loads work again.
+    # Compaction is the repair: the next load skips nothing.
     recovered = CellStore(tmp_path)
     assert len(recovered) == 8
     assert recovered.get(keys[0]) == {"s": 2.0, "a": False, "r": 1}
     assert recovered.compact()["superseded"] == 0
+    assert recovered.corrupt_lines == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,11 +205,11 @@ def test_lookup_tails_what_another_store_appended(tmp_path, sort_budget, decoded
 
 def test_unterminated_tail_waits_for_its_newline(tmp_path, decoded):
     key, other_key = keys_of(1, 2)
-    CellStore(tmp_path / "scratch").put(other_key, RECORD)
+    put(CellStore(tmp_path / "scratch"), other_key, RECORD)
     scratch = next((tmp_path / "scratch").glob("cells-*.jsonl"))
     line = scratch.read_bytes()
     store = CellStore(tmp_path / "cells")
-    store.put(key, RECORD)
+    put(store, key, RECORD)
     shard = tmp_path / "cells" / scratch.name
     with shard.open("ab") as fh:
         fh.write(line[:-10])  # another process, mid-append
@@ -211,12 +222,13 @@ def test_unterminated_tail_waits_for_its_newline(tmp_path, decoded):
     assert store.get(other_key) == RECORD
     assert decoded == [line[:-1]]  # consumed once terminated, exactly once
     # A *complete* line that does not parse is damage, not an append in
-    # flight — on a live store as on a fresh one, until compact() repairs it.
+    # flight — on a live store as on a fresh one: skipped and counted
+    # once, dropped by compact().
     with shard.open("ab") as fh:
         fh.write(b"garbage\n")
     for _ in range(2):
-        with pytest.raises(ExperimentError, match="corrupt cell-store shard"):
-            store.refresh()
+        store.refresh()
+    assert store.corrupt_lines == 1 and decoded[-1] == b"garbage"
     assert store.compact()["corrupt"] == 1
     store.refresh()
     assert len(store) == 2
@@ -228,14 +240,14 @@ def test_compaction_by_another_store_reloads_everything(tmp_path, decoded):
     store.put_many((key, RECORD) for key in keys)
     newer = {**RECORD, "s": 2.0}
     other = CellStore(tmp_path)
-    other.put(keys[0], newer)
+    put(other, keys[0], newer)
     assert other.compact() == {"kept": 8, "superseded": 1, "corrupt": 0}
     del decoded[:]
     store.refresh()
     # Offsets into the replaced files mean nothing: every kept line again.
     assert len(decoded) == 8 and len(store) == 8
     assert store.get(keys[0]) == newer  # the last write, not the stale one
-    store.put(keys[1], newer)
+    put(store, keys[1], newer)
     assert CellStore(tmp_path).get(keys[1]) == newer
 
 
@@ -470,13 +482,16 @@ def test_overlap_grid_reuses_shared_cells(tmp_path):
 
 
 def test_corrupted_store_rejects_warm_sweep(tmp_path, sort_budget):
+    """It was rejected until PR 23; now the damaged line is skipped and the
+    sweep is answered from the rest."""
     store = CellStore(tmp_path)
-    serial_map(sort_budget, store=store)
+    cold = serial_map(sort_budget, store=store)
     shard = next(tmp_path.glob("cells-*.jsonl"))
     with shard.open("a") as fh:
         fh.write("garbage\n")
-    with pytest.raises(ExperimentError, match="corrupt cell-store shard"):
-        serial_map(sort_budget, store=CellStore(tmp_path))
+    damaged = CellStore(tmp_path)
+    assert identical(serial_map(sort_budget, store=damaged), cold)
+    assert damaged.corrupt_lines == 1 and damaged.stats()["cell_misses"] == 0
 
 
 def test_records_from_part_inverts_lookup(tmp_path, sort_budget):

@@ -69,7 +69,7 @@ def test_build_choice_map_regret_values():
     assert choice.regret[1, 1] == 2.0
     assert np.isnan(choice.regret[2, 0])
     assert np.isinf(choice.regret[2, 1])
-    assert choice.chosen_id((1, 1)) == "p1"
+    assert choice.plan_ids[choice.choices[1, 1]] == "p1"
     assert choice.meta["scenario"] == "golden-choice"
 
 
@@ -95,7 +95,6 @@ def test_build_choice_map_keeps_measured_cells():
     mapdata = grid_map([[1.0, 2.0]], meta={"measured_cells": [0]})
     choice = build_choice_map(mapdata, "p", lambda idx: "p0")
     assert choice.meta["measured_cells"] == [0]
-    assert choice.measured_mask.tolist() == [True, False]
 
 
 def test_build_choice_map_works_in_three_dimensions():
@@ -123,25 +122,6 @@ def test_choice_map_statistics():
     finite_only[:2, :] = True
     assert choice.worst_regret(finite_only) == 2.0
     assert choice.mean_regret() == pytest.approx((1 + 1 + 1 + 2) / 4)
-    assert choice.chosen_fraction("p1") == pytest.approx(3 / 6)
-    assert choice.chosen_plans() == ["p0", "p1"]
-
-
-def test_choice_map_differs_from():
-    choice = fixture_choice_map()
-    assert choice.differs_from(choice) == 0
-    other = fixture_choice_map()
-    other.choices[0, 0] = 1 - other.choices[0, 0]
-    assert choice.differs_from(other) == 1
-    mismatched = ChoiceMap(
-        policy="p",
-        plan_ids=["q0"],
-        choices=np.zeros((1, 1), dtype=int),
-        regret=np.ones((1, 1)),
-        axes=[MapAxis("x", [1.0]), MapAxis("y", [1.0])],
-    )
-    with pytest.raises(ExperimentError):
-        choice.differs_from(mismatched)
 
 
 def test_choice_map_validation():

@@ -235,6 +235,19 @@ def test_adaptive_refines_censored_cliffs():
     assert measured.sum() < refined.times[0].size
 
 
+def test_box_score_at_the_edges_of_its_input():
+    """A box no plan finished in has nothing to find; a free plan or a
+    lone plan cannot form a quotient to best."""
+    policy = AdaptiveRefinePolicy()
+
+    def score(times):
+        return policy._score(synthetic_times(np.asarray(times, dtype=float)), [0, 1])
+
+    assert score([[np.nan, np.nan], [np.nan, np.nan]]) == 0.0
+    assert score([[0.0, 1.0], [2.0, 3.0]]) == np.inf
+    assert score([[1.0, 4.0]]) == 3.0  # one plan: its own relative spread
+
+
 def test_adaptive_policy_validation():
     with pytest.raises(ExperimentError, match="initial_step"):
         AdaptiveRefinePolicy(initial_step=0)
@@ -280,6 +293,18 @@ def synthetic_partial(times_fn, cells, shape=(5, 5)) -> MapData:
             MapAxis("x", np.arange(1.0, shape[0] + 1)),
             MapAxis("y", np.arange(1.0, shape[1] + 1)),
         ],
+    )
+
+
+def synthetic_times(times):
+    """A complete 1-D map holding ``times[plan, cell]``."""
+    n_plans, n_cells = times.shape
+    return MapData(
+        plan_ids=[f"p{p}" for p in range(n_plans)],
+        times=times,
+        aborted=np.isnan(times),
+        rows=np.zeros(n_cells, dtype=int),
+        axes=[MapAxis("x", np.arange(1.0, n_cells + 1))],
     )
 
 

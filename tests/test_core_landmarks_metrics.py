@@ -89,6 +89,13 @@ def test_discontinuity_detected():
     assert landmarks[0].index == 2
 
 
+def test_discontinuity_skips_censored_and_free_points():
+    """A NaN has no ratio and a zero cannot be divided by: neither step
+    is a cliff, and neither hides the real one after it."""
+    ys = np.array([np.nan, 0.0, 1.0, 1.1, 5.0])
+    assert [mark.index for mark in discontinuities(XS, ys)] == [4]
+
+
 def test_discontinuity_validates_factor():
     with pytest.raises(ExperimentError):
         discontinuities(XS, np.ones(5), jump_factor=1.0)
@@ -126,6 +133,10 @@ def test_symmetry_score_symmetric():
 def test_symmetry_score_asymmetric():
     grid = np.array([[1.0, 10.0], [2.0, 1.0]])
     assert symmetry_score(grid) > 0.5
+
+
+def test_symmetry_score_of_an_all_zero_map_is_zero():
+    assert symmetry_score(np.zeros((2, 2))) == 0.0
 
 
 def test_symmetry_needs_square():
@@ -210,6 +221,19 @@ def test_compare_maps_pass():
     assert report.passed
     assert report.worst_factor == 1.0
     assert "PASS" in report.summary()
+
+
+def test_compare_maps_censored_cells():
+    """Censored both times is no finding; censored before and measured
+    now is an improvement by an unbounded factor."""
+    before = flat_map([[np.nan, np.nan, 1.0]])
+    after = flat_map([[np.nan, 2.0, 1.0]])
+    report = compare_maps(before, after, threshold=1.5)
+    assert report.passed
+    (finding,) = report.improvements
+    assert (finding.cell, finding.before_seconds, finding.after_seconds) == (
+        (1,), np.inf, 2.0
+    )
 
 
 def test_compare_maps_detects_regression():

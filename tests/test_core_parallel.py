@@ -167,19 +167,15 @@ def test_parallel_single_full_grid_chunk(system_a):
 
 
 def test_parallel_empty_cell_policy_matches_serial(system_a):
-    """An empty explicit cell list yields the all-NaN partial map on
-    both engines (regression: the parallel wave crashed partitioning
-    zero cells)."""
+    """No front door can hand in an empty cell list: both engines refuse
+    one (it used to yield an all-NaN partial map by a path of its own)."""
     space = Space1D.log2("sel", -2)
     scenario = SinglePredicateScenario([system_a], space)
-    serial = RobustnessSweep([system_a]).sweep(
-        scenario, policy=DenseGridPolicy(cells=[])
-    )
-    assert serial.is_partial and serial.filled_cells.size == 0
-    assert np.isnan(serial.times).all()
+    with pytest.raises(ExperimentError, match="at least one cell"):
+        RobustnessSweep([system_a]).sweep(scenario, policy=DenseGridPolicy(cells=[]))
     engine = ParallelSweep(build_system_a, n_workers=2)
-    parallel = engine.sweep(scenario.spec(), policy=DenseGridPolicy(cells=[]))
-    assert_identical(parallel, serial)
+    with pytest.raises(ExperimentError, match="at least one cell"):
+        engine.sweep(scenario.spec(), policy=DenseGridPolicy(cells=[]))
 
 
 def test_parallel_reports_chunk_progress():

@@ -92,8 +92,23 @@ def test_charge_many_rejects_misaligned():
 
 
 # ---------------------------------------------------------------------------
-# BufferPool.get_many == loop of get
+# plan_many + charge_planned_reads_strided + commit_many == loop of get
 # ---------------------------------------------------------------------------
+
+
+def get_many(pool, handle, pages):
+    """Charge a page trace the way the naive fetch does, as one slice:
+    the kernel's plan when it takes the trace, else the ``get`` loop."""
+    pages = np.asarray(pages, dtype=np.int64)
+    planned = pool.plan_many(handle, pages)
+    if planned is None:
+        for page in pages.tolist():
+            pool.get(handle, page)
+        return
+    pool.charge_planned_reads_strided(
+        handle, planned, max(1, pages.size), lambda: None
+    )
+    pool.commit_many(planned)
 
 
 def make_pools(capacity):
@@ -124,7 +139,7 @@ def test_get_many_equals_get_loop(pages, capacity):
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(capacity)
     for page in pages:
         ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages, dtype=np.int64))
+    get_many(bat_pool, bat_handle, np.asarray(pages, dtype=np.int64))
     assert_pools_identical(ref_pool, bat_pool)
 
 
@@ -133,7 +148,7 @@ def test_get_many_capacity_one():
     pages = [0, 0, 1, 1, 1, 0, 2, 2, 0, 0, 0]
     for page in pages:
         ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages))
+    get_many(bat_pool, bat_handle, np.asarray(pages))
     assert_pools_identical(ref_pool, bat_pool)
 
 
@@ -146,21 +161,21 @@ def test_get_many_long_hit_runs_through_kernel():
     assert bat_pool.plan_many(bat_handle, np.asarray(pages)) is not None
     for page in pages:
         ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages))
+    get_many(bat_pool, bat_handle, np.asarray(pages))
     assert_pools_identical(ref_pool, bat_pool)
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=7), st.integers(1, 4))
 def test_get_many_short_traces_equal_get_loop(pages, capacity):
-    # Below the kernel's minimum trace length get_many *is* the get loop.
+    # Traces down to the empty one, onto a pool that is already warm.
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(capacity)
     for pool, handle in ((ref_pool, ref_handle), (bat_pool, bat_handle)):
         pool.get(handle, 0)
         pool.get(handle, 9)
     for page in pages:
         ref_pool.get(ref_handle, page)
-    bat_pool.get_many(bat_handle, np.asarray(pages, dtype=np.int64))
+    get_many(bat_pool, bat_handle, np.asarray(pages, dtype=np.int64))
     assert_pools_identical(ref_pool, bat_pool)
     assert bat_pool._disk.stats == ref_pool._disk.stats
 
@@ -181,7 +196,7 @@ def test_get_many_on_declined_trace_equals_get_loop(pages, capacity, data):
         for page in pages:
             ref_pool.get(ref_handle, page)
     with pytest.raises(StorageError, match="negative"):
-        bat_pool.get_many(bat_handle, np.asarray(pages, dtype=np.int64))
+        get_many(bat_pool, bat_handle, np.asarray(pages, dtype=np.int64))
     assert_pools_identical(ref_pool, bat_pool)
     assert bat_pool._disk.stats == ref_pool._disk.stats
 
@@ -303,7 +318,7 @@ def scan_plans(table):
         project=["val"],
     )
     yield FetchNode(
-        IndexRangeRidsNode(table.index("idx_a"), ColumnRange("a", 200, 2400)),
+        IndexRangeRidsNode(table.indexes["idx_a"], ColumnRange("a", 200, 2400)),
         table,
         NAIVE_FETCH,
         project=["val"],

@@ -69,10 +69,9 @@ def test_arm_budget_resets_window(env):
 def test_broker_grant_and_release():
     broker = MemoryBroker(1000)
     grant = broker.grant(600)
-    assert broker.in_use_bytes == 600
     assert broker.available_bytes == 400
     grant.release()
-    assert broker.in_use_bytes == 0
+    assert broker.available_bytes == 1000
 
 
 def test_broker_over_limit_raises():
@@ -100,8 +99,8 @@ def test_double_release_raises():
 def test_grant_context_manager():
     broker = MemoryBroker(1000)
     with broker.grant(500):
-        assert broker.in_use_bytes == 500
-    assert broker.in_use_bytes == 0
+        assert broker.available_bytes == 500
+    assert broker.available_bytes == 1000
 
 
 def test_negative_grant_rejected():

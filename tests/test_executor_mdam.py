@@ -31,7 +31,7 @@ def test_positions_from_spans_empty():
 def test_mdam_requires_composite_index(indexed_table, env):
     ctx = ExecContext(env)
     with pytest.raises(PlanError):
-        mdam_scan(ctx, indexed_table.index("idx_a"), (0, 1), (0, 1))
+        mdam_scan(ctx, indexed_table.indexes["idx_a"], (0, 1), (0, 1))
 
 
 def test_mdam_matches_brute_force_basic():

@@ -149,7 +149,11 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
         kernel_pool.get(kernel_handles[which], page)
         scalar_pool.get(scalar_handles[which], page)
     pages = np.asarray(trace, dtype=np.int64)
-    kernel_pool.get_many(kernel_handles[0], pages)
+    planned = kernel_pool.plan_many(kernel_handles[0], pages)
+    kernel_pool.charge_planned_reads_strided(
+        kernel_handles[0], planned, pages.size, lambda: None
+    )
+    kernel_pool.commit_many(planned)
     for page in pages:
         scalar_pool.get(scalar_handles[0], int(page))
     assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
@@ -204,3 +208,15 @@ def test_trace_straddles_chunk_boundaries():
     env = StorageEnv(SMALL_PROFILE, pool_pages=64)
     table = make_table(env)
     assert table.n_rows > 2 * _NAIVE_CHUNK
+
+
+def test_dominance_helpers_with_nothing_to_count():
+    """A saturated segment may defer no query, and a segment in which no
+    key reappears has no band: both count nothing, and say so."""
+    empty = np.empty(0, dtype=np.int64)
+    assert lru_kernel._dominance_counts(empty, empty, empty).size == 0
+    assert lru_kernel._dominance_counts(empty, empty, np.arange(4)).size == 0
+    queries = np.array([5, 9], dtype=np.int64)
+    assert not lru_kernel._resolve_ambiguous(
+        queries - 3, queries, empty, empty, capacity=2
+    ).any()

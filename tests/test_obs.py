@@ -39,7 +39,6 @@ from repro.obs.profile import (
 from repro.obs.tracer import (
     Span,
     Tracer,
-    current_tracer,
     trace_op,
     tracing_requested,
     use_tracer,
@@ -82,7 +81,6 @@ def fake_ctx():
 
 def test_untraced_trace_op_is_a_shared_noop():
     ctx = fake_ctx()
-    assert current_tracer() is None
     first = trace_op(ctx, "scan", "scan")
     second = trace_op(ctx, "sort", "sort")
     assert first is second  # one shared object: no per-op allocation
@@ -94,7 +92,6 @@ def test_spans_nest_and_record_counter_deltas():
     ctx = fake_ctx()
     tracer = Tracer()
     with use_tracer(tracer):
-        assert current_tracer() is tracer
         with trace_op(ctx, "outer", "plan"):
             ctx.clock.now = 1.0
             ctx.disk.stats.pages_read = 10
@@ -103,7 +100,8 @@ def test_spans_nest_and_record_counter_deltas():
                 ctx.disk.stats.pages_read = 25
                 ctx.pool.stats.misses = 4
             ctx.clock.now = 4.0
-    assert current_tracer() is None  # use_tracer restored the default
+    # use_tracer restored the no-op default
+    assert trace_op(ctx, "after", "plan") is trace_op(ctx, "again", "plan")
     roots = tracer.drain()
     assert tracer.drain() == []  # drain detaches
     (outer,) = roots
@@ -306,26 +304,28 @@ def test_counter_labels_and_values():
     requests.inc(reason="full")
     requests.inc(2, reason="full")
     requests.inc(reason="budget")
-    assert requests.value(reason="full") == 3.0
-    assert requests.value(reason="missing") == 0.0
     with pytest.raises(ExperimentError):
         requests.inc(-1)
     text = registry.render()
     assert "# HELP reqs_total Requests." in text
     assert "# TYPE reqs_total counter" in text
-    assert 'reqs_total{reason="full"} 3' in text
+    assert 'reqs_total{reason="full"} 3\n' in text
+    assert 'reqs_total{reason="budget"} 1\n' in text
+    assert "missing" not in text
 
 
 def test_gauge_set_function_and_histogram_buckets():
     registry = MetricsRegistry()
     depth = registry.gauge("depth", "Queue depth.")
     depth.set_function(lambda: 7)
+    registry.gauge("unbounded", "No limit.").set(float("inf"))
     latency = registry.histogram("latency_seconds", "Latency.", buckets=(0.1, 1.0))
     latency.observe(0.05)
     latency.observe(0.5)
     latency.observe(5.0)
     text = registry.render()
     assert "depth 7" in text
+    assert "unbounded +Inf\n" in text
     assert 'latency_seconds_bucket{le="0.1"} 1' in text
     assert 'latency_seconds_bucket{le="1"} 2' in text
     assert 'latency_seconds_bucket{le="+Inf"} 3' in text
@@ -535,3 +535,42 @@ def test_json_formatter_emits_parseable_records():
     assert line["job_id"] == "j1"
     assert log_format({"REPRO_LOG_FORMAT": "json"}) == "json"
     assert log_format({}) == "plain"
+
+
+def test_json_formatter_carries_the_traceback_of_a_logged_exception():
+    import logging
+    import sys
+
+    from repro.obs.logs import JsonFormatter
+
+    try:
+        raise ValueError("boom")
+    except ValueError:
+        record = logging.LogRecord(
+            "repro.service", logging.ERROR, __file__, 1, "job failed", (), sys.exc_info()
+        )
+    line = json.loads(JsonFormatter().format(record))
+    assert line["exc_info"].splitlines()[-1] == "ValueError: boom"
+
+
+def test_setup_logging_is_plain_by_default_and_replaces_its_own_handler(monkeypatch):
+    import io
+    import logging
+
+    from repro.obs.logs import get_logger, setup_logging
+
+    monkeypatch.delenv("REPRO_LOG_FORMAT", raising=False)
+    root = logging.getLogger("repro")
+    saved = (root.level, root.propagate, list(root.handlers))
+    try:
+        setup_logging(stream=io.StringIO())
+        stream = io.StringIO()
+        setup_logging(stream=stream)  # again: one handler, the new one
+        assert len(root.handlers) == len(saved[2]) + 1
+        get_logger("service.jobs").warning("job %s failed", "j1")
+        assert stream.getvalue().endswith(
+            " WARNING repro.service.jobs: job j1 failed\n"
+        )
+    finally:
+        root.level, root.propagate = saved[:2]
+        root.handlers[:] = saved[2]

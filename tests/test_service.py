@@ -304,25 +304,32 @@ def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
     assert len(decoded) == n_lines == 3 * 4 * len(fresh[0].plan_ids)
 
 
-def test_close_frees_what_retired_managers_built():
-    """An estimation job keeps its session for ``/choice``; job, session
-    and progress callback form a cycle; ``close`` collects it, so managers
-    opened in turn do not pile up each other's tables."""
-    manager = make_manager(workers=1)
-    job, _ = manager.submit(MapRequest("estimation"))
-    session = weakref.ref(manager.wait(job.job_id, timeout=120).session)
-    manager.close()
-    del manager, job
-    make_manager(workers=1).close()
-    assert session() is None
+def test_multi_wave_job_reports_every_wave_s_store_hits(tmp_path):
+    """A refined sweep takes cells from the store wave by wave; the job
+    and the metric count all of them, not the last wave's."""
+    defaults = BenchConfig()  # the full-size join grid has cliffs to refine
+    config = tiny_config(
+        cell_cache_dir=str(tmp_path / "cells"),
+        join_rows=defaults.join_rows,
+        join_key_domain=defaults.join_key_domain,
+    )
+    request = MapRequest("join", {"refine": True})
+    BenchSession(config).request_map(request)  # fills the store
+    manager = JobManager(config, workers=1)
+    try:
+        job, _ = manager.submit(request)
+        finished = manager.wait(job.job_id, timeout=120)
+        measured = int(finished.result.measured_mask.sum())
+        assert finished.result.meta["refine_rounds"] > 1
+        assert manager.cell_store.stats()["cell_hits"] == measured
+        assert manager.status(finished)["cache_hits"] == measured
+        assert f"repro_cell_store_hits_total {measured}" in manager.metrics.render()
+    finally:
+        manager.close()
 
 
-def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
-    """A finished job answers from its result: the session it ran on
-    (tables included) is freed by reference counting alone once the sweep
-    returns, and the last progress snapshot goes with it."""
-    import gc
-
+def recorded_sessions(monkeypatch):
+    """Weak references to every session a job manager opens from now on."""
     sessions = []
 
     class Recorded(BenchSession):
@@ -331,14 +338,51 @@ def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
             sessions.append(weakref.ref(self))
 
     monkeypatch.setattr("repro.service.jobs.BenchSession", Recorded)
+    return sessions
+
+
+def test_close_frees_what_retired_managers_built(monkeypatch):
+    """An estimation job answers ``/choice`` from its result and keeps the
+    choice maps, not the session or the System A they were computed over:
+    reference counting has freed the session before the manager closes
+    (``close`` collects what is left: tables and indexes point at each
+    other)."""
+    import gc
+
+    sessions = recorded_sessions(monkeypatch)
     manager = make_manager(workers=1)
     gc.disable()
     try:
-        job, _ = manager.submit(JOIN)
+        job, _ = manager.submit(MapRequest("estimation"))
         finished = manager.wait(job.job_id, timeout=120)
-        assert finished.state == "done" and finished.events > 0
-        assert finished.session is None and finished.snapshot is None
+        choices = manager.choice_maps(finished)
+        assert choices is manager.choice_maps(finished)  # kept on the job
         assert [ref() for ref in sessions] == [None]
+    finally:
+        gc.enable()
+        manager.close()
+    direct = BenchSession(tiny_config()).choice_maps()
+    assert {name: c.to_dict() for name, c in choices.items()} == {
+        name: c.to_dict() for name, c in direct.items()
+    }
+
+
+def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
+    """A finished job answers from its result: the session it ran on
+    (tables included) is freed by reference counting alone once the sweep
+    returns, and the last progress snapshot goes with it."""
+    import gc
+
+    sessions = recorded_sessions(monkeypatch)
+    manager = make_manager(workers=1)
+    gc.disable()
+    try:
+        for request in (JOIN, MapRequest("estimation")):
+            job, _ = manager.submit(request)
+            finished = manager.wait(job.job_id, timeout=120)
+            assert finished.state == "done" and finished.events > 0
+            assert finished.snapshot is None and not hasattr(finished, "session")
+        assert [ref() for ref in sessions] == [None, None]
     finally:
         gc.enable()
         manager.close()
@@ -532,6 +576,9 @@ def test_http_bad_content_length_is_a_400(service, length):
         ({"sort_row_bytes": 0}, "sort_row_bytes"),
         ({"join_key_domain": 0}, "join_key_domain"),
         ({"budget_scale": -1}, "budget_scale"),
+        # A grid that would start above 2^0: queued, and died in the worker.
+        ({"min_exp_1d": 2}, "min_exp_1d"),
+        ({"min_exp_2d": 1}, "min_exp_2d"),
     ],
 )
 def test_http_mistyped_override_is_a_400_and_queues_nothing(
@@ -547,6 +594,32 @@ def test_http_mistyped_override_is_a_400_and_queues_nothing(
     assert f"knob {knob!r}" in json.loads(refused.value.read())["error"]
     assert manager.stats()["jobs"] == 0
     assert "repro_jobs_submitted_total 0\n" in manager.metrics.render()
+
+
+def test_http_failed_job_is_a_500_and_may_be_resubmitted(service, monkeypatch):
+    """A sweep that dies in its worker leaves a ``failed`` job: ``/result``
+    says why with a 500, the worker lives on, and the same request
+    submitted again is a new job."""
+    import repro.bench.harness as harness_module
+
+    base, manager = service
+    real = harness_module.compute_map
+
+    def dying_compute(session, definition):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(harness_module, "compute_map", dying_compute)
+    _, submitted = _post(base, "/maps", {"scenario": "join"})
+    assert manager.wait(submitted["job_id"], timeout=30).state == "failed"
+    with pytest.raises(urllib.error.HTTPError) as failed:
+        _get(base, f"/jobs/{submitted['job_id']}/result")
+    assert failed.value.code == 500
+    assert json.loads(failed.value.read())["error"] == "RuntimeError: disk on fire"
+    assert 'repro_jobs_completed_total{state="failed"} 1' in manager.metrics.render()
+    monkeypatch.setattr(harness_module, "compute_map", real)
+    code, again = _post(base, "/maps", {"scenario": "join"})
+    assert code == 202 and again["created"]
+    assert manager.wait(again["job_id"], timeout=120).state == "done"
 
 
 def test_http_rejections_are_429(monkeypatch):

@@ -157,3 +157,10 @@ def test_forget_position_forces_seek(disk):
     disk.forget_position()
     disk.read_page(handle, 1)
     assert disk.stats.seeks == 2
+
+
+def test_read_runs_of_nothing_is_free(disk):
+    handle = disk.create_file("f")
+    empty = np.empty(0, dtype=np.int64)
+    disk.read_runs(empty, empty, empty, handle)
+    assert disk.clock.now == 0.0 and disk.stats.pages_read == 0

@@ -45,6 +45,15 @@ def test_read_pages_advances_cursor(temp):
     assert store.read_pages(run, 1) == 0
 
 
+def test_merge_read_all_of_exhausted_runs_is_free(temp):
+    store, disk = temp
+    run = store.write_run(n_rows=100, row_bytes=80)
+    store.read_run_fully(run)
+    before = (disk.clock.now, disk.stats.pages_read)
+    store.merge_read_all([run], page_quantum=4)
+    assert (disk.clock.now, disk.stats.pages_read) == before
+
+
 def test_reset_rewinds(temp):
     store, _disk = temp
     run = store.write_run(n_rows=100, row_bytes=800)

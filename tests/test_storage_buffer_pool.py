@@ -17,6 +17,11 @@ def make_pool(capacity=4):
     return pool, disk, handle
 
 
+def resident(pool, handle):
+    """The file's cached pages, least recently used first."""
+    return [page for file_id, page in pool._resident if file_id == handle.file_id]
+
+
 def test_capacity_must_be_positive():
     disk = Disk(SimClock(), DeviceProfile())
     with pytest.raises(BufferPoolError):
@@ -39,17 +44,14 @@ def test_lru_eviction_order():
     pool.get(handle, 2)
     pool.get(handle, 1)  # 1 is now most recent
     pool.get(handle, 3)  # evicts 2
-    assert pool.contains(handle, 1)
-    assert not pool.contains(handle, 2)
-    assert pool.contains(handle, 3)
+    assert resident(pool, handle) == [1, 3]
 
 
 def test_clear_resets_residency():
     pool, _disk, handle = make_pool()
     pool.get(handle, 1)
     pool.clear()
-    assert pool.resident_pages == 0
-    assert not pool.contains(handle, 1)
+    assert resident(pool, handle) == []
 
 
 def test_capacity_never_exceeded_randomized():
@@ -59,7 +61,7 @@ def test_capacity_never_exceeded_randomized():
     random.seed(0)
     for _ in range(500):
         pool.get(handle, random.randrange(20))
-        assert pool.resident_pages <= 3
+        assert len(pool._resident) <= 3
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=200))
@@ -78,18 +80,12 @@ def test_lru_matches_reference_model(accesses):
         reference.append(page)
         if len(reference) > 3:
             reference.pop(0)
-    assert pool.resident_pages == len(reference)
+    assert resident(pool, handle) == reference
 
 
 def test_hit_rate():
     pool, _disk, handle = make_pool()
     pool.get(handle, 1)
     pool.get(handle, 1)
-    assert pool.stats.hit_rate == pytest.approx(0.5)
-
-
-def test_reset_stats():
-    pool, _disk, handle = make_pool()
-    pool.get(handle, 1)
-    pool.reset_stats()
-    assert pool.stats.accesses == 0
+    stats = pool.stats
+    assert stats.hits / (stats.hits + stats.misses) == pytest.approx(0.5)

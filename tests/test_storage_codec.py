@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import KeyCodecError
-from repro.storage.codec import CompositeKeyCodec, IntKeyCodec, codec_for_bits
+from repro.storage.codec import CompositeKeyCodec
 
 
 def test_int_codec_roundtrip():
-    codec = IntKeyCodec(31)
+    codec = CompositeKeyCodec([31])
     values = np.array([0, 1, 5, (1 << 31) - 1])
     encoded = codec.encode([values])
     assert np.array_equal(codec.decode(encoded)[0], values)
 
 
 def test_int_codec_rejects_out_of_range():
-    codec = IntKeyCodec(8)
+    codec = CompositeKeyCodec([8])
     with pytest.raises(KeyCodecError):
         codec.encode([np.array([256])])
     with pytest.raises(KeyCodecError):
@@ -25,9 +25,9 @@ def test_int_codec_rejects_out_of_range():
 
 def test_int_codec_rejects_bad_bits():
     with pytest.raises(KeyCodecError):
-        IntKeyCodec(0)
+        CompositeKeyCodec([0])
     with pytest.raises(KeyCodecError):
-        IntKeyCodec(64)
+        CompositeKeyCodec([64])
 
 
 def test_composite_rejects_overflowing_bits():
@@ -99,11 +99,6 @@ def test_with_trailing_range_needs_two_columns():
         codec.with_trailing_range(np.array([1]), 0, 1)
 
 
-def test_codec_for_bits_dispatch():
-    assert isinstance(codec_for_bits([31]), IntKeyCodec)
-    assert isinstance(codec_for_bits([16, 16]), CompositeKeyCodec)
-
-
 def test_int_codec_range_for():
-    codec = IntKeyCodec(16)
+    codec = CompositeKeyCodec([16])
     assert codec.range_for([(3, 9)]) == (3, 9)

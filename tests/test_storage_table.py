@@ -28,8 +28,7 @@ def test_row_bytes_inferred(env):
 
 def test_geometry(table):
     assert table.n_rows == 4096
-    assert table.rows_per_page == table.clustered.leaf_capacity
-    assert table.n_pages == -(-table.n_rows // table.rows_per_page)
+    assert table.n_pages == -(-table.n_rows // table.clustered.leaf_capacity)
 
 
 def test_column_access(table):
@@ -60,11 +59,11 @@ def test_gather_matches_columns(table, rng):
 
 def test_gather_all_columns_by_default(table):
     out = table.gather(np.array([0, 1]))
-    assert set(out) == set(table.column_names)
+    assert set(out) == set(table.clustered.flat.payload)
 
 
 def test_create_index_and_lookup(indexed_table):
-    index = indexed_table.index("idx_a")
+    index = indexed_table.indexes["idx_a"]
     assert index.key_columns == ("a",)
     lo, hi = index.key_range_for({"a": (100, 500)})
     keys, rids = index.read_range(lo, hi)
@@ -78,9 +77,9 @@ def test_duplicate_index_name_rejected(indexed_table):
         indexed_table.create_index("idx_a", ["a"])
 
 
-def test_unknown_index_rejected(table):
-    with pytest.raises(StorageError):
-        table.index("missing")
+def test_an_empty_table_can_be_indexed(env):
+    table = Table(env, "t", {"a": np.empty(0, dtype=np.int64)})
+    assert table.create_index("idx", ["a"]).codec.bits == (1,)
 
 
 def test_negative_column_cannot_be_indexed(env):
@@ -101,7 +100,7 @@ def test_index_is_laid_out_by_its_first_reader(table, bulk_loads):
     idx_a = table.create_index("idx_a", ["a"])
     idx_b = table.create_index("idx_b", ["b"])
     # Creating an index, naming it and asking for key ranges sort nothing.
-    assert table.index("idx_b") is idx_b
+    assert table.indexes["idx_b"] is idx_b
     assert idx_a.key_range_for({"a": (100, 500)}) == (100, 500)
     assert bulk_loads == []
     # First use does, in order of use; file ids are in order of creation.
@@ -132,7 +131,7 @@ def test_two_threads_reading_an_unbuilt_tree_build_it_once(
     def read():
         start.wait(timeout=10)
         tree = index.tree
-        seen.append((tree, tree.n_entries))
+        seen.append((tree, tree.flat.n_entries))
 
     threads = [threading.Thread(target=read) for _ in range(2)]
     for thread in threads:
@@ -146,7 +145,7 @@ def test_two_threads_reading_an_unbuilt_tree_build_it_once(
 
 
 def test_composite_index_full_range_defaults(indexed_table):
-    index = indexed_table.index("idx_ab")
+    index = indexed_table.indexes["idx_ab"]
     lo, hi = index.key_range_for({"a": (5, 10)})  # b unconstrained
     keys, _rids = index.read_range(lo, hi)
     a_vals = index.codec.decode(keys)[0]
@@ -154,7 +153,7 @@ def test_composite_index_full_range_defaults(indexed_table):
 
 
 def test_index_scan_all(indexed_table):
-    index = indexed_table.index("idx_b")
+    index = indexed_table.indexes["idx_b"]
     keys, rids = index.scan_all()
     assert keys.size == indexed_table.n_rows
     assert np.all(np.diff(keys) >= 0)
@@ -162,17 +161,17 @@ def test_index_scan_all(indexed_table):
 
 
 def test_index_entries_sorted_by_encoded_key(indexed_table):
-    index = indexed_table.index("idx_ab")
+    index = indexed_table.indexes["idx_ab"]
     keys, _ = index.scan_all()
     assert np.all(np.diff(keys) >= 0)
 
 
 def test_index_narrower_than_table(indexed_table):
-    assert indexed_table.index("idx_a").n_leaf_pages < indexed_table.n_pages
+    assert indexed_table.indexes["idx_a"].n_leaf_pages < indexed_table.n_pages
 
 
 def test_key_range_clamps_to_domain(indexed_table):
-    index = indexed_table.index("idx_a")
+    index = indexed_table.indexes["idx_a"]
     lo, hi = index.key_range_for({"a": (-50, 1 << 40)})
     keys, rids = index.read_range(lo, hi)
     assert rids.size == indexed_table.n_rows

@@ -1,35 +1,68 @@
-"""Which definitions under ``src/repro`` does no front door reach, and
-which of their options does no front door ever turn?
+"""Which definitions under ``src/repro`` does no front door reach, which of
+their options does no front door ever turn, and which lines inside the
+definitions they do reach does no front door ever execute?
 
 Writes a ``sitecustomize.py`` into a temporary directory that installs
-``sys.setprofile`` / ``threading.setprofile`` and appends every code
-object under ``src/repro`` to a per-process file the first time it is
-called — and every parameter of it whose default is a literal or a
-module constant (read from the AST) the first time a call binds it to
-anything else — puts that directory on ``PYTHONPATH``, and runs each
-command of
-:data:`FRONT_DOORS` — the CLI's figure and scenario modes, the HTTP
-service with every route and error route hit (:func:`drive_service`),
-the end-to-end benchmark and the examples — in a scratch directory.
-Pool workers and the service's sweep processes inherit the hook through
-the environment.  (``benchmarks/e2e/run.py`` gives its CLI children a
-``PYTHONPATH`` of its own, so those are not hooked; they run the command
-the first entries run directly, and the ``--trace 1`` run replays it in
-the hooked process.)  With ``--tests`` the tier-1 suite runs the same
-way, into a second record.
+``sys.settrace`` / ``threading.settrace`` and appends every code object
+under ``src/repro`` to a per-process file the first time it is called,
+every parameter of it whose default is a literal or a module constant
+(read from the AST) the first time a call binds it to anything else, and
+every line of it the first time it runs (a code object all of whose lines
+have run is traced no further) — puts that directory on ``PYTHONPATH``,
+and runs each command of :data:`FRONT_DOORS` — the CLI's figure and
+scenario modes, the HTTP service with every route and error route hit
+(:func:`drive_service`), the end-to-end benchmark and the examples — in
+a scratch directory.  Pool workers and the service's sweep processes
+inherit the hook through the environment.  (``benchmarks/e2e/run.py``
+gives its CLI children a ``PYTHONPATH`` of its own, so those are not
+hooked; they run the command the first entries run directly, and the
+``--trace 1`` run replays it in the hooked process.)  With ``--tests``
+the tier-1 suite runs the same way, into a second record.
 
-Every ``def`` under ``src/repro`` is then one of: reached by a front
-door; reached by tests only; reached by nothing (abstract methods,
-``__repr__``s, and what should be looked at).  The report lists the last
-two per file with their line counts (a definition's lines minus the
-definitions nested in it), then the parameters that were never given
-another value — each one a constant, a test seam, a config knob carried
-at its default, or a configuration with no door — and prints totals.
-Nothing under ``src/`` is changed or imported.  Takes about five
-minutes, plus the suite under the profiler with ``--tests``; not a CI
-step.  A command that exits with
-a code it should not has the tail of its output printed; the scratch
-directory is deleted either way.
+The report has three lists, each with a total.  *Definitions*: every
+``def`` under ``src/repro`` no front door called, per file with its line
+count (a definition's lines minus the definitions nested in it).
+*Parameters*: those never given another value — each one a constant, a
+test seam, a config knob carried at its default, or a configuration with
+no door.  *Bodies*: inside the definitions that were called, every
+statement list (the body of an ``if``, a loop, a ``with`` or a ``try``,
+an ``else``, an ``except`` handler, a ``case``) none of whose lines ran,
+outermost only, counted in executable lines as the compiler's line table
+has them.
+
+A definition or body nothing ran must be accounted for, or the exit code
+is 1.  Two kinds are recognised from the source and need no entry: a
+body that ends in ``raise`` or in a ``parser.error`` call (a *refusal*;
+so is a definition whose whole body does), and the body of an ``except``
+clause (a *fault handler*).  Everything else is a row of the committed
+``tools/census_kept.txt``::
+
+    file:Qualified.name[ > first line of the statement that owns the body]  reason  anchor
+
+with columns two or more spaces apart and ``reason`` one of
+
+* ``abstract`` — an abstract method (overridden everywhere it is called);
+* ``repr`` — a ``__repr__`` / ``__str__`` for whoever debugs;
+* ``reference`` — a scalar twin, an oracle or a golden-file reader that
+  ``anchor``, a test (``tests/x.py::test_y``, checked to exist), compares
+  the fast path against;
+* ``guard`` — the answer to an input no front door produces (an empty
+  input, a zero divisor, a NaN, a plan shape the registry does not
+  build, the violation a claim that holds never sees) that ``anchor``, a
+  test, pins; safety code, never a deletion target;
+* ``promised`` — a README line or an example (``anchor``) says it exists;
+* ``dated`` — kept for the ROADMAP item ``anchor`` names, which ends with
+  it reached or deleted.
+
+A row whose subject is gone from the source fails the run too; one whose
+subject ran this time is only reported (timing decides a few paths).
+Removing any row that is still needed makes the run fail: the list can
+only shrink silently, never grow.  Nothing under ``src/`` is changed or
+imported.  Takes about five minutes, plus the suite under the tracer
+with ``--tests`` (which adds *tests run it* / *nothing runs it* to every
+line of the report); a blocking CI step.  A command that exits with a
+code it should not has the tail of its output printed, and fails the run;
+the scratch directory is deleted either way.
 
 Usage::
 
@@ -43,6 +76,7 @@ import ast
 import functools
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -56,6 +90,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+#: One row per definition or body that stays though no front door runs it.
+KEPT = ROOT / "tools" / "census_kept.txt"
+#: Reasons a row may give; the second set names what holds it in place,
+#: and the third names a test.
+UNANCHORED = {"abstract", "repr"}
+ANCHORED = {"reference", "guard", "promised", "dated"}
+TESTED = {"reference", "guard"}
 
 HOOK = '''\
 import os, sys, threading
@@ -87,30 +128,47 @@ def _same(value, default):
         return False
 
 
-def _profile(frame, event, arg):
-    if event != "call":
-        return
+#: code -> its line numbers no frame has executed yet
+_unseen = {{}}
+_tracers = {{}}
+
+
+def _line_tracer(filename, unseen):
+    def trace_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in unseen:
+            unseen.discard(frame.f_lineno)
+            _write(filename, str(frame.f_lineno))
+        return trace_lines
+
+    return trace_lines
+
+
+def _trace(frame, event, arg):
+    # The global trace function sees "call" events only.
     code = frame.f_code
     pending = _pending.get(code, _pending)
     if pending is _pending:  # first call of this code object
         pending = _pending[code] = {{}}
         if not code.co_filename.startswith(_ROOT):
-            return
+            return None
         _write(code.co_filename, str(code.co_firstlineno), code.co_name)
         sources = _DEFAULTS.get((code.co_filename, code.co_firstlineno), {{}})
         for name, source in sources.items():
             pending[name] = eval(source, frame.f_globals)
-    if not pending:
-        return
-    bound = frame.f_locals
-    for name, default in list(pending.items()):  # other threads pop too
-        if name in bound and not _same(bound[name], default):
-            if pending.pop(name, _pending) is not _pending:
-                _write(code.co_filename, str(code.co_firstlineno), code.co_name, name)
+        _unseen[code] = {{line for _, _, line in code.co_lines() if line}}
+        _tracers[code] = _line_tracer(code.co_filename, _unseen[code])
+    if pending:
+        bound = frame.f_locals
+        for name, default in list(pending.items()):  # other threads pop too
+            if name in bound and not _same(bound[name], default):
+                if pending.pop(name, _pending) is not _pending:
+                    _write(code.co_filename, str(code.co_firstlineno), code.co_name, name)
+    # A code object all of whose lines have run is traced no further.
+    return _tracers[code] if _unseen.get(code) else None
 
 
-threading.setprofile(_profile)
-sys.setprofile(_profile)
+threading.settrace(_trace)
+sys.settrace(_trace)
 '''
 
 PYTHON = sys.executable
@@ -149,11 +207,27 @@ FRONT_DOORS = [
     Door(CLI + ["scen_trace", "--scenario", "join,sort_spill", "--workers", "2",
                 "--trace-out", "scen_trace/trace.json", "--quiet"]),
     Door(CLI + ["scen_unknown", "--scenario", "no_such_map"], fine=(2,)),
-    # a pool sweep over a cold store, then over the warm one (parent-side replay)
+    Door(CLI + ["scen_regret", "--scenario", "join", "--regret"], fine=(2,)),
+    # a traced pool sweep over a cold store, then over the warm one
+    # (parent-side replay, profiles included)
     Door(CLI + ["scen_pool", "--scenario", "join,sort_spill", "--workers", "2",
-                "--cell-cache", "pool_cells", "--quiet"]),
+                "--cell-cache", "pool_cells", "--trace", "--quiet"]),
     Door(CLI + ["scen_pool", "--scenario", "join,sort_spill", "--workers", "2",
-                "--cell-cache", "pool_cells", "--quiet"]),
+                "--cell-cache", "pool_cells", "--trace", "--quiet"]),
+    # a writer killed mid-append: the next run's appends start on a fresh
+    # line, and the run after that skips, counts and reports the fragment
+    Door([PYTHON, "-c", "open('pool_cells/cells-0.jsonl', 'ab').write(b'{\"k\": \"torn')"]),
+    Door(CLI + ["scen_torn", "--scenario", "sort_spill", "--cell-cache", "pool_cells",
+                "--quiet"], {"REPRO_BENCH_ROWS": "4096"}),
+    Door(CLI + ["scen_torn", "--scenario", "sort_spill", "--cell-cache", "pool_cells",
+                "--quiet"], {"REPRO_BENCH_ROWS": "4096"}),
+    # the same in process; a sweep on all cores
+    Door(CLI + ["scen_trace_store", "--scenario", "join", "--trace",
+                "--cell-cache", "trace_cells", "--quiet"]),
+    Door(CLI + ["scen_trace_store", "--scenario", "join", "--trace",
+                "--cell-cache", "trace_cells", "--quiet"]),
+    Door(CLI + ["scen_all_cores", "--scenario", "sort_spill", "--workers", "-1",
+                "--quiet"]),
     # the whole-map cache, cold then warm; the cell store's housekeeping
     Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
     Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
@@ -207,6 +281,10 @@ def drive_service(base: str) -> None:
         {"scenario": "join", "overrides": {"n_rows": 0}},          # out of range
         {"scenario": "join", "overrides": {"refine": True, "refine_max_cells": -5}},
         {"scenario": "join", "overrides": {"seed": "abc"}},        # wrong type
+        {"scenario": "join", "overrides": {"budget_scale": "x"}},
+        {"scenario": "join", "overrides": {"budget_scale": -1}},    # not positive
+        {"scenario": "join", "overrides": {"budget_scale": float("nan")}},
+        {"scenario": "join", "overrides": {"min_exp_2d": 1}},       # above 2^0
         {"scenario": "two_predicate", "overrides": {"min_exp_2d": -24}},  # over budget
     ):
         _http(base, "/maps", body=refused)
@@ -226,7 +304,8 @@ def drive_service(base: str) -> None:
     }.items():
         jobs[name] = json.loads(_http(base, "/maps", body=body)[1])["job_id"]
     _http(base, f"/jobs/{jobs['refine']}/partial")
-    _http(base, f"/jobs/{jobs['estimation']}/result")              # 409 while running
+    for tail in ("/result", "/choice", "/profile", "/render/x.svg"):
+        _http(base, f"/jobs/{jobs['tight']}{tail}")                 # 409: queued last
     _http(base, f"/jobs/{jobs['join']}?wait=abc")
     for job_id in jobs.values():
         _http(base, f"/jobs/{job_id}?wait=60")
@@ -257,8 +336,10 @@ def free_port() -> int:
 
 def run_under_hook(
     commands: list[Door], record: Path, scratch: Path, cwd: Path
-) -> None:
-    """Run every command in ``cwd`` with the hook writing into ``record``."""
+) -> bool:
+    """Run every command in ``cwd`` with the hook writing into ``record``;
+    whether each exited with a code that is fine for it."""
+    all_fine = True
     record.mkdir(parents=True, exist_ok=True)
     hook_dir = scratch / f"hook-{record.name}"
     hook_dir.mkdir()
@@ -299,10 +380,12 @@ def run_under_hook(
             file=sys.stderr, flush=True,
         )
         if verdict:
+            all_fine = False
             with open(scratch / "output.log", "rb") as log:
                 log.seek(offset)
                 tail = log.read().decode(errors="replace").splitlines()[-20:]
             print("\n".join("      | " + line for line in tail), file=sys.stderr)
+    return all_fine
 
 
 def reached(record: Path) -> set[tuple]:
@@ -321,15 +404,55 @@ def reached(record: Path) -> set[tuple]:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # the hook table and the report both walk it
-def functions_by_file() -> list[tuple[str, list, dict]]:
-    """``(file, its function nodes, node -> the lines it spans)`` per module.
+class Module(NamedTuple):
+    """One source file: its ``def`` nodes, the lines each spans (from the
+    first decorator, as ``co_firstlineno`` does), each one's dotted name,
+    and the body lines of each that the compiler gave an instruction."""
 
-    A span starts at the first decorator, as ``co_firstlineno`` does.
-    """
+    path: str
+    source: list[str]
+    functions: list
+    spans: dict
+    names: dict
+    executable: dict
+
+
+def _qualified_names(tree: ast.Module) -> dict:
+    names = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = prefix + child.name + "."
+                names[child] = prefix + child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return names
+
+
+def _lines_by_code(code, found: dict) -> set[int]:
+    """Fill ``found`` with ``(first line, name) -> line numbers`` of every
+    ``def`` compiled into ``code``; lambdas and comprehensions count as
+    lines of the definition around them."""
+    lines = {line for _, _, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            inner = _lines_by_code(const, found)
+            if const.co_name.startswith("<"):
+                lines |= inner
+            else:
+                found[const.co_firstlineno, const.co_name] = inner
+    return lines
+
+
+@functools.cache  # the hook table and the report both walk it
+def modules() -> list[Module]:
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+        text = path.read_text()
+        tree = ast.parse(text)
         functions = [
             node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -338,20 +461,28 @@ def functions_by_file() -> list[tuple[str, list, dict]]:
         for node in functions:
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             spans[node] = set(range(first, node.end_lineno + 1))
-        found.append((str(path), functions, spans))
+        compiled: dict = {}
+        _lines_by_code(compile(text, str(path), "exec"), compiled)
+        executable = {}
+        for node in functions:
+            # The ``def`` line carries RESUME, which fires no line event.
+            lines = compiled.get((min(spans[node]), node.name), set())
+            executable[node] = {line for line in lines if line > node.lineno}
+        found.append(Module(str(path), text.splitlines(), functions, spans,
+                            _qualified_names(tree), executable))
     return found
 
 
 def definitions() -> list[tuple[str, int, str, int]]:
     """``(file, first line, name, own lines)`` of every ``def`` in the package."""
     found = []
-    for path, functions, spans in functions_by_file():
-        for node in functions:
-            own = set(spans[node])
+    for module in modules():
+        for node in module.functions:
+            own = set(module.spans[node])
             for child in ast.walk(node):
-                if child is not node and child in spans:
-                    own -= spans[child]
-            found.append((path, min(spans[node]), node.name, len(own)))
+                if child is not node and child in module.spans:
+                    own -= module.spans[child]
+            found.append((module.path, min(module.spans[node]), node.name, len(own)))
     return found
 
 
@@ -359,7 +490,7 @@ def parameters() -> list[tuple[str, int, str, str, str]]:
     """``(file, first line, function, parameter, default's source)`` of every
     parameter whose default is a literal or a module constant's name."""
     found = []
-    for path, functions, spans in functions_by_file():
+    for path, _, functions, spans, _, _ in modules():
         for node in functions:
             spec = node.args
             positional = spec.posonlyargs + spec.args
@@ -379,7 +510,109 @@ def parameters() -> list[tuple[str, int, str, str, str]]:
     return found
 
 
-def report(front: set, tests: set | None) -> None:
+class Body(NamedTuple):
+    """One statement list nested in a definition: the body of an ``if``,
+    a loop, a ``with`` or a ``try``, an ``else``, a handler, a ``case``."""
+
+    label: str
+    statements: list
+    handler: bool
+
+
+def _header(module: Module, statement: ast.AST) -> str:
+    return " ".join(module.source[statement.lineno - 1].split())
+
+
+def nested_bodies(module: Module, statements: list) -> list[Body]:
+    """The bodies one level below ``statements``, not those of nested defs."""
+    found = []
+    for statement in statements:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        header = _header(module, statement)
+        for field, prefix in (("body", ""), ("orelse", "else of "),
+                              ("finalbody", "finally of ")):
+            inner = getattr(statement, field, None)
+            if not inner:
+                continue
+            label = prefix + header
+            if field == "orelse" and _header(module, inner[0]).startswith("elif "):
+                label = _header(module, inner[0])
+            found.append(Body(label, inner, False))
+        for handler in getattr(statement, "handlers", []):
+            found.append(Body(_header(module, handler), handler.body, True))
+        for case in getattr(statement, "cases", []):
+            found.append(Body(_header(module, case.pattern), case.body, False))
+    return found
+
+
+def _refuses(statements: list) -> bool:
+    """Whether a body ends by raising or in ``parser.error`` (what comes
+    before counts the refusal or words it)."""
+    last = statements[-1]
+    if isinstance(last, ast.Raise):
+        return True
+    call = last.value if isinstance(last, ast.Expr) else None
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "error"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "parser")
+
+
+def unexecuted_bodies(module: Module, node: ast.AST, ran: set) -> list[tuple[Body, set]]:
+    """The outermost bodies in ``node`` none of whose lines is in ``ran``,
+    each with its executable lines."""
+    found = []
+
+    def visit(statements: list) -> None:
+        for body in nested_bodies(module, statements):
+            first, last = body.statements[0].lineno, body.statements[-1].end_lineno
+            lines = {line for line in module.executable[node] if first <= line <= last}
+            if lines and not lines & ran:
+                found.append((body, lines))
+            else:
+                visit(body.statements)
+
+    visit(node.body)
+    return found
+
+
+def read_kept() -> dict[str, tuple[str, str]]:
+    """``key -> (reason, anchor)`` of :data:`KEPT`; refuses a malformed row."""
+    kept = {}
+    for number, line in enumerate(KEPT.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        key, reason, *anchor = re.split(r"\s{2,}", line.strip(), maxsplit=2)
+        anchor = anchor[0] if anchor else ""
+        problem = None
+        if reason not in ANCHORED and reason not in UNANCHORED:
+            problem = f"reason {reason!r} is none of {sorted(UNANCHORED | ANCHORED)}"
+        elif reason in ANCHORED and not anchor:
+            problem = f"a {reason!r} row names its anchor"
+        elif key in kept:
+            problem = "listed twice"
+        elif reason in TESTED:
+            test_file, _, test = anchor.partition("::")
+            if not (ROOT / test_file).is_file() or (
+                f"def {test}(" not in (ROOT / test_file).read_text()
+            ):
+                problem = f"no test {anchor!r}"
+        elif reason in ANCHORED:
+            # ``file`` or ``file "words the file contains"``
+            named, _, quoted = anchor.partition(' "')
+            if not (ROOT / named).is_file() or (
+                quoted.rstrip('"') not in (ROOT / named).read_text()
+            ):
+                problem = f"{anchor!r} names no file, or words it does not contain"
+        if problem:
+            raise SystemExit(f"{KEPT.relative_to(ROOT)}:{number}: {problem}")
+        kept[key] = (reason, anchor)
+    return kept
+
+
+def report(front: set, tests: set | None) -> bool:
+    """Print the three lists and their totals; whether every definition and
+    body no door runs is a refusal, a fault handler or a row of the list."""
     def kind_of(key: tuple) -> str | None:
         if key in front:
             return None
@@ -387,9 +620,69 @@ def report(front: set, tests: set | None) -> None:
             return "unreached"
         return "tests only" if key in tests else "nothing"
 
+    kept = read_kept()
+    used: set[str] = set()
+    unlisted = 0
+
+    def verdict_of(key: str) -> str:
+        nonlocal unlisted
+        if key in kept:
+            used.add(key)
+            return "kept: " + " ".join(kept[key])
+        unlisted += 1
+        return "NOT LISTED"
+
     per_file: dict[str, list[tuple[int, str, int, str]]] = {}
     totals = {"definitions": 0, "tests only": 0, "nothing": 0, "unreached": 0}
     lines = dict.fromkeys(totals, 0)
+    def lines_by_file(keys: set | None) -> dict[str, set[int]]:
+        grouped: dict[str, set[int]] = {}
+        for key in keys or ():
+            if len(key) == 2:
+                grouped.setdefault(key[0], set()).add(key[1])
+        return grouped
+
+    names, refusing = {}, set()
+    for module in modules():
+        for node in module.functions:
+            key = (module.path, min(module.spans[node]), node.name)
+            names[key] = f"{Path(module.path).relative_to(ROOT)}:{module.names[node]}"
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            if body and _refuses(body):
+                refusing.add(key)
+
+    bodies: dict[str, list[tuple[int, str, int, str]]] = {}
+    line_totals = {"executable": 0, "never run": 0, "definitions": 0,
+                   "refusals": 0, "other bodies": 0}
+    ran_by_file, tested_by_file = lines_by_file(front), lines_by_file(tests)
+    for module in modules():
+        relative = str(Path(module.path).relative_to(ROOT))
+        ran = ran_by_file.get(module.path, set())
+        by_tests = tested_by_file.get(module.path, set())
+        for node in module.functions:
+            executable = module.executable[node]
+            line_totals["executable"] += len(executable)
+            line_totals["never run"] += len(executable - ran)
+            key = (module.path, min(module.spans[node]), node.name)
+            if key not in front:
+                line_totals["definitions"] += len(executable)
+                continue
+            for body, body_lines in unexecuted_bodies(module, node, ran):
+                if body.handler:
+                    verdict = "fault handler"
+                elif _refuses(body.statements):
+                    verdict = "refusal"
+                else:
+                    verdict = verdict_of(f"{names[key]} > {body.label}")
+                line_totals["refusals" if verdict in ("fault handler", "refusal")
+                            else "other bodies"] += len(body_lines)
+                if tests is not None:
+                    verdict += ("  (tests run it)" if body_lines & by_tests
+                                else "  (nothing runs it)")
+                bodies.setdefault(relative, []).append(
+                    (min(body_lines), f"{module.names[node]} > {body.label}",
+                     len(body_lines), verdict))
+
     for filename, lineno, name, own in definitions():
         totals["definitions"] += 1
         lines["definitions"] += own
@@ -398,7 +691,9 @@ def report(front: set, tests: set | None) -> None:
             continue
         totals[kind] += 1
         lines[kind] += own
-        per_file.setdefault(filename, []).append((lineno, name, own, kind))
+        key = (filename, lineno, name)
+        verdict = "refusal" if key in refusing else verdict_of(names[key])
+        per_file.setdefault(filename, []).append((lineno, name, own, f"{kind}  {verdict}"))
     for filename in sorted(per_file, key=lambda f: -sum(d[2] for d in per_file[f])):
         entries = per_file[filename]
         relative = Path(filename).relative_to(ROOT)
@@ -431,6 +726,33 @@ def report(front: set, tests: set | None) -> None:
             print(f"    {lineno:5d}  {signature:60s}  {kind}")
     print()
 
+    # Bodies inside reached definitions of which no line ran.
+    for relative in sorted(bodies, key=lambda f: -sum(b[2] for b in bodies[f])):
+        entries = bodies[relative]
+        print(f"{relative}: {len(entries)} bodies never entered, "
+              f"{sum(b[2] for b in entries)} lines")
+        for lineno, label, count, verdict in entries:
+            print(f"    {lineno:5d}  {label:70s} {count:3d}  {verdict}")
+    print()
+
+    # A row that names nothing in the source is wrong whatever ran; one
+    # whose subject ran this time may sit on a timing-dependent path.
+    present = set(names.values())
+    for module in modules():
+        for node in module.functions:
+            pending = [node.body]
+            while pending:
+                for body in nested_bodies(module, pending.pop()):
+                    present.add(f"{names[module.path, min(module.spans[node]), node.name]}"
+                                f" > {body.label}")
+                    pending.append(body.statements)
+    gone = sorted(set(kept) - present)
+    for key in sorted(set(kept) - used):
+        print(f"{KEPT.relative_to(ROOT)}: {key!r} "
+              + ("names nothing under src/repro" if key in gone else "ran this time")
+              + " — delete the row")
+    print()
+
     print(f"{totals['definitions']} function definitions under src/repro "
           f"({lines['definitions']} lines)")
     if tests is None:
@@ -449,6 +771,18 @@ def report(front: set, tests: set | None) -> None:
     print(f"{counts['parameters']} parameters with a literal or module-constant "
           f"default; never set by a front door: {unset} "
           f"({in_uncalled} in definitions no door reaches){split}")
+    n_bodies = sum(len(entries) for entries in bodies.values())
+    after_exit = (line_totals["never run"] - line_totals["definitions"]
+                  - line_totals["refusals"] - line_totals["other bodies"])
+    print(f"{line_totals['executable']} executable lines in function bodies; "
+          f"never executed by a front door: {line_totals['never run']} — "
+          f"{line_totals['definitions']} in definitions no door reaches, "
+          f"{line_totals['refusals']} in refusals and fault handlers, "
+          f"{line_totals['other bodies']} in other bodies never entered "
+          f"({n_bodies} bodies in all), {after_exit} beside lines that ran")
+    print(f"neither a refusal, a fault handler nor a row of "
+          f"{KEPT.relative_to(ROOT)}: {unlisted}")
+    return unlisted == 0 and not gone
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -463,14 +797,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"front doors ({len(FRONT_DOORS)} commands):", file=sys.stderr)
         work = scratch / "work"
         work.mkdir()
-        run_under_hook(FRONT_DOORS, scratch / "front", scratch, work)
+        fine = run_under_hook(FRONT_DOORS, scratch / "front", scratch, work)
         tests = None
         if args.tests:
             print("tier-1:", file=sys.stderr)
             run_under_hook([Door(TIER_1)], scratch / "tests", scratch, ROOT)
             tests = reached(scratch / "tests")
-        report(reached(scratch / "front"), tests)
-    return 0
+        closed = report(reached(scratch / "front"), tests)
+    return 0 if fine and closed else 1
 
 
 if __name__ == "__main__":
