@@ -29,7 +29,7 @@ categorical *choice map* and one *regret map* per policy.
 ``--cell-cache DIR`` enables the content-addressed per-cell measurement
 store: every already-measured (plan, cell) is loaded instead of
 re-measured — across reruns, grid-resolution changes and refinement
-passes — with progress lines showing the per-wave hit count
+passes — with progress lines showing the running hit count
 and a final store summary line.  ``--cell-cache-compact`` rewrites that
 store's shards, dropping superseded and corrupt lines, and prints what
 was reclaimed.
@@ -350,7 +350,8 @@ def _serve_main(argv: list[str]) -> int:
         "--snapshot-every",
         type=int,
         default=1,
-        help="serial sweeps publish a partial-map snapshot every N cells",
+        help="sweeps publish a partial-map snapshot every N measured "
+        "cells (pool: chunks) of a wave and after its last",
     )
     _add_config_flags(parser)
     parser.add_argument(

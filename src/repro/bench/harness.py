@@ -84,9 +84,10 @@ class BenchSession:
     entirely from the cell store builds none.
 
     ``snapshot_every`` threads straight into the sweep engines: every
-    N-th measured cell (serial) or every finished chunk/round (parallel,
-    refinement) the progress stream carries a partial-map snapshot (see
-    :class:`repro.core.progress.ProgressEvent`).
+    N-th measured part of a wave (a cell in-process, a chunk in the
+    pool), a wave's last, its store replay and every refinement round,
+    the progress stream carries a partial-map snapshot of everything the
+    sweep holds so far (see :class:`repro.core.progress.ProgressEvent`).
 
     ``cell_store`` hands the session an already open
     :class:`~repro.core.cellstore.CellStore` to use instead of opening

@@ -47,10 +47,11 @@ from repro.core.driver import (
     DenseGridPolicy,
     SweepDriver,
     SweepState,
+    partition_cells,
 )
 from repro.core.progress import ProgressEvent
 from repro.core.runner import RobustnessSweep, Jitter
-from repro.core.parallel import ParallelSweep, partition_cells
+from repro.core.parallel import ParallelSweep
 from repro.core.maps import (
     best_times,
     censored_to_nan,

@@ -48,15 +48,19 @@ of one behind); every line carries a blake2s digest of its record, and
 a complete line that is malformed or tampered with answers no lookup:
 it is skipped, counted (:attr:`CellStore.corrupt_lines`) and logged.
 :meth:`CellStore.compact` rewrites the shards, dropping superseded
-duplicates and corrupt (orphaned) lines.
+duplicates and corrupt (orphaned) lines.  Every append and every whole
+compaction holds an advisory ``flock`` on the store directory, so two
+processes on one store never append to a shard another is replacing.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -226,7 +230,13 @@ class CellStore:
 
     Load, refresh, ``put_many``, ``compact`` and the counters share one
     lock, so threads may share a store; key reads go straight to the
-    dict.
+    dict.  Processes share a store through an advisory ``flock`` on its
+    directory (no lock file, so a store holds its shards and nothing
+    else), held around each append and each whole compaction: a
+    compaction reads and replaces a shard with no append in between,
+    and an append that waited lands in the shard that replaced it.
+    Reads take no lock; the ``(inode, offset)`` check above handles a
+    shard replaced under them.
 
     ``cell_hits`` / ``cell_misses`` count *cells* (a hit needs a stored
     record for every swept plan), which is the rate the CLI and the
@@ -252,6 +262,25 @@ class CellStore:
 
     def _shard_paths(self) -> list[Path]:
         return sorted(self.directory.glob(f"{_SHARD_PREFIX}?.jsonl"))
+
+    @contextmanager
+    def _exclusive(self) -> Iterator[None]:
+        """Hold the store-wide advisory lock (every process on the
+        directory).
+
+        Released explicitly: a process forked meanwhile (a pool worker of
+        a concurrent sweep) shares the descriptor, and closing ours alone
+        would leave the lock held for as long as that process lives.
+        """
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
 
     @property
     def index(self) -> dict[str, CellRecord]:
@@ -321,7 +350,7 @@ class CellStore:
         data); a differing record supersedes the old one — last write
         wins, and :meth:`compact` drops the shadowed line.
         """
-        with self._lock:
+        with self._lock, self._exclusive():
             index = self.index
             by_shard: dict[Path, list[bytes]] = {}
             written = 0
@@ -335,19 +364,22 @@ class CellStore:
                 written += 1
             for path, lines in by_shard.items():
                 blob = b"".join(lines)
-                with path.open("a+b") as fh:
-                    if fh.seek(0, os.SEEK_END):
-                        fh.seek(-1, os.SEEK_END)
-                        if fh.read(1) != b"\n":
-                            # Half a line from a killed writer: end it, so
-                            # it is one corrupt line and nothing is glued on.
-                            blob = b"\n" + blob
-                    fh.write(blob)  # one write: atomic append
-                    fh.flush()
-                    end, this_inode = fh.tell(), os.fstat(fh.fileno()).st_ino
-                inode, offset, lineno = self._tails.get(path, (this_inode, 0, 0))
-                if (inode, offset) == (this_inode, end - len(blob)):
-                    # Nobody else appended in between: nothing to re-read.
+                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    # Under the store lock nobody else appends, so the
+                    # size read here is where this blob starts.
+                    stat = os.fstat(fd)
+                    if stat.st_size and os.pread(fd, 1, stat.st_size - 1) != b"\n":
+                        # Half a line from a killed writer: end it, so
+                        # it is one corrupt line and nothing is glued on.
+                        blob = b"\n" + blob
+                    os.write(fd, blob)  # one write: atomic append
+                finally:
+                    os.close(fd)
+                inode, offset, lineno = self._tails.get(path, (stat.st_ino, 0, 0))
+                if (inode, offset) == (stat.st_ino, stat.st_size):
+                    # Nothing appended since the last look: no re-read.
+                    end = stat.st_size + len(blob)
                     self._tails[path] = (inode, end, lineno + len(lines))
             self.writes += written
             return written
@@ -373,7 +405,7 @@ class CellStore:
         stats = {"kept": 0, "superseded": 0, "corrupt": 0}
         index: dict[str, CellRecord] = {}
         tails: dict[Path, tuple[int, int, int]] = {}
-        with self._lock:
+        with self._lock, self._exclusive():
             for path in self._shard_paths():
                 entries: dict[str, CellRecord] = {}
                 corrupt: list[int] = []
@@ -453,9 +485,10 @@ def records_from_part(
 
     The inverse of :func:`lookup_cells`: walks the part's
     :meth:`~repro.core.mapdata.MapData.cell_records` (its ``meta["cells"]``
-    coverage) and keys each value for write-back.  The parent process
-    calls this on the parts workers return — workers never touch the
-    store.
+    coverage) and keys each value for write-back.  Both engines call it on
+    every part they measured — the in-process engine per cell, the pool's
+    parent process per chunk a worker returns (workers never touch the
+    store).
 
     Parts measured with profile capture carry span trees in
     ``meta["profiles"]``; those ride along under derived

@@ -1,15 +1,19 @@
-"""Policy-driven, wave-based sweep driver.
+"""Policy-driven, wave-based sweep driver: one sweep wave, written once.
 
 The paper's robustness maps are interesting precisely at their
 discontinuities — spill cliffs, plan-crossover ridges, the hash join's
 all-or-nothing edge — yet a dense grid sweep spends the same measurement
 budget on every cell, most of which land on flat plateaus.  The
 :class:`SweepDriver` separates *which cells to measure next* (a
-:class:`CellPolicy`) from *how to measure them* (a backend callable the
-serial and parallel engines provide), and runs rounds: the policy
-proposes a wave of flat cell indices, the backend measures it into a
-partial :class:`~repro.core.mapdata.MapData`, the driver merges and asks
-again.
+:class:`CellPolicy`) from *how to measure them* (the serial and the
+parallel engine), and runs rounds: the policy proposes a wave of flat
+cell indices, and the driver runs that wave the same way for both
+engines.  The engine partitions it into store hits and misses (at the
+call site the benchmark patches); the driver replays the hits, splits
+the misses into parts, hands each part the engine measured to the
+engine's write-back, folds it into the sweep's arrays and emits every
+progress event and snapshot itself; the engine measures — cell by cell
+in-process, chunk by chunk in the process pool.
 
 Two policies ship:
 
@@ -32,36 +36,34 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.cellstore import CellRecord
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
+from repro.obs.profile import PROFILES_META_KEY, profile_key
 
-MeasureFn = Callable[[list[int]], MapData]
 
+def partition_cells(n_cells: int, n_chunks: int) -> list[list[int]]:
+    """Split ``range(n_cells)`` into at most ``n_chunks`` contiguous runs.
 
-def resolve_cells(cells: Sequence[int] | None, n_cells: int) -> list[int]:
-    """Validated sorted flat cell indices (all cells when None).
-
-    The single validation authority for explicit cell lists — shared by
-    :class:`DenseGridPolicy` and the runner's raw measurement pass.
+    Contiguous runs keep each worker's predicate/mask reuse warm and make
+    chunk boundaries easy to reason about; sizes differ by at most one.
     """
-    if cells is None:
-        return list(range(n_cells))
-    resolved = sorted(int(c) for c in cells)
-    if not resolved:
-        raise ExperimentError("an explicit cell list names at least one cell")
-    if resolved[0] < 0 or resolved[-1] >= n_cells:
-        raise ExperimentError(
-            f"cell indices out of range for a {n_cells}-cell grid: "
-            f"{resolved}"
-        )
-    if len(set(resolved)) != len(resolved):
-        raise ExperimentError(f"duplicate cell indices: {resolved}")
-    return resolved
+    if n_cells <= 0:
+        raise ExperimentError(f"cannot partition {n_cells} cells")
+    n_chunks = max(1, min(n_chunks, n_cells))
+    base, extra = divmod(n_cells, n_chunks)
+    chunks: list[list[int]] = []
+    start = 0
+    for c in range(n_chunks):
+        size = base + (1 if c < extra else 0)
+        chunks.append(list(range(start, start + size)))
+        start += size
+    return chunks
 
 
 @dataclass
@@ -109,7 +111,19 @@ class DenseGridPolicy(CellPolicy):
     def next_wave(self, state: SweepState) -> Sequence[int]:
         if state.round_index > 0:
             return []
-        return resolve_cells(self.cells, state.n_cells)
+        if self.cells is None:
+            return list(range(state.n_cells))
+        cells = sorted(self.cells)
+        if not cells:
+            raise ExperimentError("an explicit cell list names at least one cell")
+        if cells[0] < 0 or cells[-1] >= state.n_cells:
+            raise ExperimentError(
+                f"cell indices out of range for a {state.n_cells}-cell grid: "
+                f"{cells}"
+            )
+        if len(set(cells)) != len(cells):
+            raise ExperimentError(f"duplicate cell indices: {cells}")
+        return cells
 
 
 class AdaptiveRefinePolicy(CellPolicy):
@@ -299,92 +313,189 @@ class AdaptiveRefinePolicy(CellPolicy):
         }
 
 
+#: A wave's store hits: flat cell -> every swept plan's record.
+Hits = dict[int, dict[str, CellRecord]]
+
+
 class SweepDriver:
-    """Runs a policy's waves through a measurement backend and merges.
+    """Runs a policy's waves through one engine; both engines share it.
 
-    ``measure`` receives a sorted list of unmeasured flat cell indices
-    and must return the corresponding partial MapData — the serial
-    engine measures in-process, the parallel engine fans the wave out
-    over its (persistent) worker pool.  The merged result is identical
-    regardless of backend, chunking, or completion order.
+    The engine hands over four callables bound to its sweep:
 
-    ``wave_hits`` (optional) reports how many cells of the wave the
-    backend answered from the content-addressed cell store (None: no
-    store configured); round events carry it as ``cache_hits``.
+    * ``lookup(wave)`` — the wave's store hits (None: no store);
+    * ``replay(hits)`` — the part those hits make (one function,
+      :meth:`~repro.core.runner.RobustnessSweep.replay_part`, for both
+      engines);
+    * ``measure(parts)`` — yields ``(part, description)`` for every list
+      of cells it is given, in the order they finish;
+    * ``write_back(part)`` — stores a measured part.
 
-    With ``snapshots=True``, every round event additionally carries the
-    merged-so-far partial :class:`MapData` as ``event.snapshot`` — under
-    a multi-round policy this is the cumulative coverage across waves,
-    complementing the per-cell/per-chunk snapshots the backends attach
-    within a wave.
+    ``chunks`` says how a wave's misses split into parts: one per cell
+    (None: the in-process engine, ``"cell"`` events) or at most that many
+    contiguous runs (the pool, ``"chunk"`` events); a wave's store replay
+    is one more part.  Parts are folded into the sweep's own arrays as
+    they land, so the map is the same whatever the engine, the chunking
+    or the completion order.
+
+    Every event carries running totals over the whole sweep, which never
+    go back from one wave to the next: ``done`` (cells folded so far),
+    ``cache_hits`` (cells the store answered so far; None without a
+    store) and, with ``snapshot_every`` set, a snapshot of everything
+    folded so far — on a replay event, on every ``snapshot_every``-th
+    measured part of a wave and on its last, and on every round event.
     """
 
     def __init__(
         self,
-        measure: MeasureFn,
         shape: tuple[int, ...],
         policy: CellPolicy,
-        scenario: str = "?",
-        progress: Callable[[ProgressEvent], None] | None = None,
-        wave_hits: Callable[[], int | None] | None = None,
-        snapshots: bool = False,
+        *,
+        scenario: str,
+        lookup: Callable[[list[int]], Hits | None],
+        replay: Callable[[Hits], MapData],
+        measure: Callable[[list[list[int]]], Iterable[tuple[MapData, str]]],
+        write_back: Callable[[MapData], None],
+        chunks: int | None,
+        progress: Callable[[ProgressEvent], None],
+        snapshot_every: int | None,
     ) -> None:
-        self.measure = measure
         self.shape = tuple(int(n) for n in shape)
         self.policy = policy
         self.scenario = scenario
-        self.progress = progress or (lambda event: None)
-        self.wave_hits = wave_hits or (lambda: None)
-        self.snapshots = snapshots
+        self.lookup = lookup
+        self.replay = replay
+        self.measure = measure
+        self.write_back = write_back
+        self.chunks = chunks
+        self.progress = progress
+        self.snapshot_every = snapshot_every
+        self._map: MapData | None = None  # the sweep's arrays, once a part landed
+        self._covered: list[int] = []
+        self._profiles: dict[str, dict] = {}
+        self._hits: int | None = None
+        self._start = 0.0
 
     def run(self) -> MapData:
         state = SweepState(shape=self.shape)
-        parts: list[MapData] = []
-        start = time.monotonic()
+        self._start = time.monotonic()
         while True:
             wave = self.policy.next_wave(state)
             wave = sorted({int(c) for c in wave} - state.measured)
             if not wave:
                 break
-            part = self.measure(wave)
-            parts.append(part)
+            self._run_wave(wave, total=len(state.measured) + len(wave))
             state.measured.update(wave)
             state.round_index += 1
-            state.mapdata = self._combined(parts)
+            state.mapdata = self._map
             if self.policy.multi_round:
-                self.progress(
-                    ProgressEvent(
-                        scenario=self.scenario,
-                        done=len(state.measured),
-                        total=state.n_cells,
-                        elapsed=time.monotonic() - start,
-                        kind="round",
-                        round_index=state.round_index,
-                        wave_cells=len(wave),
-                        cache_hits=self.wave_hits(),
-                        snapshot=state.mapdata if self.snapshots else None,
-                    )
+                self._emit(
+                    True,
+                    kind="round",
+                    total=state.n_cells,
+                    round_index=state.round_index,
+                    wave_cells=len(wave),
                 )
-        if state.mapdata is None:
+        if self._map is None:
             raise ExperimentError(
                 f"policy {self.policy.name!r} proposed no cell to measure"
             )
-        result = state.mapdata
-        extra = self.policy.result_meta(state)
-        if extra:
-            result.meta.update(extra)
+        result = self._partial()
+        if self._profiles:
+            # In cell order, then plan order: the same whatever order the
+            # parts landed in.
+            coords = zip(*np.unravel_index(sorted(self._covered), self.shape))
+            result.meta[PROFILES_META_KEY] = {
+                key: self._profiles[key]
+                for idx in coords
+                for plan_id in result.plan_ids
+                if (key := profile_key(plan_id, tuple(map(int, idx))))
+                in self._profiles
+            }
+        # The merge drops meta["cells"] when the waves covered the grid.
+        result = MapData.merge([result])
+        result.meta.update(self.policy.result_meta(state))
         return result
 
-    @staticmethod
-    def _combined(parts: list[MapData]) -> MapData:
-        """Merge parts (sorted by first cell, so order cannot matter);
-        a lone already-complete part passes through untouched."""
-        if len(parts) == 1 and not parts[0].is_partial:
-            return parts[0]
-        ordered = sorted(
-            parts,
-            key=lambda part: (
-                int(part.filled_cells[0]) if part.filled_cells.size else -1
-            ),
+    def _run_wave(self, wave: list[int], total: int) -> None:
+        hits = self.lookup(wave)
+        if hits is None:
+            hits = {}
+        else:
+            self._hits = len(hits) + (self._hits or 0)
+        misses = [flat for flat in wave if flat not in hits]
+        parts = [
+            [misses[i] for i in run]
+            for run in partition_cells(len(misses), self.chunks or len(misses))
+        ] if misses else []
+        tick = {
+            "kind": "cell" if self.chunks is None else "chunk",
+            "total": total,
+            "parts_total": len(parts) + bool(hits),
+        }
+        if hits:
+            self._fold(self.replay(hits))
+            detail = f"{len(hits)} cells from cell store"
+            self._emit(True, parts_done=1, detail=detail, **tick)
+        every = self.snapshot_every
+        for landed, (part, detail) in enumerate(self.measure(parts), 1):
+            self._fold(part)
+            self.write_back(part)
+            snapshot = every is not None and (
+                landed % every == 0 or landed == len(parts)
+            )
+            self._emit(
+                snapshot, parts_done=bool(hits) + landed, detail=detail, **tick
+            )
+
+    def _fold(self, part: MapData) -> None:
+        """Copy a part's cells into the sweep's arrays; the first part
+        also lends them its plan ids, axes and meta."""
+        if self._map is None:
+            self._map = MapData(
+                plan_ids=list(part.plan_ids),
+                times=np.full_like(part.times, np.nan),
+                aborted=np.zeros_like(part.aborted),
+                rows=np.zeros_like(part.rows),
+                axes=list(part.axes),
+                meta={
+                    k: v
+                    for k, v in part.meta.items()
+                    if k not in ("cells", PROFILES_META_KEY)
+                },
+            )
+        cells = part.meta["cells"]
+        idx = np.unravel_index(np.asarray(cells, dtype=np.int64), self.shape)
+        every_plan = (slice(None), *idx)
+        self._map.times[every_plan] = part.times[every_plan]
+        self._map.aborted[every_plan] = part.aborted[every_plan]
+        self._map.rows[idx] = part.rows[idx]
+        self._profiles.update(part.meta.get(PROFILES_META_KEY, {}))
+        self._covered.extend(cells)
+
+    def _partial(self) -> MapData:
+        """A copy of everything folded so far; ``meta["cells"]`` is its
+        coverage."""
+        return MapData(
+            plan_ids=list(self._map.plan_ids),
+            times=self._map.times.copy(),
+            aborted=self._map.aborted.copy(),
+            rows=self._map.rows.copy(),
+            axes=list(self._map.axes),
+            meta=dict(self._map.meta, cells=sorted(self._covered)),
         )
-        return MapData.merge(ordered)
+
+    def _emit(self, snapshot: bool, **fields) -> None:
+        self.progress(
+            ProgressEvent(
+                scenario=self.scenario,
+                done=len(self._covered),
+                elapsed=time.monotonic() - self._start,
+                cache_hits=self._hits,
+                snapshot=(
+                    self._partial()
+                    if snapshot and self.snapshot_every is not None
+                    else None
+                ),
+                **fields,
+            )
+        )

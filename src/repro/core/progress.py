@@ -2,10 +2,10 @@
 
 Historically the sweep engines reported progress as free-form strings and
 the CLI grepped ``"eta"`` back out of them to decide what to annotate.
-:class:`ProgressEvent` replaces that protocol: every path — the serial
-per-cell loop, the parallel per-chunk collector, and the wave-based
-refinement driver — emits one structured event carrying the scenario
-name, cells done/total, and the elapsed seconds since the sweep began.
+:class:`ProgressEvent` replaces that protocol: the wave-based sweep
+driver emits one structured event per landed cell, chunk or round, for
+both engines, carrying the scenario name, cells done/total, and the
+elapsed seconds since the sweep began.
 
 Renderers never parse: :meth:`ProgressEvent.render` (also ``str()``)
 produces the same human-readable lines the string protocol used, ETA
@@ -37,20 +37,26 @@ def checked_snapshot_every(snapshot_every: int | None) -> int | None:
 class ProgressEvent:
     """One progress tick of a sweep.
 
-    ``kind`` distinguishes the three emitters: ``"cell"`` (serial loop,
-    one event per measured cell), ``"chunk"`` (parallel engine, one event
-    per finished worker chunk), and ``"round"`` (refinement driver, one
-    event per completed wave).  ``done``/``total`` always count *cells*;
-    chunk events additionally carry ``parts_done``/``parts_total`` and
-    round events carry ``round_index``/``wave_cells``.
+    The :class:`~repro.core.driver.SweepDriver` emits every event, for
+    both engines.  ``kind`` says what landed: ``"cell"`` (the in-process
+    engine, one event per measured cell), ``"chunk"`` (the process pool,
+    one event per finished worker chunk) — either of them also once per
+    wave for the cells the store answered — and ``"round"`` (one event
+    per completed wave of a multi-round policy).  Cell and chunk events
+    carry ``parts_done``/``parts_total`` (the parts of the current wave:
+    its cells or chunks, plus its store replay) and round events carry
+    ``round_index``/``wave_cells``.
 
-    ``cache_hits`` counts the cells of the current scope (the sweep for
-    cell/chunk events, the wave for round events) that were answered by
-    the content-addressed cell store instead of being measured; ``None``
-    means no store was configured, so existing streams are unchanged.
+    ``done``, ``cache_hits`` and a snapshot's coverage are running totals
+    over the whole sweep, so none of them ever goes back, not even from
+    one wave to the next.  ``done`` counts the cells the sweep holds so
+    far; ``total`` is the cells proposed so far (the grid for a round
+    event).  ``cache_hits`` counts the cells the content-addressed cell
+    store answered instead of their being measured; ``None`` means no
+    store was configured.
 
     ``snapshot``, when present, is a *partial* :class:`MapData` holding
-    every cell measured so far (``meta["cells"]`` coverage; see
+    every cell the sweep holds so far (``meta["cells"]`` coverage; see
     :attr:`MapData.measured_mask`).  Engines attach snapshots only when
     explicitly asked to (``snapshot_every``) — the default streams stay
     lightweight and :meth:`render` never mentions them.  Measured values

@@ -163,8 +163,7 @@ class TableScanNode(PlanNode):
                     qualifying = apply_predicates(columns, predicates)
                 return np.flatnonzero(qualifying).astype(np.int64)
 
-            def columns_fn() -> dict[str, np.ndarray]:
-                rids = result.rids
+            def columns_fn(rids: np.ndarray) -> dict[str, np.ndarray]:
                 needed = dict.fromkeys(
                     self.project + [p.column for p in predicates]
                 )
@@ -232,7 +231,7 @@ class IndexRangeRidsNode(PlanNode):
     def estimated_cost(self, model, est: dict) -> float:
         rows = self.estimated_rows(est)
         tree = self.index.tree
-        selectivity = rows / max(1, self.index.table.n_rows)
+        selectivity = rows / max(1, self.index.n_rows)
         leaf_pages = max(1.0, selectivity * tree.n_leaf_pages)
         cost = model.btree_descent(tree.height)
         cost += model.sequential_read(leaf_pages)
@@ -599,7 +598,7 @@ class CoveringRidJoinNode(PlanNode):
 
     def estimated_cost(self, model, est: dict) -> float:
         rows_child = self.child.estimated_rows(est)
-        n_index = float(self.value_index.table.n_rows)
+        n_index = float(self.value_index.n_rows)
         cost = self.child.estimated_cost(model, est)
         cost += model.sequential_read(self.value_index.n_leaf_pages)
         cost += model.cpu(n_index, model.profile.cpu_row)
@@ -650,7 +649,7 @@ class ExternalSortNode(PlanNode):
             return Result.deferred(
                 n_rows,
                 lambda: np.arange(n_rows, dtype=np.int64),
-                lambda: {"sorted": sorted_result.values},
+                lambda rids: {"sorted": sorted_result.values},
             )
         return Result(
             np.arange(sorted_result.values.size, dtype=np.int64),

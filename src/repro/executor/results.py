@@ -33,20 +33,24 @@ class Result:
         )
         self._n_rows = int(rids.size)
         self._rids_fn: Callable[[], np.ndarray] | None = None
-        self._columns_fn: Callable[[], dict[str, np.ndarray]] | None = None
+        self._columns_fn: (
+            Callable[[np.ndarray], dict[str, np.ndarray]] | None
+        ) = None
 
     @classmethod
     def deferred(
         cls,
         n_rows: int,
         rids_fn: Callable[[], np.ndarray],
-        columns_fn: Callable[[], dict[str, np.ndarray]],
+        columns_fn: Callable[[np.ndarray], dict[str, np.ndarray]],
     ) -> "Result":
         """A result whose rids/columns materialize on first access.
 
         ``n_rows`` must equal ``rids_fn().size`` — the count is the only
         thing a measurement loop reads, and the oracle row check relies
-        on it.
+        on it.  ``columns_fn`` is handed the rids (materialized once, the
+        first time either is read) instead of reaching for the result,
+        so no thunk references the result that holds it.
         """
         result = cls.__new__(cls)
         result._rids = None
@@ -68,7 +72,7 @@ class Result:
     def columns(self) -> dict[str, np.ndarray]:
         if self._columns is None:
             assert self._columns_fn is not None
-            self._columns = self._columns_fn()
+            self._columns = self._columns_fn(self.rids)
             self._columns_fn = None
         return self._columns
 

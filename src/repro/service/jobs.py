@@ -37,7 +37,6 @@ budget yardstick and nothing else.
 
 from __future__ import annotations
 
-import gc
 import queue
 import threading
 import time
@@ -87,7 +86,6 @@ class Job:
     events: int = 0
     cache_hits: int | None = None
     """Cells taken from the cell store so far, over every wave."""
-    hits_before_wave: int = 0
     cache_hit: bool = False
     error: str | None = None
     result: MapData | None = None
@@ -266,14 +264,10 @@ class JobManager:
     def _on_progress(self, job: Job, event: ProgressEvent) -> None:
         with self._cond:
             job.events += 1
+            # Running totals over the whole sweep: copied, never summed.
             job.done = event.done
             job.total = event.total
-            if event.cache_hits is not None:
-                # An event counts its own wave's hits; a round event is
-                # the last of its wave.
-                job.cache_hits = job.hits_before_wave + event.cache_hits
-                if event.kind == "round":
-                    job.hits_before_wave = job.cache_hits
+            job.cache_hits = event.cache_hits
             if event.snapshot is not None:
                 job.snapshot = event.snapshot
             self._cond.notify_all()
@@ -459,9 +453,3 @@ class JobManager:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
             thread.join(timeout=timeout)
-        # No job holds a session, but a session's tables and their
-        # secondary indexes reference one another, so reference counting
-        # alone never frees them.  Collect here, so a process that opens
-        # managers in turn holds one retired manager's tables at most
-        # (without it `service_warm` peaks at 350 MiB, not 140).
-        gc.collect()

@@ -49,19 +49,24 @@ class SecondaryIndex:
     builds nothing, and a request answered from the cell store never
     sorts a column.  Columns are immutable, so a tree built late is the
     tree that would have been built at creation.
+
+    The index keeps its key columns and the table's row count, not the
+    table: a table lists its indexes, and an index pointing back would
+    keep both alive until the cyclic garbage collector ran.
     """
 
     def __init__(
         self,
-        table: "Table",
         name: str,
         key_columns: tuple[str, ...],
+        key_values: tuple[np.ndarray, ...],
         codec: CompositeKeyCodec,
         tree: BPlusTree,
     ) -> None:
-        self.table = table
         self.name = name
         self.key_columns = key_columns
+        self._key_values = key_values
+        self.n_rows = len(key_values[0])
         self.codec = codec
         self._tree = tree
         self._loaded = False
@@ -73,9 +78,7 @@ class SecondaryIndex:
         if not self._loaded:
             with self._load_lock:
                 if not self._loaded:
-                    encoded = self.codec.encode(
-                        [self.table.column(c) for c in self.key_columns]
-                    )
+                    encoded = self.codec.encode(list(self._key_values))
                     order = np.argsort(encoded, kind="stable")
                     self._tree.bulk_load(
                         encoded[order],
@@ -252,7 +255,8 @@ class Table:
         tree = BPlusTree(
             self.env, f"{self.name}.{name}", entry_bytes=_INDEX_ENTRY_BYTES
         )
-        index = SecondaryIndex(self, name, key_columns, codec, tree)
+        key_values = tuple(self.column(column) for column in key_columns)
+        index = SecondaryIndex(name, key_columns, key_values, codec, tree)
         self.indexes[name] = index
         return index
 

@@ -497,7 +497,7 @@ def test_corrupted_store_rejects_warm_sweep(tmp_path, sort_budget):
 def test_records_from_part_inverts_lookup(tmp_path, sort_budget):
     scenario = make_sort()
     sweep = RobustnessSweep([OperatorBench()], budget_seconds=sort_budget)
-    part = sweep._sweep_cells(scenario, [0, 5, 11])
+    part, _ = sweep.measure_part(scenario, sweep.plan_ids(scenario), [0, 5, 11])
     keyer = sweep.store_keyer(scenario)
     store = CellStore(tmp_path)
     store.put_many(records_from_part(keyer, part))
@@ -545,7 +545,7 @@ def test_progress_cache_hits_none_without_store(sort_budget):
     assert "cached" not in events[0].render()
 
 
-def test_round_events_carry_wave_hits(tmp_path, sort_budget):
+def test_round_events_carry_running_hit_totals(tmp_path, sort_budget):
     store = CellStore(tmp_path)
     policy = AdaptiveRefinePolicy(initial_step=2)
     serial_map(sort_budget, store=store, policy=policy)
@@ -559,7 +559,10 @@ def test_round_events_carry_wave_hits(tmp_path, sort_budget):
     sweep.sweep(make_sort(), policy=AdaptiveRefinePolicy(initial_step=2))
     rounds = [e for e in events if e.kind == "round"]
     assert rounds
-    assert all(e.cache_hits == e.wave_cells for e in rounds)  # fully warm
+    hits = 0
+    for event in rounds:  # fully warm: each wave adds its cells to the total
+        hits += event.wave_cells
+        assert event.cache_hits == event.done == hits
 
 
 # ---------------------------------------------------------------------------

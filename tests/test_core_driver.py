@@ -187,7 +187,6 @@ def test_adaptive_parallel_bit_identical_to_serial():
         operator_bench_factory,
         memory_bytes=JOIN_MEMORY,
         n_workers=2,
-        chunk_cells=7,
     )
     parallel = engine.sweep(
         join_scenario().spec(), policy=AdaptiveRefinePolicy(max_cells=40)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.driver import DenseGridPolicy
 from repro.core.mapdata import MapData
-from repro.core.parallel import ParallelSweep, partition_cells
+from repro.core.driver import partition_cells
+from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
 from repro.core.runner import Jitter, RobustnessSweep
@@ -130,9 +131,7 @@ def assert_identical(parallel: MapData, serial: MapData) -> None:
 def test_parallel_2d_bit_identical_to_serial(system_a):
     space = Space2D.log2("a", "b", -3)
     serial = TwoPredicateScenario([system_a], space).run(jitter=JITTER)
-    engine = ParallelSweep(
-        build_system_a, jitter=JITTER, n_workers=2, chunk_cells=5
-    )
+    engine = ParallelSweep(build_system_a, jitter=JITTER, n_workers=2)
     parallel = engine.sweep(TwoPredicateScenario.build_spec(space.x, space.y))
     assert_identical(parallel, serial)
     assert np.array_equal(parallel.y_targets, serial.y_targets)
@@ -155,17 +154,6 @@ def test_parallel_serial_fallback_matches(system_a):
     assert_identical(fallback, serial)
 
 
-def test_parallel_single_full_grid_chunk(system_a):
-    """chunk_cells >= n_cells puts the whole grid in one chunk; the
-    chunk part must stay mergeable (regression: the worker normalized
-    it to a complete map and the parent's merge rejected it)."""
-    space = Space1D.log2("sel", -3)
-    serial = SinglePredicateScenario([system_a], space).run()
-    engine = ParallelSweep(build_system_a, n_workers=2, chunk_cells=100)
-    parallel = engine.sweep(SinglePredicateScenario.build_spec(space))
-    assert_identical(parallel, serial)
-
-
 def test_parallel_empty_cell_policy_matches_serial(system_a):
     """No front door can hand in an empty cell list: both engines refuse
     one (it used to yield an all-NaN partial map by a path of its own)."""
@@ -181,15 +169,14 @@ def test_parallel_empty_cell_policy_matches_serial(system_a):
 def test_parallel_reports_chunk_progress():
     space = Space1D.log2("sel", -3)
     events = []
-    engine = ParallelSweep(
-        build_system_a, n_workers=2, chunk_cells=2, progress=events.append
-    )
+    engine = ParallelSweep(build_system_a, n_workers=2, progress=events.append)
     engine.sweep(SinglePredicateScenario.build_spec(space))
     assert events
     # Structured events, no string sniffing: every field is typed.
     assert all(isinstance(event, ProgressEvent) for event in events)
     assert all(event.kind == "chunk" for event in events)
-    assert [event.parts_done for event in events] == [1, 2]
+    # Eight chunks for two workers, at most one per cell.
+    assert [event.parts_done for event in events] == [1, 2, 3, 4]
     last = events[-1]
     assert last.done == last.total == 4
     assert last.elapsed >= 0.0

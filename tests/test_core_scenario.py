@@ -119,7 +119,7 @@ def test_sort_spill_serial_parallel_bit_identical():
     serial = RobustnessSweep(scenario.providers()).sweep(scenario)
     assert serial.times.shape == (2, len(SORT_ROWS), len(SORT_MEMORY))
     assert [axis.name for axis in serial.axes] == ["input_rows", "memory_bytes"]
-    engine = ParallelSweep(operator_bench_factory, n_workers=2, chunk_cells=4)
+    engine = ParallelSweep(operator_bench_factory, n_workers=2)
     parallel = engine.sweep(scenario.spec())
     assert_identical(parallel, serial)
 
@@ -148,7 +148,7 @@ def test_memory_sweep_serial_parallel_bit_identical(system_a):
     scenario = MemorySweepScenario([system_a], space, memory_axis)
     serial = RobustnessSweep([system_a]).sweep(scenario)
     assert serial.times.shape == (7, space.n_points, len(memory_axis))
-    engine = ParallelSweep(build_system_a, n_workers=2, chunk_cells=3)
+    engine = ParallelSweep(build_system_a, n_workers=2)
     parallel = engine.sweep(scenario.spec())
     assert_identical(parallel, serial)
 
@@ -202,7 +202,7 @@ def test_join_serial_parallel_bit_identical():
     assert serial.times.shape == (4, len(JOIN_ROWS), len(JOIN_ROWS))
     assert [axis.name for axis in serial.axes] == ["build_rows", "probe_rows"]
     engine = ParallelSweep(
-        operator_bench_factory, memory_bytes=8192, n_workers=2, chunk_cells=4
+        operator_bench_factory, memory_bytes=8192, n_workers=2
     )
     parallel = engine.sweep(scenario.spec())
     assert_identical(parallel, serial)

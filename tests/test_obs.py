@@ -202,10 +202,16 @@ def test_parallel_tracing_on_is_byte_identical_to_serial_off():
     )
     traced = engine.sweep(make_sort().spec())
     assert map_json(traced) == map_json(plain)
-    # Chunk parts carried their profiles back; the merge unioned them.
+    # Chunk parts carried their profiles back; the driver folded them.
     profiles = profiles_from_meta(traced.meta)
     n_cells = int(np.prod(make_sort().grid_shape))
     assert len(profiles) == len(traced.plan_ids) * n_cells
+    # In cell order, as a serial sweep lists them, whichever chunk
+    # finished first: two exports of the same map diff clean.
+    serial = RobustnessSweep([OperatorBench()], capture_profiles=True).sweep(
+        make_sort()
+    )
+    assert list(traced.meta["profiles"]) == list(serial.meta["profiles"])
 
 
 def test_profiles_replay_from_the_cell_store(tmp_path):

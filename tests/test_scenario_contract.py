@@ -288,7 +288,7 @@ def test_scenario_overriding_the_derived_members_still_works():
     try:
         scenario = SelfDescribedScenario(build_system_a())
         serial = scenario.run()
-        engine = ParallelSweep(build_system_a, n_workers=2, chunk_cells=1)
+        engine = ParallelSweep(build_system_a, n_workers=2)
         parallel = engine.sweep(scenario.spec())
     finally:
         del SCENARIO_TYPES[SelfDescribedScenario.name]

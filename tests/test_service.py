@@ -344,9 +344,7 @@ def recorded_sessions(monkeypatch):
 def test_close_frees_what_retired_managers_built(monkeypatch):
     """An estimation job answers ``/choice`` from its result and keeps the
     choice maps, not the session or the System A they were computed over:
-    reference counting has freed the session before the manager closes
-    (``close`` collects what is left: tables and indexes point at each
-    other)."""
+    reference counting has freed the session before the manager closes."""
     import gc
 
     sessions = recorded_sessions(monkeypatch)
@@ -386,6 +384,47 @@ def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
     finally:
         gc.enable()
         manager.close()
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool"])
+def test_dropped_sessions_and_closed_managers_free_their_tables(
+    tmp_path, monkeypatch, workers
+):
+    """No table is part of a reference cycle (an index keeps its key
+    columns, not its table; a deferred scan result's thunks do not reach
+    the result), so reference counting alone frees every table a dropped
+    session or a closed manager built — the pool's parent-side providers
+    for the store included — and ``close`` needs no garbage collection."""
+    import gc
+
+    from repro.storage.table import Table
+
+    tables = []
+    real = Table.__init__
+
+    def recorded(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(Table, "__init__", recorded)
+    config = tiny_config(
+        n_workers=workers, cell_cache_dir=str(tmp_path / "cells")
+    )
+    request = MapRequest("two_predicate")
+    gc.disable()
+    try:
+        session = BenchSession(config)
+        session.request_map(request)
+        del session
+        assert tables and [ref() for ref in tables] == [None] * len(tables)
+        tables.clear()
+        manager = JobManager(config, workers=1)
+        job, _ = manager.submit(MapRequest("two_predicate", {"seed": 7}))
+        assert manager.wait(job.job_id, timeout=120).state == "done"
+        manager.close()
+        assert tables and [ref() for ref in tables] == [None] * len(tables)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
