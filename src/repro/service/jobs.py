@@ -318,6 +318,8 @@ class JobManager:
         """
         finished = time.time()
         state = "failed" if result is None else "done"
+        # A refined job measured only part of its grid.
+        measured = 0 if result is None else int(result.measured_mask.sum())
         with self._cond:
             elapsed = finished - (job.started or job.created)
             cell_hits = job.cache_hits
@@ -328,7 +330,7 @@ class JobManager:
         self._m_completed.inc(state=state)
         self._m_latency.observe(max(0.0, elapsed))
         if result is not None:
-            self._m_cells_done.inc(result.times[0].size)
+            self._m_cells_done.inc(measured)
             if cell_hits:
                 self._m_cell_hits.inc(cell_hits)
             if cache_hit:
@@ -337,7 +339,8 @@ class JobManager:
             if result is not None:
                 job.result = result
                 job.snapshot = None  # only read while there is no result
-                job.done = job.total = result.times[0].size
+                job.done = measured
+                job.total = result.times[0].size
                 job.cache_hit = cache_hit
             job.error = error
             job.state = state

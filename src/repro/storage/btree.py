@@ -257,16 +257,24 @@ class BPlusTree:
         keys = np.ascontiguousarray(np.asarray(keys), dtype=np.int64)
         n = int(keys.size)
         flat = self.flat
-        lo = np.searchsorted(flat.keys, keys, side="left")
-        hi = np.searchsorted(flat.keys, keys, side="right")
-        counts = np.asarray(hi - lo, dtype=np.int64)
+        # Search in key order (each search starts where the last one
+        # ended), then scatter the bounds back to probe order.
+        order = np.argsort(keys)
+        in_order = keys[order]
+        lo = np.empty(n, dtype=np.int64)
+        hi = np.empty(n, dtype=np.int64)
+        lo[order] = np.searchsorted(flat.keys, in_order, side="left")
+        hi[order] = np.searchsorted(flat.keys, in_order, side="right")
+        counts = hi - lo
         if n == 0:
             return counts
 
         n_entries = flat.n_entries
         n_leaves = flat.n_leaves
-        # Leaf the descent lands on (see _charge_inner_path).
-        first_leaf = np.searchsorted(self._separators, keys, side="left")
+        # Leaf the descent lands on (see _charge_inner_path): bisecting
+        # the separators (each leaf's first key) stops at the leaf that
+        # holds the last entry below the key, or at leaf 0.
+        first_leaf = flat.leaf_index_of(np.maximum(lo - 1, 0))
         # Last leaf the duplicate-continuation walk visits: the walk
         # advances while the key's upper bound lies at/past the end of
         # the current leaf, i.e. up to the leaf containing position

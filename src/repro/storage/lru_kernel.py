@@ -20,6 +20,13 @@ per-page dict operations.  The pool's *current* residents are absorbed as
 a synthetic trace prefix (one access per resident key, LRU-oldest first),
 which makes warm-pool traces a special case of cold traces.
 
+A trace that cannot fill the pool skips all of that.  When the trace's
+key span plus the residents is at most ``C`` (an O(n) range check), no
+access can evict, so an access misses exactly when it is its key's
+first occurrence and the key is not resident; one stable sort of the
+trace settles every access (:func:`_simulate_fitting`).  Index probe
+traces against a pool-sized tree take this path.
+
 Downstream effects are closed-form once hits are known:
 
 * ``misses``  — trace length minus hits;
@@ -120,6 +127,59 @@ def simulate_lru(
     if cached is not None:
         _memo.move_to_end(memo_key)
         return cached
+    if _fits(trace, state, capacity):
+        result = _simulate_fitting(trace, state)
+    else:
+        result = _simulate_segmented(trace, state, capacity)
+    _memo[memo_key] = result
+    if len(_memo) > _MEMO_CAPACITY:
+        _memo.popitem(last=False)
+    return result
+
+
+def _fits(trace: np.ndarray, state: np.ndarray, capacity: int) -> bool:
+    """Whether no access of ``trace`` can evict: an O(n) range check.
+
+    The trace touches at most ``span`` distinct keys, so the pool never
+    holds more than ``span + len(state)`` of them at once.
+    """
+    span = int(trace.max()) - int(trace.min()) + 1 if trace.size else 0
+    return span + int(state.size) <= capacity
+
+
+def _simulate_fitting(trace: np.ndarray, state: np.ndarray) -> LruSimulation:
+    """One pass over a trace that never fills the pool (see :func:`_fits`).
+
+    Nothing is evicted, so a key once admitted stays: an access misses
+    exactly when it is its key's first occurrence and the key is not
+    resident.  The final order is what the ``move_to_end`` sequence
+    leaves: the untouched residents in their order, then the touched
+    keys ascending by last occurrence.  One stable sort of the trace
+    finds every key's first and last occurrence; sorting the keys'
+    offsets from the smallest in the narrowest unsigned type lets NumPy
+    radix-sort a pool-sized span.
+    """
+    n = int(trace.size)
+    offsets = trace - (trace.min() if n else 0)
+    narrow = np.min_scalar_type(int(offsets.max(initial=0)))
+    order = np.argsort(offsets.astype(narrow), kind="stable")
+    sorted_keys = trace[order]
+    is_first = np.ones(n, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_first[1:])
+    is_last = np.ones(n, dtype=bool)
+    is_last[:-1] = is_first[1:]
+    keys = sorted_keys[is_first]
+    hits = np.ones(n, dtype=bool)
+    hits[order[is_first][~np.isin(keys, state)]] = False
+    by_recency = keys[np.argsort(order[is_last])]
+    final = np.concatenate((state[~np.isin(state, keys)], by_recency))
+    return LruSimulation(hits, 0, final)
+
+
+def _simulate_segmented(
+    trace: np.ndarray, state: np.ndarray, capacity: int
+) -> LruSimulation:
+    """Stack-distance simulation of any trace, :data:`_SEGMENT` at a time."""
     hit_parts: list[np.ndarray] = []
     deferred: list[tuple[int, int, _DeferredQueries]] = []
     evictions = 0
@@ -162,11 +222,7 @@ def simulate_lru(
         # counted as if all ambiguous accesses missed), so each resolved
         # hit takes back exactly one eviction.
         evictions -= int(np.count_nonzero(resolved_hits))
-    result = LruSimulation(hit_mask, evictions, state)
-    _memo[memo_key] = result
-    if len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
-    return result
+    return LruSimulation(hit_mask, evictions, state)
 
 
 def _resolve_ambiguous(
@@ -252,7 +308,10 @@ def _simulate_segment(
         and bool(np.isin(segment[:_SHORTCUT_PROBE], state).all())
         and bool(np.isin(segment, state).all())
     ):
-        return _all_resident_segment(segment, state)
+        # Every key is resident: the first access hits, hits change no
+        # residency, so nothing can evict and the one-pass rule applies.
+        resident = _simulate_fitting(segment, state)
+        return resident.hit_mask, 0, resident.final_keys, None
 
     # Absorb the residents as a synthetic warm-up prefix: replaying one
     # access per resident key (LRU-oldest first) from an empty pool of the
@@ -327,26 +386,6 @@ def _simulate_segment(
     keys_by_recency = sequence[last_occurrences]
     final = keys_by_recency[keys_by_recency.size - n_final :]
     return hits, evictions, final, deferred
-
-
-def _all_resident_segment(
-    segment: np.ndarray, state: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray, None]:
-    """Fast path: every key in the segment is already resident.
-
-    The first access hits (its key is resident), hits change no
-    residency, so inductively *every* access hits: no misses, no
-    evictions, and the final order is the untouched residents (relative
-    order preserved) followed by the touched keys ascending by last
-    occurrence — exactly what the ``move_to_end`` sequence leaves.
-    """
-    touched = np.isin(state, segment)
-    reversed_segment = segment[::-1]
-    unique, first_in_reversed = np.unique(reversed_segment, return_index=True)
-    # Ascending last-occurrence == descending index in the reversed array.
-    by_recency = unique[np.argsort(first_in_reversed)[::-1]]
-    final = np.concatenate((state[~touched], by_recency))
-    return np.ones(int(segment.size), dtype=bool), 0, final, None
 
 
 def _dominance_counts(

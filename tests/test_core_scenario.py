@@ -219,6 +219,37 @@ def test_join_matches_golden_fixture():
     assert_identical(mapdata, golden)
 
 
+def test_dense_key_join_map_matches_pinned_digest():
+    """A join map whose every cell takes the counting join: the sha256
+    of its JSON, as the sort-only join produced it."""
+    import hashlib
+    import json
+
+    from repro.executor.joins import _DENSE_SPAN_PER_ROW
+
+    pin = json.loads((DATA_DIR / "golden_join_dense_sha256.json").read_text())
+    scenario = JoinScenario(
+        OperatorBench(),
+        pin["build_rows"],
+        pin["probe_rows"],
+        row_bytes=pin["row_bytes"],
+        key_domain=pin["key_domain"],
+        seed=pin["seed"],
+    )
+    for n_build in pin["build_rows"]:
+        for n_probe in pin["probe_rows"]:
+            keys = np.concatenate(
+                (scenario.input_values(n_build), scenario.input_values(n_probe))
+            )
+            span = int(keys.max()) - int(keys.min()) + 1
+            assert span <= _DENSE_SPAN_PER_ROW * keys.size
+    mapdata = scenario.run(memory_bytes=pin["memory_bytes"])
+    encoded = json.dumps(
+        mapdata.to_dict(), sort_keys=True, separators=(",", ":")
+    ).encode()
+    assert hashlib.sha256(encoded).hexdigest() == pin["map_sha256"]
+
+
 def test_join_symmetry_landmark():
     """Merge join's map is symmetric; hash joins' maps are not (Fig 5)."""
     mapdata = tiny_join_scenario().run(memory_bytes=4096)

@@ -1,11 +1,14 @@
 """Join operators: correctness, memory behavior, and cost asymmetries."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.executor.context import ExecContext
 from repro.executor.joins import (
+    _DENSE_SPAN_PER_ROW,
     JOIN_PLAN_IDS,
     HashJoinNode,
     IndexNestedLoopJoinNode,
@@ -43,6 +46,76 @@ def test_join_matches_counts_duplicates():
     # key 1: 2x1 rows, key 2: 1x2 rows -> 4 output rows.
     assert matched.tolist() == [1, 1, 2, 2]
     assert matched.size == brute_force_matches(left, right)
+
+
+def counter_matches(left, right) -> list[int]:
+    """The inner join's sorted keys, by counting each side in a Counter."""
+    left_counts, right_counts = Counter(left), Counter(right)
+    return [
+        key
+        for key in sorted(left_counts.keys() & right_counts.keys())
+        for _ in range(left_counts[key] * right_counts[key])
+    ]
+
+
+@st.composite
+def join_inputs(draw):
+    """Key lists around the dense/sparse switch: the span per input row
+    is drawn on both sides of ``_DENSE_SPAN_PER_ROW``, keys may be
+    negative, a side may be empty or hold one distinct key."""
+    n_left = draw(st.integers(0, 60))
+    n_right = draw(st.integers(0, 60))
+    rows = max(1, n_left + n_right)
+    span_per_row = draw(
+        st.sampled_from([0.25, 1.0, _DENSE_SPAN_PER_ROW, _DENSE_SPAN_PER_ROW + 1, 20])
+    )
+    low = draw(st.integers(-1000, 1000))
+    high = low + max(0, int(span_per_row * rows) - 1)
+    keys = st.integers(low, high)
+    if draw(st.booleans()):  # one distinct key on the left
+        left = [draw(keys)] * n_left
+    else:
+        left = draw(st.lists(keys, min_size=n_left, max_size=n_left))
+    right = draw(st.lists(keys, min_size=n_right, max_size=n_right))
+    return left, right
+
+
+@given(join_inputs())
+@settings(max_examples=300, deadline=None)
+def test_join_matches_equals_counter_reference(inputs):
+    left, right = inputs
+    matched = join_matches(
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    )
+    assert matched.dtype == np.int64
+    assert matched.tolist() == counter_matches(left, right)
+
+
+def test_join_matches_takes_both_paths(monkeypatch):
+    """The switch sits where the constant says: a span of exactly
+    ``_DENSE_SPAN_PER_ROW`` per row counts, one key more sorts."""
+    import repro.executor.joins as joins
+
+    sorted_calls = []
+    real_intersect = joins.intersect_rids
+
+    def intersect_rids(*args):
+        sorted_calls.append(args)
+        return real_intersect(*args)
+
+    monkeypatch.setattr(joins, "intersect_rids", intersect_rids)
+    rows = 8
+    edge = rows * _DENSE_SPAN_PER_ROW - 1  # span = edge + 1
+    left = np.array([0, 3, 3, edge], dtype=np.int64)
+    right = np.array([3, 5, edge, edge], dtype=np.int64)
+    assert join_matches(left, right).tolist() == [3, 3, edge, edge]
+    assert not sorted_calls
+    assert join_matches(left, right + np.array([0, 0, 0, 1])).tolist() == [
+        3,
+        3,
+        edge,
+    ]
+    assert sorted_calls
 
 
 @pytest.mark.parametrize("make_node", ALL_NODE_BUILDERS)

@@ -25,6 +25,7 @@ from repro.executor.fetch import _NAIVE_CHUNK, NAIVE_FETCH
 from repro.sim.clock import SimClock
 from repro.sim.disk import Disk
 from repro.sim.profile import DeviceProfile
+from repro.storage.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.lru_kernel import simulate_lru
 from repro.storage import StorageEnv, Table
@@ -208,6 +209,112 @@ def test_trace_straddles_chunk_boundaries():
     env = StorageEnv(SMALL_PROFILE, pool_pages=64)
     table = make_table(env)
     assert table.n_rows > 2 * _NAIVE_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# the one-pass path: traces that cannot fill the pool
+# ---------------------------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fitting_trace_plan_equals_get_loop(data):
+    """plan_many/commit_many against the get loop on a trace whose page
+    span fits beside the warm residents exactly (the one-pass path), or
+    overshoots by one page (the segmented path), or is empty."""
+    capacity = data.draw(st.integers(1, 16))
+    warm = data.draw(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 24)), max_size=24)
+    )
+    (kernel_pool, kernel_disk, kernel_handles), (
+        scalar_pool,
+        scalar_disk,
+        scalar_handles,
+    ) = make_pools(capacity)
+    for which, page in warm:  # file 1's pages become negative codes
+        kernel_pool.get(kernel_handles[which], page)
+        scalar_pool.get(scalar_handles[which], page)
+    n_resident = len(scalar_pool._resident)
+    over = data.draw(st.integers(0, 1))
+    span = capacity - n_resident + over
+    trace: list[int] = []
+    if span > 0 and data.draw(st.booleans()):
+        base = data.draw(st.integers(0, 20))
+        trace = data.draw(
+            st.lists(st.integers(base, base + span - 1), max_size=200)
+        )
+        for end in (base, base + span - 1):  # pin the span exactly
+            trace.insert(data.draw(st.integers(0, len(trace))), end)
+    pages = np.asarray(trace, dtype=np.int64)
+    assert lru_kernel._fits(pages, np.zeros(n_resident), capacity) == (
+        over == 0 or not trace
+    )
+
+    planned = kernel_pool.plan_many(kernel_handles[0], pages)
+    kernel_pool.charge_planned_reads_strided(
+        kernel_handles[0], planned, max(1, pages.size), lambda: None
+    )
+    kernel_pool.commit_many(planned)
+    flags, evictions = [], scalar_pool.stats.evictions
+    for page in trace:
+        hits = scalar_pool.stats.hits
+        scalar_pool.get(scalar_handles[0], page)
+        flags.append(scalar_pool.stats.hits > hits)
+    assert planned.simulation.hit_mask.tolist() == flags
+    assert planned.simulation.n_evictions == (
+        scalar_pool.stats.evictions - evictions
+    )
+    assert list(kernel_pool._resident) == list(scalar_pool._resident)
+    assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
+    assert kernel_disk.stats == scalar_disk.stats
+    assert kernel_disk.clock.now == scalar_disk.clock.now
+
+
+_PROBE_STRIDE = 16
+
+
+def _probe_until_censored(batched: bool, budget_seconds: float):
+    """(last probe checked, clock, disk stats) of one budgeted probe run.
+
+    A tree of 600 duplicate-heavy entries (79 pages) fits a 256-frame
+    pool, so the batched run's trace takes the one-pass path."""
+    env = StorageEnv(DeviceProfile(page_size=512), pool_pages=256)
+    tree = BPlusTree(env, "t", entry_bytes=64)
+    keys = np.repeat(np.arange(0, 400, 2, dtype=np.int64), 3)
+    tree.bulk_load(keys, {"rid": np.arange(keys.size, dtype=np.int64)})
+    probes = np.random.default_rng(11).integers(-4, 404, 400)
+    env.cold_reset()
+    ctx = ExecContext(env, budget_seconds=budget_seconds)
+    ctx.arm_budget()
+    checked = []
+
+    def check(done: int) -> None:
+        checked.append(done)
+        ctx.check_budget_every(done, _PROBE_STRIDE)
+
+    try:
+        if batched:
+            tree.probe_many(probes, budget_check=check, budget_stride=_PROBE_STRIDE)
+        else:
+            for done, key in enumerate(probes.tolist()):
+                tree.probe(key)
+                check(done)
+    except CostBudgetExceeded:
+        pass
+    return checked[-1], env.clock.now, env.disk.stats
+
+
+def test_fitting_probe_trace_aborts_at_the_loops_probe():
+    """Unsorted, duplicate-heavy probes on the one-pass path: a budget
+    crossed mid-stride aborts the batch at the same probe, with the same
+    clock and disk statistics, as the per-probe loop."""
+    done, full_clock, _ = _probe_until_censored(False, float("inf"))
+    assert done == 399
+    budget = full_clock * 0.37  # crossed inside some stride, not at its end
+    reference = _probe_until_censored(False, budget)
+    assert reference[0] % _PROBE_STRIDE == _PROBE_STRIDE - 1
+    assert reference[0] < 399
+    assert _probe_until_censored(True, budget) == reference
 
 
 def test_dominance_helpers_with_nothing_to_count():

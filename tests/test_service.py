@@ -150,6 +150,36 @@ def test_cell_budget_rejects_oversized_requests():
         manager.close()
 
 
+def test_finished_refined_job_reports_only_its_measured_cells():
+    """A refined job that stops short of the grid reports the cells it
+    measured, not the grid: done, measured_cells, coverage and the
+    completed-cells counter all follow the measured mask."""
+    manager = make_manager()
+    try:
+        job, _ = manager.submit(
+            MapRequest(
+                "join",
+                {
+                    "join_rows": (64, 96, 128, 192, 256),
+                    "refine": True,
+                    "refine_max_cells": 6,
+                },
+            )
+        )
+        finished = manager.wait(job.job_id, timeout=120)
+        assert finished.state == "done"
+        measured = int(finished.result.measured_mask.sum())
+        assert 0 < measured < 25
+        status = manager.status(finished)
+        assert (status["done"], status["total"]) == (measured, 25)
+        assert status["measured_cells"] == measured
+        assert status["coverage"] == measured / 25
+        scraped = manager.metrics.render()
+        assert f"repro_cells_completed_total {measured}\n" in scraped
+    finally:
+        manager.close()
+
+
 def test_malformed_requests_fail_before_enqueue():
     manager = make_manager()
     try:
