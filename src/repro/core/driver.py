@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,23 +47,54 @@ from repro.errors import ExperimentError
 from repro.obs.profile import PROFILES_META_KEY, profile_key
 
 
-def partition_cells(n_cells: int, n_chunks: int) -> list[list[int]]:
-    """Split ``range(n_cells)`` into at most ``n_chunks`` contiguous runs.
+def _row_runs(cells: list[int], row_length: int, n_parts: int) -> list[list[int]]:
+    """Sorted flat cells cut into runs of consecutive cells inside one grid
+    row (cells sharing every coordinate but the last).
 
-    Contiguous runs keep each worker's predicate/mask reuse warm and make
-    chunk boundaries easy to reason about; sizes differ by at most one.
+    A row holding ``n`` of the ``m`` cells is cut into
+    ``ceil(n * n_parts / m)`` near-equal runs (at most ``n``), so no run is
+    longer than ``ceil(m / n_parts)`` and there are at least
+    ``min(n_parts, m)`` runs.
     """
-    if n_cells <= 0:
-        raise ExperimentError(f"cannot partition {n_cells} cells")
-    n_chunks = max(1, min(n_chunks, n_cells))
-    base, extra = divmod(n_cells, n_chunks)
-    chunks: list[list[int]] = []
-    start = 0
-    for c in range(n_chunks):
-        size = base + (1 if c < extra else 0)
-        chunks.append(list(range(start, start + size)))
-        start += size
-    return chunks
+    runs: list[list[int]] = []
+    for _row, group in groupby(cells, key=lambda flat: flat // row_length):
+        row = list(group)
+        pieces = min(len(row), -(-len(row) * n_parts // len(cells)))
+        base, extra = divmod(len(row), pieces)
+        start = 0
+        for piece in range(pieces):
+            size = base + (piece < extra)
+            runs.append(row[start : start + size])
+            start += size
+    return runs
+
+
+def partition_cells(
+    cells: Sequence[int], shape: Sequence[int], n_parts: int
+) -> list[list[int]]:
+    """Deal sorted flat cells to ``min(n_parts, len(cells))`` parts, whole
+    grid rows at a time.
+
+    The cells of a grid row reuse work — a page trace that repeats along
+    the last axis (which the LRU kernel's memo answers), a join row's
+    build input and index — so the cells are cut into row runs
+    (:func:`_row_runs`; a 1-D grid's one row into near-equal contiguous
+    chunks) and each run goes to one part whole.  The runs are dealt from
+    the last one back, in snake order — parts ``0..k-1``, then
+    ``k-1..0``, and so on — so the dearest rows (the last ones in every
+    shipped scenario) each share a part with cheap ones; dealt from the
+    first run, the lap turn would put the two dearest rows in one part.
+    Each part's cells stay sorted.
+    """
+    cells = [int(c) for c in cells]
+    if not cells:
+        raise ExperimentError("cannot partition an empty cell list")
+    n_parts = max(1, min(n_parts, len(cells)))
+    dealt: list[list[list[int]]] = [[] for _ in range(n_parts)]
+    for i, run in enumerate(reversed(_row_runs(cells, shape[-1], n_parts))):
+        lap, slot = divmod(i, n_parts)
+        dealt[slot if lap % 2 == 0 else n_parts - 1 - slot].append(run)
+    return [[flat for run in reversed(part) for flat in run] for part in dealt]
 
 
 @dataclass
@@ -331,11 +362,12 @@ class SweepDriver:
     * ``write_back(part)`` — stores a measured part.
 
     ``chunks`` says how a wave's misses split into parts: one per cell
-    (None: the in-process engine, ``"cell"`` events) or at most that many
-    contiguous runs (the pool, ``"chunk"`` events); a wave's store replay
-    is one more part.  Parts are folded into the sweep's own arrays as
-    they land, so the map is the same whatever the engine, the chunking
-    or the completion order.
+    (None: the in-process engine, ``"cell"`` events) or that many parts
+    (fewer for a smaller wave), each a deal of whole grid rows by
+    :func:`partition_cells` (the pool, ``"chunk"`` events); a wave's
+    store replay is one more part.  Parts are folded into the sweep's own
+    arrays as they land, so the map is the same whatever the engine, the
+    chunking or the completion order.
 
     Every event carries running totals over the whole sweep, which never
     go back from one wave to the next: ``done`` (cells folded so far),
@@ -423,10 +455,12 @@ class SweepDriver:
         else:
             self._hits = len(hits) + (self._hits or 0)
         misses = [flat for flat in wave if flat not in hits]
-        parts = [
-            [misses[i] for i in run]
-            for run in partition_cells(len(misses), self.chunks or len(misses))
-        ] if misses else []
+        if not misses:
+            parts = []
+        elif self.chunks is None:
+            parts = [[flat] for flat in misses]
+        else:
+            parts = partition_cells(misses, self.shape, self.chunks)
         tick = {
             "kind": "cell" if self.chunks is None else "chunk",
             "total": total,

@@ -7,11 +7,13 @@ is the process-pool front door of the wave-based
 way as for the in-process engine: this engine partitions the wave into
 store hits and misses (``lookup_cells``, at the call site the benchmark
 patches), the driver replays the hits through the in-process engine's
-:meth:`~repro.core.runner.RobustnessSweep.replay_part`, splits the
-misses into about four contiguous chunks per worker, folds each chunk
-part into the sweep's arrays as it lands — so the map is independent of
-completion order *by construction* — and emits every progress event;
-this engine measures the chunks on a
+:meth:`~repro.core.runner.RobustnessSweep.replay_part`, deals the
+misses to four chunks per worker, whole grid rows at a time and in snake
+order (:func:`~repro.core.driver.partition_cells`: a row's cells share
+work, and the dearest rows spread over the chunks instead of filling the
+last one), folds each chunk part into the sweep's arrays as it lands — so
+the map is independent of completion order *by construction* — and
+emits every progress event; this engine measures the chunks on a
 :class:`~concurrent.futures.ProcessPoolExecutor` and writes each part
 back (``records_from_part``, also patched where it is called).
 
@@ -50,7 +52,7 @@ from repro.core.scenario import Scenario, ScenarioSpec, build_scenario
 
 ProviderFactory = Callable[[], Sequence]
 
-#: Chunks a wave's misses split into per worker: load balance without
+#: Chunks a wave's misses are dealt to per worker: load balance without
 #: drowning in IPC.
 CHUNKS_PER_WORKER = 4
 
@@ -73,8 +75,9 @@ def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> MapData:
     """Measure one chunk into a part.
 
     The scenario (and its plan ids) is memoized per worker across
-    chunks: rebuilding predicates and oracle masks per chunk would repeat
-    work the serial path does once.  A pool only ever runs one sweep
+    chunks: rebuilding predicates, oracle masks, operator inputs and join
+    indexes per chunk would repeat work the serial path does once.  A
+    pool only ever runs one sweep
     (each :meth:`ParallelSweep.sweep` call creates its own executor), so
     a single slot suffices.
     """
@@ -94,12 +97,13 @@ def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> MapData:
 
 
 class _LazyPool:
-    """Worker pool created on first dispatch, sized to that dispatch.
+    """Worker pool created on first dispatch, sized by ``make``.
 
     A fully store-warm sweep never spawns a single process; a mostly-warm
-    one spawns only as many workers as its first miss batch needs
+    single-wave one spawns only as many workers as its miss batch needs
     (initializers are the expensive part: each worker rebuilds the full
-    provider set).
+    provider set).  Every later wave reuses the pool, so a multi-round
+    policy's pool gets every worker whatever its first miss batch.
     """
 
     def __init__(self, make: Callable[[int], ProcessPoolExecutor]) -> None:
@@ -124,8 +128,9 @@ class ParallelSweep:
     * ``factory`` — zero-argument picklable callable returning the plan
       providers to sweep (each worker calls it once).
     * ``n_workers`` — process count; ``0``/``1`` runs serially in-process,
-      ``-1`` uses ``os.cpu_count()``.  A wave's misses split into
-      :data:`CHUNKS_PER_WORKER` chunks per worker.
+      ``-1`` uses ``os.cpu_count()``.  A wave's misses are dealt to
+      :data:`CHUNKS_PER_WORKER` chunks per worker, whole grid rows at a
+      time.
     * ``progress`` — receives one :class:`ProgressEvent` per finished
       chunk (and per refinement round, under a multi-round policy).
     * ``cell_store`` / ``store_context`` — the content-addressed
@@ -133,8 +138,9 @@ class ParallelSweep:
       Store access stays in the parent process: every wave is
       partitioned into hits (replayed in-process, never dispatched) and
       misses (measured by workers, written back by the parent), and the
-      pool is created lazily, sized to the first miss batch — a fully
-      warm sweep spawns no workers at all.
+      pool is created lazily — sized to the miss batch of a single-wave
+      policy, full-sized for a multi-round one — so a fully warm sweep
+      spawns no workers at all.
     """
 
     def __init__(
@@ -206,6 +212,7 @@ class ParallelSweep:
         dense policy has exactly one wave: the full grid).
         """
         workers = self.resolved_workers()
+        policy = policy or DenseGridPolicy()
         if workers <= 1 or spec.n_cells < 2:
             serial = self._serial_sweep()
             scenario = build_scenario(spec, serial.systems)
@@ -233,7 +240,9 @@ class ParallelSweep:
 
         lazy = _LazyPool(
             lambda n_tasks: ProcessPoolExecutor(
-                max_workers=min(workers, n_tasks),
+                max_workers=workers
+                if policy.multi_round
+                else min(workers, n_tasks),
                 initializer=_init_worker,
                 initargs=(self.factory, self.sweep_kwargs),
             )
@@ -241,7 +250,7 @@ class ParallelSweep:
         try:
             return SweepDriver(
                 spec.grid_shape,
-                policy or DenseGridPolicy(),
+                policy,
                 scenario=spec.name,
                 lookup=lookup,
                 replay=lambda hits: parent.replay_part(

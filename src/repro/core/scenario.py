@@ -51,6 +51,7 @@ from repro.core.parameter_space import Space1D
 from repro.errors import ExperimentError
 from repro.executor.joins import (
     JOIN_PLAN_IDS,
+    JoinIndex,
     MergeJoinNode,
     join_matches,
     join_plan_inventory,
@@ -581,14 +582,28 @@ class _OperatorScenario(Scenario):
     ) -> None:
         super().__init__([provider or OperatorBench()], *layout, **settings)
 
+    def setup(self) -> None:
+        super().setup()
+        self._inputs: dict[int, np.ndarray] = {}
+
     @property
     def provider(self) -> OperatorBench:
         return self.providers()[0]
 
     def input_values(self, n_rows: int) -> np.ndarray:
-        """The deterministic operator input for a given row count."""
-        rng = np.random.default_rng([self.seed, n_rows])
-        return rng.integers(0, self.key_domain, n_rows)
+        """The deterministic operator input for a given row count.
+
+        Drawn once per scenario and shared by every cell and plan that
+        asks; read-only, so an operator that writes into its input fails
+        instead of changing the next cell's.
+        """
+        values = self._inputs.get(n_rows)
+        if values is None:
+            rng = np.random.default_rng([self.seed, n_rows])
+            values = rng.integers(0, self.key_domain, n_rows)
+            values.flags.writeable = False
+            self._inputs[n_rows] = values
+        return values
 
     def _target(self, axis: int, idx: tuple[int, ...]) -> int:
         return int(self.axes[axis].targets[idx[axis]])
@@ -711,8 +726,21 @@ class JoinScenario(_OperatorScenario):
             seed=int(seed),
         )
 
+    def setup(self) -> None:
+        super().setup()
+        # The index nested-loop join's B-tree over the build size the
+        # sweep is on.  Cells arrive in grid order, build size major (the
+        # pool deals whole rows), so one slot loads a build size once per
+        # run of cells that share it.
+        self._index: tuple[int, JoinIndex] | None = None
+
     def plan_ids_by_provider(self) -> list[list[str]]:
         return [list(JOIN_PLAN_IDS)]
+
+    def _index_for(self, n_build: int) -> JoinIndex:
+        if self._index is None or self._index[0] != n_build:
+            self._index = (n_build, JoinIndex(self.input_values(n_build)))
+        return self._index[1]
 
     def baseline_seconds(self) -> float:
         """Cost of merge-joining the largest inputs fully in memory.
@@ -741,9 +769,12 @@ class JoinScenario(_OperatorScenario):
         describe = f"build={n_build} probe={n_probe}"
         if memory is not None:
             describe += f" mem={memory}"
+        plans = join_plan_inventory(
+            build, probe, self.row_bytes, index=self._index_for(n_build)
+        )
         return Cell(
             expected_rows=int(join_matches(build, probe).size),
-            plans=[(0, join_plan_inventory(build, probe, self.row_bytes))],
+            plans=[(0, plans)],
             memory_bytes=memory,
             describe=describe,
         )

@@ -41,6 +41,7 @@ from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
 from repro.storage.bitmap import intersect_rids
 from repro.storage.btree import BPlusTree
+from repro.storage.env import StorageEnv
 
 #: Per-entry bucket/pointer overhead of the hash join's build table.
 _HASH_BUCKET_OVERHEAD = 16
@@ -228,6 +229,34 @@ class HashJoinNode(PlanNode):
             )
 
 
+class JoinIndex:
+    """The B-tree an index nested-loop join probes, over one build input.
+
+    Bulk-loaded at the first probe in a storage environment and kept
+    while probes stay in that one, so every plan handed the same
+    ``JoinIndex`` shares one load.  Sharing cannot move a charge: the
+    tree's pages depend only on its keys, and the file id it keeps never
+    meets a head position left by an earlier measurement, because
+    :meth:`~repro.storage.env.StorageEnv.cold_reset` forgets it before
+    every measurement.
+    """
+
+    def __init__(self, build_keys: np.ndarray) -> None:
+        self.build = np.asarray(build_keys, dtype=np.int64)
+        self._tree: BPlusTree | None = None
+        self._env: StorageEnv | None = None
+
+    def tree(self, env: StorageEnv) -> BPlusTree:
+        """The bulk-loaded tree in ``env`` (loaded at the first ask)."""
+        if self._tree is None or self._env is not env:
+            order = np.argsort(self.build, kind="stable")
+            tree = BPlusTree(env, "inlj", entry_bytes=16)
+            tree.bulk_load(self.build[order], {"rid": order.astype(np.int64)})
+            self._tree = tree
+            self._env = env
+        return self._tree
+
+
 class IndexNestedLoopJoinNode(PlanNode):
     """Per-probe-row B-tree descents against an index on the build side.
 
@@ -235,36 +264,29 @@ class IndexNestedLoopJoinNode(PlanNode):
     nothing); every probe row pays a root-to-leaf descent through the
     buffer pool.  Starting cold, each index page's first touch is a
     random read, so both the index size (pages to fault in) and the
-    probe cardinality (descent CPU, pool hits) shape the cost.
+    probe cardinality (descent CPU, pool hits) shape the cost.  ``index``
+    (a :class:`JoinIndex` over the same build keys) shares one B-tree
+    with other plans; without it the node keeps its own.
     """
 
-    _node_counter = 0
-
-    def __init__(self, build_keys: np.ndarray, probe_keys: np.ndarray) -> None:
+    def __init__(
+        self,
+        build_keys: np.ndarray,
+        probe_keys: np.ndarray,
+        index: JoinIndex | None = None,
+    ) -> None:
         self.build = np.asarray(build_keys, dtype=np.int64)
         self.probe = np.asarray(probe_keys, dtype=np.int64)
-        self._tree: BPlusTree | None = None
-        self._tree_env = None
-        IndexNestedLoopJoinNode._node_counter += 1
-        self._name = f"inlj.{IndexNestedLoopJoinNode._node_counter}"
+        self.index = index if index is not None else JoinIndex(self.build)
         self.label = (
             f"IndexNestedLoopJoin(index={self.build.size} entries, "
             f"probes={self.probe.size})"
         )
 
-    def _index_for(self, ctx: ExecContext) -> BPlusTree:
-        if self._tree is None or self._tree_env is not ctx.env:
-            order = np.argsort(self.build, kind="stable")
-            tree = BPlusTree(ctx.env, self._name, entry_bytes=16)
-            tree.bulk_load(self.build[order], {"rid": order.astype(np.int64)})
-            self._tree = tree
-            self._tree_env = ctx.env
-        return self._tree
-
     def execute(self, ctx: ExecContext) -> Result:
         # Building the index is uncharged DDL, so it stays outside the
         # probe span.
-        tree = self._index_for(ctx)
+        tree = self.index.tree(ctx.env)
         with trace_op(ctx, "btree-probe", "index"):
             ctx.charge(self.probe.size, ctx.profile.cpu_row)
             if batching.batched_enabled():
@@ -299,8 +321,11 @@ def join_plan_inventory(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
     row_bytes: int = 16,
+    index: JoinIndex | None = None,
 ) -> dict[str, PlanNode]:
-    """The forced join plans every provider exposes for one input pair."""
+    """The forced join plans every provider exposes for one input pair;
+    ``index`` is the index nested-loop join's (see
+    :class:`IndexNestedLoopJoinNode`)."""
     return {
         "join.merge": MergeJoinNode(build_keys, probe_keys, row_bytes=row_bytes),
         "join.hash.graceful": HashJoinNode(
@@ -312,5 +337,5 @@ def join_plan_inventory(
             row_bytes=row_bytes,
             policy=SpillPolicy.ALL_OR_NOTHING,
         ),
-        "join.inl": IndexNestedLoopJoinNode(build_keys, probe_keys),
+        "join.inl": IndexNestedLoopJoinNode(build_keys, probe_keys, index=index),
     }

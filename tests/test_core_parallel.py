@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.driver import DenseGridPolicy
+from repro.core.driver import DenseGridPolicy, _row_runs, partition_cells
 from repro.core.mapdata import MapData
-from repro.core.driver import partition_cells
 from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D, Space2D
 from repro.core.progress import ProgressEvent
@@ -35,19 +36,89 @@ def system_a():
 
 
 def test_partition_cells_covers_grid_disjointly():
-    chunks = partition_cells(13, 4)
-    flat = [c for chunk in chunks for c in chunk]
-    assert sorted(flat) == list(range(13))
-    assert len(chunks) == 4
-    sizes = [len(chunk) for chunk in chunks]
-    assert max(sizes) - min(sizes) <= 1
+    # The 13x8 sort-spill grid at two workers: a row is as long as the
+    # part count, so every part gets whole rows, dealt from the last row
+    # back in snake order — each dear row shares a part with a cheap one.
+    parts = partition_cells(range(13 * 8), (13, 8), 8)
+    rows = [sorted({flat // 8 for flat in part}) for part in parts]
+    assert rows == [[12], [11], [10], [0, 9], [1, 8], [2, 7], [3, 6], [4, 5]]
+    assert all(len(part) == 8 * len(row) for part, row in zip(parts, rows))
+    assert sorted(c for part in parts for c in part) == list(range(13 * 8))
+    # A 1-D grid is one row: near-equal contiguous chunks.
+    chunks = partition_cells(range(13), (13,), 4)
+    assert sorted(chunks) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
 
 
 def test_partition_cells_clamps_chunk_count():
-    assert partition_cells(3, 10) == [[0], [1], [2]]
-    assert partition_cells(5, 1) == [[0, 1, 2, 3, 4]]
+    assert partition_cells([0, 1, 2], (3,), 10) == [[2], [1], [0]]
+    assert partition_cells(range(5), (5,), 1) == [[0, 1, 2, 3, 4]]
+    assert partition_cells([3, 7], (3, 3), 8) == [[7], [3]]
     with pytest.raises(ExperimentError):
-        partition_cells(0, 2)
+        partition_cells([], (2,), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+    n_parts=st.integers(1, 24),
+    data=st.data(),
+)
+def test_partition_cells_deals_whole_row_runs(shape, n_parts, data):
+    """Over 1-D to 3-D grids, part counts and scattered refine-wave
+    subsets: every cell lands in exactly one part, no part is empty, and
+    each part is whole runs that stay inside one row and are at most
+    ``ceil(cells / parts)`` long."""
+    n_cells = int(np.prod(shape))
+    full = st.just(list(range(n_cells)))
+    scattered = st.sets(st.integers(0, n_cells - 1), min_size=1).map(sorted)
+    cells = data.draw(st.one_of(full, scattered))
+    parts = partition_cells(cells, shape, n_parts)
+    assert len(parts) == min(n_parts, len(cells))
+    assert all(parts)
+    assert sorted(c for part in parts for c in part) == cells
+    assert all(part == sorted(part) for part in parts)
+    runs = _row_runs(cells, shape[-1], len(parts))
+    assert [c for run in runs for c in run] == cells
+    longest = -(-len(cells) // len(parts))
+    for run in runs:
+        assert len({c // shape[-1] for c in run}) == 1
+        assert len(run) <= longest
+        assert sum(set(run) <= set(part) for part in parts) == 1
+
+
+def contiguous_chunks(cells: list[int], n_parts: int) -> list[list[int]]:
+    """Near-equal contiguous chunks, the longer ones first: the split the
+    dealing is measured against."""
+    chunks, start = [], 0
+    for i in range(n_parts):
+        size = len(cells) // n_parts + (i < len(cells) % n_parts)
+        chunks.append(cells[start : start + size])
+        start += size
+    return chunks
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(13, 8), (15, 15), (13, 13), (13, 5), (5, 5)],
+    ids=["sort_spill", "join", "two_predicate", "memory_sweep", "cli_join"],
+)
+@pytest.mark.parametrize(
+    "cost",
+    [lambda f: f + 1, lambda f: (f + 1) ** 3, lambda f: 1.1**f],
+    ids=["linear", "cubic", "exponential"],
+)
+def test_dealt_rows_balance_better_than_contiguous_chunks(shape, cost):
+    """The service's grids at two workers' eight parts, under a cost that
+    rises with the flat index: the dearest part costs less than the
+    dearest contiguous chunk, which held the costliest rows alone."""
+    cells = list(range(int(np.prod(shape))))
+
+    def dearest(parts):
+        return max(sum(cost(c) for c in part) for part in parts)
+
+    assert dearest(partition_cells(cells, shape, 8)) < dearest(
+        contiguous_chunks(cells, 8)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +254,38 @@ def test_parallel_reports_chunk_progress():
     # ... while the rendered line keeps the familiar shape.
     assert "sweep: 4/4 cells" in last.render()
     assert "eta" in events[0].render() or events[0].done == events[0].total
+
+
+def test_multi_round_pool_gets_every_worker(tmp_path, monkeypatch):
+    """A refined sweep's first wave that misses the store can be one
+    cell, and the pool it creates serves every later wave: sized to that
+    wave, it would run each later eight-part wave on one process."""
+    from repro.bench.harness import BenchConfig, BenchSession, MapRequest
+    from repro.core import parallel
+
+    made: list[int] = []
+    real = parallel.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        made.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording)
+    rows = tuple(int(round(256 * 2 ** (i / 2))) for i in range(9))
+    base = dict(
+        n_rows=2048, join_rows=rows, refine=True,
+        cell_cache_dir=str(tmp_path), cache_dir=None,
+    )
+    BenchSession(BenchConfig(**base, refine_max_cells=24)).request_map(
+        MapRequest("join")
+    )
+    events = []
+    BenchSession(
+        BenchConfig(**base, n_workers=2), progress=events.append
+    ).request_map(MapRequest("join"))
+    chunked = [e.parts_total for e in events if e.kind == "chunk"]
+    assert chunked[0] == 1 and max(chunked) == 8  # a store-only first wave
+    assert made == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ must reproduce them bit-for-bit — times, aborted flags, rows, axis
 arrays, and meta modulo the added ``scenario`` key.
 """
 
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.core.scenario import (
     operator_bench_factory,
 )
 from repro.errors import ExperimentError
+from repro.storage.btree import BPlusTree
 from repro.systems import SystemA, SystemConfig, build_three_systems
 from repro.workloads import LineitemConfig
 
@@ -300,6 +303,72 @@ def test_join_spec_round_trip_2d_and_3d(system_a):
 def test_join_baseline_seconds_positive():
     scenario = tiny_join_scenario()
     assert scenario.baseline_seconds() > 0
+
+
+def test_operator_inputs_are_drawn_once_and_read_only():
+    """Every cell and plan shares one input array per row count; an
+    operator writing into it would change the next cell's input."""
+    scenario = tiny_join_scenario()
+    values = scenario.input_values(128)
+    assert scenario.input_values(128) is values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1
+
+
+JOIN_ROWS_15 = [64 + 16 * i for i in range(15)]
+
+
+def record_index_loads(monkeypatch, record) -> None:
+    """Call ``record(n_keys)`` at every non-empty B-tree bulk load."""
+    real = BPlusTree.bulk_load
+
+    def bulk_load(self, keys, payload, *args, **kwargs):
+        if len(keys):
+            record(len(keys))
+        return real(self, keys, payload, *args, **kwargs)
+
+    monkeypatch.setattr(BPlusTree, "bulk_load", bulk_load)
+
+
+def test_join_sweep_loads_one_index_per_build_size(monkeypatch):
+    """A serial 15x15 join sweep bulk-loads the index nested-loop join's
+    B-tree once per build size (15 loads), not once per cell (225)."""
+    loads: list[int] = []
+    record_index_loads(monkeypatch, loads.append)
+    scenario = JoinScenario(
+        OperatorBench(), JOIN_ROWS_15, JOIN_ROWS_15, key_domain=1 << 12
+    )
+    scenario.run(memory_bytes=8192)
+    assert loads == JOIN_ROWS_15
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patched bulk load only when forked",
+)
+def test_pool_join_sweep_loads_each_build_size_in_one_worker(
+    monkeypatch, tmp_path
+):
+    """Under a two-worker pool, whole rows go to one part each, so no
+    build size is bulk-loaded by two workers (or twice by one), and the
+    map is the serial one."""
+    log = tmp_path / "loads.txt"
+
+    def record(n_keys: int) -> None:
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {n_keys}\n")
+
+    record_index_loads(monkeypatch, record)
+    scenario = JoinScenario(
+        OperatorBench(), JOIN_ROWS_15, JOIN_ROWS_15, key_domain=1 << 12
+    )
+    engine = ParallelSweep(operator_bench_factory, memory_bytes=8192, n_workers=2)
+    parallel = engine.sweep(scenario.spec())
+    loads = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(n_keys for _pid, n_keys in loads) == JOIN_ROWS_15
+    assert os.getpid() not in {pid for pid, _n_keys in loads}
+    monkeypatch.undo()
+    assert_identical(parallel, scenario.run(memory_bytes=8192))
 
 
 # ---------------------------------------------------------------------------

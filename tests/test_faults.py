@@ -1,8 +1,10 @@
-"""What really happens to the stores: faults injected on purpose."""
+"""What really happens to the stores and the process pool: faults
+injected on purpose."""
 
 import fcntl
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -137,6 +139,54 @@ def test_a_process_forked_while_the_store_is_locked_does_not_keep_it(tmp_path):
     finally:
         worker.terminate()
         worker.join(timeout=30)
+
+
+def test_a_pool_worker_killed_mid_wave_fails_its_job_and_not_the_next(monkeypatch):
+    """SIGKILL one worker of a running pool job as its first chunk lands
+    (seven are still pending): the job ends ``failed`` with the pool's
+    ``BrokenProcessPool`` message, the resubmitted job gets a fresh pool
+    and finishes with the serial map, and no thread or process is left."""
+    from repro.bench.harness import BenchSession, MapRequest
+    from repro.core import parallel
+
+    pools: list = []
+    real_pool = parallel.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
+
+    killed: list[int] = []
+    real_progress = JobManager._on_progress
+
+    def kill_a_worker_once(self, job, event):
+        if not killed:
+            (victim, *_) = set(multiprocessing.active_children()) - before
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim.pid)
+        real_progress(self, job, event)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(JobManager, "_on_progress", kill_a_worker_once)
+    config = BenchConfig(n_rows=4096, n_workers=2, cell_cache_dir=None, cache_dir=None)
+    before = set(multiprocessing.active_children())
+    manager = JobManager(config, workers=1)
+    try:
+        job, _ = manager.submit(MapRequest("join"))
+        failed = manager.wait(job.job_id, timeout=60)
+        assert failed.state == "failed" and killed
+        assert failed.error.startswith("BrokenProcessPool: ")
+        retry, created = manager.submit(MapRequest("join"))
+        assert created
+        done = manager.wait(retry.job_id, timeout=60)
+        assert done.state == "done", done.error
+    finally:
+        manager.close(timeout=30)
+    assert len(pools) == 2
+    assert not any(thread.is_alive() for thread in manager._threads)
+    assert set(multiprocessing.active_children()) <= before
+    serial = BenchSession(BenchConfig(n_rows=4096, cell_cache_dir=None, cache_dir=None))
+    assert done.result.to_dict() == serial.request_map(MapRequest("join")).to_dict()
 
 
 WRITER = """

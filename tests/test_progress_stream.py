@@ -24,8 +24,8 @@ from repro.service import JobManager, build_server
 JOIN = MapRequest("join")
 REFINED = MapRequest("join", {"refine": True})
 N_CELLS = 25  # the default 5x5 join grid
-#: Two pool workers, about four chunks each.
-CHUNKS = [tuple(chunk) for chunk in partition_cells(N_CELLS, 2 * 4)]
+#: Two pool workers, four chunks each, dealt whole-row runs.
+CHUNKS = [tuple(chunk) for chunk in partition_cells(range(N_CELLS), (5, 5), 2 * 4)]
 STORES = ["none", "cold", "warm"]
 
 
