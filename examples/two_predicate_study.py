@@ -51,7 +51,7 @@ OUT = Path("two_predicate_out")
 
 
 def build_systems():
-    """Module-level factory so parallel workers can rebuild the systems."""
+    """The provider factory: called once; pool workers inherit the systems."""
     return list(
         build_three_systems(
             SystemConfig(lineitem=LineitemConfig(n_rows=N_ROWS))

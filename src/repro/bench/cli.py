@@ -14,8 +14,10 @@ Figure mode writes SVG/PNG artifacts, prints the paper-vs-measured claim
 tables, and exits non-zero if any claim fails (usable as a CI robustness
 gate).  Scenario mode sweeps the named registered scenarios (see
 ``repro.bench.requests.available_requests``) and writes each measured
-``MapData`` as ``scenario_<name>.json`` plus a text summary.  ``--workers`` fans the
-sweeps out over worker processes (bit-identical to the serial default);
+``MapData`` as ``scenario_<name>.json`` plus a text summary.  Both modes
+sweep on a process pool with one worker per CPU the process may use,
+bit-identical to a serial sweep; ``--workers N`` sets the count
+(``0``/``1``: serial in-process);
 ``--progress`` streams per-cell/per-chunk/per-round status with an ETA
 to stderr (structured :class:`~repro.core.progress.ProgressEvent`
 objects, rendered one per line).  ``--refine`` sweeps adaptively — a
@@ -297,7 +299,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes per sweep (default: serial; -1 uses all cores)",
+        help="worker processes per sweep (-1: every CPU this process may "
+        "use; 0 or 1: serial in-process; default: -1 for figure and "
+        "scenario runs, serial for serve)",
     )
     parser.add_argument(
         "--cell-cache",
@@ -471,7 +475,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_flags(
             n_rows=args.rows,
-            n_workers=args.workers,
+            # This process forks its pool from its one thread; serve forks
+            # from a threaded server, so it keeps BenchConfig's serial
+            # default.
+            n_workers=-1 if args.workers is None else args.workers,
             trace=(args.trace or args.trace_out is not None) or None,
             refine=args.refine or None,
             refine_max_cells=args.max_cells,

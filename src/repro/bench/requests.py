@@ -8,11 +8,12 @@ can be *named*, and therefore deduplicated, queued, and cached:
   re-exports it).
 * :class:`ProviderSet` — who runs a map's plans: System A alone, all
   three systems, or a bare operator bench; each names the live
-  providers a session shares and the picklable factory workers call.
+  providers a session shares (pool workers inherit them) and a factory
+  of a fresh set for callers without a session.
 * :class:`MapDefinition` — one registry entry per producible map: its
   spec under a config, its provider set, its budget and memory
-  yardsticks, its jitter, and its whole-map cache key.  The serial
-  scenario and the worker factory are derived from those.
+  yardsticks, its jitter, and its whole-map cache key.  The scenario
+  and the provider factory are derived from those.
 * :data:`MAP_DEFINITIONS` — the registry.  The two-predicate map's
   jittered and jitter-free variants are distinct entries (and distinct
   cache keys).
@@ -270,12 +271,12 @@ class BenchConfig:
 
 
 def _session_systems(config: BenchConfig) -> list[DatabaseSystem]:
-    """Build the three bench systems for a config (picklable factory)."""
+    """Build the three bench systems for a config."""
     return list(build_three_systems(config.system_config()).values())
 
 
 def _session_system_a(config: BenchConfig) -> list[DatabaseSystem]:
-    """System A alone (the 1-D sweeps), as a picklable factory."""
+    """System A alone (the 1-D sweeps)."""
     from repro.systems.system_a import SystemA
 
     return [SystemA(config.system_config())]
@@ -291,10 +292,12 @@ class ProviderSet:
     """Who runs a map's plans, in the two forms the engines need."""
 
     live: Callable[["BenchSession"], list]
-    """The session's own (shared, lazily built) providers: serial sweeps."""
+    """The session's own (shared, lazily built) providers: every sweep
+    :func:`compute_map` runs, serial or pool (pool workers inherit them)."""
 
     factory: Callable[[BenchConfig], Callable[[], list]]
-    """A picklable zero-argument factory each pool worker calls once."""
+    """A zero-argument factory of a fresh provider set, for a caller with
+    a config and no session (called once; its result is never shared)."""
 
 
 SYSTEM_A = ProviderSet(
@@ -315,12 +318,12 @@ OPERATOR_BENCH = ProviderSet(
 class MapDefinition:
     """Everything needed to produce one named map from a config.
 
-    A definition is a spec plus a provider set; the serially-usable
-    :meth:`scenario` (bound to a live session's providers) and the
-    picklable :meth:`factory` the parallel engine ships to workers follow
-    from those two; the grid's shape is the spec's.  The budget and memory
-    yardsticks default to what the selectivity maps use.
-    :func:`compute_map` is the single execution path over them.
+    A definition is a spec plus a provider set; :meth:`scenario` (bound
+    to a live session's providers) and :meth:`factory` (a fresh provider
+    set from a config alone) follow from those two; the grid's shape is
+    the spec's.  The budget and memory yardsticks default to what the
+    selectivity maps use.  :func:`compute_map` is the single execution
+    path over them.
     """
 
     name: str
@@ -347,7 +350,8 @@ class MapDefinition:
         )
 
     def factory(self, config: BenchConfig) -> Callable[[], list]:
-        """Picklable provider factory for :class:`ParallelSweep` workers."""
+        """Provider factory for a :class:`ParallelSweep` built without a
+        session."""
         return self.providers.factory(config)
 
 
@@ -667,9 +671,10 @@ def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
     """Run one definition's sweep under a session's configuration.
 
     The single execution path behind every registry entry: picks serial
-    vs. parallel from the config, threads the refinement policy, the
-    content-addressed cell store, progress, and partial-map snapshots
-    through either engine.
+    vs. parallel from the config — both sweep the session's live
+    providers, which pool workers inherit — and threads the refinement
+    policy, the content-addressed cell store, progress, and partial-map
+    snapshots through either engine.
     """
     config = session.config
     store = session.cell_store()
@@ -690,7 +695,9 @@ def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
     )
     if config.n_workers == -1 or config.n_workers > 1:
         engine = ParallelSweep(
-            definition.factory(config), n_workers=config.n_workers, **sweep_kwargs
+            partial(definition.providers.live, session),
+            n_workers=config.n_workers,
+            **sweep_kwargs,
         )
         return engine.sweep(definition.spec(config), policy=policy)
     return definition.scenario(session).run(policy=policy, **sweep_kwargs)

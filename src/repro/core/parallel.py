@@ -19,26 +19,28 @@ back (``records_from_part``, also patched where it is called).
 
 Workers dispatch on a picklable :class:`ScenarioSpec` — any registered
 scenario (selectivity sweeps, memory sweeps, sort-spill grids, ...)
-parallelizes through the same engine.  Because each worker rebuilds its
-providers from the same deterministic factory and the jitter digest is
-process-independent, the map is **bit-identical** to the serial
-sweep — times, aborted flags, rows, and meta all match, regardless of
-worker count or refinement policy.
+parallelizes through the same engine.  The provider ``factory`` is
+called once, in the parent; the pool forks (an explicit ``fork``
+context), so every worker inherits that provider set instead of building
+its own, and the factory need not be picklable.  Every measurement
+starts from a cold reset and the jitter digest is process-independent,
+so the map is **bit-identical** to the serial sweep — times, aborted
+flags, rows, and meta all match, regardless of worker count or
+refinement policy.
 
-Workers build their providers once (in the pool initializer) and amortize
-that cost over every chunk of every wave they process — a multi-round
-adaptive refinement reuses the same pool across rounds instead of
-re-spawning per round.  ``n_workers <= 1`` falls back to a plain
-in-process :class:`RobustnessSweep`, so callers can thread a single knob
-through without branching.
-
-The provider ``factory`` must be picklable (a module-level function or
-:class:`functools.partial`) so the engine also works under the ``spawn``
-start method.
+A pool lives for one sweep: a multi-round adaptive refinement reuses it
+across rounds instead of re-spawning per round, and providers built
+after it forked are never seen by it.  ``n_workers <= 1`` falls back to
+a plain in-process :class:`RobustnessSweep` over the same providers, so
+callers can thread a single knob through without branching.  The CLI
+forks from its one thread; a worker forked while another thread holds a
+module's import lock inherits that lock held and blocks on it, which is
+why the ``serve`` door sweeps serially unless told otherwise.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterator, Sequence
@@ -58,16 +60,16 @@ CHUNKS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
-# worker side: providers + sweep built once, scenarios rebuilt per spec
+# worker side: the parent's providers inherited, scenarios rebuilt per spec
 # ---------------------------------------------------------------------------
 
 _WORKER_SWEEP: RobustnessSweep | None = None
 _WORKER_SCENARIO: tuple[ScenarioSpec, Scenario, list[str]] | None = None
 
 
-def _init_worker(factory: ProviderFactory, sweep_kwargs: dict) -> None:
+def _init_worker(providers: Sequence, sweep_kwargs: dict) -> None:
     global _WORKER_SWEEP, _WORKER_SCENARIO
-    _WORKER_SWEEP = RobustnessSweep(list(factory()), **sweep_kwargs)
+    _WORKER_SWEEP = RobustnessSweep(providers, **sweep_kwargs)
     _WORKER_SCENARIO = None
 
 
@@ -101,9 +103,9 @@ class _LazyPool:
 
     A fully store-warm sweep never spawns a single process; a mostly-warm
     single-wave one spawns only as many workers as its miss batch needs
-    (initializers are the expensive part: each worker rebuilds the full
-    provider set).  Every later wave reuses the pool, so a multi-round
-    policy's pool gets every worker whatever its first miss batch.
+    (each worker still builds its own scenario and warms its own caches).
+    Every later wave reuses the pool, so a multi-round policy's pool gets
+    every worker whatever its first miss batch.
     """
 
     def __init__(self, make: Callable[[int], ProcessPoolExecutor]) -> None:
@@ -125,12 +127,13 @@ class ParallelSweep:
 
     Parameters mirror :class:`RobustnessSweep`, plus:
 
-    * ``factory`` — zero-argument picklable callable returning the plan
-      providers to sweep (each worker calls it once).
+    * ``factory`` — zero-argument callable returning the plan providers
+      to sweep; called once, in the parent, and the forked workers
+      inherit what it returned.
     * ``n_workers`` — process count; ``0``/``1`` runs serially in-process,
-      ``-1`` uses ``os.cpu_count()``.  A wave's misses are dealt to
-      :data:`CHUNKS_PER_WORKER` chunks per worker, whole grid rows at a
-      time.
+      ``-1`` uses every CPU this process may run on.  A wave's misses
+      are dealt to :data:`CHUNKS_PER_WORKER` chunks per worker, whole
+      grid rows at a time.
     * ``progress`` — receives one :class:`ProgressEvent` per finished
       chunk (and per refinement round, under a multi-round policy).
     * ``cell_store`` / ``store_context`` — the content-addressed
@@ -178,6 +181,10 @@ class ParallelSweep:
 
     def resolved_workers(self) -> int:
         if self.n_workers == -1:
+            # The affinity mask, not the host: a process pinned to 2 of 64
+            # CPUs (taskset, a container cpuset) gets 2 workers.
+            if hasattr(os, "sched_getaffinity"):
+                return max(1, len(os.sched_getaffinity(0)))
             return max(1, os.cpu_count() or 1)
         return max(1, self.n_workers)
 
@@ -205,26 +212,25 @@ class ParallelSweep:
         """Fan a policy's waves out over workers; bit-identical to serial.
 
         ``spec`` (see :meth:`Scenario.spec`) travels to the workers in
-        place of the scenario object itself, which may hold gigabytes of
-        table data; each worker rebuilds the scenario from its
-        factory-built providers.  The worker pool is created once and
-        reused across every wave the ``policy`` proposes (the default
-        dense policy has exactly one wave: the full grid).
+        place of the scenario object itself; each worker rebuilds the
+        scenario over the providers it inherited from this process.  The
+        worker pool is created once and reused across every wave the
+        ``policy`` proposes (the default dense policy has exactly one
+        wave: the full grid).
         """
         workers = self.resolved_workers()
         policy = policy or DenseGridPolicy()
+        # The one provider set: swept here, or forked with by the workers.
+        parent = self._serial_sweep()
         if workers <= 1 or spec.n_cells < 2:
-            serial = self._serial_sweep()
-            scenario = build_scenario(spec, serial.systems)
-            return serial.sweep(scenario, policy=policy)
+            scenario = build_scenario(spec, parent.systems)
+            return parent.sweep(scenario, policy=policy)
 
         store = self.cell_store
-        parent = scenario = plan_ids = keyer = None  # no store: never read
+        scenario = plan_ids = keyer = None  # no store: never read
         if store is not None:
-            # Parent-side scenario, over the serial fallback's providers:
-            # keys, hit replay and write-back happen here, never in a
-            # worker.
-            parent = self._serial_sweep()
+            # Parent-side scenario: keys, hit replay and write-back
+            # happen here, never in a worker.
             scenario = build_scenario(spec, parent.systems)
             plan_ids = parent.plan_ids(scenario)
             keyer = parent.store_keyer(scenario)
@@ -243,8 +249,10 @@ class ParallelSweep:
                 max_workers=workers
                 if policy.multi_round
                 else min(workers, n_tasks),
+                # Forked, the workers inherit initargs unpickled.
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(self.factory, self.sweep_kwargs),
+                initargs=(parent.systems, self.sweep_kwargs),
             )
         )
         try:

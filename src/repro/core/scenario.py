@@ -565,7 +565,7 @@ class OperatorBench:
 
 
 def operator_bench_factory() -> list[OperatorBench]:
-    """Picklable provider factory for :class:`ParallelSweep`."""
+    """Provider factory for :class:`ParallelSweep`: one fresh bench."""
     return [OperatorBench()]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +531,97 @@ def test_choice_maps_bit_identical_serial_vs_parallel(tmp_path):
         )
 
 
+def test_pool_maps_sweep_the_session_providers(tmp_path, monkeypatch):
+    """A pool map over a store builds no provider set of its own: the
+    parent keys and replays over the session's systems, and the workers
+    inherit those."""
+    from repro.bench import requests
+
+    built = []
+    real = requests._session_systems
+
+    def counting(config):
+        built.append(config)
+        return real(config)
+
+    monkeypatch.setattr(requests, "_session_systems", counting)
+    config = tiny_config(
+        tmp_path / "p", n_workers=2, cell_cache_dir=str(tmp_path / "cells")
+    )
+    pooled = BenchSession(config).request_map(MapRequest("two_predicate"))
+    assert built == []
+    serial = BenchSession(tiny_config(tmp_path / "s")).request_map(
+        MapRequest("two_predicate")
+    )
+    assert np.array_equal(pooled.times, serial.times, equal_nan=True)
+    assert np.array_equal(pooled.aborted, serial.aborted)
+    assert np.array_equal(pooled.rows, serial.rows)
+    assert pooled.meta == serial.meta
+
+
+def test_cli_sweeps_on_every_core_unless_told_and_serve_stays_serial(
+    tmp_path, monkeypatch
+):
+    """Figure and scenario runs default to ``-1``; ``--workers 0``/``1``
+    stay serial; ``serve`` forks from a threaded server and keeps the
+    serial default."""
+    import repro.service
+    from repro.bench import cli
+
+    class Parsed(Exception):
+        pass
+
+    def session(config, progress=None):
+        raise Parsed(config.n_workers)
+
+    monkeypatch.setattr(cli, "BenchSession", session)
+    for mode in (["--figures", "fig04"], ["--scenario", "join"]):
+        for flags, expected in (
+            ([], -1), (["--workers", "0"], 0), (["--workers", "1"], 1)
+        ):
+            with pytest.raises(Parsed) as parsed:
+                cli.main([str(tmp_path), *mode, *flags])
+            assert parsed.value.args == (expected,)
+    managers = []
+    monkeypatch.setattr(
+        repro.service, "JobManager", lambda config, **kwargs: managers.append(config)
+    )
+    monkeypatch.setattr(repro.service, "serve", lambda manager, **kwargs: None)
+    assert cli.main(["serve"]) == 0
+    assert [config.n_workers for config in managers] == [0]
+
+
+def test_cli_default_figure_run_is_the_serial_run_on_a_pool(
+    tmp_path, monkeypatch, capsys
+):
+    """With no ``--workers`` a figure run forks a pool, and its stdout and
+    artifact bytes are those of ``--workers 0``."""
+    from repro.bench import cli
+    from repro.core import parallel
+
+    for name in [key for key in os.environ if key.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("REPRO_BENCH_ROWS", "4096")
+    monkeypatch.setenv("REPRO_BENCH_MIN_EXP_2D", "-4")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pools: list[int] = []
+    real = parallel.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording)
+    runs = {}
+    for side, flags in (("default", []), ("serial", ["--workers", "0"])):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        code = cli.main(["out", "--quiet", "--figures", "fig04,fig05", *flags])
+        files = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+        runs[side] = (code, capsys.readouterr().out, files)
+        if side == "default":
+            assert pools and set(pools) == {2}
+            pools.clear()
+    assert pools == []
+    assert runs["default"] == runs["serial"]
+    assert runs["serial"][2]

@@ -1,10 +1,13 @@
 """Parallel sweep engine: chunking, merging, serial/parallel identity."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cellstore import CellStore
 from repro.core.driver import DenseGridPolicy, _row_runs, partition_cells
 from repro.core.mapdata import MapData
 from repro.core.parallel import ParallelSweep
@@ -21,7 +24,6 @@ JITTER = Jitter(rel=0.02, abs=0.0005, seed=7)
 
 
 def build_system_a():
-    """Module-level factory: picklable for worker processes."""
     return [SystemA(CONFIG)]
 
 
@@ -254,6 +256,41 @@ def test_parallel_reports_chunk_progress():
     # ... while the rendered line keeps the familiar shape.
     assert "sweep: 4/4 cells" in last.render()
     assert "eta" in events[0].render() or events[0].done == events[0].total
+
+
+def test_all_cores_means_the_cpus_this_process_may_use(monkeypatch):
+    """``-1`` reads the affinity mask: a run pinned to 2 of 64 CPUs forks
+    2 workers, not 64; without a mask it falls back to the CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ParallelSweep(build_system_a, n_workers=-1).resolved_workers() == 2
+    assert ParallelSweep(build_system_a, n_workers=3).resolved_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ParallelSweep(build_system_a, n_workers=-1).resolved_workers() == 64
+
+
+def test_a_pool_sweep_builds_its_providers_once_in_this_process(
+    system_a, tmp_path
+):
+    """The factory runs once, here; the forked workers inherit what it
+    returned (a factory that is called in a worker fails the sweep)."""
+    here = os.getpid()
+    calls = []
+
+    def factory():
+        if os.getpid() != here:
+            raise AssertionError("a pool worker built its own providers")
+        calls.append(here)
+        return build_system_a()
+
+    space = Space2D.log2("a", "b", -2)
+    engine = ParallelSweep(
+        factory, jitter=JITTER, n_workers=2, cell_store=CellStore(tmp_path)
+    )
+    parallel = engine.sweep(TwoPredicateScenario.build_spec(space.x, space.y))
+    assert calls == [here]
+    serial = TwoPredicateScenario([system_a], space).run(jitter=JITTER)
+    assert_identical(parallel, serial)
 
 
 def test_multi_round_pool_gets_every_worker(tmp_path, monkeypatch):

@@ -194,10 +194,12 @@ class Door(NamedTuple):
 E2E = [PYTHON, str(ROOT / "benchmarks" / "e2e" / "run.py"), "--workload", "all"]
 
 FRONT_DOORS = [
-    # figure mode at the default 2^17 rows: cold, warm, with progress, refined
+    # figure mode at the default 2^17 rows, on the pool: cold, warm; serial
+    # with per-cell progress; refined
     Door(CLI + ["figs", "--quiet", "--cell-cache", "cells"]),
     Door(CLI + ["figs", "--quiet", "--cell-cache", "cells"]),
-    Door(CLI + ["figs_progress", "--figures", "fig01,ext_sort_spill", "--progress"]),
+    Door(CLI + ["figs_progress", "--figures", "fig01,ext_sort_spill", "--progress",
+                "--workers", "0"]),
     Door(CLI + ["figs_refine", "--figures", "fig01, fig03", "--refine", "--quiet"]),
     Door(CLI + ["figs_unknown", "--figures", "fig99"], fine=(2,)),
     # scenario mode
@@ -223,9 +225,9 @@ FRONT_DOORS = [
                 "--quiet"], {"REPRO_BENCH_ROWS": "4096"}),
     # the same in process; a sweep on all cores
     Door(CLI + ["scen_trace_store", "--scenario", "join", "--trace",
-                "--cell-cache", "trace_cells", "--quiet"]),
+                "--cell-cache", "trace_cells", "--workers", "0", "--quiet"]),
     Door(CLI + ["scen_trace_store", "--scenario", "join", "--trace",
-                "--cell-cache", "trace_cells", "--quiet"]),
+                "--cell-cache", "trace_cells", "--workers", "0", "--quiet"]),
     Door(CLI + ["scen_all_cores", "--scenario", "sort_spill", "--workers", "-1",
                 "--quiet"]),
     # the whole-map cache, cold then warm; the cell store's housekeeping
