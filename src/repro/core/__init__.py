@@ -15,8 +15,8 @@ families and the quantitative machinery around them:
 * :mod:`maps` — absolute maps and performance relative to the best plan.
 * :mod:`optimality` — tolerance-based optimal-plan sets and the size,
   shape, and contiguity of optimality regions (Figs 7-10).
-* :mod:`landmarks` — monotonicity / flattening / discontinuity /
-  crossover / symmetry detectors (§3.1's "landmarks").
+* :mod:`landmarks` — monotonicity / discontinuity / crossover /
+  symmetry detectors (§3.1's "landmarks").
 * :mod:`metrics` — per-plan robustness profiles (worst-case quotient,
   area of acceptability, ...).
 * :mod:`regression` — map-vs-map comparison for regression testing.
@@ -69,7 +69,6 @@ from repro.core.optimality import (
 from repro.core.landmarks import (
     Landmark,
     monotonicity_violations,
-    flattening_violations,
     discontinuities,
     crossovers,
     symmetry_score,
@@ -121,7 +120,6 @@ __all__ = [
     "RegionStats",
     "Landmark",
     "monotonicity_violations",
-    "flattening_violations",
     "discontinuities",
     "crossovers",
     "symmetry_score",

@@ -1,13 +1,11 @@
 """Landmark detectors for robustness maps (§3.1, §4).
 
-The paper reads maps through a small set of landmarks:
+The paper reads maps through a small set of landmarks; the detectors
+here cover four of them:
 
 * **Monotonicity** — "fetching rows should become more expensive with
   additional rows; if cases exist in which fetching more rows is cheaper
   than fetching fewer rows, something is amiss."
-* **Flattening** — "the cost curve should flatten, i.e., its first
-  derivative should monotonically decrease."  (Fig 1's improved index
-  scan violates this at the high end.)
 * **Discontinuities** — §4's sort-spill cliff: cost jumps by a large
   factor between adjacent grid points.
 * **Crossovers** — break-even points between plans (Fig 1's ~2^-11
@@ -64,52 +62,6 @@ def monotonicity_violations(
                     i,
                     float(xs[i]),
                     f"cost fell {ys[i - 1]:.4g}s -> {ys[i]:.4g}s",
-                )
-            )
-    return landmarks
-
-
-def flattening_violations(
-    xs: np.ndarray, ys: np.ndarray, slope_growth_tol: float = 1.25,
-    rise_tol: float = 0.02,
-) -> list[Landmark]:
-    """Points where the marginal cost (dy/dx) *increases* materially.
-
-    The paper's condition: "the difference between fetching 100 and 200
-    rows should not be greater than between fetching 1,000 and 1,100
-    rows" — i.e. the first derivative should monotonically decrease.
-    A dip (negative slope) followed by a material rise (beyond
-    ``rise_tol``, mirroring the monotonicity detector's tolerance) is a
-    sign-flipping derivative increase and is reported too; plateaus are
-    not, so page-quantized staircase curves stay clean.
-    """
-    xs, ys = _validate_curve(xs, ys)
-    landmarks = []
-    slopes = np.diff(ys) / np.diff(xs)
-    for i in range(1, slopes.size):
-        if np.isnan(slopes[i]) or np.isnan(slopes[i - 1]):
-            continue
-        if slopes[i - 1] <= 0:
-            # Dip-then-spike: the dip itself is the monotonicity
-            # detector's finding; the rebound is ours.
-            if slopes[i - 1] < 0 and ys[i + 1] > ys[i] * (1.0 + rise_tol):
-                landmarks.append(
-                    Landmark(
-                        "flattening",
-                        i + 1,
-                        float(xs[i + 1]),
-                        f"marginal cost flipped sign "
-                        f"{slopes[i - 1]:.4g} -> {slopes[i]:.4g} s/unit",
-                    )
-                )
-            continue
-        if slopes[i] > slopes[i - 1] * slope_growth_tol:
-            landmarks.append(
-                Landmark(
-                    "flattening",
-                    i + 1,
-                    float(xs[i + 1]),
-                    f"marginal cost grew {slopes[i - 1]:.4g} -> {slopes[i]:.4g} s/unit",
                 )
             )
     return landmarks

@@ -266,11 +266,11 @@ class RobustnessSweep:
                     if profiles is None:
                         run = runner.measure(plan)
                     else:
-                        # Spans observe charging but never alter it (same
-                        # contract as batching), so the measured map is
-                        # bit-identical with capture on or off.  The
-                        # profile keeps the raw virtual seconds — jitter
-                        # is a presentation transform applied below.
+                        # Spans observe charging but never alter it, so
+                        # the measured map is bit-identical with capture
+                        # on or off.  The profile keeps the raw virtual
+                        # seconds — jitter is a presentation transform
+                        # applied below.
                         tracer = Tracer()
                         with use_tracer(tracer):
                             run = runner.measure(plan)

@@ -9,7 +9,6 @@ access, and external sort.
 Measured plan cost = virtual clock delta around :meth:`PlanRunner.measure`.
 """
 
-from repro.executor.batching import batched_enabled, set_batched, use_batched
 from repro.executor.context import CostBudgetExceeded, ExecContext
 from repro.executor.memory import MemoryBroker, MemoryGrant
 from repro.executor.results import Result
@@ -39,9 +38,6 @@ from repro.executor.joins import (
 )
 
 __all__ = [
-    "batched_enabled",
-    "set_batched",
-    "use_batched",
     "CostBudgetExceeded",
     "ExecContext",
     "MemoryBroker",

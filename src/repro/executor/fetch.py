@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import PlanError
-from repro.executor import batching
+from repro.errors import PlanError, StorageError
 from repro.executor.context import ExecContext
 from repro.executor.predicates import ColumnRange, apply_predicates
 from repro.executor.results import Result
@@ -104,35 +103,25 @@ class FetchStrategy:
     def _charge_naive(self, ctx: ExecContext, table: Table, rids: np.ndarray) -> None:
         """One buffer-pool access per row, in the order given.
 
-        The budget is checked once per :data:`_NAIVE_CHUNK` pages on both
-        branches, so even censored (budget-aborted) measurements abort at
-        the same point whichever one charges.
-
-        A trace the vectorized LRU kernel takes
-        (:meth:`BufferPool.plan_many`) is resolved up front, then its
-        miss chain charged through one strided pass
+        The trace is resolved up front by the vectorized LRU kernel
+        (:meth:`BufferPool.plan_many`), then its miss chain charged
+        through one strided pass
         (:meth:`BufferPool.charge_planned_reads_strided`) with the budget
-        check as its per-chunk checkpoint — the clock and disk statistics
-        at every check are bitwise those of the loop.  A trace it
-        declines (a negative page number) and the ``use_batched(False)``
-        reference are the same chunked :meth:`BufferPool.get` loop.
+        check once per :data:`_NAIVE_CHUNK` pages — the clock and disk
+        statistics at every check are bitwise those of a chunked
+        :meth:`BufferPool.get` loop, so censored runs abort at the same
+        point as that loop.
         """
         pages = table.pages_of_rids(rids)
         handle = table.clustered.handle
         pool = ctx.pool
-        planned = (
-            pool.plan_many(handle, pages) if batching.batched_enabled() else None
+        planned = pool.plan_many(handle, pages)
+        if planned is None:
+            raise StorageError(f"table {table.name!r} has a negative page number")
+        pool.charge_planned_reads_strided(
+            handle, planned, _NAIVE_CHUNK, ctx.check_budget
         )
-        if planned is not None:
-            pool.charge_planned_reads_strided(
-                handle, planned, _NAIVE_CHUNK, ctx.check_budget
-            )
-            pool.commit_many(planned)
-            return
-        for start in range(0, pages.size, _NAIVE_CHUNK):
-            for page in pages[start : start + _NAIVE_CHUNK].tolist():
-                pool.get(handle, page)
-            ctx.check_budget()
+        pool.commit_many(planned)
 
 
 NAIVE_FETCH = FetchStrategy("naive", sort_rids=False, coalesce=False)

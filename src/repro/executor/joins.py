@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.executor import batching
 from repro.executor.context import ExecContext
 from repro.executor.plans import PlanNode
 from repro.executor.results import Result
@@ -289,22 +288,16 @@ class IndexNestedLoopJoinNode(PlanNode):
         tree = self.index.tree(ctx.env)
         with trace_op(ctx, "btree-probe", "index"):
             ctx.charge(self.probe.size, ctx.profile.cpu_row)
-            if batching.batched_enabled():
-                # probe_many preserves the stride-boundary budget checks
-                # of the reference loop (exact clock at every boundary),
-                # so even censored runs abort at the same probe in both
-                # modes.
-                tree.probe_many(
-                    self.probe,
-                    budget_check=lambda done: ctx.check_budget_every(
-                        done, _PROBE_BUDGET_STRIDE
-                    ),
-                    budget_stride=_PROBE_BUDGET_STRIDE,
-                )
-            else:
-                for done, key in enumerate(self.probe.tolist()):
-                    tree.probe(int(key))
-                    ctx.check_budget_every(done, _PROBE_BUDGET_STRIDE)
+            # probe_many checks the budget at every stride boundary with
+            # the clock a loop of probe() would show there, so a censored
+            # run aborts at the same probe as that loop.
+            tree.probe_many(
+                self.probe,
+                budget_check=lambda done: ctx.check_budget_every(
+                    done, _PROBE_BUDGET_STRIDE
+                ),
+                budget_stride=_PROBE_BUDGET_STRIDE,
+            )
         return _result_for(ctx, join_matches(self.build, self.probe))
 
 

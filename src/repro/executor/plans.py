@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import PlanError
-from repro.executor import batching
 from repro.executor.context import CostBudgetExceeded, ExecContext
 from repro.executor.fetch import FetchStrategy
 from repro.executor.mdam import mdam_scan
@@ -100,30 +99,7 @@ class TableScanNode(PlanNode):
         self.label = f"TableScan({table.name}; {preds})"
 
     def execute(self, ctx: ExecContext) -> Result:
-        if batching.batched_enabled():
-            return self._execute_batched(ctx)
-        with trace_op(ctx, "table-scan", "scan"):
-            table = self.table
-            profile = ctx.profile
-            _keys, columns = table.clustered.scan_all()
-            n_rows = table.n_rows
-            ctx.charge(n_rows, profile.cpu_row)
-            if self.predicates:
-                ctx.charge(n_rows * len(self.predicates), profile.cpu_predicate)
-                mask = apply_predicates(columns, self.predicates)
-                rids = np.flatnonzero(mask).astype(np.int64)
-            else:
-                rids = np.arange(n_rows, dtype=np.int64)
-            needed = dict.fromkeys(
-                self.project + [p.column for p in self.predicates]
-            )
-            out = {name: columns[name][rids] for name in needed}
-            ctx.charge(rids.size, profile.cpu_row)
-            ctx.check_budget()
-            return Result(rids, out)
-
-    def _execute_batched(self, ctx: ExecContext) -> Result:
-        """Charge-identical scan that defers row materialization.
+        """Scan that charges every row but defers row materialization.
 
         Virtual charges depend only on the qualifying *count*: a single
         range predicate is counted with two ``searchsorted`` calls over a
@@ -644,16 +620,11 @@ class ExternalSortNode(PlanNode):
             ).sort(self.values)
             ctx.check_budget()
         n_rows = int(self.values.size)
-        if batching.batched_enabled():
-            # All charges happened above; defer the real np.sort payload.
-            return Result.deferred(
-                n_rows,
-                lambda: np.arange(n_rows, dtype=np.int64),
-                lambda rids: {"sorted": sorted_result.values},
-            )
-        return Result(
-            np.arange(sorted_result.values.size, dtype=np.int64),
-            {"sorted": sorted_result.values},
+        # All charges happened above; defer the real np.sort payload.
+        return Result.deferred(
+            n_rows,
+            lambda: np.arange(n_rows, dtype=np.int64),
+            lambda rids: {"sorted": sorted_result.values},
         )
 
 

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.executor import batching
 from repro.executor.context import ExecContext
 from repro.obs.tracer import trace_op
 
@@ -142,22 +141,12 @@ class ExternalSort:
                 # rows.
                 merge_ways = n_runs + (1 if in_memory_rows else 0)
                 page_quantum = max(1, memory_rows // max(1, merge_ways) // 64)
-                active = [run for run in runs]
-                for run in active:
-                    run.reset()
-                if batching.batched_enabled():
-                    # The whole round-robin read schedule is deterministic,
-                    # so it is charged in one vectorized step; the
-                    # per-round budget checks compact to one final check
-                    # (equivalent under the budget-censoring contract).
-                    ctx.temp.merge_read_all(active, page_quantum)
-                    ctx.check_budget()
-                else:
-                    while any(run.pages_remaining for run in active):
-                        for run in active:
-                            if run.pages_remaining:
-                                ctx.temp.read_pages(run, page_quantum)
-                        ctx.check_budget()
+                # The whole round-robin read schedule is deterministic, so
+                # it is charged in one vectorized step; one budget check
+                # stands for one per round (equivalent under the
+                # budget-censoring contract).
+                ctx.temp.merge_read_all(runs, page_quantum)
+                ctx.check_budget()
                 if merge_ways > 1:
                     comparisons = n_rows * math.log2(merge_ways)
                     ctx.clock.advance(comparisons * ctx.profile.cpu_compare)

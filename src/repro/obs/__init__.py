@@ -4,8 +4,8 @@ Three planes, all stdlib + NumPy only:
 
 * :mod:`repro.obs.tracer` — sim-time span tracing with a no-op default;
   spans observe charging, never alter it (maps stay bit-identical).
-* :mod:`repro.obs.profile` — per-cell :class:`CellProfile` span trees,
-  grid projections (:func:`profile_map`), and Chrome trace export.
+* :mod:`repro.obs.profile` — per-cell :class:`CellProfile` span trees
+  and Chrome trace export.
 * :mod:`repro.obs.metrics` / :mod:`repro.obs.logs` — the service plane:
   Prometheus-text metrics and structured (optionally JSON) logging.
 """
@@ -23,7 +23,6 @@ from repro.obs.profile import (
     chrome_trace,
     parse_profile_key,
     profile_key,
-    profile_map,
     profiles_from_meta,
     write_chrome_trace,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "log_format",
     "parse_profile_key",
     "profile_key",
-    "profile_map",
     "profiles_from_meta",
     "setup_logging",
     "trace_op",

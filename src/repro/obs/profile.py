@@ -9,11 +9,9 @@ ride along in ``MapData.meta["profiles"]`` — from which
 keeping cached map JSON and golden fixtures byte-identical whether
 tracing was on or off.
 
-Exports: :func:`profile_map` projects one operator's sim-seconds back
-onto the sweep grid (the "where did the time go" companion of the
-robustness map), and :func:`chrome_trace` emits Chrome trace-event JSON
-viewable in Perfetto (``ui.perfetto.dev``) or ``chrome://tracing`` —
-one process per cell, one thread per plan, counters in ``args``.
+Export: :func:`chrome_trace` emits Chrome trace-event JSON viewable in
+Perfetto (``ui.perfetto.dev``) or ``chrome://tracing`` — one process
+per cell, one thread per plan, counters in ``args``.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.tracer import Span
 
@@ -62,23 +58,6 @@ class CellProfile:
     aborted: bool
     spans: list[Span] = field(default_factory=list)
 
-    def walk(self) -> Iterator[Span]:
-        for root in self.spans:
-            yield from root.walk()
-
-    def operator_seconds(self, self_time: bool = True) -> dict[str, float]:
-        """Virtual seconds per operator name across the span tree.
-
-        ``self_time=True`` (default) attributes each span its *exclusive*
-        time, so the values sum to the traced total and stack cleanly;
-        ``False`` attributes inclusive durations (children double-count).
-        """
-        totals: dict[str, float] = {}
-        for span in self.walk():
-            seconds = span.self_seconds if self_time else span.duration
-            totals[span.name] = totals.get(span.name, 0.0) + seconds
-        return totals
-
     def counter_totals(self) -> dict[str, int]:
         """Counter deltas summed over root spans (children are nested)."""
         totals: dict[str, int] = {}
@@ -111,33 +90,6 @@ def profiles_from_meta(meta: Mapping[str, Any]) -> dict[str, CellProfile]:
     """Decode every profile riding in a ``MapData.meta`` mapping."""
     raw = meta.get(PROFILES_META_KEY, {})
     return {key: CellProfile.from_dict(value) for key, value in raw.items()}
-
-
-def profile_map(
-    map_data: Any,
-    plan_id: str,
-    operator: str | None = None,
-    self_time: bool = True,
-) -> np.ndarray:
-    """Project profiled sim-seconds onto the sweep grid for one plan.
-
-    Returns a grid shaped like ``map_data.grid_shape`` holding, per cell,
-    the virtual seconds spent in ``operator`` (or the traced total when
-    ``operator`` is ``None``); cells without a captured profile are NaN.
-    The breakdown view of a robustness map: the map says *that* a cell
-    blew up, this grid says *where* its time went.
-    """
-    grid = np.full(map_data.grid_shape, np.nan)
-    for key, profile in profiles_from_meta(map_data.meta).items():
-        keyed_plan, cell = parse_profile_key(key)
-        if keyed_plan != plan_id:
-            continue
-        breakdown = profile.operator_seconds(self_time=self_time)
-        if operator is None:
-            grid[cell] = sum(breakdown.values())
-        elif operator in breakdown:
-            grid[cell] = breakdown[operator]
-    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ buffer-pool hits/misses, spill pages, memory grants).  Because every
 timestamp is virtual, traces are **bit-deterministic** artifacts: the same
 plan over the same data always produces the same trace, byte for byte.
 
-The invariant mirrors :mod:`repro.executor.batching`: **spans observe
-charging, they never alter it**.  A span reads the clock and the device
-statistics; it never advances the clock, touches the buffer pool, or
-charges CPU.  Tracing on vs. off therefore yields bit-identical maps —
-golden fixtures need no re-baseline when tracing ships or evolves.
+The invariant: **spans observe charging, they never alter it**.  A span
+reads the clock and the device statistics; it never advances the clock,
+touches the buffer pool, or charges CPU.  Tracing on vs. off therefore
+yields bit-identical maps — golden fixtures need no re-baseline when
+tracing ships or evolves.
 
 The tracer is carried in a :class:`~contextvars.ContextVar`; the default
 is ``None`` and :func:`trace_op` then returns a shared no-op span whose
@@ -92,17 +92,6 @@ class Span:
     def duration(self) -> float:
         """Inclusive virtual seconds (children included)."""
         return self.t1 - self.t0
-
-    @property
-    def self_seconds(self) -> float:
-        """Exclusive virtual seconds (children subtracted)."""
-        return self.duration - sum(child.duration for child in self.children)
-
-    def walk(self) -> Iterator["Span"]:
-        """This span, then every descendant, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

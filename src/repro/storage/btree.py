@@ -251,7 +251,7 @@ class BPlusTree:
         after every probe; callers' checks ignore the other indexes)
         while the clock holds exactly the value the per-probe loop would
         show there — censored (budget-aborted) runs therefore abort at
-        the same probe with the same clock in both modes, with identical
+        the same probe with the same clock as that loop, with identical
         disk statistics at the abort point.
         """
         keys = np.ascontiguousarray(np.asarray(keys), dtype=np.int64)

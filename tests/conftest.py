@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.landmarks import Landmark, _validate_curve
 from repro.sim.profile import DeviceProfile
 from repro.storage import BPlusTree, StorageEnv, Table
 
 #: Small pages so tiny tables still span many pages (realistic mechanics).
 SMALL_PROFILE = DeviceProfile(page_size=1024, memory_bytes=1 << 20)
+
+#: Exact measurements the per-item operator paths recorded before they
+#: were deleted: the reference of the plan-level identity tests.
+REFERENCE_MEASUREMENTS = json.loads(
+    (Path(__file__).parent / "data" / "reference_measurements.json").read_text()
+)
 
 
 @pytest.fixture
@@ -81,3 +91,51 @@ def decoded(monkeypatch) -> list:
 
     monkeypatch.setattr(module, "_decode_line", counting)
     return lines
+
+
+# The flattening landmark's detector is a test oracle: the physics tests
+# (graceful degradation of the improved index scan) read curves with it.
+def flattening_violations(
+    xs: np.ndarray, ys: np.ndarray, slope_growth_tol: float = 1.25,
+    rise_tol: float = 0.02,
+) -> list[Landmark]:
+    """Points where the marginal cost (dy/dx) *increases* materially.
+
+    The paper's condition: "the difference between fetching 100 and 200
+    rows should not be greater than between fetching 1,000 and 1,100
+    rows" — i.e. the first derivative should monotonically decrease.
+    A dip (negative slope) followed by a material rise (beyond
+    ``rise_tol``, mirroring the monotonicity detector's tolerance) is a
+    sign-flipping derivative increase and is reported too; plateaus are
+    not, so page-quantized staircase curves stay clean.
+    """
+    xs, ys = _validate_curve(xs, ys)
+    landmarks = []
+    slopes = np.diff(ys) / np.diff(xs)
+    for i in range(1, slopes.size):
+        if np.isnan(slopes[i]) or np.isnan(slopes[i - 1]):
+            continue
+        if slopes[i - 1] <= 0:
+            # Dip-then-spike: the dip itself is the monotonicity
+            # detector's finding; the rebound is ours.
+            if slopes[i - 1] < 0 and ys[i + 1] > ys[i] * (1.0 + rise_tol):
+                landmarks.append(
+                    Landmark(
+                        "flattening",
+                        i + 1,
+                        float(xs[i + 1]),
+                        f"marginal cost flipped sign "
+                        f"{slopes[i - 1]:.4g} -> {slopes[i]:.4g} s/unit",
+                    )
+                )
+            continue
+        if slopes[i] > slopes[i - 1] * slope_growth_tol:
+            landmarks.append(
+                Landmark(
+                    "flattening",
+                    i + 1,
+                    float(xs[i + 1]),
+                    f"marginal cost grew {slopes[i - 1]:.4g} -> {slopes[i]:.4g} s/unit",
+                )
+            )
+    return landmarks

@@ -6,7 +6,6 @@ import pytest
 from repro.core.landmarks import (
     crossovers,
     discontinuities,
-    flattening_violations,
     monotonicity_violations,
     symmetry_score,
 )
@@ -14,6 +13,7 @@ from repro.core.mapdata import MapAxis, MapData
 from repro.core.metrics import profile_plan, summarize_plans
 from repro.core.regression import compare_maps
 from repro.errors import ExperimentError
+from tests.conftest import flattening_violations
 
 
 XS = np.array([1.0, 2.0, 4.0, 8.0, 16.0])

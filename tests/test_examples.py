@@ -90,11 +90,28 @@ def test_readme_observability_block_runs(tmp_path):
     exec(compile(block, "README.md", "exec"), namespace)
     map_data, profiles = namespace["map_data"], namespace["profiles"]
     assert len(profiles) == map_data.times.size
-    # Spill seconds appear exactly where the build side outgrew memory,
-    # and account for nearly all of those cells' measured time.
-    spill, measured = namespace["spill"], map_data.times_for("join.hash.graceful")
-    assert np.isnan(spill[0]).all() and not np.isnan(spill[1]).any()
-    assert np.all(spill[1] > 0.9 * measured[1])
+    # Spill pages and spill seconds appear exactly where the build side
+    # outgrew memory, and the spill accounts for nearly all of those
+    # cells' measured time.
+    spill_pages = namespace["spill_pages"]
+    assert {cell for cell, pages in spill_pages.items() if pages} == {
+        (1, 0),
+        (1, 1),
+    }
+    measured = map_data.times_for("join.hash.graceful")
+    for profile in profiles.values():
+        if profile.plan_id != "join.hash.graceful":
+            continue
+        spans, spill = list(profile.spans), []
+        while spans:
+            span = spans.pop()
+            spans.extend(span.children)
+            if span.name == "hash-join:partition-spill":
+                spill.append(span.duration)
+        if profile.cell[0] == 0:
+            assert spill == []
+        else:
+            assert sum(spill) > 0.9 * measured[profile.cell]
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert len(trace["traceEvents"]) > len(profiles)
 

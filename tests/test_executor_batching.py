@@ -1,15 +1,22 @@
 """Charge-equivalence of the batched execution core.
 
-The batched paths (``get_many``, ``probe_many``, ``advance_many``,
-``merge_read_all``, batched plan nodes) must be *bit-identical* to their
-sequential references: same virtual seconds, same hit/miss/eviction
-counts, same eviction victims, same final LRU order, same measured maps.
-These tests pin that invariant property-style, including the adversarial
-regimes (thrashing pools, capacity-1, duplicate keys, traces the LRU
-kernel declines, censored measurements).
+The vectorized kernels (``plan_many``, ``probe_many``, ``advance_many``,
+``merge_read_all``) must be *bit-identical* to the per-item loops they
+replace: same virtual seconds, same hit/miss/eviction counts, same
+eviction victims, same final LRU order.  These tests pin that invariant
+property-style against the loops, including the adversarial regimes
+(thrashing pools, capacity-1, duplicate keys, traces the LRU kernel
+declines).
+
+Whole plans have one execution path; their reference is
+``tests/data/reference_measurements.json``, recorded from the per-item
+operator paths before those were deleted.  Each plan test measures the
+plan and compares every recorded field exactly, censored runs included.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,7 +32,6 @@ from repro.executor import (
     FetchNode,
     IndexRangeRidsNode,
     ExternalSortNode,
-    use_batched,
 )
 from repro.executor.joins import join_plan_inventory
 from repro.sim.clock import SimClock
@@ -34,6 +40,7 @@ from repro.sim.profile import DeviceProfile
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.env import StorageEnv
+from tests.conftest import REFERENCE_MEASUREMENTS as REFERENCE
 
 
 def make_table(env, n_rows=4096, seed=7):
@@ -305,7 +312,7 @@ def test_probe_many_uncharged_counts_only():
 
 
 # ---------------------------------------------------------------------------
-# Whole-plan identity: batched vs reference measurements
+# Whole-plan identity: measurements vs the recorded reference
 # ---------------------------------------------------------------------------
 
 
@@ -326,25 +333,22 @@ def scan_plans(table):
     yield ExternalSortNode(table.column("b"), row_bytes=8)
 
 
-def measure_both(make_plan, budget_seconds=None):
-    """Measure the same plan twice from identical cold environments."""
-    runs = []
-    for batched in (False, True):
-        env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
-        table = make_table(env)
-        table.create_index("idx_a", ["a"])
-        runner = PlanRunner(env, memory_bytes=1 << 14, budget_seconds=budget_seconds)
-        with use_batched(batched):
-            runs.append(runner.measure(make_plan(table)))
-    return runs
+def measure(make_plan, budget_seconds=None):
+    """Measure one plan from a cold environment."""
+    env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
+    table = make_table(env)
+    table.create_index("idx_a", ["a"])
+    runner = PlanRunner(env, memory_bytes=1 << 14, budget_seconds=budget_seconds)
+    return runner.measure(make_plan(table))
 
 
-def assert_runs_identical(ref, bat):
-    assert bat.seconds == ref.seconds  # exact virtual time
-    assert bat.aborted == ref.aborted
-    assert bat.n_rows == ref.n_rows
-    assert bat.rid_checksum == ref.rid_checksum
-    assert bat.io == ref.io
+def assert_run_matches(ref, run):
+    """Every field of a reference record, exactly (floats included)."""
+    assert run.seconds == ref["seconds"]  # exact virtual time
+    assert run.aborted == ref["aborted"]
+    assert run.n_rows == ref["n_rows"]
+    assert run.rid_checksum == ref["rid_checksum"]
+    assert dataclasses.asdict(run.io) == ref["io"]
 
 
 @pytest.mark.parametrize("plan_index", range(5))
@@ -352,17 +356,16 @@ def test_plan_measurements_identical(plan_index):
     def make_plan(table):
         return list(scan_plans(table))[plan_index]
 
-    ref, bat = measure_both(make_plan)
-    assert_runs_identical(ref, bat)
+    assert_run_matches(REFERENCE["plans"][str(plan_index)], measure(make_plan))
 
 
 @pytest.mark.parametrize("plan_index", range(5))
 @pytest.mark.parametrize("fraction", [0.15, 0.4, 0.9])
 def test_censored_plan_measurements_identical(plan_index, fraction):
-    """Budget-aborted runs must abort identically in both modes.
+    """Budget-aborted runs must abort where the reference aborted.
 
-    Scans and naive fetches keep the exact reference check cadence, so
-    even the abort-point clock matches.  The external sort compacts the
+    Scans and naive fetches keep the reference's check cadence, so even
+    the abort-point clock matches.  The external sort compacts the
     per-merge-round checks into the final one; its abort *decision* is
     unchanged (the final check sees the same clock, and the clock is
     monotone) but a run aborted at an intermediate round records a
@@ -372,13 +375,13 @@ def test_censored_plan_measurements_identical(plan_index, fraction):
     def make_plan(table):
         return list(scan_plans(table))[plan_index]
 
-    baseline, _ = measure_both(make_plan)
-    budget = baseline.seconds * fraction
-    ref, bat = measure_both(make_plan, budget_seconds=budget)
-    assert ref.aborted  # the budget must actually bind
-    assert bat.aborted == ref.aborted
+    budget = REFERENCE["plans"][str(plan_index)]["seconds"] * fraction
+    ref = REFERENCE["censored_plans"][f"{plan_index}@{fraction!r}"]
+    run = measure(make_plan, budget_seconds=budget)
+    assert ref["aborted"]  # the budget must actually bind
+    assert run.aborted == ref["aborted"]
     if plan_index != 4:
-        assert_runs_identical(ref, bat)
+        assert_run_matches(ref, run)
 
 
 @pytest.mark.parametrize("fraction", [0.2, 0.6, 0.95])
@@ -387,37 +390,31 @@ def test_censored_inl_join_identical(fraction):
     build_keys = np.random.default_rng(5).integers(0, 400, 1200)
     probe_keys = np.random.default_rng(6).integers(0, 400, 3000)
 
-    def run(batched, budget_seconds):
+    def run(budget_seconds):
         env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
         runner = PlanRunner(env, budget_seconds=budget_seconds)
         plan = join_plan_inventory(build_keys, probe_keys)["join.inl"]
-        with use_batched(batched):
-            return runner.measure(plan)
+        return runner.measure(plan)
 
-    baseline = run(False, None)
-    budget = baseline.seconds * fraction
-    ref, bat = run(False, budget), run(True, budget)
-    assert ref.aborted
-    assert_runs_identical(ref, bat)
+    baseline = REFERENCE["inl"]["uncensored"]
+    assert_run_matches(baseline, run(None))
+    ref = REFERENCE["inl"][repr(fraction)]
+    assert ref["aborted"]
+    assert_run_matches(ref, run(baseline["seconds"] * fraction))
 
 
 def test_join_inventory_identical():
     build_keys = np.random.default_rng(11).integers(0, 500, 1500)
     probe_keys = np.random.default_rng(13).integers(0, 500, 4000)
-
-    def run(batched):
-        env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
-        runner = PlanRunner(env, memory_bytes=1 << 14)
-        out = {}
-        with use_batched(batched):
-            for name, plan in join_plan_inventory(build_keys, probe_keys).items():
-                out[name] = runner.measure(plan)
-        return out
-
-    ref_runs, bat_runs = run(False), run(True)
-    assert set(ref_runs) == set(bat_runs)
-    for name in ref_runs:
-        assert_runs_identical(ref_runs[name], bat_runs[name])
+    env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
+    runner = PlanRunner(env, memory_bytes=1 << 14)
+    runs = {
+        name: runner.measure(plan)
+        for name, plan in join_plan_inventory(build_keys, probe_keys).items()
+    }
+    assert set(runs) == set(REFERENCE["join_inventory"])
+    for name, run in runs.items():
+        assert_run_matches(REFERENCE["join_inventory"][name], run)
 
 
 def test_check_budget_every_matches_stride():

@@ -4,14 +4,17 @@ The kernel's contract (`repro.storage.lru_kernel`) is *exactness*: for
 every trace it must reproduce the scalar ``get()`` loop's hit/miss
 classification, eviction count, final LRU order, disk charges, and —
 through `FetchStrategy._charge_naive` — the abort point of
-budget-censored runs.  These tests pit it against an independent
-OrderedDict reference (and against real scalar pools) across the regimes
-that stress different kernel paths: cold and pre-warmed pools,
-capacity-1 pools, multi-file residents and segment-boundary straddling.
+budget-censored runs (against measurements recorded from the ``get``
+loop in ``tests/data/reference_measurements.json``).  These tests pit
+it against an independent OrderedDict reference (and against real
+scalar pools) across the regimes that stress different kernel paths:
+cold and pre-warmed pools, capacity-1 pools, multi-file residents and
+segment-boundary straddling.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -19,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.storage.lru_kernel as lru_kernel
-from repro.executor.batching import use_batched
 from repro.executor.context import CostBudgetExceeded, ExecContext
 from repro.executor.fetch import _NAIVE_CHUNK, NAIVE_FETCH
 from repro.sim.clock import SimClock
@@ -29,6 +31,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.lru_kernel import simulate_lru
 from repro.storage import StorageEnv, Table
+from tests.conftest import REFERENCE_MEASUREMENTS
 
 #: Small pages so tiny tables still span many pages (matches conftest).
 SMALL_PROFILE = DeviceProfile(page_size=1024, memory_bytes=1 << 20)
@@ -170,7 +173,7 @@ def test_plan_many_refuses_negative_pages():
     assert pool.plan_many(handles[0], np.array([1, -2, 3])) is None
 
 
-def _measure_naive_fetch(batched, budget_seconds, n_rids=3000):
+def _measure_naive_fetch(budget_seconds, n_rids=3000):
     """(clock seconds, disk stats, aborted) of one budgeted naive fetch."""
     env = StorageEnv(SMALL_PROFILE, pool_pages=64)
     table = make_table(env)
@@ -179,29 +182,33 @@ def _measure_naive_fetch(batched, budget_seconds, n_rids=3000):
     ctx = ExecContext(env, budget_seconds=budget_seconds)
     ctx.arm_budget()
     aborted = False
-    with use_batched(batched):
-        try:
-            NAIVE_FETCH.fetch(ctx, table, rids, columns=["val"])
-        except CostBudgetExceeded:
-            aborted = True
+    try:
+        NAIVE_FETCH.fetch(ctx, table, rids, columns=["val"])
+    except CostBudgetExceeded:
+        aborted = True
     return env.clock.now, env.disk.stats, aborted
 
 
 @pytest.mark.parametrize(
-    "budget_seconds",
-    [None, 1e-3, 5e-3, 20e-3],
+    "case, budget_seconds",
+    [("uncensored", None), ("tight", 1e-3), ("mid", 5e-3), ("loose", 20e-3)],
     ids=["uncensored", "tight", "mid", "loose"],
 )
-def test_naive_fetch_abort_point_identity(budget_seconds):
-    """Censored runs abort at bitwise-identical points in both modes.
+def test_naive_fetch_abort_point_identity(case, budget_seconds):
+    """Censored runs abort at the bitwise-identical point of the loop.
 
     The trace straddles many ``_NAIVE_CHUNK`` boundaries; the budgets are
     chosen so some runs abort mid-trace.  Clock and full disk statistics
-    must agree exactly at the abort (or completion) point.
+    must agree exactly with the recorded ``get``-loop run at the abort
+    (or completion) point.
     """
-    reference = _measure_naive_fetch(False, budget_seconds)
-    batched = _measure_naive_fetch(True, budget_seconds)
-    assert reference == batched
+    reference = REFERENCE_MEASUREMENTS["naive_fetch"][case]
+    clock, stats, aborted = _measure_naive_fetch(budget_seconds)
+    assert (clock, dataclasses.asdict(stats), aborted) == (
+        reference["clock"],
+        reference["io"],
+        reference["aborted"],
+    )
 
 
 def test_trace_straddles_chunk_boundaries():

@@ -1,6 +1,7 @@
 """Unit tests for temp (spill) storage."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.sim.clock import SimClock
@@ -88,3 +89,45 @@ def test_alternating_runs_pay_positioning(temp):
     store.read_run_fully(run_b)
     streaming = disk.clock.now - start
     assert alternating > streaming
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.integers(1, 40).flatmap(
+            lambda n_pages: st.tuples(st.just(n_pages), st.integers(0, n_pages))
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 8),
+)
+def test_merge_read_all_equals_round_robin_loop(runs, quantum):
+    """The vectorized merge schedule charges exactly what the round-robin
+    ``read_pages`` loop of its docstring charges, from partly consumed
+    cursors on."""
+
+    def setup():
+        disk = Disk(SimClock(), DeviceProfile(page_size=8192))
+        store = TempStore(disk)
+        spills = []
+        for n_pages, consumed in runs:
+            spill = store.write_run(n_rows=n_pages * 1024, row_bytes=8)
+            assert spill.n_pages == n_pages
+            if consumed:
+                store.read_pages(spill, consumed)
+            spills.append(spill)
+        return store, disk, spills
+
+    loop_store, loop_disk, loop_runs = setup()
+    while any(run.pages_remaining for run in loop_runs):
+        for run in loop_runs:
+            if run.pages_remaining:
+                loop_store.read_pages(run, quantum)
+    store, disk, spills = setup()
+    store.merge_read_all(spills, quantum)
+    assert disk.clock.now == loop_disk.clock.now  # exact virtual time
+    assert disk.stats == loop_disk.stats
+    assert [run.pages_remaining for run in spills] == [
+        run.pages_remaining for run in loop_runs
+    ]
