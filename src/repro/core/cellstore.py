@@ -44,13 +44,24 @@ the first hex digit of the key) plus an in-memory index built on first
 access and extended by tailing the shards at the start of every sweep
 wave (see :class:`CellStore`).  Appends are atomic (one ``write`` of
 complete lines, started on a fresh line when a killed writer left half
-of one behind); every line carries a blake2s digest of its record, and
-a complete line that is malformed or tampered with answers no lookup:
-it is skipped, counted (:attr:`CellStore.corrupt_lines`) and logged.
-:meth:`CellStore.compact` rewrites the shards, dropping superseded
-duplicates and corrupt (orphaned) lines.  Every append and every whole
-compaction holds an advisory ``flock`` on the store directory, so two
-processes on one store never append to a shard another is replacing.
+of one behind).
+
+Every line has one layout, the one every writer of this store has used:
+``_canonical({"k": key, "d": digest, "r": record})``, i.e.
+``{"d":"<16 hex>","k":"<32 hex>","r":<record>}`` with the record's
+canonical JSON as the fixed slice ``[67:-1]`` and ``d`` its blake2s-64.
+A writer dumps the record once and hashes those bytes; a reader checks
+the layout and the digest over the line's own bytes, and parses the
+records a shard's new lines hold with one ``json.loads`` over them,
+joined into a JSON array.  A complete line
+that is not in that layout, fails its digest, or whose record is not an
+object answers no lookup: it is skipped, counted
+(:attr:`CellStore.corrupt_lines`) and logged.  (The digest catches torn
+and damaged lines, not a forger.)  :meth:`CellStore.compact` rewrites the
+shards, dropping superseded duplicates and corrupt (orphaned) lines.
+Every append and every whole compaction holds an advisory ``flock`` on
+the store directory, so two processes on one store never append to a
+shard another is replacing.
 """
 
 from __future__ import annotations
@@ -61,6 +72,8 @@ import json
 import os
 import threading
 from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -86,67 +99,140 @@ _LINE_DIGEST_BYTES = 8
 _SHARD_PREFIX = "cells-"
 
 
+#: ``json.dumps`` with these settings, without building an encoder per call.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def _canonical(payload: object) -> bytes:
     """Canonical JSON bytes — the single serialization behind every digest.
 
     ``allow_nan=False`` makes non-JSON floats (NaN/inf) a loud error
     instead of a silently non-portable literal.
     """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def measurement_key(context: Mapping) -> str:
-    """Content address of one measurement context (blake2s-128 hex)."""
+    """Content address of one measurement context (blake2s-128 hex).
+
+    The definition every store key follows; :class:`SweepKeyer` builds
+    the same bytes from pre-encoded fragments.
+    """
     return hashlib.blake2s(
         _canonical(dict(context)), digest_size=_KEY_DIGEST_BYTES
     ).hexdigest()
 
 
-def _record_digest(record: CellRecord) -> str:
-    return hashlib.blake2s(
-        _canonical(record), digest_size=_LINE_DIGEST_BYTES
-    ).hexdigest()
+# Every shard line is ``_canonical({"k": key, "d": digest, "r": record})``:
+# the record's canonical bytes behind a fixed 67-byte head, then ``}``.
+_RECORD_START = 67
+_HEX = "0123456789abcdef"
 
 
 def _encode_line(key: str, record: CellRecord) -> bytes:
-    return _canonical({"k": key, "d": _record_digest(record), "r": record}) + b"\n"
+    """One shard line: the record dumped once, its digest over those bytes."""
+    well_formed = len(key) == 2 * _KEY_DIGEST_BYTES and not key.strip(_HEX)
+    if not well_formed or not isinstance(record, dict):
+        raise ValueError(f"not a cell-store entry: {key!r}")
+    body = _canonical(record)
+    digest = hashlib.blake2s(body, digest_size=_LINE_DIGEST_BYTES).hexdigest()
+    return b'{"d":"%b","k":"%b","r":%b}\n' % (
+        digest.encode("ascii"), key.encode("ascii"), body
+    )
 
 
-def _decode_line(line: str | bytes) -> tuple[str, CellRecord]:
-    """Parse one shard line; raises ``ValueError`` on any corruption."""
-    obj = json.loads(line)
-    key, digest, record = obj["k"], obj["d"], obj["r"]
-    if not isinstance(key, str) or not isinstance(record, dict):
-        raise ValueError("malformed entry")
-    if _record_digest(record) != digest:
-        raise ValueError("record digest mismatch")
-    return key, record
+def _verified(
+    lines: Iterable[bytes], lines_before: int
+) -> tuple[list[str], list[bytes], list[int], list[int]]:
+    """Verify consecutive shard lines (no trailing newlines) from their
+    own bytes.
 
-
-def _decoded(
-    lines: Iterable[bytes], corrupt: list[int], lines_before: int = 0
-) -> Iterator[tuple[str, CellRecord]]:
-    """The entries of consecutive shard lines; the line number of every one
-    that does not parse or verify is appended to ``corrupt``."""
+    A line verifies when it is in the layout :func:`_encode_line` writes
+    (its key's digits are checked by :func:`_parsed`) and its digest
+    matches its record's bytes as they stand.  Returns the key, record
+    bytes and line number of every verified line, and the number of
+    every other non-blank line (the corrupt ones).
+    """
+    keys: list[str] = []
+    bodies: list[bytes] = []
+    linenos: list[int] = []
+    corrupt: list[int] = []
     for lineno, line in enumerate(lines, lines_before + 1):
-        if not line.strip():
-            continue
-        try:
-            yield _decode_line(line)
-        except (ValueError, KeyError, TypeError):
+        body = line[_RECORD_START:-1]
+        if (
+            line[:6] == b'{"d":"'
+            and line[22:29] == b'","k":"'
+            and line[61:_RECORD_START] == b'","r":'
+            and line[-1:] == b"}"
+            and hashlib.blake2s(body, digest_size=_LINE_DIGEST_BYTES)
+            .hexdigest()
+            .encode("ascii")
+            == line[6:22]
+        ):
+            keys.append(line[29:61].decode("latin-1"))
+            bodies.append(body)
+            linenos.append(lineno)
+        elif line.strip():
             corrupt.append(lineno)
+    return keys, bodies, linenos, corrupt
+
+
+def _parsed(
+    keys: list[str], bodies: list[bytes], linenos: list[int], corrupt: list[int]
+) -> list[tuple[str, CellRecord]]:
+    """The entries of verified lines, their records parsed as one JSON
+    array.
+
+    A batch that does not parse into one object per record, or holds a
+    key that is not 32 hex digits (only a line forged to pass its digest
+    does either), is halved until each bad line stands alone; its line
+    number goes to ``corrupt``.
+    """
+    try:
+        records = json.loads(b"[" + b",".join(bodies) + b"]")
+        if (
+            len(records) != len(bodies)
+            or not all(isinstance(record, dict) for record in records)
+            or "".join(keys).strip(_HEX)
+        ):
+            raise ValueError("not one object and one hex key per line")
+        return list(zip(keys, records))
+    except (ValueError, RecursionError):
+        if len(bodies) == 1:
+            corrupt.append(linenos[0])
+            return []
+        mid = len(bodies) // 2
+        return _parsed(
+            keys[:mid], bodies[:mid], linenos[:mid], corrupt
+        ) + _parsed(keys[mid:], bodies[mid:], linenos[mid:], corrupt)
+
+
+def grid_positions(
+    cells: Sequence[int], shape: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """The grid index tuple of every flat cell, unravelled in one call."""
+    flat = np.asarray(cells, dtype=np.intp).reshape(-1)
+    return list(zip(*(axis.tolist() for axis in np.unravel_index(flat, shape))))
 
 
 class SweepKeyer:
     """Per-(plan, cell) content addresses for one configured sweep.
 
-    Built once per sweep from the scenario's picklable spec; the
-    sweep-level part of the key (scenario params, budget, memory, jitter,
-    caller context) is canonicalized eagerly so a scenario whose spec
-    params are not JSON-serializable fails loudly up front instead of
-    corrupting keys cell by cell.
+    Built once per sweep from the scenario's picklable spec.  A key is
+    :func:`measurement_key` of the payload ``{"budget_seconds", "context",
+    "coords", ["jitter", "jitter_cell",] "memory_bytes", "params", "plan",
+    "scenario"}`` — the order canonical JSON sorts it into.  Only
+    ``coords`` and ``jitter_cell`` vary per cell and only ``plan`` per
+    plan, after them, so the keyer encodes every other fragment once
+    (each axis target's ``[name, value]`` too) and hashes the head once;
+    a cell copies that hash state and feeds it the cell's fragments, a
+    plan copies the cell's state and feeds it the rest.  The bytes
+    hashed, and so every key, are those of :func:`measurement_key`.
+    Encoding up front also makes a scenario whose spec params are not
+    JSON-serializable fail loudly here instead of corrupting keys cell
+    by cell.
     """
 
     def __init__(
@@ -158,47 +244,63 @@ class SweepKeyer:
         context: str = "",
     ) -> None:
         spec = scenario.spec()
-        self._base: dict = {
-            "scenario": spec.name,
-            "params": spec.settings,
-            "budget_seconds": (
-                None if budget_seconds is None else float(budget_seconds)
-            ),
-            "memory_bytes": None if memory_bytes is None else int(memory_bytes),
-            "context": str(context),
-        }
-        if jitter is not None:
-            self._base["jitter"] = [
-                float(jitter.rel),
-                float(jitter.abs),
-                int(jitter.seed),
-            ]
-        self._jittered = jitter is not None
-        self._axes: list[tuple[str, list[float]]] = [
-            (axis.name, [float(v) for v in axis.targets])
-            for axis in scenario.axes
-        ]
+        budget = None if budget_seconds is None else float(budget_seconds)
+        memory = None if memory_bytes is None else int(memory_bytes)
         try:
-            _canonical(self._base)
+            head = b'{"budget_seconds":%b,"context":%b,"coords":[' % (
+                _canonical(budget), _canonical(str(context))
+            )
+            #: per axis, per target: the ``[name, value]`` fragment
+            self._coords: list[list[bytes]] = [
+                [_canonical([axis.name, float(v)]) for v in axis.targets]
+                for axis in scenario.axes
+            ]
+            self._jitter: bytes | None = None
+            if jitter is not None:
+                # Jitter draws are seeded on the grid position, so jittered
+                # values are only reusable at identical coordinates.
+                self._jitter = b',"jitter":%b,"jitter_cell":[' % _canonical(
+                    [float(jitter.rel), float(jitter.abs), int(jitter.seed)]
+                )
+            self._before_plan = b',"memory_bytes":%b,"params":%b,"plan":' % (
+                _canonical(memory), _canonical(spec.settings)
+            )
+            self._after_plan = b',"scenario":%b}' % _canonical(spec.name)
         except (TypeError, ValueError) as exc:
             raise ExperimentError(
                 f"scenario {spec.name!r} spec params are not content-"
                 f"addressable (must be canonical JSON): {exc}"
             ) from exc
+        self._head = hashlib.blake2s(head, digest_size=_KEY_DIGEST_BYTES)
+        self._plans: dict[str, bytes] = {}
 
-    def key(self, plan_id: str, idx: tuple[int, ...]) -> str:
+    def keys(
+        self, plan_ids: Iterable[str], idx: Sequence[int]
+    ) -> Iterator[str]:
+        """Content addresses of the plans' measurements at grid position
+        idx, one by one (a caller may stop at the first it misses)."""
+        tail = b"]"
+        if self._jitter is not None:
+            cell_indices = ",".join(str(int(i)) for i in idx).encode("ascii")
+            tail += self._jitter + cell_indices + b"]"
+        cell = self._head.copy()
+        cell.update(
+            b",".join(targets[i] for targets, i in zip(self._coords, idx))
+            + tail
+            + self._before_plan
+        )
+        plans = self._plans
+        for plan_id in plan_ids:
+            suffix = plans.get(plan_id)
+            if suffix is None:
+                suffix = plans[plan_id] = _canonical(str(plan_id)) + self._after_plan
+            key = cell.copy()
+            key.update(suffix)
+            yield key.hexdigest()
+
+    def key(self, plan_id: str, idx: Sequence[int]) -> str:
         """Content address of one plan's measurement at grid position idx."""
-        payload = dict(self._base)
-        payload["plan"] = str(plan_id)
-        payload["coords"] = [
-            [name, targets[i]]
-            for (name, targets), i in zip(self._axes, idx)
-        ]
-        if self._jittered:
-            # Jitter draws are seeded on the grid position, so jittered
-            # values are only reusable at identical coordinates.
-            payload["jitter_cell"] = [int(i) for i in idx]
-        return measurement_key(payload)
+        return next(self.keys((plan_id,), idx))
 
 
 class CellStore:
@@ -305,7 +407,9 @@ class CellStore:
         """Decode what the shards hold past the remembered offsets.
 
         Lock held.  Starts over from nothing when the index is not loaded
-        yet or a shard was replaced.
+        yet or a shard was replaced.  A shard's new lines are verified
+        one by one, then their records parsed together, in one
+        ``json.loads``.
         """
         index, tails = self._index, self._tails
         if index is None:
@@ -322,17 +426,20 @@ class CellStore:
                     self._index = None  # compacted by another process
                     return self._scan()
                 fh.seek(offset)
-                lines = fh.read().split(b"\n")
-            lines.pop()  # empty after a newline, else a writer mid-append
-            corrupt: list[int] = []
-            index.update(_decoded(lines, corrupt, lineno))  # later appends supersede
-            for bad in corrupt:
+                data = fh.read()
+            lines = data.split(b"\n")
+            # The last piece is empty after a newline, else a writer
+            # mid-append: left for the next refresh.
+            offset += len(data) - len(lines.pop())
+            keys, bodies, linenos, corrupt = _verified(lines, lineno)
+            # later appends supersede
+            index.update(_parsed(keys, bodies, linenos, corrupt))
+            for bad in sorted(corrupt):
                 logger.warning(
                     "corrupt cell-store shard %s (line %d): skipped; "
                     "compact() drops damaged entries", path, bad,
                 )
             self.corrupt_lines += len(corrupt)
-            offset += sum(len(line) + 1 for line in lines)
             tails[path] = (inode, offset, lineno + len(lines))
         self._index, self._tails = index, tails
 
@@ -348,22 +455,25 @@ class CellStore:
         Keys already present with an identical record are skipped (the
         sweeps are deterministic, so legitimate duplicates carry the same
         data); a differing record supersedes the old one — last write
-        wins, and :meth:`compact` drops the shadowed line.
+        wins, and :meth:`compact` drops the shadowed line.  The whole
+        batch is encoded before the index or a shard changes, so an entry
+        that cannot be written (a non-JSON value, a malformed key) raises
+        and leaves no trace of its batch.
         """
         with self._lock, self._exclusive():
             index = self.index
-            by_shard: dict[Path, list[bytes]] = {}
-            written = 0
+            by_shard: dict[Path, list[tuple[str, CellRecord, bytes]]] = {}
+            batch: dict[str, CellRecord] = {}
             for key, record in entries:
-                if index.get(key) == record:
+                if batch.get(key, index.get(key)) == record:
                     continue
                 by_shard.setdefault(self._shard_path(key), []).append(
-                    _encode_line(key, record)
+                    (key, record, _encode_line(key, record))
                 )
-                index[key] = record
-                written += 1
-            for path, lines in by_shard.items():
-                blob = b"".join(lines)
+                batch[key] = record
+            written = 0
+            for path, shard_entries in by_shard.items():
+                blob = b"".join(line for _, _, line in shard_entries)
                 fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
                 try:
                     # Under the store lock nobody else appends, so the
@@ -376,11 +486,13 @@ class CellStore:
                     os.write(fd, blob)  # one write: atomic append
                 finally:
                     os.close(fd)
+                index.update((key, record) for key, record, _ in shard_entries)
+                written += len(shard_entries)
                 inode, offset, lineno = self._tails.get(path, (stat.st_ino, 0, 0))
                 if (inode, offset) == (stat.st_ino, stat.st_size):
                     # Nothing appended since the last look: no re-read.
                     end = stat.st_size + len(blob)
-                    self._tails[path] = (inode, end, lineno + len(lines))
+                    self._tails[path] = (inode, end, lineno + len(shard_entries))
             self.writes += written
             return written
 
@@ -396,10 +508,10 @@ class CellStore:
         """Rewrite every shard, dropping superseded and orphaned entries.
 
         Superseded: earlier lines shadowed by a later append of the same
-        key.  Orphaned: lines that no longer parse or whose record digest
-        does not verify (e.g. a torn write from a killed process), which
-        every load until then skips and counts.  Shard rewrites are atomic
-        (tmp file + rename).  Returns
+        key.  Orphaned: lines not in the written layout or whose digest
+        does not match their record (e.g. a torn write from a killed
+        process), which every load until then skips and counts.  Shard
+        rewrites are atomic (tmp file + rename).  Returns
         ``{"kept": ..., "superseded": ..., "corrupt": ...}``.
         """
         stats = {"kept": 0, "superseded": 0, "corrupt": 0}
@@ -407,9 +519,11 @@ class CellStore:
         tails: dict[Path, tuple[int, int, int]] = {}
         with self._lock, self._exclusive():
             for path in self._shard_paths():
+                keys, bodies, linenos, corrupt = _verified(
+                    path.read_bytes().split(b"\n"), 0
+                )
                 entries: dict[str, CellRecord] = {}
-                corrupt: list[int] = []
-                for key, record in _decoded(path.read_bytes().split(b"\n"), corrupt):
+                for key, record in _parsed(keys, bodies, linenos, corrupt):
                     stats["superseded"] += key in entries
                     entries[key] = record
                 stats["corrupt"] += len(corrupt)
@@ -460,13 +574,13 @@ def lookup_cells(
     the wave to its cell-level hit/miss counters.
     """
     store.refresh()
+    index = store.index
     hits: dict[int, dict[str, CellRecord]] = {}
     misses = 0
-    for flat in cells:
-        idx = tuple(int(k) for k in np.unravel_index(flat, shape))
+    for flat, idx in zip(cells, grid_positions(cells, shape)):
         records: dict[str, CellRecord] = {}
-        for plan_id in plan_ids:
-            record = store.get(keyer.key(plan_id, idx))
+        for plan_id, key in zip(plan_ids, keyer.keys(plan_ids, idx)):
+            record = index.get(key)
             if record is None:
                 break
             records[plan_id] = record
@@ -500,11 +614,22 @@ def records_from_part(
         parse_profile_key,
     )
 
-    entries = [
-        (keyer.key(plan_id, idx), {"s": seconds, "a": aborted, "r": rows})
-        for idx, plan_id, seconds, aborted, rows in part.cell_records()
+    entries: list[tuple[str, CellRecord]] = []
+    for idx, group in groupby(part.cell_records(), itemgetter(0)):
+        cell = list(group)
+        keys = keyer.keys([plan_id for _, plan_id, *_ in cell], idx)
+        entries.extend(
+            (key, {"s": seconds, "a": aborted, "r": rows})
+            for key, (_, _, seconds, aborted, rows) in zip(keys, cell)
+        )
+    profiles = [
+        (parse_profile_key(key), profile)
+        for key, profile in part.meta.get(PROFILES_META_KEY, {}).items()
     ]
-    for key, profile in part.meta.get(PROFILES_META_KEY, {}).items():
-        plan_id, idx = parse_profile_key(key)
-        entries.append((keyer.key(plan_id + STORE_KEY_SUFFIX, idx), profile))
+    for idx, group in groupby(profiles, lambda entry: entry[0][1]):
+        cell = list(group)
+        keys = keyer.keys(
+            [plan_id + STORE_KEY_SUFFIX for (plan_id, _), _ in cell], idx
+        )
+        entries.extend(zip(keys, (profile for _, profile in cell)))
     return entries

@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.cellstore import (
     CellStore,
     SweepKeyer,
+    grid_positions,
     lookup_cells,
     records_from_part,
 )
@@ -312,8 +313,9 @@ class RobustnessSweep:
         trees.  Both engines replay through here."""
         part = self._part(scenario, plan_ids, sorted(hits))
         profiles = part.meta.get(PROFILES_META_KEY)
-        for flat, records in hits.items():
-            idx = tuple(int(k) for k in np.unravel_index(flat, scenario.grid_shape))
+        profile_ids = [plan_id + STORE_KEY_SUFFIX for plan_id in plan_ids]
+        positions = grid_positions(list(hits), scenario.grid_shape)
+        for idx, records in zip(positions, hits.values()):
             part.rows[idx] = int(records[plan_ids[0]]["r"])
             for p, plan_id in enumerate(plan_ids):
                 record = records[plan_id]
@@ -321,10 +323,9 @@ class RobustnessSweep:
                     part.aborted[(p, *idx)] = True  # times stays NaN
                 elif record["s"] is not None:
                     part.times[(p, *idx)] = float(record["s"])
-                if profiles is not None:
-                    stored = self.cell_store.get(
-                        keyer.key(plan_id + STORE_KEY_SUFFIX, idx)
-                    )
+            if profiles is not None:
+                for plan_id, key in zip(plan_ids, keyer.keys(profile_ids, idx)):
+                    stored = self.cell_store.get(key)
                     if stored is not None:
                         profiles[profile_key(plan_id, idx)] = stored
         return part

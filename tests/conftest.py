@@ -78,19 +78,20 @@ def bulk_loads(monkeypatch) -> list[str]:
 
 @pytest.fixture
 def decoded(monkeypatch) -> list:
-    """Every cell-store shard line handed to ``_decode_line`` while the
-    test runs (each is parsed and digest-verified there, once)."""
+    """Every non-blank cell-store shard line handed to ``_verified``
+    while the test runs (each is digest-verified there, once)."""
     import repro.core.cellstore as module
 
-    lines: list = []
-    real = module._decode_line
+    seen: list = []
+    real = module._verified
 
-    def counting(line):
-        lines.append(line)
-        return real(line)
+    def counting(lines, *args):
+        lines = list(lines)
+        seen.extend(line for line in lines if line.strip())
+        return real(lines, *args)
 
-    monkeypatch.setattr(module, "_decode_line", counting)
-    return lines
+    monkeypatch.setattr(module, "_verified", counting)
+    return seen
 
 
 # The flattening landmark's detector is a test oracle: the physics tests

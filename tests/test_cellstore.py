@@ -1,9 +1,14 @@
 """Content-addressed cell store: warm == cold, key discipline, storage."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
+import shutil
 import sys
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from repro.bench.harness import BenchConfig, BenchSession, MapRequest
 from repro.core.cellstore import (
     CellStore,
     SweepKeyer,
+    _canonical,
+    _encode_line,
     lookup_cells,
     measurement_key,
     records_from_part,
@@ -659,3 +666,270 @@ def test_cli_cell_cache_smoke(tmp_path, monkeypatch, capsys):
     assert main(list(argv)) == 0
     second = capsys.readouterr().out
     assert "100% hit rate" in second
+
+
+# ---------------------------------------------------------------------------
+# the line and key formats: byte-identical to their definitions
+# ---------------------------------------------------------------------------
+
+
+def canonical(payload) -> bytes:
+    """Canonical JSON as the store has always defined it."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
+def _record_digest(record) -> str:
+    """The line digest as the store has always defined it: blake2s-64 of
+    the record's canonical JSON."""
+    return hashlib.blake2s(canonical(record), digest_size=8).hexdigest()
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+records = st.dictionaries(st.text(max_size=8), json_values, max_size=5)
+store_keys = st.text(alphabet="0123456789abcdef", min_size=32, max_size=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=store_keys, record=records)
+def test_encode_line_is_the_canonical_line(tmp_path_factory, key, record):
+    line = _encode_line(key, record)
+    assert line == _canonical(
+        {"k": key, "d": _record_digest(record), "r": record}
+    ) + b"\n"
+    assert _canonical(record) == canonical(record)
+    directory = tmp_path_factory.mktemp("cells")
+    (directory / f"cells-{key[0]}.jsonl").write_bytes(line)
+    store = CellStore(directory)
+    assert store.index == {key: record} and store.corrupt_lines == 0
+
+
+def old_style_payload(spec, axes, budget, memory, jitter, context, plan_id, idx):
+    """The payload a key hashes, built the way keys were always built: the
+    oracle :class:`SweepKeyer` must agree with byte for byte."""
+    payload = {
+        "scenario": spec.name,
+        "params": spec.settings,
+        "budget_seconds": None if budget is None else float(budget),
+        "memory_bytes": None if memory is None else int(memory),
+        "context": str(context),
+    }
+    if jitter is not None:
+        payload["jitter"] = [float(jitter.rel), float(jitter.abs), int(jitter.seed)]
+    payload["plan"] = str(plan_id)
+    payload["coords"] = [
+        [axis.name, float(axis.targets[i])] for axis, i in zip(axes, idx)
+    ]
+    if jitter is not None:
+        payload["jitter_cell"] = [int(i) for i in idx]
+    return payload
+
+
+awkward_text = st.text(max_size=6) | st.sampled_from(
+    ['a"b', "back\\slash", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", ""]
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=awkward_text,
+    settings_=st.dictionaries(awkward_text, json_values, max_size=4),
+    axes=st.lists(
+        st.tuples(awkward_text, st.lists(finite, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    budget=st.none() | st.floats(min_value=1e-300, max_value=1e300),
+    memory=st.none() | st.integers(),
+    jitter=st.none()
+    | st.builds(Jitter, rel=finite, abs=finite, seed=st.integers(0, 1 << 40)),
+    context=awkward_text,
+    plan_ids=st.lists(
+        st.tuples(awkward_text, st.booleans()).map(
+            lambda p: p[0] + "#profile" if p[1] else p[0]
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_keyer_matches_measurement_key(
+    name, settings_, axes, budget, memory, jitter, context, plan_ids
+):
+    spec = SimpleNamespace(name=name, settings=settings_)
+    axes = [SimpleNamespace(name=n, targets=t) for n, t in axes]
+    scenario = SimpleNamespace(spec=lambda: spec, axes=axes)
+    keyer = SweepKeyer(scenario, budget, memory, jitter, context)
+    for idx in itertools.product(*(range(len(a.targets)) for a in axes)):
+        payloads = [
+            old_style_payload(
+                spec, axes, budget, memory, jitter, context, plan_id, idx
+            )
+            for plan_id in plan_ids
+        ]
+        expected = [measurement_key(payload) for payload in payloads]
+        assert expected == [
+            hashlib.blake2s(canonical(payload), digest_size=16).hexdigest()
+            for payload in payloads
+        ]
+        assert list(keyer.keys(plan_ids, idx)) == expected
+        assert [keyer.key(plan_id, idx) for plan_id in plan_ids] == expected
+
+
+# ---------------------------------------------------------------------------
+# reading: one layout, verified from the line's own bytes
+# ---------------------------------------------------------------------------
+
+
+def test_failed_put_many_leaves_no_trace(tmp_path):
+    a, b = keys_of(1, 2)
+    store = CellStore(tmp_path)
+    with pytest.raises(ValueError):
+        store.put_many([(a, {"s": 1.0}), (b, {"s": float("inf")})])
+    assert store.get(a) is None and len(store) == 0 and store.writes == 0
+    assert not any(path.read_bytes() for path in tmp_path.glob("cells-*.jsonl"))
+    assert store.put_many([(a, {"s": 1.0})]) == 1  # not taken for a duplicate
+    assert CellStore(tmp_path).index == {a: {"s": 1.0}}
+    # A key the reader would not take back is refused the same way.
+    with pytest.raises(ValueError):
+        store.put_many([(b, {"s": 1.0}), ("not a key", {"s": 1.0})])
+    assert store.get(b) is None and CellStore(tmp_path).index == {a: {"s": 1.0}}
+
+
+def test_non_canonical_layouts_are_corrupt(tmp_path, caplog):
+    """Valid JSON in any layout but the written one is a corrupt line (the
+    store never wrote one): skipped, counted, warned about once, and
+    dropped by compact()."""
+    kept, spaced, reordered = keys_of(1, 2, 3)
+    store = CellStore(tmp_path)
+    put(store, kept, RECORD)
+    shard = next(tmp_path.glob("cells-*.jsonl"))
+    digest = _record_digest(RECORD)
+    with shard.open("a") as fh:
+        fh.write(json.dumps({"d": digest, "k": spaced, "r": RECORD}) + "\n")
+        reordered_line = {"k": reordered, "d": digest, "r": RECORD}
+        fh.write(json.dumps(reordered_line, separators=(",", ":")) + "\n")
+    reopened = CellStore(tmp_path)
+    assert reopened.index == {kept: RECORD}
+    reopened.refresh()
+    assert reopened.corrupt_lines == 2
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+        f"corrupt cell-store shard {shard} (line {n})" for n in (2, 3)
+    ]
+    assert reopened.compact() == {"kept": 1, "superseded": 0, "corrupt": 2}
+    assert shard.read_bytes() == _encode_line(kept, RECORD)
+
+
+def test_lines_that_pass_their_digest_but_not_the_parse(tmp_path, caplog):
+    """Only a forged line gets here: its digest matches bytes that are not
+    one JSON object, or its key is not hex.  It alone is corrupt; the
+    batch around it loads."""
+    keys = keys_of(*range(6))
+    store = CellStore(tmp_path)
+    store.put_many((key, RECORD) for key in keys[:3])
+    shard = store._shard_path(keys[0])
+    forged = [
+        (keys[3], b'{"s":1.0},{"s":2.0}'),
+        (keys[4], b"7"),
+        (keys[5], b'{"s":'),
+        ("G" * 32, b'{"s":1.0}'),
+    ]
+    with shard.open("ab") as fh:
+        for key, body in forged:
+            digest = hashlib.blake2s(body, digest_size=8).hexdigest()
+            fh.write(b'{"d":"%s","k":"%s","r":%s}\n' % (
+                digest.encode(), key.encode(), body
+            ))
+        fh.write(_encode_line(keys[0], {**RECORD, "s": 2.0}))
+    n_lines = len(shard.read_bytes().splitlines())
+    reopened = CellStore(tmp_path)
+    assert reopened.index == {
+        keys[0]: {**RECORD, "s": 2.0}, keys[1]: RECORD, keys[2]: RECORD
+    }
+    assert reopened.corrupt_lines == 4
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+        f"corrupt cell-store shard {shard} (line {n})"
+        for n in range(n_lines - 4, n_lines)
+    ]
+    assert reopened.compact() == {"kept": 3, "superseded": 1, "corrupt": 4}
+
+
+# A store written by the code before the fragment keyer and the one-dump
+# writer: ``legacy_store/store`` holds the cell store of a serial, traced
+# join sweep (n_rows 4096, join_rows 512/1024/2048: 36 measurements and
+# their 36 profiles), then one tampered copy of line 3 of cells-5.jsonl
+# inserted as line 4, and the first 40 bytes of a line appended to
+# cells-a.jsonl with no newline (a torn tail).  ``summary.json`` is what
+# that code made of it (entries, corrupt lines, warnings, compact stats);
+# ``compacted`` is the output of its compact().
+LEGACY = Path(__file__).parent / "data" / "legacy_store"
+
+
+def legacy_config(directory) -> BenchConfig:
+    return BenchConfig(
+        n_rows=4096, min_exp_1d=-6, min_exp_2d=-6, join_rows=(512, 1024, 2048),
+        trace=True, n_workers=0, cache_dir=None, cell_cache_dir=directory,
+    )
+
+
+def old_format_entries(directory) -> dict:
+    """Every entry of a store, read the way stores were always read: one
+    ``json.loads`` per line, later lines superseding."""
+    entries = {}
+    for path in sorted(directory.glob("cells-?.jsonl")):
+        for line in path.read_bytes().splitlines():
+            obj = json.loads(line)
+            entries[obj["k"]] = obj["r"]
+    return entries
+
+
+@pytest.fixture
+def legacy_store(tmp_path):
+    shutil.copytree(LEGACY / "store", tmp_path / "store")
+    return tmp_path / "store"
+
+
+def test_legacy_store_loads_to_the_same_entries(legacy_store, caplog):
+    summary = json.loads((LEGACY / "summary.json").read_text())
+    store = CellStore(legacy_store)
+    assert store.index == old_format_entries(LEGACY / "compacted")
+    assert len(store) == summary["entries"]
+    assert store.corrupt_lines == summary["corrupt_lines"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"corrupt cell-store shard {legacy_store / name} (line {line}): "
+        "skipped; compact() drops damaged entries"
+        for name, line in summary["warnings"]
+    ]
+
+
+def test_legacy_store_compacts_to_the_recorded_bytes(legacy_store):
+    summary = json.loads((LEGACY / "summary.json").read_text())
+    assert CellStore(legacy_store).compact() == summary["compact"]
+    recorded = sorted(p.name for p in (LEGACY / "compacted").iterdir())
+    assert sorted(p.name for p in legacy_store.iterdir()) == recorded
+    for name in recorded:
+        assert (legacy_store / name).read_bytes() == (
+            LEGACY / "compacted" / name
+        ).read_bytes(), name
+
+
+def test_warm_sweep_over_legacy_store_measures_nothing(legacy_store):
+    from repro.obs.profile import profiles_from_meta
+
+    session = BenchSession(legacy_config(str(legacy_store)))
+    warm = session.request_map(MapRequest("join"))
+    store = session.cell_store()
+    assert (store.cell_hits, store.cell_misses, store.writes) == (9, 0, 0)
+    assert len(profiles_from_meta(warm.meta)) == 36
+    cold = BenchSession(legacy_config(None)).request_map(MapRequest("join"))
+    assert identical(warm, cold)
