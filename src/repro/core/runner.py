@@ -46,7 +46,7 @@ from repro.core.cellstore import (
 from repro.core.driver import CellPolicy, DenseGridPolicy, Hits, SweepDriver
 from repro.core.mapdata import MapAxis, MapData
 from repro.core.progress import ProgressEvent, checked_snapshot_every
-from repro.core.scenario import Scenario
+from repro.core.scenario import Cell, Scenario
 from repro.errors import ExperimentError
 from repro.obs.profile import (
     PROFILES_META_KEY,
@@ -54,7 +54,11 @@ from repro.obs.profile import (
     CellProfile,
     profile_key,
 )
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import Span, Tracer, use_tracer
+
+#: One plan's measurement at one cell: raw seconds, aborted, rows, and
+#: the span tree under profile capture (else ``None``).
+_Outcome = tuple[float, bool, int, list[Span] | None]
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,9 @@ class RobustnessSweep:
         self.store_context = store_context
         self.capture_profiles = capture_profiles
         self.snapshot_every = checked_snapshot_every(snapshot_every)
+        #: The last measured cell's ``((scenario, projection), outcomes)``
+        #: (see :meth:`measure_part`); emptied by every :meth:`sweep`.
+        self._measured: tuple[tuple, dict[str, _Outcome]] | None = None
 
     def sweep(
         self,
@@ -154,6 +161,7 @@ class RobustnessSweep:
         regardless of policy, chunking, or wave order.
         """
         plan_ids = self.plan_ids(scenario)
+        self._measured = None
         store = self.cell_store
         keyer = None if store is None else self.store_keyer(scenario)
 
@@ -244,62 +252,94 @@ class RobustnessSweep:
         measurement is a cold-cache run, so a runner per cell and
         provider is as good as one per sweep; a cell that overrides
         ``memory_bytes`` gets its own.
+
+        A cell whose projection onto the scenario's
+        :attr:`~repro.core.scenario.Scenario.measurement_axes` matches
+        the previous measured cell's is not measured: it records that
+        cell's measurements — each plan's raw seconds, abort flag and
+        rows, and under profile capture its span tree — which are
+        exactly what measuring it would give.  One slot on the sweep
+        holds them; row dealing keeps such cells together.  Jitter, the
+        profile's ``cell`` and the oracle row check are still the
+        cell's own.
         """
         part = self._part(scenario, plan_ids, cells)
         profiles = part.meta.get(PROFILES_META_KEY)
         providers = scenario.providers()
+        axes = scenario.measurement_axes
         describe = ""
         for flat in cells:
             idx = tuple(int(k) for k in np.unravel_index(flat, scenario.grid_shape))
             cell = scenario.cell(idx)
             part.rows[idx] = cell.expected_rows
-            runs = {}
-            for provider_i, plans in cell.plans:
-                runner = providers[provider_i].runner(
-                    budget_seconds=self.budget_seconds,
-                    memory_bytes=(
-                        self.memory_bytes
-                        if cell.memory_bytes is None
-                        else cell.memory_bytes
-                    ),
-                )
-                for plan_id, plan in plans.items():
-                    if profiles is None:
-                        run = runner.measure(plan)
-                    else:
-                        # Spans observe charging but never alter it, so
-                        # the measured map is bit-identical with capture
-                        # on or off.  The profile keeps the raw virtual
-                        # seconds — jitter is a presentation transform
-                        # applied below.
-                        tracer = Tracer()
-                        with use_tracer(tracer):
-                            run = runner.measure(plan)
-                        profiles[profile_key(plan_id, idx)] = CellProfile(
-                            plan_id=plan_id,
-                            cell=idx,
-                            seconds=run.seconds,
-                            aborted=run.aborted,
-                            spans=tracer.drain(),
-                        ).to_dict()
-                    if not run.aborted and run.n_rows != cell.expected_rows:
-                        raise ExperimentError(
-                            f"plan {plan_id} returned {run.n_rows} rows at "
-                            f"cell {idx}; oracle says {cell.expected_rows}"
-                        )
-                    runs[plan_id] = run
+            key = (scenario, idx if axes is None else tuple(idx[a] for a in axes))
+            slot = self._measured
+            if slot is not None and slot[0] == key:
+                outcomes = slot[1]
+            else:
+                outcomes = self._measure_cell(providers, cell, profiles is not None)
+                self._measured = (key, outcomes)
+            for plan_id, (seconds, aborted, n_rows, spans) in outcomes.items():
+                if profiles is not None:
+                    # The profile keeps the raw virtual seconds — jitter
+                    # is a presentation transform applied below.
+                    profiles[profile_key(plan_id, idx)] = CellProfile(
+                        plan_id=plan_id,
+                        cell=idx,
+                        seconds=seconds,
+                        aborted=aborted,
+                        spans=spans,
+                    ).to_dict()
+                if not aborted and n_rows != cell.expected_rows:
+                    raise ExperimentError(
+                        f"plan {plan_id} returned {n_rows} rows at "
+                        f"cell {idx}; oracle says {cell.expected_rows}"
+                    )
             for p, plan_id in enumerate(plan_ids):
-                run = runs[plan_id]
-                if run.aborted:
+                seconds, aborted = outcomes[plan_id][:2]
+                if aborted:
                     part.aborted[(p, *idx)] = True  # times stays NaN
                 elif self.jitter is None:
-                    part.times[(p, *idx)] = run.seconds
+                    part.times[(p, *idx)] = seconds
                 else:
-                    part.times[(p, *idx)] = self.jitter.apply(
-                        run.seconds, plan_id, idx
-                    )
+                    part.times[(p, *idx)] = self.jitter.apply(seconds, plan_id, idx)
             describe = cell.describe
         return part, describe
+
+    def _measure_cell(
+        self, providers: list, cell: Cell, capture: bool
+    ) -> dict[str, _Outcome]:
+        """Each plan's ``(seconds, aborted, n_rows, spans)`` at one cell.
+
+        Plain values, never the
+        :class:`~repro.executor.plans.MeasuredRun`: its checksum closure
+        would keep the plan's result arrays alive in the sweep's slot.
+        ``spans`` is the captured span tree, or ``None`` without
+        ``capture``.
+        """
+        outcomes: dict[str, _Outcome] = {}
+        for provider_i, plans in cell.plans:
+            runner = providers[provider_i].runner(
+                budget_seconds=self.budget_seconds,
+                memory_bytes=(
+                    self.memory_bytes
+                    if cell.memory_bytes is None
+                    else cell.memory_bytes
+                ),
+            )
+            for plan_id, plan in plans.items():
+                spans = None
+                if not capture:
+                    run = runner.measure(plan)
+                else:
+                    # Spans observe charging but never alter it, so the
+                    # measured map is bit-identical with capture on or off.
+                    tracer = Tracer()
+                    with use_tracer(tracer):
+                        run = runner.measure(plan)
+                    spans = tracer.drain()
+                outcomes[plan_id] = (run.seconds, run.aborted, run.n_rows, spans)
+        return outcomes
 
     def replay_part(
         self,

@@ -180,6 +180,13 @@ class Scenario(ABC):
 
     name: str = "?"
 
+    #: The axes a cell's measurements depend on (``None``: every axis).
+    #: Cells that agree on these axes run the same plans under the same
+    #: budget and memory over the same data, so a sweep measures the
+    #: first of a run of them and gives the rest its measurements (see
+    #: :meth:`RobustnessSweep.measure_part`).
+    measurement_axes: tuple[int, ...] | None = None
+
     def __init__(self, providers: Sequence, *layout, **settings) -> None:
         """Providers first, then exactly what ``build_spec`` takes."""
         self.bind(providers, self.build_spec(*layout, **settings))
@@ -396,10 +403,13 @@ class MemorySweepScenario(_SelectivityScenario):
 class EstimationErrorScenario(_SelectivityScenario):
     """Selectivity x estimation-error magnitude over forced plans.
 
-    The run-time side is the familiar single-predicate sweep: every plan
-    is measured at every cell, and the measured costs are *independent*
-    of the error axis (the error model perturbs estimates, never
-    executions).  The compile-time side is what the second axis turns:
+    The run-time side is the familiar single-predicate sweep, and the
+    measured costs are *independent* of the error axis (the error model
+    perturbs estimates, never executions): the scenario declares axis 0
+    its only :attr:`~Scenario.measurement_axes`, so a sweep measures
+    each selectivity's plans once and every error cell of that
+    selectivity records those measurements (jittered at its own index).
+    The compile-time side is what the second axis turns:
     :meth:`estimates` yields each cell's true cardinalities pushed
     through a deterministic q-error of that cell's magnitude, and
     :meth:`candidate_plans` the inventory an optimizer chooses from —
@@ -417,6 +427,7 @@ class EstimationErrorScenario(_SelectivityScenario):
     """
 
     name = "estimation-error"
+    measurement_axes = (0,)
     error_bias: float
     error_seed: int
 

@@ -103,25 +103,19 @@ class FetchStrategy:
     def _charge_naive(self, ctx: ExecContext, table: Table, rids: np.ndarray) -> None:
         """One buffer-pool access per row, in the order given.
 
-        The trace is resolved up front by the vectorized LRU kernel
-        (:meth:`BufferPool.plan_many`), then its miss chain charged
-        through one strided pass
-        (:meth:`BufferPool.charge_planned_reads_strided`) with the budget
-        check once per :data:`_NAIVE_CHUNK` pages — the clock and disk
+        The trace goes through :meth:`BufferPool.get_strided`, which
+        resolves it through the vectorized LRU kernel and charges its
+        misses one window of strides at a time, with the budget check
+        once per :data:`_NAIVE_CHUNK` pages — the clock and disk
         statistics at every check are bitwise those of a chunked
         :meth:`BufferPool.get` loop, so censored runs abort at the same
-        point as that loop.
+        point as that loop, having simulated little beyond it.
         """
         pages = table.pages_of_rids(rids)
-        handle = table.clustered.handle
-        pool = ctx.pool
-        planned = pool.plan_many(handle, pages)
-        if planned is None:
+        if not ctx.pool.get_strided(
+            table.clustered.handle, pages, _NAIVE_CHUNK, ctx.check_budget
+        ):
             raise StorageError(f"table {table.name!r} has a negative page number")
-        pool.charge_planned_reads_strided(
-            handle, planned, _NAIVE_CHUNK, ctx.check_budget
-        )
-        pool.commit_many(planned)
 
 
 NAIVE_FETCH = FetchStrategy("naive", sort_rids=False, coalesce=False)

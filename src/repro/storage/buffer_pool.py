@@ -21,6 +21,13 @@ from repro.errors import BufferPoolError
 from repro.sim.disk import Disk, FileHandle
 from repro.storage.lru_kernel import LruSimulation, simulate_lru
 
+#: Strides :meth:`BufferPool.get_strided` plans and charges in its first
+#: window; every later window doubles the trace covered so far.  Small
+#: enough that a run censored early simulates a few thousand accesses,
+#: not its whole trace; large enough that an uncensored trace takes a
+#: handful of kernel calls.
+_FIRST_WINDOW_STRIDES = 16
+
 
 @dataclass
 class PoolStats:
@@ -45,8 +52,6 @@ class PlannedAccesses:
 
     simulation: LruSimulation
     file_id: int
-    #: The planned trace (page numbers, as passed to ``plan_many``).
-    trace: np.ndarray
     #: Trace positions that miss, ascending.
     miss_positions: np.ndarray
     #: Decode table for negative key codes: code ``-1 - k`` is
@@ -99,6 +104,102 @@ class BufferPool:
         if pages.size and bool(pages.min() < 0):
             return None
         fid = handle.file_id
+        resident_codes, other_keys = self._resident_codes(fid)
+        simulation = simulate_lru(pages, resident_codes, self._capacity)
+        miss_positions = np.nonzero(~simulation.hit_mask)[0]
+        return PlannedAccesses(simulation, fid, miss_positions, other_keys)
+
+    def get_strided(
+        self,
+        handle: FileHandle,
+        page_nos,
+        stride: int,
+        checkpoint: Callable[[], None],
+    ) -> bool:
+        """Access a page trace, calling ``checkpoint`` every ``stride`` pages.
+
+        Equivalent to the :meth:`get` loop over consecutive
+        ``stride``-sized trace slices with ``checkpoint()`` after each —
+        the naive fetch's budget-check schedule — but planned and
+        charged one *window* of whole strides at a time.  The first
+        window is :data:`_FIRST_WINDOW_STRIDES` strides; each later one
+        doubles the trace covered so far, so a ``checkpoint`` that
+        raises (budget exhaustion) after access ``a`` has simulated at
+        most ``max(first window, 2 * a)`` accesses instead of the whole
+        trace.
+
+        Per window: :func:`simulate_lru` classifies the window against
+        the residents the previous window left (the first window
+        against the pool's own), :meth:`Disk.plan_page_reads` costs its
+        misses from the head the previous window left, and the misses
+        are charged slice by slice.  Bitwise identity with the loop
+        holds slice by slice: LRU state carried between windows makes
+        the split exact (evictions add up), hits move neither the clock
+        nor the head, chunked :meth:`SimClock.advance_many` re-seeds
+        with the running clock, and :meth:`Disk.commit_page_reads`
+        replays the loop's statistics accumulation.  Pool statistics and
+        the resident order land once, after the last window, so a
+        ``checkpoint`` that raises leaves the pool untouched and the
+        clock and disk statistics exactly where the sliced loop's abort
+        would.
+
+        Returns ``False``, having charged nothing, when the trace holds a
+        negative page number (the kernel's precondition, see
+        :meth:`plan_many`).
+        """
+        pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
+        if pages.size and bool(pages.min() < 0):
+            return False
+        fid = handle.file_id
+        state, other_keys = self._resident_codes(fid)
+        disk = self._disk
+        clock = disk.clock
+        n = int(pages.size)
+        hits = misses = evictions = 0
+        start, end = 0, min(n, stride * _FIRST_WINDOW_STRIDES)
+        while start < n:
+            window = pages[start:end]
+            simulation = simulate_lru(window, state, self._capacity)
+            miss = np.nonzero(~simulation.hit_mask)[0]
+            reads = disk.plan_page_reads(handle, window[miss])
+            size = end - start
+            slice_ends = np.minimum(np.arange(stride, size + stride, stride), size)
+            lo = 0
+            for hi in np.searchsorted(miss, slice_ends).tolist():
+                if hi > lo:
+                    clock.advance_many(reads.elapsed[lo:hi])
+                    disk.commit_page_reads(handle, reads, lo, hi)
+                    lo = hi
+                checkpoint()
+            hits += simulation.n_hits
+            misses += simulation.n_misses
+            evictions += simulation.n_evictions
+            state = simulation.final_keys
+            start, end = end, min(n, 2 * end)
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.evictions += evictions
+        self._resident = self._decode_resident(state, fid, other_keys)
+        return True
+
+    def commit_many(self, planned: PlannedAccesses) -> None:
+        """Apply a planned trace's stats and final LRU state to the pool."""
+        simulation = planned.simulation
+        self.stats.hits += simulation.n_hits
+        self.stats.misses += simulation.n_misses
+        self.stats.evictions += simulation.n_evictions
+        self._resident = self._decode_resident(
+            simulation.final_keys, planned.file_id, planned.other_keys
+        )
+
+    def _resident_codes(
+        self, fid: int
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The residents as kernel key codes, LRU-oldest first.
+
+        Pages of file ``fid`` are their own page numbers; every other
+        file's page is a negative code ``-1 - k`` for ``other_keys[k]``.
+        """
         resident_codes = np.empty(len(self._resident), dtype=np.int64)
         other_keys: list[tuple[int, int]] = []
         for index, (file_id, page) in enumerate(self._resident):
@@ -107,59 +208,20 @@ class BufferPool:
             else:
                 resident_codes[index] = -1 - len(other_keys)
                 other_keys.append((file_id, page))
-        simulation = simulate_lru(pages, resident_codes, self._capacity)
-        miss_positions = np.nonzero(~simulation.hit_mask)[0]
-        return PlannedAccesses(simulation, fid, pages, miss_positions, other_keys)
+        return resident_codes, other_keys
 
-    def charge_planned_reads_strided(
-        self,
-        handle: FileHandle,
-        planned: PlannedAccesses,
-        stride: int,
-        checkpoint: Callable[[], None],
-    ) -> None:
-        """Charge all miss reads, calling ``checkpoint`` every ``stride``.
-
-        Equivalent to the :meth:`get` loop over consecutive
-        ``stride``-sized trace slices with ``checkpoint()`` after each —
-        the naive fetch's budget-check schedule — but the whole miss
-        chain is costed by one :meth:`Disk.plan_page_reads` pass.
-        Bitwise identity holds slice by slice: hits move neither the
-        clock nor the head, chunked :meth:`SimClock.advance_many`
-        re-seeds with the running clock (accumulating exactly as one
-        sequential chain), and :meth:`Disk.commit_page_reads` replays
-        the loop's statistics accumulation.  A ``checkpoint`` that
-        raises (budget exhaustion) leaves the clock and disk statistics
-        exactly where the sliced loop's abort would.
-        """
-        n = int(planned.trace.size)
-        miss = planned.miss_positions
-        reads = self._disk.plan_page_reads(handle, planned.trace[miss])
-        clock = self._disk.clock
-        slice_ends = np.minimum(np.arange(stride, n + stride, stride), n)
-        lo = 0
-        for hi in np.searchsorted(miss, slice_ends).tolist():
-            if hi > lo:
-                clock.advance_many(reads.elapsed[lo:hi])
-                self._disk.commit_page_reads(handle, reads, lo, hi)
-                lo = hi
-            checkpoint()
-
-    def commit_many(self, planned: PlannedAccesses) -> None:
-        """Apply a planned trace's stats and final LRU state to the pool."""
-        simulation = planned.simulation
-        self.stats.hits += simulation.n_hits
-        self.stats.misses += simulation.n_misses
-        self.stats.evictions += simulation.n_evictions
-        fid = planned.file_id
-        other_keys = planned.other_keys
+    @staticmethod
+    def _decode_resident(
+        codes: np.ndarray, fid: int, other_keys: list[tuple[int, int]]
+    ) -> OrderedDict[tuple[int, int], None]:
+        """Inverse of :meth:`_resident_codes`: kernel codes to pool keys."""
         resident: OrderedDict[tuple[int, int], None] = OrderedDict()
-        for code in simulation.final_keys.tolist():
+        for code in codes.tolist():
             if code >= 0:
                 resident[(fid, code)] = None
             else:
                 resident[other_keys[-1 - code]] = None
-        self._resident = resident
+        return resident
 
     def _admit(self, key: tuple[int, int]) -> None:
         while len(self._resident) >= self._capacity:

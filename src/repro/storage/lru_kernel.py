@@ -44,6 +44,7 @@ resident order as the sequential ``get()`` loop.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -71,8 +72,12 @@ _SHORTCUT_PROBE = 16
 #: state over and over.  A tiny LRU of recent results turns those
 #: replays into one hash of the input bytes.  Entries are shared:
 #: callers must treat the returned simulation's arrays as read-only.
+#: Every read and write of the memo holds :data:`_memo_lock` — the
+#: service sweeps on several threads, and a lookup's ``get`` and
+#: ``move_to_end`` must not have another thread's eviction between them.
 _MEMO_CAPACITY = 8
 _memo: OrderedDict[tuple[int, bytes, bytes], LruSimulation] = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 @dataclass
@@ -123,17 +128,19 @@ def simulate_lru(
             f"resident set of {state.size} exceeds capacity {capacity}"
         )
     memo_key = (capacity, trace.tobytes(), state.tobytes())
-    cached = _memo.get(memo_key)
-    if cached is not None:
-        _memo.move_to_end(memo_key)
-        return cached
+    with _memo_lock:
+        cached = _memo.get(memo_key)
+        if cached is not None:
+            _memo.move_to_end(memo_key)
+            return cached
     if _fits(trace, state, capacity):
         result = _simulate_fitting(trace, state)
     else:
         result = _simulate_segmented(trace, state, capacity)
-    _memo[memo_key] = result
-    if len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
+    with _memo_lock:
+        _memo[memo_key] = result
+        if len(_memo) > _MEMO_CAPACITY:
+            _memo.popitem(last=False)
     return result
 
 

@@ -8,7 +8,6 @@ Produces standalone, valid SVG 1.1 documents: log-log line charts for the
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -21,6 +20,13 @@ from repro.viz.colormap import (
     DiscreteScale,
     _cell_colors,
 )
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``>`` and ``<`` for SVG character data, ampersand
+    first (what ``xml.sax.saxutils.escape`` does, without importing the
+    ``urllib`` and ``http`` modules it pulls in)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _rgb(color: RGB) -> str:
@@ -85,7 +91,7 @@ class SvgDocument:
         self._elements.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="rgb(0,0,0)">{escape(content)}</text>'
+            f'fill="rgb(0,0,0)">{_escape(content)}</text>'
         )
 
     def to_string(self) -> str:

@@ -99,23 +99,17 @@ def test_charge_many_rejects_misaligned():
 
 
 # ---------------------------------------------------------------------------
-# plan_many + charge_planned_reads_strided + commit_many == loop of get
+# get_strided == loop of get
 # ---------------------------------------------------------------------------
 
 
 def get_many(pool, handle, pages):
     """Charge a page trace the way the naive fetch does, as one slice:
-    the kernel's plan when it takes the trace, else the ``get`` loop."""
+    the kernel's windows when it takes the trace, else the ``get`` loop."""
     pages = np.asarray(pages, dtype=np.int64)
-    planned = pool.plan_many(handle, pages)
-    if planned is None:
+    if not pool.get_strided(handle, pages, max(1, pages.size), lambda: None):
         for page in pages.tolist():
             pool.get(handle, page)
-        return
-    pool.charge_planned_reads_strided(
-        handle, planned, max(1, pages.size), lambda: None
-    )
-    pool.commit_many(planned)
 
 
 def make_pools(capacity):

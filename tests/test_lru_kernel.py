@@ -15,12 +15,15 @@ segment-boundary straddling.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.storage.buffer_pool as buffer_pool
 import repro.storage.lru_kernel as lru_kernel
 from repro.executor.context import CostBudgetExceeded, ExecContext
 from repro.executor.fetch import _NAIVE_CHUNK, NAIVE_FETCH
@@ -153,11 +156,9 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
         kernel_pool.get(kernel_handles[which], page)
         scalar_pool.get(scalar_handles[which], page)
     pages = np.asarray(trace, dtype=np.int64)
-    planned = kernel_pool.plan_many(kernel_handles[0], pages)
-    kernel_pool.charge_planned_reads_strided(
-        kernel_handles[0], planned, pages.size, lambda: None
+    assert kernel_pool.get_strided(
+        kernel_handles[0], pages, pages.size, lambda: None
     )
-    kernel_pool.commit_many(planned)
     for page in pages:
         scalar_pool.get(scalar_handles[0], int(page))
     assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
@@ -258,10 +259,9 @@ def test_fitting_trace_plan_equals_get_loop(data):
     )
 
     planned = kernel_pool.plan_many(kernel_handles[0], pages)
-    kernel_pool.charge_planned_reads_strided(
-        kernel_handles[0], planned, max(1, pages.size), lambda: None
+    assert kernel_pool.get_strided(
+        kernel_handles[0], pages, max(1, pages.size), lambda: None
     )
-    kernel_pool.commit_many(planned)
     flags, evictions = [], scalar_pool.stats.evictions
     for page in trace:
         hits = scalar_pool.stats.hits
@@ -334,3 +334,209 @@ def test_dominance_helpers_with_nothing_to_count():
     assert not lru_kernel._resolve_ambiguous(
         queries - 3, queries, empty, empty, capacity=2
     ).any()
+
+
+# ---------------------------------------------------------------------------
+# window-by-window charging: BufferPool.get_strided
+# ---------------------------------------------------------------------------
+
+
+class _Censored(Exception):
+    """Raised by a test checkpoint: the stand-in for budget exhaustion."""
+
+
+def _checkpoint(disk, abort_at):
+    """A checkpoint recording (clock, disk stats) at every call, raising
+    at call ``abort_at`` (1-based; ``None``: never)."""
+    seen = []
+
+    def check():
+        seen.append((disk.clock.now, dataclasses.asdict(disk.stats)))
+        if len(seen) == abort_at:
+            raise _Censored
+
+    return check, seen
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_windowed_charging_equals_checked_get_loop(data):
+    """Window by window, against the ``get`` loop with a checkpoint
+    every stride: bitwise clock and disk statistics at every checkpoint
+    and at the abort (in the first window, a later one, or never); the
+    pool untouched by an abort, its statistics and resident order the
+    loop's on completion."""
+    capacity = data.draw(st.integers(1, 12))
+    warm = data.draw(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=16)
+    )
+    trace = data.draw(st.lists(st.integers(0, 30), max_size=300))
+    stride = data.draw(st.integers(1, 8))
+    window_strides = data.draw(st.integers(1, 3))
+    n_checks = -(-len(trace) // stride)
+    abort_at = data.draw(st.one_of(st.none(), st.integers(1, max(1, n_checks))))
+
+    (kernel_pool, kernel_disk, kernel_handles), (
+        scalar_pool,
+        scalar_disk,
+        scalar_handles,
+    ) = make_pools(capacity)
+    for which, page in warm:  # file 1's pages become negative codes
+        kernel_pool.get(kernel_handles[which], page)
+        scalar_pool.get(scalar_handles[which], page)
+    stats_before = dict(vars(kernel_pool.stats))
+    resident_before = list(kernel_pool._resident)
+
+    scalar_check, scalar_seen = _checkpoint(scalar_disk, abort_at)
+    scalar_aborted = False
+    try:
+        for start in range(0, len(trace), stride):
+            for page in trace[start : start + stride]:
+                scalar_pool.get(scalar_handles[0], page)
+            scalar_check()
+    except _Censored:
+        scalar_aborted = True
+
+    kernel_check, kernel_seen = _checkpoint(kernel_disk, abort_at)
+    kernel_aborted = False
+    before = buffer_pool._FIRST_WINDOW_STRIDES
+    buffer_pool._FIRST_WINDOW_STRIDES = window_strides
+    try:
+        kernel_pool.get_strided(
+            kernel_handles[0], np.asarray(trace, dtype=np.int64), stride, kernel_check
+        )
+    except _Censored:
+        kernel_aborted = True
+    finally:
+        buffer_pool._FIRST_WINDOW_STRIDES = before
+
+    assert kernel_aborted == scalar_aborted
+    assert kernel_seen == scalar_seen
+    assert kernel_disk.clock.now == scalar_disk.clock.now
+    assert kernel_disk.stats == scalar_disk.stats
+    if kernel_aborted:
+        assert vars(kernel_pool.stats) == stats_before
+        assert list(kernel_pool._resident) == resident_before
+    else:
+        assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
+        assert list(kernel_pool._resident) == list(scalar_pool._resident)
+
+
+def test_censored_naive_fetch_simulates_little_past_its_abort(monkeypatch):
+    """A naive fetch censored after ``a`` accesses hands the LRU kernel
+    at most ``max(first window, 2 a)`` of its accesses, not all of them."""
+    simulated = []
+    real_simulate = buffer_pool.simulate_lru
+
+    def counting_simulate(trace, resident, capacity):
+        simulated.append(int(np.asarray(trace).size))
+        return real_simulate(trace, resident, capacity)
+
+    checks = []
+    real_check = ExecContext.check_budget
+
+    def counting_check(self):
+        checks.append(self.env.clock.now)
+        real_check(self)
+
+    monkeypatch.setattr(buffer_pool, "simulate_lru", counting_simulate)
+    monkeypatch.setattr(ExecContext, "check_budget", counting_check)
+    env = StorageEnv(SMALL_PROFILE, pool_pages=64)
+    table = make_table(env)
+    n_rids = 60_000
+    rids = np.random.default_rng(3).integers(0, table.n_rows, n_rids)
+
+    def fetch(budget_seconds):
+        simulated.clear()
+        checks.clear()
+        env.cold_reset()
+        ctx = ExecContext(env, budget_seconds=budget_seconds)
+        ctx.arm_budget()
+        try:
+            NAIVE_FETCH.fetch(ctx, table, rids, columns=["val"])
+        except CostBudgetExceeded:
+            return True
+        return False
+
+    assert not fetch(None)
+    assert sum(simulated) == n_rids
+    full_seconds = env.clock.now
+    assert fetch(full_seconds / 8)
+    accesses = len(checks) * _NAIVE_CHUNK  # the abort lands after these
+    assert accesses < n_rids // 4
+    first_window = buffer_pool._FIRST_WINDOW_STRIDES * _NAIVE_CHUNK
+    assert sum(simulated) <= max(first_window, 2 * accesses)
+
+
+# ---------------------------------------------------------------------------
+# the memo under threads
+# ---------------------------------------------------------------------------
+
+
+def test_memo_hit_survives_another_threads_eviction(monkeypatch):
+    """A memo hit's ``get`` and ``move_to_end`` are one step: another
+    thread whose insert would evict the entry between them waits instead.
+
+    The memo's ``get`` starts that thread and gives it time to finish
+    before returning; without the lock it evicts the entry just found
+    and ``move_to_end`` raises ``KeyError``."""
+    resident = np.zeros(0, dtype=np.int64)
+    hit_trace = np.array([1, 2, 1], dtype=np.int64)
+    rival_trace = np.array([3, 4], dtype=np.int64)
+    rivals: list[threading.Thread] = []
+    rival_results = []
+
+    class RacingMemo(OrderedDict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if found is not None and not rivals:
+                rival = threading.Thread(
+                    target=lambda: rival_results.append(
+                        simulate_lru(rival_trace, resident, 4)
+                    )
+                )
+                rivals.append(rival)
+                rival.start()
+                rival.join(timeout=0.5)
+            return found
+
+    monkeypatch.setattr(lru_kernel, "_MEMO_CAPACITY", 1)
+    monkeypatch.setattr(lru_kernel, "_memo", RacingMemo())
+    first = simulate_lru(hit_trace, resident, 4)
+    assert simulate_lru(hit_trace, resident, 4) is first
+    rivals[0].join(timeout=10)
+    assert not rivals[0].is_alive()
+    assert rival_results[0].hit_mask.tolist() == [False, False]
+    assert list(lru_kernel._memo) == [(4, rival_trace.tobytes(), b"")]
+
+
+def test_memo_under_thread_contention(monkeypatch):
+    """More threads than cores hammering a one-entry memo, with a short
+    switch interval: every call returns its own trace's simulation."""
+    monkeypatch.setattr(lru_kernel, "_MEMO_CAPACITY", 1)
+    monkeypatch.setattr(lru_kernel, "_memo", OrderedDict())
+    traces = [np.array([k, k + 1, k], dtype=np.int64) for k in range(4)]
+    resident = np.zeros(0, dtype=np.int64)
+    failures = []
+
+    def hammer(trace):
+        try:
+            for _ in range(1500):
+                simulation = simulate_lru(trace, resident, 4)
+                if simulation.hit_mask.tolist() != [False, False, True]:
+                    failures.append("wrong simulation")
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in traces]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -1,6 +1,8 @@
 """Optimizer subsystem: estimation error, cost model, plan choice."""
 
+import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,13 @@ import pytest
 
 from repro.core.parallel import ParallelSweep
 from repro.core.parameter_space import Space1D
-from repro.core.scenario import EstimationErrorScenario
+from repro.bench.harness import BenchSession
+from repro.bench.requests import BenchConfig, MapRequest
+from repro.core.scenario import EstimationErrorScenario, SinglePredicateScenario
 from repro.errors import ExperimentError, PlanError
 from repro.executor.joins import join_plan_inventory
-from repro.executor.plans import TableScanNode
+from repro.executor.plans import PlanRunner, TableScanNode
+from repro.obs.profile import parse_profile_key, profiles_from_meta
 from repro.optimizer import (
     CardinalityEstimator,
     CostModel,
@@ -359,3 +364,70 @@ def test_estimation_scenario_measurements_independent_of_error_axis(system_a):
         assert np.array_equal(
             mapdata.times[:, :, j], mapdata.times[:, :, 0], equal_nan=True
         )
+
+
+def test_estimation_cells_equal_single_predicate_cells(system_a):
+    """Independent oracle: estimation cell (i, j) is the single-predicate
+    cell i, for every error magnitude j — same plans, budget, memory and
+    table, no jitter — censored cells included."""
+    space = Space1D.log2("selectivity", -6)
+    scan = system_a.runner().measure(TableScanNode(system_a.table, [])).seconds
+    sweep = dict(budget_seconds=3 * scan, memory_bytes=1 << 20)
+    single = SinglePredicateScenario([system_a], space).run(**sweep)
+    estimation = EstimationErrorScenario(
+        [system_a], space, magnitudes=(0.0, 0.5, 1.0, 2.0, 3.0)
+    ).run(**sweep)
+    assert single.aborted.any() and not single.aborted.all()
+    assert estimation.plan_ids == single.plan_ids
+    for j in range(estimation.grid_shape[1]):
+        assert np.array_equal(
+            estimation.times[:, :, j], single.times, equal_nan=True
+        )
+        assert np.array_equal(estimation.aborted[:, :, j], single.aborted)
+        assert np.array_equal(estimation.rows[:, j], single.rows)
+
+
+def test_estimation_map_measures_each_selectivity_once(tmp_path, monkeypatch):
+    """The bench's estimation map at 4096 rows is 13 selectivities x 5
+    error magnitudes x 7 plans, measured 13 x 7 times, serially and on a
+    two-worker pool; both runs give the same map, store lines and
+    profiles, and every profile carries its own cell."""
+    measured = multiprocessing.Value("i", 0)  # forked workers count too
+    real_measure = PlanRunner.measure
+
+    def counting_measure(self, plan):
+        with measured.get_lock():
+            measured.value += 1
+        return real_measure(self, plan)
+
+    monkeypatch.setattr(PlanRunner, "measure", counting_measure)
+    runs = {}
+    for workers in (0, 2):
+        store = tmp_path / f"store-{workers}"
+        session = BenchSession(
+            BenchConfig(
+                n_rows=4096, min_exp_2d=-12, n_workers=workers, trace=True,
+                cache_dir=None, cell_cache_dir=str(store),
+            )
+        )
+        measured.value = 0
+        mapdata = session.request_map(MapRequest("estimation"))
+        assert mapdata.grid_shape == (13, 5) and len(mapdata.plan_ids) == 7
+        # One more: the table scan the cost budget is scaled from.
+        assert measured.value == 13 * 7 + 1, workers
+        lines = sorted(
+            line
+            for shard in sorted(store.glob("cells-*.jsonl"))
+            for line in shard.read_bytes().splitlines()
+        )
+        runs[workers] = (mapdata, lines)
+    (serial, serial_lines), (pooled, pooled_lines) = runs[0], runs[2]
+    assert json.dumps(serial.to_dict()) == json.dumps(pooled.to_dict())
+    assert serial_lines == pooled_lines
+    assert len(serial_lines) == 2 * 13 * 5 * 7  # records and profiles
+    profiles = serial.meta["profiles"]
+    assert profiles == pooled.meta["profiles"]
+    assert len(profiles) == 13 * 5 * 7
+    for key, profile in profiles.items():
+        assert tuple(profile["cell"]) == parse_profile_key(key)[1]
+    assert set(profiles_from_meta(serial.meta)) == set(profiles)

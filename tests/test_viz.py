@@ -1,7 +1,12 @@
 """Tests for color scales, PNG/SVG/ASCII renderers, and figure helpers."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.viz import (
     rasterize_grid,
 )
 from repro.viz.figures import heatmap_png_pixels
+from repro.viz.svg import _escape
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,34 @@ def test_heatmap_png_censored_white():
 
 def _parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt#x \"'é\n"), max_size=40) | st.text())
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == xml.sax.saxutils.escape(text)
+
+
+def test_cli_import_leaves_out_the_network_modules():
+    """The CLI's imports pull in no URL, HTTP-client or SAX machinery
+    (``xml.sax.saxutils`` used to bring ``urllib.request`` and
+    ``http.client`` with it)."""
+    code = (
+        "import sys\n"
+        "import repro.bench.cli\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'xml.sax')"
+        " if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_curves_svg_valid_xml():
