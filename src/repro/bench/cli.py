@@ -472,6 +472,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace-out needs --scenario (profiles ride on maps)")
     if args.max_cells is not None and not args.refine:
         parser.error("--max-cells needs --refine (it caps the refinement)")
+    # An empty list would run nothing and pass, which a CI gate must not.
+    if args.scenario is not None and not _split_names(args.scenario):
+        parser.error("--scenario names no scenario")
+    if not _split_names(args.figures):
+        parser.error("--figures names no figure")
     try:
         config = _config_from_flags(
             n_rows=args.rows,

@@ -72,8 +72,6 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -85,7 +83,6 @@ from repro.obs.logs import get_logger
 logger = get_logger("core.cellstore")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.mapdata import MapData
     from repro.core.runner import Jitter
     from repro.core.scenario import Scenario
 
@@ -93,6 +90,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: ``{"s": seconds | None, "a": aborted, "r": oracle rows}`` — seconds is
 #: None exactly where the map holds NaN (budget-censored runs).
 CellRecord = dict
+
+#: Sweep cells in the store's shape: flat cell -> store name -> record.
+#: A store name is a plan id, or under profile capture ``plan_id +
+#: "#profile"`` for that plan's span tree.  Store hits, measured parts and
+#: write-back all move cells in this one shape.
+Cells = dict[int, dict[str, CellRecord]]
 
 _KEY_DIGEST_BYTES = 16
 _LINE_DIGEST_BYTES = 8
@@ -244,6 +247,8 @@ class SweepKeyer:
         context: str = "",
     ) -> None:
         spec = scenario.spec()
+        #: the sweep's grid shape, for the flat cells of a part
+        self.shape = tuple(len(axis.targets) for axis in scenario.axes)
         budget = None if budget_seconds is None else float(budget_seconds)
         memory = None if memory_bytes is None else int(memory_bytes)
         try:
@@ -307,7 +312,8 @@ class CellStore:
     """Persistent content-addressed store of per-cell measurements.
 
     ``get``/``put_many`` work at the key level; :func:`lookup_cells` and
-    :func:`records_from_part` adapt whole sweep waves.
+    :func:`records_from_part` read and write whole sweep waves as
+    :data:`Cells`.
 
     One instance serves a whole process front door (a CLI run, a
     :class:`~repro.service.jobs.JobManager` and every job on it): the
@@ -554,7 +560,7 @@ class CellStore:
 
 
 # ---------------------------------------------------------------------------
-# sweep-wave adapters (shared by the serial and parallel engines)
+# sweep waves as :data:`Cells` (shared by the serial and parallel engines)
 # ---------------------------------------------------------------------------
 
 
@@ -564,18 +570,19 @@ def lookup_cells(
     plan_ids: Sequence[str],
     cells: Sequence[int],
     shape: tuple[int, ...],
-) -> dict[int, dict[str, CellRecord]]:
+) -> Cells:
     """Partition a wave: the cells the store can answer completely.
 
     A cell is a hit only when **every** swept plan has a stored record —
     a partially known cell still needs its measurement pass (the runner
     measures whole cells), so it counts as a miss.  Brings the store up
     to date with its shards first (:meth:`CellStore.refresh`) and adds
-    the wave to its cell-level hit/miss counters.
+    the wave to its cell-level hit/miss counters.  The hits are
+    :data:`Cells`, the shape a measured part has too.
     """
     store.refresh()
     index = store.index
-    hits: dict[int, dict[str, CellRecord]] = {}
+    hits: Cells = {}
     misses = 0
     for flat, idx in zip(cells, grid_positions(cells, shape)):
         records: dict[str, CellRecord] = {}
@@ -593,43 +600,20 @@ def lookup_cells(
 
 
 def records_from_part(
-    keyer: SweepKeyer, part: "MapData"
+    keyer: SweepKeyer, part: Cells
 ) -> list[tuple[str, CellRecord]]:
-    """Store entries for every measured (plan, cell) of a sweep part.
+    """Store entries for every record of a measured sweep part.
 
-    The inverse of :func:`lookup_cells`: walks the part's
-    :meth:`~repro.core.mapdata.MapData.cell_records` (its ``meta["cells"]``
-    coverage) and keys each value for write-back.  Both engines call it on
-    every part they measured — the in-process engine per cell, the pool's
-    parent process per chunk a worker returns (workers never touch the
-    store).
-
-    Parts measured with profile capture carry span trees in
-    ``meta["profiles"]``; those ride along under derived
-    ``plan_id + "#profile"`` keys so warm reruns replay them too.
+    The inverse of :func:`lookup_cells`: a part is already the store's
+    records under their store names (each plan id, and under profile
+    capture its ``plan_id + "#profile"`` span tree), so write-back pairs
+    each record with its key.  Both engines call it on every part they
+    measured — the in-process engine per cell, the pool's parent process
+    per chunk a worker returns (workers never touch the store).
     """
-    from repro.obs.profile import (
-        PROFILES_META_KEY,
-        STORE_KEY_SUFFIX,
-        parse_profile_key,
-    )
-
-    entries: list[tuple[str, CellRecord]] = []
-    for idx, group in groupby(part.cell_records(), itemgetter(0)):
-        cell = list(group)
-        keys = keyer.keys([plan_id for _, plan_id, *_ in cell], idx)
-        entries.extend(
-            (key, {"s": seconds, "a": aborted, "r": rows})
-            for key, (_, _, seconds, aborted, rows) in zip(keys, cell)
-        )
-    profiles = [
-        (parse_profile_key(key), profile)
-        for key, profile in part.meta.get(PROFILES_META_KEY, {}).items()
+    positions = grid_positions(list(part), keyer.shape)
+    return [
+        entry
+        for idx, records in zip(positions, part.values())
+        for entry in zip(keyer.keys(records, idx), records.values())
     ]
-    for idx, group in groupby(profiles, lambda entry: entry[0][1]):
-        cell = list(group)
-        keys = keyer.keys(
-            [plan_id + STORE_KEY_SUFFIX for (plan_id, _), _ in cell], idx
-        )
-        entries.extend(zip(keys, (profile for _, profile in cell)))
-    return entries

@@ -9,11 +9,12 @@ budget on every cell, most of which land on flat plateaus.  The
 parallel engine), and runs rounds: the policy proposes a wave of flat
 cell indices, and the driver runs that wave the same way for both
 engines.  The engine partitions it into store hits and misses (at the
-call site the benchmark patches); the driver replays the hits, splits
-the misses into parts, hands each part the engine measured to the
-engine's write-back, folds it into the sweep's arrays and emits every
-progress event and snapshot itself; the engine measures — cell by cell
-in-process, chunk by chunk in the process pool.
+call site the benchmark patches); the driver splits the misses into
+parts, hands each part the engine measured to the engine's write-back,
+folds hits and parts alike into the sweep's arrays — both arrive as the
+cell store's own records, :data:`~repro.core.cellstore.Cells` — and
+emits every progress event and snapshot itself; the engine measures —
+cell by cell in-process, chunk by chunk in the process pool.
 
 Two policies ship:
 
@@ -40,11 +41,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.cellstore import CellRecord
+from repro.core.cellstore import Cells, grid_positions
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
-from repro.obs.profile import PROFILES_META_KEY, profile_key
+from repro.obs.profile import PROFILES_META_KEY, STORE_KEY_SUFFIX, profile_key
 
 
 def _row_runs(cells: list[int], row_length: int, n_parts: int) -> list[list[int]]:
@@ -344,28 +345,24 @@ class AdaptiveRefinePolicy(CellPolicy):
         }
 
 
-#: A wave's store hits: flat cell -> every swept plan's record.
-Hits = dict[int, dict[str, CellRecord]]
-
-
 class SweepDriver:
     """Runs a policy's waves through one engine; both engines share it.
 
-    The engine hands over four callables bound to its sweep:
+    ``template`` is the sweep's empty map, whose arrays the driver
+    fills.  The engine hands over three callables bound to its sweep,
+    each moving cells as the store's records
+    (:data:`~repro.core.cellstore.Cells`):
 
     * ``lookup(wave)`` — the wave's store hits (None: no store);
-    * ``replay(hits)`` — the part those hits make (one function,
-      :meth:`~repro.core.runner.RobustnessSweep.replay_part`, for both
-      engines);
-    * ``measure(parts)`` — yields ``(part, description)`` for every list
+    * ``measure(parts)`` — yields ``(cells, description)`` for every list
       of cells it is given, in the order they finish;
-    * ``write_back(part)`` — stores a measured part.
+    * ``write_back(cells)`` — stores a measured part.
 
     ``chunks`` says how a wave's misses split into parts: one per cell
     (None: the in-process engine, ``"cell"`` events) or that many parts
     (fewer for a smaller wave), each a deal of whole grid rows by
     :func:`partition_cells` (the pool, ``"chunk"`` events); a wave's
-    store replay is one more part.  Parts are folded into the sweep's own
+    store hits are one more part.  Parts are folded into the sweep's
     arrays as they land, so the map is the same whatever the engine, the
     chunking or the completion order.
 
@@ -379,31 +376,27 @@ class SweepDriver:
 
     def __init__(
         self,
-        shape: tuple[int, ...],
+        template: MapData,
         policy: CellPolicy,
         *,
-        scenario: str,
-        lookup: Callable[[list[int]], Hits | None],
-        replay: Callable[[Hits], MapData],
-        measure: Callable[[list[list[int]]], Iterable[tuple[MapData, str]]],
-        write_back: Callable[[MapData], None],
+        lookup: Callable[[list[int]], Cells | None],
+        measure: Callable[[list[list[int]]], Iterable[tuple[Cells, str]]],
+        write_back: Callable[[Cells], None],
         chunks: int | None,
         progress: Callable[[ProgressEvent], None],
         snapshot_every: int | None,
     ) -> None:
-        self.shape = tuple(int(n) for n in shape)
+        self.shape = template.grid_shape
         self.policy = policy
-        self.scenario = scenario
         self.lookup = lookup
-        self.replay = replay
         self.measure = measure
         self.write_back = write_back
         self.chunks = chunks
         self.progress = progress
         self.snapshot_every = snapshot_every
-        self._map: MapData | None = None  # the sweep's arrays, once a part landed
+        self._map = template  # the sweep's arrays
         self._covered: list[int] = []
-        self._profiles: dict[str, dict] = {}
+        self._profiles: dict[int, dict[str, dict]] = {}  # flat -> key -> tree
         self._hits: int | None = None
         self._start = 0.0
 
@@ -427,7 +420,7 @@ class SweepDriver:
                     round_index=state.round_index,
                     wave_cells=len(wave),
                 )
-        if self._map is None:
+        if not self._covered:
             raise ExperimentError(
                 f"policy {self.policy.name!r} proposed no cell to measure"
             )
@@ -435,13 +428,10 @@ class SweepDriver:
         if self._profiles:
             # In cell order, then plan order: the same whatever order the
             # parts landed in.
-            coords = zip(*np.unravel_index(sorted(self._covered), self.shape))
             result.meta[PROFILES_META_KEY] = {
-                key: self._profiles[key]
-                for idx in coords
-                for plan_id in result.plan_ids
-                if (key := profile_key(plan_id, tuple(map(int, idx))))
-                in self._profiles
+                key: tree
+                for flat in sorted(self._profiles)
+                for key, tree in self._profiles[flat].items()
             }
         # The merge drops meta["cells"] when the waves covered the grid.
         result = MapData.merge([result])
@@ -467,7 +457,7 @@ class SweepDriver:
             "parts_total": len(parts) + bool(hits),
         }
         if hits:
-            self._fold(self.replay(hits))
+            self._fold(hits)
             detail = f"{len(hits)} cells from cell store"
             self._emit(True, parts_done=1, detail=detail, **tick)
         every = self.snapshot_every
@@ -481,29 +471,26 @@ class SweepDriver:
                 snapshot, parts_done=bool(hits) + landed, detail=detail, **tick
             )
 
-    def _fold(self, part: MapData) -> None:
-        """Copy a part's cells into the sweep's arrays; the first part
-        also lends them its plan ids, axes and meta."""
-        if self._map is None:
-            self._map = MapData(
-                plan_ids=list(part.plan_ids),
-                times=np.full_like(part.times, np.nan),
-                aborted=np.zeros_like(part.aborted),
-                rows=np.zeros_like(part.rows),
-                axes=list(part.axes),
-                meta={
-                    k: v
-                    for k, v in part.meta.items()
-                    if k not in ("cells", PROFILES_META_KEY)
-                },
-            )
-        cells = part.meta["cells"]
-        idx = np.unravel_index(np.asarray(cells, dtype=np.int64), self.shape)
-        every_plan = (slice(None), *idx)
-        self._map.times[every_plan] = part.times[every_plan]
-        self._map.aborted[every_plan] = part.aborted[every_plan]
-        self._map.rows[idx] = part.rows[idx]
-        self._profiles.update(part.meta.get(PROFILES_META_KEY, {}))
+    def _fold(self, cells: Cells) -> None:
+        """Copy each cell's records into the sweep's arrays, and its span
+        trees (if any rode along) aside."""
+        plan_ids = self._map.plan_ids
+        times, aborted, rows = self._map.times, self._map.aborted, self._map.rows
+        positions = grid_positions(list(cells), self.shape)
+        for idx, (flat, records) in zip(positions, cells.items()):
+            rows[idx] = records[plan_ids[0]]["r"]
+            for p, plan_id in enumerate(plan_ids):
+                record = records[plan_id]
+                if record["a"]:
+                    aborted[(p, *idx)] = True  # times stays NaN
+                elif record["s"] is not None:
+                    times[(p, *idx)] = record["s"]
+            if len(records) > len(plan_ids):
+                self._profiles[flat] = {
+                    profile_key(plan_id, idx): records[name]
+                    for plan_id in plan_ids
+                    if (name := plan_id + STORE_KEY_SUFFIX) in records
+                }
         self._covered.extend(cells)
 
     def _partial(self) -> MapData:
@@ -521,7 +508,7 @@ class SweepDriver:
     def _emit(self, snapshot: bool, **fields) -> None:
         self.progress(
             ProgressEvent(
-                scenario=self.scenario,
+                scenario=self._map.meta["scenario"],
                 done=len(self._covered),
                 elapsed=time.monotonic() - self._start,
                 cache_hits=self._hits,

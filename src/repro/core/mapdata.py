@@ -272,33 +272,6 @@ class MapData:
             times[~self.measured_mask] = np.nan
         return times
 
-    def cell_records(self):
-        """Yield ``(idx, plan_id, seconds, aborted, rows)`` per measurement.
-
-        One tuple per (measured cell, plan): ``idx`` is the grid
-        coordinate tuple, ``seconds`` is ``None`` where the budget
-        censored the run (the map holds NaN there), ``rows`` the cell's
-        oracle result size.  This is the write-back walk for the
-        content-addressed cell store — plain python scalars only, so the
-        records serialize canonically.  Densified maps restrict to the
-        originally *measured* cells; interpolated fills are never stored.
-        """
-        shape = self.grid_shape
-        rows = np.asarray(self.rows).reshape(-1)
-        times = self.times.reshape(self.n_plans, -1)
-        aborted = self.aborted.reshape(self.n_plans, -1)
-        for cell in np.flatnonzero(self.measured_mask):
-            idx = tuple(int(k) for k in np.unravel_index(int(cell), shape))
-            for p, plan_id in enumerate(self.plan_ids):
-                seconds = float(times[p, cell])
-                yield (
-                    idx,
-                    plan_id,
-                    None if np.isnan(seconds) else seconds,
-                    bool(aborted[p, cell]),
-                    int(rows[cell]),
-                )
-
     def densify(self) -> "MapData":
         """Full-grid view of a partial map: nearest-measured-cell fill.
 

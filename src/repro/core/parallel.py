@@ -6,16 +6,17 @@ is the process-pool front door of the wave-based
 :class:`~repro.core.driver.SweepDriver`, which runs each wave the same
 way as for the in-process engine: this engine partitions the wave into
 store hits and misses (``lookup_cells``, at the call site the benchmark
-patches), the driver replays the hits through the in-process engine's
-:meth:`~repro.core.runner.RobustnessSweep.replay_part`, deals the
-misses to four chunks per worker, whole grid rows at a time and in snake
-order (:func:`~repro.core.driver.partition_cells`: a row's cells share
-work, and the dearest rows spread over the chunks instead of filling the
-last one), folds each chunk part into the sweep's arrays as it lands — so
-the map is independent of completion order *by construction* — and
-emits every progress event; this engine measures the chunks on a
+patches), the driver deals the misses to four chunks per worker, whole
+grid rows at a time and in snake order
+(:func:`~repro.core.driver.partition_cells`: a row's cells share work,
+and the dearest rows spread over the chunks instead of filling the last
+one), folds the hits and each chunk part into the sweep's arrays as they
+land — so the map is independent of completion order *by construction*
+— and emits every progress event; this engine measures the chunks on a
 :class:`~concurrent.futures.ProcessPoolExecutor` and writes each part
-back (``records_from_part``, also patched where it is called).
+back (``records_from_part``, also patched where it is called).  A chunk
+pickles back in the shape the store holds it
+(:data:`~repro.core.cellstore.Cells`).
 
 Workers dispatch on a picklable :class:`ScenarioSpec` — any registered
 scenario (selectivity sweeps, memory sweeps, sort-spill grids, ...)
@@ -45,8 +46,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterator, Sequence
 
-from repro.core.cellstore import CellStore, lookup_cells, records_from_part
-from repro.core.driver import CellPolicy, DenseGridPolicy, Hits, SweepDriver
+from repro.core.cellstore import Cells, CellStore, lookup_cells, records_from_part
+from repro.core.driver import CellPolicy, DenseGridPolicy, SweepDriver
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.core.runner import Jitter, RobustnessSweep
@@ -73,7 +74,7 @@ def _init_worker(providers: Sequence, sweep_kwargs: dict) -> None:
     _WORKER_SCENARIO = None
 
 
-def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> MapData:
+def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> Cells:
     """Measure one chunk into a part.
 
     The scenario (and its plan ids) is memoized per worker across
@@ -139,7 +140,7 @@ class ParallelSweep:
     * ``cell_store`` / ``store_context`` — the content-addressed
       per-cell measurement store (see :mod:`repro.core.cellstore`).
       Store access stays in the parent process: every wave is
-      partitioned into hits (replayed in-process, never dispatched) and
+      partitioned into hits (folded in-process, never dispatched) and
       misses (measured by workers, written back by the parent), and the
       pool is created lazily — sized to the miss batch of a single-wave
       policy, full-sized for a multi-round one — so a fully warm sweep
@@ -222,25 +223,23 @@ class ParallelSweep:
         policy = policy or DenseGridPolicy()
         # The one provider set: swept here, or forked with by the workers.
         parent = self._serial_sweep()
+        scenario = build_scenario(spec, parent.systems)
         if workers <= 1 or spec.n_cells < 2:
-            scenario = build_scenario(spec, parent.systems)
             return parent.sweep(scenario, policy=policy)
 
+        # The sweep's template, keys, store hits and write-back come from
+        # the parent's scenario, never from a worker.
+        plan_ids = parent.plan_ids(scenario)
         store = self.cell_store
-        scenario = plan_ids = keyer = None  # no store: never read
-        if store is not None:
-            # Parent-side scenario: keys, hit replay and write-back
-            # happen here, never in a worker.
-            scenario = build_scenario(spec, parent.systems)
-            plan_ids = parent.plan_ids(scenario)
-            keyer = parent.store_keyer(scenario)
+        keyer = None if store is None else parent.store_keyer(scenario)
 
-        def lookup(wave: list[int]) -> Hits | None:
+        def lookup(wave: list[int]) -> Cells | None:
             if store is None:
                 return None
-            return lookup_cells(store, keyer, plan_ids, wave, spec.grid_shape)
+            hits = lookup_cells(store, keyer, plan_ids, wave, spec.grid_shape)
+            return parent.with_stored_profiles(keyer, plan_ids, hits)
 
-        def write_back(part: MapData) -> None:
+        def write_back(part: Cells) -> None:
             if store is not None:
                 store.put_many(records_from_part(keyer, part))
 
@@ -257,13 +256,9 @@ class ParallelSweep:
         )
         try:
             return SweepDriver(
-                spec.grid_shape,
+                parent.template(scenario, plan_ids),
                 policy,
-                scenario=spec.name,
                 lookup=lookup,
-                replay=lambda hits: parent.replay_part(
-                    scenario, plan_ids, keyer, hits
-                ),
                 measure=lambda parts: _measure(lazy, spec, parts),
                 write_back=write_back,
                 chunks=workers * CHUNKS_PER_WORKER,
@@ -276,7 +271,7 @@ class ParallelSweep:
 
 def _measure(
     lazy: _LazyPool, spec: ScenarioSpec, parts: list[list[int]]
-) -> Iterator[tuple[MapData, str]]:
+) -> Iterator[tuple[Cells, str]]:
     """Chunk parts measured by the pool, in the order they finish.  A
     wave with nothing to measure touches the pool not at all."""
     if not parts:

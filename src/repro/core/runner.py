@@ -13,12 +13,12 @@ per-cell oracle; a :class:`~repro.core.driver.CellPolicy` owns *which*
 cells get measured.  :meth:`RobustnessSweep.sweep` is the in-process
 front door of the wave-based :class:`~repro.core.driver.SweepDriver`:
 per wave this engine partitions the cells into store hits and misses
-(``lookup_cells``, the call site the benchmark patches), the driver
-replays the hits (:meth:`RobustnessSweep.replay_part`, which the pool
-shares), and this engine measures the misses one cell at a time
-(:meth:`RobustnessSweep.measure_part`, which the pool's workers run per
-chunk) and writes each back; the driver emits every progress event.  The
-default dense policy reproduces the classic full-grid sweep
+(``lookup_cells``, the call site the benchmark patches), measures the
+misses one cell at a time (:meth:`RobustnessSweep.measure_part`, which
+the pool's workers run per chunk) and writes each back; the driver folds
+hits and measured cells alike — both are the cell store's own records,
+:data:`~repro.core.cellstore.Cells` — and emits every progress event.
+The default dense policy reproduces the classic full-grid sweep
 bit-identically, while :class:`~repro.core.driver.AdaptiveRefinePolicy`
 concentrates the measurement budget on the map's structure.
 
@@ -37,23 +37,19 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core.cellstore import (
+    Cells,
     CellStore,
     SweepKeyer,
     grid_positions,
     lookup_cells,
     records_from_part,
 )
-from repro.core.driver import CellPolicy, DenseGridPolicy, Hits, SweepDriver
+from repro.core.driver import CellPolicy, DenseGridPolicy, SweepDriver
 from repro.core.mapdata import MapAxis, MapData
 from repro.core.progress import ProgressEvent, checked_snapshot_every
 from repro.core.scenario import Cell, Scenario
 from repro.errors import ExperimentError
-from repro.obs.profile import (
-    PROFILES_META_KEY,
-    STORE_KEY_SUFFIX,
-    CellProfile,
-    profile_key,
-)
+from repro.obs.profile import STORE_KEY_SUFFIX, CellProfile
 from repro.obs.tracer import Span, Tracer, use_tracer
 
 #: One plan's measurement at one cell: raw seconds, aborted, rows, and
@@ -114,7 +110,7 @@ class RobustnessSweep:
     (see :mod:`repro.obs.profile`).  Spans observe charging but never
     alter it, so measured maps are bit-identical with capture on or off;
     with a cell store, profiles ride along under derived ``#profile``
-    keys and replay on hits.
+    keys and come back with hits.
     """
 
     def __init__(
@@ -165,21 +161,20 @@ class RobustnessSweep:
         store = self.cell_store
         keyer = None if store is None else self.store_keyer(scenario)
 
-        def lookup(wave: list[int]) -> Hits | None:
+        def lookup(wave: list[int]) -> Cells | None:
             if store is None:
                 return None
-            return lookup_cells(store, keyer, plan_ids, wave, scenario.grid_shape)
+            hits = lookup_cells(store, keyer, plan_ids, wave, scenario.grid_shape)
+            return self.with_stored_profiles(keyer, plan_ids, hits)
 
-        def write_back(part: MapData) -> None:
+        def write_back(part: Cells) -> None:
             if store is not None:
                 store.put_many(records_from_part(keyer, part))
 
         return SweepDriver(
-            scenario.grid_shape,
+            self.template(scenario, plan_ids),
             policy or DenseGridPolicy(),
-            scenario=scenario.name,
             lookup=lookup,
-            replay=lambda hits: self.replay_part(scenario, plan_ids, keyer, hits),
             measure=lambda parts: (
                 self.measure_part(scenario, plan_ids, cells) for cells in parts
             ),
@@ -221,22 +216,16 @@ class RobustnessSweep:
             )
         return plan_ids
 
-    def _part(
-        self, scenario: Scenario, plan_ids: list[str], cells: list[int]
-    ) -> MapData:
-        """An empty part over the given cells: NaN times, no aborts."""
+    def template(self, scenario: Scenario, plan_ids: list[str]) -> MapData:
+        """The sweep's empty map: NaN times, no aborts, the scenario's
+        axes and meta."""
         shape = scenario.grid_shape
-        meta = dict(scenario.meta(self))
-        meta["scenario"] = scenario.name
-        meta["cells"] = list(cells)
-        if self.capture_profiles:
-            meta[PROFILES_META_KEY] = {}
         return MapData(
             plan_ids=list(plan_ids),
             times=np.full((len(plan_ids), *shape), np.nan),
             aborted=np.zeros((len(plan_ids), *shape), dtype=bool),
             rows=np.zeros(shape, dtype=np.int64),
-            meta=meta,
+            meta=dict(scenario.meta(self), scenario=scenario.name),
             axes=[
                 MapAxis(axis.name, axis.targets, scenario.achieved(i))
                 for i, axis in enumerate(scenario.axes)
@@ -245,11 +234,14 @@ class RobustnessSweep:
 
     def measure_part(
         self, scenario: Scenario, plan_ids: list[str], cells: list[int]
-    ) -> tuple[MapData, str]:
+    ) -> tuple[Cells, str]:
         """Measure the given flat cells, in order, into one part.
 
-        Returns the part and the last cell's description.  Every
-        measurement is a cold-cache run, so a runner per cell and
+        Returns the part — each cell's store records: per plan ``{"s":
+        seconds after jitter, or None if aborted, "a": aborted, "r":
+        oracle rows}``, then under profile capture each plan's span tree
+        under ``plan_id + "#profile"`` — and the last cell's description.
+        Every measurement is a cold-cache run, so a runner per cell and
         provider is as good as one per sweep; a cell that overrides
         ``memory_bytes`` gets its own.
 
@@ -263,27 +255,35 @@ class RobustnessSweep:
         profile's ``cell`` and the oracle row check are still the
         cell's own.
         """
-        part = self._part(scenario, plan_ids, cells)
-        profiles = part.meta.get(PROFILES_META_KEY)
+        part: Cells = {}
         providers = scenario.providers()
         axes = scenario.measurement_axes
         describe = ""
-        for flat in cells:
-            idx = tuple(int(k) for k in np.unravel_index(flat, scenario.grid_shape))
+        for flat, idx in zip(cells, grid_positions(cells, scenario.grid_shape)):
             cell = scenario.cell(idx)
-            part.rows[idx] = cell.expected_rows
             key = (scenario, idx if axes is None else tuple(idx[a] for a in axes))
             slot = self._measured
             if slot is not None and slot[0] == key:
                 outcomes = slot[1]
             else:
-                outcomes = self._measure_cell(providers, cell, profiles is not None)
+                outcomes = self._measure_cell(providers, cell)
                 self._measured = (key, outcomes)
+            rows = int(cell.expected_rows)
+            records = part[flat] = {}
+            for plan_id in plan_ids:
+                seconds, aborted = outcomes[plan_id][:2]
+                if not aborted and self.jitter is not None:
+                    seconds = self.jitter.apply(seconds, plan_id, idx)
+                records[plan_id] = {
+                    "s": None if aborted else float(seconds),
+                    "a": aborted,
+                    "r": rows,
+                }
             for plan_id, (seconds, aborted, n_rows, spans) in outcomes.items():
-                if profiles is not None:
+                if spans is not None:
                     # The profile keeps the raw virtual seconds — jitter
-                    # is a presentation transform applied below.
-                    profiles[profile_key(plan_id, idx)] = CellProfile(
+                    # is a presentation transform applied above.
+                    records[plan_id + STORE_KEY_SUFFIX] = CellProfile(
                         plan_id=plan_id,
                         cell=idx,
                         seconds=seconds,
@@ -295,27 +295,17 @@ class RobustnessSweep:
                         f"plan {plan_id} returned {n_rows} rows at "
                         f"cell {idx}; oracle says {cell.expected_rows}"
                     )
-            for p, plan_id in enumerate(plan_ids):
-                seconds, aborted = outcomes[plan_id][:2]
-                if aborted:
-                    part.aborted[(p, *idx)] = True  # times stays NaN
-                elif self.jitter is None:
-                    part.times[(p, *idx)] = seconds
-                else:
-                    part.times[(p, *idx)] = self.jitter.apply(seconds, plan_id, idx)
             describe = cell.describe
         return part, describe
 
-    def _measure_cell(
-        self, providers: list, cell: Cell, capture: bool
-    ) -> dict[str, _Outcome]:
+    def _measure_cell(self, providers: list, cell: Cell) -> dict[str, _Outcome]:
         """Each plan's ``(seconds, aborted, n_rows, spans)`` at one cell.
 
         Plain values, never the
         :class:`~repro.executor.plans.MeasuredRun`: its checksum closure
         would keep the plan's result arrays alive in the sweep's slot.
-        ``spans`` is the captured span tree, or ``None`` without
-        ``capture``.
+        ``spans`` is the captured span tree, or ``None`` without profile
+        capture.
         """
         outcomes: dict[str, _Outcome] = {}
         for provider_i, plans in cell.plans:
@@ -329,7 +319,7 @@ class RobustnessSweep:
             )
             for plan_id, plan in plans.items():
                 spans = None
-                if not capture:
+                if not self.capture_profiles:
                     run = runner.measure(plan)
                 else:
                     # Spans observe charging but never alter it, so the
@@ -341,31 +331,18 @@ class RobustnessSweep:
                 outcomes[plan_id] = (run.seconds, run.aborted, run.n_rows, spans)
         return outcomes
 
-    def replay_part(
-        self,
-        scenario: Scenario,
-        plan_ids: list[str],
-        keyer: SweepKeyer,
-        hits: Hits,
-    ) -> MapData:
-        """The part a wave's store hits make (the inverse of write-back):
-        each hit's records and, under profile capture, its stored span
-        trees.  Both engines replay through here."""
-        part = self._part(scenario, plan_ids, sorted(hits))
-        profiles = part.meta.get(PROFILES_META_KEY)
-        profile_ids = [plan_id + STORE_KEY_SUFFIX for plan_id in plan_ids]
-        positions = grid_positions(list(hits), scenario.grid_shape)
-        for idx, records in zip(positions, hits.values()):
-            part.rows[idx] = int(records[plan_ids[0]]["r"])
-            for p, plan_id in enumerate(plan_ids):
-                record = records[plan_id]
-                if record["a"]:
-                    part.aborted[(p, *idx)] = True  # times stays NaN
-                elif record["s"] is not None:
-                    part.times[(p, *idx)] = float(record["s"])
-            if profiles is not None:
-                for plan_id, key in zip(plan_ids, keyer.keys(profile_ids, idx)):
-                    stored = self.cell_store.get(key)
-                    if stored is not None:
-                        profiles[profile_key(plan_id, idx)] = stored
-        return part
+    def with_stored_profiles(
+        self, keyer: SweepKeyer, plan_ids: list[str], hits: Cells
+    ) -> Cells:
+        """A wave's store hits; under profile capture, each hit's stored
+        span trees go next to its records.  Both engines' lookups end
+        here."""
+        if self.capture_profiles:
+            names = [plan_id + STORE_KEY_SUFFIX for plan_id in plan_ids]
+            positions = grid_positions(list(hits), keyer.shape)
+            for idx, records in zip(positions, hits.values()):
+                for name, key in zip(names, keyer.keys(names, idx)):
+                    tree = self.cell_store.get(key)
+                    if tree is not None:
+                        records[name] = tree
+        return hits

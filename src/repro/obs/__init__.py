@@ -21,7 +21,6 @@ from repro.obs.profile import (
     PROFILES_META_KEY,
     CellProfile,
     chrome_trace,
-    parse_profile_key,
     profile_key,
     profiles_from_meta,
     write_chrome_trace,
@@ -51,7 +50,6 @@ __all__ = [
     "chrome_trace",
     "get_logger",
     "log_format",
-    "parse_profile_key",
     "profile_key",
     "profiles_from_meta",
     "setup_logging",

@@ -36,12 +36,6 @@ def profile_key(plan_id: str, cell: Sequence[int]) -> str:
     return f"{plan_id}@{','.join(str(int(c)) for c in cell)}"
 
 
-def parse_profile_key(key: str) -> tuple[str, tuple[int, ...]]:
-    """Inverse of :func:`profile_key` (plan ids may contain ``@``)."""
-    plan_id, _, coords = key.rpartition("@")
-    return plan_id, tuple(int(c) for c in coords.split(","))
-
-
 @dataclass
 class CellProfile:
     """One measurement's execution profile.

@@ -33,6 +33,9 @@ A thin, dependency-free (``http.server``) JSON API over
 * ``GET  /jobs/<id>/render/<plan>.svg|.png`` — the finished map rendered
   by the viz layer (heat map for 2-D, curves for 1-D).
 
+Every route that needs the finished map answers like ``/result``: 409
+while the job runs, 500 with its error once it failed.
+
 Serving threads come from :class:`ThreadingHTTPServer`; computation
 stays on the manager's bounded worker pool, so slow sweeps never block
 status polls.
@@ -161,7 +164,11 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         return job
 
     def _not_finished(self, job: Job) -> None:
-        """409: the route needs the finished map; say where to poll."""
+        """The route needs the finished map: a failed job's error (500),
+        else a 409 saying where to poll."""
+        if job.state == "failed":
+            self._error(500, job.error or "job failed")
+            return
         self._error(
             409, f"job {job.job_id!r} is {job.state}; poll /jobs/{job.job_id}"
         )
@@ -236,9 +243,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             )
             return
         if rest == ["result"]:
-            if job.state == "failed":
-                self._error(500, job.error or "job failed")
-            elif job.result is None:
+            if job.result is None:
                 self._not_finished(job)
             else:
                 status = self.manager.status(job)

@@ -502,6 +502,13 @@ def test_cli_figure_ids_are_stripped(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli.main([str(tmp_path), "--figures", "fig01, nope"])
     assert "unknown figures: ['nope']" in capsys.readouterr().err
+    # An empty list is a usage error, never a run of nothing that passes.
+    for flag, what in (("--figures", "figure"), ("--scenario", "scenario")):
+        for empty in (",", "", " , "):
+            with pytest.raises(SystemExit) as refused:
+                cli.main([str(tmp_path), "--quiet", flag, empty])
+            assert refused.value.code == 2
+            assert f"{flag} names no {what}" in capsys.readouterr().err
 
 
 def test_cli_cell_cache_compact_requires_directory(tmp_path, monkeypatch):

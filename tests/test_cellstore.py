@@ -504,22 +504,20 @@ def test_corrupted_store_rejects_warm_sweep(tmp_path, sort_budget):
 def test_records_from_part_inverts_lookup(tmp_path, sort_budget):
     scenario = make_sort()
     sweep = RobustnessSweep([OperatorBench()], budget_seconds=sort_budget)
-    part, _ = sweep.measure_part(scenario, sweep.plan_ids(scenario), [0, 5, 11])
+    plan_ids = sweep.plan_ids(scenario)
+    part, _ = sweep.measure_part(scenario, plan_ids, [0, 5, 11])
     keyer = sweep.store_keyer(scenario)
     store = CellStore(tmp_path)
     store.put_many(records_from_part(keyer, part))
-    plan_ids = part.plan_ids
     hits = lookup_cells(store, keyer, plan_ids, [0, 5, 11], (4, 3))
-    assert sorted(hits) == [0, 5, 11]
+    # A part is the store's own records: the lookup gives it back as is.
+    assert hits == part
     # Censored measurements round-trip as aborted/None records.
-    flat_times = part.times.reshape(len(plan_ids), -1)
-    flat_aborted = part.aborted.reshape(len(plan_ids), -1)
-    for flat, records in hits.items():
-        for p, plan_id in enumerate(plan_ids):
-            if flat_aborted[p, flat]:
-                assert records[plan_id]["a"] and records[plan_id]["s"] is None
-            else:
-                assert records[plan_id]["s"] == flat_times[p, flat]
+    assert any(
+        record["a"] and record["s"] is None
+        for records in hits.values()
+        for record in records.values()
+    )
 
 
 # ---------------------------------------------------------------------------

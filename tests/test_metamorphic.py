@@ -29,11 +29,11 @@ SMALL_CONFIGS = st.builds(
 )
 
 
-def the_map(session: BenchSession, name: str) -> dict:
-    """The map a session computes, without its profiles."""
-    payload = session.request_map(MapRequest(name)).to_dict()
-    payload["meta"].pop(PROFILES_META_KEY, None)
-    return payload
+def the_map(session: BenchSession, name: str) -> tuple[dict, list]:
+    """The map a session computes, and its profiles in their order."""
+    mapdata = session.request_map(MapRequest(name))
+    profiles = mapdata.meta.get(PROFILES_META_KEY, {})
+    return mapdata.to_dict(), list(profiles.items())
 
 
 @pytest.mark.parametrize("name", available_requests())
@@ -43,12 +43,18 @@ def test_every_map_is_equal_under_serial_pool_and_warm_replay(config, name):
     """Times, aborted flags, rows, axes and meta of a map do not depend on
     how it was executed: in process, by two pool workers, or replayed from
     the cell store the first run filled — dense or refined, traced or not
-    (the pool run flips the drawn ``trace``)."""
+    (the pool run flips the drawn ``trace``).  Traced, the profiles do not
+    either, order included: the serial run's, the warm replay's and a
+    traced two-worker run's are the same list."""
     with tempfile.TemporaryDirectory() as store:
         stored = dataclasses.replace(config, cell_cache_dir=store)
-        serial = the_map(BenchSession(stored), name)
+        serial, profiles = the_map(BenchSession(stored), name)
         warm = BenchSession(stored)
-        assert the_map(warm, name) == serial
+        assert the_map(warm, name) == (serial, profiles)
         assert warm.cell_store().stats()["cell_misses"] == 0
+    assert bool(profiles) == config.trace
     pooled = dataclasses.replace(config, n_workers=2, trace=not config.trace)
-    assert the_map(BenchSession(pooled), name) == serial
+    assert the_map(BenchSession(pooled), name)[0] == serial
+    if config.trace:
+        traced = dataclasses.replace(config, n_workers=2)
+        assert the_map(BenchSession(traced), name) == (serial, profiles)

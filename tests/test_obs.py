@@ -30,7 +30,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     CellProfile,
     chrome_trace,
-    parse_profile_key,
     profile_key,
     profiles_from_meta,
     write_chrome_trace,
@@ -165,7 +164,7 @@ def test_serial_capture_attaches_parseable_profiles():
     n_cells = int(np.prod(scenario.grid_shape))
     assert len(profiles) == len(mapdata.plan_ids) * n_cells
     for key, profile in profiles.items():
-        assert (profile.plan_id, profile.cell) == parse_profile_key(key)
+        assert key == profile_key(profile.plan_id, profile.cell)
         assert profile.spans, "every measurement opens at least the root span"
         root = profile.spans[0]
         assert root.name == "execute" and root.cat == "plan"
@@ -286,11 +285,6 @@ def test_cell_profile_roundtrip(captured_profiles):
             json.loads(json.dumps(profile.to_dict()))
         )
         assert restored == profile
-
-
-def test_profile_key_roundtrips_plan_ids_with_at_signs():
-    key = profile_key("sys@2.sort", (3, 0))
-    assert parse_profile_key(key) == ("sys@2.sort", (3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +439,9 @@ def test_service_metrics_and_profile_endpoints():
             raw = json.loads(resp.read())
         assert raw["traced"] is True
         assert raw["job"]["state"] == "done"
-        for key in raw["profiles"]:
-            parse_profile_key(key)  # every key addresses a (plan, cell)
+        for key, profile in raw["profiles"].items():
+            # every key addresses its profile's (plan, cell)
+            assert key == profile_key(profile["plan_id"], profile["cell"])
 
         with urllib.request.urlopen(
             base + f"/jobs/{job_id}/profile?format=chrome"

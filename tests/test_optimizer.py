@@ -16,7 +16,7 @@ from repro.core.scenario import EstimationErrorScenario, SinglePredicateScenario
 from repro.errors import ExperimentError, PlanError
 from repro.executor.joins import join_plan_inventory
 from repro.executor.plans import PlanRunner, TableScanNode
-from repro.obs.profile import parse_profile_key, profiles_from_meta
+from repro.obs.profile import profile_key, profiles_from_meta
 from repro.optimizer import (
     CardinalityEstimator,
     CostModel,
@@ -429,5 +429,5 @@ def test_estimation_map_measures_each_selectivity_once(tmp_path, monkeypatch):
     assert profiles == pooled.meta["profiles"]
     assert len(profiles) == 13 * 5 * 7
     for key, profile in profiles.items():
-        assert tuple(profile["cell"]) == parse_profile_key(key)[1]
+        assert key == profile_key(profile["plan_id"], profile["cell"])
     assert set(profiles_from_meta(serial.meta)) == set(profiles)

@@ -666,9 +666,10 @@ def test_http_mistyped_override_is_a_400_and_queues_nothing(
 
 
 def test_http_failed_job_is_a_500_and_may_be_resubmitted(service, monkeypatch):
-    """A sweep that dies in its worker leaves a ``failed`` job: ``/result``
-    says why with a 500, the worker lives on, and the same request
-    submitted again is a new job."""
+    """A sweep that dies in its worker leaves a ``failed`` job: every route
+    that needs the finished map (``/result``, ``/profile``, ``/render``,
+    ``/choice``) says why with a 500 — polling cannot help — the worker
+    lives on, and the same request submitted again is a new job."""
     import repro.bench.harness as harness_module
 
     base, manager = service
@@ -678,13 +679,27 @@ def test_http_failed_job_is_a_500_and_may_be_resubmitted(service, monkeypatch):
         raise RuntimeError("disk on fire")
 
     monkeypatch.setattr(harness_module, "compute_map", dying_compute)
-    _, submitted = _post(base, "/maps", {"scenario": "join"})
-    assert manager.wait(submitted["job_id"], timeout=30).state == "failed"
-    with pytest.raises(urllib.error.HTTPError) as failed:
-        _get(base, f"/jobs/{submitted['job_id']}/result")
-    assert failed.value.code == 500
-    assert json.loads(failed.value.read())["error"] == "RuntimeError: disk on fire"
-    assert 'repro_jobs_completed_total{state="failed"} 1' in manager.metrics.render()
+    job_ids = {}
+    for scenario in ("join", "estimation"):
+        _, submitted = _post(base, "/maps", {"scenario": scenario})
+        assert manager.wait(submitted["job_id"], timeout=30).state == "failed"
+        job_ids[scenario] = submitted["job_id"]
+    routes = [
+        ("join", "result"),
+        ("join", "profile"),
+        ("join", "profile?format=chrome"),
+        ("join", "render/hash.svg"),
+        ("join", "render/hash.png"),
+        ("estimation", "result"),
+        ("estimation", "choice"),
+    ]
+    for scenario, route in routes:
+        with pytest.raises(urllib.error.HTTPError) as failed:
+            _get(base, f"/jobs/{job_ids[scenario]}/{route}")
+        assert failed.value.code == 500, route
+        error = json.loads(failed.value.read())["error"]
+        assert error == "RuntimeError: disk on fire", route
+    assert 'repro_jobs_completed_total{state="failed"} 2' in manager.metrics.render()
     monkeypatch.setattr(harness_module, "compute_map", real)
     code, again = _post(base, "/maps", {"scenario": "join"})
     assert code == 202 and again["created"]
