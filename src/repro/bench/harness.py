@@ -271,16 +271,27 @@ def choice_maps_for(
     """
     scenario = build_scenario(definition_for("estimation").spec(config), [system_a])
     model = system_a.cost_model(memory_bytes=config.memory_bytes)
-    choices = {}
-    for policy_type in STANDARD_POLICIES:
-        chooser = PlanChooser(model, policy_type())
+    choosers = [PlanChooser(model, policy_type()) for policy_type in STANDARD_POLICIES]
+    picks: dict[tuple[int, ...], dict[str, str]] = {}
 
-        def choose(idx: tuple[int, ...]) -> str:
-            return chooser.choose(
-                scenario.candidate_plans(idx), scenario.estimates(idx)
-            )
+    def pick(idx: tuple[int, ...]) -> dict[str, str]:
+        """Every policy's choice at a cell: one candidate set, one
+        estimate and one cost memo between them."""
+        if idx not in picks:
+            plans = scenario.candidate_plans(idx)
+            estimate = scenario.estimates(idx)
+            costs: dict = {}
+            picks[idx] = {
+                chooser.policy.name: chooser.choose(plans, estimate, costs)
+                for chooser in choosers
+            }
+        return picks[idx]
 
-        choices[chooser.policy.name] = build_choice_map(
-            mapdata, chooser.policy.name, choose
+    return {
+        chooser.policy.name: build_choice_map(
+            mapdata,
+            chooser.policy.name,
+            lambda idx, name=chooser.policy.name: pick(idx)[name],
         )
-    return choices
+        for chooser in choosers
+    }

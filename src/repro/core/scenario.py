@@ -52,8 +52,8 @@ from repro.errors import ExperimentError
 from repro.executor.joins import (
     JOIN_PLAN_IDS,
     JoinIndex,
+    JoinInputs,
     MergeJoinNode,
-    join_matches,
     join_plan_inventory,
 )
 from repro.executor.plans import ExternalSortNode, PlanNode, PlanRunner
@@ -774,18 +774,20 @@ class JoinScenario(_OperatorScenario):
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
         n_build, n_probe = self._target(0, idx), self._target(1, idx)
-        build = self.input_values(n_build)
-        probe = self.input_values(n_probe)
         memory = self._target(2, idx) if len(self.axes) == 3 else None
         describe = f"build={n_build} probe={n_probe}"
         if memory is not None:
             describe += f" mem={memory}"
-        plans = join_plan_inventory(
-            build, probe, self.row_bytes, index=self._index_for(n_build)
+        # One input pair per cell: the oracle and all four plans share
+        # its join result.
+        inputs = JoinInputs(
+            self.input_values(n_build),
+            self.input_values(n_probe),
+            index=self._index_for(n_build),
         )
         return Cell(
-            expected_rows=int(join_matches(build, probe).size),
-            plans=[(0, plans)],
+            expected_rows=int(inputs.matches.size),
+            plans=[(0, join_plan_inventory(inputs, self.row_bytes))],
             memory_bytes=memory,
             describe=describe,
         )

@@ -101,33 +101,34 @@ class ExecContext:
             self.env.clock.advance(comparisons * self.profile.cpu_compare)
 
     def check_budget(self) -> None:
-        """Abort the plan if it has exceeded its cost budget."""
-        if self.budget_seconds is None:
-            return
-        spent = self.env.clock.now - self._budget_start
-        if spent > self.budget_seconds:
-            raise CostBudgetExceeded(self.budget_seconds, spent)
-
-    def check_budget_every(self, done: int, stride: int) -> None:
-        """Budget check for per-item loops: fires every ``stride`` items.
-
-        Call with the zero-based index of the item just completed; the
-        budget is actually checked after items ``stride-1``,
-        ``2*stride-1``, ... — one check per ``stride`` completed items,
-        replacing the ad-hoc ``done % STRIDE == STRIDE - 1`` idiom.
+        """Abort the plan if it has exceeded its cost budget.
 
         Budget-censoring contract: a measurement that exceeds its budget
         is recorded as *censored* (aborted, time = NaN in the maps), and
         the environment is cold-reset before the next measurement, so any
         virtual time charged between crossing the budget and noticing it
         is unobservable.  Operators are therefore free to check the
-        budget at any frequency — per item, every ``stride`` items, or
+        budget at any frequency — per item, every few hundred items, or
         once after a whole vectorized batch — without changing any
         non-censored measurement or which measurements are censored.
-        Checking less often only trades a little extra (discarded)
-        simulation work for faster batches.
+        An operator that batches a loop evaluates the loop's checks at
+        once with :meth:`over_budget` and raises here at the first that
+        fails, so it aborts where the loop would.
         """
-        if self.budget_seconds is None or stride <= 0:
+        if self.budget_seconds is None:
             return
-        if done % stride == stride - 1:
-            self.check_budget()
+        spent = self.env.clock.now - self._budget_start
+        if spent > self.budget_seconds:
+            raise CostBudgetExceeded(self.budget_seconds, spent)
+
+    def over_budget(self, clock_values) -> np.ndarray:
+        """Vectorized twin of :meth:`check_budget`: for each clock value,
+        whether a check made at that clock would raise.
+
+        The same ``(now - start) > budget_seconds`` expression, evaluated
+        elementwise, so the first ``True`` is the first check of a loop
+        that raises (``now > start + budget`` can round differently).
+        """
+        budget = np.inf if self.budget_seconds is None else self.budget_seconds
+        values = np.asarray(clock_values, dtype=np.float64)
+        return (values - self._budget_start) > budget

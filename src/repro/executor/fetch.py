@@ -105,7 +105,7 @@ class FetchStrategy:
 
         The trace goes through :meth:`BufferPool.get_strided`, which
         resolves it through the vectorized LRU kernel and charges its
-        misses one window of strides at a time, with the budget check
+        misses one window of strides at a time, with the budget checked
         once per :data:`_NAIVE_CHUNK` pages — the clock and disk
         statistics at every check are bitwise those of a chunked
         :meth:`BufferPool.get` loop, so censored runs abort at the same
@@ -113,7 +113,7 @@ class FetchStrategy:
         """
         pages = table.pages_of_rids(rids)
         if not ctx.pool.get_strided(
-            table.clustered.handle, pages, _NAIVE_CHUNK, ctx.check_budget
+            table.clustered.handle, pages, _NAIVE_CHUNK, ctx
         ):
             raise StorageError(f"table {table.name!r} has a negative page number")
 

@@ -26,7 +26,9 @@ similar effects", merge-join maps are symmetric in the two inputs while
   probe count thereafter — asymmetric on both counts.
 
 All three agree on the join result (the inner natural join, duplicates
-multiplied out), so the sweep's oracle check holds for every plan.
+multiplied out), so the sweep's oracle check holds for every plan.  A
+cell's plans share one :class:`JoinInputs`, which computes that result
+once for the cell's oracle and all four plans.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.executor.results import Result
 from repro.executor.sort import ExternalSort, SpillPolicy
 from repro.obs.tracer import trace_op
 from repro.storage.bitmap import intersect_rids
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import DENSE_SPAN_PER_ROW, BPlusTree
 from repro.storage.env import StorageEnv
 
 #: Per-entry bucket/pointer overhead of the hash join's build table.
@@ -48,13 +50,6 @@ _HASH_BUCKET_OVERHEAD = 16
 #: Probes between budget checks in the index nested-loop join.
 _PROBE_BUDGET_STRIDE = 256
 
-#: Key span per input row up to which :func:`join_matches` counts keys
-#: instead of sorting them.  Counting costs O(span) and sorting
-#: O(rows log rows); measured with NumPy 2.4 on one Xeon core, they
-#: break even near three span units per row, and this stays below that.
-_DENSE_SPAN_PER_ROW = 2
-
-
 def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sorted matched keys of the inner natural join (many-to-many).
 
@@ -62,9 +57,10 @@ def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     contributes ``l * r`` output rows.  Shared by all join operators and
     by scenario oracles, so every plan provably agrees on the result.
 
-    A dense key domain (span at most :data:`_DENSE_SPAN_PER_ROW` times
-    the input rows) is counted with one ``bincount`` per side; a sparse
-    one sorts both sides.  Both give the same array.
+    A dense key domain (span at most
+    :data:`~repro.storage.btree.DENSE_SPAN_PER_ROW` times the input
+    rows) is counted with one ``bincount`` per side; a sparse one sorts
+    both sides.  Both give the same array.
     """
     left = np.asarray(left)
     right = np.asarray(right)
@@ -72,7 +68,7 @@ def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     low = min(int(left.min()), int(right.min()))
     span = max(int(left.max()), int(right.max())) - low + 1
-    if span <= _DENSE_SPAN_PER_ROW * (left.size + right.size):
+    if span <= DENSE_SPAN_PER_ROW * (left.size + right.size):
         products = np.bincount(left - low, minlength=span) * np.bincount(
             right - low, minlength=span
         )
@@ -90,23 +86,91 @@ def join_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     )
 
 
-def _result_for(ctx: ExecContext, matched: np.ndarray) -> Result:
+class JoinIndex:
+    """The B-tree an index nested-loop join probes, over one build input.
+
+    Bulk-loaded at the first probe in a storage environment and kept
+    while probes stay in that one, so every plan handed the same
+    ``JoinIndex`` shares one load.  Sharing cannot move a charge: the
+    tree's pages depend only on its keys, and the file id it keeps never
+    meets a head position left by an earlier measurement, because
+    :meth:`~repro.storage.env.StorageEnv.cold_reset` forgets it before
+    every measurement.
+    """
+
+    def __init__(self, build_keys: np.ndarray) -> None:
+        self.build = np.asarray(build_keys, dtype=np.int64)
+        self._tree: BPlusTree | None = None
+        self._env: StorageEnv | None = None
+
+    def tree(self, env: StorageEnv) -> BPlusTree:
+        """The bulk-loaded tree in ``env`` (loaded at the first ask)."""
+        if self._tree is None or self._env is not env:
+            order = np.argsort(self.build, kind="stable")
+            tree = BPlusTree(env, "inlj", entry_bytes=16)
+            tree.bulk_load(self.build[order], {"rid": order.astype(np.int64)})
+            self._tree = tree
+            self._env = env
+        return self._tree
+
+
+class JoinInputs:
+    """One cell's join inputs, shared by its plans, and their result.
+
+    :attr:`matches` is computed at the first ask and kept, so a cell's
+    oracle (``Cell.expected_rows``) and its four plans compute the join
+    result once between them; ``index`` is the index nested-loop join's
+    tree.  Sharing cannot move a charge: every plan charges
+    ``matches.size * cpu_row`` for its result, whoever computed it.  A
+    join node built from bare key arrays makes its own.
+    """
+
+    def __init__(
+        self,
+        build_keys: np.ndarray,
+        probe_keys: np.ndarray,
+        index: JoinIndex | None = None,
+    ) -> None:
+        self.build = np.asarray(build_keys, dtype=np.int64)
+        self.probe = np.asarray(probe_keys, dtype=np.int64)
+        self.index = index if index is not None else JoinIndex(self.build)
+        self._matches: np.ndarray | None = None
+
+    @property
+    def matches(self) -> np.ndarray:
+        """The join result, :func:`join_matches` of the two inputs."""
+        if self._matches is None:
+            self._matches = join_matches(self.build, self.probe)
+            self._matches.flags.writeable = False  # every plan returns it
+        return self._matches
+
+
+def _result_for(ctx: ExecContext, inputs: JoinInputs) -> Result:
+    matched = inputs.matches
     ctx.charge(matched.size, ctx.profile.cpu_row)
     ctx.check_budget()
     return Result(np.arange(matched.size, dtype=np.int64), {"key": matched})
 
 
 class MergeJoinNode(PlanNode):
-    """Sort-based join of two bound key arrays (Fig 5's symmetric map)."""
+    """Sort-based join of two bound key arrays (Fig 5's symmetric map).
+
+    ``inputs`` (a :class:`JoinInputs` over the same keys, left as the
+    build side) shares the join result with the cell's other plans.
+    """
 
     def __init__(
         self,
         left_keys: np.ndarray,
         right_keys: np.ndarray,
         row_bytes: int = 16,
+        inputs: JoinInputs | None = None,
     ) -> None:
-        self.left = np.asarray(left_keys, dtype=np.int64)
-        self.right = np.asarray(right_keys, dtype=np.int64)
+        self.inputs = (
+            inputs if inputs is not None else JoinInputs(left_keys, right_keys)
+        )
+        self.left = self.inputs.build
+        self.right = self.inputs.probe
         self.row_bytes = int(row_bytes)
         self.label = (
             f"MergeJoin({self.left.size} x {self.right.size} rows; "
@@ -125,7 +189,7 @@ class MergeJoinNode(PlanNode):
                 ).sort(side)
         with trace_op(ctx, "merge-join:merge", "join"):
             ctx.charge(self.left.size + self.right.size, ctx.profile.cpu_compare)
-            return _result_for(ctx, join_matches(self.left, self.right))
+            return _result_for(ctx, self.inputs)
 
 
 class HashJoinNode(PlanNode):
@@ -134,6 +198,8 @@ class HashJoinNode(PlanNode):
     Building costs twice the per-row hashing of probing (insert + bucket
     maintenance), and only the *build* side must fit the workspace — the
     two asymmetries that break the merge join's map symmetry.
+    ``inputs`` (a :class:`JoinInputs` over the same keys) shares the join
+    result with the cell's other plans.
     """
 
     def __init__(
@@ -142,9 +208,13 @@ class HashJoinNode(PlanNode):
         probe_keys: np.ndarray,
         row_bytes: int = 16,
         policy: SpillPolicy = SpillPolicy.GRACEFUL,
+        inputs: JoinInputs | None = None,
     ) -> None:
-        self.build = np.asarray(build_keys, dtype=np.int64)
-        self.probe = np.asarray(probe_keys, dtype=np.int64)
+        self.inputs = (
+            inputs if inputs is not None else JoinInputs(build_keys, probe_keys)
+        )
+        self.build = self.inputs.build
+        self.probe = self.inputs.probe
         self.row_bytes = int(row_bytes)
         self.policy = policy
         self.label = (
@@ -175,7 +245,7 @@ class HashJoinNode(PlanNode):
                     )
             finally:
                 grant.release()
-        return _result_for(ctx, join_matches(self.build, self.probe))
+        return _result_for(ctx, self.inputs)
 
     def _partitioned_join(
         self, ctx: ExecContext, n_build: int, n_probe: int
@@ -228,34 +298,6 @@ class HashJoinNode(PlanNode):
             )
 
 
-class JoinIndex:
-    """The B-tree an index nested-loop join probes, over one build input.
-
-    Bulk-loaded at the first probe in a storage environment and kept
-    while probes stay in that one, so every plan handed the same
-    ``JoinIndex`` shares one load.  Sharing cannot move a charge: the
-    tree's pages depend only on its keys, and the file id it keeps never
-    meets a head position left by an earlier measurement, because
-    :meth:`~repro.storage.env.StorageEnv.cold_reset` forgets it before
-    every measurement.
-    """
-
-    def __init__(self, build_keys: np.ndarray) -> None:
-        self.build = np.asarray(build_keys, dtype=np.int64)
-        self._tree: BPlusTree | None = None
-        self._env: StorageEnv | None = None
-
-    def tree(self, env: StorageEnv) -> BPlusTree:
-        """The bulk-loaded tree in ``env`` (loaded at the first ask)."""
-        if self._tree is None or self._env is not env:
-            order = np.argsort(self.build, kind="stable")
-            tree = BPlusTree(env, "inlj", entry_bytes=16)
-            tree.bulk_load(self.build[order], {"rid": order.astype(np.int64)})
-            self._tree = tree
-            self._env = env
-        return self._tree
-
-
 class IndexNestedLoopJoinNode(PlanNode):
     """Per-probe-row B-tree descents against an index on the build side.
 
@@ -263,20 +305,23 @@ class IndexNestedLoopJoinNode(PlanNode):
     nothing); every probe row pays a root-to-leaf descent through the
     buffer pool.  Starting cold, each index page's first touch is a
     random read, so both the index size (pages to fault in) and the
-    probe cardinality (descent CPU, pool hits) shape the cost.  ``index``
-    (a :class:`JoinIndex` over the same build keys) shares one B-tree
-    with other plans; without it the node keeps its own.
+    probe cardinality (descent CPU, pool hits) shape the cost.
+    ``inputs`` (a :class:`JoinInputs` over the same keys) shares the join
+    result and the B-tree (its ``index``) with other plans; without it
+    the node keeps its own.
     """
 
     def __init__(
         self,
         build_keys: np.ndarray,
         probe_keys: np.ndarray,
-        index: JoinIndex | None = None,
+        inputs: JoinInputs | None = None,
     ) -> None:
-        self.build = np.asarray(build_keys, dtype=np.int64)
-        self.probe = np.asarray(probe_keys, dtype=np.int64)
-        self.index = index if index is not None else JoinIndex(self.build)
+        self.inputs = (
+            inputs if inputs is not None else JoinInputs(build_keys, probe_keys)
+        )
+        self.build = self.inputs.build
+        self.probe = self.inputs.probe
         self.label = (
             f"IndexNestedLoopJoin(index={self.build.size} entries, "
             f"probes={self.probe.size})"
@@ -285,20 +330,16 @@ class IndexNestedLoopJoinNode(PlanNode):
     def execute(self, ctx: ExecContext) -> Result:
         # Building the index is uncharged DDL, so it stays outside the
         # probe span.
-        tree = self.index.tree(ctx.env)
+        tree = self.inputs.index.tree(ctx.env)
         with trace_op(ctx, "btree-probe", "index"):
             ctx.charge(self.probe.size, ctx.profile.cpu_row)
-            # probe_many checks the budget at every stride boundary with
-            # the clock a loop of probe() would show there, so a censored
-            # run aborts at the same probe as that loop.
+            # The budget is checked after every _PROBE_BUDGET_STRIDE-th
+            # probe, with the clock a loop of probe() shows there, so a
+            # censored run aborts at the same probe as that loop.
             tree.probe_many(
-                self.probe,
-                budget_check=lambda done: ctx.check_budget_every(
-                    done, _PROBE_BUDGET_STRIDE
-                ),
-                budget_stride=_PROBE_BUDGET_STRIDE,
+                self.probe, budget=ctx, budget_stride=_PROBE_BUDGET_STRIDE
             )
-        return _result_for(ctx, join_matches(self.build, self.probe))
+        return _result_for(ctx, self.inputs)
 
 
 #: Plan ids of the standard join inventory, in measurement order.
@@ -311,24 +352,18 @@ JOIN_PLAN_IDS = (
 
 
 def join_plan_inventory(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    row_bytes: int = 16,
-    index: JoinIndex | None = None,
+    inputs: JoinInputs, row_bytes: int = 16
 ) -> dict[str, PlanNode]:
-    """The forced join plans every provider exposes for one input pair;
-    ``index`` is the index nested-loop join's (see
-    :class:`IndexNestedLoopJoinNode`)."""
+    """The forced join plans every provider exposes for one input pair,
+    all four sharing ``inputs``."""
+    build, probe = inputs.build, inputs.probe
     return {
-        "join.merge": MergeJoinNode(build_keys, probe_keys, row_bytes=row_bytes),
+        "join.merge": MergeJoinNode(build, probe, row_bytes, inputs=inputs),
         "join.hash.graceful": HashJoinNode(
-            build_keys, probe_keys, row_bytes=row_bytes, policy=SpillPolicy.GRACEFUL
+            build, probe, row_bytes, SpillPolicy.GRACEFUL, inputs=inputs
         ),
         "join.hash.all-or-nothing": HashJoinNode(
-            build_keys,
-            probe_keys,
-            row_bytes=row_bytes,
-            policy=SpillPolicy.ALL_OR_NOTHING,
+            build, probe, row_bytes, SpillPolicy.ALL_OR_NOTHING, inputs=inputs
         ),
-        "join.inl": IndexNestedLoopJoinNode(build_keys, probe_keys, index=index),
+        "join.inl": IndexNestedLoopJoinNode(build, probe, inputs=inputs),
     }

@@ -190,15 +190,31 @@ class PlanChooser:
         self.model = model
         self.policy = policy or MinEstimatedCost()
 
-    def choose(self, plans: Mapping[str, object], estimate: Estimate) -> str:
-        """Pick one plan id from the candidate inventory."""
+    def choose(
+        self,
+        plans: Mapping[str, object],
+        estimate: Estimate,
+        costs: dict | None = None,
+    ) -> str:
+        """Pick one plan id from the candidate inventory.
+
+        ``costs`` memoizes the candidates' costs by estimate point
+        (every quantity's value): choosers with one cost model that
+        share it over the same candidates — one cell's policies — price
+        each point once between them.  The box's centre sample is the
+        point estimate, so the classic policy's point is a box point.
+        """
         if not plans:
             raise ExperimentError("cannot choose from an empty plan inventory")
+        memo = {} if costs is None else costs
 
         def costs_at(values: dict[str, float]) -> dict[str, float]:
-            return {
-                plan_id: self.model.cost(plan, values)
-                for plan_id, plan in plans.items()
-            }
+            point = tuple(sorted(values.items()))
+            if point not in memo:
+                memo[point] = {
+                    plan_id: self.model.cost(plan, values)
+                    for plan_id, plan in plans.items()
+                }
+            return memo[point]
 
         return self.policy.choose(costs_at, estimate)

@@ -218,7 +218,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
                 self._get_job(parts[1], parts[2:], query)
             else:
                 self._error(404, f"no route for {split.path!r}")
-        except BrokenPipeError:  # pragma: no cover - client went away
+        except ConnectionError:  # the client hung up (reset or closed)
             pass
 
     def _get_job(self, job_id: str, rest: list[str], query: dict) -> None:
@@ -327,6 +327,12 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         self._send_bytes(200, content_type, body)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
+        try:
+            self._post()
+        except ConnectionError:  # the client hung up; a submitted job runs on
+            pass
+
+    def _post(self) -> None:
         split = urlsplit(self.path)
         parts = [part for part in split.path.split("/") if part]
         if parts != ["maps"]:

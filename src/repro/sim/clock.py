@@ -52,6 +52,34 @@ class SimClock:
             np.add.accumulate(np.concatenate(((self._now,), amounts)))[-1]
         )
 
+    def advance_checked(self, schedule: np.ndarray, checks: np.ndarray, budget) -> int:
+        """Advance over a charge schedule up to its first failing budget check.
+
+        ``schedule[1:]`` holds a loop's charges in loop order (a charge
+        of ``0.0`` never moves a non-negative clock, so a loop's zero
+        charges may be left out) and ``schedule[0]`` is scratch.  The
+        loop checks its budget once ``checks[j]`` charges have landed,
+        ``checks`` ascending.  The schedule is accumulated in place,
+        seeded with the clock — :meth:`advance_many`'s left-to-right
+        rounding — so ``schedule[k]`` is the clock the loop shows after
+        ``k`` charges.  ``budget.over_budget`` (the vectorized
+        :meth:`~repro.executor.context.ExecContext.check_budget`) flags
+        the clock at every check (``budget=None`` flags none), and the
+        clock stops at the first flagged one, or after the last charge.
+
+        Returns the index of that check, ``len(checks)`` when none is
+        flagged.  Raising is the caller's: it commits whatever else the
+        loop did up to that check, then calls ``budget.check_budget()``.
+        """
+        schedule[0] = self._now
+        np.add.accumulate(schedule, out=schedule)
+        flags = () if budget is None else budget.over_budget(schedule[checks])
+        flagged = np.flatnonzero(flags)
+        failed = int(flagged[0]) if flagged.size else int(checks.size)
+        stop = int(checks[failed]) if failed < checks.size else schedule.size - 1
+        self._now = float(schedule[stop])
+        return failed
+
     def reset(self) -> None:
         """Rewind to zero (a fresh measurement epoch).
 

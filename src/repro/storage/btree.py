@@ -35,6 +35,16 @@ from repro.storage.env import StorageEnv
 
 _INNER_ENTRY_BYTES = 16  # separator key + child pointer
 
+_INT64 = np.iinfo(np.int64)
+
+#: Key span per entry up to which a lookup counts keys instead of
+#: searching them (:meth:`_FlatView.key_bounds`,
+#: :func:`~repro.executor.joins.join_matches`).  Counting costs O(span)
+#: and sorting O(rows log rows); measured with NumPy 2.4 on one Xeon
+#: core, they break even near three span units per row, and this stays
+#: below that.
+DENSE_SPAN_PER_ROW = 2
+
 
 def _ragged_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate [starts[i], ends[i]) integer ranges, vectorized."""
@@ -50,7 +60,8 @@ class _FlatView:
     """The leaf level: sorted keys, aligned payload columns, leaf bounds.
 
     The tree never changes after its bulk load, so what the view caches
-    (:meth:`rid_positions`) can never go stale.
+    (:meth:`rid_positions`, the table :meth:`key_bounds` counts with) can
+    never go stale.
     """
 
     __slots__ = (
@@ -60,6 +71,7 @@ class _FlatView:
         "leaf_pages",
         "_per_leaf",
         "_rid_positions",
+        "_bounds_table",
     )
 
     def __init__(
@@ -76,6 +88,7 @@ class _FlatView:
         self.leaf_pages = leaf_pages  # page number of each leaf, ascending
         self._per_leaf = per_leaf  # entries in every leaf but the last
         self._rid_positions: np.ndarray | None = None
+        self._bounds_table: np.ndarray | None = None
 
     def rid_positions(self) -> np.ndarray:
         """Cached rid -> flat position inverse of the ``rid`` payload.
@@ -88,6 +101,43 @@ class _FlatView:
         if self._rid_positions is None:
             self._rid_positions = position_table(self.payload["rid"])
         return self._rid_positions
+
+    def key_bounds(self, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions ``[lo, hi)`` of the entries equal to each probe.
+
+        Over a dense key span — at most :data:`DENSE_SPAN_PER_ROW` span
+        units per entry and probe, the rule by which
+        :func:`~repro.executor.joins.join_matches` counts a join's keys
+        — the view caches a cumulative-count table, and every later
+        lookup is two gathers from it.  Otherwise it searches the sorted
+        keys, probes in key order (each search starts where the last one
+        ended).
+        """
+        keys = self.keys
+        n = int(keys.size)
+        if (
+            self._bounds_table is None
+            and n
+            and _INT64.min < keys[0]
+            and keys[-1] < _INT64.max
+            and int(keys[-1]) - int(keys[0]) < DENSE_SPAN_PER_ROW * (n + probes.size)
+        ):
+            # table[k - low + 1] counts the entries below key k and
+            # table[k - low + 2] those up to it; its ends stand for every
+            # key below the lowest and above the highest.
+            counts = np.bincount(keys - keys[0])
+            self._bounds_table = np.concatenate(([0, 0], np.cumsum(counts), [n]))
+        if self._bounds_table is not None:
+            low, high = int(keys[0]), int(keys[-1])
+            at = np.clip(probes, low - 1, high + 1) - (low - 1)
+            return self._bounds_table[at], self._bounds_table[1:][at]
+        order = np.argsort(probes)
+        in_order = probes[order]
+        lo = np.empty(probes.size, dtype=np.int64)
+        hi = np.empty(probes.size, dtype=np.int64)
+        lo[order] = np.searchsorted(keys, in_order, side="left")
+        hi[order] = np.searchsorted(keys, in_order, side="right")
+        return lo, hi
 
     @property
     def n_entries(self) -> int:
@@ -191,15 +241,17 @@ class BPlusTree:
         # one between leaves j-1 and j is leaf j's first key, whichever
         # level stores it.
         self._separators = keys[leaf_starts[1:-1]]
-        # Row j: the inner pages from the root down to leaf j's parent.
-        # Leaf j's ancestor `level` levels up is node j // fanout**level
-        # of that level, whose pages follow all pages of the levels below.
-        self._leaf_paths = np.empty((n_leaves, self.height - 1), dtype=np.int64)
+        # Row j: the pages a descent to leaf j visits, root first, leaf j
+        # last.  Leaf j's ancestor `level` levels up is node
+        # j // fanout**level of that level, whose pages follow all pages
+        # of the levels below.
+        self._descents = np.empty((n_leaves, self.height), dtype=np.int64)
+        self._descents[:, -1] = leaves
         first_page, leaves_per_node = 0, 1
         for level in range(1, self.height):
             first_page += level_sizes[level - 1]
             leaves_per_node *= self.inner_fanout
-            self._leaf_paths[:, -level] = first_page + leaves // leaves_per_node
+            self._descents[:, -1 - level] = first_page + leaves // leaves_per_node
         return self
 
     # ------------------------------------------------------------------
@@ -223,48 +275,33 @@ class BPlusTree:
         """
         leaf = int(np.searchsorted(self._separators, key, side="left"))
         pool = self._env.pool
-        for page in self._leaf_paths[leaf].tolist():
+        for page in self._descents[leaf, :-1].tolist():
             pool.get(self.handle, page)
         return leaf
 
     def probe_many(
-        self,
-        keys: np.ndarray,
-        budget_check=None,
-        budget_stride: int | None = None,
+        self, keys: np.ndarray, budget=None, budget_stride: int = 1
     ) -> np.ndarray:
         """Probe every key in sequence; returns per-key match counts.
 
         Charging is bit-identical to ``for k in keys: tree.probe(k)``.
         The full page-access trace of every probe (descent path, first
         leaf, duplicate-continuation leaves) is resolved up front by the
-        vectorized LRU kernel (:meth:`BufferPool.plan_many`); the
-        resulting per-miss read times and per-probe CPU charges are
-        interleaved into one amounts vector in exact sequential order
-        and applied through :meth:`SimClock.advance_many`, with disk
-        statistics committed alongside (:meth:`Disk.commit_page_reads`)
-        — pool hits advance no time and move no head, so the miss chain
-        accumulates exactly like the loop.
+        vectorized LRU kernel (:meth:`BufferPool.plan_many`) and charged
+        in one pass (:meth:`_charge_probes_planned`).
 
-        ``budget_check``, when given, fires at every index ``i`` with
-        ``i % budget_stride == budget_stride - 1`` (the loop calls it
-        after every probe; callers' checks ignore the other indexes)
-        while the clock holds exactly the value the per-probe loop would
-        show there — censored (budget-aborted) runs therefore abort at
-        the same probe with the same clock as that loop, with identical
-        disk statistics at the abort point.
+        ``budget`` (duck-typed: ``over_budget`` and ``check_budget``, as
+        :class:`~repro.executor.context.ExecContext` has them), when
+        given, is checked after every ``budget_stride``-th probe, as a
+        loop that calls ``budget.check_budget()`` there would.  A budget
+        that fails aborts the batch at the same probe as that loop,
+        with the same clock and disk statistics, and leaves the pool
+        untouched.
         """
         keys = np.ascontiguousarray(np.asarray(keys), dtype=np.int64)
         n = int(keys.size)
         flat = self.flat
-        # Search in key order (each search starts where the last one
-        # ended), then scatter the bounds back to probe order.
-        order = np.argsort(keys)
-        in_order = keys[order]
-        lo = np.empty(n, dtype=np.int64)
-        hi = np.empty(n, dtype=np.int64)
-        lo[order] = np.searchsorted(flat.keys, in_order, side="left")
-        hi[order] = np.searchsorted(flat.keys, in_order, side="right")
+        lo, hi = flat.key_bounds(keys)
         counts = hi - lo
         if n == 0:
             return counts
@@ -288,35 +325,28 @@ class BPlusTree:
         )
         last_leaf = np.maximum(first_leaf, last_leaf)
 
-        # Page sequence of every probe: the descent's inner path + its
-        # first leaf (charged before the probe CPU), then any
-        # continuation leaves (charged after).
+        # Page sequence of every probe: its descent, root to first leaf
+        # (charged before the probe CPU), then any continuation leaves
+        # (charged after), inserted behind the descent.  Probe b's
+        # accesses are all_pages[offsets[b]:offsets[b + 1]].
         descent_len = self.height
-        descent_pages = np.concatenate(
-            [
-                self._leaf_paths[first_leaf],
-                flat.leaf_pages[first_leaf][:, None],
+        extra = last_leaf - first_leaf
+        offsets = np.arange(n + 1, dtype=np.int64) * descent_len
+        offsets[1:] += np.cumsum(extra)
+        walking = np.flatnonzero(extra)
+        all_pages = np.insert(
+            np.take(self._descents, first_leaf, axis=0).ravel(),
+            np.repeat((walking + 1) * descent_len, extra[walking]),
+            flat.leaf_pages[
+                _ragged_arange(first_leaf[walking] + 1, last_leaf[walking] + 1)
             ],
-            axis=1,
         )
-        continuation_counts = last_leaf - first_leaf
-        per_probe = descent_len + continuation_counts
-        offsets = np.concatenate(([0], np.cumsum(per_probe)))
-        all_pages = np.empty(int(offsets[-1]), dtype=np.int64)
-        descent_positions = offsets[:-1, None] + np.arange(descent_len)
-        all_pages[descent_positions.ravel()] = descent_pages.ravel()
-        continuation_positions = _ragged_arange(
-            offsets[:-1] + descent_len, offsets[1:]
-        )
-        continuation_leaves = _ragged_arange(first_leaf + 1, last_leaf + 1)
-        all_pages[continuation_positions] = flat.leaf_pages[continuation_leaves]
 
         # The kernel declines only negative page numbers; a tree has none.
         planned = self._env.pool.plan_many(self.handle, all_pages)
         assert planned is not None
         self._charge_probes_planned(
-            planned, all_pages, offsets, descent_len, n,
-            budget_check, budget_stride,
+            planned, all_pages, offsets, descent_len, budget, budget_stride
         )
         return counts
 
@@ -326,90 +356,56 @@ class BPlusTree:
         all_pages: np.ndarray,
         offsets: np.ndarray,
         descent_len: int,
-        n: int,
-        budget_check,
-        budget_stride: int | None,
+        budget,
+        budget_stride: int,
     ) -> None:
         """Charge a kernel-planned probe batch, bit-identical to the loop.
 
-        Builds the exact charge sequence of the per-probe loop — for
-        probe ``b``: its ``descent_len`` page accesses, one probe-CPU
-        charge, then its continuation accesses — as one amounts vector
-        (pool hits contribute ``0.0``, which is additively inert), and
-        advances the clock over it in chunks ending at each
-        budget-stride boundary.  Disk statistics for the misses covered
-        by each chunk are committed before its boundary check, so a
-        censored run's recorded I/O delta matches the sequential loop's
-        at the abort point.  Pool stats and the final LRU state land
-        once at the end (a budget abort leaves the pool untouched;
-        measurements cold-reset the pool after an abort, so this is
-        unobservable).
+        The loop charges, for probe ``b``: its ``descent_len`` page
+        accesses, one probe-CPU unit, then its continuation accesses.  A
+        pool hit charges exactly ``0.0``, which never moves a
+        non-negative clock, so the schedule holds only the non-zero
+        charges in loop order — one CPU unit per probe and one read per
+        miss (:meth:`Disk.plan_page_reads`) — and
+        :meth:`SimClock.advance_checked` accumulates it once, stopping
+        at the first stride boundary whose clock fails ``budget``.  The
+        reads up to that probe are committed
+        (:meth:`Disk.commit_page_reads`) and ``budget.check_budget()``
+        raises, with the clock and disk statistics the loop shows there
+        and the pool untouched; a batch that completes commits every
+        read and the pool's statistics and final LRU state
+        (:meth:`BufferPool.commit_many`).
         """
         env = self._env
-        pool = env.pool
         disk = env.disk
-        clock = env.clock
-        unit = 1 * env.profile.btree_probe_cpu  # identical to charge_cpu(1, ...)
-        n_access = int(all_pages.size)
+        n = int(offsets.size) - 1
         miss_idx = planned.miss_positions
-        reads = (
-            disk.plan_page_reads(self.handle, all_pages[miss_idx])
-            if miss_idx.size
-            else None
+        reads = disk.plan_page_reads(self.handle, all_pages[miss_idx])
+        # Probe b's CPU unit lands after the misses among its first
+        # descent_len accesses; miss i after the CPU units of the probes
+        # whose descents end at or before it.
+        cpu_after = offsets[:-1] + descent_len
+        probe_ids = np.arange(n, dtype=np.int64)
+        schedule = np.empty(1 + n + miss_idx.size, dtype=np.float64)
+        charges = schedule[1:]
+        charges[probe_ids + np.searchsorted(miss_idx, cpu_after)] = (
+            1 * env.profile.btree_probe_cpu  # identical to charge_cpu(1, ...)
         )
-        # Slot layout: probe b owns slots [offsets[b] + b, offsets[b+1] + b],
-        # one per page access plus one for its CPU charge, placed after
-        # the first descent_len accesses.
-        per_probe = offsets[1:] - offsets[:-1]
-        probe_of_access = np.repeat(np.arange(n, dtype=np.int64), per_probe)
-        within_probe = (
-            np.arange(n_access, dtype=np.int64) - offsets[:-1][probe_of_access]
-        )
-        access_slots = (
-            np.arange(n_access, dtype=np.int64)
-            + probe_of_access
-            + (within_probe >= descent_len)
-        )
-        cpu_slots = offsets[:-1] + descent_len + np.arange(n, dtype=np.int64)
-        amounts = np.zeros(n_access + n, dtype=np.float64)
-        amounts[cpu_slots] = unit
-        if reads is not None:
-            amounts[access_slots[miss_idx]] = reads.elapsed
-        # First slot after probe b's charges complete.
-        probe_end_slot = offsets[1:] + np.arange(1, n + 1, dtype=np.int64)
-
-        flushed_slots = 0
-        committed_reads = 0
-
-        def flush(up_to_probe: int) -> None:
-            """Charge everything up to (excluding) probe ``up_to_probe``."""
-            nonlocal flushed_slots, committed_reads
-            slot_hi = int(probe_end_slot[up_to_probe - 1])
-            clock.advance_many(amounts[flushed_slots:slot_hi])
-            flushed_slots = slot_hi
-            if reads is not None:
-                read_hi = int(
-                    np.searchsorted(miss_idx, int(offsets[up_to_probe]))
-                )
-                disk.commit_page_reads(
-                    self.handle, reads, committed_reads, read_hi
-                )
-                committed_reads = read_hi
-
-        if budget_check is not None:
-            stride = int(budget_stride) if budget_stride else 1
-            boundary = stride - 1
-            done = 0
-            while boundary < n:
-                flush(boundary + 1)
-                done = boundary + 1
-                budget_check(boundary)
-                boundary += stride
-            if done < n:
-                flush(n)
-        else:
-            flush(n)
-        pool.commit_many(planned)
+        charges[
+            np.arange(miss_idx.size) + np.searchsorted(cpu_after, miss_idx, "right")
+        ] = reads.elapsed
+        # Probes done at each budget check (none without a budget), and
+        # the charges landed by then.
+        checked = n if budget is not None else 0
+        done = np.arange(budget_stride, checked + 1, budget_stride)
+        misses_done = np.searchsorted(miss_idx, offsets[done])
+        failed = env.clock.advance_checked(schedule, done + misses_done, budget)
+        aborted = failed < done.size
+        read_stop = int(misses_done[failed]) if aborted else int(miss_idx.size)
+        disk.commit_page_reads(self.handle, reads, 0, read_stop)
+        if aborted:
+            budget.check_budget()  # raises: over_budget is its twin
+        env.pool.commit_many(planned)
 
     def probe(self, key: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Return (keys, payload) of entries equal to ``key`` (may be empty).

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -109,39 +108,38 @@ class BufferPool:
         miss_positions = np.nonzero(~simulation.hit_mask)[0]
         return PlannedAccesses(simulation, fid, miss_positions, other_keys)
 
-    def get_strided(
-        self,
-        handle: FileHandle,
-        page_nos,
-        stride: int,
-        checkpoint: Callable[[], None],
-    ) -> bool:
-        """Access a page trace, calling ``checkpoint`` every ``stride`` pages.
+    def get_strided(self, handle: FileHandle, page_nos, stride: int, budget) -> bool:
+        """Access a page trace, checking ``budget`` every ``stride`` pages.
 
         Equivalent to the :meth:`get` loop over consecutive
-        ``stride``-sized trace slices with ``checkpoint()`` after each —
-        the naive fetch's budget-check schedule — but planned and
-        charged one *window* of whole strides at a time.  The first
-        window is :data:`_FIRST_WINDOW_STRIDES` strides; each later one
-        doubles the trace covered so far, so a ``checkpoint`` that
-        raises (budget exhaustion) after access ``a`` has simulated at
-        most ``max(first window, 2 * a)`` accesses instead of the whole
-        trace.
+        ``stride``-sized trace slices with ``budget.check_budget()``
+        after each — the naive fetch's budget-check schedule — but
+        planned and charged one *window* of whole strides at a time.
+        ``budget`` is duck-typed (``over_budget`` and ``check_budget``,
+        as :class:`~repro.executor.context.ExecContext` has them;
+        ``None`` never fails).  The
+        first window is :data:`_FIRST_WINDOW_STRIDES` strides; each
+        later one doubles the trace covered so far, so a budget that
+        fails after access ``a`` has simulated at most
+        ``max(first window, 2 * a)`` accesses instead of the whole trace.
 
         Per window: :func:`simulate_lru` classifies the window against
         the residents the previous window left (the first window
         against the pool's own), :meth:`Disk.plan_page_reads` costs its
-        misses from the head the previous window left, and the misses
-        are charged slice by slice.  Bitwise identity with the loop
-        holds slice by slice: LRU state carried between windows makes
-        the split exact (evictions add up), hits move neither the clock
-        nor the head, chunked :meth:`SimClock.advance_many` re-seeds
-        with the running clock, and :meth:`Disk.commit_page_reads`
-        replays the loop's statistics accumulation.  Pool statistics and
-        the resident order land once, after the last window, so a
-        ``checkpoint`` that raises leaves the pool untouched and the
-        clock and disk statistics exactly where the sliced loop's abort
-        would.
+        misses from the head the previous window left, and
+        :meth:`SimClock.advance_checked` charges the misses — a hit
+        charges exactly ``0.0`` — up to the first slice boundary whose
+        clock fails the budget.  The reads up to that boundary are
+        committed (:meth:`Disk.commit_page_reads`) and
+        ``budget.check_budget()`` raises.  Bitwise identity with the
+        loop holds at every boundary: LRU state carried between windows
+        makes the split exact (evictions add up), hits move neither the
+        clock nor the head, and the schedule and the statistics
+        accumulate left to right, seeded with the running values.  Pool
+        statistics and the resident order land once, after the last
+        window, so a budget that fails leaves the pool untouched and
+        the clock and disk statistics exactly where the sliced loop's
+        abort would.
 
         Returns ``False``, having charged nothing, when the trace holds a
         negative page number (the kernel's precondition, see
@@ -153,7 +151,6 @@ class BufferPool:
         fid = handle.file_id
         state, other_keys = self._resident_codes(fid)
         disk = self._disk
-        clock = disk.clock
         n = int(pages.size)
         hits = misses = evictions = 0
         start, end = 0, min(n, stride * _FIRST_WINDOW_STRIDES)
@@ -162,15 +159,19 @@ class BufferPool:
             simulation = simulate_lru(window, state, self._capacity)
             miss = np.nonzero(~simulation.hit_mask)[0]
             reads = disk.plan_page_reads(handle, window[miss])
+            schedule = np.empty(1 + miss.size, dtype=np.float64)
+            schedule[1:] = reads.elapsed
+            # Misses charged by each slice boundary of the window.
             size = end - start
-            slice_ends = np.minimum(np.arange(stride, size + stride, stride), size)
-            lo = 0
-            for hi in np.searchsorted(miss, slice_ends).tolist():
-                if hi > lo:
-                    clock.advance_many(reads.elapsed[lo:hi])
-                    disk.commit_page_reads(handle, reads, lo, hi)
-                    lo = hi
-                checkpoint()
+            checks = np.searchsorted(
+                miss, np.minimum(np.arange(stride, size + stride, stride), size)
+            )
+            failed = disk.clock.advance_checked(schedule, checks, budget)
+            aborted = failed < checks.size
+            read_stop = int(checks[failed]) if aborted else int(miss.size)
+            disk.commit_page_reads(handle, reads, 0, read_stop)
+            if aborted:
+                budget.check_budget()  # raises: over_budget is its twin
             hits += simulation.n_hits
             misses += simulation.n_misses
             evictions += simulation.n_evictions

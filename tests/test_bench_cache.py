@@ -346,6 +346,63 @@ def test_choice_maps_zero_error_column_matches_truth(tmp_path):
     assert np.array_equal(classic.choices[:, 0], robust.choices[:, 0])
 
 
+def test_choice_maps_price_each_cell_point_once(tmp_path, monkeypatch):
+    """One cell's three policies share its candidates, estimate and cost
+    memo: the choice maps equal three independent ``PlanChooser`` runs,
+    ``PlanChooser.choose`` stays the per-cell call (three per cell), and
+    ``CostModel.cost`` prices each (cell, plan, point) at most once."""
+    from collections import Counter
+
+    from repro.bench.harness import choice_maps_for, definition_for
+    from repro.core.choice import build_choice_map
+    from repro.core.scenario import build_scenario
+    from repro.optimizer import STANDARD_POLICIES, CostModel, PlanChooser
+
+    config = tiny_config(tmp_path, min_exp_2d=-4, error_magnitudes=(0.0, 1.0, 3.0))
+    session = BenchSession(config)
+    mapdata = session.request_map(MapRequest("estimation"))
+    system_a = session.system_a
+    scenario = build_scenario(definition_for("estimation").spec(config), [system_a])
+    model = system_a.cost_model(memory_bytes=config.memory_bytes)
+    independent = {}
+    for policy_type in STANDARD_POLICIES:
+        chooser = PlanChooser(model, policy_type())
+        independent[chooser.policy.name] = build_choice_map(
+            mapdata,
+            chooser.policy.name,
+            lambda idx: chooser.choose(
+                scenario.candidate_plans(idx), scenario.estimates(idx)
+            ),
+        )
+
+    priced = Counter()
+    plans_seen = []  # kept alive, so no two cells' plans share an id()
+    chosen = []
+    real_cost, real_choose = CostModel.cost, PlanChooser.choose
+
+    def counting_cost(self, plan, values):
+        plans_seen.append(plan)
+        priced[(id(plan), tuple(sorted(values.items())))] += 1
+        return real_cost(self, plan, values)
+
+    def counting_choose(self, *args, **kwargs):
+        chosen.append(self.policy.name)
+        return real_choose(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostModel, "cost", counting_cost)
+    monkeypatch.setattr(PlanChooser, "choose", counting_choose)
+    shared = choice_maps_for(config, system_a, mapdata)
+    assert set(shared) == set(independent)
+    for name, choice_map in shared.items():
+        assert np.array_equal(choice_map.choices, independent[name].choices)
+        assert np.array_equal(
+            choice_map.regret, independent[name].regret, equal_nan=True
+        )
+    n_cells = int(np.prod(mapdata.grid_shape))
+    assert len(chosen) == 3 * n_cells
+    assert priced and max(priced.values()) == 1
+
+
 def test_cli_estimation_regret_smoke(tmp_path, monkeypatch):
     from repro.bench import cli
 

@@ -228,7 +228,7 @@ def test_dense_key_join_map_matches_pinned_digest():
     import hashlib
     import json
 
-    from repro.executor.joins import _DENSE_SPAN_PER_ROW
+    from repro.storage.btree import DENSE_SPAN_PER_ROW
 
     pin = json.loads((DATA_DIR / "golden_join_dense_sha256.json").read_text())
     scenario = JoinScenario(
@@ -245,7 +245,7 @@ def test_dense_key_join_map_matches_pinned_digest():
                 (scenario.input_values(n_build), scenario.input_values(n_probe))
             )
             span = int(keys.max()) - int(keys.min()) + 1
-            assert span <= _DENSE_SPAN_PER_ROW * keys.size
+            assert span <= DENSE_SPAN_PER_ROW * keys.size
     mapdata = scenario.run(memory_bytes=pin["memory_bytes"])
     encoded = json.dumps(
         mapdata.to_dict(), sort_keys=True, separators=(",", ":")
@@ -369,6 +369,69 @@ def test_pool_join_sweep_loads_each_build_size_in_one_worker(
     assert os.getpid() not in {pid for pid, _n_keys in loads}
     monkeypatch.undo()
     assert_identical(parallel, scenario.run(memory_bytes=8192))
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_join_cell_computes_its_result_once(monkeypatch, workers):
+    """Each join cell's oracle and its four plans share one join result:
+    ``join_matches`` runs once per cell (and once for the merge join the
+    budget is scaled from), serially and on a two-worker pool; the map
+    is the same either way."""
+    import repro.executor.joins as joins
+    from repro.bench.harness import BenchSession
+    from repro.bench.requests import BenchConfig, MapRequest
+
+    calls = multiprocessing.Value("i", 0)  # forked workers count too
+    real_matches = joins.join_matches
+
+    def counting_matches(left, right):
+        with calls.get_lock():
+            calls.value += 1
+        return real_matches(left, right)
+
+    monkeypatch.setattr(joins, "join_matches", counting_matches)
+    rows = (512, 1024, 2048, 4096)
+    config = BenchConfig(
+        n_rows=4096, join_rows=rows, n_workers=workers, cache_dir=None
+    )
+    mapdata = BenchSession(config).request_map(MapRequest("join"))
+    assert mapdata.grid_shape == (len(rows), len(rows))
+    assert calls.value == len(rows) ** 2 + 1
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_censored_join_map_matches_its_reference(workers):
+    """A join map with most index nested-loop cells censored: times,
+    aborted flags and a digest of the captured profiles (each censored
+    plan's span tree carries its abort clock), as recorded before the
+    join charged its probes in one pass."""
+    import hashlib
+    import json
+    import math
+
+    from repro.bench.harness import BenchSession
+    from repro.bench.requests import BenchConfig, MapRequest
+
+    ref = json.loads((DATA_DIR / "censored_join.json").read_text())
+    mapdata = BenchSession(
+        BenchConfig(
+            n_rows=ref["n_rows"],
+            join_rows=tuple(ref["join_rows"]),
+            budget_scale=ref["budget_scale"],
+            n_workers=workers,
+            trace=True,
+            cache_dir=None,
+        )
+    ).request_map(MapRequest("join"))
+    assert list(mapdata.plan_ids) == ref["plan_ids"]
+    assert mapdata.aborted.astype(int).tolist() == ref["aborted"]
+    assert ref["aborted"][-1] == [[0, 1, 1], [1, 1, 1], [1, 1, 1]]  # INL
+    assert [
+        [[None if math.isnan(t) else t for t in row] for row in plane]
+        for plane in mapdata.times.tolist()
+    ] == ref["seconds"]
+    profiles = json.dumps(mapdata.meta["profiles"], sort_keys=True).encode()
+    assert hashlib.sha256(profiles).hexdigest() == ref["profiles_sha256"]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.executor import (
     IndexRangeRidsNode,
     ExternalSortNode,
 )
-from repro.executor.joins import join_plan_inventory
+from repro.executor.joins import JoinInputs, join_plan_inventory
 from repro.sim.clock import SimClock
 from repro.sim.disk import Disk
 from repro.sim.profile import DeviceProfile
@@ -107,7 +107,7 @@ def get_many(pool, handle, pages):
     """Charge a page trace the way the naive fetch does, as one slice:
     the kernel's windows when it takes the trace, else the ``get`` loop."""
     pages = np.asarray(pages, dtype=np.int64)
-    if not pool.get_strided(handle, pages, max(1, pages.size), lambda: None):
+    if not pool.get_strided(handle, pages, max(1, pages.size), None):
         for page in pages.tolist():
             pool.get(handle, page)
 
@@ -387,7 +387,7 @@ def test_censored_inl_join_identical(fraction):
     def run(budget_seconds):
         env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
         runner = PlanRunner(env, budget_seconds=budget_seconds)
-        plan = join_plan_inventory(build_keys, probe_keys)["join.inl"]
+        plan = join_plan_inventory(JoinInputs(build_keys, probe_keys))["join.inl"]
         return runner.measure(plan)
 
     baseline = REFERENCE["inl"]["uncensored"]
@@ -404,22 +404,36 @@ def test_join_inventory_identical():
     runner = PlanRunner(env, memory_bytes=1 << 14)
     runs = {
         name: runner.measure(plan)
-        for name, plan in join_plan_inventory(build_keys, probe_keys).items()
+        for name, plan in join_plan_inventory(
+            JoinInputs(build_keys, probe_keys)
+        ).items()
     }
     assert set(runs) == set(REFERENCE["join_inventory"])
     for name, run in runs.items():
         assert_run_matches(REFERENCE["join_inventory"][name], run)
 
 
-def test_check_budget_every_matches_stride():
-    env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=8)
-    ctx = ExecContext(env, budget_seconds=1e-12)
-    ctx.arm_budget()
-    env.clock.advance(1.0)
+def test_over_budget_is_check_budget_elementwise():
+    """``over_budget`` flags exactly the clocks at which ``check_budget``
+    raises: the same ``(now - start) > budget`` expression, which rounds
+    differently from ``now > start + budget``.  No budget flags none."""
     from repro.executor.context import CostBudgetExceeded
 
-    # Not at a stride boundary: no check, no raise.
-    ctx.check_budget_every(0, 4)
-    ctx.check_budget_every(2, 4)
-    with pytest.raises(CostBudgetExceeded):
-        ctx.check_budget_every(3, 4)  # done % stride == stride - 1
+    env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=8)
+    env.clock.advance(0.1)
+    ctx = ExecContext(env, budget_seconds=0.2)
+    ctx.arm_budget()
+    edge = 0.1 + 0.2  # spent 0.20000000000000004 > 0.2, yet edge == start + budget
+    values = [0.1, 0.3, edge, 0.5]
+    raises = []
+    for now in values:
+        env.clock._now = now
+        try:
+            ctx.check_budget()
+            raises.append(False)
+        except CostBudgetExceeded:
+            raises.append(True)
+    assert raises == [False, False, True, True]
+    assert ctx.over_budget(np.array(values)).tolist() == raises
+    assert [now > 0.1 + 0.2 for now in values] != raises
+    assert not ExecContext(env).over_budget(np.array(values)).any()

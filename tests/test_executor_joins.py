@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.executor.context import ExecContext
 from repro.executor.joins import (
-    _DENSE_SPAN_PER_ROW,
     JOIN_PLAN_IDS,
     HashJoinNode,
     IndexNestedLoopJoinNode,
+    JoinInputs,
     MergeJoinNode,
     join_matches,
     join_plan_inventory,
 )
 from repro.executor.plans import PlanRunner
 from repro.executor.sort import SpillPolicy
+from repro.storage.btree import DENSE_SPAN_PER_ROW
 
 
 def brute_force_matches(left, right) -> int:
@@ -61,13 +62,13 @@ def counter_matches(left, right) -> list[int]:
 @st.composite
 def join_inputs(draw):
     """Key lists around the dense/sparse switch: the span per input row
-    is drawn on both sides of ``_DENSE_SPAN_PER_ROW``, keys may be
+    is drawn on both sides of ``DENSE_SPAN_PER_ROW``, keys may be
     negative, a side may be empty or hold one distinct key."""
     n_left = draw(st.integers(0, 60))
     n_right = draw(st.integers(0, 60))
     rows = max(1, n_left + n_right)
     span_per_row = draw(
-        st.sampled_from([0.25, 1.0, _DENSE_SPAN_PER_ROW, _DENSE_SPAN_PER_ROW + 1, 20])
+        st.sampled_from([0.25, 1.0, DENSE_SPAN_PER_ROW, DENSE_SPAN_PER_ROW + 1, 20])
     )
     low = draw(st.integers(-1000, 1000))
     high = low + max(0, int(span_per_row * rows) - 1)
@@ -93,7 +94,7 @@ def test_join_matches_equals_counter_reference(inputs):
 
 def test_join_matches_takes_both_paths(monkeypatch):
     """The switch sits where the constant says: a span of exactly
-    ``_DENSE_SPAN_PER_ROW`` per row counts, one key more sorts."""
+    ``DENSE_SPAN_PER_ROW`` per row counts, one key more sorts."""
     import repro.executor.joins as joins
 
     sorted_calls = []
@@ -105,7 +106,7 @@ def test_join_matches_takes_both_paths(monkeypatch):
 
     monkeypatch.setattr(joins, "intersect_rids", intersect_rids)
     rows = 8
-    edge = rows * _DENSE_SPAN_PER_ROW - 1  # span = edge + 1
+    edge = rows * DENSE_SPAN_PER_ROW - 1  # span = edge + 1
     left = np.array([0, 3, 3, edge], dtype=np.int64)
     right = np.array([3, 5, edge, edge], dtype=np.int64)
     assert join_matches(left, right).tolist() == [3, 3, edge, edge]
@@ -265,6 +266,6 @@ def test_index_nested_loop_respects_budget(env, rng):
 
 def test_join_plan_inventory_ids(rng):
     plans = join_plan_inventory(
-        rng.integers(0, 8, 16), rng.integers(0, 8, 16)
+        JoinInputs(rng.integers(0, 8, 16), rng.integers(0, 8, 16))
     )
     assert tuple(plans) == JOIN_PLAN_IDS

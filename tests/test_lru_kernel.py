@@ -157,7 +157,7 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
         scalar_pool.get(scalar_handles[which], page)
     pages = np.asarray(trace, dtype=np.int64)
     assert kernel_pool.get_strided(
-        kernel_handles[0], pages, pages.size, lambda: None
+        kernel_handles[0], pages, pages.size, None
     )
     for page in pages:
         scalar_pool.get(scalar_handles[0], int(page))
@@ -260,7 +260,7 @@ def test_fitting_trace_plan_equals_get_loop(data):
 
     planned = kernel_pool.plan_many(kernel_handles[0], pages)
     assert kernel_pool.get_strided(
-        kernel_handles[0], pages, max(1, pages.size), lambda: None
+        kernel_handles[0], pages, max(1, pages.size), None
     )
     flags, evictions = [], scalar_pool.stats.evictions
     for page in trace:
@@ -280,6 +280,25 @@ def test_fitting_trace_plan_equals_get_loop(data):
 _PROBE_STRIDE = 16
 
 
+class _RecordingBudget:
+    """An :class:`ExecContext`'s budget, recording the checks a batch
+    evaluates: ``checked`` counts those up to and including the first
+    that fails, so its last is the check the batch aborts at."""
+
+    def __init__(self, ctx: ExecContext) -> None:
+        self.ctx = ctx
+        self.checked = 0
+
+    def over_budget(self, clock_values):
+        over = self.ctx.over_budget(clock_values)
+        failing = np.flatnonzero(over)
+        self.checked += int(failing[0]) + 1 if failing.size else over.size
+        return over
+
+    def check_budget(self) -> None:
+        self.ctx.check_budget()
+
+
 def _probe_until_censored(batched: bool, budget_seconds: float):
     """(last probe checked, clock, disk stats) of one budgeted probe run.
 
@@ -294,18 +313,19 @@ def _probe_until_censored(batched: bool, budget_seconds: float):
     ctx = ExecContext(env, budget_seconds=budget_seconds)
     ctx.arm_budget()
     checked = []
-
-    def check(done: int) -> None:
-        checked.append(done)
-        ctx.check_budget_every(done, _PROBE_STRIDE)
-
     try:
         if batched:
-            tree.probe_many(probes, budget_check=check, budget_stride=_PROBE_STRIDE)
+            budget = _RecordingBudget(ctx)
+            try:
+                tree.probe_many(probes, budget=budget, budget_stride=_PROBE_STRIDE)
+            finally:
+                checked.append(budget.checked * _PROBE_STRIDE - 1)
         else:
             for done, key in enumerate(probes.tolist()):
                 tree.probe(key)
-                check(done)
+                if done % _PROBE_STRIDE == _PROBE_STRIDE - 1:
+                    checked.append(done)
+                    ctx.check_budget()
     except CostBudgetExceeded:
         pass
     return checked[-1], env.clock.now, env.disk.stats
@@ -322,6 +342,88 @@ def test_fitting_probe_trace_aborts_at_the_loops_probe():
     assert reference[0] % _PROBE_STRIDE == _PROBE_STRIDE - 1
     assert reference[0] < 399
     assert _probe_until_censored(True, budget) == reference
+
+
+def _budgeted_probes(batched, entries, probes, pool_pages, stride, fraction):
+    """One budgeted probe run: (abort probe or None, clock, disk stats,
+    pool stats, resident order, counts or None).
+
+    The budget is ``fraction`` of the uncensored loop's clock (``None``:
+    no budget), checked after every ``stride``-th probe."""
+    env = StorageEnv(DeviceProfile(page_size=512), pool_pages=pool_pages)
+    tree = BPlusTree(env, "t", entry_bytes=64)
+    tree.bulk_load(entries, {"rid": np.arange(entries.size, dtype=np.int64)})
+    budget_seconds = None
+    if fraction is not None:
+        budget_seconds = fraction * _budgeted_probes(
+            False, entries, probes, pool_pages, stride, None
+        )[1]
+    env.cold_reset()
+    ctx = ExecContext(env, budget_seconds=budget_seconds)
+    ctx.arm_budget()
+    aborted_at, counts = None, None
+    try:
+        if batched:
+            budget = _RecordingBudget(ctx)
+            try:
+                counts = tree.probe_many(
+                    probes, budget=budget, budget_stride=stride
+                ).tolist()
+            except CostBudgetExceeded:
+                aborted_at = budget.checked * stride - 1
+                raise
+        else:
+            counts = []
+            for done, key in enumerate(probes.tolist()):
+                counts.append(int(tree.probe(key)[0].size))
+                if done % stride == stride - 1:
+                    aborted_at = done
+                    ctx.check_budget()
+            aborted_at = None
+    except CostBudgetExceeded:
+        counts = None
+    return (
+        aborted_at,
+        env.clock.now,
+        env.disk.stats,
+        vars(env.pool.stats),
+        list(env.pool._resident),
+        counts,
+    )
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_budgeted_probe_many_equals_probe_loop(data):
+    """``probe_many`` under a budget against the ``probe()`` loop that
+    checks it every ``stride`` probes, over dense and sparse key domains
+    (counted and searched bounds), fitting and evicting pools and random
+    budgets: the same abort probe, clock and disk statistics, with the
+    pool untouched by an abort; on completion the same counts, pool
+    statistics and resident order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    domain = data.draw(st.sampled_from([64, 1 << 40]))
+    entries = np.sort(rng.integers(-domain, domain, data.draw(st.integers(0, 300))))
+    probes = np.concatenate(
+        [
+            rng.choice(entries, data.draw(st.integers(0, 150)))
+            if entries.size
+            else np.empty(0, dtype=np.int64),
+            rng.integers(-domain - 2, domain + 2, data.draw(st.integers(0, 150))),
+        ]
+    )
+    rng.shuffle(probes)
+    pool_pages = data.draw(st.sampled_from([2, 3, 256]))
+    stride = data.draw(st.integers(1, 40))
+    fraction = data.draw(st.one_of(st.none(), st.floats(0.0, 1.2)))
+    loop = _budgeted_probes(False, entries, probes, pool_pages, stride, fraction)
+    batch = _budgeted_probes(True, entries, probes, pool_pages, stride, fraction)
+    assert batch[:3] == loop[:3]
+    if batch[0] is None:
+        assert batch[3:] == loop[3:]
+    else:
+        assert batch[3] == {"hits": 0, "misses": 0, "evictions": 0}
+        assert batch[4] == []
 
 
 def test_dominance_helpers_with_nothing_to_count():
@@ -342,30 +444,38 @@ def test_dominance_helpers_with_nothing_to_count():
 
 
 class _Censored(Exception):
-    """Raised by a test checkpoint: the stand-in for budget exhaustion."""
+    """Raised by a test budget: the stand-in for budget exhaustion."""
 
 
-def _checkpoint(disk, abort_at):
-    """A checkpoint recording (clock, disk stats) at every call, raising
-    at call ``abort_at`` (1-based; ``None``: never)."""
-    seen = []
+class _CountedBudget:
+    """A budget whose check number ``abort_at`` fails (1-based;
+    ``None``: none does), recording the clock at every check up to it."""
 
-    def check():
-        seen.append((disk.clock.now, dataclasses.asdict(disk.stats)))
-        if len(seen) == abort_at:
-            raise _Censored
+    def __init__(self, abort_at) -> None:
+        self.abort_at = abort_at
+        self.seen: list[float] = []
 
-    return check, seen
+    def over_budget(self, clock_values):
+        over = np.zeros(len(clock_values), dtype=bool)
+        for index, now in enumerate(np.asarray(clock_values).tolist()):
+            self.seen.append(now)
+            if len(self.seen) == self.abort_at:
+                over[index] = True
+                break
+        return over
+
+    def check_budget(self) -> None:
+        raise _Censored
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_windowed_charging_equals_checked_get_loop(data):
-    """Window by window, against the ``get`` loop with a checkpoint
-    every stride: bitwise clock and disk statistics at every checkpoint
-    and at the abort (in the first window, a later one, or never); the
-    pool untouched by an abort, its statistics and resident order the
-    loop's on completion."""
+    """Window by window, against the ``get`` loop with a budget check
+    every stride: the bitwise clock at every check, the clock and disk
+    statistics at the abort (in the first window, a later one, or
+    never); the pool untouched by an abort, its statistics and resident
+    order the loop's on completion."""
     capacity = data.draw(st.integers(1, 12))
     warm = data.draw(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=16)
@@ -387,31 +497,32 @@ def test_windowed_charging_equals_checked_get_loop(data):
     stats_before = dict(vars(kernel_pool.stats))
     resident_before = list(kernel_pool._resident)
 
-    scalar_check, scalar_seen = _checkpoint(scalar_disk, abort_at)
+    scalar_budget = _CountedBudget(abort_at)
     scalar_aborted = False
     try:
         for start in range(0, len(trace), stride):
             for page in trace[start : start + stride]:
                 scalar_pool.get(scalar_handles[0], page)
-            scalar_check()
+            if scalar_budget.over_budget([scalar_disk.clock.now])[0]:
+                scalar_budget.check_budget()
     except _Censored:
         scalar_aborted = True
 
-    kernel_check, kernel_seen = _checkpoint(kernel_disk, abort_at)
+    kernel_budget = _CountedBudget(abort_at)
     kernel_aborted = False
     before = buffer_pool._FIRST_WINDOW_STRIDES
     buffer_pool._FIRST_WINDOW_STRIDES = window_strides
     try:
         kernel_pool.get_strided(
-            kernel_handles[0], np.asarray(trace, dtype=np.int64), stride, kernel_check
+            kernel_handles[0], np.asarray(trace, dtype=np.int64), stride, kernel_budget
         )
     except _Censored:
         kernel_aborted = True
     finally:
         buffer_pool._FIRST_WINDOW_STRIDES = before
 
+    assert kernel_budget.seen == scalar_budget.seen
     assert kernel_aborted == scalar_aborted
-    assert kernel_seen == scalar_seen
     assert kernel_disk.clock.now == scalar_disk.clock.now
     assert kernel_disk.stats == scalar_disk.stats
     if kernel_aborted:
@@ -433,14 +544,16 @@ def test_censored_naive_fetch_simulates_little_past_its_abort(monkeypatch):
         return real_simulate(trace, resident, capacity)
 
     checks = []
-    real_check = ExecContext.check_budget
+    real_over_budget = ExecContext.over_budget
 
-    def counting_check(self):
-        checks.append(self.env.clock.now)
-        real_check(self)
+    def counting_over_budget(self, clock_values):
+        over = real_over_budget(self, clock_values)
+        failing = np.flatnonzero(over)
+        checks.extend(clock_values[: failing[0] + 1 if failing.size else None])
+        return over
 
     monkeypatch.setattr(buffer_pool, "simulate_lru", counting_simulate)
-    monkeypatch.setattr(ExecContext, "check_budget", counting_check)
+    monkeypatch.setattr(ExecContext, "over_budget", counting_over_budget)
     env = StorageEnv(SMALL_PROFILE, pool_pages=64)
     table = make_table(env)
     n_rids = 60_000

@@ -14,7 +14,7 @@ from repro.bench.harness import BenchSession
 from repro.bench.requests import BenchConfig, MapRequest
 from repro.core.scenario import EstimationErrorScenario, SinglePredicateScenario
 from repro.errors import ExperimentError, PlanError
-from repro.executor.joins import join_plan_inventory
+from repro.executor.joins import JoinInputs, join_plan_inventory
 from repro.executor.plans import PlanRunner, TableScanNode
 from repro.obs.profile import profile_key, profiles_from_meta
 from repro.optimizer import (
@@ -214,7 +214,7 @@ def test_unpriced_node_is_plan_error():
     """Only the estimation map's candidates are priced; the rest say so."""
     model = CostModel(DeviceProfile())
     keys = np.arange(8, dtype=np.int64)
-    for plan in join_plan_inventory(keys, keys).values():
+    for plan in join_plan_inventory(JoinInputs(keys, keys)).values():
         with pytest.raises(PlanError, match="no compile-time cost model"):
             model.cost(plan, {"rows.out": 8.0})
 

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -740,6 +741,93 @@ def test_http_rejections_are_429(monkeypatch):
         assert over.value.code == 429
     finally:
         release.set()
+        server.shutdown()
+        server.server_close()
+        manager.close()
+
+
+def _reset(sock: socket.socket) -> None:
+    """Hang up with an RST, not a FIN (``SO_LINGER`` on, zero linger)."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_http_client_hang_ups_are_not_server_errors(monkeypatch):
+    """A client that resets its connection while ``?wait=`` blocks, or
+    right after a POST, costs no ``handle_error`` (socketserver's
+    traceback to stderr): the server keeps answering and the jobs
+    finish.  The server is held until each reset has landed, so every
+    reply is written to a dead connection."""
+    import repro.bench.harness as harness_module
+
+    release = threading.Event()
+    real_compute = harness_module.compute_map
+
+    def held_compute(session, definition):
+        assert release.wait(10)
+        return real_compute(session, definition)
+
+    monkeypatch.setattr(harness_module, "compute_map", held_compute)
+    manager = make_manager()
+    server = build_server(manager)
+    errors = []
+    server.handle_error = lambda request, address: errors.append(address)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
+    gates: dict[str, tuple[threading.Event, threading.Event]] = {}
+
+    def hold(name):
+        """Hold a handler inside ``manager.<name>`` while a gate is set."""
+        real = getattr(manager, name)
+
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            gate = gates.pop(name, None)
+            if gate is not None:
+                gate[0].set()
+                assert gate[1].wait(10)
+            return result
+
+        monkeypatch.setattr(manager, name, call)
+
+    def hang_up_inside(name: str, request: bytes) -> None:
+        entered, hung_up = gates[name] = threading.Event(), threading.Event()
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.sendall(request)
+        assert entered.wait(10)
+        _reset(sock)
+        hung_up.set()
+
+    hold("wait")
+    hold("submit")
+    try:
+        code, waited = _post(base, "/maps", {"scenario": "join"})
+        assert code == 202
+        # The job is held, so the wait times out; the status reply then
+        # goes to a connection reset while the handler was inside it.
+        hang_up_inside(
+            "wait",
+            f"GET /jobs/{waited['job_id']}?wait=0.1 HTTP/1.1\r\n\r\n".encode(),
+        )
+        body = json.dumps({"scenario": "join", "overrides": {"seed": 7}}).encode()
+        hang_up_inside(
+            "submit",
+            b"POST /maps HTTP/1.1\r\nHost: t\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body,
+        )
+        time.sleep(0.2)  # the handlers write their replies and return
+        assert _get(base, "/healthz") == (200, {"ok": True})
+        release.set()
+        assert manager.wait(waited["job_id"], timeout=120).state == "done"
+        posted = MapRequest("join", {"seed": 7}).fingerprint(manager.config)
+        assert manager.wait(posted, timeout=120).state == "done"
+        assert errors == []
+    finally:
+        release.set()
+        for _, hung_up in gates.values():
+            hung_up.set()
         server.shutdown()
         server.server_close()
         manager.close()
