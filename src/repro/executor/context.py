@@ -8,6 +8,8 @@ its cost explodes.  A plan that exceeds its budget aborts with
 
 from __future__ import annotations
 
+from typing import Callable, Hashable, TypeVar
+
 import numpy as np
 
 from repro.errors import ExecutionError
@@ -28,14 +30,70 @@ class CostBudgetExceeded(ExecutionError):
         self.spent_seconds = spent_seconds
 
 
+_T = TypeVar("_T")
+
+
+class PayloadMemo:
+    """Uncharged host payload shared by the plans that one runner measures.
+
+    Plans of one provider at one cell read the same index ranges and
+    derive the same arrays from them: System A's four intersections
+    intersect one pair of rid lists, System B's two plans per index
+    filter one span, System C's plain and MDAM scans of an index decode
+    one span.  What those computations return is memoized here; what
+    they *charge* never is, since every plan still makes each of its
+    ``ctx.charge``, ``read_scattered``, pool access, grant and budget
+    check itself (README's host-payload rule).
+
+    Entries come in two kinds:
+
+    * by value (:meth:`get`): the key is hashable data — an index object
+      and integer bounds — that fixes the value;
+    * by identity (:meth:`derived`): the key is the identity of input
+      arrays, which the entry keeps alive so no other array can take
+      their ids while the memo lives.
+
+    A memo belongs to one :class:`~repro.executor.plans.PlanRunner` and
+    dies with it, so it holds one cell's payload at most: it is never
+    shared between runners, processes or threads.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, object] = {}
+
+    def get(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """The value under ``key``, computed by ``compute()`` the first time."""
+        entries = self._entries
+        if key not in entries:
+            entries[key] = compute()
+        return entries[key]  # type: ignore[return-value]
+
+    def derived(
+        self, name: str, inputs: tuple, compute: Callable[[], _T]
+    ) -> _T:
+        """``compute()`` of the ``inputs`` objects, once per identity."""
+        key = (name, *map(id, inputs))
+        entries = self._entries
+        if key not in entries:
+            entries[key] = (inputs, compute())
+        return entries[key][1]  # type: ignore[index]
+
+
 class ExecContext:
-    """Everything an operator needs while executing one plan."""
+    """Everything an operator needs while executing one plan.
+
+    ``memo`` is the runner's :class:`PayloadMemo`; a context made on its
+    own gets a fresh one, so every operator has a single code path.
+    """
 
     def __init__(
         self,
         env: StorageEnv,
         memory_bytes: int | None = None,
         budget_seconds: float | None = None,
+        memo: PayloadMemo | None = None,
     ) -> None:
         self.env = env
         self.broker = MemoryBroker(
@@ -43,6 +101,7 @@ class ExecContext:
         )
         self.budget_seconds = budget_seconds
         self._budget_start = env.clock.now
+        self.memo = memo if memo is not None else PayloadMemo()
 
     @property
     def profile(self) -> DeviceProfile:

@@ -30,9 +30,9 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import PlanError
-from repro.executor.context import CostBudgetExceeded, ExecContext
+from repro.executor.context import CostBudgetExceeded, ExecContext, PayloadMemo
 from repro.executor.fetch import FetchStrategy
-from repro.executor.mdam import mdam_scan
+from repro.executor.mdam import mdam_scan, trailing_filter
 from repro.executor.predicates import ColumnRange, apply_predicates
 from repro.executor.results import Result
 from repro.executor.sort import ExternalSort, SpillPolicy
@@ -188,17 +188,24 @@ class IndexRangeRidsNode(PlanNode):
 
     def execute(self, ctx: ExecContext) -> Result:
         with trace_op(ctx, "index-range-scan", "index"):
-            key_range = self.index.key_range_for(
+            index = self.index
+            key_range = index.key_range_for(
                 {self.predicate.column: self.predicate.as_tuple()}
             )
             if key_range is None:
                 return Result.empty()
-            keys, rids = self.index.read_range(*key_range)
+            keys, rids = index.read_range(*key_range)
             ctx.charge(keys.size, ctx.profile.cpu_bitmap_op)
             ctx.check_budget()
-            return Result(
-                np.asarray(rids, dtype=np.int64),
-                {self.predicate.column: np.asarray(keys, dtype=np.int64)},
+            # One result object per (index, range) and runner, so the
+            # rid lists that plans share have one identity
+            # (:func:`_intersection` memoizes by it).
+            return ctx.memo.get(
+                ("index-range", index, key_range),
+                lambda: Result(
+                    np.asarray(rids, dtype=np.int64),
+                    {self.predicate.column: np.asarray(keys, dtype=np.int64)},
+                ),
             )
 
     def estimated_rows(self, est: dict) -> float:
@@ -253,21 +260,16 @@ class CompositeRangeRidsNode(PlanNode):
         if lead_lo > lead_hi:
             return Result.empty()
         lo_arr, hi_arr = codec.prefix_bounds(np.asarray([lead_lo, lead_hi]))
-        keys, rids = index.read_range(int(lo_arr[0]), int(hi_arr[1]))
+        key_range = (int(lo_arr[0]), int(hi_arr[1]))
+        keys, _rids = index.read_range(*key_range)
         profile = ctx.profile
         ctx.charge(keys.size, profile.cpu_predicate)
-        lead_vals, trail_vals = codec.decode(keys)
-        mask = self.trailing.mask(trail_vals)
-        rids_out = np.asarray(rids, dtype=np.int64)[mask]
-        ctx.charge(rids_out.size, profile.cpu_bitmap_op)
-        ctx.check_budget()
-        return Result(
-            rids_out,
-            {
-                self.leading.column: lead_vals[mask],
-                self.trailing.column: trail_vals[mask],
-            },
+        _inside, result = trailing_filter(
+            ctx, index, key_range, self.trailing.as_tuple()
         )
+        ctx.charge(result.n_rows, profile.cpu_bitmap_op)
+        ctx.check_budget()
+        return result
 
 
 class FetchNode(PlanNode):
@@ -310,18 +312,15 @@ class FetchNode(PlanNode):
                 )
                 # Visibility verification keeps the child's (index) columns
                 # but the rid order of the fetch.
-                order = rid_sort_order(child_result.rids)
-                sorted_child_rids = child_result.rids[order]
+                sorted_child = _rid_sorted(ctx, child_result)
                 fetched_rids = fetched.rids
-                if not np.array_equal(
-                    fetched_rids[rid_sort_order(fetched_rids)], sorted_child_rids
+                # A fetch that hands back the child's own rid list (the
+                # naive one) cannot have changed the set.
+                if fetched_rids is not child_result.rids and not np.array_equal(
+                    fetched_rids[rid_sort_order(fetched_rids)], sorted_child.rids
                 ):
                     raise PlanError("verify-only fetch changed the rid set")
-                columns = {
-                    name: values[order]
-                    for name, values in child_result.columns.items()
-                }
-                return Result(sorted_child_rids, columns)
+                return sorted_child
             return self.strategy.fetch(
                 ctx,
                 self.table,
@@ -364,6 +363,18 @@ class FetchNode(PlanNode):
         return cost
 
 
+def _rid_sorted(ctx: ExecContext, result: Result) -> Result:
+    """``result`` with its rows in ascending rid order, once per result
+    and runner (host payload: charges nothing)."""
+
+    def sort() -> Result:
+        order = rid_sort_order(result.rids)
+        columns = {name: values[order] for name, values in result.columns.items()}
+        return Result(result.rids[order], columns)
+
+    return ctx.memo.derived("rid-sorted", (result,), sort)
+
+
 #: Bytes per row a rid sort holds in its workspace and spills.
 _RID_SORT_ROW_BYTES = 16
 
@@ -385,6 +396,24 @@ def _charge_rid_sort(ctx: ExecContext, n_rids: int) -> None:
             ctx.temp.read_run_fully(spill)
         else:
             grant.release()
+
+
+def _intersection(
+    ctx: ExecContext, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`intersect_rids` of two rid lists, once per pair and runner
+    in either order (host payload: charges nothing).
+
+    Unique rids fix every output array, whichever side is passed first:
+    the common rids ascend and each position is that rid's place in its
+    list.
+    """
+    if id(left) > id(right):
+        common, right_pos, left_pos = _intersection(ctx, right, left)
+        return common, left_pos, right_pos
+    return ctx.memo.derived(
+        "rid-intersection", (left, right), lambda: intersect_rids(left, right)
+    )
 
 
 class RidIntersectNode(PlanNode):
@@ -446,7 +475,7 @@ class RidIntersectNode(PlanNode):
             ctx.charge(probe_res.n_rows, profile.cpu_hash)
         # Merge and hash differ in what they charge, not in what they
         # produce: rids are unique, so the result is the same either way.
-        common, left_pos, right_pos = intersect_rids(left.rids, right.rids)
+        common, left_pos, right_pos = _intersection(ctx, left.rids, right.rids)
         columns = {
             name: values[left_pos] for name, values in left.columns.items()
         }
@@ -685,7 +714,13 @@ class MeasuredRun:
 
 
 class PlanRunner:
-    """Measures plans under cold-cache conditions on the virtual clock."""
+    """Measures plans under cold-cache conditions on the virtual clock.
+
+    The plans one runner measures share their uncharged host payload
+    through its :class:`~repro.executor.context.PayloadMemo`, which
+    lives exactly as long as the runner: a sweep makes one runner per
+    provider and cell.  Each measurement still makes every charge itself.
+    """
 
     def __init__(
         self,
@@ -696,6 +731,7 @@ class PlanRunner:
         self.env = env
         self.memory_bytes = memory_bytes
         self.budget_seconds = budget_seconds
+        self.memo = PayloadMemo()
 
     def measure(self, plan: PlanNode) -> MeasuredRun:
         """Run the plan once and return its measured virtual cost."""
@@ -704,6 +740,7 @@ class PlanRunner:
             self.env,
             memory_bytes=self.memory_bytes,
             budget_seconds=self.budget_seconds,
+            memo=self.memo,
         )
         before = self.env.disk.stats.snapshot()
         ctx.arm_budget()

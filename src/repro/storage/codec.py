@@ -102,22 +102,3 @@ class CompositeKeyCodec:
         lo = leading << shift
         hi = lo | ((1 << shift) - 1)
         return lo, hi
-
-    def with_trailing_range(
-        self, leading: np.ndarray, trailing_lo: int, trailing_hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-leading-value key bounds for a trailing-column range.
-
-        Only defined for two-column codecs (the MDAM probe pattern):
-        returns ``encode(a, b_lo)`` and ``encode(a, b_hi)`` arrays.
-        """
-        if self.n_columns != 2:
-            raise KeyCodecError("trailing-range probes need a two-column codec")
-        leading = np.asarray(leading, dtype=np.int64)
-        maximum = self._maxima[1]
-        if not (0 <= trailing_lo <= maximum and 0 <= trailing_hi <= maximum):
-            raise KeyCodecError(f"trailing range outside [0, {maximum}]")
-        shift = self._shifts[0]
-        base = leading << shift
-        return base | trailing_lo, base | trailing_hi
-

@@ -434,6 +434,85 @@ def test_censored_join_map_matches_its_reference(workers):
     assert hashlib.sha256(profiles).hexdigest() == ref["profiles_sha256"]
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_two_predicate_cell_shares_its_index_payload(monkeypatch, workers):
+    """The plans one provider runs at one cell share their uncharged
+    index work: System A's four intersection plans intersect their two
+    rid lists once (one top-level ``intersect_rids`` per cell, not
+    four), and each composite index's span is decoded once per
+    (index, ranges) for the filtering scan, the naive or bitmap fetch
+    over it and MDAM alike (two decodes per system and cell).  Serially
+    and on a two-worker pool."""
+    import repro.executor.plans as plans
+    from repro.bench.harness import BenchSession
+    from repro.bench.requests import BenchConfig, MapRequest
+    from repro.storage.codec import CompositeKeyCodec
+
+    intersections = multiprocessing.Value("i", 0)  # forked workers count too
+    decodes = multiprocessing.Value("i", 0)
+    real_intersect = plans.intersect_rids
+    real_decode = CompositeKeyCodec.decode
+
+    def counting_intersect(left, right):
+        with intersections.get_lock():
+            intersections.value += 1
+        return real_intersect(left, right)
+
+    def counting_decode(codec, keys):
+        with decodes.get_lock():
+            decodes.value += 1
+        return real_decode(codec, keys)
+
+    monkeypatch.setattr(plans, "intersect_rids", counting_intersect)
+    monkeypatch.setattr(CompositeKeyCodec, "decode", counting_decode)
+    config = BenchConfig(
+        n_rows=8192, min_exp_2d=-12, n_workers=workers, cache_dir=None
+    )
+    mapdata = BenchSession(config).request_map(MapRequest("two_predicate"))
+    n_cells = 13 * 13
+    assert mapdata.grid_shape == (13, 13)
+    assert intersections.value == n_cells
+    assert decodes.value == 2 * 2 * n_cells
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_censored_two_predicate_map_matches_its_reference(workers):
+    """Two-predicate maps with every cell censored (budget scales 0.05
+    and 0.01) and with some censored (2.0): times, aborted flags and a
+    digest of the captured profiles (each censored plan's span tree
+    carries its abort clock), as recorded before MDAM counted its probe
+    bounds and a cell's plans shared their index payload."""
+    import hashlib
+    import json
+    import math
+
+    from repro.bench.harness import BenchSession
+    from repro.bench.requests import BenchConfig, MapRequest
+
+    ref = json.loads((DATA_DIR / "censored_two_predicate.json").read_text())
+    for run in ref["runs"]:
+        mapdata = BenchSession(
+            BenchConfig(
+                n_rows=ref["n_rows"],
+                min_exp_2d=ref["min_exp_2d"],
+                budget_scale=run["budget_scale"],
+                n_workers=workers,
+                trace=True,
+                cache_dir=None,
+            )
+        ).request_map(MapRequest("two_predicate"))
+        assert list(mapdata.plan_ids) == ref["plan_ids"]
+        assert mapdata.aborted.astype(int).tolist() == run["aborted"]
+        assert [
+            [[None if math.isnan(t) else t for t in row] for row in plane]
+            for plane in mapdata.times.tolist()
+        ] == run["seconds"]
+        profiles = json.dumps(mapdata.meta["profiles"], sort_keys=True).encode()
+        assert hashlib.sha256(profiles).hexdigest() == run["profiles_sha256"]
+    assert [run["budget_scale"] for run in ref["runs"]] == [0.05, 0.01, 2.0]
+    assert all(min(map(min, map(min, run["aborted"]))) for run in ref["runs"][:2])
+
+
 # ---------------------------------------------------------------------------
 # specs and the registry
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import PlanError
 from repro.executor.context import ExecContext
-from repro.executor.mdam import _positions_from_spans, mdam_scan
+from repro.executor.mdam import mdam_scan
 from repro.sim.profile import DeviceProfile
 from repro.storage import StorageEnv, Table
 
@@ -16,16 +16,6 @@ def build(a_vals, b_vals):
     table = Table(env, "t", {"a": np.asarray(a_vals), "b": np.asarray(b_vals)})
     index = table.create_index("idx_ab", ["a", "b"])
     return env, table, index
-
-
-def test_positions_from_spans():
-    starts = np.array([0, 5, 9])
-    ends = np.array([2, 5, 12])
-    assert _positions_from_spans(starts, ends).tolist() == [0, 1, 9, 10, 11]
-
-
-def test_positions_from_spans_empty():
-    assert _positions_from_spans(np.array([3]), np.array([3])).size == 0
 
 
 def test_mdam_requires_composite_index(indexed_table, env):
@@ -125,3 +115,55 @@ def test_mdam_matches_brute_force_property(data, n_rows, a_card):
     result = mdam_scan(ctx, index, (a_lo, a_hi), (b_lo, b_hi))
     mask = (a >= a_lo) & (a <= a_hi) & (b >= b_lo) & (b <= b_hi)
     assert sorted(result.rids.tolist()) == sorted(np.flatnonzero(mask).tolist())
+
+
+def _charged(env, scan, index, leading_range, trailing_range):
+    """Clock, disk counters and result of one cold scan."""
+    env.cold_reset()
+    before = env.disk.stats.snapshot()
+    result = scan(ExecContext(env), index, leading_range, trailing_range)
+    return env.clock.now, vars(env.disk.stats.delta(before)), result
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    n_rows=st.integers(1, 1500),
+    a_card=st.one_of(st.integers(1, 8), st.integers(1, 300)),
+    b_card=st.integers(1, 400),
+)
+def test_mdam_charges_what_searching_for_its_bounds_charged(
+    data, n_rows, a_card, b_card
+):
+    """Counting each probe's bounds inside the decoded span charges
+    exactly what searching the whole leaf level for them charged: same
+    clock, every disk counter, same rids and columns in the same order.
+
+    1 KiB pages hold few entries per leaf, so leading-value groups cross
+    leaves; few leading values give long groups of duplicates, which a
+    narrow trailing range turns into probes that jump over leaves, and
+    many give near-singletons; the ranges may reach past the domain on
+    either side or select no trailing value at all."""
+    from tests.oracles import searchsorted_mdam_scan
+
+    seed = data.draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, a_card, n_rows)
+    b = rng.integers(0, b_card, n_rows)
+    env, _table, index = build(a, b)
+    a_lo = data.draw(st.integers(-2, 2 * a_card))
+    a_hi = data.draw(st.integers(a_lo, 2 * a_card + 2))
+    b_lo = data.draw(st.integers(-2, 2 * b_card))
+    b_width = data.draw(st.one_of(st.integers(-1, 4), st.integers(-1, 2 * b_card)))
+    b_hi = b_lo + b_width
+    ranges = ((a_lo, a_hi), (b_lo, b_hi))
+    clock, stats, result = _charged(env, mdam_scan, index, *ranges)
+    o_clock, o_stats, oracle = _charged(env, searchsorted_mdam_scan, index, *ranges)
+    assert clock == o_clock
+    assert stats == o_stats
+    assert np.array_equal(result.rids, oracle.rids)
+    assert result.rids.dtype == oracle.rids.dtype
+    assert list(result.columns) == list(oracle.columns)
+    for name, values in oracle.columns.items():
+        assert np.array_equal(result.columns[name], values)
+        assert result.columns[name].dtype == values.dtype

@@ -86,18 +86,6 @@ def test_prefix_bounds_cover_all_trailing_values():
     assert hi[0] == codec.encode_scalar([3, 255])
 
 
-def test_with_trailing_range():
-    codec = CompositeKeyCodec([8, 8])
-    lo, hi = codec.with_trailing_range(np.array([4, 5]), 10, 20)
-    assert lo[0] == codec.encode_scalar([4, 10])
-    assert hi[1] == codec.encode_scalar([5, 20])
-
-
-def test_with_trailing_range_needs_two_columns():
-    codec = CompositeKeyCodec([8, 8, 8])
-    with pytest.raises(KeyCodecError):
-        codec.with_trailing_range(np.array([1]), 0, 1)
-
 
 def test_int_codec_range_for():
     codec = CompositeKeyCodec([16])
