@@ -79,9 +79,10 @@ class BenchSession:
     bookkeeping and the disk-cache write safe, not the physics.
 
     Building the systems lays out the clustered tables only; a secondary
-    index is sorted the first time a plan that uses it executes (see
-    :class:`~repro.storage.table.SecondaryIndex`), so a map answered
-    entirely from the cell store builds none.
+    index is sorted the first time a plan that uses it executes, or,
+    for every index of the providers a pool forks with, just before the
+    fork (see :class:`~repro.storage.table.SecondaryIndex`), so a map
+    answered entirely from the cell store builds none.
 
     ``snapshot_every`` threads straight into the sweep engines: every
     N-th measured part of a wave (a cell in-process, a chunk in the

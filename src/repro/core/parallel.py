@@ -23,7 +23,18 @@ scenario (selectivity sweeps, memory sweeps, sort-spill grids, ...)
 parallelizes through the same engine.  The provider ``factory`` is
 called once, in the parent; the pool forks (an explicit ``fork``
 context), so every worker inherits that provider set instead of building
-its own, and the factory need not be picklable.  Every measurement
+its own, and the factory need not be picklable.  Just before it forks,
+the parent bulk-loads every secondary index tree of those providers
+(:attr:`~repro.storage.table.SecondaryIndex.tree`, the one build path),
+so each distinct tree is sorted once per session instead of once per
+worker per sweep, and a later sweep's pool inherits it already built;
+it imports ``numpy.ma`` there too, which each worker imported lazily.
+A worker only measures: its initializer also keeps glibc from handing
+freed memory back to the kernel (:func:`_keep_heap`), so the numpy
+temporaries of one chunk are reused by the next instead of being
+unmapped and faulted in again.  A worker lives for one sweep; the
+parent, a serial sweep and the service's long-lived processes keep
+glibc's defaults.  Every measurement
 starts from a cold reset and the jitter digest is process-independent,
 so the map is **bit-identical** to the serial sweep — times, aborted
 flags, rows, and meta all match, regardless of worker count or
@@ -35,12 +46,16 @@ after it forked are never seen by it.  ``n_workers <= 1`` falls back to
 a plain in-process :class:`RobustnessSweep` over the same providers, so
 callers can thread a single knob through without branching.  The CLI
 forks from its one thread; a worker forked while another thread holds a
-module's import lock inherits that lock held and blocks on it, which is
-why the ``serve`` door sweeps serially unless told otherwise.
+module's import lock inherits that lock held and blocks on it if it
+imports that module.  The parent imports the one module the workers
+used to import lazily (``numpy.ma``) before it forks; a lazy import on
+a new worker code path would reopen the hole, which is why the
+``serve`` door still sweeps serially unless told otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -68,8 +83,37 @@ _WORKER_SWEEP: RobustnessSweep | None = None
 _WORKER_SCENARIO: tuple[ScenarioSpec, Scenario, list[str]] | None = None
 
 
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values a worker
+#: sets: no block under 32 MiB gets a mapping of its own, and the heap's
+#: top is trimmed only once 64 MiB of it lie free.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_WORKER_MMAP_THRESHOLD = 32 << 20
+_WORKER_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap() -> None:
+    """Keep this process's freed memory on its heap for reuse.
+
+    With glibc's defaults a block of a few MiB — a chunk's numpy
+    temporaries — is unmapped or trimmed when freed and faulted in page
+    by page when the next cell allocates it again.  A pool worker lives
+    for one sweep, so it keeps such blocks instead.  A no-op where the C
+    library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
 def _init_worker(providers: Sequence, sweep_kwargs: dict) -> None:
     global _WORKER_SWEEP, _WORKER_SCENARIO
+    _keep_heap()
     _WORKER_SWEEP = RobustnessSweep(providers, **sweep_kwargs)
     _WORKER_SCENARIO = None
 
@@ -102,11 +146,14 @@ def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> Cells:
 class _LazyPool:
     """Worker pool created on first dispatch, sized by ``make``.
 
-    A fully store-warm sweep never spawns a single process; a mostly-warm
-    single-wave one spawns only as many workers as its miss batch needs
-    (each worker still builds its own scenario and warms its own caches).
-    Every later wave reuses the pool, so a multi-round policy's pool gets
-    every worker whatever its first miss batch.
+    A fully store-warm sweep never spawns a single process (nor loads an
+    index tree for one); a mostly-warm single-wave one spawns only as
+    many workers as its miss batch needs.  ``make`` loads the providers'
+    index trees (:func:`_prepare_fork`) before it forks, so the workers
+    inherit them; each
+    worker still builds its own scenario from the spec.  Every later
+    wave reuses the pool, so a multi-round policy's pool gets every
+    worker whatever its first miss batch.
     """
 
     def __init__(self, make: Callable[[int], ProcessPoolExecutor]) -> None:
@@ -243,8 +290,9 @@ class ParallelSweep:
             if store is not None:
                 store.put_many(records_from_part(keyer, part))
 
-        lazy = _LazyPool(
-            lambda n_tasks: ProcessPoolExecutor(
+        def make_pool(n_tasks: int) -> ProcessPoolExecutor:
+            _prepare_fork(parent.systems)
+            return ProcessPoolExecutor(
                 max_workers=workers
                 if policy.multi_round
                 else min(workers, n_tasks),
@@ -253,7 +301,8 @@ class ParallelSweep:
                 initializer=_init_worker,
                 initargs=(parent.systems, self.sweep_kwargs),
             )
-        )
+
+        lazy = _LazyPool(make_pool)
         try:
             return SweepDriver(
                 parent.template(scenario, plan_ids),
@@ -267,6 +316,27 @@ class ParallelSweep:
             ).run()
         finally:
             lazy.shutdown()
+
+
+def _prepare_fork(providers: Sequence) -> None:
+    """Do here, once, what each worker would otherwise do before measuring.
+
+    Called just before a pool forks.  It bulk-loads every secondary index
+    tree the providers hold, so the workers inherit the loaded trees
+    instead of each sorting again every index its plans read; the trees
+    stay on the providers for every later pool of the session (providers
+    without a table, :class:`~repro.core.scenario.OperatorBench`, hold
+    none).  And it imports ``numpy.ma``, which the LRU kernel's
+    ``np.isin`` imports on first use: complete before this thread forks,
+    so no worker imports it, and none inherits its module's import lock
+    held by another thread of this process that was importing it.
+    """
+    import numpy.ma  # noqa: F401
+
+    for provider in providers:
+        table = getattr(provider, "table", None)
+        for index in () if table is None else table.indexes.values():
+            index.tree  # noqa: B018 - the first read bulk-loads the tree
 
 
 def _measure(

@@ -23,7 +23,8 @@ Each job runs on its own :class:`~repro.bench.harness.BenchSession`
 (systems are scale-dependent and not safely shared across concurrent
 sweeps), which lives no longer than the sweep: a finished job keeps its
 result, not its tables or its last snapshot (``GET /choice`` builds
-System A again, at the first ask).  Every session is handed the
+System A again, at the first ask); :meth:`JobManager.close` hands the
+pages those tables occupied back to the kernel.  Every session is handed the
 manager's one :class:`~repro.core.cellstore.CellStore`: its shards are
 read once per manager and tailed at the start of each sweep wave, so a
 job sees what earlier jobs and other processes stored without re-reading
@@ -37,6 +38,7 @@ budget yardstick and nothing else.
 
 from __future__ import annotations
 
+import ctypes
 import queue
 import threading
 import time
@@ -96,6 +98,24 @@ class Job:
 _SENTINEL: Job | None = None
 
 
+def _release_freed_memory() -> None:
+    """Hand the pages this process's freed heap holds back to the kernel.
+
+    glibc keeps what a thread frees in that thread's malloc arena, and a
+    thread started later may be given another arena: a process that opens
+    managers one after another would otherwise hold one job's tables for
+    every arena a job has ever run in, a number that depends on thread
+    timing.  A no-op where the C library has no ``malloc_trim``.
+    """
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
 class JobManager:
     """Bounded, deduplicating executor for map requests."""
 
@@ -126,7 +146,10 @@ class JobManager:
         )
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
+        # Unbounded underneath: ``submit`` enforces the limit on jobs, so
+        # the sentinels ``close`` puts never wait for a free slot.
+        self._queue: queue.Queue = queue.Queue()
+        self._queue_limit = queue_limit
         self._closed = False
         # Per-manager metrics plane (rendered by GET /metrics): tests and
         # embedded services share no counters.
@@ -238,21 +261,16 @@ class JobManager:
             if existing is not None and existing.state != "failed":
                 self._m_deduped.inc()
                 return existing, False
-            job = Job(job_id=job_id, request=request, total=cells)
-            self._jobs[job_id] = job
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                # Restore the books exactly as they were, then refuse.
-                if existing is not None:
-                    self._jobs[job_id] = existing
-                else:
-                    del self._jobs[job_id]
+            # Only submit puts jobs, under this lock: the check holds.
+            if self._queue.qsize() >= self._queue_limit:
                 self._m_rejected.inc(reason="queue_full")
                 raise RejectedRequest(
-                    f"job queue is full ({self._queue.maxsize} pending); "
+                    f"job queue is full ({self._queue_limit} pending); "
                     "retry after running jobs finish"
-                ) from None
+                )
+            job = Job(job_id=job_id, request=request, total=cells)
+            self._jobs[job_id] = job
+            self._queue.put_nowait(job)
             self._m_submitted.inc()
             self._cond.notify_all()
             return job, True
@@ -442,17 +460,40 @@ class JobManager:
                 "jobs": len(self._jobs),
                 "by_state": by_state,
                 "queued": self._queue.qsize(),
-                "queue_limit": self._queue.maxsize,
+                "queue_limit": self._queue_limit,
                 "workers": len(self._threads),
                 "cell_budget": self.cell_budget,
                 "config_fingerprint": self.config.fingerprint(),
             }
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting work and wind the workers down."""
+        """Stop accepting work and wind the workers down.
+
+        A job still queued ends ``failed`` with the words ``submit``
+        refuses with; a running one is left to finish.  Returns within
+        ``timeout`` even if one never does: the workers are daemons.
+        Last, it hands the memory the workers' jobs freed back to the
+        kernel (:func:`_release_freed_memory`).
+        """
+        finished = time.time()
         with self._cond:
             self._closed = True
-        for _ in self._threads:
-            self._queue.put(_SENTINEL)
+            while True:
+                try:
+                    job = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                # An earlier close's sentinel, not yet taken.
+                if job is _SENTINEL:
+                    continue
+                job.error = "service is shutting down"
+                job.state = "failed"
+                job.finished = finished
+                self._m_completed.inc(state="failed")
+            for _ in self._threads:
+                self._queue.put_nowait(_SENTINEL)
+            self._cond.notify_all()
+        deadline = time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(timeout=timeout)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        _release_freed_memory()

@@ -44,11 +44,13 @@ class SecondaryIndex:
     registered but empty tree (the file handle exists, so file ids do not
     depend on which indexes are ever used); the leaf level — encode the
     key columns, stable ``argsort``, ``bulk_load`` — is laid out the
-    first time :attr:`tree` is read, once, under a lock.  Plans only read
-    it when they execute or are costed, so holding an index in a plan
-    builds nothing, and a request answered from the cell store never
-    sorts a column.  Columns are immutable, so a tree built late is the
-    tree that would have been built at creation.
+    first time :attr:`tree` is read, once, under a lock.  That first
+    reader is a plan that executes or is costed, or a pool's parent just
+    before it forks (:class:`~repro.core.parallel.ParallelSweep`), so the
+    workers inherit the tree instead of each building it again.  Holding
+    an index in a plan builds nothing, and a request answered from the
+    cell store never sorts a column.  Columns are immutable, so a tree
+    built late is the tree that would have been built at creation.
 
     The index keeps its key columns and the table's row count, not the
     table: a table lists its indexes, and an index pointing back would

@@ -1,6 +1,12 @@
 """Parallel sweep engine: chunking, merging, serial/parallel identity."""
 
+import ctypes
+import multiprocessing
 import os
+import resource
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -337,3 +343,148 @@ def test_duplicate_plan_ids_raise(system_a):
         SinglePredicateScenario(twins, Space1D.log2("sel", -2)).run()
     with pytest.raises(ExperimentError, match="duplicate plan ids"):
         TwoPredicateScenario(twins, Space2D.log2("a", "b", -1)).run()
+
+
+# ---------------------------------------------------------------------------
+# what a pool worker does besides measuring: nothing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patched tree builder only when forked",
+)
+def test_pool_workers_inherit_the_index_trees_the_parent_built(
+    monkeypatch, tmp_path
+):
+    """Three pool-swept maps over one session load each distinct
+    secondary index tree once, in this process, before a pool forks:
+    no worker sorts an index, and no later sweep's pool sorts it again."""
+    from repro.bench.harness import BenchConfig, BenchSession, MapRequest
+    from repro.storage.table import SecondaryIndex
+
+    log = tmp_path / "loads.txt"
+    real = SecondaryIndex.tree.fget
+
+    def recording(index):
+        if not index._loaded:
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {id(index)}\n")
+        return real(index)
+
+    monkeypatch.setattr(SecondaryIndex, "tree", property(recording))
+    session = BenchSession(
+        BenchConfig(
+            n_rows=4096, min_exp_1d=-6, min_exp_2d=-3, n_workers=2,
+            cache_dir=None, cell_cache_dir=None,
+        )
+    )
+    for name in ("single_predicate", "two_predicate", "estimation"):
+        session.request_map(MapRequest(name))
+    loads = [line.split() for line in log.read_text().splitlines()]
+    distinct = {
+        id(index)
+        for system in session.systems.values()
+        for index in system.table.indexes.values()
+    }
+    assert sorted(int(index) for _pid, index in loads) == sorted(distinct)
+    assert {int(pid) for pid, _index in loads} == {os.getpid()}
+
+
+def _mallopt_missing() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return True
+    return False
+
+
+def _churn_faults() -> int:
+    """Allocate and free two 4 MiB arrays 50 times; the minor page
+    faults that took after the first time."""
+
+    def churn(times: int) -> None:
+        for _ in range(times):
+            first = np.ones(1 << 19)
+            second = np.ones(1 << 19)
+            del first, second
+
+    churn(1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    churn(50)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(_mallopt_missing(), reason="the C library has no mallopt")
+def test_a_pool_worker_reuses_freed_temporaries():
+    """A worker started by the pool's initializer keeps freed multi-MiB
+    blocks on its heap: allocating them again faults no page back in
+    (glibc's defaults unmap or trim them at every free, ~75k faults)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core.parallel import _init_worker
+    from repro.core.scenario import OperatorBench
+
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=([OperatorBench()], {}),
+    ) as pool:
+        faults = pool.submit(_churn_faults).result()
+    assert faults < 1024
+
+
+_IMPORTING_THREAD = """
+import importlib._bootstrap as bootstrap, sys, threading
+from repro.bench.harness import BenchConfig, BenchSession, MapRequest
+
+assert "numpy.ma" not in sys.modules
+# Another thread of this process is importing numpy.ma: it holds the
+# module's import lock for a while, then lets go.
+lock = bootstrap._get_module_lock("numpy.ma")
+held = threading.Event()
+
+def importing():
+    lock.acquire()
+    held.set()
+    threading.Event().wait(2.0)
+    lock.release()
+
+threading.Thread(target=importing).start()
+held.wait()
+config = BenchConfig(
+    n_rows=16384, min_exp_2d=-6, n_workers=2, cache_dir=None, cell_cache_dir=None
+)
+BenchSession(config).request_map(MapRequest("two_predicate"))
+print("swept")
+"""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker inherits another thread's import lock",
+)
+def test_a_pool_forked_while_another_thread_imports_finishes():
+    """The LRU kernel's ``np.isin`` imports ``numpy.ma`` on first use.  A
+    worker forked while another thread held that module's import lock
+    blocked forever on its first such call; the parent now imports it
+    before it forks, so the workers import nothing and the sweep ends."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    process = subprocess.Popen(
+        [sys.executable, "-c", _IMPORTING_THREAD],
+        env=env, stdout=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, _ = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        out = b"hung"
+    finally:
+        # The workers share the script's process group; a hung one is
+        # killed with it.
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    assert out.strip() == b"swept"

@@ -5,7 +5,11 @@ temporary directory, removed afterwards) and runs
 ``benchmarks/e2e/run.py --workload W --seed N --out ...`` on the parent
 and on this working tree — uncommitted edits included — ``--pairs``
 times per workload, alternating which side goes first so slow drift of
-the machine falls on both.  One run at a time.
+the machine falls on both.  One run at a time.  Before the first pair
+both checkouts' ``src`` are byte-compiled (``python -m compileall``,
+which writes even under ``PYTHONDONTWRITEBYTECODE``): a fresh archive
+has no ``__pycache__`` while a working tree usually has one, and every
+CLI start on the side without it would pay for compiling the package.
 
 Per workload and end-to-end metric it prints each side's median
 [q1, q3], how many pairs the change won, and a verdict by the rule in
@@ -195,6 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         checkouts = {"parent": parent, "change": ROOT}
+        for checkout in checkouts.values():
+            subprocess.run(
+                [sys.executable, "-m", "compileall", "-q", str(checkout / "src")],
+                check=True,
+            )
+        print("byte-compiled src of both sides", file=sys.stderr)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
