@@ -56,7 +56,7 @@ from repro.core.mapdata import MapData
 from repro.core.scenario import build_scenario
 from repro.errors import ExperimentError
 from repro.optimizer import STANDARD_POLICIES, PlanChooser
-from repro.systems import DatabaseSystem, build_three_systems
+from repro.systems import DatabaseSystem, SystemA, build_three_systems
 
 #: Whole-map cache key -> registry entry (stale-file shape validation).
 _BY_CACHE_KEY: dict[str, MapDefinition] = {
@@ -78,11 +78,21 @@ class BenchSession:
     gives every distinct request its own); the locks here make the
     bookkeeping and the disk-cache write safe, not the physics.
 
-    Building the systems lays out the clustered tables only; a secondary
-    index is sorted the first time a plan that uses it executes, or,
-    for every index of the providers a pool forks with, just before the
-    fork (see :class:`~repro.storage.table.SecondaryIndex`), so a map
-    answered entirely from the cell store builds none.
+    Systems are built as far as their maps read them.  A map over System
+    A alone (:attr:`system_a`) builds no System B or C; :attr:`systems`
+    builds those two beside it, over the same columns.  Building a
+    system lays out no tree and draws no column
+    (:func:`~repro.workloads.lineitem.lineitem_columns`): a column is
+    drawn at its first read (a predicate, an index's key check), the
+    clustered leaf level is laid out at the first scan
+    (:attr:`~repro.storage.table.Table.clustered`: the budget
+    yardstick's), and a secondary index is sorted the first time a plan
+    that uses it executes.  A pool's parent makes all of it for the
+    providers it forks with, just before the fork
+    (:class:`~repro.core.parallel.ParallelSweep`), so workers inherit
+    it.  A map answered entirely from the cell store therefore draws
+    only its predicate and index-key columns and lays out at most
+    System A's clustered leaves.
 
     ``snapshot_every`` threads straight into the sweep engines: every
     N-th measured part of a wave (a cell in-process, a chunk in the
@@ -108,6 +118,7 @@ class BenchSession:
         self.config = config or BenchConfig()
         self.progress = progress
         self.snapshot_every = snapshot_every
+        self._system_a: DatabaseSystem | None = None
         self._systems: dict[str, DatabaseSystem] | None = None
         self._maps: dict[str, MapData] = {}
         self._choices: dict[str, ChoiceMap] = {}
@@ -128,16 +139,24 @@ class BenchSession:
 
     @property
     def systems(self) -> dict[str, DatabaseSystem]:
+        """Systems A, B and C; B and C are built beside :attr:`system_a`,
+        over its columns."""
+        system_a = self.system_a
         with self._systems_lock:
             if self._systems is None:
                 self._systems = build_three_systems(
-                    self.config.system_config()
+                    self.config.system_config(), system_a=system_a
                 )
             return self._systems
 
     @property
     def system_a(self) -> DatabaseSystem:
-        return self.systems["A"]
+        """System A alone: the budget yardstick's system and the 1-D
+        maps' only provider."""
+        with self._systems_lock:
+            if self._system_a is None:
+                self._system_a = SystemA(self.config.system_config())
+            return self._system_a
 
     def table_scan_seconds(self) -> float:
         """Cost of one cold table scan (the budget yardstick)."""

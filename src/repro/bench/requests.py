@@ -337,6 +337,16 @@ class MapDefinition:
 
     spec: Callable[[BenchConfig], ScenarioSpec]
     providers: ProviderSet
+    plans: int
+    """Plans measured at each cell."""
+
+    grid_knobs: tuple[str, ...]
+    """The config knobs that size the grid."""
+
+    rows_knob: str = "n_rows"
+    """The knob that sizes the largest table the map builds (of a tuple
+    knob, its largest entry)."""
+
     budget: Callable[["BenchSession"], float] = lambda session: session.budget()
     memory_bytes: Callable[[BenchConfig], int | None] = (
         lambda config: config.memory_bytes
@@ -353,6 +363,11 @@ class MapDefinition:
         """Provider factory for a :class:`ParallelSweep` built without a
         session."""
         return self.providers.factory(config)
+
+    def table_rows(self, config: BenchConfig) -> int:
+        """Rows of the largest table the map builds under ``config``."""
+        rows = getattr(config, self.rows_knob)
+        return max(rows) if isinstance(rows, tuple) else rows
 
 
 def _space_2d_sel(config: BenchConfig) -> Space1D:
@@ -418,6 +433,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 Space1D.log2("selectivity", config.min_exp_1d)
             ),
             providers=SYSTEM_A,
+            plans=7,
+            grid_knobs=("min_exp_1d",),
         ),
         MapDefinition(
             name="two_predicate",
@@ -428,6 +445,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             ),
             spec=_two_predicate_spec,
             providers=THREE_SYSTEMS,
+            plans=15,
+            grid_knobs=("min_exp_2d",),
             jitter=_two_predicate_jitter,
         ),
         MapDefinition(
@@ -439,6 +458,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             ),
             spec=_two_predicate_spec,
             providers=THREE_SYSTEMS,
+            plans=15,
+            grid_knobs=("min_exp_2d",),
         ),
         MapDefinition(
             name="sort_spill",
@@ -448,6 +469,9 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             ),
             spec=_sort_spec,
             providers=OPERATOR_BENCH,
+            plans=2,
+            grid_knobs=("sort_rows", "sort_memory"),
+            rows_knob="sort_rows",
             budget=_baseline_budget(_sort_spec),
             memory_bytes=lambda config: None,
         ),
@@ -461,6 +485,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 _space_2d_sel(config), config.memory_axis
             ),
             providers=SYSTEM_A,
+            plans=7,
+            grid_knobs=("min_exp_2d", "memory_axis"),
         ),
         MapDefinition(
             name="join",
@@ -471,6 +497,9 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
             ),
             spec=_join_spec,
             providers=OPERATOR_BENCH,
+            plans=4,
+            grid_knobs=("join_rows",),
+            rows_knob="join_rows",
             budget=_baseline_budget(_join_spec),
             memory_bytes=lambda config: config.join_memory_bytes,
         ),
@@ -488,6 +517,8 @@ MAP_DEFINITIONS: dict[str, MapDefinition] = {
                 error_seed=config.error_seed,
             ),
             providers=SYSTEM_A,
+            plans=7,
+            grid_knobs=("min_exp_2d", "error_magnitudes"),
         ),
     )
 }

@@ -24,11 +24,12 @@ parallelizes through the same engine.  The provider ``factory`` is
 called once, in the parent; the pool forks (an explicit ``fork``
 context), so every worker inherits that provider set instead of building
 its own, and the factory need not be picklable.  Just before it forks,
-the parent bulk-loads every secondary index tree of those providers
-(:attr:`~repro.storage.table.SecondaryIndex.tree`, the one build path),
-so each distinct tree is sorted once per session instead of once per
-worker per sweep, and a later sweep's pool inherits it already built;
-it imports ``numpy.ma`` there too, which each worker imported lazily.
+the parent makes every column, clustered leaf level and secondary index
+tree of those providers' tables
+(:meth:`~repro.storage.table.Table.materialize`), so each is made once
+per session instead of once per worker per sweep, and a later sweep's
+pool inherits it already built; it imports ``numpy.ma`` there too,
+which each worker imported lazily.
 A worker only measures: its initializer also keeps glibc from handing
 freed memory back to the kernel (:func:`_keep_heap`), so the numpy
 temporaries of one chunk are reused by the next instead of being
@@ -146,10 +147,10 @@ def _run_chunk(spec: ScenarioSpec, cells: list[int]) -> Cells:
 class _LazyPool:
     """Worker pool created on first dispatch, sized by ``make``.
 
-    A fully store-warm sweep never spawns a single process (nor loads an
-    index tree for one); a mostly-warm single-wave one spawns only as
-    many workers as its miss batch needs.  ``make`` loads the providers'
-    index trees (:func:`_prepare_fork`) before it forks, so the workers
+    A fully store-warm sweep never spawns a single process (nor makes a
+    table for one); a mostly-warm single-wave one spawns only as
+    many workers as its miss batch needs.  ``make`` makes the providers'
+    tables (:func:`_prepare_fork`) before it forks, so the workers
     inherit them; each
     worker still builds its own scenario from the spec.  Every later
     wave reuses the pool, so a multi-round policy's pool gets every
@@ -321,12 +322,14 @@ class ParallelSweep:
 def _prepare_fork(providers: Sequence) -> None:
     """Do here, once, what each worker would otherwise do before measuring.
 
-    Called just before a pool forks.  It bulk-loads every secondary index
-    tree the providers hold, so the workers inherit the loaded trees
-    instead of each sorting again every index its plans read; the trees
-    stay on the providers for every later pool of the session (providers
-    without a table, :class:`~repro.core.scenario.OperatorBench`, hold
-    none).  And it imports ``numpy.ma``, which the LRU kernel's
+    Called just before a pool forks.  It makes everything the providers'
+    tables make on first read (:meth:`~repro.storage.table.Table.materialize`:
+    every column, the clustered leaf level and every secondary index
+    tree), so the workers inherit them instead of each drawing, laying
+    out and sorting again what its plans read; they stay on the
+    providers for every later pool of the session (providers without a
+    table, :class:`~repro.core.scenario.OperatorBench`, hold none).  And
+    it imports ``numpy.ma``, which the LRU kernel's
     ``np.isin`` imports on first use: complete before this thread forks,
     so no worker imports it, and none inherits its module's import lock
     held by another thread of this process that was importing it.
@@ -335,8 +338,8 @@ def _prepare_fork(providers: Sequence) -> None:
 
     for provider in providers:
         table = getattr(provider, "table", None)
-        for index in () if table is None else table.indexes.values():
-            index.tree  # noqa: B018 - the first read bulk-loads the tree
+        if table is not None:
+            table.materialize()
 
 
 def _measure(

@@ -327,13 +327,19 @@ class _SelectivityScenario(_SystemScenario):
         builder = PredicateBuilder(reference.table, self.column)
         self._predicates = builder.predicates_for_grid(self.axes[0].targets)
         self._achieved = np.asarray([a for _p, a in self._predicates])
-        # Oracle result sizes once per sweep, not per cell: each is a
-        # scan of the full column.
-        column_values = reference.table.column(self.column)
-        self._oracle_rows = [
-            int(np.count_nonzero(predicate.mask(column_values)))
-            for predicate, _achieved in self._predicates
-        ]
+        self._oracle_rows: list[int] | None = None
+
+    def _oracle(self, i: int) -> int:
+        """Oracle result size of selectivity ``i``.  All of them at the
+        first measured cell, once per sweep (each is a scan of the full
+        column), and none for a sweep the cell store answers."""
+        if self._oracle_rows is None:
+            column_values = self.systems[0].table.column(self.column)
+            self._oracle_rows = [
+                int(np.count_nonzero(predicate.mask(column_values)))
+                for predicate, _achieved in self._predicates
+            ]
+        return self._oracle_rows[i]
 
     def _query(self, idx: tuple[int, ...]) -> SinglePredicateQuery:
         return SinglePredicateQuery(self._predicates[idx[0]][0])
@@ -346,7 +352,7 @@ class _SelectivityScenario(_SystemScenario):
 
     def cell(self, idx: tuple[int, ...]) -> Cell:
         return Cell(
-            expected_rows=self._oracle_rows[idx[0]],
+            expected_rows=self._oracle(idx[0]),
             plans=self._plans(idx),
             memory_bytes=self._cell_memory(idx),
             describe=f"sel={self._achieved[idx[0]]:.2e}" + self._cell_note(idx),
@@ -518,21 +524,36 @@ class TwoPredicateScenario(_SystemScenario):
         reference = self.systems[0]
         self.a_column = reference.config.a_column
         self.b_column = reference.config.b_column
-        self._preds, self._masks = [], []
-        for column, axis in zip((self.a_column, self.b_column), self.axes):
-            builder = PredicateBuilder(reference.table, column)
-            preds = builder.predicates_for_grid(axis.targets)
-            values = reference.table.column(column)
-            self._preds.append(preds)
-            self._masks.append([pred.mask(values) for pred, _ in preds])
+        self._preds = [
+            PredicateBuilder(reference.table, column).predicates_for_grid(
+                axis.targets
+            )
+            for column, axis in zip((self.a_column, self.b_column), self.axes)
+        ]
+        self._masks: list[list[np.ndarray]] | None = None
 
     def _query(self, idx: tuple[int, ...]) -> TwoPredicateQuery:
         ix, iy = idx
         return TwoPredicateQuery(self._preds[0][ix][0], self._preds[1][iy][0])
 
+    def _oracle_masks(self) -> list[list[np.ndarray]]:
+        """Each axis's predicate masks over its column, made at the first
+        measured cell (none for a sweep the cell store answers)."""
+        if self._masks is None:
+            table = self.systems[0].table
+            self._masks = [
+                [pred.mask(values) for pred, _ in preds]
+                for preds, values in zip(
+                    self._preds,
+                    (table.column(self.a_column), table.column(self.b_column)),
+                )
+            ]
+        return self._masks
+
     def cell(self, idx: tuple[int, ...]) -> Cell:
         ix, iy = idx
-        expected = np.count_nonzero(self._masks[0][ix] & self._masks[1][iy])
+        masks = self._oracle_masks()
+        expected = np.count_nonzero(masks[0][ix] & masks[1][iy])
         return Cell(
             expected_rows=int(expected),
             plans=self._plans(idx),

@@ -15,8 +15,9 @@ A thin, dependency-free (``http.server``) JSON API over
 * ``POST /maps``                — submit a map request
   (``{"scenario": ..., "overrides": {...}}``).  Always answers 202 with
   the job id; ``"created": false`` marks a single-flight/duplicate hit.
-  Malformed requests get 400, resource refusals (queue full, over the
-  cell budget) get 429.
+  Malformed requests and requests over the service's size limits
+  (:class:`~repro.service.jobs.RequestTooLarge`) get 400, resource
+  refusals (queue full, over the cell budget) get 429.
 * ``GET  /jobs/<id>``           — job status; ``?wait=<seconds>``
   long-polls for completion.
 * ``GET  /jobs/<id>/partial``   — status + the freshest map view: the

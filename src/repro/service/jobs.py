@@ -13,7 +13,13 @@ The :class:`JobManager` turns serializable
   :class:`RejectedRequest` (the HTTP layer maps it to 429) instead of
   buffering unboundedly.  A per-request cell budget rejects maps whose
   grids are bigger than the operator allows — the same yardstick the
-  adaptive refinement policy's ``max_cells`` uses.
+  adaptive refinement policy's ``max_cells`` uses.  Before anything is
+  built, a request states its size (cells x plans, rows of its largest
+  table, buffer-pool pages), and one over
+  :data:`MAX_MEASUREMENTS`, :data:`MAX_TABLE_ROWS` or
+  :data:`MAX_POOL_PAGES` is refused as a bad request
+  (:class:`RequestTooLarge`, HTTP 400) that names the knob and the
+  limit.
 * **Observable**: each job consumes its sweep's
   :class:`~repro.core.progress.ProgressEvent` stream; cells-done,
   cell-store hits, and partial-map snapshots are readable mid-flight,
@@ -31,9 +37,12 @@ job sees what earlier jobs and other processes stored without re-reading
 the rest.
 Jobs also share the whole-map cache directory — a repeated request after
 a restart is a disk-cache hit, observable as ``cache_hit`` (the sweep
-emitted zero progress events).  A job answered from either cache sorts
-no secondary index: its session lays out the clustered tables for the
-budget yardstick and nothing else.
+emitted zero progress events).  A job answered from either cache
+builds only what its store keys, axes and meta read: System A alone
+unless its map runs all three systems, the columns its predicates and
+index-key checks read, and System A's clustered leaves for the budget
+yardstick; no secondary index, no oracle mask (see
+:class:`~repro.bench.harness.BenchSession`).
 """
 
 from __future__ import annotations
@@ -56,6 +65,22 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILES_META_KEY
 
 logger = get_logger("service.jobs")
+
+
+#: Submissions a manager queues beyond its running jobs, by default.
+QUEUE_LIMIT = 8
+
+#: The largest request a service admits: cells x plans of one map, rows
+#: of its largest table, and buffer-pool pages.  The CLI is its
+#: operator's own tool and keeps no such cap.
+MAX_MEASUREMENTS = 1 << 16
+MAX_TABLE_ROWS = 1 << 20
+MAX_POOL_PAGES = 1 << 16
+
+
+class RequestTooLarge(ExperimentError):
+    """A request over the service's size limits: a bad request (HTTP
+    400) naming the knob and the limit, never queued."""
 
 
 class RejectedRequest(ExperimentError):
@@ -123,7 +148,7 @@ class JobManager:
         self,
         config: BenchConfig | None = None,
         workers: int = 2,
-        queue_limit: int = 8,
+        queue_limit: int = QUEUE_LIMIT,
         cell_budget: int | None = None,
         snapshot_every: int | None = 1,
     ) -> None:
@@ -222,17 +247,44 @@ class JobManager:
     # ------------------------------------------------------------------
 
     def _required_cells(self, request: MapRequest) -> int:
-        """Cells this request may measure (the budget yardstick).
+        """Cells this request may measure (the budget yardstick), once
+        its size is known to be within the service's limits.
 
+        The size is stated before anything is built: cells x plans, rows
+        of the largest table the map builds, and buffer-pool pages.
         Dense sweeps measure the whole grid; a refining request with an
         explicit ``refine_max_cells`` is capped by it, exactly as
         :class:`~repro.core.driver.AdaptiveRefinePolicy` will cap the
         sweep itself.
         """
         resolved = request.resolve(self.config)
-        cells = definition_for(request.scenario).spec(resolved).n_cells
+        definition = definition_for(request.scenario)
+        cells = definition.spec(resolved).n_cells
         if resolved.refine and resolved.refine_max_cells:
             cells = min(cells, resolved.refine_max_cells)
+        measurements = cells * definition.plans
+        rows = definition.table_rows(resolved)
+        knobs = ", ".join(repr(knob) for knob in definition.grid_knobs)
+        for over, what, limit in (
+            (
+                measurements > MAX_MEASUREMENTS,
+                f"knobs {knobs} ask for {cells} cells x {definition.plans} "
+                f"plans = {measurements} measurements",
+                f"MAX_MEASUREMENTS = {MAX_MEASUREMENTS}",
+            ),
+            (
+                rows > MAX_TABLE_ROWS,
+                f"knob {definition.rows_knob!r} asks for a table of {rows} rows",
+                f"MAX_TABLE_ROWS = {MAX_TABLE_ROWS}",
+            ),
+            (
+                resolved.pool_pages > MAX_POOL_PAGES,
+                f"knob 'pool_pages' asks for {resolved.pool_pages} pages",
+                f"MAX_POOL_PAGES = {MAX_POOL_PAGES}",
+            ),
+        ):
+            if over:
+                raise RequestTooLarge(f"{what}, over the service limit {limit}")
         return cells
 
     def submit(self, request: MapRequest) -> tuple[Job, bool]:
@@ -242,7 +294,9 @@ class JobManager:
         already has a live (queued/running) or finished job, which the
         caller shares.  Failed jobs are retried by resubmission.
         Raises :class:`ExperimentError` for malformed requests and
-        :class:`RejectedRequest` when bounded resources refuse the work.
+        requests over the size limits (:class:`RequestTooLarge`; both
+        book nothing), and :class:`RejectedRequest` when bounded
+        resources refuse the work.
         """
         cells = self._required_cells(request)  # also validates the request
         if self.cell_budget is not None and cells > self.cell_budget:

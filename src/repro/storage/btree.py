@@ -24,6 +24,7 @@ Design notes
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from repro.errors import StorageError
 from repro.sim.disk import FileHandle
 from repro.storage.bitmap import dedupe_sorted, position_table
+from repro.storage.columns import LazyColumns
 from repro.storage.env import StorageEnv
 
 _INNER_ENTRY_BYTES = 16  # separator key + child pointer
@@ -77,7 +79,7 @@ class _FlatView:
     def __init__(
         self,
         keys: np.ndarray,
-        payload: dict[str, np.ndarray],
+        payload: Mapping[str, np.ndarray],
         leaf_starts: np.ndarray,
         leaf_pages: np.ndarray,
         per_leaf: int,
@@ -204,18 +206,25 @@ class BPlusTree:
         into leaves of ``leaf_capacity * fill_factor`` entries on
         consecutive pages, so a leaf scan is physically sequential.
         Each inner level groups ``inner_fanout`` nodes of the level below
-        and takes the next pages, left to right.  Returns ``self`` for
-        chaining.
+        and takes the next pages, left to right.  A
+        :class:`~repro.storage.columns.LazyColumns` payload is kept as
+        the mapping, so its columns are still made when first read.
+        Returns ``self`` for chaining.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.size > 1 and np.any(np.diff(keys) < 0):
             raise StorageError("bulk_load requires keys in ascending order")
         if not 0.1 <= fill_factor <= 1.0:
             raise StorageError(f"fill_factor must be in [0.1, 1], got {fill_factor}")
-        for column_name, values in payload.items():
-            if len(values) != keys.size:
+        if isinstance(payload, LazyColumns):
+            lengths = dict.fromkeys(payload, payload.n_rows)
+        else:
+            payload = {name: np.asarray(values) for name, values in payload.items()}
+            lengths = {name: len(values) for name, values in payload.items()}
+        for column_name, length in lengths.items():
+            if length != keys.size:
                 raise StorageError(
-                    f"payload column {column_name!r} length {len(values)} "
+                    f"payload column {column_name!r} length {length} "
                     f"!= key count {keys.size}"
                 )
         n_entries = int(keys.size)
@@ -230,7 +239,7 @@ class BPlusTree:
         )
         self.flat = _FlatView(
             keys,
-            {name: np.asarray(values) for name, values in payload.items()},
+            payload,
             leaf_starts,
             leaves,
             per_leaf,
@@ -473,4 +482,4 @@ class BPlusTree:
         flat = self.flat
         if flat.n_entries:
             self._env.disk.read_scattered(self.handle, flat.leaf_pages)
-        return flat.keys, dict(flat.payload)
+        return flat.keys, MappingProxyType(flat.payload)

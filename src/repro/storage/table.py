@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import KeyCodecError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.codec import CompositeKeyCodec
+from repro.storage.columns import LazyColumns
 from repro.storage.env import StorageEnv
 
 _ROW_OVERHEAD_BYTES = 24  # header, null bitmap, slot entry
@@ -42,9 +43,12 @@ class SecondaryIndex:
 
     Built on first use.  :meth:`Table.create_index` hands over a
     registered but empty tree (the file handle exists, so file ids do not
-    depend on which indexes are ever used); the leaf level — encode the
-    key columns, stable ``argsort``, ``bulk_load`` — is laid out the
-    first time :attr:`tree` is read, once, under a lock.  That first
+    depend on which indexes are ever used) and the key columns its key
+    check read (the only columns a built system has drawn before a plan
+    or a predicate reads one); the leaf level — encode the key columns,
+    stable ``argsort``, ``bulk_load`` — is laid out the first time
+    :attr:`tree` is read, once, under a lock, as the table's clustered
+    leaf level is at the first read of :attr:`Table.clustered`.  That first
     reader is a plan that executes or is costed, or a pool's parent just
     before it forks (:class:`~repro.core.parallel.ParallelSweep`), so the
     workers inherit the tree instead of each building it again.  Holding
@@ -135,7 +139,19 @@ class SecondaryIndex:
 
 
 class Table:
-    """Clustered storage for a fixed set of NumPy columns."""
+    """Clustered storage for a fixed set of NumPy columns.
+
+    Built from its row count and column dtypes alone: ``columns`` may be
+    a :class:`~repro.storage.columns.LazyColumns`, whose values are made
+    the first time something reads them, and the table reads none at
+    construction.  It registers its clustered file there (so file ids
+    follow construction order, as :meth:`create_index` keeps them for
+    indexes) and lays out the clustered leaf level at the first read of
+    :attr:`clustered`, once, under a lock, the way
+    :attr:`SecondaryIndex.tree` sorts an index.  The leaf level keeps
+    the column mapping it was given, so a scan that charges pages and
+    counts rows reads no column value.
+    """
 
     def __init__(
         self,
@@ -145,24 +161,58 @@ class Table:
     ) -> None:
         if not columns:
             raise StorageError("a table needs at least one column")
-        lengths = {column: len(values) for column, values in columns.items()}
-        if len(set(lengths.values())) != 1:
-            raise StorageError(f"column lengths differ: {lengths}")
+        if isinstance(columns, LazyColumns):
+            n_rows, dtypes = columns.n_rows, columns.dtypes
+        else:
+            lengths = {column: len(values) for column, values in columns.items()}
+            if len(set(lengths.values())) != 1:
+                raise StorageError(f"column lengths differ: {lengths}")
+            columns = {
+                column: np.ascontiguousarray(values)
+                for column, values in columns.items()
+            }
+            n_rows = next(iter(lengths.values()))
+            dtypes = {column: values.dtype for column, values in columns.items()}
         self.env = env
         self.name = name
-        self._columns = {
-            column: np.ascontiguousarray(values) for column, values in columns.items()
-        }
-        self.n_rows = next(iter(lengths.values()))
+        self._columns = columns
+        self.n_rows = n_rows
         self.row_bytes = _ROW_OVERHEAD_BYTES + sum(
-            values.dtype.itemsize for values in self._columns.values()
+            dtype.itemsize for dtype in dtypes.values()
         )
-        rids = np.arange(self.n_rows, dtype=np.int64)
-        self.clustered = BPlusTree(
+        self._clustered = BPlusTree(
             env, f"{name}.clustered", entry_bytes=self.row_bytes
-        ).bulk_load(rids, dict(self._columns))
+        )
+        self._laid_out = False
+        self._layout_lock = threading.Lock()
         self.indexes: dict[str, SecondaryIndex] = {}
         self._sorted_columns: dict[str, np.ndarray] = {}
+
+    @property
+    def columns(self) -> Mapping[str, np.ndarray]:
+        """The column mapping the table was built over."""
+        return self._columns
+
+    @property
+    def clustered(self) -> BPlusTree:
+        """The clustered index, its leaf level laid out by the first reader."""
+        if not self._laid_out:
+            with self._layout_lock:
+                if not self._laid_out:
+                    self._clustered.bulk_load(
+                        np.arange(self.n_rows, dtype=np.int64), self._columns
+                    )
+                    self._laid_out = True
+        return self._clustered
+
+    def materialize(self) -> None:
+        """Make now everything a plan over the table may read later:
+        every column, the clustered leaf level and every index tree."""
+        for name in self._columns:
+            self.column(name)
+        self.clustered  # noqa: B018 - the first read lays out the leaves
+        for index in self.indexes.values():
+            index.tree  # noqa: B018 - the first read bulk-loads the tree
 
     # ------------------------------------------------------------------
     # geometry
@@ -174,7 +224,9 @@ class Table:
         return self.clustered.n_leaf_pages
 
     def column(self, name: str) -> np.ndarray:
-        """Raw column values (no I/O charged; for oracles and builders)."""
+        """Raw column values (no I/O charged; for oracles and builders).
+
+        A lazily made column is made by its first read."""
         if name not in self._columns:
             raise StorageError(f"table {self.name!r} has no column {name!r}")
         return self._columns[name]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ class DatabaseSystem(ABC):
     def __init__(
         self,
         config: SystemConfig | None = None,
-        columns: dict[str, np.ndarray] | None = None,
+        columns: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         self.config = config or SystemConfig()
         self.env = StorageEnv(self.config.profile, pool_pages=self.config.pool_pages)
@@ -143,16 +144,24 @@ class DatabaseSystem(ABC):
 
 def build_three_systems(
     config: SystemConfig | None = None,
+    system_a: DatabaseSystem | None = None,
 ) -> dict[str, DatabaseSystem]:
-    """Build Systems A, B, C hosting identical data (generated once)."""
+    """Build Systems A, B, C hosting identical data (generated once).
+
+    ``system_a``, when given, is a System A already built under
+    ``config``: B and C are built over its columns and it is returned as
+    ``"A"``.
+    """
     from repro.systems.system_a import SystemA
     from repro.systems.system_b import SystemB
     from repro.systems.system_c import SystemC
 
     config = config or SystemConfig()
-    columns = lineitem_columns(config.lineitem)
+    if system_a is None:
+        system_a = SystemA(config)
+    columns = system_a.table.columns
     return {
-        "A": SystemA(config, columns=columns),
+        "A": system_a,
         "B": SystemB(config, columns=columns),
         "C": SystemC(config, columns=columns),
     }

@@ -77,6 +77,53 @@ def bulk_loads(monkeypatch) -> list[str]:
 
 
 @pytest.fixture
+def draws(monkeypatch) -> list[str]:
+    """Lineitem columns generated while the test runs, in draw order."""
+    import repro.workloads.lineitem as lineitem
+
+    drawn: list[str] = []
+    # A uniform column is told by its domain (the two dates share one).
+    by_domain = {
+        lineitem.PARTKEY_DOMAIN: "partkey",
+        lineitem.EXTENDEDPRICE_DOMAIN: "extendedprice",
+        lineitem.SUPPKEY_DOMAIN: "suppkey",
+        lineitem.QUANTITY_DOMAIN: "quantity",
+        lineitem.DISCOUNT_DOMAIN: "discount",
+        lineitem.TAX_DOMAIN: "tax",
+        lineitem.DATE_DOMAIN: "date",
+    }
+    uniform, sequential = lineitem.uniform_column, lineitem.sequential_column
+
+    def drawing_uniform(rng, n_rows, domain):
+        drawn.append(by_domain[domain])
+        return uniform(rng, n_rows, domain)
+
+    def drawing_sequential(n_rows):
+        drawn.append("orderkey")
+        return sequential(n_rows)
+
+    monkeypatch.setattr(lineitem, "uniform_column", drawing_uniform)
+    monkeypatch.setattr(lineitem, "sequential_column", drawing_sequential)
+    return drawn
+
+
+@pytest.fixture
+def masks(monkeypatch) -> list[str]:
+    """Columns of the predicate masks evaluated while the test runs."""
+    from repro.executor.predicates import ColumnRange
+
+    evaluated: list[str] = []
+    real = ColumnRange.mask
+
+    def recording(self, values):
+        evaluated.append(self.column)
+        return real(self, values)
+
+    monkeypatch.setattr(ColumnRange, "mask", recording)
+    return evaluated
+
+
+@pytest.fixture
 def decoded(monkeypatch) -> list:
     """Every non-blank cell-store shard line handed to ``_verified``
     while the test runs (each is digest-verified there, once)."""

@@ -359,7 +359,8 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
 ):
     """Three pool-swept maps over one session load each distinct
     secondary index tree once, in this process, before a pool forks:
-    no worker sorts an index, and no later sweep's pool sorts it again."""
+    no worker sorts an index, draws a column or lays out a table, and no
+    later sweep's pool does any of it again."""
     from repro.bench.harness import BenchConfig, BenchSession, MapRequest
     from repro.storage.table import SecondaryIndex
 
@@ -373,6 +374,33 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
         return real(index)
 
     monkeypatch.setattr(SecondaryIndex, "tree", property(recording))
+    # Column draws and clustered layouts, by process.
+    import repro.workloads.lineitem as lineitem
+    from repro.storage.btree import BPlusTree
+
+    made = tmp_path / "made.txt"
+
+    def note(what):
+        with made.open("a") as fh:
+            fh.write(f"{os.getpid()} {what}\n")
+
+    def drawing(real):
+        def draw(*args):
+            note("draw")
+            return real(*args)
+
+        return draw
+
+    for name in ("uniform_column", "sequential_column"):
+        monkeypatch.setattr(lineitem, name, drawing(getattr(lineitem, name)))
+    real_load = BPlusTree.bulk_load
+
+    def loading(tree, keys, payload, fill_factor=1.0):
+        if tree.name.endswith(".clustered") and len(keys):
+            note("layout")
+        return real_load(tree, keys, payload, fill_factor)
+
+    monkeypatch.setattr(BPlusTree, "bulk_load", loading)
     session = BenchSession(
         BenchConfig(
             n_rows=4096, min_exp_1d=-6, min_exp_2d=-3, n_workers=2,
@@ -389,6 +417,11 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
     }
     assert sorted(int(index) for _pid, index in loads) == sorted(distinct)
     assert {int(pid) for pid, _index in loads} == {os.getpid()}
+    # No worker draws a column or lays out a table: 9 columns once, 3
+    # clustered tables once, all in this process.
+    events = [line.split() for line in made.read_text().splitlines()]
+    assert sorted(what for _pid, what in events) == ["draw"] * 9 + ["layout"] * 3
+    assert {int(pid) for pid, _what in events} == {os.getpid()}
 
 
 def _mallopt_missing() -> bool:

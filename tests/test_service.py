@@ -442,6 +442,31 @@ def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
     assert len(decoded) == n_lines == 3 * 4 * len(fresh[0].plan_ids)
 
 
+def test_a_store_warm_job_builds_only_what_its_keys_and_axes_read(
+    tmp_path, draws, bulk_loads, masks
+):
+    """A job answered wholly from the store draws the predicate columns
+    and the one index-key column no predicate reads, lays out at most
+    System A's clustered leaves for the budget yardstick, and evaluates
+    no oracle mask."""
+    config = tiny_config(cell_cache_dir=str(tmp_path / "cells"))
+    request = MapRequest("two_predicate")
+    cold = BenchSession(config).request_map(request)
+    del draws[:], bulk_loads[:], masks[:]
+    manager = JobManager(config, workers=1, queue_limit=4)
+    try:
+        job, _ = manager.submit(request)
+        finished = manager.wait(job.job_id, timeout=120)
+        assert finished.state == "done"
+        assert finished.cache_hits == finished.total
+        assert finished.result.to_dict() == cold.to_dict()
+    finally:
+        manager.close()
+    assert sorted(draws) == ["extendedprice", "partkey", "suppkey"]
+    assert bulk_loads in ([], ["lineitem.clustered"])
+    assert masks == []
+
+
 def test_multi_wave_job_reports_every_wave_s_store_hits(tmp_path):
     """A refined sweep takes cells from the store wave by wave; the job
     and the metric count all of them, not the last wave's."""
@@ -570,8 +595,7 @@ def test_dropped_sessions_and_closed_managers_free_their_tables(
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def service():
+def _running_service():
     manager = make_manager()
     server = build_server(manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -581,6 +605,11 @@ def service():
     server.shutdown()
     server.server_close()
     manager.close()
+
+
+@pytest.fixture()
+def service():
+    yield from _running_service()
 
 
 def _get(base, path):
@@ -938,3 +967,84 @@ def test_http_client_hang_ups_are_not_server_errors(monkeypatch):
         server.shutdown()
         server.server_close()
         manager.close()
+
+
+# ---------------------------------------------------------------------------
+# the service refuses what it cannot finish
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shared_service():
+    """One service for tests that leave no job behind (its shutdown
+    waits out the server's half-second poll once, not per test)."""
+    yield from _running_service()
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, knob, limit",
+    [
+        ("single_predicate", {"n_rows": 1 << 40}, "n_rows", "MAX_TABLE_ROWS"),
+        ("single_predicate", {"pool_pages": 1 << 40}, "pool_pages", "MAX_POOL_PAGES"),
+        ("join", {"join_rows": [1 << 40]}, "join_rows", "MAX_TABLE_ROWS"),
+        (
+            "memory_sweep",
+            {"memory_axis": [1024 * (i + 1) for i in range(4999)]},
+            "memory_axis",
+            "MAX_MEASUREMENTS",
+        ),
+        (
+            "estimation",
+            {"error_magnitudes": [i / 1000 for i in range(5000)]},
+            "error_magnitudes",
+            "MAX_MEASUREMENTS",
+        ),
+    ],
+)
+def test_http_a_request_over_the_size_limits_is_a_400_and_books_nothing(
+    shared_service, scenario, overrides, knob, limit
+):
+    """Each of these passes ``resolve``; the service states its size
+    before building anything and refuses it, naming the knob and the
+    limit, with no job and no metric moved."""
+    base, manager = shared_service
+    request = {"scenario": scenario, "overrides": overrides}
+    MapRequest.from_dict(request).resolve(manager.config)
+    before = manager.metrics.render()
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        _post(base, "/maps", request)
+    assert refused.value.code == 400
+    error = json.loads(refused.value.read())["error"]
+    assert repr(knob) in error and limit in error
+    assert manager.stats()["jobs"] == 0
+    assert manager.metrics.render() == before
+
+
+def test_every_request_shape_of_the_workloads_is_admitted():
+    """The limits leave room for every request the benchmark's workloads
+    and README send, at their own scale, and the plan counts the service
+    sizes requests by are the registry's."""
+    from repro.bench.requests import MAP_DEFINITIONS, definition_for
+    from repro.core.scenario import build_scenario
+
+    manager = JobManager(BenchConfig(n_rows=1 << 17), workers=1)
+    try:
+        for overrides in (
+            {"join_rows": [int(512 * 2 ** (k / 2)) for k in range(15)]},
+            {
+                "sort_rows": [int(round(2048 * 2 ** (k / 3))) for k in range(13)],
+                "sort_memory": [(64 << 10) << k for k in range(8)],
+            },
+            {"min_exp_1d": -16, "min_exp_2d": -16},
+            {"join_rows": [512, 1024, 2048], "seed": 7},
+        ):
+            for name in MAP_DEFINITIONS:
+                manager._required_cells(MapRequest(name, overrides))
+    finally:
+        manager.close()
+    config = tiny_config()
+    for name, definition in MAP_DEFINITIONS.items():
+        providers = definition.factory(config)()
+        scenario = build_scenario(definition.spec(config), providers)
+        assert sum(map(len, scenario.plan_ids_by_provider())) == definition.plans, name
+        assert definition_for(name) is definition

@@ -1,6 +1,8 @@
 """Tests for the three system configurations (plan inventory + agreement)."""
 
+import json
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import BenchConfig, BenchSession, MapRequest
 from repro.errors import PlanError
+from repro.executor.plans import TableScanNode
 from repro.executor.predicates import ColumnRange
 from repro.systems import SystemA, SystemB, SystemC, SystemConfig, build_three_systems
 from repro.workloads import LineitemConfig, SinglePredicateQuery, TwoPredicateQuery
+
+DATA = Path(__file__).parent / "data"
 
 SMALL = SystemConfig(lineitem=LineitemConfig(n_rows=4096), pool_pages=64)
 
@@ -148,10 +153,14 @@ def all_plans(systems, quantile=0.3):
     return plans
 
 
-def test_building_systems_and_plans_loads_only_the_clustered_tables(bulk_loads):
+def test_building_systems_and_plans_lays_out_no_tree(bulk_loads):
     systems = build_three_systems(SMALL)
     assert len(all_plans(systems)) == 15 + 7
-    assert bulk_loads == ["lineitem.clustered"] * 3
+    assert bulk_loads == []
+    # The first scan lays out a table's clustered leaf level, once.
+    systems["A"].table.clustered.scan_all()
+    systems["A"].table.clustered.scan_all()
+    assert bulk_loads == ["lineitem.clustered"]
 
 
 def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
@@ -159,9 +168,10 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
         n_rows=2048, min_exp_1d=-4, pool_pages=32, cell_cache_dir=str(tmp_path)
     )
     cold = BenchSession(config).request_map(MapRequest("single_predicate"))
-    # Measured on System A over extendedprice: its partkey index and the
-    # composite indexes of B and C were never sorted.
-    assert sorted(bulk_loads) == ["lineitem.clustered"] * 3 + [
+    # Measured on System A alone, over extendedprice: its partkey index
+    # was never sorted, and no System B or C was built.
+    assert sorted(bulk_loads) == [
+        "lineitem.clustered",
         "lineitem.idx_b",
         "lineitem.idx_project",
     ]
@@ -170,8 +180,9 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
     warm = warm_session.request_map(MapRequest("single_predicate"))
     assert warm_session.cell_store().cell_misses == 0
     assert np.array_equal(warm.times, cold.times, equal_nan=True)
-    # Answered from the store: tables for the budget yardstick, no index.
-    assert bulk_loads == ["lineitem.clustered"] * 3
+    # Answered from the store: System A's table for the budget
+    # yardstick, no index.
+    assert bulk_loads == ["lineitem.clustered"]
 
 
 @settings(max_examples=8, deadline=None)
@@ -188,6 +199,7 @@ def test_first_use_order_changes_no_measurement(n_rows, seed, data):
     )
     eager, lazy = build_three_systems(config), build_three_systems(config)
     for system in eager.values():
+        system.table.materialize()
         for index in system.table.indexes.values():
             assert index.tree.flat.n_entries == n_rows
     plan_ids = sorted(all_plans(eager))
@@ -226,3 +238,117 @@ def test_first_use_order_changes_no_measurement(n_rows, seed, data):
             for index in eager[name].table.indexes.values()
             for tree in [index.tree]
         }
+
+
+# ---------------------------------------------------------------------------
+# the budget yardstick over a table built lazily
+# ---------------------------------------------------------------------------
+
+
+def test_the_budget_yardstick_keeps_its_recorded_seconds():
+    """``table_scan_seconds`` at a few configs, bit for bit, as recorded
+    when every table drew all its columns and laid out its leaf level at
+    construction.  The budget is part of every cell-store key: one ulp
+    of change would miss the whole store."""
+    recorded = json.loads((DATA / "yardstick_seconds.json").read_text())
+    for row in recorded:
+        config = BenchConfig(
+            n_rows=row["n_rows"],
+            pool_pages=row["pool_pages"],
+            seed=row["seed"],
+            cache_dir=None,
+            cell_cache_dir=None,
+        )
+        assert BenchSession(config).table_scan_seconds().hex() == row["seconds"], row
+
+
+def test_the_budget_yardstick_draws_no_column(draws, bulk_loads):
+    """System A draws its index key columns (each index's key check);
+    the scan lays out the leaf level and draws nothing more."""
+    session = BenchSession(
+        BenchConfig(n_rows=2048, cache_dir=None, cell_cache_dir=None)
+    )
+    session.system_a  # noqa: B018 - builds the system
+    assert sorted(draws) == ["extendedprice", "partkey", "suppkey"]
+    assert bulk_loads == []
+    session.table_scan_seconds()
+    assert len(draws) == 3
+    assert bulk_loads == ["lineitem.clustered"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_rows=st.integers(min_value=1 << 8, max_value=1 << 14),
+    pool_pages=st.integers(min_value=1, max_value=512),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_the_lazy_yardstick_is_a_scan_of_the_materialized_table(
+    n_rows, pool_pages, seed
+):
+    """The yardstick over a table that has drawn nothing equals a scan
+    of one whose columns are all drawn and whose leaf level is laid out
+    before the scan."""
+    config = BenchConfig(
+        n_rows=n_rows, pool_pages=pool_pages, seed=seed,
+        cache_dir=None, cell_cache_dir=None,
+    )
+    system = SystemA(config.system_config())
+    system.table.materialize()
+    run = system.runner().measure(TableScanNode(system.table, []))
+    assert BenchSession(config).table_scan_seconds().hex() == run.seconds.hex()
+
+
+# ---------------------------------------------------------------------------
+# a store-warm map builds only what its keys and axes read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def systems_built(monkeypatch) -> list[str]:
+    """Names of the database systems constructed while the test runs."""
+    from repro.systems.base import DatabaseSystem
+
+    built: list[str] = []
+    real = DatabaseSystem.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self.name)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DatabaseSystem, "__init__", recording)
+    return built
+
+
+WARM = dict(
+    n_rows=2048, min_exp_1d=-4, min_exp_2d=-3, pool_pages=32, n_workers=0
+)
+
+
+def test_a_warm_two_predicate_map_draws_three_columns_and_no_mask(
+    tmp_path, draws, bulk_loads, masks
+):
+    config = BenchConfig(**WARM, cache_dir=None, cell_cache_dir=str(tmp_path))
+    cold = BenchSession(config).request_map(MapRequest("two_predicate"))
+    del draws[:], bulk_loads[:], masks[:]
+    warm_session = BenchSession(config)
+    warm = warm_session.request_map(MapRequest("two_predicate"))
+    assert warm_session.cell_store().cell_misses == 0
+    assert warm.to_dict() == cold.to_dict()
+    # partkey and extendedprice for the predicates, suppkey for
+    # idx_project's key check; System A's leaves for the yardstick.
+    assert sorted(draws) == ["extendedprice", "partkey", "suppkey"]
+    assert bulk_loads == ["lineitem.clustered"]
+    assert masks == []
+
+
+def test_a_warm_single_predicate_map_builds_no_system_b_or_c(
+    tmp_path, systems_built
+):
+    config = BenchConfig(**WARM, cache_dir=None, cell_cache_dir=str(tmp_path))
+    BenchSession(config).request_map(MapRequest("single_predicate"))
+    assert systems_built == ["A"]
+    del systems_built[:]
+    warm_session = BenchSession(config)
+    warm_session.request_map(MapRequest("single_predicate"))
+    assert warm_session.cell_store().cell_misses == 0
+    assert systems_built == ["A"]

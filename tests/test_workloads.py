@@ -1,5 +1,7 @@
 """Unit and property tests for data generation and selectivity targeting."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,9 +72,54 @@ def test_build_lineitem_shares_columns(env):
     assert np.array_equal(table.column("partkey"), columns["partkey"])
 
 
+@settings(max_examples=15, deadline=None)
+@given(order=st.permutations(["partkey", "extendedprice", *LineitemConfig().extra_columns]))
+def test_lineitem_columns_read_in_any_order_are_the_same_columns(order):
+    """Each column is drawn at its first read, in the RNG's order, so
+    which columns are read first changes no value."""
+    config = LineitemConfig(n_rows=300, seed=11)
+    in_table_order = lineitem_columns(config)
+    expected = {name: in_table_order[name] for name in in_table_order}
+    columns = lineitem_columns(config)
+    for name in order[: len(order) // 2]:
+        assert np.array_equal(columns[name], expected[name]), name
+    assert {name: columns[name].tolist() for name in columns} == {
+        name: values.tolist() for name, values in expected.items()
+    }
+
+
+def test_lineitem_schema_reads_no_column(draws):
+    columns = lineitem_columns(LineitemConfig(n_rows=100))
+    assert len(columns) == 9 and "suppkey" in columns and "bogus" not in columns
+    assert columns.n_rows == 100
+    assert set(columns.dtypes.values()) == {np.dtype(np.int64)}
+    assert draws == []
+    columns["suppkey"]  # noqa: B018 - drawn after the two RNG columns before it
+    assert draws == ["partkey", "extendedprice", "suppkey"]
+    assert columns["suppkey"] is columns["suppkey"]
+    assert len(draws) == 3
+
+
+def test_lineitem_columns_drawn_by_racing_threads_are_drawn_once(draws):
+    config = LineitemConfig(n_rows=5000, seed=3)
+    columns = lineitem_columns(config)
+    names = list(columns)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        read = list(pool.map(columns.__getitem__, names[::-1] * 2))
+    assert sorted(draws) == sorted(["date"] * 2 + [
+        name for name in names if name not in ("shipdate", "receiptdate")
+    ])
+    fresh = lineitem_columns(config)
+    for name, values in zip(names[::-1] * 2, read):
+        assert np.array_equal(values, fresh[name]), name
+
+
 def test_lineitem_unknown_column_rejected():
     with pytest.raises(WorkloadError):
         lineitem_columns(LineitemConfig(n_rows=10, extra_columns=("bogus",)))
+    for repeated in (("suppkey", "suppkey"), ("partkey",)):
+        with pytest.raises(WorkloadError, match="repeated"):
+            lineitem_columns(LineitemConfig(n_rows=10, extra_columns=repeated))
 
 
 # ---------------------------------------------------------------------------
