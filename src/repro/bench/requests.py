@@ -190,6 +190,7 @@ class BenchConfig:
         "join_memory_bytes": 1,
         "join_row_bytes": 1,
         "join_key_domain": 1,
+        "error_magnitudes": 0,
         "refine_max_cells": 0,
         "n_workers": -1,
     }

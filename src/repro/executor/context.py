@@ -172,7 +172,9 @@ class ExecContext:
         non-censored measurement or which measurements are censored.
         An operator that batches a loop evaluates the loop's checks at
         once with :meth:`over_budget` and raises here at the first that
-        fails, so it aborts where the loop would.
+        fails, so it aborts where the loop would — the one batched pool
+        path, :meth:`~repro.storage.buffer_pool.BufferPool.charge_trace`,
+        does so for the naive fetch and the index nested-loop probes.
         """
         if self.budget_seconds is None:
             return

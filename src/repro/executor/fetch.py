@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import PlanError, StorageError
 from repro.executor.context import ExecContext
 from repro.executor.predicates import ColumnRange, apply_predicates
 from repro.executor.results import Result
+from repro.executor.sort import charge_rid_sort
 from repro.storage.bitmap import RowIdBitmap
 from repro.storage.table import Table
 
@@ -78,21 +78,26 @@ class FetchStrategy:
     def _sorted_fetch_order(
         self, ctx: ExecContext, table: Table, rids: np.ndarray
     ) -> np.ndarray:
-        """Bitmap-sort the rids and stream their distinct pages."""
+        """Sort the rids and stream their distinct pages.
+
+        The rids go through a bitmap when its workspace grant fits, and
+        through a rid sort (:func:`~repro.executor.sort.charge_rid_sort`:
+        its own grant, else one temp round trip) when it does not.
+        """
         profile = ctx.profile
         bitmap = RowIdBitmap(table.n_rows)
         grant = ctx.broker.try_grant(bitmap.memory_bytes)
         if grant is None:
-            raise PlanError(
-                f"bitmap of {bitmap.memory_bytes} bytes exceeds workspace memory"
-            )
-        try:
-            ctx.charge(rids.size, profile.cpu_bitmap_op)
-            bitmap.add(rids)
-            sorted_rids = bitmap.sorted_rids()
-            ctx.charge(sorted_rids.size, profile.cpu_bitmap_op)
-        finally:
-            grant.release()
+            charge_rid_sort(ctx, rids.size)
+            sorted_rids = np.unique(rids)
+        else:
+            try:
+                ctx.charge(rids.size, profile.cpu_bitmap_op)
+                bitmap.add(rids)
+                sorted_rids = bitmap.sorted_rids()
+                ctx.charge(sorted_rids.size, profile.cpu_bitmap_op)
+            finally:
+                grant.release()
         pages = table.distinct_pages_of_sorted_rids(sorted_rids)
         ctx.disk.read_scattered(
             table.clustered.handle, pages, coalesce=self.coalesce
@@ -103,19 +108,17 @@ class FetchStrategy:
     def _charge_naive(self, ctx: ExecContext, table: Table, rids: np.ndarray) -> None:
         """One buffer-pool access per row, in the order given.
 
-        The trace goes through :meth:`BufferPool.get_strided`, which
-        resolves it through the vectorized LRU kernel and charges its
-        misses one window of strides at a time, with the budget checked
-        once per :data:`_NAIVE_CHUNK` pages — the clock and disk
-        statistics at every check are bitwise those of a chunked
-        :meth:`BufferPool.get` loop, so censored runs abort at the same
-        point as that loop, having simulated little beyond it.
+        The trace goes through :meth:`BufferPool.charge_trace` with the
+        budget checked once per :data:`_NAIVE_CHUNK` pages — the clock
+        and disk statistics at every check are bitwise those of a
+        chunked :meth:`BufferPool.get` loop, so censored runs abort at
+        the same point as that loop, having simulated little beyond it.
         """
-        pages = table.pages_of_rids(rids)
-        if not ctx.pool.get_strided(
-            table.clustered.handle, pages, _NAIVE_CHUNK, ctx
-        ):
-            raise StorageError(f"table {table.name!r} has a negative page number")
+        n = int(rids.size)
+        checks = np.minimum(np.arange(_NAIVE_CHUNK, n + _NAIVE_CHUNK, _NAIVE_CHUNK), n)
+        ctx.pool.charge_trace(
+            table.clustered.handle, table.pages_of_rids(rids), ctx, checks
+        )
 
 
 NAIVE_FETCH = FetchStrategy("naive", sort_rids=False, coalesce=False)

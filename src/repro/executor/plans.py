@@ -35,7 +35,7 @@ from repro.executor.fetch import FetchStrategy
 from repro.executor.mdam import mdam_scan, trailing_filter
 from repro.executor.predicates import ColumnRange, apply_predicates
 from repro.executor.results import Result
-from repro.executor.sort import ExternalSort, SpillPolicy
+from repro.executor.sort import ExternalSort, SpillPolicy, charge_rid_sort
 from repro.obs.tracer import trace_op
 from repro.sim.disk import DiskStats
 from repro.storage.bitmap import intersect_rids, probe_rids, rid_sort_order
@@ -375,29 +375,6 @@ def _rid_sorted(ctx: ExecContext, result: Result) -> Result:
     return ctx.memo.derived("rid-sorted", (result,), sort)
 
 
-#: Bytes per row a rid sort holds in its workspace and spills.
-_RID_SORT_ROW_BYTES = 16
-
-
-def _charge_rid_sort(ctx: ExecContext, n_rids: int) -> None:
-    """Charge sorting ``n_rids`` rids: CPU, plus a spill if memory is tight.
-
-    Charge-only: the joined rids and their positions come from the
-    rid-set kernel (:func:`intersect_rids` / :func:`probe_rids`).
-    """
-    with trace_op(ctx, "rid-sort", "sort"):
-        n_bytes = n_rids * _RID_SORT_ROW_BYTES
-        grant = ctx.broker.try_grant(n_bytes)
-        ctx.charge_sort_cpu(n_rids)
-        if grant is None:
-            # Workspace overflow: write the run out and read it back (one
-            # round trip) — a single extra pass, charged sequentially.
-            spill = ctx.temp.write_run(n_rids, _RID_SORT_ROW_BYTES)
-            ctx.temp.read_run_fully(spill)
-        else:
-            grant.release()
-
-
 def _intersection(
     ctx: ExecContext, left: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,8 +428,8 @@ class RidIntersectNode(PlanNode):
     def _intersect(self, ctx: ExecContext, left: Result, right: Result) -> Result:
         profile = ctx.profile
         if self.algorithm == "merge":
-            _charge_rid_sort(ctx, left.n_rows)
-            _charge_rid_sort(ctx, right.n_rows)
+            charge_rid_sort(ctx, left.n_rows)
+            charge_rid_sort(ctx, right.n_rows)
             ctx.charge(left.n_rows + right.n_rows, profile.cpu_compare)
         else:
             build_res, probe_res = (
@@ -573,8 +550,8 @@ class CoveringRidJoinNode(PlanNode):
         n_index = value_keys.size
         ctx.charge(n_index, profile.cpu_row)
         if self.algorithm == "merge":
-            _charge_rid_sort(ctx, child.n_rows)
-            _charge_rid_sort(ctx, n_index)
+            charge_rid_sort(ctx, child.n_rows)
+            charge_rid_sort(ctx, n_index)
             ctx.charge(child.n_rows + n_index, profile.cpu_compare)
         else:
             build_rows = child.n_rows if self.build == "child" else n_index

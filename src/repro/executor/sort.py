@@ -27,6 +27,30 @@ from repro.executor.context import ExecContext
 from repro.obs.tracer import trace_op
 
 
+#: Bytes per row a rid sort holds in its workspace and spills.
+_RID_SORT_ROW_BYTES = 16
+
+
+def charge_rid_sort(ctx: ExecContext, n_rids: int) -> None:
+    """Charge sorting ``n_rids`` rids: CPU, plus a spill if memory is tight.
+
+    Charge-only: the caller sorts (a rid join's positions come from the
+    rid-set kernel, :func:`~repro.storage.bitmap.intersect_rids` /
+    :func:`~repro.storage.bitmap.probe_rids`).
+    """
+    with trace_op(ctx, "rid-sort", "sort"):
+        n_bytes = n_rids * _RID_SORT_ROW_BYTES
+        grant = ctx.broker.try_grant(n_bytes)
+        ctx.charge_sort_cpu(n_rids)
+        if grant is None:
+            # Workspace overflow: write the run out and read it back (one
+            # round trip) — a single extra pass, charged sequentially.
+            spill = ctx.temp.write_run(n_rids, _RID_SORT_ROW_BYTES)
+            ctx.temp.read_run_fully(spill)
+        else:
+            grant.release()
+
+
 class SpillPolicy(Enum):
     """How a sort behaves when its input exceeds workspace memory."""
 
@@ -90,7 +114,10 @@ class ExternalSort:
         n_rows = int(values.size)
         memory_rows = self._memory_rows()
         if n_rows <= memory_rows:
-            with ctx.broker.grant(n_rows * self.row_bytes):
+            # min(): a workspace below two rows still sorts them in memory
+            # (the max(2, ...) clamp of _memory_rows).
+            n_bytes = min(n_rows * self.row_bytes, ctx.broker.available_bytes)
+            with ctx.broker.grant(n_bytes):
                 ctx.charge_sort_cpu(n_rows)
             return SortResult(
                 None, spilled_rows=0, n_runs=1, values_fn=lambda: np.sort(values)

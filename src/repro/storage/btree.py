@@ -295,9 +295,9 @@ class BPlusTree:
 
         Charging is bit-identical to ``for k in keys: tree.probe(k)``.
         The full page-access trace of every probe (descent path, first
-        leaf, duplicate-continuation leaves) is resolved up front by the
-        vectorized LRU kernel (:meth:`BufferPool.plan_many`) and charged
-        in one pass (:meth:`_charge_probes_planned`).
+        leaf, duplicate-continuation leaves) is built up front and
+        charged through :meth:`BufferPool.charge_trace`, with each
+        probe's CPU unit placed after its descent.
 
         ``budget`` (duck-typed: ``over_budget`` and ``check_budget``, as
         :class:`~repro.executor.context.ExecContext` has them), when
@@ -351,70 +351,18 @@ class BPlusTree:
             ],
         )
 
-        # The kernel declines only negative page numbers; a tree has none.
-        planned = self._env.pool.plan_many(self.handle, all_pages)
-        assert planned is not None
-        self._charge_probes_planned(
-            planned, all_pages, offsets, descent_len, budget, budget_stride
+        checks = offsets[budget_stride::budget_stride] if budget is not None else ()
+        # Probe b's CPU unit lands after its descent, before any
+        # continuation leaf.
+        self._env.pool.charge_trace(
+            self.handle,
+            all_pages,
+            budget,
+            checks,
+            cpu_after=offsets[:-1] + descent_len,
+            cpu_unit=self._env.profile.btree_probe_cpu,
         )
         return counts
-
-    def _charge_probes_planned(
-        self,
-        planned,
-        all_pages: np.ndarray,
-        offsets: np.ndarray,
-        descent_len: int,
-        budget,
-        budget_stride: int,
-    ) -> None:
-        """Charge a kernel-planned probe batch, bit-identical to the loop.
-
-        The loop charges, for probe ``b``: its ``descent_len`` page
-        accesses, one probe-CPU unit, then its continuation accesses.  A
-        pool hit charges exactly ``0.0``, which never moves a
-        non-negative clock, so the schedule holds only the non-zero
-        charges in loop order — one CPU unit per probe and one read per
-        miss (:meth:`Disk.plan_page_reads`) — and
-        :meth:`SimClock.advance_checked` accumulates it once, stopping
-        at the first stride boundary whose clock fails ``budget``.  The
-        reads up to that probe are committed
-        (:meth:`Disk.commit_page_reads`) and ``budget.check_budget()``
-        raises, with the clock and disk statistics the loop shows there
-        and the pool untouched; a batch that completes commits every
-        read and the pool's statistics and final LRU state
-        (:meth:`BufferPool.commit_many`).
-        """
-        env = self._env
-        disk = env.disk
-        n = int(offsets.size) - 1
-        miss_idx = planned.miss_positions
-        reads = disk.plan_page_reads(self.handle, all_pages[miss_idx])
-        # Probe b's CPU unit lands after the misses among its first
-        # descent_len accesses; miss i after the CPU units of the probes
-        # whose descents end at or before it.
-        cpu_after = offsets[:-1] + descent_len
-        probe_ids = np.arange(n, dtype=np.int64)
-        schedule = np.empty(1 + n + miss_idx.size, dtype=np.float64)
-        charges = schedule[1:]
-        charges[probe_ids + np.searchsorted(miss_idx, cpu_after)] = (
-            1 * env.profile.btree_probe_cpu  # identical to charge_cpu(1, ...)
-        )
-        charges[
-            np.arange(miss_idx.size) + np.searchsorted(cpu_after, miss_idx, "right")
-        ] = reads.elapsed
-        # Probes done at each budget check (none without a budget), and
-        # the charges landed by then.
-        checked = n if budget is not None else 0
-        done = np.arange(budget_stride, checked + 1, budget_stride)
-        misses_done = np.searchsorted(miss_idx, offsets[done])
-        failed = env.clock.advance_checked(schedule, done + misses_done, budget)
-        aborted = failed < done.size
-        read_stop = int(misses_done[failed]) if aborted else int(miss_idx.size)
-        disk.commit_page_reads(self.handle, reads, 0, read_stop)
-        if aborted:
-            budget.check_budget()  # raises: over_budget is its twin
-        env.pool.commit_many(planned)
 
     def probe(self, key: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Return (keys, payload) of entries equal to ``key`` (may be empty).

@@ -12,20 +12,20 @@ a hot page cheap and cold random fetches expensive.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import BufferPoolError
 from repro.sim.disk import Disk, FileHandle
-from repro.storage.lru_kernel import LruSimulation, simulate_lru
+from repro.storage.lru_kernel import simulate_lru
 
-#: Strides :meth:`BufferPool.get_strided` plans and charges in its first
-#: window; every later window doubles the trace covered so far.  Small
-#: enough that a run censored early simulates a few thousand accesses,
-#: not its whole trace; large enough that an uncensored trace takes a
-#: handful of kernel calls.
-_FIRST_WINDOW_STRIDES = 16
+#: Budget checks :meth:`BufferPool.charge_trace` plans and charges in its
+#: first window; every later window doubles the trace covered so far.
+#: Small enough that a run censored early simulates a few thousand
+#: accesses, not its whole trace; large enough that an uncensored trace
+#: takes a handful of kernel calls.
+_FIRST_WINDOW_CHECKS = 16
 
 
 @dataclass
@@ -35,28 +35,6 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-
-@dataclass
-class PlannedAccesses:
-    """A resolved access trace awaiting its charges and state commit.
-
-    Produced by :meth:`BufferPool.plan_many`: the per-access hit
-    classification plus everything needed to later apply the trace's
-    pool-side effects in one step (:meth:`BufferPool.commit_many`).
-    Splitting plan from commit lets callers interleave the miss charges
-    with their own CPU charges (see :meth:`BPlusTree.probe_many`) while
-    the pool state lands exactly once.
-    """
-
-    simulation: LruSimulation
-    file_id: int
-    #: Trace positions that miss, ascending.
-    miss_positions: np.ndarray
-    #: Decode table for negative key codes: code ``-1 - k`` is
-    #: ``other_keys[k]``, a resident ``(file_id, page_no)`` of some other
-    #: file.
-    other_keys: list[tuple[int, int]] = field(default_factory=list)
 
 
 class BufferPool:
@@ -85,90 +63,86 @@ class BufferPool:
         self._disk.read_page(handle, page_no)
         self._admit(key)
 
-    def plan_many(self, handle: FileHandle, page_nos) -> PlannedAccesses | None:
-        """Resolve a page-access trace through the vectorized LRU kernel.
+    def charge_trace(
+        self,
+        handle: FileHandle,
+        pages,
+        budget,
+        checks,
+        cpu_after=(),
+        cpu_unit: float = 0.0,
+    ) -> None:
+        """Access a page trace with CPU units and budget checks in it.
 
-        Returns the planned trace — per-access hit flags plus the final
-        pool state — without charging anything or mutating the pool, or
-        ``None`` when the kernel's precondition fails and callers must
-        charge the trace through the plain :meth:`get` loop instead:
-        all page numbers must be non-negative (negative codes are
-        reserved for other files' residents; the scalar loop raises on
-        them mid-trace, which the kernel cannot reproduce).
-
-        The caller charges one disk read per miss, in trace order, then
-        applies the pool-side effects with :meth:`commit_many`.
-        """
-        pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
-        if pages.size and bool(pages.min() < 0):
-            return None
-        fid = handle.file_id
-        resident_codes, other_keys = self._resident_codes(fid)
-        simulation = simulate_lru(pages, resident_codes, self._capacity)
-        miss_positions = np.nonzero(~simulation.hit_mask)[0]
-        return PlannedAccesses(simulation, fid, miss_positions, other_keys)
-
-    def get_strided(self, handle: FileHandle, page_nos, stride: int, budget) -> bool:
-        """Access a page trace, checking ``budget`` every ``stride`` pages.
-
-        Equivalent to the :meth:`get` loop over consecutive
-        ``stride``-sized trace slices with ``budget.check_budget()``
-        after each — the naive fetch's budget-check schedule — but
-        planned and charged one *window* of whole strides at a time.
+        Bitwise the loop that, at each trace position ``p`` from ``0``
+        to ``len(pages)``, charges ``cpu_unit`` once per entry of
+        ``cpu_after`` equal to ``p``, checks ``budget`` if ``p`` is in
+        ``checks``, then calls :meth:`get` for ``pages[p]`` (if any).
+        ``checks`` and ``cpu_after`` are ascending positions;
         ``budget`` is duck-typed (``over_budget`` and ``check_budget``,
         as :class:`~repro.executor.context.ExecContext` has them;
-        ``None`` never fails).  The
-        first window is :data:`_FIRST_WINDOW_STRIDES` strides; each
-        later one doubles the trace covered so far, so a budget that
-        fails after access ``a`` has simulated at most
-        ``max(first window, 2 * a)`` accesses instead of the whole trace.
+        ``None`` never fails).
 
-        Per window: :func:`simulate_lru` classifies the window against
-        the residents the previous window left (the first window
-        against the pool's own), :meth:`Disk.plan_page_reads` costs its
+        The trace is charged one *window* at a time: the first ends at
+        check :data:`_FIRST_WINDOW_CHECKS` (fewer checks: one window),
+        each later one doubles the trace covered so far, so a budget
+        that fails after access ``a`` has simulated at most
+        ``max(first window, 2 * a)`` accesses.  Per window,
+        :func:`simulate_lru` classifies it against the residents the
+        previous window left, :meth:`Disk.plan_page_reads` costs its
         misses from the head the previous window left, and
-        :meth:`SimClock.advance_checked` charges the misses — a hit
-        charges exactly ``0.0`` — up to the first slice boundary whose
-        clock fails the budget.  The reads up to that boundary are
-        committed (:meth:`Disk.commit_page_reads`) and
-        ``budget.check_budget()`` raises.  Bitwise identity with the
-        loop holds at every boundary: LRU state carried between windows
-        makes the split exact (evictions add up), hits move neither the
-        clock nor the head, and the schedule and the statistics
-        accumulate left to right, seeded with the running values.  Pool
+        :meth:`SimClock.advance_checked` charges misses and CPU units
+        in loop order (a hit charges exactly ``0.0``) up to the first
+        check whose clock fails the budget; the reads before it are
+        committed and ``budget.check_budget()`` raises.  Carried LRU
+        state makes the split exact, and clock and statistics
+        accumulate left to right from the running values.  Pool
         statistics and the resident order land once, after the last
-        window, so a budget that fails leaves the pool untouched and
-        the clock and disk statistics exactly where the sliced loop's
-        abort would.
-
-        Returns ``False``, having charged nothing, when the trace holds a
-        negative page number (the kernel's precondition, see
-        :meth:`plan_many`).
+        window, so an abort leaves the pool untouched.  A negative page
+        number raises :class:`BufferPoolError` before anything is
+        charged.
         """
-        pages = np.ascontiguousarray(np.asarray(page_nos), dtype=np.int64)
+        pages = np.ascontiguousarray(np.asarray(pages), dtype=np.int64)
         if pages.size and bool(pages.min() < 0):
-            return False
+            raise BufferPoolError(f"negative page number in a trace of {handle}")
+        checks = np.asarray(checks, dtype=np.int64)
+        cpu_after = np.asarray(cpu_after, dtype=np.int64)
         fid = handle.file_id
         state, other_keys = self._resident_codes(fid)
         disk = self._disk
         n = int(pages.size)
         hits = misses = evictions = 0
-        start, end = 0, min(n, stride * _FIRST_WINDOW_STRIDES)
-        while start < n:
+        start = checked = landed = 0
+        end = n
+        if checks.size > _FIRST_WINDOW_CHECKS:
+            end = max(1, int(checks[_FIRST_WINDOW_CHECKS - 1]))
+        while True:  # once, for an empty trace
             window = pages[start:end]
             simulation = simulate_lru(window, state, self._capacity)
             miss = np.nonzero(~simulation.hit_mask)[0]
             reads = disk.plan_page_reads(handle, window[miss])
-            schedule = np.empty(1 + miss.size, dtype=np.float64)
-            schedule[1:] = reads.elapsed
-            # Misses charged by each slice boundary of the window.
-            size = end - start
-            checks = np.searchsorted(
-                miss, np.minimum(np.arange(stride, size + stride, stride), size)
+            # The window's CPU units and checks: those at its end count,
+            # those at its start were the previous window's.
+            unit_stop = int(np.searchsorted(cpu_after, end, "right"))
+            check_stop = int(np.searchsorted(checks, end, "right"))
+            units = cpu_after[landed:unit_stop] - start
+            window_checks = checks[checked:check_stop] - start
+            schedule = np.empty(1 + units.size + miss.size, dtype=np.float64)
+            charges = schedule[1:]
+            # A unit lands after the misses before its position, a miss
+            # after the units at or before its own.
+            charges[np.arange(units.size) + np.searchsorted(miss, units)] = cpu_unit
+            charges[np.arange(miss.size) + np.searchsorted(units, miss, "right")] = (
+                reads.elapsed
             )
-            failed = disk.clock.advance_checked(schedule, checks, budget)
-            aborted = failed < checks.size
-            read_stop = int(checks[failed]) if aborted else int(miss.size)
+            misses_done = np.searchsorted(miss, window_checks)
+            failed = disk.clock.advance_checked(
+                schedule,
+                misses_done + np.searchsorted(units, window_checks, "right"),
+                budget,
+            )
+            aborted = failed < window_checks.size
+            read_stop = int(misses_done[failed]) if aborted else int(miss.size)
             disk.commit_page_reads(handle, reads, 0, read_stop)
             if aborted:
                 budget.check_budget()  # raises: over_budget is its twin
@@ -176,22 +150,14 @@ class BufferPool:
             misses += simulation.n_misses
             evictions += simulation.n_evictions
             state = simulation.final_keys
+            if end >= n:
+                break
             start, end = end, min(n, 2 * end)
+            landed, checked = unit_stop, check_stop
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.evictions += evictions
         self._resident = self._decode_resident(state, fid, other_keys)
-        return True
-
-    def commit_many(self, planned: PlannedAccesses) -> None:
-        """Apply a planned trace's stats and final LRU state to the pool."""
-        simulation = planned.simulation
-        self.stats.hits += simulation.n_hits
-        self.stats.misses += simulation.n_misses
-        self.stats.evictions += simulation.n_evictions
-        self._resident = self._decode_resident(
-            simulation.final_keys, planned.file_id, planned.other_keys
-        )
 
     def _resident_codes(
         self, fid: int

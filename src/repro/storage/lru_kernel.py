@@ -39,7 +39,9 @@ Downstream effects are closed-form once hits are known:
 The kernel is *exact*, not approximate: for every trace it reproduces the
 same hit/miss/eviction counts, the same per-access hit classification
 (hence the same disk charges in the same order), and the same final
-resident order as the sequential ``get()`` loop.
+resident order as the sequential ``get()`` loop.  Its one caller is
+:meth:`BufferPool.charge_trace`, which simulates a trace window by
+window, each against the residents the previous one left.
 """
 
 from __future__ import annotations

@@ -217,3 +217,18 @@ def test_concurrent_same_map_computes_once(tmp_path, monkeypatch):
         thread.join()
     assert calls == ["join"]
     assert results[0] is results[1]
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("two_predicate", {"memory_bytes": 511}),
+        ("memory_sweep", {"memory_axis": (1, 511)}),
+    ],
+)
+def test_map_whose_bitmap_does_not_fit_finishes(tmp_path, scenario, overrides):
+    """A 4096-row table's rid bitmap takes 512 bytes: a smaller workspace
+    makes the sorted fetch sort its rids instead of failing the sweep."""
+    config = tiny_config(tmp_path, n_rows=4096, **overrides)
+    mapdata = BenchSession(config).request_map(MapRequest(scenario))
+    assert np.isfinite(mapdata.times).any()

@@ -1,12 +1,12 @@
 """Charge-equivalence of the batched execution core.
 
-The vectorized kernels (``plan_many``, ``probe_many``, ``advance_many``,
+The vectorized kernels (``charge_trace``, ``probe_many``, ``advance_many``,
 ``merge_read_all``) must be *bit-identical* to the per-item loops they
 replace: same virtual seconds, same hit/miss/eviction counts, same
 eviction victims, same final LRU order.  These tests pin that invariant
 property-style against the loops, including the adversarial regimes
-(thrashing pools, capacity-1, duplicate keys, traces the LRU kernel
-declines).
+(thrashing pools, capacity-1, duplicate keys, traces the pool
+refuses).
 
 Whole plans have one execution path; their reference is
 ``tests/data/reference_measurements.json``, recorded from the per-item
@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ExecutionError, StorageError
+import repro.storage.buffer_pool as buffer_pool
+from repro.errors import BufferPoolError, ExecutionError
 from repro.executor import (
     ColumnRange,
     ExecContext,
@@ -99,17 +100,13 @@ def test_charge_many_rejects_misaligned():
 
 
 # ---------------------------------------------------------------------------
-# get_strided == loop of get
+# charge_trace == loop of get
 # ---------------------------------------------------------------------------
 
 
 def get_many(pool, handle, pages):
-    """Charge a page trace the way the naive fetch does, as one slice:
-    the kernel's windows when it takes the trace, else the ``get`` loop."""
-    pages = np.asarray(pages, dtype=np.int64)
-    if not pool.get_strided(handle, pages, max(1, pages.size), None):
-        for page in pages.tolist():
-            pool.get(handle, page)
+    """Charge a page trace in one batch, with no budget checks."""
+    pool.charge_trace(handle, np.asarray(pages, dtype=np.int64), None, ())
 
 
 def make_pools(capacity):
@@ -153,16 +150,24 @@ def test_get_many_capacity_one():
     assert_pools_identical(ref_pool, bat_pool)
 
 
-def test_get_many_long_hit_runs_through_kernel():
-    # Long resident run, one interleaved miss, another long run: >= 8
-    # accesses, none negative, so the LRU kernel takes the whole trace.
+def test_get_many_long_hit_runs_through_kernel(monkeypatch):
+    # Long resident run, one interleaved miss, another long run: the
+    # LRU kernel takes the whole trace in one call.
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(16)
     warm = list(range(10))
     pages = warm * 20 + [99] + warm * 20
-    assert bat_pool.plan_many(bat_handle, np.asarray(pages)) is not None
+    simulated = []
+    real_simulate = buffer_pool.simulate_lru
+
+    def counting_simulate(trace, resident, capacity):
+        simulated.append(int(np.asarray(trace).size))
+        return real_simulate(trace, resident, capacity)
+
+    monkeypatch.setattr(buffer_pool, "simulate_lru", counting_simulate)
     for page in pages:
         ref_pool.get(ref_handle, page)
     get_many(bat_pool, bat_handle, np.asarray(pages))
+    assert simulated == [len(pages)]
     assert_pools_identical(ref_pool, bat_pool)
 
 
@@ -188,15 +193,16 @@ def test_get_many_short_traces_equal_get_loop(pages, capacity):
     st.data(),
 )
 def test_get_many_on_declined_trace_equals_get_loop(pages, capacity, data):
-    # Long enough for the kernel, but a negative page number makes it
-    # decline: the loop, which charges up to that page and raises there.
-    pages.insert(data.draw(st.integers(0, len(pages))), -1)
+    # A negative page number anywhere in the trace: the pool refuses the
+    # whole trace before charging any of it, so the batched pool stays
+    # where the warm-up left both pools.
+    at = data.draw(st.integers(0, len(pages)))
     (ref_pool, ref_handle), (bat_pool, bat_handle) = make_pools(capacity)
-    assert bat_pool.plan_many(bat_handle, np.asarray(pages)) is None
-    with pytest.raises(StorageError, match="negative"):
-        for page in pages:
-            ref_pool.get(ref_handle, page)
-    with pytest.raises(StorageError, match="negative"):
+    for pool, handle in ((ref_pool, ref_handle), (bat_pool, bat_handle)):
+        for page in pages[:at]:
+            pool.get(handle, page)
+    pages.insert(at, -1)
+    with pytest.raises(BufferPoolError, match="negative"):
         get_many(bat_pool, bat_handle, np.asarray(pages, dtype=np.int64))
     assert_pools_identical(ref_pool, bat_pool)
     assert bat_pool._disk.stats == ref_pool._disk.stats

@@ -47,6 +47,28 @@ def test_sorted_strategies_return_rid_order(env, table, rng):
     assert np.all(np.diff(result.rids) > 0)
 
 
+@pytest.mark.parametrize(
+    "strategy", [SORTED_BITMAP_FETCH, ADAPTIVE_PREFETCH], ids=lambda s: s.name
+)
+@pytest.mark.parametrize("memory_bytes, spills", [(24 * 16, False), (1, True)])
+def test_sorted_fetch_sorts_rids_when_the_bitmap_does_not_fit(
+    strategy, memory_bytes, spills, env, table, rng
+):
+    """A workspace below the bitmap's ``n_rows / 8`` bytes sorts the rids
+    instead (spilling them once when that grant fails too): the same
+    rows in the same order, and no ``PlanError``."""
+    rids = np.concatenate([rng.permutation(table.n_rows)[:12]] * 2)
+    assert memory_bytes < (table.n_rows + 7) // 8
+    expected = strategy.fetch(ExecContext(env), table, rids, columns=["a"])
+    spilled = env.temp.pages_spilled
+    result = strategy.fetch(
+        ExecContext(env, memory_bytes=memory_bytes), table, rids, columns=["a"]
+    )
+    assert np.array_equal(result.rids, expected.rids)
+    assert np.array_equal(result.columns["a"], expected.columns["a"])
+    assert (env.temp.pages_spilled > spilled) == spills
+
+
 def test_naive_much_slower_for_many_scattered_rows(env, table, rng):
     """The core Fig 1 economics: naive >> sorted >> nothing."""
     rids = rng.choice(table.n_rows, 1500, replace=False)

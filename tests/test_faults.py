@@ -225,3 +225,50 @@ def test_two_writer_processes_on_one_store_lose_nothing(tmp_path):
     assert sorted(path.name for path in store_dir.iterdir()) == sorted(
         ["go"] + [f"cells-{d:x}.jsonl" for d in range(16)]
     )
+
+
+LOOPING_WRITER = """
+import sys
+from repro.core.cellstore import CellStore
+store = CellStore(sys.argv[1])
+for i in range(1_000_000):
+    store.put_many(
+        [(f"{j % 16:x}d{i:024d}{j:06d}", {"s": float(i), "a": False, "r": 1})
+         for j in range(64)]
+    )
+"""
+
+
+def test_a_writer_killed_mid_append_neither_blocks_nor_loses_the_next(tmp_path):
+    """SIGKILL a process that loops ``put_many`` on a store, then append
+    from a second process: its ``flock`` died with it, so the second
+    writer does not wait; the store loads with at most one corrupt line
+    (the killed append), holds every record the second writer wrote, and
+    ``compact()`` leaves no corrupt line."""
+    store_dir = tmp_path / "cells"
+    store_dir.mkdir()
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    looping = subprocess.Popen(
+        [sys.executable, "-c", LOOPING_WRITER, str(store_dir)], env=env
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while sum(p.stat().st_size for p in store_dir.glob("cells-*.jsonl")) < 1 << 16:
+            assert time.monotonic() < deadline and looping.poll() is None
+            time.sleep(0.005)
+    finally:
+        looping.send_signal(signal.SIGKILL)
+        looping.wait(timeout=30)
+    assert looping.returncode == -signal.SIGKILL
+    (store_dir / "go").touch()  # WRITER waits for it before it appends
+    second = subprocess.run(
+        [sys.executable, "-c", WRITER, str(store_dir), "e"], env=env, timeout=120
+    )
+    assert second.returncode == 0
+    store = CellStore(store_dir)
+    assert store.corrupt_lines <= 1
+    for i in range(150):
+        key = f"{i % 16:x}e{i:030d}"
+        assert store.get(key) == {"s": float(i), "a": False, "r": 1}
+    assert store.compact()["corrupt"] == store.corrupt_lines
+    assert CellStore(store_dir).corrupt_lines == 0

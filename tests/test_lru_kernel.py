@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.storage.buffer_pool as buffer_pool
 import repro.storage.lru_kernel as lru_kernel
+from repro.errors import BufferPoolError
 from repro.executor.context import CostBudgetExceeded, ExecContext
 from repro.executor.fetch import _NAIVE_CHUNK, NAIVE_FETCH
 from repro.sim.clock import SimClock
@@ -89,7 +90,7 @@ def lru_case(draw):
     key_space = draw(st.integers(1, 20))
     trace = draw(st.lists(st.integers(0, key_space), max_size=300))
     # Pre-warmed pool: distinct keys, some from "other files" (negative
-    # codes, the encoding plan_many uses for foreign residents).
+    # codes, the encoding charge_trace uses for foreign residents).
     n_resident = draw(st.integers(0, min(capacity, key_space + 5)))
     resident = draw(
         st.lists(
@@ -156,9 +157,7 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
         kernel_pool.get(kernel_handles[which], page)
         scalar_pool.get(scalar_handles[which], page)
     pages = np.asarray(trace, dtype=np.int64)
-    assert kernel_pool.get_strided(
-        kernel_handles[0], pages, pages.size, None
-    )
+    kernel_pool.charge_trace(kernel_handles[0], pages, None, ())
     for page in pages:
         scalar_pool.get(scalar_handles[0], int(page))
     assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
@@ -169,9 +168,20 @@ def test_get_many_bitwise_equals_get_loop(trace, warm_accesses):
     ] == [(file_id, page) for file_id, page in scalar_pool._resident]
 
 
-def test_plan_many_refuses_negative_pages():
-    (pool, _disk, handles), _ = make_pools()
-    assert pool.plan_many(handles[0], np.array([1, -2, 3])) is None
+def test_charge_trace_refuses_negative_pages():
+    """A negative page number raises before anything is charged: pool
+    statistics, resident order, clock and disk statistics stay put."""
+    (pool, disk, handles), _ = make_pools()
+    for which, page in ((0, 4), (1, 2), (0, 1)):
+        pool.get(handles[which], page)
+    stats, resident = dict(vars(pool.stats)), list(pool._resident)
+    disk_stats, now = dataclasses.replace(disk.stats), disk.clock.now
+    with pytest.raises(BufferPoolError, match="negative"):
+        pool.charge_trace(handles[0], np.array([1, -2, 3]), None, [1, 2, 3])
+    assert vars(pool.stats) == stats
+    assert list(pool._resident) == resident
+    assert disk.stats == disk_stats
+    assert disk.clock.now == now
 
 
 def _measure_naive_fetch(budget_seconds, n_rids=3000):
@@ -227,9 +237,11 @@ def test_trace_straddles_chunk_boundaries():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_fitting_trace_plan_equals_get_loop(data):
-    """plan_many/commit_many against the get loop on a trace whose page
-    span fits beside the warm residents exactly (the one-pass path), or
-    overshoots by one page (the segmented path), or is empty."""
+    """charge_trace against the get loop on a trace whose page span
+    fits beside the warm residents exactly (the one-pass path), or
+    overshoots by one page (the segmented path), or is empty: a check
+    after every access sees the clock move exactly on the loop's
+    misses."""
     capacity = data.draw(st.integers(1, 16))
     warm = data.draw(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 24)), max_size=24)
@@ -258,17 +270,20 @@ def test_fitting_trace_plan_equals_get_loop(data):
         over == 0 or not trace
     )
 
-    planned = kernel_pool.plan_many(kernel_handles[0], pages)
-    assert kernel_pool.get_strided(
-        kernel_handles[0], pages, max(1, pages.size), None
+    kernel_budget = _CountedBudget(None)
+    kernel_evictions = kernel_pool.stats.evictions
+    start_clock = kernel_disk.clock.now
+    kernel_pool.charge_trace(
+        kernel_handles[0], pages, kernel_budget, np.arange(1, pages.size + 1)
     )
     flags, evictions = [], scalar_pool.stats.evictions
     for page in trace:
         hits = scalar_pool.stats.hits
         scalar_pool.get(scalar_handles[0], page)
         flags.append(scalar_pool.stats.hits > hits)
-    assert planned.simulation.hit_mask.tolist() == flags
-    assert planned.simulation.n_evictions == (
+    clocks = [start_clock] + kernel_budget.seen
+    assert [after == before for before, after in zip(clocks, clocks[1:])] == flags
+    assert kernel_pool.stats.evictions - kernel_evictions == (
         scalar_pool.stats.evictions - evictions
     )
     assert list(kernel_pool._resident) == list(scalar_pool._resident)
@@ -439,7 +454,7 @@ def test_dominance_helpers_with_nothing_to_count():
 
 
 # ---------------------------------------------------------------------------
-# window-by-window charging: BufferPool.get_strided
+# window-by-window charging: BufferPool.charge_trace
 # ---------------------------------------------------------------------------
 
 
@@ -471,20 +486,25 @@ class _CountedBudget:
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_windowed_charging_equals_checked_get_loop(data):
-    """Window by window, against the ``get`` loop with a budget check
-    every stride: the bitwise clock at every check, the clock and disk
-    statistics at the abort (in the first window, a later one, or
-    never); the pool untouched by an abort, its statistics and resident
-    order the loop's on completion."""
+    """Window by window, against the ``get`` loop with CPU units placed
+    between its accesses and a budget check every stride: the bitwise
+    clock at every check, the clock and disk statistics at the abort (in
+    the first window, a later one, or never); the pool untouched by an
+    abort, its statistics and resident order the loop's on completion."""
     capacity = data.draw(st.integers(1, 12))
     warm = data.draw(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=16)
     )
     trace = data.draw(st.lists(st.integers(0, 30), max_size=300))
     stride = data.draw(st.integers(1, 8))
-    window_strides = data.draw(st.integers(1, 3))
+    window_checks = data.draw(st.integers(1, 3))
     n_checks = -(-len(trace) // stride)
     abort_at = data.draw(st.one_of(st.none(), st.integers(1, max(1, n_checks))))
+    cpu_after = sorted(
+        data.draw(st.lists(st.integers(0, len(trace)), max_size=40))
+    )
+    cpu_unit = data.draw(st.sampled_from([0.0, 3e-5, 1e-3]))
+    checks = np.minimum(np.arange(stride, len(trace) + stride, stride), len(trace))
 
     (kernel_pool, kernel_disk, kernel_handles), (
         scalar_pool,
@@ -500,26 +520,34 @@ def test_windowed_charging_equals_checked_get_loop(data):
     scalar_budget = _CountedBudget(abort_at)
     scalar_aborted = False
     try:
-        for start in range(0, len(trace), stride):
-            for page in trace[start : start + stride]:
-                scalar_pool.get(scalar_handles[0], page)
-            if scalar_budget.over_budget([scalar_disk.clock.now])[0]:
-                scalar_budget.check_budget()
+        for position in range(len(trace) + 1):
+            for _ in range(cpu_after.count(position)):
+                scalar_disk.clock.advance(cpu_unit)
+            if position in checks:
+                if scalar_budget.over_budget([scalar_disk.clock.now])[0]:
+                    scalar_budget.check_budget()
+            if position < len(trace):
+                scalar_pool.get(scalar_handles[0], trace[position])
     except _Censored:
         scalar_aborted = True
 
     kernel_budget = _CountedBudget(abort_at)
     kernel_aborted = False
-    before = buffer_pool._FIRST_WINDOW_STRIDES
-    buffer_pool._FIRST_WINDOW_STRIDES = window_strides
+    before = buffer_pool._FIRST_WINDOW_CHECKS
+    buffer_pool._FIRST_WINDOW_CHECKS = window_checks
     try:
-        kernel_pool.get_strided(
-            kernel_handles[0], np.asarray(trace, dtype=np.int64), stride, kernel_budget
+        kernel_pool.charge_trace(
+            kernel_handles[0],
+            np.asarray(trace, dtype=np.int64),
+            kernel_budget,
+            checks,
+            cpu_after=cpu_after,
+            cpu_unit=cpu_unit,
         )
     except _Censored:
         kernel_aborted = True
     finally:
-        buffer_pool._FIRST_WINDOW_STRIDES = before
+        buffer_pool._FIRST_WINDOW_CHECKS = before
 
     assert kernel_budget.seen == scalar_budget.seen
     assert kernel_aborted == scalar_aborted
@@ -577,7 +605,7 @@ def test_censored_naive_fetch_simulates_little_past_its_abort(monkeypatch):
     assert fetch(full_seconds / 8)
     accesses = len(checks) * _NAIVE_CHUNK  # the abort lands after these
     assert accesses < n_rids // 4
-    first_window = buffer_pool._FIRST_WINDOW_STRIDES * _NAIVE_CHUNK
+    first_window = buffer_pool._FIRST_WINDOW_CHECKS * _NAIVE_CHUNK
     assert sum(simulated) <= max(first_window, 2 * accesses)
 
 

@@ -15,9 +15,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.harness import BenchConfig, BenchSession
-from repro.bench.requests import MapRequest
+from repro.bench.requests import MapRequest, available_requests
 from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
@@ -785,6 +786,8 @@ def test_http_bad_content_length_is_a_400(service, length):
         # A grid that would start above 2^0: queued, and died in the worker.
         ({"min_exp_1d": 2}, "min_exp_1d"),
         ({"min_exp_2d": 1}, "min_exp_2d"),
+        # A negative error magnitude: queued, and died in the worker.
+        ({"error_magnitudes": [-1.0]}, "error_magnitudes"),
     ],
 )
 def test_http_mistyped_override_is_a_400_and_queues_nothing(
@@ -1048,3 +1051,75 @@ def test_every_request_shape_of_the_workloads_is_admitted():
         scenario = build_scenario(definition.spec(config), providers)
         assert sum(map(len, scenario.plan_ids_by_provider())) == definition.plans, name
         assert definition_for(name) is definition
+
+
+# ---------------------------------------------------------------------------
+# what is admitted finishes
+# ---------------------------------------------------------------------------
+
+
+def _small(high):
+    """A size knob down to 1: mostly tiny, sometimes up to ``high``."""
+    return st.one_of(st.integers(1, 4), st.integers(1, high))
+
+
+def _axis(high):
+    return st.lists(_small(high), min_size=1, max_size=3)
+
+
+_SMALL_KNOBS = {
+    "n_rows": st.integers(8, 12).map(lambda exp: 1 << exp),
+    "min_exp_1d": st.integers(-4, 0),
+    "min_exp_2d": st.integers(-3, 0),
+    "pool_pages": _small(64),
+    "memory_bytes": _small(1 << 20),
+    "memory_axis": _axis(1 << 20),
+    "sort_rows": _axis(4096),
+    "sort_memory": _axis(1 << 20),
+    "sort_row_bytes": _small(256),
+    "join_rows": _axis(512),
+    "join_memory_bytes": _small(1 << 16),
+    "join_row_bytes": _small(64),
+    "join_key_domain": _small(1 << 12),
+    "error_magnitudes": st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=3),
+    "budget_scale": st.sampled_from([0.01, 1.0, 50.0]),
+    "seed": st.integers(0, 100),
+    "refine": st.booleans(),
+    "refine_max_cells": st.integers(0, 20),
+}
+
+
+@pytest.fixture(scope="module")
+def small_manager():
+    manager = JobManager(tiny_config(), workers=1)
+    yield manager
+    manager.close()
+
+
+@example({"scenario": "estimation", "overrides": {"error_magnitudes": [-1.0]}})
+@example(
+    {"scenario": "memory_sweep", "overrides": {"n_rows": 4096, "memory_axis": [1]}}
+)
+@example(
+    {"scenario": "sort_spill", "overrides": {"sort_rows": [2], "sort_memory": [1]}}
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "scenario": st.sampled_from(available_requests()),
+            "overrides": st.fixed_dictionaries({}, optional=_SMALL_KNOBS),
+        }
+    )
+)
+def test_admitted_small_request_finishes(small_manager, payload):
+    """A request at small scale (tables of 2^8 to 2^12 rows, short axes,
+    memory knobs down to one byte) is either refused at submit — a 4xx
+    at ``POST /maps`` — or its job finishes: no request is admitted only
+    to fail in its worker."""
+    try:
+        job, _ = small_manager.submit(MapRequest.from_dict(payload))
+    except ExperimentError:  # 400, or 429 for RejectedRequest
+        return
+    job = small_manager.wait(job.job_id, timeout=120)
+    assert job.state == "done", job.error
