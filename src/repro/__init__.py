@@ -19,7 +19,15 @@ Quickstart::
     absolute_curves(mapdata, "my first robustness map", path="map.svg")
 """
 
-from repro.errors import (
+import os
+
+# numpy's OpenBLAS starts a thread pool when numpy is imported, which
+# made the import about 45 ms slower in CPU and wall time on a 2-core
+# box.  No repro code calls BLAS, so one thread is all it needs; a value
+# the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.errors import (  # noqa: E402 - after the environment is set
     ReproError,
     StorageError,
     ExecutionError,

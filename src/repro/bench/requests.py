@@ -204,13 +204,18 @@ class BenchConfig:
         A flag, an environment default and a request override all become
         a config before anything runs, so an illegal value is a usage
         error or a 400 naming the knob, not a job that dies in its worker
-        or finishes with every plan censored.
+        or finishes with every plan censored.  An axis knob (a tuple) is
+        a map axis: its entries must be strictly increasing.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             numbers = value if isinstance(value, tuple) else (value,)
             if any(isinstance(n, float) and not math.isfinite(n) for n in numbers):
                 legal = "finite"
+            elif isinstance(value, tuple) and not (
+                value and all(a < b for a, b in zip(value, value[1:]))
+            ):
+                legal = "non-empty and strictly increasing"
             elif f.name in self._FLOORS and min(numbers) < self._FLOORS[f.name]:
                 legal = f"at least {self._FLOORS[f.name]}"
             elif f.name in self._CEILINGS and value > self._CEILINGS[f.name]:

@@ -213,10 +213,9 @@ class IndexRangeRidsNode(PlanNode):
 
     def estimated_cost(self, model, est: dict) -> float:
         rows = self.estimated_rows(est)
-        tree = self.index.tree
         selectivity = rows / max(1, self.index.n_rows)
-        leaf_pages = max(1.0, selectivity * tree.n_leaf_pages)
-        cost = model.btree_descent(tree.height)
+        leaf_pages = max(1.0, selectivity * self.index.n_leaf_pages)
+        cost = model.btree_descent(self.index.height)
         cost += model.sequential_read(leaf_pages)
         cost += model.cpu(rows, model.profile.cpu_bitmap_op)
         return cost

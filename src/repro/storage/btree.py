@@ -206,7 +206,9 @@ class BPlusTree:
         into leaves of ``leaf_capacity * fill_factor`` entries on
         consecutive pages, so a leaf scan is physically sequential.
         Each inner level groups ``inner_fanout`` nodes of the level below
-        and takes the next pages, left to right.  A
+        and takes the next pages, left to right.  The level sizes come
+        from :meth:`levels_for`, which answers them for a tree not yet
+        loaded.  A
         :class:`~repro.storage.columns.LazyColumns` payload is kept as
         the mapping, so its columns are still made when first read.
         Returns ``self`` for chaining.
@@ -228,11 +230,8 @@ class BPlusTree:
                     f"!= key count {keys.size}"
                 )
         n_entries = int(keys.size)
-        per_leaf = max(2, int(self.leaf_capacity * fill_factor))
-        n_leaves = max(1, -(-n_entries // per_leaf))  # an empty tree is one leaf
-        level_sizes = [n_leaves]
-        while level_sizes[-1] > 1:
-            level_sizes.append(-(-level_sizes[-1] // self.inner_fanout))
+        per_leaf, level_sizes = self.levels_for(n_entries, fill_factor)
+        n_leaves = level_sizes[0]
         leaves = np.arange(n_leaves, dtype=np.int64)
         leaf_starts = np.minimum(
             np.arange(n_leaves + 1, dtype=np.int64) * per_leaf, n_entries
@@ -263,13 +262,22 @@ class BPlusTree:
             self._descents[:, -1 - level] = first_page + leaves // leaves_per_node
         return self
 
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
+    def levels_for(
+        self, n_entries: int, fill_factor: float = 1.0
+    ) -> tuple[int, list[int]]:
+        """Entries per leaf and the node count of every level, leaves
+        first, of this tree bulk-loaded over ``n_entries`` entries.
 
-    @property
-    def n_leaf_pages(self) -> int:
-        return self.flat.n_leaves
+        The one geometry formula: :meth:`bulk_load` lays a tree out by
+        it, and what a cost model reads of a tree not yet loaded (leaf
+        pages, height) is read from it, so no index is sorted to be
+        priced.  An empty tree is one leaf.
+        """
+        per_leaf = max(2, int(self.leaf_capacity * fill_factor))
+        level_sizes = [max(1, -(-n_entries // per_leaf))]
+        while level_sizes[-1] > 1:
+            level_sizes.append(-(-level_sizes[-1] // self.inner_fanout))
+        return per_leaf, level_sizes
 
     # ------------------------------------------------------------------
     # point operations (charge per page on the path)

@@ -49,12 +49,18 @@ class SecondaryIndex:
     stable ``argsort``, ``bulk_load`` — is laid out the first time
     :attr:`tree` is read, once, under a lock, as the table's clustered
     leaf level is at the first read of :attr:`Table.clustered`.  That first
-    reader is a plan that executes or is costed, or a pool's parent just
-    before it forks (:class:`~repro.core.parallel.ParallelSweep`), so the
-    workers inherit the tree instead of each building it again.  Holding
-    an index in a plan builds nothing, and a request answered from the
-    cell store never sorts a column.  Columns are immutable, so a tree
-    built late is the tree that would have been built at creation.
+    reader is a plan that executes, or a pool's parent just before it
+    forks (:class:`~repro.core.parallel.ParallelSweep`), so the workers
+    inherit the tree instead of each building it again.  Holding an index
+    in a plan builds nothing, and a request answered from the cell store
+    never sorts a column.  Columns are immutable, so a tree built late is
+    the tree that would have been built at creation.
+
+    A cost model prices a plan by the index's ``n_leaf_pages`` and
+    ``height``, set at creation from the row count and the tree's page
+    layout by :meth:`BPlusTree.levels_for`, the formula the load lays
+    the tree out by: costing a plan (a choice map over a warm cell
+    store, say) loads no tree.
 
     The index keeps its key columns and the table's row count, not the
     table: a table lists its indexes, and an index pointing back would
@@ -75,6 +81,11 @@ class SecondaryIndex:
         self.n_rows = len(key_values[0])
         self.codec = codec
         self._tree = tree
+        # The tree's leaf pages and levels (1: the root is a leaf), known
+        # before it is loaded.
+        levels = tree.levels_for(self.n_rows)[1]
+        self.n_leaf_pages = levels[0]
+        self.height = len(levels)
         self._loaded = False
         self._load_lock = threading.Lock()
 
@@ -92,10 +103,6 @@ class SecondaryIndex:
                     )
                     self._loaded = True
         return self._tree
-
-    @property
-    def n_leaf_pages(self) -> int:
-        return self.tree.n_leaf_pages
 
     def key_range_for(
         self, column_ranges: Mapping[str, tuple[int, int]]
@@ -183,6 +190,9 @@ class Table:
         self._clustered = BPlusTree(
             env, f"{name}.clustered", entry_bytes=self.row_bytes
         )
+        # Leaf pages of the clustered index (the table's data pages),
+        # known before the leaf level is laid out.
+        self.n_pages = self._clustered.levels_for(n_rows)[1][0]
         self._laid_out = False
         self._layout_lock = threading.Lock()
         self.indexes: dict[str, SecondaryIndex] = {}
@@ -213,15 +223,6 @@ class Table:
         self.clustered  # noqa: B018 - the first read lays out the leaves
         for index in self.indexes.values():
             index.tree  # noqa: B018 - the first read bulk-loads the tree
-
-    # ------------------------------------------------------------------
-    # geometry
-    # ------------------------------------------------------------------
-
-    @property
-    def n_pages(self) -> int:
-        """Leaf pages of the clustered index (the table's data pages)."""
-        return self.clustered.n_leaf_pages
 
     def column(self, name: str) -> np.ndarray:
         """Raw column values (no I/O charged; for oracles and builders).

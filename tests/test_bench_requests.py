@@ -123,6 +123,20 @@ def test_request_coerces_json_shapes(tmp_path):
             MapRequest("join", {knob: value}).resolve(base)
 
 
+@pytest.mark.parametrize(
+    "knob", ["sort_rows", "sort_memory", "memory_axis", "join_rows", "error_magnitudes"]
+)
+def test_an_axis_knob_must_be_non_empty_and_strictly_increasing(knob):
+    """Every entry of an axis is a map column: an empty, repeated or
+    descending axis is refused naming its knob, before any sweep."""
+    axis = getattr(BenchConfig(), knob)
+    for value in ((), (axis[0], axis[0]), tuple(reversed(axis))):
+        with pytest.raises(
+            ExperimentError, match=f"knob '{knob}' must be non-empty and strictly"
+        ):
+            BenchConfig(**{knob: value})
+
+
 def test_request_resolve_is_pure_override(tmp_path):
     base = tiny_config(tmp_path)
     assert MapRequest("join").resolve(base) == base

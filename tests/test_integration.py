@@ -1,5 +1,10 @@
 """Cross-module integration tests, including the quotient-scaling law."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +154,33 @@ def test_mvcc_penalty_vs_covering():
     )
     assert b_run.n_rows == c_run.n_rows
     assert b_run.seconds > c_run.seconds
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="counts threads in /proc"
+)
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_repro_holds_openblas_to_one_thread(preset):
+    """``import repro`` leaves the process one thread (no idle OpenBLAS
+    pool spinning), and a thread count the user set is left alone."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = (
+        "import os, repro\n"
+        "print(len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    threads, setting = out.stdout.split()
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset

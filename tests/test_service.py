@@ -805,6 +805,42 @@ def test_http_mistyped_override_is_a_400_and_queues_nothing(
     assert "repro_jobs_submitted_total 0\n" in manager.metrics.render()
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides, knob",
+    [
+        ("join", {"join_rows": [64, 64]}, "join_rows"),
+        ("join", {"join_rows": [128, 64]}, "join_rows"),
+        ("memory_sweep", {"memory_axis": [1 << 20, 1 << 20]}, "memory_axis"),
+        ("memory_sweep", {"memory_axis": [1 << 20, 16 << 10]}, "memory_axis"),
+        ("sort_spill", {"sort_rows": [4096, 2048]}, "sort_rows"),
+        ("sort_spill", {"sort_memory": [1 << 20, 1 << 20]}, "sort_memory"),
+        ("estimation", {"error_magnitudes": [1.0, 1.0]}, "error_magnitudes"),
+        ("estimation", {"error_magnitudes": [2.0, 0.5]}, "error_magnitudes"),
+    ],
+)
+def test_http_a_repeated_or_descending_axis_is_a_400_naming_its_knob(
+    shared_service, scenario, overrides, knob
+):
+    """These were refused too, but with "targets must be strictly
+    increasing" from the parameter space, naming no knob."""
+    base, manager = shared_service
+    before = [
+        line for line in manager.metrics.render().splitlines()
+        if line.startswith("repro_jobs_")
+    ]
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        _post(base, "/maps", {"scenario": scenario, "overrides": overrides})
+    assert refused.value.code == 400
+    assert f"knob {knob!r} must be non-empty and strictly increasing" in (
+        json.loads(refused.value.read())["error"]
+    )
+    assert manager.stats()["jobs"] == 0
+    assert before and [
+        line for line in manager.metrics.render().splitlines()
+        if line.startswith("repro_jobs_")
+    ] == before
+
+
 def test_http_failed_job_is_a_500_and_may_be_resubmitted(service, monkeypatch):
     """A sweep that dies in its worker leaves a ``failed`` job: every route
     that needs the finished map (``/result``, ``/profile``, ``/render``,

@@ -1,6 +1,7 @@
 """Unit and property tests for the B+-tree."""
 
 from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,6 +106,48 @@ def test_layout_and_probe_pages_match_level_oracle(
     tree.bulk_load(keys, {"v": np.arange(keys.size)}, fill_factor=fill_factor)
     per_leaf = max(2, int(leaf_capacity * fill_factor))
     assert_layout_matches_oracle(tree, env, keys, per_leaf, probe_keys)
+
+
+def assert_geometry_is_the_loaded_trees(page_size, n_rows):
+    """An index's leaf pages and height, and its table's pages, read
+    before any tree is loaded, are the loaded trees'; and the loaded
+    trees have the levels the independent layout model lays out."""
+    env = StorageEnv(DeviceProfile(page_size=page_size), pool_pages=8)
+    table = Table(env, "t", {"a": np.arange(n_rows, dtype=np.int64)})
+    index = table.create_index("idx_a", ["a"])
+    with mock.patch.object(
+        BPlusTree, "bulk_load", side_effect=AssertionError("a tree was loaded")
+    ):
+        geometry = (table.n_pages, index.n_leaf_pages, index.height)
+    clustered, tree = table.clustered, index.tree
+    assert geometry == (clustered.flat.n_leaves, tree.flat.n_leaves, tree.height)
+    for loaded in (clustered, tree):
+        levels = oracle_levels(
+            list(range(n_rows)), loaded.leaf_capacity, loaded.inner_fanout
+        )
+        assert (loaded.flat.n_leaves, loaded.height) == (len(levels[0]), len(levels))
+
+
+@pytest.mark.parametrize("page_size", [16, 48, 64, 256, 1024])
+def test_geometry_at_the_edges_is_the_loaded_trees(page_size):
+    """No rows, one row, and either side of a full leaf and of a full
+    inner level (one to three levels up), for the index's 16-byte and
+    the one-column table's 32-byte entries."""
+    env = StorageEnv(DeviceProfile(page_size=page_size), pool_pages=8)
+    edges = {0, 1}
+    for width in (16, 32):
+        shape = BPlusTree(env, "shape", entry_bytes=width)
+        for level in range(4):
+            edge = shape.leaf_capacity * shape.inner_fanout**level
+            edges.update(n for n in (edge - 1, edge, edge + 1) if n <= 20000)
+    for n_rows in sorted(edges):
+        assert_geometry_is_the_loaded_trees(page_size, n_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 2048), st.integers(0, 5000))
+def test_geometry_read_before_any_load_is_the_loaded_trees(page_size, n_rows):
+    assert_geometry_is_the_loaded_trees(page_size, n_rows)
 
 
 def test_empty_tree():

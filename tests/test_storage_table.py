@@ -99,18 +99,21 @@ def test_values_wider_than_the_given_bits_are_refused_at_creation(table):
 def test_index_is_laid_out_by_its_first_reader(table, bulk_loads):
     idx_a = table.create_index("idx_a", ["a"])
     idx_b = table.create_index("idx_b", ["b"])
-    # Creating an index, naming it and asking for key ranges sort nothing.
+    # Creating an index, naming it, asking for key ranges and reading
+    # its geometry (what a cost model prices) sort nothing.
     assert table.indexes["idx_b"] is idx_b
     assert idx_a.key_range_for({"a": (100, 500)}) == (100, 500)
+    assert idx_b.n_leaf_pages > 1 and idx_b.height > 1
+    assert table.n_pages > 1
     assert bulk_loads == []
     # First use does, in order of use; file ids are in order of creation.
-    assert idx_b.n_leaf_pages > 1
+    assert idx_b.rid_positions().size > 0
     assert idx_a.scan_all()[0].size == table.n_rows
     assert bulk_loads == ["t.idx_b", "t.idx_a"]
     assert idx_b.tree.handle.file_id == idx_a.tree.handle.file_id + 1
     # ...and only the first.
     idx_a.read_range(100, 500)
-    idx_b.rid_positions()
+    idx_b.read_range(100, 500)
     assert bulk_loads == ["t.idx_b", "t.idx_a"]
 
 

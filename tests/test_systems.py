@@ -341,6 +341,28 @@ def test_a_warm_two_predicate_map_draws_three_columns_and_no_mask(
     assert masks == []
 
 
+def test_warm_choice_maps_load_no_index_tree(tmp_path, bulk_loads):
+    """The choice maps' cost model reads each index's leaf pages and
+    height from its row count: over a warm store, pricing every cell's
+    plans sorts no index, and the maps are a cold session's."""
+    config = BenchConfig(
+        **WARM, cache_dir=None, cell_cache_dir=str(tmp_path),
+        error_magnitudes=(0.0, 1.0, 3.0),
+    )
+    cold = BenchSession(config).choice_maps()
+    del bulk_loads[:]
+    warm_session = BenchSession(config)
+    warm = warm_session.choice_maps()
+    assert warm_session.cell_store().cell_misses == 0
+    # System A's leaves for the budget yardstick, no index.
+    assert bulk_loads == ["lineitem.clustered"]
+    assert set(warm) == set(cold)
+    for name, choice_map in warm.items():
+        assert choice_map.plan_ids == cold[name].plan_ids
+        assert np.array_equal(choice_map.choices, cold[name].choices)
+        assert np.array_equal(choice_map.regret, cold[name].regret, equal_nan=True)
+
+
 def test_a_warm_single_predicate_map_builds_no_system_b_or_c(
     tmp_path, systems_built
 ):

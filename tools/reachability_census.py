@@ -287,6 +287,7 @@ def drive_service(base: str) -> None:
         {"scenario": "join", "overrides": {"budget_scale": -1}},    # not positive
         {"scenario": "join", "overrides": {"budget_scale": float("nan")}},
         {"scenario": "join", "overrides": {"min_exp_2d": 1}},       # above 2^0
+        {"scenario": "join", "overrides": {"join_rows": [64, 64]}}, # axis repeats
         {"scenario": "two_predicate", "overrides": {"min_exp_2d": -24}},  # over budget
     ):
         _http(base, "/maps", body=refused)
