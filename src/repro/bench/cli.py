@@ -239,11 +239,6 @@ def _run_scenarios(
 
         written = write_chrome_trace(trace_out, traced)
         print(f"  wrote {written} ({len(traced)} cell profiles)")
-        if not traced:
-            _status(
-                "  note: no profiles were captured (warm whole-map cache "
-                "runs skip the sweep entirely)"
-            )
     return 0
 
 
@@ -359,12 +354,6 @@ def _serve_main(argv: list[str]) -> int:
     )
     _add_config_flags(parser)
     parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="whole-map disk cache shared by all jobs (REPRO_BENCH_CACHE)",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress per-request access log lines",
@@ -376,7 +365,6 @@ def _serve_main(argv: list[str]) -> int:
         config = _config_from_flags(
             n_rows=args.rows,
             n_workers=args.workers,
-            cache_dir=args.cache,
             cell_cache_dir=args.cell_cache,
         )
         manager = JobManager(

@@ -74,6 +74,17 @@ class FigureResult:
             )
 
 
+def first_of_each_x(xs: np.ndarray) -> np.ndarray:
+    """Mask of the first point of each run of equal ``xs``.
+
+    Cells that achieve the same row count ran the same query.  On a small
+    table the smallest selectivity targets all achieve one row, so a 1-D
+    figure reads its xs and curves through this mask: the landmarks need
+    strictly increasing xs.
+    """
+    return np.concatenate(([True], xs[1:] != xs[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # Figure 1 — single-table single-predicate selection
 # ---------------------------------------------------------------------------
@@ -86,10 +97,11 @@ def figure01(session: BenchSession) -> FigureResult:
         "A.idx_traditional",
         "A.idx_improved",
     )
-    xs = mapdata.x_achieved
-    scan = mapdata.times_for(scan_id)
-    trad = mapdata.times_for(trad_id)
-    improved = mapdata.times_for(improved_id)
+    keep = first_of_each_x(mapdata.x_achieved)
+    xs = mapdata.x_achieved[keep]
+    scan = mapdata.times_for(scan_id)[keep]
+    trad = mapdata.times_for(trad_id)[keep]
+    improved = mapdata.times_for(improved_id)[keep]
     result = FigureResult("fig1", "Fig 1: single-predicate selection, 3 plans")
 
     # Break-even between table scan and traditional index scan.
@@ -150,7 +162,7 @@ def figure01(session: BenchSession) -> FigureResult:
     result.series_text = series_block(
         "Fig 1 execution times (seconds)",
         xs,
-        {plan_id: list(mapdata.times_for(plan_id)) for plan_id in trio},
+        {plan_id: list(mapdata.times_for(plan_id)[keep]) for plan_id in trio},
     )
     return result
 
@@ -158,7 +170,8 @@ def figure01(session: BenchSession) -> FigureResult:
 def figure02(session: BenchSession) -> FigureResult:
     mapdata = session.request_map(MapRequest("single_predicate"))
     result = FigureResult("fig2", "Fig 2: advanced selection plans (relative)")
-    quotients = relative_to_best(mapdata)
+    keep = first_of_each_x(mapdata.x_achieved)
+    quotients = relative_to_best(mapdata)[:, keep]
     finite = censored_to_nan(quotients)
     optimal_plans = [
         plan_id
@@ -191,10 +204,9 @@ def figure02(session: BenchSession) -> FigureResult:
     result.artifacts["fig02_advanced_selection.svg"] = relative_curves(
         mapdata, "Figure 2: advanced selection plans (factor of best)"
     )
-    xs = mapdata.x_achieved
     result.series_text = series_block(
         "Fig 2 factor-of-best",
-        xs,
+        mapdata.x_achieved[keep],
         {plan_id: list(finite[i]) for i, plan_id in enumerate(mapdata.plan_ids)},
     )
     return result
@@ -698,7 +710,7 @@ def ext_regression_guard(session: BenchSession) -> FigureResult:
         "ext-regression", "Ext: robustness-map regression guard (§1, §4)"
     )
     mapdata = session.request_map(MapRequest("single_predicate"))
-    cells = mapdata.x_targets >= 2.0**-10
+    cells = (mapdata.x_targets >= 2.0**-10) & first_of_each_x(mapdata.x_achieved)
     achieved = mapdata.x_achieved[cells]
     n_cells = achieved.size
 

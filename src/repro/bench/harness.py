@@ -15,24 +15,21 @@ Scale knobs (environment variables, so CI can dial them):
   sweep (default -16, the paper's grid).
 * ``REPRO_BENCH_MIN_EXP_2D`` — same for the 2-D grids (default -12; the
   paper used a finer monitor, we default to a 13x13 grid).
-* ``REPRO_BENCH_CACHE``    — directory for on-disk MapData caching
-  (default: no disk cache).
 * ``REPRO_BENCH_CELL_CACHE`` — directory for the content-addressed
-  per-cell measurement store (default: none).  A whole-map cache file
-  answers only the exact config it was written for; the cell store also
-  answers overlapping grids and refinement reruns.
+  per-cell measurement store (default: none); it answers reruns,
+  overlapping grids and refinement passes.
 
 Worker processes and adaptive refinement are ``BenchConfig`` fields the
 CLI's ``--workers`` / ``--refine`` / ``--max-cells`` flags set; they have
 no environment twin.
 
-Disk-cache entries are keyed on a fingerprint of the *full* config —
-changing any knob that shapes the map (grid exponents, budget, memory,
-pool pages, refinement policy, ...) gets a fresh cache file instead of
-silently reusing a stale, wrong-shape map.  Files are additionally
-validated at load time; refined maps are cached raw (sparse) and
-densified on the way out, so renderers and analyses see full grids while
-``meta["measured_cells"]`` keeps the coverage honest.
+``BenchConfig.cache_dir`` adds a whole-map disk cache that no front door
+sets (the benchmark's layer probe times a map load with it).  Its files
+are keyed on a fingerprint of the *full* config, so a changed knob that
+shapes the map gets a fresh file instead of a stale, wrong-shape map,
+and are validated again at load time.  Refined maps are stored raw
+(sparse) and densified on the way out, so renderers and analyses see
+full grids while ``meta["measured_cells"]`` keeps the coverage honest.
 """
 
 from __future__ import annotations

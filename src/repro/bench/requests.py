@@ -133,16 +133,15 @@ class BenchConfig:
     n_workers: int = 0
     """Sweep worker processes (0/1: serial, -1: all cores)."""
 
-    cache_dir: str | None = field(
-        default_factory=lambda: os.environ.get("REPRO_BENCH_CACHE")
-    )
+    cache_dir: str | None = None
+    """Directory of whole-map disk caches (default: none).  No front door
+    sets it: only the benchmark's layer probe times a map load with it."""
 
     cell_cache_dir: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_BENCH_CELL_CACHE")
     )
     """Directory of the content-addressed per-cell measurement store
-    (default: none).  Unlike ``cache_dir`` (whole-map, all-or-nothing),
-    the cell store survives grid-resolution changes and refinement
+    (default: none).  It survives grid-resolution changes and refinement
     reruns — only the overlapping cells hit."""
 
     trace: bool = field(

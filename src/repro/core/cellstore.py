@@ -1,12 +1,10 @@
 """Content-addressed per-cell measurement store: incremental sweeps.
 
-The whole-map disk caches (``BenchConfig.cache_path``) are all-or-nothing:
-change the grid resolution, add one plan, or rerun a refinement at a
-bigger budget and every previously measured cell is thrown away.  This
-module stores *individual* cell measurements under a content address, so
-overlapping grids and refinement reruns reuse what they already
-measured — repeated figure builds and exploratory
-reruns become O(new cells) instead of O(grid).
+This module stores *individual* cell measurements under a content
+address, so a rerun, an overlapping grid, one more plan or a refinement
+pass at a bigger budget reuses every cell it already measured —
+repeated figure builds and exploratory reruns become O(new cells)
+instead of O(grid).
 
 Key discipline
 --------------

@@ -34,15 +34,13 @@ pages those tables occupied back to the kernel.  Every session is handed the
 manager's one :class:`~repro.core.cellstore.CellStore`: its shards are
 read once per manager and tailed at the start of each sweep wave, so a
 job sees what earlier jobs and other processes stored without re-reading
-the rest.
-Jobs also share the whole-map cache directory — a repeated request after
-a restart is a disk-cache hit, observable as ``cache_hit`` (the sweep
-emitted zero progress events).  A job answered from either cache
-builds only what its store keys, axes and meta read: System A alone
-unless its map runs all three systems, the columns its predicates and
-index-key checks read, and System A's clustered leaves for the budget
-yardstick; no secondary index, no oracle mask (see
-:class:`~repro.bench.harness.BenchSession`).
+the rest.  A job answered from the store builds only what its store keys,
+axes and meta read: System A alone unless its map runs all three
+systems, the columns its predicates and index-key checks read, and
+System A's clustered leaves for the budget yardstick; no secondary
+index, no oracle mask (see :class:`~repro.bench.harness.BenchSession`).
+A client sees that a job measured no cell when its ``cache_hits`` equals
+its ``total``.
 """
 
 from __future__ import annotations
@@ -113,7 +111,6 @@ class Job:
     events: int = 0
     cache_hits: int | None = None
     """Cells taken from the cell store so far, over every wave."""
-    cache_hit: bool = False
     error: str | None = None
     result: MapData | None = None
     snapshot: MapData | None = None
@@ -194,10 +191,6 @@ class JobManager:
         self._m_completed = self.metrics.counter(
             "repro_jobs_completed_total",
             "Jobs finished, by terminal state.",
-        )
-        self._m_map_cache_hits = self.metrics.counter(
-            "repro_jobs_map_cache_hits_total",
-            "Jobs answered by the whole-map disk cache (no sweep ran).",
         )
         self._m_cell_hits = self.metrics.counter(
             "repro_cell_store_hits_total",
@@ -395,9 +388,6 @@ class JobManager:
         with self._cond:
             elapsed = finished - (job.started or job.created)
             cell_hits = job.cache_hits
-            # Zero progress events means no sweep ran: the map came
-            # straight out of the whole-map disk cache.
-            cache_hit = result is not None and job.events == 0
         self._m_in_flight.dec()
         self._m_completed.inc(state=state)
         self._m_latency.observe(max(0.0, elapsed))
@@ -405,15 +395,12 @@ class JobManager:
             self._m_cells_done.inc(measured)
             if cell_hits:
                 self._m_cell_hits.inc(cell_hits)
-            if cache_hit:
-                self._m_map_cache_hits.inc()
         with self._cond:
             if result is not None:
                 job.result = result
                 job.snapshot = None  # only read while there is no result
                 job.done = measured
                 job.total = result.times[0].size
-                job.cache_hit = cache_hit
             job.error = error
             job.state = state
             job.finished = finished
@@ -458,7 +445,6 @@ class JobManager:
                 "measured_cells": measured,
                 "coverage": (job.done / job.total) if job.total else None,
                 "cache_hits": job.cache_hits,
-                "cache_hit": job.cache_hit,
                 "elapsed": max(0.0, end - start),
                 "error": job.error,
             }
@@ -467,9 +453,7 @@ class JobManager:
         """A finished job's per-cell execution profiles (None until done).
 
         The raw ``meta["profiles"]`` mapping (see :mod:`repro.obs.profile`);
-        empty when the job ran without tracing (``trace`` knob off) or
-        the map came from the whole-map disk cache, which never stores
-        profiles.
+        empty when the job ran without tracing (``trace`` knob off).
         """
         with self._cond:
             if job.result is None:

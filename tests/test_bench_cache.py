@@ -173,8 +173,6 @@ def test_cli_join_scenario_prints_symmetry(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_BENCH_ROWS", "512")
     out_dir = tmp_path / "scenarios"
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_BENCH_CACHE", str(cache_dir))
     import repro.bench.harness as harness_module
 
     # Shrink the join grid through a patched default config (the CLI
@@ -507,7 +505,8 @@ def test_cli_cell_cache_compact(tmp_path, capsys, monkeypatch):
 
 def test_retired_environment_twins_are_not_read(monkeypatch):
     """Workers, refinement and the service's port and pool size are set by
-    flags only; junk in their old variables changes nothing."""
+    flags only, and no variable sets a whole-map cache; junk in their old
+    variables changes nothing."""
     for name in [key for key in os.environ if key.startswith("REPRO_")]:
         monkeypatch.delenv(name)
     plain = BenchConfig()
@@ -517,6 +516,7 @@ def test_retired_environment_twins_are_not_read(monkeypatch):
         "REPRO_BENCH_MAX_CELLS",
         "REPRO_SERVICE_PORT",
         "REPRO_SERVICE_WORKERS",
+        "REPRO_BENCH_CACHE",
     ):
         monkeypatch.setenv(name, "junk")
     assert BenchConfig() == plain

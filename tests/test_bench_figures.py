@@ -5,6 +5,8 @@ at this scale; structural claims must hold.  The blocking end-to-end run
 (``benchmarks/e2e/run.py``) asserts the full claim set at default scale.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,29 @@ def test_disk_cache_roundtrip(tmp_path):
     assert m2.plan_ids == m1.plan_ids
     assert np.allclose(m2.times, m1.times, equal_nan=True)
     assert list(tmp_path.glob("*.json"))
+
+
+def test_figure_run_at_4096_rows_ends_in_its_claim_tables(
+    tmp_path, capsys, monkeypatch
+):
+    """At 4096 rows the 1-D grid's smallest targets all achieve one row;
+    each figure reads every achieved x once, so the run reports its missed
+    claims instead of dying in a landmark's precondition."""
+    from repro.bench import cli
+
+    for name in [key for key in os.environ if key.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    out_dir = str(tmp_path / "out")
+    code = cli.main([out_dir, "--rows", "4096", "--workers", "0", "--quiet"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("claims hold") == len(ALL_FIGURES)
+    assert out.rstrip().endswith("SOME CLAIMS FAILED")
+
+
+def test_first_of_each_x_keeps_one_point_per_achieved_x():
+    keep = figures.first_of_each_x(np.array([1.0, 1.0, 1.0, 2.0, 4.0, 4.0, 8.0]))
+    assert keep.tolist() == [True, False, False, True, True, False, True]
 
 
 def test_regression_guard_reads_the_single_predicate_map(session, monkeypatch):

@@ -402,7 +402,7 @@ def service_fixture(trace):
     )
     manager = JobManager(config, workers=1, queue_limit=4)
     server = build_server(manager)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     host, port = server.server_address[:2]
     return f"http://{host}:{port}", manager, server
 

@@ -132,7 +132,7 @@ def test_refined_job_status_never_goes_back(tmp_path, monkeypatch, workers, stor
         BenchSession(cfg).request_map(REFINED)
     manager = JobManager(cfg, workers=1)
     server = build_server(manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     statuses: list[dict] = []

@@ -25,7 +25,7 @@ from repro.errors import ExperimentError
 from repro.service import JobManager, RejectedRequest, build_server
 
 
-def tiny_config(tmp_path=None, **overrides):
+def tiny_config(**overrides):
     defaults = dict(
         n_rows=512,
         min_exp_1d=-3,
@@ -34,8 +34,6 @@ def tiny_config(tmp_path=None, **overrides):
         join_rows=(64, 128),
         join_key_domain=256,
     )
-    if tmp_path is not None:
-        defaults["cache_dir"] = str(tmp_path)
     defaults.update(overrides)
     return BenchConfig(**defaults)
 
@@ -305,7 +303,8 @@ def test_manager_refuses_a_snapshot_interval_its_jobs_would_die_on():
 
 
 @pytest.mark.parametrize(
-    "flag", ["--snapshot-every", "--service-workers", "--queue-limit"]
+    # ``--cache`` (a whole-map disk cache) is no flag of ``serve`` at all.
+    "flag", ["--snapshot-every", "--service-workers", "--queue-limit", "--cache"]
 )
 def test_serve_reports_a_refused_flag_as_a_usage_error(
     flag, monkeypatch, capsys
@@ -395,28 +394,6 @@ def test_serial_snapshots_are_strict_submasks_of_final_map():
                 snap.times[k][mask], final.times[k][mask], equal_nan=True
             )
             assert np.array_equal(snap.aborted[k][mask], final.aborted[k][mask])
-
-
-def test_whole_map_cache_hit_is_flagged(tmp_path):
-    config = tiny_config(tmp_path)
-    cold = JobManager(config, workers=1, queue_limit=2)
-    try:
-        job, _ = cold.submit(JOIN)
-        first = cold.wait(job.job_id, timeout=120)
-        assert first.cache_hit is False
-    finally:
-        cold.close()
-    warm = JobManager(config, workers=1, queue_limit=2)
-    try:
-        job, created = warm.submit(JOIN)
-        assert created  # fresh manager, fresh books...
-        finished = warm.wait(job.job_id, timeout=30)
-        assert finished.state == "done"
-        assert finished.cache_hit is True  # ...but the disk had the map
-        assert finished.events == 0
-        assert finished.result.to_dict() == first.result.to_dict()
-    finally:
-        warm.close()
 
 
 def test_manager_reads_the_store_once_for_all_its_jobs(tmp_path, decoded):
@@ -599,7 +576,7 @@ def test_dropped_sessions_and_closed_managers_free_their_tables(
 def _running_service():
     manager = make_manager()
     server = build_server(manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     yield f"http://{host}:{port}", manager
@@ -678,6 +655,25 @@ def test_http_submit_poll_result_render(service):
     png = urllib.request.urlopen(base + f"/jobs/{job_id}/render/join.merge.png")
     assert png.headers["Content-Type"] == "image/png"
     assert png.read()[:8] == b"\x89PNG\r\n\x1a\n"
+
+
+def test_job_json_and_metrics_count_cell_store_hits_only(service):
+    """One cache tier: a job reports the cells its store answered, and
+    ``cache_hits == total`` is how a client sees that no cell was
+    measured; no job-level flag or metric names another tier."""
+    base, manager = service
+    _, submitted = _post(base, "/maps", {"scenario": "join"})
+    code, status = _get(base, f"/jobs/{submitted['job_id']}?wait=120")
+    assert code == 200 and status["state"] == "done"
+    assert sorted(status) == sorted(
+        [
+            "id", "request", "state", "done", "total", "measured_cells",
+            "coverage", "cache_hits", "elapsed", "error",
+        ]
+    )
+    scraped = urllib.request.urlopen(base + "/metrics").read().decode()
+    assert "repro_cell_store_hits_total" in scraped
+    assert "map_cache" not in scraped
 
 
 def test_http_error_statuses(service):
@@ -897,7 +893,7 @@ def test_http_rejections_are_429(monkeypatch):
         tiny_config(), workers=1, queue_limit=1, cell_budget=4
     )
     server = build_server(manager)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"
     try:
@@ -947,7 +943,7 @@ def test_http_client_hang_ups_are_not_server_errors(monkeypatch):
     server = build_server(manager)
     errors = []
     server.handle_error = lambda request, address: errors.append(address)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"
     gates: dict[str, tuple[threading.Event, threading.Event]] = {}

@@ -230,14 +230,12 @@ FRONT_DOORS = [
                 "--cell-cache", "trace_cells", "--workers", "0", "--quiet"]),
     Door(CLI + ["scen_all_cores", "--scenario", "sort_spill", "--workers", "-1",
                 "--quiet"]),
-    # the whole-map cache, cold then warm; the cell store's housekeeping
-    Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
-    Door(CLI + ["mapcache", "--figures", "fig01,fig02"], {"REPRO_BENCH_CACHE": "maps"}),
+    # the cell store's housekeeping
     Door(CLI + ["--cell-cache", "cells", "--cell-cache-compact"]),
     # the service, logging JSON lines
     Door(CLI + ["serve", "--port", "{port}", "--rows", "16384", "--workers", "2",
                 "--service-workers", "2", "--cell-cache", "svc_cells",
-                "--cache", "svc_maps", "--cell-budget", "400"],
+                "--cell-budget", "400"],
          {"REPRO_LOG_FORMAT": "json"}, client="drive_service"),
     # the benchmark, traced and untraced
     Door(E2E + ["--trace", "1"]),
