@@ -345,13 +345,6 @@ def _serve_main(argv: list[str]) -> int:
         default=None,
         help="max cells a single request may measure (default: unlimited)",
     )
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=1,
-        help="sweeps publish a partial-map snapshot every N measured "
-        "cells (pool: chunks) of a wave and after its last",
-    )
     _add_config_flags(parser)
     parser.add_argument(
         "--quiet",
@@ -372,7 +365,6 @@ def _serve_main(argv: list[str]) -> int:
             workers=args.service_workers,
             queue_limit=args.queue_limit,
             cell_budget=args.cell_budget,
-            snapshot_every=args.snapshot_every,
         )
     except ExperimentError as exc:
         parser.error(str(exc))

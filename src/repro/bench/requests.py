@@ -706,11 +706,11 @@ class MapRequest:
 def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
     """Run one definition's sweep under a session's configuration.
 
-    The single execution path behind every registry entry: picks serial
-    vs. parallel from the config — both sweep the session's live
-    providers, which pool workers inherit — and threads the refinement
-    policy, the content-addressed cell store, progress, and partial-map
-    snapshots through either engine.
+    The single execution path behind every registry entry: one
+    :class:`ParallelSweep` over the session's live providers (which pool
+    workers inherit; at one worker it sweeps them in-process) threads
+    the refinement policy, the content-addressed cell store, progress,
+    and partial-map snapshots through the sweep.
     """
     config = session.config
     store = session.cell_store()
@@ -719,21 +719,16 @@ def compute_map(session: "BenchSession", definition: MapDefinition) -> MapData:
         if config.refine
         else None
     )
-    sweep_kwargs = dict(
+    engine = ParallelSweep(
+        partial(definition.providers.live, session),
         budget_seconds=definition.budget(session),
         memory_bytes=definition.memory_bytes(config),
         jitter=definition.jitter(config),
+        n_workers=config.n_workers,
         progress=session.progress,
-        snapshot_every=session.snapshot_every,
-        capture_profiles=config.trace,
         cell_store=store,
         store_context="" if store is None else config.cell_store_context(),
+        snapshot_every=session.snapshot_every,
+        capture_profiles=config.trace,
     )
-    if config.n_workers == -1 or config.n_workers > 1:
-        engine = ParallelSweep(
-            partial(definition.providers.live, session),
-            n_workers=config.n_workers,
-            **sweep_kwargs,
-        )
-        return engine.sweep(definition.spec(config), policy=policy)
-    return definition.scenario(session).run(policy=policy, **sweep_kwargs)
+    return engine.sweep(definition.spec(config), policy=policy)

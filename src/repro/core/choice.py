@@ -140,14 +140,13 @@ def build_choice_map(
     mapdata: MapData,
     policy_name: str,
     choose: Callable[[tuple[int, ...]], str],
-    baseline_ids: list[str] | None = None,
 ) -> ChoiceMap:
     """Evaluate a per-cell chooser over a measured map.
 
     ``choose`` maps a grid index tuple to one of the map's plan ids
     (typically a :class:`~repro.optimizer.chooser.PlanChooser` fed that
-    cell's perturbed estimates).  ``baseline_ids`` restricts which plans
-    define "best" for the regret quotient (default: all measured plans).
+    cell's perturbed estimates).  Regret is against the best of the map's
+    own plans; pass ``mapdata.subset(plan_ids)`` for another baseline.
     The map must be complete — densify partial maps first; the original
     coverage is carried into ``meta["measured_cells"]``.
     """
@@ -156,7 +155,7 @@ def build_choice_map(
             "choice maps need a complete grid; densify() the map first"
         )
     shape = mapdata.grid_shape
-    best = lenient_best_times(mapdata, baseline_ids)
+    best = lenient_best_times(mapdata)
     choices = np.zeros(shape, dtype=np.int64)
     regret = np.full(shape, np.nan)
     for idx in np.ndindex(*shape):
@@ -172,8 +171,6 @@ def build_choice_map(
         "policy": policy_name,
         "scenario": mapdata.meta.get("scenario"),
     }
-    if baseline_ids is not None:
-        meta["baseline_ids"] = list(baseline_ids)
     if "measured_cells" in mapdata.meta:
         meta["measured_cells"] = list(mapdata.meta["measured_cells"])
     return ChoiceMap(

@@ -44,22 +44,14 @@ class RobustnessProfile:
         )
 
 
-def profile_plan(
-    mapdata: MapData,
-    plan_id: str,
-    baseline_ids: list[str] | None = None,
-) -> RobustnessProfile:
-    """Robustness profile of one plan vs. the best of ``baseline_ids``."""
-    quotient = quotient_for(mapdata, plan_id, baseline_ids)
+def profile_plan(mapdata: MapData, plan_id: str) -> RobustnessProfile:
+    """Robustness profile of one plan vs. the best of the map's plans."""
+    quotient = quotient_for(mapdata, plan_id)
     finite = quotient[np.isfinite(quotient)]
     censored = int(np.count_nonzero(~np.isfinite(quotient)))
     worst = float(quotient.max()) if censored == 0 else float("inf")
     geomean = float(np.exp(np.log(finite).mean())) if finite.size else float("inf")
-    # Optimality against the same baseline the quotients use: with a
-    # restricted baseline, "optimal" means within tolerance of the best
-    # *baseline* plan — not of the best plan overall.
-    mask = optimal_mask(mapdata, tol_rel=0.01, baseline_ids=baseline_ids)
-    plan_mask = mask[mapdata.plan_index(plan_id)]
+    plan_mask = optimal_mask(mapdata, tol_rel=0.01)[mapdata.plan_index(plan_id)]
     within = {
         factor: float(np.count_nonzero(quotient <= factor)) / quotient.size
         for factor in DEFAULT_FACTORS

@@ -27,25 +27,17 @@ def optimal_mask(
     mapdata: MapData,
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
-    plan_ids: list[str] | None = None,
-    baseline_ids: list[str] | None = None,
 ) -> np.ndarray:
     """Boolean (P, *grid): plan optimal-within-tolerance at each cell.
 
-    ``plan_ids`` selects which plans are masked (default all);
-    ``baseline_ids`` selects which plans define "best" (default: the
-    masked set itself).
+    "Best" is the best of the map's own plans; to mask one plan set
+    against its own best, pass ``mapdata.subset(plan_ids)``.
     """
-    data = mapdata if plan_ids is None else mapdata.subset(plan_ids)
-    best = (
-        best_times(mapdata, baseline_ids)
-        if baseline_ids is not None
-        else best_times(data)
-    )
+    best = best_times(mapdata)
     threshold = best + tol_abs + best * tol_rel
     with np.errstate(invalid="ignore"):
-        mask = data.times <= threshold
-    return np.where(np.isnan(data.times), False, mask)
+        mask = mapdata.times <= threshold
+    return np.where(np.isnan(mapdata.times), False, mask)
 
 
 def optimal_counts(

@@ -267,22 +267,20 @@ class Scenario(ABC):
     def n_cells(self) -> int:
         return int(np.prod(self.grid_shape))
 
-    def run(self, policy=None, **sweep_kwargs):
-        """Convenience: sweep this scenario serially in-process.
+    def run(self, **sweep_kwargs):
+        """Convenience: sweep this scenario's whole grid serially in-process.
 
-        ``policy`` selects the cell policy (default: dense grid; pass a
-        :class:`~repro.core.driver.DenseGridPolicy` with ``cells`` for a
-        subset, an :class:`~repro.core.driver.AdaptiveRefinePolicy` for
-        coarse-to-fine refinement).  ``sweep_kwargs`` are forwarded to
+        ``sweep_kwargs`` are forwarded to
         :class:`~repro.core.runner.RobustnessSweep` (budget_seconds,
         memory_bytes, jitter, progress, and the content-addressed
         ``cell_store`` / ``store_context`` — see
-        :mod:`repro.core.cellstore`).
+        :mod:`repro.core.cellstore`).  A cell subset or coarse-to-fine
+        refinement is a ``policy`` of :meth:`RobustnessSweep.sweep
+        <repro.core.runner.RobustnessSweep.sweep>`.
         """
         from repro.core.runner import RobustnessSweep
 
-        sweep = RobustnessSweep(self.providers(), **sweep_kwargs)
-        return sweep.sweep(self, policy=policy)
+        return RobustnessSweep(self.providers(), **sweep_kwargs).sweep(self)
 
 
 # ---------------------------------------------------------------------------

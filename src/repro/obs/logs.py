@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from typing import Any, IO
+from typing import Any
 
 _ROOT_LOGGER = "repro"
 _HANDLER_FLAG = "_repro_obs_handler"
@@ -38,30 +38,25 @@ class JsonFormatter(logging.Formatter):
         return json.dumps(payload, sort_keys=True, default=str)
 
 
-def log_format(environ: Any | None = None) -> str:
+def log_format() -> str:
     """The configured log format name: ``"json"`` or ``"plain"``."""
-    env = os.environ if environ is None else environ
-    value = str(env.get("REPRO_LOG_FORMAT", "")).strip().lower()
+    value = os.environ.get("REPRO_LOG_FORMAT", "").strip().lower()
     return "json" if value == "json" else "plain"
 
 
-def setup_logging(
-    level: int = logging.INFO,
-    stream: IO[str] | None = None,
-) -> logging.Logger:
-    """Configure the ``repro`` logger; returns it.
+def setup_logging() -> logging.Logger:
+    """Configure the ``repro`` logger at INFO; returns it.
 
     The format is :func:`log_format`'s (``REPRO_LOG_FORMAT``).  Logs go
-    to ``stream`` (default stderr), so stdout stays clean for piped
-    map/SVG output.
+    to stderr, so stdout stays clean for piped map/SVG output.
     """
     logger = logging.getLogger(_ROOT_LOGGER)
-    logger.setLevel(level)
+    logger.setLevel(logging.INFO)
     logger.propagate = False
     for handler in list(logger.handlers):
         if getattr(handler, _HANDLER_FLAG, False):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream or sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     setattr(handler, _HANDLER_FLAG, True)
     if log_format() == "json":
         handler.setFormatter(JsonFormatter())

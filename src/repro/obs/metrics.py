@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from repro.errors import ExperimentError
 
-#: Default histogram bucket bounds (seconds): spans service jobs from
+#: The histogram bucket bounds (seconds): spans service jobs from
 #: warm cache hits (~ms) to budgeted cold sweeps (~minutes).
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.005,
@@ -154,23 +154,14 @@ class Histogram(Metric):
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str, help_text: str) -> None:
         super().__init__(name, help_text)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ExperimentError(f"histogram {name} needs bucket bounds")
-        self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # last: +Inf
+        self._counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # last: +Inf
         self._sum = 0.0
         self._count = 0
 
     def observe(self, value: float) -> None:
-        position = bisect_left(self.bounds, float(value))
+        position = bisect_left(DEFAULT_BUCKETS, float(value))
         with self._lock:
             self._counts[position] += 1
             self._sum += float(value)
@@ -182,7 +173,7 @@ class Histogram(Metric):
             total = self._count
             summed = self._sum
         cumulative = 0
-        for bound, count in zip(self.bounds, counts):
+        for bound, count in zip(DEFAULT_BUCKETS, counts):
             cumulative += count
             yield (
                 "_bucket",
@@ -221,15 +212,8 @@ class MetricsRegistry:
             raise ExperimentError(f"metric {name} is a {metric.kind}, not a gauge")
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        metric = self._get_or_create(
-            name, lambda: Histogram(name, help_text, buckets)
-        )
+    def histogram(self, name: str, help_text: str = "") -> Histogram:
+        metric = self._get_or_create(name, lambda: Histogram(name, help_text))
         if not isinstance(metric, Histogram):
             raise ExperimentError(
                 f"metric {name} is a {metric.kind}, not a histogram"

@@ -89,27 +89,15 @@ class MinEstimatedCost(SelectionPolicy):
 class _BoxPolicy(SelectionPolicy):
     """Shared box evaluation for the robust policies.
 
-    ``uncertainty`` overrides the estimate's own half-width when given;
-    the default follows the estimate (one standard deviation of its
-    q-error), so a policy built once adapts to an error-magnitude axis.
+    The box's half-width is the estimate's own uncertainty (one standard
+    deviation of its q-error), so a policy built once adapts to an
+    error-magnitude axis.
     """
-
-    def __init__(self, uncertainty: float | None = None) -> None:
-        if uncertainty is not None and uncertainty < 1.0:
-            raise ExperimentError(
-                f"uncertainty must be >= 1, got {uncertainty}"
-            )
-        self.uncertainty = uncertainty
 
     def _evaluate(
         self, costs_at: CostsAt, estimate: Estimate
     ) -> tuple[list[dict[str, float]], list[float]]:
-        u = (
-            self.uncertainty
-            if self.uncertainty is not None
-            else estimate.uncertainty
-        )
-        samples = box_samples(estimate.values, u)
+        samples = box_samples(estimate.values, estimate.uncertainty)
         per_sample = [costs_at(sample) for sample in samples]
         best = [min(costs.values()) for costs in per_sample]
         return per_sample, best
@@ -145,32 +133,19 @@ class MinWorstRegret(_BoxPolicy):
 
 
 class PenaltyAware(_BoxPolicy):
-    """Minimize expected cost plus a weighted expected penalty.
+    """Minimize expected cost plus expected penalty over the box.
 
-    ``penalty_weight`` scales the mean excess over the per-sample best
-    plan (PARQO's penalty): 0 degenerates to expected cost, large values
-    approach pure regret minimization.
+    The penalty is the mean excess over the per-sample best plan
+    (PARQO's penalty), weighted equally with the expected cost.
     """
 
     name = "penalty-aware"
-
-    def __init__(
-        self,
-        uncertainty: float | None = None,
-        penalty_weight: float = 1.0,
-    ) -> None:
-        super().__init__(uncertainty)
-        if penalty_weight < 0:
-            raise ExperimentError(
-                f"penalty weight must be non-negative, got {penalty_weight}"
-            )
-        self.penalty_weight = penalty_weight
 
     def _score(self, plan_costs: list[float], best: list[float]) -> float:
         n = len(plan_costs)
         expected = sum(plan_costs) / n
         penalty = sum(c - b for c, b in zip(plan_costs, best)) / n
-        return expected + self.penalty_weight * penalty
+        return expected + penalty
 
 
 #: The policies the bench compares, in presentation order.

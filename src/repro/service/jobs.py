@@ -108,7 +108,6 @@ class Job:
     finished: float | None = None
     done: int = 0
     total: int = 0
-    events: int = 0
     cache_hits: int | None = None
     """Cells taken from the cell store so far, over every wave."""
     error: str | None = None
@@ -328,7 +327,6 @@ class JobManager:
 
     def _on_progress(self, job: Job, event: ProgressEvent) -> None:
         with self._cond:
-            job.events += 1
             # Running totals over the whole sweep: copied, never summed.
             job.done = event.done
             job.total = event.total

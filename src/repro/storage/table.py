@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import KeyCodecError, StorageError
+from repro.errors import StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.codec import CompositeKeyCodec
 from repro.storage.columns import LazyColumns
@@ -280,37 +280,25 @@ class Table:
     # ------------------------------------------------------------------
 
     def create_index(
-        self,
-        name: str,
-        key_columns: Sequence[str],
-        bits: Sequence[int] | None = None,
+        self, name: str, key_columns: Sequence[str]
     ) -> SecondaryIndex:
         """Register a secondary index on one or more integer columns.
 
         Everything that can be refused is refused here — a duplicate
-        name, an unknown or negative column, values that do not fit the
-        key layout — and the index's file is created, so file ids follow
-        creation order.  Sorting the keys into the tree is left to the
-        first read of :attr:`SecondaryIndex.tree`.
+        name, an unknown or negative column, a key wider than the codec
+        packs — and the index's file is created, so file ids follow
+        creation order.  The key layout is the bits each column's values
+        need.  Sorting the keys into the tree is left to the first read
+        of :attr:`SecondaryIndex.tree`.
         """
         if name in self.indexes:
             raise StorageError(f"index {name!r} already exists")
         key_columns = tuple(key_columns)
-        needed = [_required_bits(self.column(column)) for column in key_columns]
-        if bits is None:
-            bits = needed
-        codec = CompositeKeyCodec(bits)
-        if len(codec.bits) != len(needed) or any(
-            need > have for need, have in zip(needed, codec.bits)
-        ):
-            raise KeyCodecError(
-                f"index {name!r}: columns need {needed} bits, layout has "
-                f"{list(codec.bits)}"
-            )
+        key_values = tuple(self.column(column) for column in key_columns)
+        codec = CompositeKeyCodec([_required_bits(v) for v in key_values])
         tree = BPlusTree(
             self.env, f"{self.name}.{name}", entry_bytes=_INDEX_ENTRY_BYTES
         )
-        key_values = tuple(self.column(column) for column in key_columns)
         index = SecondaryIndex(name, key_columns, key_values, codec, tree)
         self.indexes[name] = index
         return index

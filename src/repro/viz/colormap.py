@@ -110,8 +110,8 @@ class CategoricalScale:
     palette color) — build the scale once from the *full* inventory and
     share it across subplots, and the same category is the same color in
     every panel.  Unlike :class:`DiscreteScale` there are no numeric
-    bucket boundaries to abuse: lookups are exact, by category name or
-    by its index in the inventory.
+    bucket boundaries to abuse: lookups are exact, by a category's index
+    in the inventory.
     """
 
     def __init__(self, categories: Sequence[str], title: str) -> None:
@@ -152,29 +152,6 @@ class CategoricalScale:
     @property
     def n_categories(self) -> int:
         return len(self.categories)
-
-    def index_of(self, category: str) -> int:
-        try:
-            return self.categories.index(category)
-        except ValueError:
-            raise VisualizationError(
-                f"unknown category {category!r}; have {self.categories}"
-            ) from None
-
-    def color_for(self, category: str) -> RGB:
-        if category not in self._rgb:
-            raise VisualizationError(
-                f"unknown category {category!r}; have {self.categories}"
-            )
-        return self._rgb[category]
-
-    def color_for_index(self, index: int) -> RGB:
-        if not 0 <= index < len(self.categories):
-            raise VisualizationError(
-                f"category index {index} out of range "
-                f"[0, {len(self.categories)})"
-            )
-        return self._rgb[self.categories[index]]
 
     def colorize_indices(self, indices: np.ndarray) -> np.ndarray:
         """Map an integer index array to RGB uint8 (shape + (3,))."""
@@ -235,8 +212,8 @@ def _cell_colors(
     SVG rect loop, the PNG rasterizer and the ASCII ramp all encode the
     same array.  Censored cells — NaN under a :class:`DiscreteScale`, a
     negative index under a :class:`CategoricalScale` — are
-    :data:`CENSORED_RGB`; every other cell is the color the scale's
-    scalar ``color_for`` / ``color_for_index`` gives it.
+    :data:`CENSORED_RGB`; every other cell is the color of its bucket or
+    category, as :meth:`legend_entries` lists them.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2:

@@ -38,10 +38,3 @@ class TwoPredicateQuery:
 
     predicate_a: ColumnRange
     predicate_b: ColumnRange
-
-    def oracle_rids(self, table: Table) -> np.ndarray:
-        """Ground-truth qualifying rids (uncharged; for verification)."""
-        a, b = self.predicate_a, self.predicate_b
-        return np.flatnonzero(
-            a.mask(table.column(a.column)) & b.mask(table.column(b.column))
-        )

@@ -453,6 +453,27 @@ def test_cli_max_cells_misuse_is_a_usage_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trace-out", "trace.json"], "--trace-out needs --scenario"),
+        (["--figures", "fig01", "--regret"], "--regret requires --scenario estimation"),
+    ],
+    ids=["trace-out", "regret"],
+)
+def test_cli_scenario_only_flags_in_figure_mode_are_usage_errors(
+    tmp_path, capsys, flags, message
+):
+    from repro.bench import cli
+
+    with pytest.raises(SystemExit) as refused:
+        cli.main([str(tmp_path / "out"), *flags])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_scenario_lists_available(tmp_path, capsys):
     from repro.bench import cli
 

@@ -73,17 +73,6 @@ def test_build_choice_map_regret_values():
     assert choice.meta["scenario"] == "golden-choice"
 
 
-def test_build_choice_map_baseline_subset():
-    mapdata = grid_map([[[1.0], [1.0]], [[2.0], [4.0]]])
-    choice = build_choice_map(
-        mapdata, "p", lambda idx: "p0", baseline_ids=["p1"]
-    )
-    # Best over p1 alone: 2.0 and 4.0 -> p0's regret drops below 1.
-    assert choice.regret[0, 0] == 0.5
-    assert choice.regret[1, 0] == 0.25
-    assert choice.meta["baseline_ids"] == ["p1"]
-
-
 def test_build_choice_map_rejects_partial_maps():
     mapdata = grid_map([[1.0, 2.0]])
     mapdata.meta["cells"] = [0]

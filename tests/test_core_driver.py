@@ -114,7 +114,9 @@ def test_cells_and_policy_are_mutually_exclusive(system_a):
         )
     with pytest.raises(TypeError, match="cells"):
         scenario.run(cells=[0])
-    part = scenario.run(policy=DenseGridPolicy(cells=[0]))
+    part = RobustnessSweep([system_a]).sweep(
+        scenario, policy=DenseGridPolicy(cells=[0])
+    )
     assert part.meta["cells"] == [0]
 
 

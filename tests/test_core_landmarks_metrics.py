@@ -190,23 +190,17 @@ def test_summarize_sorted_by_robustness():
 def test_profile_plan_optimal_fraction_respects_baseline():
     """The optimality mask must use the same baseline as the quotients.
 
-    p0 is best-of-{p0, p1} everywhere, but a plan outside the baseline
-    (p2) is cheaper at the first cell; the old code measured
-    optimal_fraction against *all* plans and reported 0.5.
+    p0 is best-of-{p0, p1} everywhere, but a plan outside that subset
+    (p2) is cheaper at the first cell: profiled on the subset map, p0 is
+    optimal everywhere; on the whole map, at half the cells.
     """
     mapdata = flat_map([[1.0, 1.0], [2.0, 2.0], [0.5, 4.0]])
-    restricted = profile_plan(mapdata, "p0", baseline_ids=["p0", "p1"])
+    restricted = profile_plan(mapdata.subset(["p0", "p1"]), "p0")
     assert restricted.optimal_fraction == pytest.approx(1.0)
+    assert restricted.worst_quotient == pytest.approx(1.0)
     unrestricted = profile_plan(mapdata, "p0")
     assert unrestricted.optimal_fraction == pytest.approx(0.5)
-
-
-def test_profile_plan_outside_its_baseline():
-    """A plan may be profiled against a baseline that excludes it."""
-    mapdata = flat_map([[1.0, 4.0], [2.0, 2.0]])
-    profile = profile_plan(mapdata, "p0", baseline_ids=["p1"])
-    assert profile.worst_quotient == pytest.approx(2.0)
-    assert profile.optimal_fraction == pytest.approx(0.5)
+    assert unrestricted.worst_quotient == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,6 @@ def test_censored_never_optimal():
     assert not mask[0, 0]
 
 
-def test_optimal_mask_baseline_disjoint_from_plan_ids():
-    """The regret map's shape: mask one plan set against another's best."""
-    mapdata = grid_map([[1.0, 4.0], [2.0, 2.0], [8.0, 1.0]])
-    mask = optimal_mask(mapdata, plan_ids=["p0"], baseline_ids=["p1", "p2"])
-    assert mask.shape == (1, 2)
-    # p0 beats best-of-{p1,p2} at cell 0 (1.0 <= 2.0), loses at cell 1
-    # (4.0 > 1.0) -- "optimal" against a baseline it is not part of.
-    assert mask[0].tolist() == [True, False]
-
-
 def test_optimal_mask_all_censored_cell_raises():
     """A fully censored cell has no best plan; optimal_mask refuses.
 
@@ -100,10 +90,10 @@ def test_optimal_mask_all_censored_cell_raises():
     mapdata = grid_map([[np.nan, 1.0], [np.nan, 2.0]])
     with pytest.raises(ExperimentError):
         optimal_mask(mapdata)
-    # A baseline subset with full censoring is just as undefined.
+    # A plan subset with full censoring is just as undefined.
     mixed = grid_map([[np.nan, 1.0], [1.0, 2.0]])
     with pytest.raises(ExperimentError):
-        optimal_mask(mixed, baseline_ids=["p0"])
+        optimal_mask(mixed.subset(["p0"]))
 
 
 def test_optimal_mask_tolerance_ties_are_inclusive():

@@ -19,6 +19,14 @@ from repro import (
     build_three_systems,
     quotient_for,
 )
+from repro.core.choice import build_choice_map
+from repro.core.mapdata import MapAxis, MapData
+from repro.core.metrics import profile_plan
+from repro.core.optimality import optimal_mask
+from repro.obs.logs import log_format, setup_logging
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.optimizer.chooser import MinWorstRegret, PenaltyAware
+from repro.storage import Table
 from tests.conftest import flattening_violations
 from repro.viz import absolute_curves, relative_heatmap
 from repro.core.parameter_space import Space1D
@@ -184,3 +192,77 @@ def test_import_repro_holds_openblas_to_one_thread(preset):
         assert (threads, setting) == ("1", "1")
     else:
         assert setting == preset
+
+
+# ---------------------------------------------------------------------------
+# options no front door turns are constants
+# ---------------------------------------------------------------------------
+
+
+def _two_plan_map():
+    times = np.array([[1.0, 2.0], [2.0, 1.0]])
+    return MapData(
+        plan_ids=["p0", "p1"],
+        times=times,
+        aborted=np.zeros(times.shape, dtype=bool),
+        rows=np.zeros(2, dtype=int),
+        axes=[MapAxis("x", np.array([1.0, 2.0]))],
+    )
+
+
+@pytest.mark.parametrize(
+    "call, keyword",
+    [
+        (lambda env, **kw: optimal_mask(_two_plan_map(), **kw), "plan_ids"),
+        (lambda env, **kw: optimal_mask(_two_plan_map(), **kw), "baseline_ids"),
+        (lambda env, **kw: profile_plan(_two_plan_map(), "p0", **kw), "baseline_ids"),
+        (
+            lambda env, **kw: build_choice_map(
+                _two_plan_map(), "p", lambda idx: "p0", **kw
+            ),
+            "baseline_ids",
+        ),
+        (lambda env, **kw: MinWorstRegret(**kw), "uncertainty"),
+        (lambda env, **kw: PenaltyAware(**kw), "uncertainty"),
+        (lambda env, **kw: PenaltyAware(**kw), "penalty_weight"),
+        (
+            lambda env, **kw: Table(env, "t", {"a": np.arange(4)}).create_index(
+                "i", ["a"], **kw
+            ),
+            "bits",
+        ),
+        (lambda env, **kw: Histogram("h", "H.", **kw), "buckets"),
+        (lambda env, **kw: MetricsRegistry().histogram("h", "H.", **kw), "buckets"),
+        (lambda env, **kw: log_format(**kw), "environ"),
+        (lambda env, **kw: setup_logging(**kw), "stream"),
+        (lambda env, **kw: setup_logging(**kw), "level"),
+        (
+            lambda env, **kw: SinglePredicateScenario(
+                [SystemA(SystemConfig(lineitem=LineitemConfig(n_rows=256)))],
+                Space1D.log2("sel", -1),
+            ).run(**kw),
+            "policy",
+        ),
+    ],
+    ids=[
+        "optimal_mask-plan_ids",
+        "optimal_mask-baseline_ids",
+        "profile_plan-baseline_ids",
+        "build_choice_map-baseline_ids",
+        "MinWorstRegret-uncertainty",
+        "PenaltyAware-uncertainty",
+        "PenaltyAware-penalty_weight",
+        "create_index-bits",
+        "Histogram-buckets",
+        "histogram-buckets",
+        "log_format-environ",
+        "setup_logging-stream",
+        "setup_logging-level",
+        "Scenario.run-policy",
+    ],
+)
+def test_removed_options_are_refused_not_swallowed(env, call, keyword):
+    """The keywords only tests ever set are gone: each is a ``TypeError``,
+    so no ``**kwargs`` takes it silently."""
+    with pytest.raises(TypeError, match=rf"'{keyword}'|takes no arguments"):
+        call(env, **{keyword: None})

@@ -313,15 +313,18 @@ def test_gauge_set_function_and_histogram_buckets():
     depth = registry.gauge("depth", "Queue depth.")
     depth.set_function(lambda: 7)
     registry.gauge("unbounded", "No limit.").set(float("inf"))
-    latency = registry.histogram("latency_seconds", "Latency.", buckets=(0.1, 1.0))
+    latency = registry.histogram("latency_seconds", "Latency.")
     latency.observe(0.05)
     latency.observe(0.5)
-    latency.observe(5.0)
+    latency.observe(500.0)
     text = registry.render()
     assert "depth 7" in text
     assert "unbounded +Inf\n" in text
+    assert 'latency_seconds_bucket{le="0.025"} 0' in text
     assert 'latency_seconds_bucket{le="0.1"} 1' in text
+    assert 'latency_seconds_bucket{le="0.5"} 2' in text  # bounds are inclusive
     assert 'latency_seconds_bucket{le="1"} 2' in text
+    assert 'latency_seconds_bucket{le="120"} 2' in text
     assert 'latency_seconds_bucket{le="+Inf"} 3' in text
     assert "latency_seconds_count 3" in text
     assert text.endswith("\n")
@@ -514,7 +517,7 @@ def test_service_untraced_job_reports_traced_false():
 # ---------------------------------------------------------------------------
 
 
-def test_json_formatter_emits_parseable_records():
+def test_json_formatter_emits_parseable_records(monkeypatch):
     import logging
 
     from repro.obs.logs import JsonFormatter, log_format
@@ -528,8 +531,10 @@ def test_json_formatter_emits_parseable_records():
     assert line["logger"] == "repro.service"
     assert line["message"] == "job j1 failed"
     assert line["job_id"] == "j1"
-    assert log_format({"REPRO_LOG_FORMAT": "json"}) == "json"
-    assert log_format({}) == "plain"
+    monkeypatch.setenv("REPRO_LOG_FORMAT", " JSON ")
+    assert log_format() == "json"
+    monkeypatch.delenv("REPRO_LOG_FORMAT")
+    assert log_format() == "plain"
 
 
 def test_json_formatter_carries_the_traceback_of_a_logged_exception():
@@ -548,8 +553,9 @@ def test_json_formatter_carries_the_traceback_of_a_logged_exception():
     assert line["exc_info"].splitlines()[-1] == "ValueError: boom"
 
 
-def test_setup_logging_is_plain_by_default_and_replaces_its_own_handler(monkeypatch):
-    import io
+def test_setup_logging_is_plain_by_default_and_replaces_its_own_handler(
+    monkeypatch, capsys
+):
     import logging
 
     from repro.obs.logs import get_logger, setup_logging
@@ -558,14 +564,17 @@ def test_setup_logging_is_plain_by_default_and_replaces_its_own_handler(monkeypa
     root = logging.getLogger("repro")
     saved = (root.level, root.propagate, list(root.handlers))
     try:
-        setup_logging(stream=io.StringIO())
-        stream = io.StringIO()
-        setup_logging(stream=stream)  # again: one handler, the new one
+        setup_logging()
+        setup_logging()  # again: one handler, the new one
         assert len(root.handlers) == len(saved[2]) + 1
+        get_logger("service.jobs").debug("below INFO: not logged")
         get_logger("service.jobs").warning("job %s failed", "j1")
-        assert stream.getvalue().endswith(
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
             " WARNING repro.service.jobs: job j1 failed\n"
         )
+        assert captured.err.count("\n") == 1
     finally:
         root.level, root.propagate = saved[:2]
         root.handlers[:] = saved[2]

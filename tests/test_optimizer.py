@@ -254,16 +254,18 @@ def test_min_worst_regret_hedges():
     # worst regret is ~34x (at x=100); steady's is ~3x (at x=1).
     estimate = Estimate({"rows.x": 10.0}, uncertainty=10.0)
     assert MinWorstRegret().choose(_costs_at, estimate) == "steady"
-    # Trusting the point estimate (u=1) degenerates to the classic pick.
-    assert MinWorstRegret(uncertainty=1.0).choose(_costs_at, estimate) == "trap"
+    # An exact estimate (u=1) is a box of one point: the classic pick.
+    exact = Estimate({"rows.x": 10.0})
+    assert MinWorstRegret().choose(_costs_at, exact) == "trap"
 
 
-def test_penalty_aware_weight_interpolates():
+def test_penalty_aware_hedges():
+    # Over the box: trap's expected cost (~34.7) and penalty (~32.7) both
+    # dwarf steady's (3.0 and ~1.0); at one point it is the classic pick.
     estimate = Estimate({"rows.x": 10.0}, uncertainty=10.0)
-    # Zero weight: pure expected cost -> steady (trap's x=100 corner
-    # dominates its mean); a large weight only reinforces that.
-    assert PenaltyAware(penalty_weight=0.0).choose(_costs_at, estimate) == "steady"
-    assert PenaltyAware(penalty_weight=10.0).choose(_costs_at, estimate) == "steady"
+    assert PenaltyAware().choose(_costs_at, estimate) == "steady"
+    exact = Estimate({"rows.x": 10.0})
+    assert PenaltyAware().choose(_costs_at, exact) == "trap"
 
 
 def test_ties_break_lexicographically():

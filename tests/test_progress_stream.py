@@ -153,7 +153,7 @@ def test_refined_job_status_never_goes_back(tmp_path, monkeypatch, workers, stor
         server.shutdown()
         server.server_close()
         manager.close()
-    assert len(statuses) == finished.events > 1
+    assert len(statuses) > 1
     for field in ("done", "measured_cells", "cache_hits"):
         values = [status[field] for status in statuses]
         assert values == sorted(values), (field, values)

@@ -23,6 +23,7 @@ from repro.core.mapdata import MapData
 from repro.core.progress import ProgressEvent
 from repro.errors import ExperimentError
 from repro.service import JobManager, RejectedRequest, build_server
+from repro.service.http import MAX_BODY_BYTES
 
 
 def tiny_config(**overrides):
@@ -303,7 +304,8 @@ def test_manager_refuses_a_snapshot_interval_its_jobs_would_die_on():
 
 
 @pytest.mark.parametrize(
-    # ``--cache`` (a whole-map disk cache) is no flag of ``serve`` at all.
+    # ``--snapshot-every`` and ``--cache`` (a whole-map disk cache) are no
+    # flags of ``serve`` at all.
     "flag", ["--snapshot-every", "--service-workers", "--queue-limit", "--cache"]
 )
 def test_serve_reports_a_refused_flag_as_a_usage_error(
@@ -519,7 +521,7 @@ def test_finished_job_holds_no_session_and_no_snapshot(monkeypatch):
         for request in (JOIN, MapRequest("estimation")):
             job, _ = manager.submit(request)
             finished = manager.wait(job.job_id, timeout=120)
-            assert finished.state == "done" and finished.events > 0
+            assert finished.state == "done" and finished.result is not None
             assert finished.snapshot is None and not hasattr(finished, "session")
         assert [ref() for ref in sessions] == [None, None]
     finally:
@@ -733,24 +735,37 @@ def test_http_render_404_is_an_unknown_plan_400_a_bad_rendering(service):
     assert render_status("svg") == 400  # no <plan>. prefix
 
 
-@pytest.mark.parametrize("length", ["abc", "-5", "-1"])
-def test_http_bad_content_length_is_a_400(service, length):
+@pytest.mark.parametrize(
+    "length, body, message",
+    [
+        ("abc", b"", "bad Content-Length 'abc'"),
+        ("-5", b"", "bad Content-Length '-5'"),
+        # -1 used to reach rfile.read(-1), which waits for the client to
+        # hang up: the client's timeout is what fails the test then.
+        ("-1", b"", "bad Content-Length '-1'"),
+        # Refused unread: the client sends no body after the header.
+        (str(MAX_BODY_BYTES + 1), b"", f"exceeds {MAX_BODY_BYTES}"),
+        ("0", b"", "request needs a JSON body"),
+        ("2", b"[]", "request body must be a JSON object"),
+    ],
+    ids=["abc", "-5", "-1", "too-long", "empty", "not-an-object"],
+)
+def test_http_bad_content_length_is_a_400(service, length, body, message):
     base, manager = service
     host, port = base.removeprefix("http://").split(":")
-    # -1 used to reach rfile.read(-1), which waits for the client to hang
-    # up: the client's timeout is what fails the test then.
     with socket.create_connection((host, int(port)), timeout=2) as sock:
         sock.sendall(
             b"POST /maps HTTP/1.1\r\nHost: test\r\n"
             b"Content-Type: application/json\r\n"
             + f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            + body
         )
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
+    head, _, reply_body = reply.partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0].split()[1] == b"400"
-    assert repr(length) in json.loads(body)["error"]
+    assert message in json.loads(reply_body)["error"]
     assert manager.stats()["jobs"] == 0
     # The server is still there for the next connection.
     code, submitted = _post(base, "/maps", {"scenario": "join"})

@@ -88,20 +88,14 @@ def test_negative_column_cannot_be_indexed(env):
         table.create_index("idx", ["a"])
 
 
-def test_values_wider_than_the_given_bits_are_refused_at_creation(table):
-    with pytest.raises(StorageError):
-        table.create_index("idx_a", ["a"], bits=[4])  # a spans 16 bits
-    with pytest.raises(StorageError):
-        table.create_index("idx_ab", ["a", "b"], bits=[16])  # one width short
-    assert table.create_index("idx_a", ["a"], bits=[16]).codec.bits == (16,)
-
-
 def test_index_is_laid_out_by_its_first_reader(table, bulk_loads):
     idx_a = table.create_index("idx_a", ["a"])
     idx_b = table.create_index("idx_b", ["b"])
     # Creating an index, naming it, asking for key ranges and reading
     # its geometry (what a cost model prices) sort nothing.
     assert table.indexes["idx_b"] is idx_b
+    # The key layout is the bits each column's values need.
+    assert (idx_a.codec.bits, idx_b.codec.bits) == ((16,), (20,))
     assert idx_a.key_range_for({"a": (100, 500)}) == (100, 500)
     assert idx_b.n_leaf_pages > 1 and idx_b.height > 1
     assert table.n_pages > 1

@@ -302,13 +302,16 @@ def test_categorical_scale_stable_assignment():
 
     scale = CategoricalScale(["A.scan", "A.index", "A.hash"], "Chosen plan")
     assert scale.n_categories == 3
-    assert scale.color_for("A.scan") == scale.color_for_index(0)
-    assert scale.index_of("A.hash") == 2
+    # The legend lists the categories in inventory order, so index i is
+    # drawn in the color of the legend's row i.
+    legend = scale.legend_entries()
+    assert [label for _, label in legend] == ["A.scan", "A.index", "A.hash"]
+    assert [tuple(rgb) for rgb in scale.colorize_indices(np.arange(3))] == [
+        rgb for rgb, _ in legend
+    ]
     # Stable: the same inventory yields the same colors in every panel.
     again = CategoricalScale(["A.scan", "A.index", "A.hash"], "other panel")
-    assert [again.color_for(c) for c in again.categories] == [
-        scale.color_for(c) for c in scale.categories
-    ]
+    assert again.legend_entries() == legend
 
 
 def test_categorical_scale_rejects_bad_input():
@@ -320,11 +323,9 @@ def test_categorical_scale_rejects_bad_input():
         CategoricalScale(["a", "a"], "dup")
     scale = CategoricalScale(["a", "b"], "t")
     with pytest.raises(VisualizationError):
-        scale.color_for("missing")
-    with pytest.raises(VisualizationError):
-        scale.color_for_index(2)
-    with pytest.raises(VisualizationError):
         scale.colorize_indices(np.asarray([0, 2]))
+    with pytest.raises(VisualizationError):
+        scale.colorize_indices(np.asarray([-1, 0]))
 
 
 def test_categorical_colorize_indices():
@@ -333,8 +334,9 @@ def test_categorical_colorize_indices():
     scale = CategoricalScale(["a", "b"], "t")
     rgb = scale.colorize_indices(np.asarray([[0, 1], [1, 0]]))
     assert rgb.shape == (2, 2, 3)
-    assert tuple(rgb[0, 0]) == scale.color_for("a")
-    assert tuple(rgb[0, 1]) == scale.color_for("b")
+    (a_rgb, _), (b_rgb, _) = scale.legend_entries()
+    assert tuple(rgb[0, 0]) == tuple(rgb[1, 1]) == a_rgb
+    assert tuple(rgb[0, 1]) == tuple(rgb[1, 0]) == b_rgb
 
 
 def test_legend_svg_renders_categorical_scale():
@@ -418,7 +420,7 @@ def test_categorical_scale_stays_injective_past_the_palette():
 
     categories = [f"plan{i}" for i in range(3 * len(CATEGORICAL_PALETTE))]
     scale = CategoricalScale(categories, "big inventory")
-    colors = [scale.color_for(category) for category in categories]
+    colors = [rgb for rgb, _ in scale.legend_entries()]
     assert len(set(colors)) == len(categories)
 
 
@@ -466,8 +468,9 @@ def test_colour_pass_equals_per_cell_color_for(scale, data):
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_colour_pass_equals_per_cell_color_for_index(data):
-    """A categorical scale past the palette's length; negatives are white."""
+def test_colour_pass_equals_per_cell_legend_color(data):
+    """A categorical scale past the palette's length: each cell has its
+    category's legend color; negatives are white."""
     from repro.viz import CATEGORICAL_PALETTE, CategoricalScale
     from repro.viz.colormap import CENSORED_RGB, _cell_colors
 
@@ -480,11 +483,12 @@ def test_colour_pass_equals_per_cell_color_for_index(data):
             st.lists(st.integers(-2, n - 1), min_size=nx * ny, max_size=nx * ny)
         )
     ).reshape(nx, ny)
+    legend = [rgb for rgb, _ in scale.legend_entries()]
     cells = _cell_colors(indices, scale)
     for ix in range(nx):
         for iy in range(ny):
             i = int(indices[ix, iy])
-            expected = CENSORED_RGB if i < 0 else scale.color_for_index(i)
+            expected = CENSORED_RGB if i < 0 else legend[i]
             assert tuple(cells[ny - 1 - iy, ix]) == expected
 
 

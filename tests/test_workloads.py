@@ -12,7 +12,6 @@ from repro.workloads import (
     LineitemConfig,
     PredicateBuilder,
     SinglePredicateQuery,
-    TwoPredicateQuery,
     build_lineitem,
 )
 from repro.workloads.generators import sequential_column, uniform_column
@@ -177,13 +176,7 @@ def test_achieved_close_to_target_property(target):
 
 def test_queries_oracle(env):
     table = build_lineitem(env, LineitemConfig(n_rows=2000))
-    pa = ColumnRange("partkey", 0, 1 << 18)
     pb = ColumnRange("extendedprice", 0, 1 << 19)
-    q2 = TwoPredicateQuery(pa, pb)
-    expected = np.flatnonzero(
-        pa.mask(table.column("partkey")) & pb.mask(table.column("extendedprice"))
-    )
-    assert np.array_equal(q2.oracle_rids(table), expected)
     q1 = SinglePredicateQuery(pb)
     assert np.array_equal(
         q1.oracle_rids(table), np.flatnonzero(pb.mask(table.column("extendedprice")))
