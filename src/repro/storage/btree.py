@@ -18,6 +18,14 @@ Design notes
 * **Point probes** (:meth:`BPlusTree.probe`) charge one buffer-pool
   access per page on the root-to-leaf path, one key at a time; it is the
   sequential reference :meth:`BPlusTree.probe_many` is tested against.
+* **Probe batches** (:meth:`BPlusTree.probe_many`) take one of two
+  regimes by one rule: if the tree's ``n_pages`` plus the pool's
+  residents of other files fit in its ``capacity_pages``
+  (:meth:`~repro.storage.buffer_pool.BufferPool.can_hold`), no access
+  can evict, and the batch is charged from each page's first and last
+  touch, found from the probes' first and last leaves, with no page
+  trace built; otherwise the batch's whole page trace is built and the
+  pool simulates it window by window.
 * **Bulk reads** slice the leaf arrays directly, while I/O is still
   charged per leaf page actually covered.
 """
@@ -301,11 +309,25 @@ class BPlusTree:
     ) -> np.ndarray:
         """Probe every key in sequence; returns per-key match counts.
 
-        Charging is bit-identical to ``for k in keys: tree.probe(k)``.
-        The full page-access trace of every probe (descent path, first
-        leaf, duplicate-continuation leaves) is built up front and
-        charged through :meth:`BufferPool.charge_trace`, with each
-        probe's CPU unit placed after its descent.
+        Charging is bit-identical to ``for k in keys: tree.probe(k)``,
+        whose accesses form the batch's page trace (each probe's descent
+        path, first leaf, then duplicate-continuation leaves), with each
+        probe's CPU unit placed after its descent.  Which of two regimes
+        charges it follows one rule,
+        :meth:`BufferPool.can_hold` of the tree's ``n_pages``: the
+        tree's pages plus the pool's residents of other files fit in
+        ``capacity_pages``.
+
+        * **No access can evict** (the rule holds).  No trace is built:
+          :meth:`_touches` finds each page's first and last access from
+          the probes' first and last leaves alone, and
+          :meth:`BufferPool.charge_touches` charges a miss at each first
+          touch of a page not resident, a hit for every other access,
+          and orders the residents by last touch.
+        * **Accesses may evict.**  The whole trace is built and charged
+          through :meth:`BufferPool.charge_trace`, which simulates it
+          window by window; it is the reference the other regime is
+          tested against.
 
         ``budget`` (duck-typed: ``over_budget`` and ``check_budget``, as
         :class:`~repro.executor.context.ExecContext` has them), when
@@ -342,14 +364,35 @@ class BPlusTree:
         )
         last_leaf = np.maximum(first_leaf, last_leaf)
 
-        # Page sequence of every probe: its descent, root to first leaf
-        # (charged before the probe CPU), then any continuation leaves
-        # (charged after), inserted behind the descent.  Probe b's
-        # accesses are all_pages[offsets[b]:offsets[b + 1]].
+        # Probe b's accesses are trace positions offsets[b] to
+        # offsets[b + 1]: its descent, root to first leaf (charged
+        # before the probe CPU), then any continuation leaves (charged
+        # after).
         descent_len = self.height
         extra = last_leaf - first_leaf
         offsets = np.arange(n + 1, dtype=np.int64) * descent_len
         offsets[1:] += np.cumsum(extra)
+        checks = offsets[budget_stride::budget_stride] if budget is not None else ()
+        # Probe b's CPU unit lands after its descent, before any
+        # continuation leaf.
+        cpu_after = offsets[:-1] + descent_len
+        cpu_unit = self._env.profile.btree_probe_cpu
+        pool = self._env.pool
+        if pool.can_hold(self.handle, self.n_pages):
+            pages, first, last = self._touches(first_leaf, last_leaf, offsets)
+            pool.charge_touches(
+                self.handle,
+                pages,
+                first,
+                last,
+                int(offsets[-1]),
+                budget,
+                checks,
+                cpu_after,
+                cpu_unit,
+            )
+            return counts
+
         walking = np.flatnonzero(extra)
         all_pages = np.insert(
             np.take(self._descents, first_leaf, axis=0).ravel(),
@@ -358,19 +401,53 @@ class BPlusTree:
                 _ragged_arange(first_leaf[walking] + 1, last_leaf[walking] + 1)
             ],
         )
-
-        checks = offsets[budget_stride::budget_stride] if budget is not None else ()
-        # Probe b's CPU unit lands after its descent, before any
-        # continuation leaf.
-        self._env.pool.charge_trace(
-            self.handle,
-            all_pages,
-            budget,
-            checks,
-            cpu_after=offsets[:-1] + descent_len,
-            cpu_unit=self._env.profile.btree_probe_cpu,
+        pool.charge_trace(
+            self.handle, all_pages, budget, checks, cpu_after, cpu_unit
         )
         return counts
+
+    def _touches(
+        self, first_leaf: np.ndarray, last_leaf: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pages a probe batch touches, with the trace positions of
+        each one's first and last access.
+
+        Probe ``b`` descends to leaf ``first_leaf[b]``, whose access is
+        at position ``offsets[b] + height - 1`` and its ancestor
+        ``level`` levels up ``level`` positions before, then walks on to
+        ``last_leaf[b]``, one position per leaf.  So a leaf is first
+        touched by the first probe that lands on it or walks through it,
+        an inner page by the first probe that descends beneath it, and
+        the same holds for the last touch.
+        """
+        height = self.height
+        leaf_at = offsets[:-1] + (height - 1)
+        no_touch = np.iinfo(np.int64).max
+        # Per leaf: the first and last descent that lands on it.
+        landed_first = np.full(self.flat.n_leaves, no_touch)
+        landed_last = np.full(self.flat.n_leaves, -1)
+        np.minimum.at(landed_first, first_leaf, leaf_at)
+        np.maximum.at(landed_last, first_leaf, leaf_at)
+        first = np.full(self.n_pages, no_touch)
+        last = np.full(self.n_pages, -1)
+        leaves = self._descents[:, -1]
+        first[leaves] = landed_first
+        last[leaves] = landed_last
+        landed = np.flatnonzero(landed_last >= 0)
+        above = np.arange(height - 1, 0, -1)  # levels above the leaf, root first
+        ancestors = self._descents[landed, :-1].ravel()
+        np.minimum.at(first, ancestors, (landed_first[landed, None] - above).ravel())
+        np.maximum.at(last, ancestors, (landed_last[landed, None] - above).ravel())
+        walking = np.flatnonzero(last_leaf > first_leaf)
+        walked = _ragged_arange(first_leaf[walking] + 1, last_leaf[walking] + 1)
+        walked_at = walked + np.repeat(
+            leaf_at[walking] - first_leaf[walking],
+            last_leaf[walking] - first_leaf[walking],
+        )
+        np.minimum.at(first, leaves[walked], walked_at)
+        np.maximum.at(last, leaves[walked], walked_at)
+        pages = np.flatnonzero(last >= 0)
+        return pages, first[pages], last[pages]
 
     def probe(self, key: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Return (keys, payload) of entries equal to ``key`` (may be empty).

@@ -7,6 +7,12 @@ scans, leaf-range scans, bitmap fetches) deliberately bypass the pool and
 stream from disk, mirroring the scan-resistant ring buffers real engines
 use; keeping the pool for point accesses is what makes repeated fetches of
 a hot page cheap and cold random fetches expensive.
+
+A batch of point accesses is charged in one step, bitwise as its
+:meth:`BufferPool.get` loop: :meth:`BufferPool.charge_trace` simulates
+its page trace window by window, and :meth:`BufferPool.charge_touches`
+charges a batch that cannot evict from its pages' first and last
+touches alone.
 """
 
 from __future__ import annotations
@@ -89,14 +95,10 @@ class BufferPool:
         that fails after access ``a`` has simulated at most
         ``max(first window, 2 * a)`` accesses.  Per window,
         :func:`simulate_lru` classifies it against the residents the
-        previous window left, :meth:`Disk.plan_page_reads` costs its
-        misses from the head the previous window left, and
-        :meth:`SimClock.advance_checked` charges misses and CPU units
-        in loop order (a hit charges exactly ``0.0``) up to the first
-        check whose clock fails the budget; the reads before it are
-        committed and ``budget.check_budget()`` raises.  Carried LRU
-        state makes the split exact, and clock and statistics
-        accumulate left to right from the running values.  Pool
+        previous window left, and :meth:`_charge_misses` charges its
+        misses, CPU units and checks, raising at the first check that
+        fails.  Carried LRU state makes the split exact, and clock and
+        statistics accumulate left to right from the running values.  Pool
         statistics and the resident order land once, after the last
         window, so an abort leaves the pool untouched.  A negative page
         number raises :class:`BufferPoolError` before anything is
@@ -109,7 +111,6 @@ class BufferPool:
         cpu_after = np.asarray(cpu_after, dtype=np.int64)
         fid = handle.file_id
         state, other_keys = self._resident_codes(fid)
-        disk = self._disk
         n = int(pages.size)
         hits = misses = evictions = 0
         start = checked = landed = 0
@@ -120,32 +121,19 @@ class BufferPool:
             window = pages[start:end]
             simulation = simulate_lru(window, state, self._capacity)
             miss = np.nonzero(~simulation.hit_mask)[0]
-            reads = disk.plan_page_reads(handle, window[miss])
             # The window's CPU units and checks: those at its end count,
             # those at its start were the previous window's.
             unit_stop = int(np.searchsorted(cpu_after, end, "right"))
             check_stop = int(np.searchsorted(checks, end, "right"))
-            units = cpu_after[landed:unit_stop] - start
-            window_checks = checks[checked:check_stop] - start
-            schedule = np.empty(1 + units.size + miss.size, dtype=np.float64)
-            charges = schedule[1:]
-            # A unit lands after the misses before its position, a miss
-            # after the units at or before its own.
-            charges[np.arange(units.size) + np.searchsorted(miss, units)] = cpu_unit
-            charges[np.arange(miss.size) + np.searchsorted(units, miss, "right")] = (
-                reads.elapsed
-            )
-            misses_done = np.searchsorted(miss, window_checks)
-            failed = disk.clock.advance_checked(
-                schedule,
-                misses_done + np.searchsorted(units, window_checks, "right"),
+            self._charge_misses(
+                handle,
+                window[miss],
+                miss + start,
+                cpu_after[landed:unit_stop],
+                checks[checked:check_stop],
+                cpu_unit,
                 budget,
             )
-            aborted = failed < window_checks.size
-            read_stop = int(misses_done[failed]) if aborted else int(miss.size)
-            disk.commit_page_reads(handle, reads, 0, read_stop)
-            if aborted:
-                budget.check_budget()  # raises: over_budget is its twin
             hits += simulation.n_hits
             misses += simulation.n_misses
             evictions += simulation.n_evictions
@@ -158,6 +146,109 @@ class BufferPool:
         self.stats.misses += misses
         self.stats.evictions += evictions
         self._resident = self._decode_resident(state, fid, other_keys)
+
+    def can_hold(self, handle: FileHandle, n_pages: int) -> bool:
+        """Whether pages ``0..n_pages-1`` of ``handle`` fit beside every
+        resident of another file, so that no access to them can evict."""
+        fid = handle.file_id
+        others = sum(1 for file_id, _page in self._resident if file_id != fid)
+        return n_pages + others <= self._capacity
+
+    def charge_touches(
+        self,
+        handle: FileHandle,
+        pages: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        n_accesses: int,
+        budget,
+        checks,
+        cpu_after,
+        cpu_unit: float,
+    ) -> None:
+        """:meth:`charge_trace` of a trace that cannot evict, given only
+        each page's first and last access.
+
+        The trace is ``n_accesses`` accesses to ``handle``; its distinct
+        pages are ``pages``, page ``pages[i]`` accessed first at trace
+        position ``first[i]`` and last at ``last[i]``.  ``budget``,
+        ``checks``, ``cpu_after`` and ``cpu_unit`` are
+        :meth:`charge_trace`'s.  When the pages and the residents fit the
+        pool together, nothing is evicted, so an access misses exactly
+        at its page's first touch if the page is not resident, every
+        other access hits, and the residents end in their old order,
+        the untouched first, then the touched ones by last touch.  The
+        misses are charged in one :meth:`_charge_misses` call: clock,
+        disk statistics, budget checks and an abort's untouched pool are
+        bitwise those of :meth:`charge_trace` on the whole trace.  Pages
+        that, with the residents, overflow the pool raise
+        :class:`BufferPoolError` before anything is charged.
+        """
+        fid = handle.file_id
+        resident = self._resident
+        keys = [(fid, page) for page in pages.tolist()]
+        held = np.fromiter((key in resident for key in keys), bool, len(keys))
+        if len(resident) + len(keys) - int(held.sum()) > self._capacity:
+            raise BufferPoolError(
+                f"{len(keys)} pages of {handle} overflow a pool of "
+                f"{self._capacity} frames holding {len(resident)}"
+            )
+        by_first = np.argsort(first)
+        missed = by_first[~held[by_first]]
+        self._charge_misses(
+            handle,
+            pages[missed],
+            first[missed],
+            np.asarray(cpu_after, dtype=np.int64),
+            np.asarray(checks, dtype=np.int64),
+            cpu_unit,
+            budget,
+        )
+        self.stats.hits += n_accesses - int(missed.size)
+        self.stats.misses += int(missed.size)
+        for index in np.argsort(last).tolist():
+            resident[keys[index]] = None
+            resident.move_to_end(keys[index])
+
+    def _charge_misses(
+        self,
+        handle: FileHandle,
+        pages: np.ndarray,
+        at: np.ndarray,
+        units: np.ndarray,
+        checks: np.ndarray,
+        cpu_unit: float,
+        budget,
+    ) -> None:
+        """Charge a stretch of a trace: its misses, CPU units and checks.
+
+        Page ``pages[k]`` missed at trace position ``at[k]``; ``units``
+        are the stretch's ``cpu_after`` positions and ``checks`` its
+        check positions, all ascending.  :meth:`Disk.plan_page_reads`
+        costs the misses from the head the last stretch left, and
+        :meth:`SimClock.advance_checked` charges misses and CPU units in
+        loop order (a hit charges exactly ``0.0``) up to the first check
+        whose clock fails the budget; the reads before it are committed
+        and ``budget.check_budget()`` raises.
+        """
+        disk = self._disk
+        reads = disk.plan_page_reads(handle, pages)
+        # A miss lands after the units at or before its own position, a
+        # unit after the misses before its position: every other slot
+        # of the schedule is a unit.
+        schedule = np.full(1 + units.size + at.size, cpu_unit, dtype=np.float64)
+        schedule[1 + np.arange(at.size) + np.searchsorted(units, at, "right")] = (
+            reads.elapsed
+        )
+        misses_done = np.searchsorted(at, checks)
+        failed = disk.clock.advance_checked(
+            schedule, misses_done + np.searchsorted(units, checks, "right"), budget
+        )
+        aborted = failed < checks.size
+        read_stop = int(misses_done[failed]) if aborted else int(at.size)
+        disk.commit_page_reads(handle, reads, 0, read_stop)
+        if aborted:
+            budget.check_budget()  # raises: over_budget is its twin
 
     def _resident_codes(
         self, fid: int

@@ -21,11 +21,14 @@ a synthetic trace prefix (one access per resident key, LRU-oldest first),
 which makes warm-pool traces a special case of cold traces.
 
 A trace that cannot fill the pool skips all of that.  When the trace's
-key span plus the residents is at most ``C`` (an O(n) range check), no
-access can evict, so an access misses exactly when it is its key's
-first occurrence and the key is not resident; one stable sort of the
-trace settles every access (:func:`_simulate_fitting`).  Index probe
-traces against a pool-sized tree take this path.
+key span plus the residents outside it, or the trace's length plus the
+residents, is at most ``C`` (an O(n) range check), no access can evict,
+so an access misses exactly when it is its key's first occurrence and
+the key is not resident; one stable sort of the trace settles every
+access (:func:`_simulate_fitting`).  An index probe batch against a
+pool-sized tree never comes here:
+:meth:`~repro.storage.btree.BPlusTree.probe_many` charges it from its
+pages' first and last touches, with no trace built.
 
 Downstream effects are closed-form once hits are known:
 
@@ -149,11 +152,17 @@ def simulate_lru(
 def _fits(trace: np.ndarray, state: np.ndarray, capacity: int) -> bool:
     """Whether no access of ``trace`` can evict: an O(n) range check.
 
-    The trace touches at most ``span`` distinct keys, so the pool never
-    holds more than ``span + len(state)`` of them at once.
+    The pool never holds a key that is neither resident nor in the
+    trace, so it holds at most ``len(trace) + len(state)`` keys, and at
+    most ``span`` keys of the trace's key span plus the residents
+    outside it.  Either bound within ``capacity`` means no eviction.
     """
-    span = int(trace.max()) - int(trace.min()) + 1 if trace.size else 0
-    return span + int(state.size) <= capacity
+    n = int(trace.size)
+    if n + int(state.size) <= capacity:
+        return True
+    low, high = int(trace.min()), int(trace.max())
+    outside = int(np.count_nonzero((state < low) | (state > high)))
+    return high - low + 1 + outside <= capacity
 
 
 def _simulate_fitting(trace: np.ndarray, state: np.ndarray) -> LruSimulation:

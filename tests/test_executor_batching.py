@@ -219,7 +219,8 @@ def make_tree(pool_pages=256):
 
 
 def probe_reference(keys, build, pool_pages=256):
-    """(clock, pool stats, match counts) from a loop of probe()."""
+    """(clock, pool stats, match counts, disk stats, resident order)
+    from a loop of probe()."""
     tree, env = make_tree(pool_pages)
     build(tree)
     env.cold_reset()
@@ -227,7 +228,13 @@ def probe_reference(keys, build, pool_pages=256):
     for key in keys:
         found, _ = tree.probe(int(key))
         counts.append(int(found.size))
-    return env.clock.now, env.pool.stats, counts
+    return (
+        env.clock.now,
+        env.pool.stats,
+        counts,
+        env.disk.stats,
+        list(env.pool._resident),
+    )
 
 
 def probe_batched(keys, build, pool_pages=256):
@@ -235,7 +242,13 @@ def probe_batched(keys, build, pool_pages=256):
     build(tree)
     env.cold_reset()
     counts = tree.probe_many(np.asarray(keys, dtype=np.int64))
-    return env.clock.now, env.pool.stats, counts.tolist()
+    return (
+        env.clock.now,
+        env.pool.stats,
+        counts.tolist(),
+        env.disk.stats,
+        list(env.pool._resident),
+    )
 
 
 def assert_probe_equivalent(keys, build, pool_pages=256):
@@ -244,6 +257,8 @@ def assert_probe_equivalent(keys, build, pool_pages=256):
     assert bat[0] == ref[0]  # exact virtual seconds
     assert bat[1] == ref[1]  # hits/misses/evictions
     assert bat[2] == ref[2]  # per-key match counts
+    assert bat[3] == ref[3]  # disk statistics
+    assert bat[4] == ref[4]  # resident order
 
 
 def bulk_builder(keys, dupes=1):
@@ -296,6 +311,62 @@ def test_probe_many_thrashing_pool():
     build = bulk_builder(range(2000))
     keys = [1, 1999, 3, 1501, 7, 1203] * 4
     assert_probe_equivalent(keys, build, pool_pages=2)
+
+
+def test_probe_many_builds_no_trace_for_a_batch_that_cannot_evict(monkeypatch):
+    """A batch whose tree fits the pool is charged from its first and
+    last touches: it calls neither ``charge_trace`` nor the LRU kernel,
+    and charges what the probe() loop charges, once.  The thrashing
+    batch of a 2-frame pool still goes through ``charge_trace``."""
+    calls = {"charge_trace": 0, "simulate_lru": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        BufferPool, "charge_trace", counted("charge_trace", BufferPool.charge_trace)
+    )
+    monkeypatch.setattr(
+        buffer_pool, "simulate_lru", counted("simulate_lru", buffer_pool.simulate_lru)
+    )
+    spanning = bulk_builder([5] * 40 + [9] * 40 + [12])
+    assert_probe_equivalent([5, 9, 12, 0, 7, 13, 5, 5, 9], spanning)
+    assert calls == {"charge_trace": 0, "simulate_lru": 0}
+    thrashing = [1, 1999, 3, 1501, 7, 1203] * 4
+    assert_probe_equivalent(thrashing, bulk_builder(range(2000)), pool_pages=2)
+    assert calls["charge_trace"] == 1
+    assert calls["simulate_lru"] >= 1
+
+
+def test_charge_touches_refuses_pages_that_overflow_the_pool():
+    """Touched pages that do not fit beside the residents raise before
+    anything is charged; one page fewer fits and is charged."""
+    (pool, handle), _ = make_pools(4)
+    other = pool._disk.create_file("other")
+    pool.get(other, 0)
+    pool.get(handle, 1)
+    stats, resident = dict(vars(pool.stats)), list(pool._resident)
+    disk_stats, now = dataclasses.replace(pool._disk.stats), pool._disk.clock.now
+
+    def touch(pages):
+        at = np.arange(len(pages))
+        pool.charge_touches(
+            handle, np.array(pages), at, at, len(pages), None, (), (), 0.0
+        )
+
+    with pytest.raises(BufferPoolError, match="overflow"):
+        touch([1, 2, 3, 4])
+    assert (dict(vars(pool.stats)), list(pool._resident)) == (stats, resident)
+    assert (pool._disk.stats, pool._disk.clock.now) == (disk_stats, now)
+    touch([1, 2, 3])
+    assert list(pool._resident) == [(other.file_id, 0)] + [
+        (handle.file_id, page) for page in (1, 2, 3)
+    ]
+    assert pool.stats.misses == stats["misses"] + 2
 
 
 def test_probe_many_uncharged_counts_only():

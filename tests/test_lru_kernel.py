@@ -239,9 +239,10 @@ def test_trace_straddles_chunk_boundaries():
 def test_fitting_trace_plan_equals_get_loop(data):
     """charge_trace against the get loop on a trace whose page span
     fits beside the warm residents exactly (the one-pass path), or
-    overshoots by one page (the segmented path), or is empty: a check
-    after every access sees the clock move exactly on the loop's
-    misses."""
+    overshoots by one page (the one-pass path only if a resident lies
+    inside the span or the trace is short, the segmented path
+    otherwise), or is empty: a check after every access sees the clock
+    move exactly on the loop's misses."""
     capacity = data.draw(st.integers(1, 16))
     warm = data.draw(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 24)), max_size=24)
@@ -266,8 +267,10 @@ def test_fitting_trace_plan_equals_get_loop(data):
         for end in (base, base + span - 1):  # pin the span exactly
             trace.insert(data.draw(st.integers(0, len(trace))), end)
     pages = np.asarray(trace, dtype=np.int64)
-    assert lru_kernel._fits(pages, np.zeros(n_resident), capacity) == (
-        over == 0 or not trace
+    codes = kernel_pool._resident_codes(kernel_handles[0].file_id)[0]
+    inside = trace and any(min(trace) <= code <= max(trace) for code in codes)
+    assert lru_kernel._fits(pages, codes, capacity) == bool(
+        over == 0 or not trace or inside or len(trace) + n_resident <= capacity
     )
 
     kernel_budget = _CountedBudget(None)
@@ -290,6 +293,37 @@ def test_fitting_trace_plan_equals_get_loop(data):
     assert vars(kernel_pool.stats) == vars(scalar_pool.stats)
     assert kernel_disk.stats == scalar_disk.stats
     assert kernel_disk.clock.now == scalar_disk.clock.now
+
+
+@pytest.mark.parametrize(
+    "trace, fits",
+    [
+        # Span bound: the span plus the residents outside it (-1, -2).
+        ([2, 3, 4, 5, 6, 7, 2, 7, 5], True),
+        ([2, 3, 4, 5, 6, 7, 8, 2, 8], False),
+        # Count bound: the trace's length plus every resident.
+        ([0, 100, 200, 300], True),
+        ([0, 100, 200, 300, 400], False),
+    ],
+    ids=["span-at-border", "span-over", "count-at-border", "count-over"],
+)
+def test_fits_counts_each_key_once(trace, fits):
+    """``_fits`` on both sides of each of its two bounds, against the
+    resident codes of a real pool of 8 frames holding pages 3 and 4 of
+    the trace's file and two pages of another: a resident inside the
+    span counts once.  Where it answers yes, the get loop evicts
+    nothing."""
+    (pool, _disk, handles), _ = make_pools()
+    for which, page in ((0, 3), (1, 9), (0, 4), (1, 2)):
+        pool.get(handles[which], page)
+    codes = pool._resident_codes(handles[0].file_id)[0]
+    assert codes.tolist() == [3, -1, 4, -2]
+    pages = np.asarray(trace, dtype=np.int64)
+    assert lru_kernel._fits(pages, codes, pool.capacity_pages) == fits
+    for page in trace:
+        pool.get(handles[0], page)
+    assert (pool.stats.evictions == 0) or not fits
+    assert_matches_scalar(trace, codes, pool.capacity_pages)
 
 
 _PROBE_STRIDE = 16
@@ -359,21 +393,27 @@ def test_fitting_probe_trace_aborts_at_the_loops_probe():
     assert _probe_until_censored(True, budget) == reference
 
 
-def _budgeted_probes(batched, entries, probes, pool_pages, stride, fraction):
+def _budgeted_probes(batched, entries, probes, pool_pages, warm, stride, fraction):
     """One budgeted probe run: (abort probe or None, clock, disk stats,
-    pool stats, resident order, counts or None).
+    pool stats, resident order, counts or None, the pool's statistics
+    and resident order before the probes).
 
-    The budget is ``fraction`` of the uncensored loop's clock (``None``:
-    no budget), checked after every ``stride``-th probe."""
+    After the cold reset, the pool reads pages ``0..warm-1`` of another
+    file.  The budget is ``fraction`` of the uncensored loop's clock
+    (``None``: no budget), checked after every ``stride``-th probe."""
     env = StorageEnv(DeviceProfile(page_size=512), pool_pages=pool_pages)
+    other = env.disk.create_file("other")
     tree = BPlusTree(env, "t", entry_bytes=64)
     tree.bulk_load(entries, {"rid": np.arange(entries.size, dtype=np.int64)})
     budget_seconds = None
     if fraction is not None:
         budget_seconds = fraction * _budgeted_probes(
-            False, entries, probes, pool_pages, stride, None
+            False, entries, probes, pool_pages, warm, stride, None
         )[1]
     env.cold_reset()
+    for page in range(warm):
+        env.pool.get(other, page)
+    before = (dict(vars(env.pool.stats)), list(env.pool._resident))
     ctx = ExecContext(env, budget_seconds=budget_seconds)
     ctx.arm_budget()
     aborted_at, counts = None, None
@@ -404,6 +444,7 @@ def _budgeted_probes(batched, entries, probes, pool_pages, stride, fraction):
         vars(env.pool.stats),
         list(env.pool._resident),
         counts,
+        before,
     )
 
 
@@ -412,13 +453,22 @@ def _budgeted_probes(batched, entries, probes, pool_pages, stride, fraction):
 def test_budgeted_probe_many_equals_probe_loop(data):
     """``probe_many`` under a budget against the ``probe()`` loop that
     checks it every ``stride`` probes, over dense and sparse key domains
-    (counted and searched bounds), fitting and evicting pools and random
-    budgets: the same abort probe, clock and disk statistics, with the
-    pool untouched by an abort; on completion the same counts, pool
-    statistics and resident order."""
+    (counted and searched bounds), duplicate runs that span leaves,
+    cold pools and pools that already hold another file's pages, sized
+    so the tree fits beside them (no access can evict) or does not, and
+    random budgets: the same abort probe, clock and disk statistics,
+    with the pool untouched by an abort; on completion the same counts,
+    pool statistics and resident order."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     domain = data.draw(st.sampled_from([64, 1 << 40]))
-    entries = np.sort(rng.integers(-domain, domain, data.draw(st.integers(0, 300))))
+    entries = np.sort(
+        np.concatenate(
+            [
+                rng.integers(-domain, domain, data.draw(st.integers(0, 300))),
+                np.full(data.draw(st.integers(0, 40)), rng.integers(-domain, domain)),
+            ]
+        )
+    )
     probes = np.concatenate(
         [
             rng.choice(entries, data.draw(st.integers(0, 150)))
@@ -428,17 +478,27 @@ def test_budgeted_probe_many_equals_probe_loop(data):
         ]
     )
     rng.shuffle(probes)
-    pool_pages = data.draw(st.sampled_from([2, 3, 256]))
+    warm = data.draw(st.integers(0, 6))
+    levels = BPlusTree(StorageEnv(DeviceProfile(page_size=512)), "t", entry_bytes=64)
+    n_pages = sum(levels.levels_for(entries.size)[1])
+    pool_pages = data.draw(
+        st.one_of(
+            st.sampled_from([2, 3, 256]),
+            # Around the border of the no-eviction rule.
+            st.integers(-2, 1).map(lambda slack: max(1, n_pages + warm + slack)),
+        )
+    )
     stride = data.draw(st.integers(1, 40))
     fraction = data.draw(st.one_of(st.none(), st.floats(0.0, 1.2)))
-    loop = _budgeted_probes(False, entries, probes, pool_pages, stride, fraction)
-    batch = _budgeted_probes(True, entries, probes, pool_pages, stride, fraction)
+    args = (entries, probes, pool_pages, warm, stride, fraction)
+    loop = _budgeted_probes(False, *args)
+    batch = _budgeted_probes(True, *args)
     assert batch[:3] == loop[:3]
+    assert batch[6] == loop[6]
     if batch[0] is None:
-        assert batch[3:] == loop[3:]
+        assert batch[3:6] == loop[3:6]
     else:
-        assert batch[3] == {"hits": 0, "misses": 0, "evictions": 0}
-        assert batch[4] == []
+        assert (batch[3], batch[4]) == batch[6]
 
 
 def test_dominance_helpers_with_nothing_to_count():
