@@ -352,6 +352,11 @@ class CellStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Built once: a write-back would otherwise join a path per record.
+        self._shards = {
+            digit: self.directory / f"{_SHARD_PREFIX}{digit}.jsonl"
+            for digit in _HEX
+        }
         self._lock = threading.RLock()
         self._index: dict[str, CellRecord] | None = None  # None: not loaded
         #: shard -> (inode, bytes consumed, lines consumed)
@@ -364,7 +369,8 @@ class CellStore:
     # ------------------------------------------------------------------
 
     def _shard_path(self, key: str) -> Path:
-        return self.directory / f"{_SHARD_PREFIX}{key[0]}.jsonl"
+        """The shard of a well-formed key (see :func:`_encode_line`)."""
+        return self._shards[key[0]]
 
     def _shard_paths(self) -> list[Path]:
         return sorted(self.directory.glob(f"{_SHARD_PREFIX}?.jsonl"))
@@ -471,8 +477,9 @@ class CellStore:
             for key, record in entries:
                 if batch.get(key, index.get(key)) == record:
                     continue
+                line = _encode_line(key, record)  # refuses a malformed key
                 by_shard.setdefault(self._shard_path(key), []).append(
-                    (key, record, _encode_line(key, record))
+                    (key, record, line)
                 )
                 batch[key] = record
             written = 0

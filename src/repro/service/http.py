@@ -104,10 +104,13 @@ def _map_payload(status: dict, mapdata: MapData | None, partial: bool) -> dict:
 
 
 class MapServiceHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto a class-bound :class:`JobManager`."""
+    """Routes HTTP requests onto its server's :class:`JobManager`.
 
-    manager: JobManager  # bound by build_server()
-    quiet: bool = True
+    The manager is read through ``self.server`` (a :class:`MapServer`),
+    never from the class, so no class keeps a manager alive.
+    """
+
+    server: MapServer
     server_version = "repro-map-service/1.0"
 
     # ------------------------------------------------------------------
@@ -115,7 +118,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.quiet:
+        if not self.server.quiet:
             logger.info("%s %s", self.address_string(), format % args)
 
     def _send_json(self, code: int, payload: dict) -> None:
@@ -159,7 +162,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         return data
 
     def _job_or_404(self, job_id: str) -> Job | None:
-        job = self.manager.get(job_id)
+        job = self.server.manager.get(job_id)
         if job is None:
             self._error(404, f"unknown job {job_id!r}")
         return job
@@ -206,14 +209,15 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             elif parts == ["healthz"]:
                 self._send_json(200, {"ok": True})
             elif parts == ["scenarios"]:
-                self._send_json(200, _scenario_listing(self.manager.config))
+                listing = _scenario_listing(self.server.manager.config)
+                self._send_json(200, listing)
             elif parts == ["stats"]:
-                self._send_json(200, self.manager.stats())
+                self._send_json(200, self.server.manager.stats())
             elif parts == ["metrics"]:
                 self._send_bytes(
                     200,
                     "text/plain; version=0.0.4; charset=utf-8",
-                    self.manager.metrics.render().encode("utf-8"),
+                    self.server.manager.metrics.render().encode("utf-8"),
                 )
             elif parts[0] == "jobs" and len(parts) >= 2:
                 self._get_job(parts[1], parts[2:], query)
@@ -234,20 +238,19 @@ class MapServiceHandler(BaseHTTPRequestHandler):
                 except ValueError:
                     self._error(400, f"bad wait value {waits[0]!r}")
                     return
-                self.manager.wait(job_id, timeout=timeout)
-            self._send_json(200, self.manager.status(job))
+                self.server.manager.wait(job_id, timeout=timeout)
+            self._send_json(200, self.server.manager.status(job))
             return
         if rest == ["partial"]:
-            status = self.manager.status(job)
-            self._send_json(
-                200, _map_payload(status, *self.manager.partial_map(job))
-            )
+            status = self.server.manager.status(job)
+            view = self.server.manager.partial_map(job)
+            self._send_json(200, _map_payload(status, *view))
             return
         if rest == ["result"]:
             if job.result is None:
                 self._not_finished(job)
             else:
-                status = self.manager.status(job)
+                status = self.server.manager.status(job)
                 self._send_json(200, _map_payload(status, job.result, False))
             return
         if rest == ["choice"]:
@@ -269,14 +272,14 @@ class MapServiceHandler(BaseHTTPRequestHandler):
                 f"not {job.request.scenario!r}",
             )
             return
-        choices = self.manager.choice_maps(job)
+        choices = self.server.manager.choice_maps(job)
         if choices is None:
             self._not_finished(job)
             return
         self._send_json(
             200,
             {
-                "job": self.manager.status(job),
+                "job": self.server.manager.status(job),
                 "policies": {
                     name: choice.to_dict() for name, choice in choices.items()
                 },
@@ -284,7 +287,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _get_profile(self, job: Job, query: dict) -> None:
-        profiles = self.manager.profiles(job)
+        profiles = self.server.manager.profiles(job)
         if profiles is None:
             self._not_finished(job)
             return
@@ -301,7 +304,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
         self._send_json(
             200,
             {
-                "job": self.manager.status(job),
+                "job": self.server.manager.status(job),
                 "profiles": profiles,
                 "traced": bool(profiles),
             },
@@ -341,7 +344,7 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             request = MapRequest.from_dict(self._read_body())
-            job, created = self.manager.submit(request)
+            job, created = self.server.manager.submit(request)
         except RejectedRequest as exc:
             self._error(429, str(exc))
         except ExperimentError as exc:
@@ -358,23 +361,37 @@ class MapServiceHandler(BaseHTTPRequestHandler):
             )
 
 
+class MapServer(ThreadingHTTPServer):
+    """A threading HTTP server that carries its manager and log switch.
+
+    Each server holds its own bindings, so concurrent servers (tests)
+    share nothing, and a server and its manager form no reference cycle:
+    dropping both frees the manager, its store index and its finished
+    maps at once, without waiting for the cyclic garbage collector.
+    """
+
+    def __init__(
+        self, address: tuple[str, int], manager: JobManager, quiet: bool
+    ) -> None:
+        self.manager = manager
+        self.quiet = quiet
+        super().__init__(address, MapServiceHandler)
+
+
 def build_server(
     manager: JobManager,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
+) -> MapServer:
     """An HTTP server bound to a manager (port 0: ephemeral).
 
-    The handler class is subclassed per server so concurrent servers
-    (tests) never share manager bindings.
+    The manager and ``quiet`` live on the server instance, where every
+    handler reads them.  Once the caller has closed both
+    (``server_close`` joins the request threads) and dropped them, the
+    manager is freed.
     """
-    handler = type(
-        "BoundMapServiceHandler",
-        (MapServiceHandler,),
-        {"manager": manager, "quiet": quiet},
-    )
-    return ThreadingHTTPServer((host, port), handler)
+    return MapServer((host, port), manager, quiet)
 
 
 def serve(

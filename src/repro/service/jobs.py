@@ -50,6 +50,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.bench.harness import BenchConfig, BenchSession, choice_maps_for
 from repro.bench.requests import MapRequest, definition_for
@@ -119,6 +120,22 @@ class Job:
 _SENTINEL: Job | None = None
 
 
+def _malloc_trim() -> Callable[[int], int] | None:
+    """The C library's ``malloc_trim``, or None where it has none."""
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    return malloc_trim
+
+
+# Looked up once: every ``CDLL`` built leaves a small reference cycle
+# (the library, its function-pointer type and the pointer) behind.
+_MALLOC_TRIM = _malloc_trim()
+
+
 def _release_freed_memory() -> None:
     """Hand the pages this process's freed heap holds back to the kernel.
 
@@ -128,13 +145,8 @@ def _release_freed_memory() -> None:
     every arena a job has ever run in, a number that depends on thread
     timing.  A no-op where the C library has no ``malloc_trim``.
     """
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    malloc_trim.argtypes = (ctypes.c_size_t,)
-    malloc_trim.restype = ctypes.c_int
-    malloc_trim(0)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class JobManager:
@@ -207,12 +219,14 @@ class JobManager:
             "repro_job_seconds",
             "Wall-clock seconds from job start to completion.",
         )
+        # The gauge closes over the store, not ``self``: a registry that
+        # reached back to its manager would keep both alive until the
+        # cyclic garbage collector ran.
+        store = self.cell_store
         self.metrics.gauge(
             "repro_cellstore_corrupt_lines_total",
             "Undecodable shard lines the cell store skipped since it was opened.",
-        ).set_function(
-            lambda: 0 if self.cell_store is None else self.cell_store.corrupt_lines
-        )
+        ).set_function(lambda: 0 if store is None else store.corrupt_lines)
         self.metrics.gauge(
             "repro_queue_depth",
             "Jobs waiting in the bounded submission queue.",

@@ -346,7 +346,6 @@ class BPlusTree:
             return counts
 
         n_entries = flat.n_entries
-        n_leaves = flat.n_leaves
         # Leaf the descent lands on (see _charge_inner_path): bisecting
         # the separators (each leaf's first key) stops at the leaf that
         # holds the last entry below the key, or at leaf 0.
@@ -354,15 +353,15 @@ class BPlusTree:
         # Last leaf the duplicate-continuation walk visits: the walk
         # advances while the key's upper bound lies at/past the end of
         # the current leaf, i.e. up to the leaf containing position
-        # ``hi`` (the last leaf when ``hi`` is past every entry).
-        last_leaf = np.where(
-            hi >= n_entries,
-            n_leaves - 1,
-            flat.leaf_index_of(np.minimum(hi, max(0, n_entries - 1)))
+        # ``hi`` (the last leaf when ``hi`` is past every entry: every
+        # leaf but the last is full, so that is the leaf of the last
+        # entry).  ``hi >= max(lo - 1, 0)``, so it is never before the
+        # first leaf.
+        last_leaf = (
+            flat.leaf_index_of(np.minimum(hi, n_entries - 1))
             if n_entries
-            else 0,
+            else first_leaf
         )
-        last_leaf = np.maximum(first_leaf, last_leaf)
 
         # Probe b's accesses are trace positions offsets[b] to
         # offsets[b + 1]: its descent, root to first leaf (charged

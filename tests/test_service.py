@@ -608,6 +608,98 @@ def _post(base, path, payload):
         return resp.status, json.loads(resp.read())
 
 
+def _closed_round(tmp_path):
+    """Open a manager on a cell store and a server over it, run one job
+    over HTTP, close and drop both; returns weakrefs to the manager, its
+    store and the job's map."""
+    manager = JobManager(
+        tiny_config(cell_cache_dir=str(tmp_path / "cells")), workers=1
+    )
+    server = build_server(manager)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
+    _, submitted = _post(base, "/maps", {"scenario": "join"})
+    job_id = submitted["job_id"]
+    assert _get(base, f"/jobs/{job_id}?wait=60")[1]["state"] == "done"
+    assert _get(base, f"/jobs/{job_id}/result")[0] == 200
+    with urllib.request.urlopen(base + "/metrics") as resp:
+        assert b"repro_cellstore_corrupt_lines_total 0" in resp.read()
+    refs = [
+        weakref.ref(manager),
+        weakref.ref(manager.cell_store),
+        weakref.ref(manager.get(job_id).result),
+    ]
+    server.shutdown()
+    server.server_close()  # joins the request threads
+    thread.join()
+    manager.close()
+    return refs
+
+
+def test_closed_manager_and_server_are_freed_by_reference_counting(tmp_path):
+    """Neither the server nor the metrics plane reaches back to its
+    manager through a cycle (a class bound to it, a gauge closing over
+    it), so dropping the closed pair frees the manager, its store index
+    and its finished maps at once, with the cyclic collector off."""
+    import gc
+
+    gc.disable()
+    try:
+        refs = _closed_round(tmp_path)
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_closed_service_round_leaves_no_cyclic_garbage(tmp_path):
+    import gc
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _closed_round(tmp_path)
+        gc.collect()
+        left = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    # CDLL: a ctypes library built per close leaves a cycle of its own.
+    ours = {"JobManager", "MapServer", "CellStore", "Job", "MapData", "CDLL"}
+    assert not left & ours
+
+
+@pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "loud"])
+def test_server_logs_one_line_per_request_unless_quiet(quiet):
+    import logging
+
+    lines = []
+    sink = logging.Handler(logging.INFO)
+    sink.emit = lambda record: lines.append(record.getMessage())
+    http_logger = logging.getLogger("repro.service.http")
+    level = http_logger.level
+    http_logger.setLevel(logging.INFO)
+    http_logger.addHandler(sink)
+    manager = make_manager(workers=1)
+    server = build_server(manager, quiet=quiet)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        assert _get(f"http://{host}:{port}", "/healthz") == (200, {"ok": True})
+    finally:
+        server.shutdown()
+        server.server_close()
+        manager.close()
+        http_logger.removeHandler(sink)
+        http_logger.setLevel(level)
+    if quiet:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and '"GET /healthz HTTP/1.1" 200' in lines[0]
+
+
 def test_http_submit_poll_result_render(service):
     base, manager = service
     code, listing = _get(base, "/scenarios")

@@ -10,6 +10,11 @@ both checkouts' ``src`` are byte-compiled (``python -m compileall``,
 which writes even under ``PYTHONDONTWRITEBYTECODE``): a fresh archive
 has no ``__pycache__`` while a working tree usually has one, and every
 CLI start on the side without it would pay for compiling the package.
+That is about 0.14 s of CPU per process on a 2-core box, so ``cli_*``
+CPU here reads that much lower than a ``run.py`` run without bytecode
+(``benchmarks/e2e/run.py``'s import probe writes none when
+``PYTHONDONTWRITEBYTECODE`` is set).  Compare paired rows with paired
+rows; the compile stays, because both sides must start alike.
 
 Per workload and end-to-end metric it prints each side's median
 [q1, q3], how many pairs the change won, and a verdict by the rule in
