@@ -13,6 +13,14 @@ page accessed and charges
 These three cases are exactly the mechanics that differentiate the paper's
 table scan, traditional index scan, and improved index scan (Fig 1), and
 the bitmap-sorted fetch of System B (Fig 8).
+
+A chain of reads has one planner: :meth:`Disk.plan_runs` classifies every
+read by where the previous one leaves the head, the caller advances the
+clock over the plan (alone in :meth:`Disk.read_runs`, interleaved with
+CPU charges and budget checks in the buffer pool), and
+:meth:`Disk.commit_runs` applies the reads up to where it stopped.  The
+single-call paths (:meth:`Disk.read_run`, :meth:`Disk.read_scattered`,
+:meth:`Disk.write_run`) keep their own scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -78,24 +86,24 @@ class _HeadPosition:
 
 
 @dataclass
-class PlannedPageReads:
-    """A chain of single-page reads, costed but not yet charged.
+class PlannedRuns:
+    """A chain of :meth:`Disk.read_run` calls, costed but not yet charged.
 
-    Produced by :meth:`Disk.plan_page_reads`: per-read elapsed times and
-    positioning categories for the loop ``for p in pages:
-    disk.read_page(handle, p)``, assuming nothing else moves the head in
-    between.  Callers feed ``elapsed`` into their own (possibly
-    interleaved) :meth:`SimClock.advance_many` schedule, then commit the
-    reads' statistics in order with :meth:`Disk.commit_page_reads` —
-    split so CPU charges can land *between* two reads while the disk
-    math stays vectorized (see :meth:`BPlusTree.probe_many`).
+    Produced by :meth:`Disk.plan_runs`.  Callers fold ``elapsed`` into
+    their own (possibly interleaved) clock schedule, then apply the
+    reads' statistics and head position in order with
+    :meth:`Disk.commit_runs`, so CPU charges can land *between* two reads
+    while the disk math stays vectorized.
     """
 
-    page_nos: np.ndarray
+    file_ids: np.ndarray
+    #: Pages per read, and the last page each read leaves the head on.
+    counts: np.ndarray
+    ends: np.ndarray
     elapsed: np.ndarray
+    #: Positioning categories; a read that is neither is random.
     sequential: np.ndarray
     settled: np.ndarray
-    random: np.ndarray
 
 
 class Disk:
@@ -179,139 +187,88 @@ class Disk:
         return self.read_run(handle, page_no, 1)
 
     def read_runs(
-        self,
-        file_ids: np.ndarray,
-        start_pages: np.ndarray,
-        n_pages: np.ndarray,
-        last_handle: FileHandle,
+        self, file_ids: np.ndarray, start_pages: np.ndarray, n_pages: np.ndarray
     ) -> None:
         """Charge a sequence of :meth:`read_run` calls in one step.
 
-        Bit-identical to the equivalent loop: each read's positioning
-        category is derived from where the *previous* read left the head
-        (the first from the live head position), per-read elapsed times
-        are the same products/sums the loop computes, and both the clock
-        and ``read_time`` accumulate them strictly left-to-right via
-        :meth:`SimClock.advance_many`'s sequential accumulation.
+        Bit-identical to the equivalent loop: :meth:`plan_runs` costs the
+        reads, the clock advances over them left to right
+        (:meth:`SimClock.advance_many`), and :meth:`commit_runs` applies
+        them to the statistics and the head.
+        """
+        planned = self.plan_runs(file_ids, start_pages, n_pages)
+        self._clock.advance_many(planned.elapsed)
+        self.commit_runs(planned, 0, int(planned.elapsed.size))
 
-        ``last_handle`` must be the handle of the final read (arrays carry
-        only file ids; the head-position record needs the handle's id,
-        which callers have anyway).
+    def plan_runs(
+        self, file_ids: np.ndarray, start_pages: np.ndarray, n_pages: np.ndarray
+    ) -> PlannedRuns:
+        """Cost a chain of :meth:`read_run` calls without charging it.
+
+        Read ``k`` reads ``n_pages[k]`` pages of file ``file_ids[k]`` from
+        ``start_pages[k]`` on.  Its positioning category follows from
+        where the *previous* read leaves the head (the first from the
+        live head position), and its elapsed time is the same
+        ``positioning + n_pages * transfer`` sum the loop computes.
+        Nothing is charged and no state moves: the plan is only valid
+        while nothing else moves the head.
         """
         f = np.asarray(file_ids, dtype=np.int64)
         s = np.asarray(start_pages, dtype=np.int64)
         c = np.asarray(n_pages, dtype=np.int64)
-        n = int(f.size)
-        if n == 0:
-            return
-        if s.size != n or c.size != n:
-            raise StorageError("read_runs needs aligned file/start/count arrays")
+        if s.size != f.size or c.size != f.size:
+            raise StorageError("plan_runs needs aligned file/start/count arrays")
         if np.any(c <= 0):
-            raise StorageError("read_runs needs positive page counts")
+            raise StorageError("plan_runs needs positive page counts")
         if np.any(s < 0):
-            raise StorageError("read_runs needs non-negative start pages")
-        if int(f[-1]) != last_handle.file_id:
-            raise StorageError("last_handle does not match the final read")
+            raise StorageError("plan_runs needs non-negative start pages")
         profile = self._profile
         head = self._head
-        prev_file = np.concatenate(([head.file_id], f[:-1]))
-        prev_end = np.concatenate(([head.page_no], (s + c - 1)[:-1]))
-        same_file = prev_file == f
+        ends = s + c - 1
+        same_file = np.concatenate(([head.file_id], f))[:-1] == f
+        prev_end = np.concatenate(([head.page_no], ends))[:-1]
         sequential = same_file & (prev_end == s - 1)
-        forward = same_file & (prev_end < s) & (s - prev_end <= SHORT_SEEK_GAP_PAGES)
-        settled = forward & ~sequential
-        random = ~(sequential | settled)
+        settled = (
+            same_file
+            & (prev_end < s)
+            & (s - prev_end <= SHORT_SEEK_GAP_PAGES)
+            & ~sequential
+        )
         positioning = np.where(
             sequential,
             0.0,
             np.where(settled, profile.settle_time, profile.seek_time),
         )
         elapsed = positioning + c * profile.page_transfer_time
-        self._clock.advance_many(elapsed)
+        return PlannedRuns(f, c, ends, elapsed, sequential, settled)
 
-        stats = self.stats
-        stats.pages_read += int(c.sum())
-        # read_time accumulates per call in the loop; replay that exact
-        # left-to-right float accumulation.
-        stats.read_time = float(
-            np.add.accumulate(np.concatenate(((stats.read_time,), elapsed)))[-1]
-        )
-        stats.sequential_reads += int(np.count_nonzero(sequential))
-        stats.settled_reads += int(np.count_nonzero(settled))
-        n_random = int(np.count_nonzero(random))
-        stats.random_reads += n_random
-        stats.seeks += n_random
-        head.after(last_handle, int(s[-1] + c[-1] - 1))
-
-    def plan_page_reads(
-        self, handle: FileHandle, page_nos: np.ndarray
-    ) -> PlannedPageReads:
-        """Cost a chain of :meth:`read_page` calls without charging it.
-
-        Positioning for each read is derived from where the previous read
-        leaves the head (the first from the live head position), exactly
-        as :meth:`read_runs` does; per-read elapsed times are the same
-        ``positioning + 1 * transfer`` sums the loop computes.  Nothing
-        is charged and no state moves — callers advance the clock
-        themselves and then apply the statistics with
-        :meth:`commit_page_reads`.  The plan is only valid while nothing
-        else moves the head.
-        """
-        p = np.asarray(page_nos, dtype=np.int64)
-        if np.any(p < 0):
-            raise StorageError("plan_page_reads needs non-negative pages")
-        n = int(p.size)
-        if n == 0:
-            empty = np.zeros(0, dtype=bool)
-            return PlannedPageReads(p, np.zeros(0), empty, empty, empty)
-        profile = self._profile
-        head = self._head
-        prev_file = np.concatenate(
-            ([head.file_id], np.full(n - 1, handle.file_id, dtype=np.int64))
-        )
-        prev_end = np.concatenate(([head.page_no], p[:-1]))
-        same_file = prev_file == handle.file_id
-        sequential = same_file & (prev_end == p - 1)
-        forward = same_file & (prev_end < p) & (p - prev_end <= SHORT_SEEK_GAP_PAGES)
-        settled = forward & ~sequential
-        random = ~(sequential | settled)
-        positioning = np.where(
-            sequential,
-            0.0,
-            np.where(settled, profile.settle_time, profile.seek_time),
-        )
-        elapsed = positioning + 1 * profile.page_transfer_time
-        return PlannedPageReads(p, elapsed, sequential, settled, random)
-
-    def commit_page_reads(
-        self, handle: FileHandle, planned: PlannedPageReads, start: int, stop: int
-    ) -> None:
+    def commit_runs(self, planned: PlannedRuns, start: int, stop: int) -> None:
         """Apply reads ``[start, stop)`` of a plan to stats and the head.
 
-        The clock is *not* advanced — the caller already folded the
-        plan's ``elapsed`` into its own advance schedule.  ``read_time``
-        replays the loop's exact left-to-right float accumulation, and
-        committing a plan in consecutive slices accumulates identically
-        to committing it whole (chunked accumulation re-seeds with the
-        running value).
+        The clock is *not* advanced: the caller already folded the plan's
+        ``elapsed`` into its own schedule.  ``read_time`` replays the
+        loop's left-to-right float accumulation, so committing a plan in
+        consecutive slices accumulates exactly as committing it whole.
         """
         if stop <= start:
             return
         stats = self.stats
-        stats.pages_read += stop - start
+        stats.pages_read += int(planned.counts[start:stop].sum())
         stats.read_time = float(
             np.add.accumulate(
                 np.concatenate(((stats.read_time,), planned.elapsed[start:stop]))
             )[-1]
         )
-        stats.sequential_reads += int(
-            np.count_nonzero(planned.sequential[start:stop])
-        )
-        stats.settled_reads += int(np.count_nonzero(planned.settled[start:stop]))
-        n_random = int(np.count_nonzero(planned.random[start:stop]))
+        n_sequential = int(np.count_nonzero(planned.sequential[start:stop]))
+        n_settled = int(np.count_nonzero(planned.settled[start:stop]))
+        n_random = stop - start - n_sequential - n_settled
+        stats.sequential_reads += n_sequential
+        stats.settled_reads += n_settled
         stats.random_reads += n_random
         stats.seeks += n_random
-        self._head.after(handle, int(planned.page_nos[stop - 1]))
+        self._head = _HeadPosition(
+            int(planned.file_ids[stop - 1]), int(planned.ends[stop - 1])
+        )
 
     def read_scattered(
         self, handle: FileHandle, page_nos, coalesce: bool = False

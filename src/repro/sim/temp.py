@@ -121,9 +121,6 @@ class TempStore:
         order = np.lexsort((run_idx, round_idx))  # round-major, run-minor
         starts = cursors[run_idx] + round_idx * quantum
         counts = np.minimum(quantum, remaining[run_idx] - round_idx * quantum)
-        last_run = active[int(run_idx[order][-1])]
-        self._disk.read_runs(
-            file_ids[run_idx][order], starts[order], counts[order], last_run._handle
-        )
+        self._disk.read_runs(file_ids[run_idx][order], starts[order], counts[order])
         for run in active:
             run._cursor = run.n_pages

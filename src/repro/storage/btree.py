@@ -19,13 +19,12 @@ Design notes
   access per page on the root-to-leaf path, one key at a time; it is the
   sequential reference :meth:`BPlusTree.probe_many` is tested against.
 * **Probe batches** (:meth:`BPlusTree.probe_many`) take one of two
-  regimes by one rule: if the tree's ``n_pages`` plus the pool's
-  residents of other files fit in its ``capacity_pages``
-  (:meth:`~repro.storage.buffer_pool.BufferPool.can_hold`), no access
-  can evict, and the batch is charged from each page's first and last
-  touch, found from the probes' first and last leaves, with no page
-  trace built; otherwise the batch's whole page trace is built and the
-  pool simulates it window by window.
+  regimes by the pool's one no-eviction rule
+  (:meth:`~repro.storage.buffer_pool.BufferPool.fits`), asked over the
+  tree's pages: if no access can evict, the batch is charged from each
+  page's first and last touch, found from the probes' first and last
+  leaves, with no page trace built; otherwise the batch's whole page
+  trace is built and the pool simulates it window by window.
 * **Bulk reads** slice the leaf arrays directly, while I/O is still
   charged per leaf page actually covered.
 """
@@ -313,10 +312,9 @@ class BPlusTree:
         whose accesses form the batch's page trace (each probe's descent
         path, first leaf, then duplicate-continuation leaves), with each
         probe's CPU unit placed after its descent.  Which of two regimes
-        charges it follows one rule,
-        :meth:`BufferPool.can_hold` of the tree's ``n_pages``: the
-        tree's pages plus the pool's residents of other files fit in
-        ``capacity_pages``.
+        charges it follows the pool's no-eviction rule,
+        :meth:`BufferPool.fits`, over the tree's pages ``0`` to
+        ``n_pages - 1`` and the batch's accesses.
 
         * **No access can evict** (the rule holds).  No trace is built:
           :meth:`_touches` finds each page's first and last access from
@@ -377,7 +375,7 @@ class BPlusTree:
         cpu_after = offsets[:-1] + descent_len
         cpu_unit = self._env.profile.btree_probe_cpu
         pool = self._env.pool
-        if pool.can_hold(self.handle, self.n_pages):
+        if pool.fits(self.handle, 0, self.n_pages - 1, int(offsets[-1])):
             pages, first, last = self._touches(first_leaf, last_leaf, offsets)
             pool.charge_touches(
                 self.handle,

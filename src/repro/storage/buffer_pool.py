@@ -9,10 +9,13 @@ use; keeping the pool for point accesses is what makes repeated fetches of
 a hot page cheap and cold random fetches expensive.
 
 A batch of point accesses is charged in one step, bitwise as its
-:meth:`BufferPool.get` loop: :meth:`BufferPool.charge_trace` simulates
-its page trace window by window, and :meth:`BufferPool.charge_touches`
-charges a batch that cannot evict from its pages' first and last
-touches alone.
+:meth:`BufferPool.get` loop.  One rule, :meth:`BufferPool.fits`, decides
+whether a batch can evict.  A batch that cannot is charged by
+:meth:`BufferPool.charge_touches` from its pages' first and last touches
+alone, whether :meth:`~repro.storage.btree.BPlusTree.probe_many` finds
+them from its probes or :meth:`BufferPool.charge_trace` from a page
+trace.  Every other trace is simulated window by window by the LRU
+kernel (:mod:`repro.storage.lru_kernel`).
 """
 
 from __future__ import annotations
@@ -89,35 +92,61 @@ class BufferPool:
         as :class:`~repro.executor.context.ExecContext` has them;
         ``None`` never fails).
 
-        The trace is charged one *window* at a time: the first ends at
-        check :data:`_FIRST_WINDOW_CHECKS` (fewer checks: one window),
-        each later one doubles the trace covered so far, so a budget
-        that fails after access ``a`` has simulated at most
-        ``max(first window, 2 * a)`` accesses.  Per window,
-        :func:`simulate_lru` classifies it against the residents the
-        previous window left, and :meth:`_charge_misses` charges its
-        misses, CPU units and checks, raising at the first check that
-        fails.  Carried LRU state makes the split exact, and clock and
-        statistics accumulate left to right from the running values.  Pool
-        statistics and the resident order land once, after the last
-        window, so an abort leaves the pool untouched.  A negative page
-        number raises :class:`BufferPoolError` before anything is
-        charged.
+        A trace for which :meth:`fits` holds (an empty one always does)
+        cannot evict: one stable sort of the pages' offsets from the lowest, in
+        the narrowest unsigned type (a radix sort for a pool-sized span),
+        finds each page's first and last access, and
+        :meth:`charge_touches` charges it from them.  Any other trace is
+        charged one *window* at a time: the first ends at check
+        :data:`_FIRST_WINDOW_CHECKS` (fewer checks: one window), each
+        later one doubles the trace covered so far, so a budget that
+        fails after access ``a`` has simulated at most ``max(first
+        window, 2 * a)`` accesses.  Per window, :func:`simulate_lru`
+        classifies it against the residents the previous window left,
+        and :meth:`_charge_misses` charges its misses, CPU units and
+        checks, raising at the first check that fails.  Carried LRU
+        state makes the split exact, and clock and statistics accumulate
+        left to right from the running values.  Pool statistics and the
+        resident order land once, after the last window, so an abort
+        leaves the pool untouched.  A negative page number raises
+        :class:`BufferPoolError` before anything is charged.
         """
         pages = np.ascontiguousarray(np.asarray(pages), dtype=np.int64)
-        if pages.size and bool(pages.min() < 0):
+        n = int(pages.size)
+        low, high = (int(pages.min()), int(pages.max())) if n else (0, -1)
+        if low < 0:
             raise BufferPoolError(f"negative page number in a trace of {handle}")
         checks = np.asarray(checks, dtype=np.int64)
         cpu_after = np.asarray(cpu_after, dtype=np.int64)
+        if self.fits(handle, low, high, n):
+            order = np.argsort(
+                (pages - low).astype(np.min_scalar_type(high - low)), kind="stable"
+            )
+            by_page = pages[order]
+            first = np.ones(n, dtype=bool)
+            np.not_equal(by_page[1:], by_page[:-1], out=first[1:])
+            last = np.ones(n, dtype=bool)
+            last[:-1] = first[1:]
+            self.charge_touches(
+                handle,
+                by_page[first],
+                order[first],
+                order[last],
+                n,
+                budget,
+                checks,
+                cpu_after,
+                cpu_unit,
+            )
+            return
         fid = handle.file_id
         state, other_keys = self._resident_codes(fid)
-        n = int(pages.size)
         hits = misses = evictions = 0
         start = checked = landed = 0
         end = n
         if checks.size > _FIRST_WINDOW_CHECKS:
             end = max(1, int(checks[_FIRST_WINDOW_CHECKS - 1]))
-        while True:  # once, for an empty trace
+        while True:
             window = pages[start:end]
             simulation = simulate_lru(window, state, self._capacity)
             miss = np.nonzero(~simulation.hit_mask)[0]
@@ -147,12 +176,24 @@ class BufferPool:
         self.stats.evictions += evictions
         self._resident = self._decode_resident(state, fid, other_keys)
 
-    def can_hold(self, handle: FileHandle, n_pages: int) -> bool:
-        """Whether pages ``0..n_pages-1`` of ``handle`` fit beside every
-        resident of another file, so that no access to them can evict."""
+    def fits(self, handle: FileHandle, low: int, high: int, n_accesses: int) -> bool:
+        """Whether a batch of ``n_accesses`` accesses to pages ``low`` to
+        ``high`` of ``handle`` cannot evict.
+
+        The pool never holds a page that is neither resident nor
+        accessed, so it holds at most ``n_accesses`` plus the residents,
+        and at most the span's ``high - low + 1`` pages plus the
+        residents outside it.  Either bound within ``capacity_pages``
+        means no access evicts.
+        """
+        resident = self._resident
+        if n_accesses + len(resident) <= self._capacity:
+            return True
         fid = handle.file_id
-        others = sum(1 for file_id, _page in self._resident if file_id != fid)
-        return n_pages + others <= self._capacity
+        inside = sum(
+            1 for file_id, page in resident if file_id == fid and low <= page <= high
+        )
+        return high - low + 1 + len(resident) - inside <= self._capacity
 
     def charge_touches(
         self,
@@ -166,8 +207,8 @@ class BufferPool:
         cpu_after,
         cpu_unit: float,
     ) -> None:
-        """:meth:`charge_trace` of a trace that cannot evict, given only
-        each page's first and last access.
+        """:meth:`charge_trace` of a trace that cannot evict (see
+        :meth:`fits`), given only each page's first and last access.
 
         The trace is ``n_accesses`` accesses to ``handle``; its distinct
         pages are ``pages``, page ``pages[i]`` accessed first at trace
@@ -224,15 +265,18 @@ class BufferPool:
 
         Page ``pages[k]`` missed at trace position ``at[k]``; ``units``
         are the stretch's ``cpu_after`` positions and ``checks`` its
-        check positions, all ascending.  :meth:`Disk.plan_page_reads`
-        costs the misses from the head the last stretch left, and
+        check positions, all ascending.  :meth:`Disk.plan_runs` costs
+        the misses, as reads of one page, from the head the last stretch
+        left, and
         :meth:`SimClock.advance_checked` charges misses and CPU units in
         loop order (a hit charges exactly ``0.0``) up to the first check
         whose clock fails the budget; the reads before it are committed
         and ``budget.check_budget()`` raises.
         """
         disk = self._disk
-        reads = disk.plan_page_reads(handle, pages)
+        reads = disk.plan_runs(
+            np.full(pages.size, handle.file_id), pages, np.ones(pages.size, np.int64)
+        )
         # A miss lands after the units at or before its own position, a
         # unit after the misses before its position: every other slot
         # of the schedule is a unit.
@@ -246,7 +290,7 @@ class BufferPool:
         )
         aborted = failed < checks.size
         read_stop = int(misses_done[failed]) if aborted else int(at.size)
-        disk.commit_page_reads(handle, reads, 0, read_stop)
+        disk.commit_runs(reads, 0, read_stop)
         if aborted:
             budget.check_budget()  # raises: over_budget is its twin
 

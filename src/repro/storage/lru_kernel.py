@@ -20,15 +20,12 @@ per-page dict operations.  The pool's *current* residents are absorbed as
 a synthetic trace prefix (one access per resident key, LRU-oldest first),
 which makes warm-pool traces a special case of cold traces.
 
-A trace that cannot fill the pool skips all of that.  When the trace's
-key span plus the residents outside it, or the trace's length plus the
-residents, is at most ``C`` (an O(n) range check), no access can evict,
-so an access misses exactly when it is its key's first occurrence and
-the key is not resident; one stable sort of the trace settles every
-access (:func:`_simulate_fitting`).  An index probe batch against a
-pool-sized tree never comes here:
-:meth:`~repro.storage.btree.BPlusTree.probe_many` charges it from its
-pages' first and last touches, with no trace built.
+The kernel is only this stack-distance simulation.  The buffer pool
+owns the rule that a batch cannot evict
+(:meth:`~repro.storage.buffer_pool.BufferPool.fits`) and charges such a
+batch from its pages' first and last touches, so the traces that come
+here are those that may evict (a window of one may still fit the pool;
+the simulation is exact for it all the same).
 
 Downstream effects are closed-form once hits are known:
 
@@ -58,24 +55,18 @@ import numpy as np
 #: Trace positions simulated per segment.  Segmenting bounds the
 #: per-segment working set, and the resident state carried between
 #: segments makes the split exact (the next segment sees the previous
-#: segment's final residents as its warm-pool prefix) while letting
-#: fully-warm segments take the all-resident shortcut.  It also prunes
+#: segment's final residents as its warm-pool prefix).  It also prunes
 #: ambiguity: a key whose previous access fell out of the carried state
 #: is a certain miss, with no reuse-distance query at all.
 _SEGMENT = 1024
 
-#: Keys sampled before attempting the full all-resident check — a cheap
-#: pre-filter so miss-heavy segments don't pay a whole-segment ``isin``
-#: that cannot succeed.
-_SHORTCUT_PROBE = 16
-
 #: Memoized :func:`simulate_lru` results, keyed by the exact inputs.
 #: The simulation is a pure function of ``(trace, resident, capacity)``,
-#: and the workloads that stress the kernel — incremental sweeps
-#: re-measuring a grid cell, benchmark repeats, a join re-probing the
-#: same key column — replay the *same* trace against the *same* pool
-#: state over and over.  A tiny LRU of recent results turns those
-#: replays into one hash of the input bytes.  Entries are shared:
+#: and the naive fetches that reach it repeat: a 2-D map's naive plan
+#: fetches the same rids, against the same cold pool, at every cell of a
+#: grid row that only its residual predicate varies, and 1-D maps that
+#: share a cell re-measure its traditional index scan.  A tiny LRU of
+#: recent results turns those replays into one hash of the input bytes.  Entries are shared:
 #: callers must treat the returned simulation's arrays as read-only.
 #: Every read and write of the memo holds :data:`_memo_lock` — the
 #: service sweeps on several threads, and a lookup's ``get`` and
@@ -138,60 +129,12 @@ def simulate_lru(
         if cached is not None:
             _memo.move_to_end(memo_key)
             return cached
-    if _fits(trace, state, capacity):
-        result = _simulate_fitting(trace, state)
-    else:
-        result = _simulate_segmented(trace, state, capacity)
+    result = _simulate_segmented(trace, state, capacity)
     with _memo_lock:
         _memo[memo_key] = result
         if len(_memo) > _MEMO_CAPACITY:
             _memo.popitem(last=False)
     return result
-
-
-def _fits(trace: np.ndarray, state: np.ndarray, capacity: int) -> bool:
-    """Whether no access of ``trace`` can evict: an O(n) range check.
-
-    The pool never holds a key that is neither resident nor in the
-    trace, so it holds at most ``len(trace) + len(state)`` keys, and at
-    most ``span`` keys of the trace's key span plus the residents
-    outside it.  Either bound within ``capacity`` means no eviction.
-    """
-    n = int(trace.size)
-    if n + int(state.size) <= capacity:
-        return True
-    low, high = int(trace.min()), int(trace.max())
-    outside = int(np.count_nonzero((state < low) | (state > high)))
-    return high - low + 1 + outside <= capacity
-
-
-def _simulate_fitting(trace: np.ndarray, state: np.ndarray) -> LruSimulation:
-    """One pass over a trace that never fills the pool (see :func:`_fits`).
-
-    Nothing is evicted, so a key once admitted stays: an access misses
-    exactly when it is its key's first occurrence and the key is not
-    resident.  The final order is what the ``move_to_end`` sequence
-    leaves: the untouched residents in their order, then the touched
-    keys ascending by last occurrence.  One stable sort of the trace
-    finds every key's first and last occurrence; sorting the keys'
-    offsets from the smallest in the narrowest unsigned type lets NumPy
-    radix-sort a pool-sized span.
-    """
-    n = int(trace.size)
-    offsets = trace - (trace.min() if n else 0)
-    narrow = np.min_scalar_type(int(offsets.max(initial=0)))
-    order = np.argsort(offsets.astype(narrow), kind="stable")
-    sorted_keys = trace[order]
-    is_first = np.ones(n, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_first[1:])
-    is_last = np.ones(n, dtype=bool)
-    is_last[:-1] = is_first[1:]
-    keys = sorted_keys[is_first]
-    hits = np.ones(n, dtype=bool)
-    hits[order[is_first][~np.isin(keys, state)]] = False
-    by_recency = keys[np.argsort(order[is_last])]
-    final = np.concatenate((state[~np.isin(state, keys)], by_recency))
-    return LruSimulation(hits, 0, final)
 
 
 def _simulate_segmented(
@@ -321,16 +264,6 @@ def _simulate_segment(
     """
     n = int(segment.size)
     n_resident = int(state.size)
-    if (
-        n_resident
-        and bool(np.isin(segment[:_SHORTCUT_PROBE], state).all())
-        and bool(np.isin(segment, state).all())
-    ):
-        # Every key is resident: the first access hits, hits change no
-        # residency, so nothing can evict and the one-pass rule applies.
-        resident = _simulate_fitting(segment, state)
-        return resident.hit_mask, 0, resident.final_keys, None
-
     # Absorb the residents as a synthetic warm-up prefix: replaying one
     # access per resident key (LRU-oldest first) from an empty pool of the
     # same capacity reproduces the current state exactly, so classifying

@@ -342,6 +342,60 @@ def test_probe_many_builds_no_trace_for_a_batch_that_cannot_evict(monkeypatch):
     assert calls["simulate_lru"] >= 1
 
 
+def test_naive_fetch_charges_a_trace_that_cannot_evict_from_its_touches(
+    monkeypatch,
+):
+    """A naive fetch whose page trace fits the pool is charged by
+    ``charge_touches`` once, without the LRU kernel; one whose trace
+    overshoots the pool goes through the kernel, never
+    ``charge_touches``.  Both charge what the ``get`` loop charges."""
+    calls = {"charge_touches": 0, "simulate_lru": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    def get_loop(pool, handle, pages, budget, checks, cpu_after=(), cpu_unit=0.0):
+        for page in np.asarray(pages).tolist():
+            pool.get(handle, page)
+
+    def fetch(rids):
+        env = StorageEnv(DeviceProfile(page_size=1024), pool_pages=64)
+        table = make_table(env)  # 196 pages of 21 rows
+        env.cold_reset()
+        result = NAIVE_FETCH.fetch(ExecContext(env), table, rids, ["val"])
+        return (
+            env.clock.now,
+            vars(env.pool.stats),
+            env.disk.stats,
+            list(env.pool._resident),
+            result.rids.tolist(),
+        )
+
+    monkeypatch.setattr(
+        BufferPool,
+        "charge_touches",
+        counted("charge_touches", BufferPool.charge_touches),
+    )
+    monkeypatch.setattr(
+        buffer_pool, "simulate_lru", counted("simulate_lru", buffer_pool.simulate_lru)
+    )
+    rng = np.random.default_rng(3)
+    fitting = rng.integers(0, 60 * 21, 2000)  # pages 0..59 of 64 frames
+    overshooting = rng.integers(0, 4096, 2000)
+    charged = fetch(fitting)
+    assert calls == {"charge_touches": 1, "simulate_lru": 0}
+    charged_over = fetch(overshooting)
+    assert calls["charge_touches"] == 1
+    assert calls["simulate_lru"] >= 1
+    monkeypatch.setattr(BufferPool, "charge_trace", get_loop)
+    assert charged == fetch(fitting)
+    assert charged_over == fetch(overshooting)
+
+
 def test_charge_touches_refuses_pages_that_overflow_the_pool():
     """Touched pages that do not fit beside the residents raise before
     anything is charged; one page fewer fits and is charged."""

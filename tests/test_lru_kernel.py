@@ -238,11 +238,11 @@ def test_trace_straddles_chunk_boundaries():
 @settings(max_examples=200, deadline=None)
 def test_fitting_trace_plan_equals_get_loop(data):
     """charge_trace against the get loop on a trace whose page span
-    fits beside the warm residents exactly (the one-pass path), or
-    overshoots by one page (the one-pass path only if a resident lies
-    inside the span or the trace is short, the segmented path
-    otherwise), or is empty: a check after every access sees the clock
-    move exactly on the loop's misses."""
+    fits beside the warm residents exactly (the pool's no-eviction rule
+    holds: first and last touches), or overshoots by one page (the rule
+    holds only if a resident lies inside the span or the trace is short,
+    the LRU kernel takes it otherwise), or is empty: a check after every
+    access sees the clock move exactly on the loop's misses."""
     capacity = data.draw(st.integers(1, 16))
     warm = data.draw(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 24)), max_size=24)
@@ -269,7 +269,8 @@ def test_fitting_trace_plan_equals_get_loop(data):
     pages = np.asarray(trace, dtype=np.int64)
     codes = kernel_pool._resident_codes(kernel_handles[0].file_id)[0]
     inside = trace and any(min(trace) <= code <= max(trace) for code in codes)
-    assert lru_kernel._fits(pages, codes, capacity) == bool(
+    low, high = (min(trace), max(trace)) if trace else (0, -1)
+    assert kernel_pool.fits(kernel_handles[0], low, high, len(trace)) == bool(
         over == 0 or not trace or inside or len(trace) + n_resident <= capacity
     )
 
@@ -304,22 +305,31 @@ def test_fitting_trace_plan_equals_get_loop(data):
         # Count bound: the trace's length plus every resident.
         ([0, 100, 200, 300], True),
         ([0, 100, 200, 300, 400], False),
+        # A tree's span, pages 0 up: its file's residents lie inside,
+        # so the span plus the other file's residents count.
+        (list(range(6)) * 3, True),
+        (list(range(7)) * 3, False),
     ],
-    ids=["span-at-border", "span-over", "count-at-border", "count-over"],
+    ids=[
+        "span-at-border",
+        "span-over",
+        "count-at-border",
+        "count-over",
+        "tree-span-at-border",
+        "tree-span-over",
+    ],
 )
 def test_fits_counts_each_key_once(trace, fits):
-    """``_fits`` on both sides of each of its two bounds, against the
-    resident codes of a real pool of 8 frames holding pages 3 and 4 of
-    the trace's file and two pages of another: a resident inside the
-    span counts once.  Where it answers yes, the get loop evicts
-    nothing."""
+    """``BufferPool.fits`` on both sides of each of its two bounds, for
+    a real pool of 8 frames holding pages 3 and 4 of the trace's file
+    and two pages of another: a resident inside the span counts once.
+    Where it answers yes, the get loop evicts nothing."""
     (pool, _disk, handles), _ = make_pools()
     for which, page in ((0, 3), (1, 9), (0, 4), (1, 2)):
         pool.get(handles[which], page)
     codes = pool._resident_codes(handles[0].file_id)[0]
     assert codes.tolist() == [3, -1, 4, -2]
-    pages = np.asarray(trace, dtype=np.int64)
-    assert lru_kernel._fits(pages, codes, pool.capacity_pages) == fits
+    assert pool.fits(handles[0], min(trace), max(trace), len(trace)) == fits
     for page in trace:
         pool.get(handles[0], page)
     assert (pool.stats.evictions == 0) or not fits

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.sim.clock import SimClock
@@ -162,5 +163,47 @@ def test_forget_position_forces_seek(disk):
 def test_read_runs_of_nothing_is_free(disk):
     handle = disk.create_file("f")
     empty = np.empty(0, dtype=np.int64)
-    disk.read_runs(empty, empty, empty, handle)
+    disk.read_runs(empty, empty, empty)
     assert disk.clock.now == 0.0 and disk.stats.pages_read == 0
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.one_of(st.integers(0, 40), st.integers(2100, 2140)),
+            st.integers(1, 4),
+        ),
+        max_size=30,
+    ),
+    st.data(),
+)
+def test_planned_runs_equal_read_run_loop(reads, data):
+    """``plan_runs``, ``advance_many`` and ``commit_runs`` over reads of
+    three files, committed in two slices (either may be empty) with an
+    empty one between them, charge what the ``read_run`` loop charges
+    from a live head: the clock, every statistic and the head."""
+
+    def setup():
+        disk = Disk(SimClock(), DeviceProfile(page_size=8192))
+        handles = [disk.create_file(name) for name in "abc"]
+        disk.read_page(handles[0], 7)
+        return disk, handles
+
+    loop_disk, loop_handles = setup()
+    for which, start, count in reads:
+        loop_disk.read_run(loop_handles[which], start, count)
+    disk, handles = setup()
+    file_ids = np.array([handles[w].file_id for w, _, _ in reads], dtype=np.int64)
+    starts = np.array([start for _, start, _ in reads], dtype=np.int64)
+    counts = np.array([count for _, _, count in reads], dtype=np.int64)
+    planned = disk.plan_runs(file_ids, starts, counts)
+    disk.clock.advance_many(planned.elapsed)
+    split = data.draw(st.integers(0, len(reads)))
+    disk.commit_runs(planned, 0, split)
+    disk.commit_runs(planned, split, split)
+    disk.commit_runs(planned, split, len(reads))
+    assert disk.clock.now == loop_disk.clock.now
+    assert disk.stats == loop_disk.stats
+    assert disk._head == loop_disk._head

@@ -19,7 +19,7 @@ hooked; they run the command the first entries run directly, and the
 ``--trace 1`` run replays it in the hooked process.)  With ``--tests``
 the tier-1 suite runs the same way, into a second record.
 
-The report has three lists, each with a total.  *Definitions*: every
+The report has three judged lists, each with a total.  *Definitions*: every
 ``def`` under ``src/repro`` no front door called, per file with its line
 count (a definition's lines minus the definitions nested in it).
 *Parameters*: those never given another value — each one a constant, a
@@ -28,7 +28,9 @@ no door.  *Bodies*: inside the definitions that were called, every
 statement list (the body of an ``if``, a loop, a ``with`` or a ``try``,
 an ``else``, an ``except`` handler, a ``case``) none of whose lines ran,
 outermost only, counted in executable lines as the compiler's line table
-has them.
+has them.  A fourth list, shown and never judged, names the lines no door
+ran *beside* lines that ran (outside every body of the third list: the
+tail after an early ``return``, say), per definition.
 
 A definition or body nothing ran must be accounted for, or the exit code
 is 1.  Two kinds are recognised from the source and need no entry: a
@@ -623,7 +625,7 @@ def read_kept() -> dict[str, tuple[str, str]]:
 
 
 def report(front: set, tests: set | None) -> bool:
-    """Print the three lists and their totals; whether every definition and
+    """Print the four lists and their totals; whether every definition and
     body no door runs is a refusal, a fault handler or a row of the list."""
     def kind_of(key: tuple) -> str | None:
         if key in front:
@@ -664,6 +666,7 @@ def report(front: set, tests: set | None) -> bool:
                 refusing.add(key)
 
     bodies: dict[str, list[tuple[int, str, int, str]]] = {}
+    beside: dict[str, list[tuple[int, str, list[int]]]] = {}
     line_totals = {"executable": 0, "never run": 0, "definitions": 0,
                    "refusals": 0, "other bodies": 0}
     ran_by_file, tested_by_file = lines_by_file(front), lines_by_file(tests)
@@ -679,7 +682,9 @@ def report(front: set, tests: set | None) -> bool:
             if key not in front:
                 line_totals["definitions"] += len(executable)
                 continue
+            unentered: set[int] = set()
             for body, body_lines in unexecuted_bodies(module, node, ran):
+                unentered |= body_lines
                 if body.handler:
                     verdict = "fault handler"
                 elif _refuses(body.statements):
@@ -694,6 +699,10 @@ def report(front: set, tests: set | None) -> bool:
                 bodies.setdefault(relative, []).append(
                     (min(body_lines), f"{module.names[node]} > {body.label}",
                      len(body_lines), verdict))
+            stray = sorted(executable - ran - unentered)
+            if stray:
+                beside.setdefault(relative, []).append(
+                    (stray[0], module.names[node], stray))
 
     for filename, lineno, name, own in definitions():
         totals["definitions"] += 1
@@ -745,6 +754,17 @@ def report(front: set, tests: set | None) -> bool:
               f"{sum(b[2] for b in entries)} lines")
         for lineno, label, count, verdict in entries:
             print(f"    {lineno:5d}  {label:70s} {count:3d}  {verdict}")
+    print()
+
+    # Lines no door ran beside lines that ran: the tail after an early
+    # return, the rest of a body a loop left.  Shown only, never judged.
+    for relative in sorted(beside, key=lambda f: -sum(len(b[2]) for b in beside[f])):
+        entries = beside[relative]
+        print(f"{relative}: {sum(len(b[2]) for b in entries)} lines beside lines "
+              f"that ran, in {len(entries)} definitions")
+        for _, name, stray in entries:
+            print(f"    {name:70s} {len(stray):3d}  lines "
+                  + ", ".join(map(str, stray)))
     print()
 
     # A row that names nothing in the source is wrong whatever ran; one
