@@ -80,16 +80,15 @@ class BenchSession:
     builds those two beside it, over the same columns.  Building a
     system lays out no tree and draws no column
     (:func:`~repro.workloads.lineitem.lineitem_columns`): a column is
-    drawn at its first read (a predicate, an index's key check), the
-    clustered leaf level is laid out at the first scan
-    (:attr:`~repro.storage.table.Table.clustered`: the budget
-    yardstick's), and a secondary index is sorted the first time a plan
-    that uses it executes.  A pool's parent makes all of it for the
+    drawn at its first read (a predicate, an index's key check), and a
+    secondary index is sorted the first time a plan that uses it
+    executes; a table's data pages are arithmetic and never laid out
+    (:class:`~repro.storage.table.Table`), so the budget yardstick's
+    scan reads no column.  A pool's parent makes all of it for the
     providers it forks with, just before the fork
     (:class:`~repro.core.parallel.ParallelSweep`), so workers inherit
     it.  A map answered entirely from the cell store therefore draws
-    only its predicate and index-key columns and lays out at most
-    System A's clustered leaves.
+    only its predicate and index-key columns and lays out no tree.
 
     ``snapshot_every`` threads straight into the sweep engines: every
     N-th measured part of a wave (a cell in-process, a chunk in the

@@ -24,8 +24,8 @@ parallelizes through the same engine.  The provider ``factory`` is
 called once, in the parent; the pool forks (an explicit ``fork``
 context), so every worker inherits that provider set instead of building
 its own, and the factory need not be picklable.  Just before it forks,
-the parent makes every column, clustered leaf level and secondary index
-tree of those providers' tables
+the parent makes every column and secondary index tree of those
+providers' tables
 (:meth:`~repro.storage.table.Table.materialize`), so each is made once
 per session instead of once per worker per sweep, and a later sweep's
 pool inherits it already built; it imports ``numpy.ma`` there too,
@@ -324,15 +324,15 @@ def _prepare_fork(providers: Sequence) -> None:
 
     Called just before a pool forks.  It makes everything the providers'
     tables make on first read (:meth:`~repro.storage.table.Table.materialize`:
-    every column, the clustered leaf level and every secondary index
-    tree), so the workers inherit them instead of each drawing, laying
-    out and sorting again what its plans read; they stay on the
-    providers for every later pool of the session (providers without a
-    table, :class:`~repro.core.scenario.OperatorBench`, hold none).  And
-    it imports ``numpy.ma``, which the LRU kernel's
-    ``np.isin`` imports on first use: complete before this thread forks,
-    so no worker imports it, and none inherits its module's import lock
-    held by another thread of this process that was importing it.
+    every column and every secondary index tree), so the workers inherit
+    them instead of each drawing and sorting again what its plans read;
+    they stay on the providers for every later pool of the session
+    (providers without a table, :class:`~repro.core.scenario.OperatorBench`,
+    hold none).  And it imports ``numpy.ma``, which ``np.unique`` (a
+    join's key counts, a fetch's rid sort) imports on first use: complete
+    before this thread forks, so no worker imports it, and none inherits
+    its module's import lock held by another thread of this process that
+    was importing it.
     """
     import numpy.ma  # noqa: F401
 

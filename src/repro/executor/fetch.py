@@ -99,9 +99,7 @@ class FetchStrategy:
             finally:
                 grant.release()
         pages = table.distinct_pages_of_sorted_rids(sorted_rids)
-        ctx.disk.read_scattered(
-            table.clustered.handle, pages, coalesce=self.coalesce
-        )
+        ctx.disk.read_scattered(table.handle, pages, coalesce=self.coalesce)
         ctx.check_budget()
         return sorted_rids
 
@@ -117,7 +115,7 @@ class FetchStrategy:
         n = int(rids.size)
         checks = np.minimum(np.arange(_NAIVE_CHUNK, n + _NAIVE_CHUNK, _NAIVE_CHUNK), n)
         ctx.pool.charge_trace(
-            table.clustered.handle, table.pages_of_rids(rids), ctx, checks
+            table.handle, table.pages_of_rids(rids), ctx, checks
         )
 
 

@@ -7,7 +7,7 @@ chosen query execution plan is fixed").
 
 Node inventory (→ the paper's plan classes):
 
-* :class:`TableScanNode` — full scan of the clustered index.
+* :class:`TableScanNode` — full scan of the clustered index (the data pages).
 * :class:`IndexRangeRidsNode` — single-column index range scan → rids.
 * :class:`FetchNode` — fetch base rows via a :class:`FetchStrategy`
   (naive / sorted-bitmap / adaptive-prefetch); optional residual
@@ -84,7 +84,7 @@ class PlanNode(ABC):
 
 
 class TableScanNode(PlanNode):
-    """Sequential scan of the table's clustered index with predicates."""
+    """Sequential scan of the table's data pages with predicates."""
 
     def __init__(
         self,
@@ -111,8 +111,11 @@ class TableScanNode(PlanNode):
         table = self.table
         profile = ctx.profile
         with trace_op(ctx, "table-scan", "scan"):
-            _keys, columns = table.clustered.scan_all()
             n_rows = table.n_rows
+            if n_rows:
+                ctx.disk.read_scattered(
+                    table.handle, np.arange(table.n_pages, dtype=np.int64)
+                )
             ctx.charge(n_rows, profile.cpu_row)
             predicates = self.predicates
             mask: np.ndarray | None = None
@@ -126,7 +129,7 @@ class TableScanNode(PlanNode):
                         - np.searchsorted(ordered, predicate.lo, side="left")
                     )
                 else:
-                    mask = apply_predicates(columns, predicates)
+                    mask = apply_predicates(table.columns, predicates)
                     count = int(np.count_nonzero(mask))
             else:
                 count = n_rows
@@ -136,14 +139,14 @@ class TableScanNode(PlanNode):
                     return np.arange(n_rows, dtype=np.int64)
                 qualifying = mask
                 if qualifying is None:
-                    qualifying = apply_predicates(columns, predicates)
+                    qualifying = apply_predicates(table.columns, predicates)
                 return np.flatnonzero(qualifying).astype(np.int64)
 
             def columns_fn(rids: np.ndarray) -> dict[str, np.ndarray]:
                 needed = dict.fromkeys(
                     self.project + [p.column for p in predicates]
                 )
-                return {name: columns[name][rids] for name in needed}
+                return table.gather(rids, needed)
 
             result = Result.deferred(count, rids_fn, columns_fn)
             ctx.charge(count, profile.cpu_row)

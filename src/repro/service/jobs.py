@@ -36,9 +36,8 @@ read once per manager and tailed at the start of each sweep wave, so a
 job sees what earlier jobs and other processes stored without re-reading
 the rest.  A job answered from the store builds only what its store keys,
 axes and meta read: System A alone unless its map runs all three
-systems, the columns its predicates and index-key checks read, and
-System A's clustered leaves for the budget yardstick; no secondary
-index, no oracle mask (see :class:`~repro.bench.harness.BenchSession`).
+systems, and the columns its predicates and index-key checks read; no
+tree and no oracle mask (see :class:`~repro.bench.harness.BenchSession`).
 A client sees that a job measured no cell when its ``cache_hits`` equals
 its ``total``.
 """

@@ -1,9 +1,10 @@
 """Storage engine substrate.
 
 Implements the physical structures behind every plan in the paper: a
-bulk-loadable B+-tree (clustered storage, single-column and composite
-secondary indexes), an LRU buffer pool, row-id bitmaps for sorted fetches,
-and an order-preserving key codec for multi-column index keys.
+bulk-loadable B+-tree (single-column and composite secondary indexes,
+and the geometry of a table's clustered data pages), an LRU buffer
+pool, row-id bitmaps for sorted fetches, and an order-preserving key
+codec for multi-column index keys.
 """
 
 from repro.storage.env import StorageEnv

@@ -1,8 +1,11 @@
 """Read-only B+-tree laid out in NumPy arrays.
 
-One tree class serves as the clustered index (payload = all table columns,
-key = row id), single-column secondary indexes (payload = row ids), and
-composite-key secondary indexes (encoded keys, payload = row ids).
+One tree class serves single-column secondary indexes (payload = row
+ids) and composite-key secondary indexes (encoded keys, payload = row
+ids).  A table's clustered index registers its data file here and takes
+its geometry from :meth:`BPlusTree.levels_for`, but its dense row-id keys
+make the leaf level arithmetic, so it is never loaded
+(:class:`~repro.storage.table.Table`).
 
 Design notes
 ------------
@@ -38,8 +41,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.sim.disk import FileHandle
-from repro.storage.bitmap import dedupe_sorted, position_table
-from repro.storage.columns import LazyColumns
+from repro.storage.bitmap import position_table
 from repro.storage.env import StorageEnv
 
 _INNER_ENTRY_BYTES = 16  # separator key + child pointer
@@ -163,10 +165,6 @@ class _FlatView:
         """
         return np.asarray(positions) // self._per_leaf
 
-    def pages_of_leaves(self, leaf_indices: np.ndarray) -> np.ndarray:
-        """Sorted unique pages of non-decreasing leaf indices (repeats ok)."""
-        return self.leaf_pages[dedupe_sorted(leaf_indices)]
-
 
 class BPlusTree:
     """Disk-resident read-only B+-tree over int64 keys (see module docstring).
@@ -215,25 +213,18 @@ class BPlusTree:
         Each inner level groups ``inner_fanout`` nodes of the level below
         and takes the next pages, left to right.  The level sizes come
         from :meth:`levels_for`, which answers them for a tree not yet
-        loaded.  A
-        :class:`~repro.storage.columns.LazyColumns` payload is kept as
-        the mapping, so its columns are still made when first read.
-        Returns ``self`` for chaining.
+        loaded.  Returns ``self`` for chaining.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.size > 1 and np.any(np.diff(keys) < 0):
             raise StorageError("bulk_load requires keys in ascending order")
         if not 0.1 <= fill_factor <= 1.0:
             raise StorageError(f"fill_factor must be in [0.1, 1], got {fill_factor}")
-        if isinstance(payload, LazyColumns):
-            lengths = dict.fromkeys(payload, payload.n_rows)
-        else:
-            payload = {name: np.asarray(values) for name, values in payload.items()}
-            lengths = {name: len(values) for name, values in payload.items()}
-        for column_name, length in lengths.items():
-            if length != keys.size:
+        payload = {name: np.asarray(values) for name, values in payload.items()}
+        for column_name, values in payload.items():
+            if len(values) != keys.size:
                 raise StorageError(
-                    f"payload column {column_name!r} length {length} "
+                    f"payload column {column_name!r} length {len(values)} "
                     f"!= key count {keys.size}"
                 )
         n_entries = int(keys.size)

@@ -1,9 +1,12 @@
 """Tables and secondary indexes.
 
-A :class:`Table` is a clustered B+-tree keyed by row id — matching the
+A :class:`Table` is a clustered index keyed by row id — matching the
 paper's setup, where the "table scan" is really a scan of a clustered
 index "organized on an entirely unrelated column" — plus any number of
 single- or multi-column secondary indexes whose payload is the row id.
+Row ids are dense, so the clustered leaf level is arithmetic: row ``r``
+lives on data page ``r // per_leaf``, and the data pages are
+``0..n_pages-1``; no leaf level is ever laid out.
 
 The table exposes *mechanism*, not policy: vectorized helpers to map row
 ids to physical pages and to gather column values.  The fetch *strategies*
@@ -19,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import StorageError
+from repro.storage.bitmap import dedupe_sorted
 from repro.storage.btree import BPlusTree
 from repro.storage.codec import CompositeKeyCodec
 from repro.storage.columns import LazyColumns
@@ -47,10 +51,9 @@ class SecondaryIndex:
     check read (the only columns a built system has drawn before a plan
     or a predicate reads one); the leaf level — encode the key columns,
     stable ``argsort``, ``bulk_load`` — is laid out the first time
-    :attr:`tree` is read, once, under a lock, as the table's clustered
-    leaf level is at the first read of :attr:`Table.clustered`.  That first
-    reader is a plan that executes, or a pool's parent just before it
-    forks (:class:`~repro.core.parallel.ParallelSweep`), so the workers
+    :attr:`tree` is read, once, under a lock.  That first reader is a
+    plan that executes, or a pool's parent just before it forks
+    (:class:`~repro.core.parallel.ParallelSweep`), so the workers
     inherit the tree instead of each building it again.  Holding an index
     in a plan builds nothing, and a request answered from the cell store
     never sorts a column.  Columns are immutable, so a tree built late is
@@ -153,11 +156,12 @@ class Table:
     the first time something reads them, and the table reads none at
     construction.  It registers its clustered file there (so file ids
     follow construction order, as :meth:`create_index` keeps them for
-    indexes) and lays out the clustered leaf level at the first read of
-    :attr:`clustered`, once, under a lock, the way
-    :attr:`SecondaryIndex.tree` sorts an index.  The leaf level keeps
-    the column mapping it was given, so a scan that charges pages and
-    counts rows reads no column value.
+    indexes) and takes its geometry from
+    :meth:`~repro.storage.btree.BPlusTree.levels_for`, the formula a
+    bulk load lays a tree out by: rows per data page and the data page
+    count.  Every physical helper below computes from those two numbers
+    what a laid-out leaf level would hold, so a scan that charges pages
+    and counts rows reads no column value.
     """
 
     def __init__(
@@ -187,14 +191,11 @@ class Table:
         self.row_bytes = _ROW_OVERHEAD_BYTES + sum(
             dtype.itemsize for dtype in dtypes.values()
         )
-        self._clustered = BPlusTree(
-            env, f"{name}.clustered", entry_bytes=self.row_bytes
-        )
-        # Leaf pages of the clustered index (the table's data pages),
-        # known before the leaf level is laid out.
-        self.n_pages = self._clustered.levels_for(n_rows)[1][0]
-        self._laid_out = False
-        self._layout_lock = threading.Lock()
+        clustered = BPlusTree(env, f"{name}.clustered", entry_bytes=self.row_bytes)
+        #: The data file: the clustered index's leaf pages.
+        self.handle = clustered.handle
+        self._per_leaf, levels = clustered.levels_for(n_rows)
+        self.n_pages = levels[0]
         self.indexes: dict[str, SecondaryIndex] = {}
         self._sorted_columns: dict[str, np.ndarray] = {}
 
@@ -203,24 +204,11 @@ class Table:
         """The column mapping the table was built over."""
         return self._columns
 
-    @property
-    def clustered(self) -> BPlusTree:
-        """The clustered index, its leaf level laid out by the first reader."""
-        if not self._laid_out:
-            with self._layout_lock:
-                if not self._laid_out:
-                    self._clustered.bulk_load(
-                        np.arange(self.n_rows, dtype=np.int64), self._columns
-                    )
-                    self._laid_out = True
-        return self._clustered
-
     def materialize(self) -> None:
         """Make now everything a plan over the table may read later:
-        every column, the clustered leaf level and every index tree."""
+        every column and every index tree."""
         for name in self._columns:
             self.column(name)
-        self.clustered  # noqa: B018 - the first read lays out the leaves
         for index in self.indexes.values():
             index.tree  # noqa: B018 - the first read bulk-loads the tree
 
@@ -254,9 +242,7 @@ class Table:
         rids = np.asarray(rids)
         if rids.size and (rids.min() < 0 or rids.max() >= self.n_rows):
             raise StorageError("row id out of range")
-        flat = self.clustered.flat
-        leaf_idx = flat.leaf_index_of(rids)
-        return flat.leaf_pages[leaf_idx]
+        return (rids // self._per_leaf).astype(np.int64, copy=False)
 
     def distinct_pages_of_sorted_rids(self, rids: np.ndarray) -> np.ndarray:
         """Sorted unique data pages of ascending row ids — a bitmap-sorted
@@ -264,16 +250,14 @@ class Table:
         rids = np.asarray(rids)
         if rids.size and (rids[0] < 0 or rids[-1] >= self.n_rows):
             raise StorageError("row id out of range")
-        flat = self.clustered.flat
-        return flat.pages_of_leaves(flat.leaf_index_of(rids))
+        return dedupe_sorted(rids // self._per_leaf).astype(np.int64, copy=False)
 
     def gather(
         self, rids: np.ndarray, columns: Sequence[str] | None = None
     ) -> dict[str, np.ndarray]:
         """Column values for the given row ids (uncharged)."""
         names = tuple(columns) if columns is not None else tuple(self._columns)
-        flat = self.clustered.flat
-        return {name: flat.payload[name][rids] for name in names}
+        return {name: self.column(name)[rids] for name in names}
 
     # ------------------------------------------------------------------
     # index management

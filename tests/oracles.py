@@ -67,7 +67,7 @@ def searchsorted_mdam_scan(
     last_pos = np.maximum(ends - 1, start_clamped)
     last_leaf = flat.leaf_index_of(np.minimum(last_pos, n_entries - 1))
     leaf_spans = _concatenated_ranges(first_leaf, last_leaf + 1)
-    pages = flat.pages_of_leaves(leaf_spans)
+    pages = flat.leaf_pages[dedupe_sorted(leaf_spans)]
     if pages.size:
         ctx.disk.read_scattered(tree.handle, pages)
 

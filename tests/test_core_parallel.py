@@ -359,8 +359,8 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
 ):
     """Three pool-swept maps over one session load each distinct
     secondary index tree once, in this process, before a pool forks:
-    no worker sorts an index, draws a column or lays out a table, and no
-    later sweep's pool does any of it again."""
+    no worker sorts an index or draws a column, no process lays out a
+    table, and no later sweep's pool does any of it again."""
     from repro.bench.harness import BenchConfig, BenchSession, MapRequest
     from repro.storage.table import SecondaryIndex
 
@@ -374,7 +374,7 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
         return real(index)
 
     monkeypatch.setattr(SecondaryIndex, "tree", property(recording))
-    # Column draws and clustered layouts, by process.
+    # Column draws and clustered layouts (there must be none), by process.
     import repro.workloads.lineitem as lineitem
     from repro.storage.btree import BPlusTree
 
@@ -417,11 +417,53 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
     }
     assert sorted(int(index) for _pid, index in loads) == sorted(distinct)
     assert {int(pid) for pid, _index in loads} == {os.getpid()}
-    # No worker draws a column or lays out a table: 9 columns once, 3
-    # clustered tables once, all in this process.
+    # No worker draws a column: 9 columns once, all in this process; and
+    # no process lays out a table, whose data pages are arithmetic.
     events = [line.split() for line in made.read_text().splitlines()]
-    assert sorted(what for _pid, what in events) == ["draw"] * 9 + ["layout"] * 3
+    assert sorted(what for _pid, what in events) == ["draw"] * 9
     assert {int(pid) for pid, _what in events} == {os.getpid()}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patched tree builder only when forked",
+)
+def test_a_pool_figure_run_cold_and_warm_lays_out_no_table(
+    monkeypatch, tmp_path, capsys
+):
+    """A table's data pages are arithmetic: a cold figure run on a pool
+    (whose parent materializes every table before it forks) and a
+    store-warm rerun (whose budget yardstick scans System A) bulk-load
+    index trees only, in any process."""
+    from repro.bench import cli
+    from repro.storage.btree import BPlusTree
+
+    for name in [key for key in os.environ if key.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    log = tmp_path / "loads.txt"
+    real_load = BPlusTree.bulk_load
+
+    def loading(tree, keys, payload, fill_factor=1.0):
+        if len(keys):
+            with log.open("a") as fh:
+                fh.write(f"{tree.name}\n")
+        return real_load(tree, keys, payload, fill_factor)
+
+    monkeypatch.setattr(BPlusTree, "bulk_load", loading)
+    flags = [
+        "--rows", "2048", "--figures", "fig01,fig04", "--workers", "2",
+        "--cell-cache", str(tmp_path / "cells"), "--quiet",
+    ]
+    loaded = {}
+    for run in ("cold", "warm"):
+        log.write_text("")
+        assert cli.main([str(tmp_path / run), *flags]) in (0, 1)
+        loaded[run] = log.read_text().split()
+    capsys.readouterr()
+    assert loaded["cold"] and all(
+        name.startswith("lineitem.idx_") for name in loaded["cold"]
+    )
+    assert loaded["warm"] == []
 
 
 def _mallopt_missing() -> bool:

@@ -9,6 +9,7 @@ from repro.executor.fetch import (
     NAIVE_FETCH,
     SORTED_BITMAP_FETCH,
 )
+from repro.executor.plans import TableScanNode
 from repro.executor.predicates import ColumnRange
 
 
@@ -94,7 +95,7 @@ def test_adaptive_close_to_scan_at_full_density(env, table):
 
     env.cold_reset()
     start = env.clock.now
-    table.clustered.scan_all()
+    TableScanNode(table, []).execute(ExecContext(env))
     scan = env.clock.now - start
     assert fetch_all < 10 * scan
 

@@ -426,9 +426,8 @@ def test_a_store_warm_job_builds_only_what_its_keys_and_axes_read(
     tmp_path, draws, bulk_loads, masks
 ):
     """A job answered wholly from the store draws the predicate columns
-    and the one index-key column no predicate reads, lays out at most
-    System A's clustered leaves for the budget yardstick, and evaluates
-    no oracle mask."""
+    and the one index-key column no predicate reads, lays out no tree,
+    and evaluates no oracle mask."""
     config = tiny_config(cell_cache_dir=str(tmp_path / "cells"))
     request = MapRequest("two_predicate")
     cold = BenchSession(config).request_map(request)
@@ -443,7 +442,7 @@ def test_a_store_warm_job_builds_only_what_its_keys_and_axes_read(
     finally:
         manager.close()
     assert sorted(draws) == ["extendedprice", "partkey", "suppkey"]
-    assert bulk_loads in ([], ["lineitem.clustered"])
+    assert bulk_loads == []
     assert masks == []
 
 

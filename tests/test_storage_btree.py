@@ -119,7 +119,10 @@ def assert_geometry_is_the_loaded_trees(page_size, n_rows):
         BPlusTree, "bulk_load", side_effect=AssertionError("a tree was loaded")
     ):
         geometry = (table.n_pages, index.n_leaf_pages, index.height)
-    clustered, tree = table.clustered, index.tree
+    clustered = BPlusTree(env, "layout", entry_bytes=table.row_bytes).bulk_load(
+        np.arange(n_rows, dtype=np.int64), table.columns
+    )
+    tree = index.tree
     assert geometry == (clustered.flat.n_leaves, tree.flat.n_leaves, tree.height)
     for loaded in (clustered, tree):
         levels = oracle_levels(
@@ -278,8 +281,12 @@ def test_tree_keeps_the_arrays_it_was_loaded_with():
     env = StorageEnv(DeviceProfile(page_size=512), pool_pages=64)
     generator = np.random.default_rng(3)
     table = Table(env, "t", {"a": generator.integers(0, 50, 600), "b": np.arange(600)})
-    for name in table.clustered.flat.payload:
-        assert np.shares_memory(table.column(name), table.clustered.flat.payload[name])
+    # A table's columns as the payload of a leaf level over its row ids.
+    clustered = BPlusTree(env, "layout", entry_bytes=table.row_bytes).bulk_load(
+        np.arange(table.n_rows), table.columns
+    )
+    for name in table.columns:
+        assert np.shares_memory(table.column(name), clustered.flat.payload[name])
     # A secondary index, built the way Table.create_index builds one.
     order = np.argsort(table.column("a"), kind="stable")
     keys, rids = table.column("a")[order], order.astype(np.int64)

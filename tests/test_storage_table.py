@@ -5,9 +5,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.executor.context import ExecContext
+from repro.executor.plans import TableScanNode
+from repro.executor.predicates import ColumnRange, apply_predicates
+from repro.sim.profile import DeviceProfile
 from repro.storage import BPlusTree, StorageEnv, Table
+from repro.storage.bitmap import dedupe_sorted
 from tests.conftest import SMALL_PROFILE, make_table
 
 
@@ -26,9 +33,13 @@ def test_row_bytes_inferred(env):
     assert table.row_bytes == 24 + 8
 
 
-def test_geometry(table):
+def test_geometry(env, table):
     assert table.n_rows == 4096
-    assert table.n_pages == -(-table.n_rows // table.clustered.leaf_capacity)
+    layout = BPlusTree(env, "layout", entry_bytes=table.row_bytes).bulk_load(
+        np.arange(table.n_rows), table.columns
+    )
+    assert table.n_pages == layout.flat.n_leaves
+    assert table.n_pages == -(-table.n_rows // layout.leaf_capacity)
 
 
 def test_column_access(table):
@@ -59,7 +70,84 @@ def test_gather_matches_columns(table, rng):
 
 def test_gather_all_columns_by_default(table):
     out = table.gather(np.array([0, 1]))
-    assert set(out) == set(table.clustered.flat.payload)
+    assert set(out) == set(table.columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(min_value=0, max_value=3000),
+    page_size=st.integers(min_value=32, max_value=8192),
+    rid_dtype=st.sampled_from([np.int32, np.int64]),
+    data=st.data(),
+)
+def test_arithmetic_data_pages_are_a_laid_out_clustered_index(
+    n_rows, page_size, rid_dtype, data
+):
+    """What a table computes of its data pages is what a clustered
+    B+-tree bulk-loaded over its row ids, with its row bytes, stores:
+    page numbers and their dtype, a sorted fetch's page sweep, gathered
+    values, and a table scan's clock, disk statistics and rows."""
+    generator = np.random.default_rng(n_rows)
+    columns = {
+        "a": generator.integers(0, 50, n_rows),
+        "b": generator.integers(0, 1000, n_rows).astype(np.int32),
+    }
+    profile = DeviceProfile(page_size=page_size)
+    table = Table(StorageEnv(profile, pool_pages=8), "t", columns)
+    # The leaf level every table laid out before its pages were
+    # arithmetic.  It is its environment's first file, as the table's
+    # data file is, so the two have one file id.
+    layout_env = StorageEnv(profile, pool_pages=8)
+    layout = BPlusTree(layout_env, "t.clustered", entry_bytes=table.row_bytes)
+    layout.bulk_load(np.arange(n_rows, dtype=np.int64), table.columns)
+    assert layout.handle == table.handle
+    flat = layout.flat
+    assert table.n_pages == flat.n_leaves
+
+    rids = np.array(
+        data.draw(st.lists(st.integers(0, n_rows - 1), max_size=300))
+        if n_rows
+        else [],
+        dtype=rid_dtype,
+    )
+    pages = table.pages_of_rids(rids)
+    expected = flat.leaf_pages[flat.leaf_index_of(rids)]
+    assert pages.dtype == expected.dtype and np.array_equal(pages, expected)
+    ordered = np.sort(rids)
+    pages = table.distinct_pages_of_sorted_rids(ordered)
+    expected = flat.leaf_pages[dedupe_sorted(flat.leaf_index_of(ordered))]
+    assert pages.dtype == expected.dtype and np.array_equal(pages, expected)
+    gathered = table.gather(rids)
+    assert list(gathered) == list(flat.payload)
+    for name, values in gathered.items():
+        expected = flat.payload[name][rids]
+        assert values.dtype == expected.dtype
+        assert np.array_equal(values, expected)
+
+    # A scan charges the layout's leaf scan (BPlusTree.scan_all) and the
+    # node's per-row and per-predicate CPU.
+    a_lo, a_hi = sorted(data.draw(st.tuples(st.integers(0, 49), st.integers(0, 49))))
+    predicates = [
+        ColumnRange("a", a_lo, a_hi),
+        ColumnRange("b", 0, data.draw(st.integers(0, 999))),
+    ]
+    result = TableScanNode(table, predicates, project=["b"]).execute(
+        ExecContext(table.env)
+    )
+    ctx = ExecContext(layout_env)
+    layout.scan_all()
+    mask = apply_predicates(flat.payload, predicates)
+    count = int(np.count_nonzero(mask))
+    ctx.charge(n_rows, profile.cpu_row)
+    ctx.charge(n_rows * len(predicates), profile.cpu_predicate)
+    ctx.charge(count, profile.cpu_row)
+    assert table.env.clock.now.hex() == layout_env.clock.now.hex()
+    assert table.env.disk.stats == layout_env.disk.stats
+    assert result.n_rows == count
+    assert np.array_equal(result.rids, np.flatnonzero(mask))
+    assert list(result.columns) == ["b", "a"]
+    for name, values in result.columns.items():
+        assert np.array_equal(values, flat.payload[name][result.rids])
 
 
 def test_create_index_and_lookup(indexed_table):

@@ -104,7 +104,7 @@ def test_b_and_c_have_no_single_predicate_plans(systems):
 def test_system_b_plans_fetch_base_rows(systems, two_pred_query):
     """MVCC: every B plan must touch table pages (verify-only fetch)."""
     system = systems["B"]
-    table_handle = system.table.clustered.handle
+    table_handle = system.table.handle
     for plan_id, plan in system.two_predicate_plans(two_pred_query).items():
         system.env.cold_reset()
         before = system.env.disk.stats.snapshot()
@@ -161,10 +161,10 @@ def test_building_systems_and_plans_lays_out_no_tree(bulk_loads):
     systems = build_three_systems(SMALL)
     assert len(all_plans(systems)) == 15 + 7
     assert bulk_loads == []
-    # The first scan lays out a table's clustered leaf level, once.
-    systems["A"].table.clustered.scan_all()
-    systems["A"].table.clustered.scan_all()
-    assert bulk_loads == ["lineitem.clustered"]
+    # A table scan's data pages are arithmetic: it lays out no tree.
+    system = systems["A"]
+    system.runner().measure(TableScanNode(system.table, []))
+    assert bulk_loads == []
 
 
 def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
@@ -174,19 +174,15 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
     cold = BenchSession(config).request_map(MapRequest("single_predicate"))
     # Measured on System A alone, over extendedprice: its partkey index
     # was never sorted, and no System B or C was built.
-    assert sorted(bulk_loads) == [
-        "lineitem.clustered",
-        "lineitem.idx_b",
-        "lineitem.idx_project",
-    ]
+    assert sorted(bulk_loads) == ["lineitem.idx_b", "lineitem.idx_project"]
     del bulk_loads[:]
     warm_session = BenchSession(config)
     warm = warm_session.request_map(MapRequest("single_predicate"))
     assert warm_session.cell_store().cell_misses == 0
     assert np.array_equal(warm.times, cold.times, equal_nan=True)
     # Answered from the store: System A's table for the budget
-    # yardstick, no index.
-    assert bulk_loads == ["lineitem.clustered"]
+    # yardstick, no tree.
+    assert bulk_loads == []
 
 
 @settings(max_examples=8, deadline=None)
@@ -268,7 +264,7 @@ def test_the_budget_yardstick_keeps_its_recorded_seconds():
 
 def test_the_budget_yardstick_draws_no_column(draws, bulk_loads):
     """System A draws its index key columns (each index's key check);
-    the scan lays out the leaf level and draws nothing more."""
+    the scan lays out no tree and draws nothing more."""
     session = BenchSession(
         BenchConfig(n_rows=2048, cache_dir=None, cell_cache_dir=None)
     )
@@ -277,7 +273,7 @@ def test_the_budget_yardstick_draws_no_column(draws, bulk_loads):
     assert bulk_loads == []
     session.table_scan_seconds()
     assert len(draws) == 3
-    assert bulk_loads == ["lineitem.clustered"]
+    assert bulk_loads == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -290,8 +286,7 @@ def test_the_lazy_yardstick_is_a_scan_of_the_materialized_table(
     n_rows, pool_pages, seed
 ):
     """The yardstick over a table that has drawn nothing equals a scan
-    of one whose columns are all drawn and whose leaf level is laid out
-    before the scan."""
+    of one whose columns are all drawn before the scan."""
     config = BenchConfig(
         n_rows=n_rows, pool_pages=pool_pages, seed=seed,
         cache_dir=None, cell_cache_dir=None,
@@ -339,9 +334,9 @@ def test_a_warm_two_predicate_map_draws_three_columns_and_no_mask(
     assert warm_session.cell_store().cell_misses == 0
     assert warm.to_dict() == cold.to_dict()
     # partkey and extendedprice for the predicates, suppkey for
-    # idx_project's key check; System A's leaves for the yardstick.
+    # idx_project's key check; the yardstick draws nothing more.
     assert sorted(draws) == ["extendedprice", "partkey", "suppkey"]
-    assert bulk_loads == ["lineitem.clustered"]
+    assert bulk_loads == []
     assert masks == []
 
 
@@ -358,8 +353,8 @@ def test_warm_choice_maps_load_no_index_tree(tmp_path, bulk_loads):
     warm_session = BenchSession(config)
     warm = warm_session.choice_maps()
     assert warm_session.cell_store().cell_misses == 0
-    # System A's leaves for the budget yardstick, no index.
-    assert bulk_loads == ["lineitem.clustered"]
+    # No tree: the budget yardstick's scan is arithmetic, and no index.
+    assert bulk_loads == []
     assert set(warm) == set(cold)
     for name, choice_map in warm.items():
         assert choice_map.plan_ids == cold[name].plan_ids

@@ -58,6 +58,9 @@ with columns two or more spaces apart and ``reason`` one of
 
 A row whose subject is gone from the source fails the run too; one whose
 subject ran this time is only reported (timing decides a few paths).
+The package is parsed, and each file's bytes hashed, when the doors
+start; a file that has changed by the time of the report fails the run
+unreported, since the lines the hook recorded are not the parsed ones.
 Removing any row that is still needed makes the run fail: the list can
 only shrink silently, never grow.  Nothing under ``src/`` is changed or
 imported.  Takes about five minutes, plus the suite under the tracer
@@ -76,6 +79,7 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import hashlib
 import json
 import os
 import re
@@ -421,7 +425,8 @@ def reached(record: Path) -> set[tuple]:
 class Module(NamedTuple):
     """One source file: its ``def`` nodes, the lines each spans (from the
     first decorator, as ``co_firstlineno`` does), each one's dotted name,
-    and the body lines of each that the compiler gave an instruction."""
+    the body lines of each that the compiler gave an instruction, and the
+    digest of the bytes all of that was parsed from."""
 
     path: str
     source: list[str]
@@ -429,6 +434,7 @@ class Module(NamedTuple):
     spans: dict
     names: dict
     executable: dict
+    digest: str
 
 
 def _qualified_names(tree: ast.Module) -> dict:
@@ -463,9 +469,12 @@ def _lines_by_code(code, found: dict) -> set[int]:
 
 @functools.cache  # the hook table and the report both walk it
 def modules() -> list[Module]:
+    """Every file of the package, parsed once: by :func:`run_under_hook`
+    when the doors start, so the report reads the tree they ran."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        text = path.read_text()
+        data = path.read_bytes()
+        text = data.decode()
         tree = ast.parse(text)
         functions = [
             node for node in ast.walk(tree)
@@ -483,8 +492,24 @@ def modules() -> list[Module]:
             lines = compiled.get((min(spans[node]), node.name), set())
             executable[node] = {line for line in lines if line > node.lineno}
         found.append(Module(str(path), text.splitlines(), functions, spans,
-                            _qualified_names(tree), executable))
+                            _qualified_names(tree), executable,
+                            hashlib.sha256(data).hexdigest()))
     return found
+
+
+def changed_sources() -> list[str]:
+    """Files of the package edited, added or removed since :func:`modules`
+    parsed it: their recorded lines need not be the parsed ones."""
+    parsed = {module.path: module.digest for module in modules()}
+    now = {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in PACKAGE.rglob("*.py")
+    }
+    return sorted(
+        str(Path(path).relative_to(ROOT))
+        for path in parsed.keys() | now.keys()
+        if parsed.get(path) != now.get(path)
+    )
 
 
 def definitions() -> list[tuple[str, int, str, int]]:
@@ -504,7 +529,7 @@ def parameters() -> list[tuple[str, int, str, str, str]]:
     """``(file, first line, function, parameter, default's source)`` of every
     parameter whose default is a literal or a module constant's name."""
     found = []
-    for path, _, functions, spans, _, _ in modules():
+    for path, _, functions, spans, *_ in modules():
         for node in functions:
             spec = node.args
             positional = spec.posonlyargs + spec.args
@@ -626,7 +651,17 @@ def read_kept() -> dict[str, tuple[str, str]]:
 
 def report(front: set, tests: set | None) -> bool:
     """Print the four lists and their totals; whether every definition and
-    body no door runs is a refusal, a fault handler or a row of the list."""
+    body no door runs is a refusal, a fault handler or a row of the list.
+
+    Refuses to report, and fails, when a file of the package changed while
+    the doors ran (:func:`changed_sources`): the hook recorded lines of a
+    text the report would not read."""
+    changed = changed_sources()
+    if changed:
+        print(f"changed while the doors ran, so not reported: {', '.join(changed)}"
+              " — rerun on a still tree")
+        return False
+
     def kind_of(key: tuple) -> str | None:
         if key in front:
             return None
