@@ -24,12 +24,12 @@ parallelizes through the same engine.  The provider ``factory`` is
 called once, in the parent; the pool forks (an explicit ``fork``
 context), so every worker inherits that provider set instead of building
 its own, and the factory need not be picklable.  Just before it forks,
-the parent makes every column and secondary index tree of those
-providers' tables
-(:meth:`~repro.storage.table.Table.materialize`), so each is made once
-per session instead of once per worker per sweep, and a later sweep's
-pool inherits it already built; it imports ``numpy.ma`` there too,
-which each worker imported lazily.
+the parent bulk-loads every secondary index tree of those providers'
+tables, so each is sorted once per session instead of once per worker
+per sweep, and a later sweep's pool inherits it already built; it
+draws no column there (a column is drawn by its first reader, in
+whichever process reads it), and it imports ``numpy.ma``, which each
+worker imported lazily.
 A worker only measures: its initializer also keeps glibc from handing
 freed memory back to the kernel (:func:`_keep_heap`), so the numpy
 temporaries of one chunk are reused by the next instead of being
@@ -322,24 +322,29 @@ class ParallelSweep:
 def _prepare_fork(providers: Sequence) -> None:
     """Do here, once, what each worker would otherwise do before measuring.
 
-    Called just before a pool forks.  It makes everything the providers'
-    tables make on first read (:meth:`~repro.storage.table.Table.materialize`:
-    every column and every secondary index tree), so the workers inherit
-    them instead of each drawing and sorting again what its plans read;
-    they stay on the providers for every later pool of the session
-    (providers without a table, :class:`~repro.core.scenario.OperatorBench`,
-    hold none).  And it imports ``numpy.ma``, which ``np.unique`` (a
-    join's key counts, a fetch's rid sort) imports on first use: complete
-    before this thread forks, so no worker imports it, and none inherits
-    its module's import lock held by another thread of this process that
-    was importing it.
+    Called just before a pool forks.  It bulk-loads every secondary
+    index tree of the providers' tables (:attr:`SecondaryIndex.tree
+    <repro.storage.table.SecondaryIndex.tree>`), so the workers inherit
+    them instead of each sorting again what its plans read; they stay on
+    the providers for every later pool of the session (providers without
+    a table, :class:`~repro.core.scenario.OperatorBench`, hold none).
+    Trees over one key on tables that share a column mapping (Systems B
+    and C) share one sorted layout.  It draws no column: the key columns
+    are drawn already, and any other is drawn by the process that first
+    reads it, as in a serial sweep, so a worker holds only the columns
+    its plans read.  And it imports ``numpy.ma``, which ``np.unique`` (a
+    join's key counts, a fetch's rid sort) imports on first use:
+    complete before this thread forks, so no worker imports it, and none
+    inherits its module's import lock held by another thread of this
+    process that was importing it.
     """
     import numpy.ma  # noqa: F401
 
     for provider in providers:
         table = getattr(provider, "table", None)
         if table is not None:
-            table.materialize()
+            for index in table.indexes.values():
+                index.tree  # noqa: B018 - the first read bulk-loads the tree
 
 
 def _measure(

@@ -207,7 +207,8 @@ class BPlusTree:
     ) -> "BPlusTree":
         """Lay the tree out over sorted keys and aligned payload columns.
 
-        The arrays are kept, not copied: they are the leaf level, cut
+        The arrays are kept, not copied, and made read-only (two trees
+        may hold one array): they are the leaf level, cut
         into leaves of ``leaf_capacity * fill_factor`` entries on
         consecutive pages, so a leaf scan is physically sequential.
         Each inner level groups ``inner_fanout`` nodes of the level below
@@ -227,6 +228,9 @@ class BPlusTree:
                     f"payload column {column_name!r} length {len(values)} "
                     f"!= key count {keys.size}"
                 )
+        keys.flags.writeable = False
+        for values in payload.values():
+            values.flags.writeable = False
         n_entries = int(keys.size)
         per_leaf, level_sizes = self.levels_for(n_entries, fill_factor)
         n_leaves = level_sizes[0]

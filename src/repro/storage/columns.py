@@ -7,6 +7,13 @@ builds and the indexes a system creates.  :class:`LazyColumns` lets a
 table be built from that much: each column is made the first time it is
 read, once, under the mapping's lock, so a request answered from the
 cell store makes only the columns its predicates and index checks read.
+:class:`GivenColumns` is the same mapping over arrays given up front.
+
+Several tables built over one mapping (Systems A, B and C host one
+dataset) share its arrays, and also what is sorted from them: an
+index's sorted layout (:meth:`LazyColumns.index_layout`) is made once
+per key and kept on the mapping, so it lives as long as the tables that
+read it and no longer.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from collections.abc import Iterator, Mapping
 import numpy as np
 
 from repro.errors import StorageError
+from repro.storage.codec import CompositeKeyCodec
 
 
 class LazyColumns(Mapping):
@@ -31,6 +39,10 @@ class LazyColumns(Mapping):
     returns must have the declared dtype and ``n_rows`` values.  Testing
     membership or iterating names makes nothing; reading values
     (``values()``, ``items()``) makes every column.
+
+    The mapping also keeps the sorted layout of every index built over
+    it (:meth:`index_layout`): tables that share the mapping share those
+    arrays, and they are freed with it.
     """
 
     def __init__(self, n_rows: int, dtypes: Mapping[str, np.dtype]) -> None:
@@ -38,6 +50,8 @@ class LazyColumns(Mapping):
         self.dtypes = {name: np.dtype(dtype) for name, dtype in dtypes.items()}
         self._values: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
+        self._layouts: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._layout_lock = threading.Lock()
 
     @abstractmethod
     def _draw(self, name: str) -> dict[str, np.ndarray]:
@@ -63,6 +77,28 @@ class LazyColumns(Mapping):
                     self._values[column] = made
         return self._values[name]
 
+    def index_layout(
+        self, key_columns: tuple[str, ...], codec: CompositeKeyCodec
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """An index's leaf level: its encoded keys in order, and the row
+        id of each.
+
+        Made the first time it is asked for — encode the key columns,
+        stable ``argsort`` — once per key columns and codec bits, under
+        its own lock, and kept: every tree bulk-loaded over the same key
+        on a table of this mapping holds these two arrays.
+        """
+        key = (key_columns, codec.bits)
+        with self._layout_lock:
+            if key not in self._layouts:
+                encoded = codec.encode([self[name] for name in key_columns])
+                order = np.argsort(encoded, kind="stable")
+                self._layouts[key] = (
+                    encoded[order],
+                    order.astype(np.int64, copy=False),
+                )
+            return self._layouts[key]
+
     def __contains__(self, name: object) -> bool:
         return name in self.dtypes
 
@@ -71,3 +107,24 @@ class LazyColumns(Mapping):
 
     def __len__(self) -> int:
         return len(self.dtypes)
+
+
+class GivenColumns(LazyColumns):
+    """A :class:`LazyColumns` over arrays given up front: nothing is
+    left to draw.  The arrays must be equally long."""
+
+    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+        lengths = {name: len(values) for name, values in columns.items()}
+        if len(set(lengths.values())) != 1:
+            raise StorageError(f"column lengths differ: {lengths}")
+        values = {
+            name: np.ascontiguousarray(column) for name, column in columns.items()
+        }
+        super().__init__(
+            next(iter(lengths.values())),
+            {name: column.dtype for name, column in values.items()},
+        )
+        self._values.update(values)
+
+    def _draw(self, name: str) -> dict[str, np.ndarray]:
+        raise StorageError(f"column {name!r} was not given")

@@ -25,7 +25,7 @@ from repro.errors import StorageError
 from repro.storage.bitmap import dedupe_sorted
 from repro.storage.btree import BPlusTree
 from repro.storage.codec import CompositeKeyCodec
-from repro.storage.columns import LazyColumns
+from repro.storage.columns import GivenColumns, LazyColumns
 from repro.storage.env import StorageEnv
 
 _ROW_OVERHEAD_BYTES = 24  # header, null bitmap, slot entry
@@ -47,17 +47,23 @@ class SecondaryIndex:
 
     Built on first use.  :meth:`Table.create_index` hands over a
     registered but empty tree (the file handle exists, so file ids do not
-    depend on which indexes are ever used) and the key columns its key
-    check read (the only columns a built system has drawn before a plan
-    or a predicate reads one); the leaf level — encode the key columns,
-    stable ``argsort``, ``bulk_load`` — is laid out the first time
-    :attr:`tree` is read, once, under a lock.  That first reader is a
-    plan that executes, or a pool's parent just before it forks
+    depend on which indexes are ever used) after its key check drew the
+    key columns (the only columns a built system has drawn before a plan
+    or a predicate reads one); the leaf level is bulk-loaded the first
+    time :attr:`tree` is read, once, under a lock.  That first reader is
+    a plan that executes, or a pool's parent just before it forks
     (:class:`~repro.core.parallel.ParallelSweep`), so the workers
     inherit the tree instead of each building it again.  Holding an index
     in a plan builds nothing, and a request answered from the cell store
     never sorts a column.  Columns are immutable, so a tree built late is
     the tree that would have been built at creation.
+
+    The leaf level's arrays — encoded keys in order, and the row ids —
+    are the column mapping's
+    (:meth:`~repro.storage.columns.LazyColumns.index_layout`), sorted
+    once per key: System B's and System C's ``idx_ab`` are two trees,
+    with their own files and pages charged to their own pools, over one
+    pair of arrays.
 
     A cost model prices a plan by the index's ``n_leaf_pages`` and
     ``height``, set at creation from the row count and the tree's page
@@ -65,23 +71,23 @@ class SecondaryIndex:
     the tree out by: costing a plan (a choice map over a warm cell
     store, say) loads no tree.
 
-    The index keeps its key columns and the table's row count, not the
-    table: a table lists its indexes, and an index pointing back would
-    keep both alive until the cyclic garbage collector ran.
+    The index keeps the table's column mapping, not the table: a table
+    lists its indexes, and an index pointing back would keep both alive
+    until the cyclic garbage collector ran.
     """
 
     def __init__(
         self,
         name: str,
         key_columns: tuple[str, ...],
-        key_values: tuple[np.ndarray, ...],
+        columns: LazyColumns,
         codec: CompositeKeyCodec,
         tree: BPlusTree,
     ) -> None:
         self.name = name
         self.key_columns = key_columns
-        self._key_values = key_values
-        self.n_rows = len(key_values[0])
+        self._columns = columns
+        self.n_rows = columns.n_rows
         self.codec = codec
         self._tree = tree
         # The tree's leaf pages and levels (1: the root is a leaf), known
@@ -98,12 +104,10 @@ class SecondaryIndex:
         if not self._loaded:
             with self._load_lock:
                 if not self._loaded:
-                    encoded = self.codec.encode(list(self._key_values))
-                    order = np.argsort(encoded, kind="stable")
-                    self._tree.bulk_load(
-                        encoded[order],
-                        {"rid": order.astype(np.int64, copy=False)},
+                    keys, rids = self._columns.index_layout(
+                        self.key_columns, self.codec
                     )
+                    self._tree.bulk_load(keys, {"rid": rids})
                     self._loaded = True
         return self._tree
 
@@ -154,9 +158,11 @@ class Table:
     Built from its row count and column dtypes alone: ``columns`` may be
     a :class:`~repro.storage.columns.LazyColumns`, whose values are made
     the first time something reads them, and the table reads none at
-    construction.  It registers its clustered file there (so file ids
-    follow construction order, as :meth:`create_index` keeps them for
-    indexes) and takes its geometry from
+    construction; other arrays are held as
+    :class:`~repro.storage.columns.GivenColumns`.  It registers its
+    clustered file there (so file ids follow construction order, as
+    :meth:`create_index` keeps them for indexes) and takes its geometry
+    from
     :meth:`~repro.storage.btree.BPlusTree.levels_for`, the formula a
     bulk load lays a tree out by: rows per data page and the data page
     count.  Every physical helper below computes from those two numbers
@@ -172,45 +178,27 @@ class Table:
     ) -> None:
         if not columns:
             raise StorageError("a table needs at least one column")
-        if isinstance(columns, LazyColumns):
-            n_rows, dtypes = columns.n_rows, columns.dtypes
-        else:
-            lengths = {column: len(values) for column, values in columns.items()}
-            if len(set(lengths.values())) != 1:
-                raise StorageError(f"column lengths differ: {lengths}")
-            columns = {
-                column: np.ascontiguousarray(values)
-                for column, values in columns.items()
-            }
-            n_rows = next(iter(lengths.values()))
-            dtypes = {column: values.dtype for column, values in columns.items()}
+        if not isinstance(columns, LazyColumns):
+            columns = GivenColumns(columns)
         self.env = env
         self.name = name
         self._columns = columns
-        self.n_rows = n_rows
+        self.n_rows = columns.n_rows
         self.row_bytes = _ROW_OVERHEAD_BYTES + sum(
-            dtype.itemsize for dtype in dtypes.values()
+            dtype.itemsize for dtype in columns.dtypes.values()
         )
         clustered = BPlusTree(env, f"{name}.clustered", entry_bytes=self.row_bytes)
         #: The data file: the clustered index's leaf pages.
         self.handle = clustered.handle
-        self._per_leaf, levels = clustered.levels_for(n_rows)
+        self._per_leaf, levels = clustered.levels_for(self.n_rows)
         self.n_pages = levels[0]
         self.indexes: dict[str, SecondaryIndex] = {}
         self._sorted_columns: dict[str, np.ndarray] = {}
 
     @property
-    def columns(self) -> Mapping[str, np.ndarray]:
+    def columns(self) -> LazyColumns:
         """The column mapping the table was built over."""
         return self._columns
-
-    def materialize(self) -> None:
-        """Make now everything a plan over the table may read later:
-        every column and every index tree."""
-        for name in self._columns:
-            self.column(name)
-        for index in self.indexes.values():
-            index.tree  # noqa: B018 - the first read bulk-loads the tree
 
     def column(self, name: str) -> np.ndarray:
         """Raw column values (no I/O charged; for oracles and builders).
@@ -278,12 +266,13 @@ class Table:
         if name in self.indexes:
             raise StorageError(f"index {name!r} already exists")
         key_columns = tuple(key_columns)
-        key_values = tuple(self.column(column) for column in key_columns)
-        codec = CompositeKeyCodec([_required_bits(v) for v in key_values])
+        codec = CompositeKeyCodec(
+            [_required_bits(self.column(column)) for column in key_columns]
+        )
         tree = BPlusTree(
             self.env, f"{self.name}.{name}", entry_bytes=_INDEX_ENTRY_BYTES
         )
-        index = SecondaryIndex(name, key_columns, key_values, codec, tree)
+        index = SecondaryIndex(name, key_columns, self._columns, codec, tree)
         self.indexes[name] = index
         return index
 

@@ -150,7 +150,12 @@ def build_three_systems(
 
     ``system_a``, when given, is a System A already built under
     ``config``: B and C are built over its columns and it is returned as
-    ``"A"``.
+    ``"A"``.  The three tables share one column mapping, so each column
+    is drawn once, and so do the index layouts sorted from it: System B's
+    and System C's ``idx_ab`` (and ``idx_ba``) hold one pair of sorted
+    arrays (:meth:`~repro.storage.columns.LazyColumns.index_layout`).
+    Everything virtual stays per system: files, buffer pool, clock and
+    charges.  The shared arrays live as long as the systems do.
     """
     from repro.systems.system_a import SystemA
     from repro.systems.system_b import SystemB

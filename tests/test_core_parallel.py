@@ -359,8 +359,10 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
 ):
     """Three pool-swept maps over one session load each distinct
     secondary index tree once, in this process, before a pool forks:
-    no worker sorts an index or draws a column, no process lays out a
-    table, and no later sweep's pool does any of it again."""
+    no worker sorts an index, the parent draws only the key columns,
+    Systems B and C sort each composite key once between them, no
+    process lays out a table, and no later sweep's pool does any of it
+    again."""
     from repro.bench.harness import BenchConfig, BenchSession, MapRequest
     from repro.storage.table import SecondaryIndex
 
@@ -401,6 +403,17 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
         return real_load(tree, keys, payload, fill_factor)
 
     monkeypatch.setattr(BPlusTree, "bulk_load", loading)
+    # Index layouts sorted: encoding the key columns is the sort's first
+    # step, and nothing else encodes a whole column.
+    from repro.storage.codec import CompositeKeyCodec
+
+    real_encode = CompositeKeyCodec.encode
+
+    def encoding(codec, columns):
+        note("sort")
+        return real_encode(codec, columns)
+
+    monkeypatch.setattr(CompositeKeyCodec, "encode", encoding)
     session = BenchSession(
         BenchConfig(
             n_rows=4096, min_exp_1d=-6, min_exp_2d=-3, n_workers=2,
@@ -417,10 +430,16 @@ def test_pool_workers_inherit_the_index_trees_the_parent_built(
     }
     assert sorted(int(index) for _pid, index in loads) == sorted(distinct)
     assert {int(pid) for pid, _index in loads} == {os.getpid()}
-    # No worker draws a column: 9 columns once, all in this process; and
-    # no process lays out a table, whose data pages are arithmetic.
+    # No worker draws a column: the 3 key columns once, all in this
+    # process; 5 sorts for the 7 trees (A's three keys, and the two
+    # composite keys B and C share); and no process lays out a table,
+    # whose data pages are arithmetic.
+    assert len(distinct) == 7
     events = [line.split() for line in made.read_text().splitlines()]
-    assert sorted(what for _pid, what in events) == ["draw"] * 9
+    whats = [what for _pid, what in events]
+    assert whats.count("draw") == 3
+    assert whats.count("sort") == 5
+    assert set(whats) <= {"draw", "sort"}
     assert {int(pid) for pid, _what in events} == {os.getpid()}
 
 

@@ -276,6 +276,17 @@ def test_fill_factor_validation():
         tree.bulk_load(np.arange(10), {"v": np.arange(10)}, fill_factor=0.01)
 
 
+def test_a_loaded_leaf_level_is_read_only():
+    """Two trees may hold one pair of leaf arrays (the index layout
+    Systems B and C share), so a load makes the arrays it keeps
+    read-only."""
+    tree, _env = bulk(np.arange(100), np.arange(100) * 2)
+    with pytest.raises(ValueError):
+        tree.flat.keys[0] = 1
+    with pytest.raises(ValueError):
+        tree.flat.payload["v"][0] = 1
+
+
 def test_tree_keeps_the_arrays_it_was_loaded_with():
     """The leaf level is the caller's arrays, not a second copy of them."""
     env = StorageEnv(DeviceProfile(page_size=512), pool_pages=64)

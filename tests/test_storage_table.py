@@ -229,6 +229,31 @@ def test_two_threads_reading_an_unbuilt_tree_build_it_once(
     assert seen == [(index.tree, table.n_rows)] * 2
 
 
+def test_tables_over_one_mapping_share_each_index_layout(table):
+    """An index's sorted layout is kept on the column mapping, once per
+    key: a second table over the same mapping, in its own environment
+    (System C beside System B), bulk-loads its tree over the same arrays
+    into its own file and charges its own pool; another key sorts its
+    own."""
+    other = Table(StorageEnv(SMALL_PROFILE, pool_pages=64), "t", table.columns)
+    assert other.columns is table.columns
+    first, second = (t.create_index("idx_ab", ["a", "b"]) for t in (table, other))
+    reversed_key = other.create_index("idx_ba", ["b", "a"])
+    assert first.tree is not second.tree
+    assert first.tree.flat.keys is second.tree.flat.keys
+    assert first.tree.flat.payload["rid"] is second.tree.flat.payload["rid"]
+    assert not np.shares_memory(first.tree.flat.keys, reversed_key.tree.flat.keys)
+    # The layout is what a stable sort of the encoded key columns gives.
+    encoded = first.codec.encode([table.column("a"), table.column("b")])
+    order = np.argsort(encoded, kind="stable")
+    assert np.array_equal(first.tree.flat.keys, encoded[order])
+    assert np.array_equal(first.tree.flat.payload["rid"], order)
+    # Only host arrays are shared: the read is charged to one system.
+    keys, _rids = second.read_range(*second.key_range_for({"a": (0, 1000)}))
+    assert keys.size and other.env.disk.stats.pages_read > 0
+    assert table.env.disk.stats.pages_read == 0 and table.env.clock.now == 0
+
+
 def test_composite_index_full_range_defaults(indexed_table):
     index = indexed_table.indexes["idx_ab"]
     lo, hi = index.key_range_for({"a": (5, 10)})  # b unconstrained

@@ -1,6 +1,8 @@
 """Tests for the three system configurations (plan inventory + agreement)."""
 
+import gc
 import json
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 
@@ -192,14 +194,15 @@ def test_a_map_builds_only_the_indexes_its_plans_execute(tmp_path, bulk_loads):
     data=st.data(),
 )
 def test_first_use_order_changes_no_measurement(n_rows, seed, data):
-    """Indexes touched up front vs. first touched mid-measurement, in any
-    plan order: same clocks, same counters, same files."""
+    """Every column drawn and every index touched up front vs. first
+    touched mid-measurement, in any plan order: same clocks, same
+    counters, same files."""
     config = SystemConfig(
         lineitem=LineitemConfig(n_rows=n_rows, seed=seed), pool_pages=32
     )
     eager, lazy = build_three_systems(config), build_three_systems(config)
     for system in eager.values():
-        system.table.materialize()
+        list(system.table.columns.values())  # draws every column
         for index in system.table.indexes.values():
             assert index.tree.flat.n_entries == n_rows
     plan_ids = sorted(all_plans(eager))
@@ -238,6 +241,68 @@ def test_first_use_order_changes_no_measurement(n_rows, seed, data):
             for index in eager[name].table.indexes.values()
             for tree in [index.tree]
         }
+
+
+def test_b_and_c_share_one_sorted_layout_per_composite_key():
+    """System B's and System C's trees over one key hold one pair of
+    arrays, each tree in its own system's file; and B measures what a
+    System B built alone, over its own columns, measures."""
+    systems = build_three_systems(SMALL)
+    b, c = systems["B"], systems["C"]
+    for name in ("idx_ab", "idx_ba"):
+        tree_b, tree_c = b.table.indexes[name].tree, c.table.indexes[name].tree
+        assert tree_b.flat.keys is tree_c.flat.keys
+        assert tree_b.flat.payload["rid"] is tree_c.flat.payload["rid"]
+        assert tree_b.handle is not tree_c.handle
+    assert b.idx_ab.tree.flat.keys is not b.idx_ba.tree.flat.keys
+    alone = SystemB(SMALL)
+    plans, plans_alone = all_plans(systems), all_plans({"A": systems["A"], "B": alone})
+    for plan_id in [plan_id for plan_id in plans if plan_id.startswith("B.")]:
+        runs = b.runner().measure(plans[plan_id]), alone.runner().measure(
+            plans_alone[plan_id]
+        )
+        shared, own = (
+            (run.seconds.hex(), run.n_rows, run.io, run.rid_checksum) for run in runs
+        )
+        assert shared == own
+
+
+def _loaded_session(seed: int) -> BenchSession:
+    session = BenchSession(
+        BenchConfig(n_rows=2048, seed=seed, cache_dir=None, cell_cache_dir=None)
+    )
+    for system in session.systems.values():
+        for index in system.table.indexes.values():
+            index.tree  # noqa: B018 - the first read bulk-loads the tree
+    return session
+
+
+def test_shared_layouts_die_with_their_session():
+    """The layouts B and C share live on the session's column mapping,
+    not in a process-wide cache: dropping a session frees them, and
+    sessions built one after another, each with its own seed, leave none
+    behind."""
+    session = _loaded_session(0)
+    systems = session.systems
+    keys = systems["B"].idx_ab.tree.flat.keys
+    assert keys is systems["C"].idx_ab.tree.flat.keys
+    alive = weakref.ref(keys)
+    del keys, systems, session
+    gc.collect()
+    assert alive() is None
+    refs = []
+    for seed in range(1, 5):
+        session = _loaded_session(seed)
+        refs += [
+            weakref.ref(array)
+            for system in session.systems.values()
+            for index in system.table.indexes.values()
+            for array in (index.tree.flat.keys, index.tree.flat.payload["rid"])
+        ]
+    del session
+    gc.collect()
+    assert len(refs) == 4 * 14
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +357,7 @@ def test_the_lazy_yardstick_is_a_scan_of_the_materialized_table(
         cache_dir=None, cell_cache_dir=None,
     )
     system = SystemA(config.system_config())
-    system.table.materialize()
+    list(system.table.columns.values())  # draws every column
     run = system.runner().measure(TableScanNode(system.table, []))
     assert BenchSession(config).table_scan_seconds().hex() == run.seconds.hex()
 
