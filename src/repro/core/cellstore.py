@@ -40,18 +40,20 @@ Storage format
 Dependency-light pure python: 16 append-only JSONL shards (fanned out on
 the first hex digit of the key) plus an in-memory index built on first
 access and extended by tailing the shards at the start of every sweep
-wave (see :class:`CellStore`).  Appends are atomic (one ``write`` of
-complete lines, started on a fresh line when a killed writer left half
-of one behind).
+wave (see :class:`CellStore`).  The index maps each key's 16-byte digest
+to its record's canonical JSON bytes, about 165 bytes per entry: a
+record is parsed when a lookup hands it out, never kept parsed.  Appends
+are atomic (one ``write`` of complete lines, started on a fresh line
+when a killed writer left half of one behind).
 
 Every line has one layout, the one every writer of this store has used:
 ``_canonical({"k": key, "d": digest, "r": record})``, i.e.
 ``{"d":"<16 hex>","k":"<32 hex>","r":<record>}`` with the record's
 canonical JSON as the fixed slice ``[67:-1]`` and ``d`` its blake2s-64.
 A writer dumps the record once and hashes those bytes; a reader checks
-the layout and the digest over the line's own bytes, and parses the
-records a shard's new lines hold with one ``json.loads`` over them,
-joined into a JSON array.  A complete line
+the layout and the digest over the line's own bytes, and checks that the
+records a shard's new lines hold parse, with one ``json.loads`` over
+them joined into a JSON array; it keeps their bytes.  A complete line
 that is not in that layout, fails its digest, or whose record is not an
 object answers no lookup: it is skipped, counted
 (:attr:`CellStore.corrupt_lines`) and logged.  (The digest catches torn
@@ -69,6 +71,7 @@ import hashlib
 import json
 import os
 import threading
+from binascii import unhexlify
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -130,6 +133,7 @@ def measurement_key(context: Mapping) -> str:
 # the record's canonical bytes behind a fixed 67-byte head, then ``}``.
 _RECORD_START = 67
 _HEX = "0123456789abcdef"
+_HEX_BYTES = _HEX.encode("ascii")
 
 
 def _encode_line(key: str, record: CellRecord) -> bytes:
@@ -146,68 +150,73 @@ def _encode_line(key: str, record: CellRecord) -> bytes:
 
 def _verified(
     lines: Iterable[bytes], lines_before: int
-) -> tuple[list[str], list[bytes], list[int], list[int]]:
+) -> tuple[list[bytes], list[int], list[int]]:
     """Verify consecutive shard lines (no trailing newlines) from their
     own bytes.
 
     A line verifies when it is in the layout :func:`_encode_line` writes
-    (its key's digits are checked by :func:`_parsed`) and its digest
-    matches its record's bytes as they stand.  Returns the key, record
-    bytes and line number of every verified line, and the number of
-    every other non-blank line (the corrupt ones).
+    (its key's digits are checked by :func:`_valid`) and its digest
+    matches its record's bytes as they stand.  Returns every verified
+    line and its line number, and the number of every other non-blank
+    line (the corrupt ones).
     """
-    keys: list[str] = []
-    bodies: list[bytes] = []
+    verified: list[bytes] = []
     linenos: list[int] = []
     corrupt: list[int] = []
     for lineno, line in enumerate(lines, lines_before + 1):
-        body = line[_RECORD_START:-1]
         if (
             line[:6] == b'{"d":"'
             and line[22:29] == b'","k":"'
             and line[61:_RECORD_START] == b'","r":'
             and line[-1:] == b"}"
-            and hashlib.blake2s(body, digest_size=_LINE_DIGEST_BYTES)
+            and hashlib.blake2s(
+                line[_RECORD_START:-1], digest_size=_LINE_DIGEST_BYTES
+            )
             .hexdigest()
             .encode("ascii")
             == line[6:22]
         ):
-            keys.append(line[29:61].decode("latin-1"))
-            bodies.append(body)
+            verified.append(line)
             linenos.append(lineno)
         elif line.strip():
             corrupt.append(lineno)
-    return keys, bodies, linenos, corrupt
+    return verified, linenos, corrupt
 
 
-def _parsed(
-    keys: list[str], bodies: list[bytes], linenos: list[int], corrupt: list[int]
-) -> list[tuple[str, CellRecord]]:
-    """The entries of verified lines, their records parsed as one JSON
-    array.
+def _valid(
+    lines: list[bytes], linenos: list[int], corrupt: list[int]
+) -> list[bytes]:
+    """The verified lines whose records parse, as one JSON array, into
+    one object each and whose keys are 32 hex digits.
 
-    A batch that does not parse into one object per record, or holds a
-    key that is not 32 hex digits (only a line forged to pass its digest
-    does either), is halved until each bad line stands alone; its line
-    number goes to ``corrupt``.
+    A batch that fails (only a line forged to pass its digest can) is
+    halved until each bad line stands alone; its line number goes to
+    ``corrupt``.  The parsed records are dropped: the index keeps bytes.
     """
     try:
-        records = json.loads(b"[" + b",".join(bodies) + b"]")
+        records = json.loads(
+            b"[" + b",".join(line[_RECORD_START:-1] for line in lines) + b"]"
+        )
         if (
-            len(records) != len(bodies)
+            len(records) != len(lines)
             or not all(isinstance(record, dict) for record in records)
-            or "".join(keys).strip(_HEX)
+            or b"".join(line[29:61] for line in lines).strip(_HEX_BYTES)
         ):
             raise ValueError("not one object and one hex key per line")
-        return list(zip(keys, records))
+        return lines
     except (ValueError, RecursionError):
-        if len(bodies) == 1:
+        if len(lines) == 1:
             corrupt.append(linenos[0])
             return []
-        mid = len(bodies) // 2
-        return _parsed(
-            keys[:mid], bodies[:mid], linenos[:mid], corrupt
-        ) + _parsed(keys[mid:], bodies[mid:], linenos[mid:], corrupt)
+        mid = len(lines) // 2
+        return _valid(lines[:mid], linenos[:mid], corrupt) + _valid(
+            lines[mid:], linenos[mid:], corrupt
+        )
+
+
+def _entry(line: bytes) -> tuple[bytes, bytes]:
+    """A valid line's index entry: its key digest and its record bytes."""
+    return unhexlify(line[29:61]), line[_RECORD_START:-1]
 
 
 def grid_positions(
@@ -277,11 +286,11 @@ class SweepKeyer:
         self._head = hashlib.blake2s(head, digest_size=_KEY_DIGEST_BYTES)
         self._plans: dict[str, bytes] = {}
 
-    def keys(
+    def digests(
         self, plan_ids: Iterable[str], idx: Sequence[int]
-    ) -> Iterator[str]:
-        """Content addresses of the plans' measurements at grid position
-        idx, one by one (a caller may stop at the first it misses)."""
+    ) -> Iterator[bytes]:
+        """The 16-byte digests of the plans' keys at grid position idx,
+        one by one (a caller may stop at the first it misses)."""
         tail = b"]"
         if self._jitter is not None:
             cell_indices = ",".join(str(int(i)) for i in idx).encode("ascii")
@@ -299,7 +308,15 @@ class SweepKeyer:
                 suffix = plans[plan_id] = _canonical(str(plan_id)) + self._after_plan
             key = cell.copy()
             key.update(suffix)
-            yield key.hexdigest()
+            yield key.digest()
+
+    def keys(
+        self, plan_ids: Iterable[str], idx: Sequence[int]
+    ) -> Iterator[str]:
+        """Content addresses (hex) of the plans' measurements at grid
+        position idx: the :meth:`digests`, spelled the way lines and
+        :meth:`CellStore.get` spell them."""
+        return (digest.hex() for digest in self.digests(plan_ids, idx))
 
     def key(self, plan_id: str, idx: Sequence[int]) -> str:
         """Content address of one plan's measurement at grid position idx."""
@@ -311,7 +328,11 @@ class CellStore:
 
     ``get``/``put_many`` work at the key level; :func:`lookup_cells` and
     :func:`records_from_part` read and write whole sweep waves as
-    :data:`Cells`.
+    :data:`Cells`.  :attr:`index` maps each key's 16-byte digest to its
+    record's canonical JSON bytes (the slice of its line the digest
+    covers); :meth:`get` and :func:`lookup_cells` parse the records they
+    hand out, so a caller may keep or change one without touching the
+    store.  A process's memory grows by about 165 bytes per entry.
 
     One instance serves a whole process front door (a CLI run, a
     :class:`~repro.service.jobs.JobManager` and every job on it): the
@@ -358,7 +379,7 @@ class CellStore:
             for digit in _HEX
         }
         self._lock = threading.RLock()
-        self._index: dict[str, CellRecord] | None = None  # None: not loaded
+        self._index: dict[bytes, bytes] | None = None  # None: not loaded
         #: shard -> (inode, bytes consumed, lines consumed)
         self._tails: dict[Path, tuple[int, int, int]] = {}
         self.cell_hits = 0
@@ -395,8 +416,9 @@ class CellStore:
             os.close(fd)
 
     @property
-    def index(self) -> dict[str, CellRecord]:
-        """key -> record; the first read scans every shard from offset 0."""
+    def index(self) -> dict[bytes, bytes]:
+        """key digest -> record bytes; the first read scans every shard
+        from offset 0."""
         if self._index is None:
             with self._lock:
                 if self._index is None:
@@ -419,7 +441,7 @@ class CellStore:
         Lock held.  Starts over from nothing when the index is not loaded
         yet or a shard was replaced.  A shard's new lines are verified
         one by one, then their records parsed together, in one
-        ``json.loads``.
+        ``json.loads``, and the bytes of every valid one kept.
         """
         index, tails = self._index, self._tails
         if index is None:
@@ -441,9 +463,9 @@ class CellStore:
             # The last piece is empty after a newline, else a writer
             # mid-append: left for the next refresh.
             offset += len(data) - len(lines.pop())
-            keys, bodies, linenos, corrupt = _verified(lines, lineno)
+            verified, linenos, corrupt = _verified(lines, lineno)
             # later appends supersede
-            index.update(_parsed(keys, bodies, linenos, corrupt))
+            index.update(map(_entry, _valid(verified, linenos, corrupt)))
             for bad in sorted(corrupt):
                 logger.warning(
                     "corrupt cell-store shard %s (line %d): skipped; "
@@ -457,14 +479,16 @@ class CellStore:
         return len(self.index)
 
     def get(self, key: str) -> CellRecord | None:
-        return self.index.get(key)
+        body = self.index.get(bytes.fromhex(key))
+        return None if body is None else json.loads(body)
 
     def put_many(self, entries: Iterable[tuple[str, CellRecord]]) -> int:
         """Append entries (atomic per shard); returns how many were new.
 
-        Keys already present with an identical record are skipped (the
-        sweeps are deterministic, so legitimate duplicates carry the same
-        data); a differing record supersedes the old one — last write
+        Keys already present with the same canonical bytes are skipped
+        (the sweeps are deterministic, so legitimate duplicates carry the
+        same data); a record whose bytes differ supersedes the old one,
+        even one equal to it in python (``1`` and ``1.0``) — last write
         wins, and :meth:`compact` drops the shadowed line.  The whole
         batch is encoded before the index or a shard changes, so an entry
         that cannot be written (a non-JSON value, a malformed key) raises
@@ -472,19 +496,21 @@ class CellStore:
         """
         with self._lock, self._exclusive():
             index = self.index
-            by_shard: dict[Path, list[tuple[str, CellRecord, bytes]]] = {}
-            batch: dict[str, CellRecord] = {}
+            by_shard: dict[Path, list[tuple[bytes, bytes]]] = {}
+            batch: dict[bytes, bytes] = {}
             for key, record in entries:
-                if batch.get(key, index.get(key)) == record:
-                    continue
                 line = _encode_line(key, record)  # refuses a malformed key
+                digest = bytes.fromhex(key)
+                body = line[_RECORD_START:-2]
+                if batch.get(digest, index.get(digest)) == body:
+                    continue
                 by_shard.setdefault(self._shard_path(key), []).append(
-                    (key, record, line)
+                    (digest, line)
                 )
-                batch[key] = record
+                batch[digest] = body
             written = 0
             for path, shard_entries in by_shard.items():
-                blob = b"".join(line for _, _, line in shard_entries)
+                blob = b"".join(line for _, line in shard_entries)
                 fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
                 try:
                     # Under the store lock nobody else appends, so the
@@ -497,7 +523,7 @@ class CellStore:
                     os.write(fd, blob)  # one write: atomic append
                 finally:
                     os.close(fd)
-                index.update((key, record) for key, record, _ in shard_entries)
+                index.update((digest, batch[digest]) for digest, _ in shard_entries)
                 written += len(shard_entries)
                 inode, offset, lineno = self._tails.get(path, (stat.st_ino, 0, 0))
                 if (inode, offset) == (stat.st_ino, stat.st_size):
@@ -526,27 +552,25 @@ class CellStore:
         ``{"kept": ..., "superseded": ..., "corrupt": ...}``.
         """
         stats = {"kept": 0, "superseded": 0, "corrupt": 0}
-        index: dict[str, CellRecord] = {}
+        index: dict[bytes, bytes] = {}
         tails: dict[Path, tuple[int, int, int]] = {}
         with self._lock, self._exclusive():
             for path in self._shard_paths():
-                keys, bodies, linenos, corrupt = _verified(
+                verified, linenos, corrupt = _verified(
                     path.read_bytes().split(b"\n"), 0
                 )
-                entries: dict[str, CellRecord] = {}
-                for key, record in _parsed(keys, bodies, linenos, corrupt):
-                    stats["superseded"] += key in entries
-                    entries[key] = record
+                kept: dict[bytes, bytes] = {}  # key digits -> its last line
+                for line in _valid(verified, linenos, corrupt):
+                    stats["superseded"] += line[29:61] in kept
+                    kept[line[29:61]] = line
                 stats["corrupt"] += len(corrupt)
-                stats["kept"] += len(entries)
+                stats["kept"] += len(kept)
                 tmp = path.with_suffix(".jsonl.tmp")
-                blob = b"".join(
-                    _encode_line(k, r) for k, r in sorted(entries.items())
-                )
+                blob = b"".join(kept[key] + b"\n" for key in sorted(kept))
                 tmp.write_bytes(blob)
                 tmp.replace(path)
-                index.update(entries)
-                tails[path] = (path.stat().st_ino, len(blob), len(entries))
+                index.update(map(_entry, kept.values()))
+                tails[path] = (path.stat().st_ino, len(blob), len(kept))
             self._index, self._tails = index, tails
         return stats
 
@@ -583,25 +607,26 @@ def lookup_cells(
     measures whole cells), so it counts as a miss.  Brings the store up
     to date with its shards first (:meth:`CellStore.refresh`) and adds
     the wave to its cell-level hit/miss counters.  The hits are
-    :data:`Cells`, the shape a measured part has too.
+    :data:`Cells`, the shape a measured part has too, their records
+    parsed from the index's bytes in one ``json.loads`` per wave.
     """
     store.refresh()
     index = store.index
-    hits: Cells = {}
-    misses = 0
+    found: list[int] = []  # the hit cells, in wave order
+    bodies: list[bytes] = []  # their records, plan by plan
     for flat, idx in zip(cells, grid_positions(cells, shape)):
-        records: dict[str, CellRecord] = {}
-        for plan_id, key in zip(plan_ids, keyer.keys(plan_ids, idx)):
-            record = index.get(key)
-            if record is None:
+        cell_bodies = []
+        for digest in keyer.digests(plan_ids, idx):
+            body = index.get(digest)
+            if body is None:
                 break
-            records[plan_id] = record
-        if len(records) == len(plan_ids):
-            hits[flat] = records
-        else:
-            misses += 1
-    store.count_lookups(len(cells) - misses, misses)
-    return hits
+            cell_bodies.append(body)
+        if len(cell_bodies) == len(plan_ids):
+            found.append(flat)
+            bodies += cell_bodies
+    store.count_lookups(len(found), len(cells) - len(found))
+    records = iter(json.loads(b"[" + b",".join(bodies) + b"]"))
+    return {flat: dict(zip(plan_ids, records)) for flat in found}
 
 
 def records_from_part(

@@ -7,6 +7,7 @@ import json
 import shutil
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -56,6 +57,11 @@ def put(store, key, record) -> int:
     return store.put_many([(key, record)])
 
 
+def entries_of(store) -> dict:
+    """The store's index read back as hex key -> parsed record."""
+    return {digest.hex(): json.loads(body) for digest, body in store.index.items()}
+
+
 def identical(a, b) -> bool:
     return (
         a.plan_ids == b.plan_ids
@@ -92,6 +98,19 @@ def test_store_skips_identical_and_supersedes_differing(tmp_path):
     assert put(store, key, {"s": 2.0, "a": False, "r": 1}) == 1  # supersedes
     assert store.get(key) == {"s": 2.0, "a": False, "r": 1}
     assert CellStore(tmp_path).get(key) == {"s": 2.0, "a": False, "r": 1}
+
+
+def test_a_record_equal_in_python_but_not_in_bytes_supersedes(tmp_path):
+    """Duplicates are judged by canonical bytes: ``1`` is not ``1.0``."""
+    store = CellStore(tmp_path)
+    key = measurement_key({"k": 1})
+    old, new = {"s": 1.0, "a": False, "r": 3}, {"s": 1, "a": 0, "r": 3.0}
+    assert old == new and _canonical(old) != _canonical(new)
+    assert put(store, key, old) == 1
+    assert put(store, key, new) == 1  # supersedes
+    assert put(store, key, new) == 0  # the same bytes again: a no-op
+    for reader in (store, CellStore(tmp_path)):
+        assert _canonical(reader.get(key)) == _canonical(new)
 
 
 def test_corrupted_shard_garbage_line_raises(tmp_path, caplog):
@@ -307,6 +326,57 @@ def test_four_threads_share_one_store(tmp_path, decoded):
     # offset, so nothing the threads wrote was read back.
     assert len(decoded) == len(before)
     assert CellStore(tmp_path).index == store.index  # every line landed whole
+
+
+def test_the_index_holds_record_bytes_under_key_digests(tmp_path):
+    """An entry costs its digest, its record's canonical bytes and a dict
+    slot (about 165 B; a parsed record under a hex key held ~333 B)."""
+    n = 5000
+    rng = np.random.default_rng(7)
+    seconds = [s if s > 0.05 else None for s in rng.uniform(0, 2.0, n).tolist()]
+    rows = rng.integers(0, 1 << 17, n).tolist()
+    CellStore(tmp_path).put_many(
+        (measurement_key({"n": i}), {"s": s, "a": s is None, "r": r})
+        for i, (s, r) in enumerate(zip(seconds, rows))
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = CellStore(tmp_path)
+        assert len(store) == n
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n <= 200
+    digest, body = next(iter(store.index.items()))
+    assert type(digest) is type(body) is bytes and len(digest) == 16
+
+
+def test_a_warm_wave_parses_its_hits_in_one_loads(tmp_path, monkeypatch):
+    import repro.core.cellstore as module
+
+    scenario = make_sort()
+    shape = scenario.grid_shape
+    cells = list(range(int(np.prod(shape))))
+    keyer = SweepKeyer(scenario, None, None, None)
+    plans = ["p", "q"]
+    part = {
+        flat: {plan: {"s": flat / 8, "a": False, "r": 3} for plan in plans}
+        for flat in cells
+    }
+    store = CellStore(tmp_path)
+    store.put_many(records_from_part(keyer, part))
+    calls = []
+    monkeypatch.setattr(
+        module,
+        "json",
+        SimpleNamespace(loads=lambda data: calls.append(data) or json.loads(data)),
+    )
+    assert lookup_cells(store, keyer, plans, cells, shape) == part
+    assert len(calls) == 1
+    # A partly known cell is a miss, and its records are not parsed.
+    assert lookup_cells(store, keyer, plans + ["absent"], cells, shape) == {}
+    assert calls[-1] == b"[]"
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +779,7 @@ def test_encode_line_is_the_canonical_line(tmp_path_factory, key, record):
     directory = tmp_path_factory.mktemp("cells")
     (directory / f"cells-{key[0]}.jsonl").write_bytes(line)
     store = CellStore(directory)
-    assert store.index == {key: record} and store.corrupt_lines == 0
+    assert entries_of(store) == {key: record} and store.corrupt_lines == 0
 
 
 def old_style_payload(spec, axes, budget, memory, jitter, context, plan_id, idx):
@@ -797,11 +867,12 @@ def test_failed_put_many_leaves_no_trace(tmp_path):
     assert store.get(a) is None and len(store) == 0 and store.writes == 0
     assert not any(path.read_bytes() for path in tmp_path.glob("cells-*.jsonl"))
     assert store.put_many([(a, {"s": 1.0})]) == 1  # not taken for a duplicate
-    assert CellStore(tmp_path).index == {a: {"s": 1.0}}
+    assert entries_of(CellStore(tmp_path)) == {a: {"s": 1.0}}
     # A key the reader would not take back is refused the same way.
     with pytest.raises(ValueError):
         store.put_many([(b, {"s": 1.0}), ("not a key", {"s": 1.0})])
-    assert store.get(b) is None and CellStore(tmp_path).index == {a: {"s": 1.0}}
+    assert store.get(b) is None
+    assert entries_of(CellStore(tmp_path)) == {a: {"s": 1.0}}
 
 
 def test_non_canonical_layouts_are_corrupt(tmp_path, caplog):
@@ -818,7 +889,7 @@ def test_non_canonical_layouts_are_corrupt(tmp_path, caplog):
         reordered_line = {"k": reordered, "d": digest, "r": RECORD}
         fh.write(json.dumps(reordered_line, separators=(",", ":")) + "\n")
     reopened = CellStore(tmp_path)
-    assert reopened.index == {kept: RECORD}
+    assert entries_of(reopened) == {kept: RECORD}
     reopened.refresh()
     assert reopened.corrupt_lines == 2
     assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
@@ -851,7 +922,7 @@ def test_lines_that_pass_their_digest_but_not_the_parse(tmp_path, caplog):
         fh.write(_encode_line(keys[0], {**RECORD, "s": 2.0}))
     n_lines = len(shard.read_bytes().splitlines())
     reopened = CellStore(tmp_path)
-    assert reopened.index == {
+    assert entries_of(reopened) == {
         keys[0]: {**RECORD, "s": 2.0}, keys[1]: RECORD, keys[2]: RECORD
     }
     assert reopened.corrupt_lines == 4
@@ -900,7 +971,7 @@ def legacy_store(tmp_path):
 def test_legacy_store_loads_to_the_same_entries(legacy_store, caplog):
     summary = json.loads((LEGACY / "summary.json").read_text())
     store = CellStore(legacy_store)
-    assert store.index == old_format_entries(LEGACY / "compacted")
+    assert entries_of(store) == old_format_entries(LEGACY / "compacted")
     assert len(store) == summary["entries"]
     assert store.corrupt_lines == summary["corrupt_lines"]
     assert [r.getMessage() for r in caplog.records] == [
